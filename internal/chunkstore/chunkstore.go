@@ -320,7 +320,11 @@ func Open(dir string, opts Options) (*Store, error) {
 func (s *Store) recover() error {
 	bound, startSeq := -1, uint64(0)
 	for i := len(s.segs) - 1; i >= 0; i-- {
-		if seq, ok := s.resetTarget(s.segs[i]); ok {
+		seq, ok, err := s.resetTarget(s.segs[i])
+		if err != nil {
+			return err
+		}
+		if ok {
 			bound, startSeq = i, seq
 			break
 		}
@@ -352,6 +356,9 @@ func (s *Store) recover() error {
 		valid, err := s.replaySegment(path)
 		if err == nil {
 			continue
+		}
+		if errors.Is(err, wire.ErrFormatVersion) {
+			return fmt.Errorf("chunkstore: %s: %w", path, err)
 		}
 		if !errors.Is(err, wire.ErrTornRecord) && !errors.Is(err, wire.ErrCorruptRecord) {
 			return err
@@ -409,18 +416,24 @@ func (s *Store) reinit() error {
 }
 
 // resetTarget reports whether the segment's first record is an intact
-// reset boundary, and if so which segment seq its rewrite starts at.
-func (s *Store) resetTarget(path string) (uint64, bool) {
+// reset boundary, and if so which segment seq its rewrite starts at. An
+// intact first record of another format version is an error: the segment
+// is another build's, not the debris recover may wipe when it finds no
+// boundary.
+func (s *Store) resetTarget(path string) (uint64, bool, error) {
 	f, err := s.fs.Open(path)
 	if err != nil {
-		return 0, false
+		return 0, false, nil
 	}
 	defer f.Close()
 	rec, _, err := wire.DecodeChunkRecord(f)
-	if err != nil || rec.Op != wire.ChunkOpReset || rec.Length <= 0 {
-		return 0, false
+	if errors.Is(err, wire.ErrFormatVersion) {
+		return 0, false, fmt.Errorf("chunkstore: %s: %w", path, err)
 	}
-	return uint64(rec.Length), true
+	if err != nil || rec.Op != wire.ChunkOpReset || rec.Length <= 0 {
+		return 0, false, nil
+	}
+	return uint64(rec.Length), true, nil
 }
 
 func segBase(path string) string { return filepath.Base(path) }

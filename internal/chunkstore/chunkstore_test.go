@@ -2,12 +2,16 @@ package chunkstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 	"time"
 
 	"mutablecp/internal/protocol"
 	"mutablecp/internal/stable/errfs"
+	"mutablecp/internal/wire"
 )
 
 func trig(pid, inum int) protocol.Trigger {
@@ -69,6 +73,49 @@ func TestSaveCommitMaterialize(t *testing.T) {
 	}
 	if err := s.Verify(0); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestForeignFormatFailsOpen puts an intact record of another format
+// version where recovery would otherwise see debris: at the tail of the
+// last segment (a torn tail is truncated) and at the head of the only
+// segment (a store with no boundary is wiped and started again). Both
+// opens must name the mismatch and leave the file as they found it.
+func TestForeignFormatFailsOpen(t *testing.T) {
+	body := []byte{0xFF, 0}
+	foreign := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+	foreign = binary.BigEndian.AppendUint32(foreign, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	foreign = append(foreign, body...)
+
+	for _, where := range []string{"tail", "head"} {
+		fs := errfs.New()
+		s, err := Open("cs", testOpts(fs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seg := s.segs[len(s.segs)-1]
+		s.Close()
+		if where == "head" {
+			if err := fs.Truncate(seg, 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f, err := fs.OpenAppend(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Write(foreign); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		before, _ := fs.FileData(seg)
+
+		if _, err := Open("cs", testOpts(fs)); !errors.Is(err, wire.ErrFormatVersion) {
+			t.Fatalf("%s: open over a foreign record: got %v, want ErrFormatVersion", where, err)
+		}
+		if after, ok := fs.FileData(seg); !ok || len(after) != len(before) {
+			t.Fatalf("%s: open changed %s from %d to %d bytes", where, seg, len(before), len(after))
+		}
 	}
 }
 

@@ -8,16 +8,13 @@ import (
 	"mutablecp/internal/wire"
 )
 
-// Hand-rolled envelope codec for the peer data plane. Envelopes are the
-// per-frame unit between daemons and both ends are always the same
-// build, so unlike the frozen wire.Message format there is no
-// cross-version surface to preserve — and the generic gob framing
-// (wire.ReadValue/WriteValue) paid a full codec construction per frame,
-// which dominated the commit-path CPU profile at bench rates. Fixed
+// Envelope codec for the peer data plane. An envelope is the ARQ header
+// (session generation, sequence number, cumulative ack) around one
+// wire.AppendMessage frame; both ends are always the same build. Fixed
 // big-endian fields keep the decode a single bounds-checked parse.
 //
-// Layout, after a 4-byte big-endian frame length (the same outer
-// framing discipline as wire.AppendValue):
+// Layout, after a 4-byte big-endian frame length (the outer framing of a
+// wire message frame, with the same MaxFrame bound on the body):
 //
 //	[1] Kind  [4] Src  [8] Inc  [8] Gen  [8] Seq  [8] Cum  [...] Body
 const envHeaderLen = 1 + 4 + 8 + 8 + 8 + 8

@@ -1,7 +1,6 @@
 package daemon
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"log"
@@ -456,7 +455,7 @@ func (d *Daemon) serveData(conn net.Conn) {
 	s.noteRemoteInc(hello.Inc)
 
 	deliver := func(body []byte) {
-		m, err := wire.NewDecoder(bytes.NewReader(body)).Decode()
+		m, err := wire.DecodeMessage(body)
 		if err != nil {
 			d.logf("P%d sent an undecodable frame: %v", hello.Src, err)
 			return

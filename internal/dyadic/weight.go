@@ -13,6 +13,7 @@ package dyadic
 import (
 	"fmt"
 	"math/big"
+	"slices"
 )
 
 // Weight is an immutable non-negative dyadic rational num/2^exp.
@@ -170,18 +171,21 @@ func Sum(ws ...Weight) Weight {
 // MarshalBinary implements encoding.BinaryMarshaler: 4-byte big-endian
 // exponent followed by the numerator's big-endian bytes (empty for zero).
 func (w Weight) MarshalBinary() ([]byte, error) {
+	return w.AppendBinary(nil), nil
+}
+
+// AppendBinary appends MarshalBinary's encoding to dst; with room in dst
+// it allocates nothing. Every constructor and operation returns a
+// normalized weight, so equal weights append equal bytes.
+func (w Weight) AppendBinary(dst []byte) []byte {
 	if w.IsZero() {
-		return []byte{0, 0, 0, 0}, nil
+		return append(dst, 0, 0, 0, 0)
 	}
-	n := w.normalize()
-	numBytes := n.num.Bytes()
-	out := make([]byte, 4+len(numBytes))
-	out[0] = byte(n.exp >> 24)
-	out[1] = byte(n.exp >> 16)
-	out[2] = byte(n.exp >> 8)
-	out[3] = byte(n.exp)
-	copy(out[4:], numBytes)
-	return out, nil
+	n := (w.num.BitLen() + 7) / 8
+	dst = append(dst, byte(w.exp>>24), byte(w.exp>>16), byte(w.exp>>8), byte(w.exp))
+	dst = slices.Grow(dst, n)[:len(dst)+n]
+	w.num.FillBytes(dst[len(dst)-n:])
+	return dst
 }
 
 // MaxExp bounds the exponent accepted off the wire. Legitimate weights

@@ -157,9 +157,9 @@ func (l *Link) escalateLocked() {
 }
 
 // Send writes one pre-framed byte sequence (one frame or a coalesced
-// batch from wire.AppendMessage/AppendValue) and flushes. A broken
-// connection is re-dialed up to MaxAttempts times within this call,
-// honouring the link's persistent backoff schedule.
+// batch, from wire.AppendMessage or the daemon's envelope codec) and
+// flushes. A broken connection is re-dialed up to MaxAttempts times
+// within this call, honouring the link's persistent backoff schedule.
 func (l *Link) Send(frame []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

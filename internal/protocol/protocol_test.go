@@ -54,21 +54,6 @@ func TestTriggerNone(t *testing.T) {
 	}
 }
 
-func TestCloneMR(t *testing.T) {
-	if protocol.CloneMR(nil) != nil {
-		t.Error("nil clone not nil")
-	}
-	src := []protocol.MREntry{{CSN: 1, R: true}, {CSN: 2}}
-	dst := protocol.CloneMR(src)
-	dst[0].CSN = 99
-	if src[0].CSN != 1 {
-		t.Error("clone aliases source")
-	}
-	if len(dst) != 2 || dst[1].CSN != 2 {
-		t.Errorf("clone content wrong: %+v", dst)
-	}
-}
-
 func TestStateClone(t *testing.T) {
 	s := protocol.State{
 		Proc:     3,

@@ -237,7 +237,10 @@ func (s *Store) create() (*Store, error) {
 // recover replays the segment chain and reopens the last segment for
 // appending. A torn or corrupt record in the last segment is a crash
 // artifact: everything from it on is truncated away. The same damage in
-// any earlier segment has no innocent explanation and fails the open.
+// any earlier segment has no innocent explanation and fails the open, as
+// does an intact record of another format version anywhere: that is
+// another build's log, and truncating it would restart the process at
+// csn 0 over data that is still good.
 //
 // Replay starts at the newest segment that begins with a valid snapshot
 // record, not at the oldest file present: a crash during compaction can
@@ -261,6 +264,9 @@ func (s *Store) recover() (*Store, error) {
 		valid, err := s.replaySegment(path)
 		if err == nil {
 			continue
+		}
+		if errors.Is(err, wire.ErrFormatVersion) {
+			return nil, fmt.Errorf("stable: %s: %w", path, err)
 		}
 		if !errors.Is(err, wire.ErrTornRecord) && !errors.Is(err, wire.ErrCorruptRecord) {
 			return nil, err

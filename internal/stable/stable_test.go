@@ -1,7 +1,9 @@
 package stable_test
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"path/filepath"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"mutablecp/internal/protocol"
 	"mutablecp/internal/stable"
 	"mutablecp/internal/stable/errfs"
+	"mutablecp/internal/wire"
 )
 
 func state(proc, n, csn int) protocol.State {
@@ -199,6 +202,45 @@ func TestTornTailTruncated(t *testing.T) {
 	defer re2.Close()
 	if re2.Permanent().State.CSN != 1 {
 		t.Fatalf("permanent CSN after recommit = %d", re2.Permanent().State.CSN)
+	}
+}
+
+// foreignFrame is an intact record frame of a format version this build
+// does not write: what another build's log holds.
+func foreignFrame() []byte {
+	body := []byte{0xFF, 0}
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+	frame = binary.BigEndian.AppendUint32(frame, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	return append(frame, body...)
+}
+
+// TestForeignFormatFailsOpen ends the last segment with an intact record
+// of another format version. That is not a torn tail: open must name the
+// mismatch and leave the file as it found it, not truncate it away.
+func TestForeignFormatFailsOpen(t *testing.T) {
+	fs := errfs.New()
+	dir := "mss/p000"
+	st, err := stable.Open(dir, 0, 2, stable.Options{FS: fs, Sync: stable.SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg := st.Segments()[len(st.Segments())-1]
+	st.Close()
+	f, err := fs.OpenAppend(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(foreignFrame()); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	before, _ := fs.FileData(seg)
+
+	if _, err := stable.Open(dir, 0, 2, stable.Options{FS: fs}); !errors.Is(err, wire.ErrFormatVersion) {
+		t.Fatalf("open over a foreign record: got %v, want ErrFormatVersion", err)
+	}
+	if after, _ := fs.FileData(seg); len(after) != len(before) {
+		t.Fatalf("open changed %s from %d to %d bytes", seg, len(before), len(after))
 	}
 }
 

@@ -1,22 +1,14 @@
 package wire
 
-// Persisted chunk-store records: the frame format internal/chunkstore
-// appends to its content-addressed segment logs. Framing is identical to
-// the stable-store records in record.go —
-//
-//	[4-byte BE body length][4-byte BE CRC32C of body][gob body]
-//
-// — so the chunk store inherits the same torn-tail/corruption taxonomy
-// the power-failure gauntlet already exercises: a torn frame is legal
-// only at the tail of the newest segment, a checksum failure anywhere is
-// damage.
+// Persisted chunk-store records: what internal/chunkstore appends to its
+// content-addressed segment logs, one record frame (see the package
+// comment) each, so the chunk store has the stable store's torn-tail and
+// corruption taxonomy. As with stable records, every op writes every
+// field, in the order AppendChunkRecord writes them.
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"time"
 
@@ -87,24 +79,7 @@ type ChunkRecord struct {
 	Hashes     []ChunkHash
 }
 
-// chunkRecCodec is the pinned gob codec for chunk records (see
-// fastcodec.go); its sample populates every field so the preamble
-// invariant is checked against the widest value shape.
-var chunkRecCodec = newRecordCodec(func() *ChunkRecord {
-	return &ChunkRecord{
-		Op:         ChunkOpManifest,
-		Hash:       ChunkHash{1},
-		Base:       ChunkHash{2},
-		Payload:    []byte{3},
-		Proc:       1,
-		Trigger:    protocol.Trigger{Pid: 1, Inum: 2},
-		At:         time.Second,
-		Status:     1,
-		ChunkBytes: 4096,
-		Length:     4096,
-		Hashes:     []ChunkHash{{4}},
-	}
-})
+const chunkVersion = 1
 
 // AppendChunkRecord appends the framed record to dst and returns the
 // extended slice.
@@ -113,80 +88,56 @@ func AppendChunkRecord(dst []byte, r *ChunkRecord) ([]byte, error) {
 		return dst, fmt.Errorf("wire: encode chunk record: bad op %d", r.Op)
 	}
 	start := len(dst)
-	var hdr [recordHeaderLen]byte
-	if out, ok := chunkRecCodec.appendBody(append(dst, hdr[:]...), r); ok {
-		body := out[start+recordHeaderLen:]
-		if len(body) > MaxFrame {
-			return dst[:start], fmt.Errorf("wire: chunk record too large (%d bytes)", len(body))
-		}
-		binary.BigEndian.PutUint32(out[start:], uint32(len(body)))
-		binary.BigEndian.PutUint32(out[start+4:], crc32.Checksum(body, castagnoli))
-		return out, nil
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, chunkVersion, byte(r.Op))
+	dst = appendTrigger(appendInt(dst, r.Proc), r.Trigger)
+	dst = append(binary.AppendVarint(dst, int64(r.At)), r.Status)
+	dst = binary.AppendVarint(appendInt(dst, r.ChunkBytes), r.Length)
+	dst = append(append(dst, r.Hash[:]...), r.Base[:]...)
+	dst = appendBytes(dst, r.Payload)
+	dst = binary.AppendUvarint(dst, uint64(len(r.Hashes)))
+	for i := range r.Hashes {
+		dst = append(dst, r.Hashes[i][:]...)
 	}
-	dst = dst[:start]
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(r); err != nil {
-		return dst, fmt.Errorf("wire: encode chunk record: %w", err)
-	}
-	if body.Len() > MaxFrame {
-		return dst, fmt.Errorf("wire: chunk record too large (%d bytes)", body.Len())
-	}
-	binary.BigEndian.PutUint32(hdr[:4], uint32(body.Len()))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(body.Bytes(), castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, body.Bytes()...), nil
+	return sealFrame(dst, start)
 }
 
-// EncodeChunkRecord writes one framed record and returns the number of
-// bytes written. Like EncodeStableRecord it issues a single Write so a
-// filesystem seam can model it as one (possibly torn) disk operation.
-func EncodeChunkRecord(w io.Writer, r *ChunkRecord) (int, error) {
-	frame, err := AppendChunkRecord(nil, r)
-	if err != nil {
-		return 0, err
-	}
-	return w.Write(frame)
+func (c *cursor) hash() (h ChunkHash) {
+	copy(h[:], c.take(len(h)))
+	return h
 }
 
 // DecodeChunkRecord reads one framed record and reports how many bytes of
-// the stream it consumed. Errors follow DecodeStableRecord exactly:
-// io.EOF at a clean end, ErrTornRecord for a frame that stops mid-header
-// or mid-body, ErrCorruptRecord for checksum/gob failure or an absurd
-// length prefix.
+// the stream it consumed. Errors follow DecodeStableRecord exactly. The
+// record's Payload aliases the frame's buffer, which nothing else holds.
 func DecodeChunkRecord(r io.Reader) (*ChunkRecord, int, error) {
-	var hdr [recordHeaderLen]byte
-	n, err := io.ReadFull(r, hdr[:])
-	if err == io.EOF {
-		return nil, 0, io.EOF
-	}
+	body, n, err := readFrame(r)
 	if err != nil {
-		return nil, n, fmt.Errorf("%w: short header (%d bytes)", ErrTornRecord, n)
+		return nil, n, err
 	}
-	bodyLen := binary.BigEndian.Uint32(hdr[:4])
-	if bodyLen > MaxFrame {
-		return nil, n, fmt.Errorf("%w: length prefix %d exceeds MaxFrame", ErrCorruptRecord, bodyLen)
-	}
-	body := make([]byte, bodyLen)
-	m, err := io.ReadFull(r, body)
-	n += m
+	c, err := openBody(body, chunkVersion)
 	if err != nil {
-		return nil, n, fmt.Errorf("%w: short body (%d of %d bytes)", ErrTornRecord, m, bodyLen)
+		return nil, n, err
 	}
-	if got, want := crc32.Checksum(body, castagnoli), binary.BigEndian.Uint32(hdr[4:]); got != want {
-		return nil, n, fmt.Errorf("%w: crc mismatch (got %08x want %08x)", ErrCorruptRecord, got, want)
+	rec := &ChunkRecord{
+		Op: ChunkOp(c.byte()), Proc: c.int(),
+		Trigger: c.trigger(), At: time.Duration(c.varint()), Status: c.byte(),
+		ChunkBytes: c.int(), Length: c.varint(),
+		Hash: c.hash(), Base: c.hash(),
+		Payload: c.bytes(),
 	}
-	var rec ChunkRecord
-	if !chunkRecCodec.decodeBody(body, &rec) {
-		rec = ChunkRecord{}
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&rec); err != nil {
-			return nil, n, fmt.Errorf("%w: %v", ErrCorruptRecord, err)
+	// count bounds the list by the bytes that are there, so no frame can
+	// claim more than MaxFrame/32 hashes.
+	if k := c.count(len(ChunkHash{})); k > 0 {
+		rec.Hashes = make([]ChunkHash, k)
+		for i := range rec.Hashes {
+			rec.Hashes[i] = c.hash()
 		}
+	}
+	if err := c.close(); err != nil {
+		return nil, n, err
 	}
 	if rec.Op == 0 || rec.Op >= chunkOpMax {
 		return nil, n, fmt.Errorf("%w: bad op %d", ErrCorruptRecord, rec.Op)
 	}
-	if len(rec.Hashes) > MaxFrame/32 {
-		return nil, n, fmt.Errorf("%w: absurd manifest (%d hashes)", ErrCorruptRecord, len(rec.Hashes))
-	}
-	return &rec, n, nil
+	return rec, n, nil
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -38,7 +39,8 @@ func FuzzChunkRecord(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}) // absurd length
-	f.Add(garbageFrame())                             // valid CRC, non-gob body
+	f.Add(frameOf([]byte{1, 2, 3, 4}))                // valid CRC, right version, garbage fields
+	f.Add(frameOf([]byte{0xFF, 0}))                   // valid CRC, unknown version
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
@@ -47,7 +49,8 @@ func FuzzChunkRecord(f *testing.F) {
 		for i := 0; i < len(data)/9+1; i++ {
 			rec, _, err := wire.DecodeChunkRecord(r)
 			if err != nil {
-				if err != io.EOF && !errors.Is(err, wire.ErrTornRecord) && !errors.Is(err, wire.ErrCorruptRecord) {
+				if err != io.EOF && !errors.Is(err, wire.ErrTornRecord) && !errors.Is(err, wire.ErrCorruptRecord) &&
+					!errors.Is(err, wire.ErrFormatVersion) {
 					t.Fatalf("unclassified decode error: %v", err)
 				}
 				return
@@ -72,8 +75,7 @@ func reencodeChunk(t *testing.T, rec *wire.ChunkRecord) {
 	if err != nil {
 		t.Fatalf("re-encoded record failed to decode: %v", err)
 	}
-	if back.Op != rec.Op || back.Hash != rec.Hash || back.Trigger != rec.Trigger ||
-		!bytes.Equal(back.Payload, rec.Payload) || len(back.Hashes) != len(rec.Hashes) {
+	if !reflect.DeepEqual(back, rec) {
 		t.Fatalf("re-encode mutated record: %+v vs %+v", back, rec)
 	}
 }
@@ -136,6 +138,7 @@ func TestGenerateChunkRecordCorpus(t *testing.T) {
 	write("torn-header", frame[:5])
 	write("garbage-crc", flip(frame, 5))
 	write("garbage-body", flip(frame, len(frame)-1))
-	write("gob-garbage", garbageFrame())
+	write("garbage-fields", frameOf([]byte{1, 2, 3, 4}))
+	write("unknown-version", frameOf([]byte{0xFF, 0}))
 	write("oversize-header", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0})
 }

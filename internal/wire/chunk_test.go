@@ -3,42 +3,31 @@ package wire_test
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
-	"hash/crc32"
 	"io"
+	"reflect"
 	"testing"
 
 	"mutablecp/internal/wire"
 )
 
-func TestChunkRecordRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
+func TestChunkRecordStream(t *testing.T) {
+	var stream []byte
 	recs := chunkCorpusRecords()
 	for _, rec := range recs {
-		if _, err := wire.EncodeChunkRecord(&buf, rec); err != nil {
+		var err error
+		if stream, err = wire.AppendChunkRecord(stream, rec); err != nil {
 			t.Fatalf("encode %v: %v", rec.Op, err)
 		}
 	}
-	r := bytes.NewReader(buf.Bytes())
+	r := bytes.NewReader(stream)
 	for _, want := range recs {
 		got, _, err := wire.DecodeChunkRecord(r)
 		if err != nil {
 			t.Fatalf("decode %v: %v", want.Op, err)
 		}
-		if got.Op != want.Op || got.Hash != want.Hash || got.Base != want.Base ||
-			got.Proc != want.Proc || got.Trigger != want.Trigger || got.At != want.At ||
-			got.Status != want.Status || got.ChunkBytes != want.ChunkBytes ||
-			got.Length != want.Length || !bytes.Equal(got.Payload, want.Payload) {
+		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("round trip mutated %v record:\n got %+v\nwant %+v", want.Op, got, want)
-		}
-		if len(got.Hashes) != len(want.Hashes) {
-			t.Fatalf("%v: %d hashes, want %d", want.Op, len(got.Hashes), len(want.Hashes))
-		}
-		for i := range want.Hashes {
-			if got.Hashes[i] != want.Hashes[i] {
-				t.Fatalf("%v: hash %d mutated", want.Op, i)
-			}
 		}
 	}
 	if _, _, err := wire.DecodeChunkRecord(r); err != io.EOF {
@@ -77,7 +66,12 @@ func TestChunkRecordTornAndCorrupt(t *testing.T) {
 		{"flipped crc", flip(frame, 5), wire.ErrCorruptRecord},
 		{"flipped body", flip(frame, len(frame)-1), wire.ErrCorruptRecord},
 		{"absurd length", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}, wire.ErrCorruptRecord},
-		{"non-gob body", garbageFrame(), wire.ErrCorruptRecord},
+		{"garbage fields", frameOf([]byte{1, 2, 3, 4}), wire.ErrCorruptRecord},
+		{"empty body", frameOf(nil), wire.ErrCorruptRecord},
+		{"trailing byte", frameOf(append(bodyOf(frame), 0)), wire.ErrCorruptRecord},
+		{"op 0", frameOf(withByte(bodyOf(frame), 1, 0)), wire.ErrCorruptRecord},
+		{"op 7", frameOf(withByte(bodyOf(frame), 1, 7)), wire.ErrCorruptRecord},
+		{"unknown version", frameOf(withByte(bodyOf(frame), 0, 0xFF)), wire.ErrFormatVersion},
 	}
 	for _, tc := range cases {
 		if _, _, err := wire.DecodeChunkRecord(bytes.NewReader(tc.data)); !errors.Is(err, tc.want) {
@@ -99,17 +93,20 @@ func TestChunkRecordHostileHashCount(t *testing.T) {
 	if _, err := wire.AppendChunkRecord(nil, rec); err == nil {
 		t.Fatal("hostile manifest encoded")
 	}
-	// ...so build the frame by hand around the raw gob body, bypassing
-	// the size check, as hostile bytes on disk would.
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(rec); err != nil {
+	// ...so write the count by hand, as hostile bytes on disk would: a
+	// put record's body ends in its empty hash list, a zero count byte.
+	put, err := wire.AppendChunkRecord(nil, chunkCorpusRecords()[1])
+	if err != nil {
 		t.Fatal(err)
 	}
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(body.Len()))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(body.Bytes(), crc32.MakeTable(crc32.Castagnoli)))
-	data := append(hdr[:], body.Bytes()...)
-	if _, _, err := wire.DecodeChunkRecord(bytes.NewReader(data)); !errors.Is(err, wire.ErrCorruptRecord) {
+	body := bodyOf(put)
+	body = binary.AppendUvarint(body[:len(body)-1], uint64(len(rec.Hashes)))
+	if _, _, err := wire.DecodeChunkRecord(bytes.NewReader(frameOf(body))); !errors.Is(err, wire.ErrCorruptRecord) {
 		t.Fatalf("hostile hash count: got %v, want ErrCorruptRecord", err)
+	}
+	// One hash short of what the count claims is no better.
+	body = append(binary.AppendUvarint(bodyOf(put)[:len(body)-1], 2), make([]byte, 63)...)
+	if _, _, err := wire.DecodeChunkRecord(bytes.NewReader(frameOf(body))); !errors.Is(err, wire.ErrCorruptRecord) {
+		t.Fatalf("short hash list: got %v, want ErrCorruptRecord", err)
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strings"
+	"reflect"
 	"testing"
 
 	"mutablecp/internal/dyadic"
@@ -26,20 +26,17 @@ import (
 //	WIRE_GEN_CORPUS=1 go test -run TestGenerateFuzzCorpus ./internal/wire/
 func FuzzDecode(f *testing.F) {
 	// Valid frames, single and back-to-back, plus structured garbage.
-	var buf bytes.Buffer
-	enc := wire.NewEncoder(&buf)
-	if err := enc.Encode(sampleMessage()); err != nil {
+	frame, err := wire.AppendMessage(nil, sampleMessage())
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(append([]byte(nil), buf.Bytes()...))
-	if err := enc.Encode(sampleMessage()); err != nil {
-		f.Fatal(err)
-	}
-	f.Add(append([]byte(nil), buf.Bytes()...)) // two-frame stream
+	f.Add(frame)
+	f.Add(append(append([]byte(nil), frame...), frame...)) // two-frame stream
 	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 4, 1, 2, 3, 4})   // frame of gob garbage
-	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})   // absurd length prefix
-	f.Add(buf.Bytes()[:len(buf.Bytes())/2]) // torn frame
+	f.Add([]byte{0, 0, 0, 4, 1, 2, 3, 4}) // right version, garbage fields
+	f.Add([]byte{0, 0, 0, 2, 0xFF, 0})    // unknown version
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // absurd length prefix
+	f.Add(frame[:len(frame)/2])           // torn frame
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := wire.NewDecoder(bytes.NewReader(data))
@@ -67,13 +64,18 @@ func exerciseDecoded(t *testing.T, m *protocol.Message) {
 		t.Fatalf("w+w <= w for decoded weight %v", m.Weight)
 	}
 	sum.Sub(m.Weight) // must not panic: w+w >= w always holds
-	var buf bytes.Buffer
-	if err := wire.NewEncoder(&buf).Encode(m); err != nil {
-		// The only legitimate re-encode failure is a payload so close to
-		// MaxFrame that gob overhead tips it over.
-		if !strings.Contains(err.Error(), "frame") {
-			t.Fatalf("decoded message failed to re-encode: %v", err)
-		}
+	// The encoder writes the shortest form of every field, so what fitted
+	// a frame once fits again.
+	frame, err := wire.AppendMessage(nil, m)
+	if err != nil {
+		t.Fatalf("decoded message failed to re-encode: %v", err)
+	}
+	back, err := wire.DecodeMessage(frame)
+	if err != nil {
+		t.Fatalf("re-encoded message failed to decode: %v", err)
+	}
+	if !reflect.DeepEqual(messageView(back), messageView(m)) {
+		t.Fatalf("re-encode mutated message:\n got %+v\nwant %+v", messageView(back), messageView(m))
 	}
 }
 
@@ -114,27 +116,27 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 		}
 	}
 	for name, m := range msgs {
-		var buf bytes.Buffer
-		if err := wire.NewEncoder(&buf).Encode(m); err != nil {
+		frame, err := wire.AppendMessage(nil, m)
+		if err != nil {
 			t.Fatal(err)
 		}
-		write("valid-"+name, buf.Bytes())
+		write("valid-"+name, frame)
 	}
-	// A frame whose gob payload smuggles a weight with a giant exponent:
-	// the dyadic bound must reject it at decode time.
-	var buf bytes.Buffer
-	if err := wire.NewEncoder(&buf).Encode(sampleMessage()); err != nil {
+	// A frame that smuggles a weight with a giant exponent: the dyadic
+	// bound must reject it at decode time. sampleMessage carries weight
+	// 3/2^5, the frame's last five bytes: exponent {0,0,0,5}, numerator {3}.
+	raw, err := wire.AppendMessage(nil, sampleMessage())
+	if err != nil {
 		t.Fatal(err)
 	}
-	raw := buf.Bytes()
-	if i := bytes.Index(raw, []byte{0, 0, 0, 5, 3}); i >= 0 {
-		// sampleMessage carries weight 3/2^5, marshalled as exp bytes
-		// {0,0,0,5} + numerator {3}; flip the exponent to 0xFFFFFFFF.
-		mut := append([]byte(nil), raw...)
-		copy(mut[i:], []byte{0xFF, 0xFF, 0xFF, 0xFF})
-		write("garbage-weight-exp", mut)
+	if !bytes.HasSuffix(raw, []byte{0, 0, 0, 5, 3}) {
+		t.Fatalf("sample frame does not end in its weight: %x", raw)
 	}
+	mut := append([]byte(nil), raw...)
+	copy(mut[len(mut)-5:], []byte{0xFF, 0xFF, 0xFF, 0xFF})
+	write("garbage-weight-exp", mut)
 	write("torn-frame", raw[:len(raw)/2])
-	write("gob-garbage", []byte{0, 0, 0, 4, 1, 2, 3, 4})
+	write("garbage-fields", []byte{0, 0, 0, 4, 1, 2, 3, 4})
+	write("unknown-version", []byte{0, 0, 0, 2, 0xFF, 0})
 	write("oversize-header", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0})
 }

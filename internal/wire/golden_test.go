@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"flag"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -16,46 +15,98 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden frames from the current encoder")
 
-// goldenMessages covers every frame shape livenet peers exchange; the
-// request carries a populated MR vector, the piece of the format most
-// exposed to engine-representation changes.
-func goldenMessages() map[string]*protocol.Message {
-	return map[string]*protocol.Message{
-		"request":     sampleMessage(),
-		"computation": {Kind: protocol.KindComputation, From: 1, To: 2, Seq: 5, Size: 1024, CSN: 3, Trigger: protocol.NoTrigger},
-		"reply": {Kind: protocol.KindReply, From: 7, To: 3, Trigger: protocol.Trigger{Pid: 3, Inum: 9},
-			Weight: dyadic.FromFraction(1, 8)},
-		"commit": {Kind: protocol.KindCommit, From: 3, Trigger: protocol.Trigger{Pid: 3, Inum: 9}, Commit: true},
-		"abort":  {Kind: protocol.KindAbort, From: 3, Trigger: protocol.Trigger{Pid: 3, Inum: 9}},
+// goldenMessages covers every frame shape peers exchange; the request
+// carries a populated MR vector, the piece of the format most exposed to
+// engine-representation changes.
+var goldenMessages = []struct {
+	name string
+	m    *protocol.Message
+}{
+	{"request", sampleMessage()},
+	{"computation", &protocol.Message{Kind: protocol.KindComputation, From: 1, To: 2, Seq: 5, Size: 1024, CSN: 3, Trigger: protocol.NoTrigger}},
+	{"reply", &protocol.Message{Kind: protocol.KindReply, From: 7, To: 3, Trigger: protocol.Trigger{Pid: 3, Inum: 9},
+		Weight: dyadic.FromFraction(1, 8)}},
+	{"commit", &protocol.Message{Kind: protocol.KindCommit, From: 3, Trigger: protocol.Trigger{Pid: 3, Inum: 9}, Commit: true}},
+	{"abort", &protocol.Message{Kind: protocol.KindAbort, From: 3, Trigger: protocol.Trigger{Pid: 3, Inum: 9}}},
+}
+
+// goldenRow is one pinned frame: how to produce it from its value, and
+// how to decode bytes of its kind and encode the result again.
+type goldenRow struct {
+	name     string
+	encode   func() ([]byte, error)
+	reencode func(frame []byte) ([]byte, error)
+}
+
+func goldenRows() []goldenRow {
+	var rows []goldenRow
+	for _, g := range goldenMessages {
+		rows = append(rows, goldenRow{
+			name:   g.name,
+			encode: func() ([]byte, error) { return wire.AppendMessage(nil, g.m) },
+			reencode: func(frame []byte) ([]byte, error) {
+				got, err := wire.NewDecoder(bytes.NewReader(frame)).Decode()
+				if err != nil {
+					return nil, err
+				}
+				return wire.AppendMessage(nil, got)
+			},
+		})
 	}
+	for _, rec := range []*wire.StableRecord{sampleTentativeRecord(), sampleSnapshotRecord()} {
+		rows = append(rows, goldenRow{
+			name:   "stable-" + rec.Op.String(),
+			encode: func() ([]byte, error) { return wire.AppendStableRecord(nil, rec) },
+			reencode: func(frame []byte) ([]byte, error) {
+				got, _, err := wire.DecodeStableRecord(bytes.NewReader(frame))
+				if err != nil {
+					return nil, err
+				}
+				return wire.AppendStableRecord(nil, got)
+			},
+		})
+	}
+	for _, rec := range chunkCorpusRecords() {
+		if rec.Op != wire.ChunkOpPut && rec.Op != wire.ChunkOpManifest {
+			continue
+		}
+		rows = append(rows, goldenRow{
+			name:   "chunk-" + rec.Op.String(),
+			encode: func() ([]byte, error) { return wire.AppendChunkRecord(nil, rec) },
+			reencode: func(frame []byte) ([]byte, error) {
+				got, _, err := wire.DecodeChunkRecord(bytes.NewReader(frame))
+				if err != nil {
+					return nil, err
+				}
+				return wire.AppendChunkRecord(nil, got)
+			},
+		})
+	}
+	return rows
 }
 
 const goldenFramesPath = "testdata/golden_frames.hex"
 
-// TestGoldenFrameBytes locks the on-the-wire gob encoding byte for byte.
-// The committed file was captured while Message.MR was a []MREntry field,
-// so it proves representation refactors keep old and new peers
-// byte-compatible in both directions.
+// TestGoldenFrameBytes locks the wire format and the two disk formats
+// byte for byte: every row must encode to the committed bytes, and the
+// committed bytes must decode to a value that encodes to them again.
+// TestCodecProperties shows decode inverts encode, so together they pin
+// what every field of the committed bytes means. A deliberate format
+// change bumps the body's version byte and reruns with -update.
 func TestGoldenFrameBytes(t *testing.T) {
-	msgs := goldenMessages()
-	got := make(map[string]string, len(msgs))
-	for name, m := range msgs {
-		var buf bytes.Buffer
-		if err := wire.NewEncoder(&buf).Encode(m); err != nil {
-			t.Fatalf("%s: %v", name, err)
+	rows := goldenRows()
+	got := make(map[string]string, len(rows))
+	for _, row := range rows {
+		frame, err := row.encode()
+		if err != nil {
+			t.Fatalf("%s: %v", row.name, err)
 		}
-		got[name] = hex.EncodeToString(buf.Bytes())
+		got[row.name] = hex.EncodeToString(frame)
 	}
 	if *update {
-		if err := os.MkdirAll(filepath.Dir(goldenFramesPath), 0o755); err != nil {
-			t.Fatal(err)
-		}
 		var sb strings.Builder
-		for _, name := range []string{"request", "computation", "reply", "commit", "abort"} {
-			sb.WriteString(name)
-			sb.WriteString(" ")
-			sb.WriteString(got[name])
-			sb.WriteString("\n")
+		for _, row := range rows {
+			sb.WriteString(row.name + " " + got[row.name] + "\n")
 		}
 		if err := os.WriteFile(goldenFramesPath, []byte(sb.String()), 0o644); err != nil {
 			t.Fatal(err)
@@ -74,37 +125,28 @@ func TestGoldenFrameBytes(t *testing.T) {
 		}
 		want[name] = frame
 	}
-	for name := range msgs {
-		w, ok := want[name]
+	if len(want) != len(rows) {
+		t.Errorf("golden file has %d rows, the test %d", len(want), len(rows))
+	}
+	for _, row := range rows {
+		w, ok := want[row.name]
 		if !ok {
-			t.Errorf("%s: no golden frame recorded (run with -update)", name)
+			t.Errorf("%s: no golden frame recorded (run with -update)", row.name)
 			continue
 		}
-		if got[name] != w {
-			t.Errorf("%s: encoded frame drifted from the recorded wire format:\n got %s\nwant %s", name, got[name], w)
+		if got[row.name] != w {
+			t.Errorf("%s: encoded frame drifted from the recorded format:\n got %s\nwant %s", row.name, got[row.name], w)
 		}
-	}
-	// And decoding the golden bytes must reproduce the message: old peers'
-	// frames stay readable.
-	for name, frame := range want {
-		raw, err := hex.DecodeString(frame)
+		raw, err := hex.DecodeString(w)
 		if err != nil {
-			t.Fatalf("%s: bad golden hex: %v", name, err)
+			t.Fatalf("%s: bad golden hex: %v", row.name, err)
 		}
-		m, err := wire.NewDecoder(bytes.NewReader(raw)).Decode()
+		again, err := row.reencode(raw)
 		if err != nil {
-			t.Fatalf("%s: golden frame no longer decodes: %v", name, err)
+			t.Fatalf("%s: golden frame no longer decodes: %v", row.name, err)
 		}
-		orig := msgs[name]
-		if m.Kind != orig.Kind || m.From != orig.From || m.To != orig.To ||
-			m.CSN != orig.CSN || m.Trigger != orig.Trigger || m.Commit != orig.Commit {
-			t.Errorf("%s: golden frame decoded to %+v, want %+v", name, m, orig)
-		}
-		if m.MR.Len() != orig.MR.Len() {
-			t.Errorf("%s: golden MR decoded to %d entries, want %d", name, m.MR.Len(), orig.MR.Len())
-		}
-		if !m.Weight.Equal(orig.Weight) {
-			t.Errorf("%s: golden weight decoded to %v, want %v", name, m.Weight, orig.Weight)
+		if !bytes.Equal(again, raw) {
+			t.Errorf("%s: golden frame decodes to a value that encodes differently:\n got %x\nwant %x", row.name, again, raw)
 		}
 	}
 }

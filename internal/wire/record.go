@@ -1,25 +1,14 @@
 package wire
 
-// Persisted checkpoint records: the frame format internal/stable appends
-// to its on-disk segment log. A stored frame is
-//
-//	[4-byte BE body length][4-byte BE CRC32C of body][gob body]
-//
-// The CRC uses the Castagnoli polynomial (the one disk and network
-// ecosystems standardized on because of hardware support), so a torn or
-// bit-flipped tail is detected before gob ever sees it. The body reuses
-// the same gob machinery as the network frames — every hardening the
-// FuzzDecode corpus bought (bounded frame sizes via MaxFrame, and the
-// MaxExp-bounded dyadic decoding for any weight-bearing payload) guards
-// the disk path too.
+// Persisted checkpoint records: what internal/stable appends to its
+// on-disk segment log, one record frame (see the package comment) each.
+// The body has the same fields for every op, in the order
+// AppendStableRecord writes them; the ones an op does not use are zero
+// and cost a byte.
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"time"
 
@@ -83,124 +72,76 @@ type StableRecord struct {
 	Tentative []CheckpointImage
 }
 
-// Record framing errors. A torn record is a frame the writer did not
-// finish (crash mid-append): expected, and truncatable, at the tail of
-// the last segment. A corrupt record is a complete frame that fails its
-// checksum or does not decode: never expected, anywhere.
-var (
-	ErrTornRecord    = errors.New("wire: torn stable record")
-	ErrCorruptRecord = errors.New("wire: corrupt stable record")
+const (
+	stableVersion = 1
+	// minImageLen is the encoded size of a zero CheckpointImage: no image
+	// list can claim more entries than the remaining bytes divided by it.
+	minImageLen = 9
 )
 
-const recordHeaderLen = 8
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
-
-// stableRecCodec is the pinned gob codec for stable records (see
-// fastcodec.go); its sample populates every field so the preamble
-// invariant is checked against the widest value shape.
-var stableRecCodec = newRecordCodec(func() *StableRecord {
-	img := CheckpointImage{
-		State: protocol.State{
-			Proc: 1, CSN: 2, SentTo: []uint64{3}, RecvFrom: []uint64{4},
-			At: time.Second,
-		},
-		Trigger: protocol.Trigger{Pid: 1, Inum: 2},
-		Status:  1,
-		SavedAt: time.Second,
+func appendImages(dst []byte, imgs []CheckpointImage) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(imgs)))
+	for i := range imgs {
+		img := &imgs[i]
+		dst = appendTrigger(appendState(dst, &img.State), img.Trigger)
+		dst = binary.AppendVarint(append(dst, img.Status), int64(img.SavedAt))
 	}
-	return &StableRecord{
-		Op:        OpTentative,
-		Proc:      1,
-		Trigger:   protocol.Trigger{Pid: 1, Inum: 2},
-		At:        time.Second,
-		State:     img.State,
-		Permanent: []CheckpointImage{img},
-		Tentative: []CheckpointImage{img},
+	return dst
+}
+
+func (c *cursor) images() []CheckpointImage {
+	n := c.count(minImageLen)
+	if n == 0 {
+		return nil
 	}
-})
+	out := make([]CheckpointImage, n)
+	for i := range out {
+		out[i] = CheckpointImage{
+			State: c.state(), Trigger: c.trigger(),
+			Status: c.byte(), SavedAt: time.Duration(c.varint()),
+		}
+	}
+	return out
+}
 
 // AppendStableRecord appends the framed record to dst and returns the
-// extended slice. It is the encoding primitive: callers that need a
-// writer use EncodeStableRecord.
+// extended slice.
 func AppendStableRecord(dst []byte, r *StableRecord) ([]byte, error) {
 	if r.Op == 0 || r.Op >= opMax {
 		return dst, fmt.Errorf("wire: encode stable record: bad op %d", r.Op)
 	}
 	start := len(dst)
-	var hdr [recordHeaderLen]byte
-	if out, ok := stableRecCodec.appendBody(append(dst, hdr[:]...), r); ok {
-		body := out[start+recordHeaderLen:]
-		if len(body) > MaxFrame {
-			return dst[:start], fmt.Errorf("wire: stable record too large (%d bytes)", len(body))
-		}
-		binary.BigEndian.PutUint32(out[start:], uint32(len(body)))
-		binary.BigEndian.PutUint32(out[start+4:], crc32.Checksum(body, castagnoli))
-		return out, nil
-	}
-	dst = dst[:start]
-	var body bytes.Buffer
-	if err := gob.NewEncoder(&body).Encode(r); err != nil {
-		return dst, fmt.Errorf("wire: encode stable record: %w", err)
-	}
-	if body.Len() > MaxFrame {
-		return dst, fmt.Errorf("wire: stable record too large (%d bytes)", body.Len())
-	}
-	binary.BigEndian.PutUint32(hdr[:4], uint32(body.Len()))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(body.Bytes(), castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, body.Bytes()...), nil
-}
-
-// EncodeStableRecord writes one framed record and returns the number of
-// bytes written. The write is issued as a single Write call so a
-// filesystem seam can model it as one (possibly torn) disk operation.
-func EncodeStableRecord(w io.Writer, r *StableRecord) (int, error) {
-	frame, err := AppendStableRecord(nil, r)
-	if err != nil {
-		return 0, err
-	}
-	return w.Write(frame)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, stableVersion, byte(r.Op))
+	dst = appendTrigger(appendInt(dst, r.Proc), r.Trigger)
+	dst = appendState(binary.AppendVarint(dst, int64(r.At)), &r.State)
+	dst = appendImages(appendImages(dst, r.Permanent), r.Tentative)
+	return sealFrame(dst, start)
 }
 
 // DecodeStableRecord reads one framed record and reports how many bytes
-// of the stream it consumed. Errors:
-//
-//   - io.EOF: clean end of log (no bytes of a further record present)
-//   - ErrTornRecord: the frame stops mid-header or mid-body
-//   - ErrCorruptRecord: checksum or gob failure on a complete frame, or
-//     an absurd length prefix
+// of the stream it consumed. Errors are readFrame's, plus
+// ErrFormatVersion for an intact frame of another format version and
+// ErrCorruptRecord for a body that does not parse or names no op.
 func DecodeStableRecord(r io.Reader) (*StableRecord, int, error) {
-	var hdr [recordHeaderLen]byte
-	n, err := io.ReadFull(r, hdr[:])
-	if err == io.EOF {
-		return nil, 0, io.EOF
-	}
+	body, n, err := readFrame(r)
 	if err != nil {
-		return nil, n, fmt.Errorf("%w: short header (%d bytes)", ErrTornRecord, n)
+		return nil, n, err
 	}
-	bodyLen := binary.BigEndian.Uint32(hdr[:4])
-	if bodyLen > MaxFrame {
-		return nil, n, fmt.Errorf("%w: length prefix %d exceeds MaxFrame", ErrCorruptRecord, bodyLen)
-	}
-	body := make([]byte, bodyLen)
-	m, err := io.ReadFull(r, body)
-	n += m
+	c, err := openBody(body, stableVersion)
 	if err != nil {
-		return nil, n, fmt.Errorf("%w: short body (%d of %d bytes)", ErrTornRecord, m, bodyLen)
+		return nil, n, err
 	}
-	if got, want := crc32.Checksum(body, castagnoli), binary.BigEndian.Uint32(hdr[4:]); got != want {
-		return nil, n, fmt.Errorf("%w: crc mismatch (got %08x want %08x)", ErrCorruptRecord, got, want)
+	rec := &StableRecord{
+		Op: RecordOp(c.byte()), Proc: c.int(),
+		Trigger: c.trigger(), At: time.Duration(c.varint()),
+		State:     c.state(),
+		Permanent: c.images(), Tentative: c.images(),
 	}
-	var rec StableRecord
-	if !stableRecCodec.decodeBody(body, &rec) {
-		rec = StableRecord{}
-		if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&rec); err != nil {
-			return nil, n, fmt.Errorf("%w: %v", ErrCorruptRecord, err)
-		}
+	if err := c.close(); err != nil {
+		return nil, n, err
 	}
 	if rec.Op == 0 || rec.Op >= opMax {
 		return nil, n, fmt.Errorf("%w: bad op %d", ErrCorruptRecord, rec.Op)
 	}
-	return &rec, n, nil
+	return rec, n, nil
 }

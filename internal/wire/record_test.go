@@ -2,19 +2,17 @@ package wire_test
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"io"
+	"reflect"
 	"testing"
 	"time"
 
 	"mutablecp/internal/protocol"
 	"mutablecp/internal/wire"
 )
-
-func wireCRC(b []byte) uint32 {
-	return crc32.Checksum(b, crc32.MakeTable(crc32.Castagnoli))
-}
 
 func sampleTentativeRecord() *wire.StableRecord {
 	return &wire.StableRecord{
@@ -50,73 +48,53 @@ func sampleSnapshotRecord() *wire.StableRecord {
 	}
 }
 
-func TestStableRecordRoundTrip(t *testing.T) {
-	for _, rec := range []*wire.StableRecord{
-		sampleTentativeRecord(),
-		sampleSnapshotRecord(),
-		{Op: wire.OpCommit, Proc: 1, Trigger: protocol.Trigger{Pid: 0, Inum: 2}, At: time.Minute},
-		{Op: wire.OpDrop, Proc: 2, Trigger: protocol.Trigger{Pid: 2, Inum: 9}},
-	} {
-		var buf bytes.Buffer
-		n, err := wire.EncodeStableRecord(&buf, rec)
-		if err != nil {
-			t.Fatalf("%v: encode: %v", rec.Op, err)
-		}
-		if n != buf.Len() {
-			t.Fatalf("%v: reported %d bytes, wrote %d", rec.Op, n, buf.Len())
-		}
-		got, m, err := wire.DecodeStableRecord(&buf)
-		if err != nil {
-			t.Fatalf("%v: decode: %v", rec.Op, err)
-		}
-		if m != n {
-			t.Fatalf("%v: decode consumed %d of %d bytes", rec.Op, m, n)
-		}
-		if got.Op != rec.Op || got.Proc != rec.Proc || got.Trigger != rec.Trigger || got.At != rec.At {
-			t.Fatalf("%v: round trip mutated header fields: %+v", rec.Op, got)
-		}
-		if got.State.CSN != rec.State.CSN || len(got.Permanent) != len(rec.Permanent) ||
-			len(got.Tentative) != len(rec.Tentative) {
-			t.Fatalf("%v: round trip mutated payload: %+v", rec.Op, got)
-		}
-	}
-}
-
-func TestStableRecordEncodeDeterministic(t *testing.T) {
-	a, err := wire.AppendStableRecord(nil, sampleSnapshotRecord())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := wire.AppendStableRecord(nil, sampleSnapshotRecord())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a, b) {
-		t.Fatal("identical records encoded to different bytes")
-	}
-}
-
 func TestStableRecordStream(t *testing.T) {
-	var buf bytes.Buffer
+	var stream []byte
+	var ends []int
 	want := []wire.RecordOp{wire.OpSnapshot, wire.OpTentative, wire.OpCommit}
 	for _, op := range want {
 		rec := sampleTentativeRecord()
 		rec.Op = op
-		if _, err := wire.EncodeStableRecord(&buf, rec); err != nil {
+		var err error
+		if stream, err = wire.AppendStableRecord(stream, rec); err != nil {
 			t.Fatal(err)
 		}
+		ends = append(ends, len(stream))
 	}
+	buf := bytes.NewReader(stream)
+	consumed := 0
 	for i, op := range want {
-		rec, _, err := wire.DecodeStableRecord(&buf)
+		rec, n, err := wire.DecodeStableRecord(buf)
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
 		if rec.Op != op {
 			t.Fatalf("record %d: op = %v, want %v", i, rec.Op, op)
 		}
+		if consumed += n; consumed != ends[i] {
+			t.Fatalf("record %d: decoder consumed up to byte %d, the record ends at %d", i, consumed, ends[i])
+		}
 	}
-	if _, _, err := wire.DecodeStableRecord(&buf); err != io.EOF {
+	if _, _, err := wire.DecodeStableRecord(buf); err != io.EOF {
 		t.Fatalf("end of stream: err = %v, want io.EOF", err)
+	}
+}
+
+// TestStableRecordSmallestImages fills a snapshot with zero images, the
+// fewest bytes an image can take: the decoder's bound on the image count
+// (bytes left over the smallest image) must not refuse them.
+func TestStableRecordSmallestImages(t *testing.T) {
+	rec := &wire.StableRecord{Op: wire.OpSnapshot, Permanent: make([]wire.CheckpointImage, 50)}
+	frame, err := wire.AppendStableRecord(nil, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := wire.DecodeStableRecord(bytes.NewReader(frame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, rec) {
+		t.Fatalf("round trip changed the record:\n got %+v\nwant %+v", got, rec)
 	}
 }
 
@@ -136,7 +114,13 @@ func TestStableRecordTornAndCorrupt(t *testing.T) {
 		{"flipped-body-byte", flip(frame, len(frame)-1), wire.ErrCorruptRecord},
 		{"flipped-crc", flip(frame, 5), wire.ErrCorruptRecord},
 		{"oversize-length", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0, 0, 0}, wire.ErrCorruptRecord},
-		{"gob-garbage", garbageFrame(), wire.ErrCorruptRecord},
+		{"garbage-fields", frameOf([]byte{1, 2, 3, 4}), wire.ErrCorruptRecord},
+		{"empty-body", frameOf(nil), wire.ErrCorruptRecord},
+		{"trailing-byte", frameOf(append(bodyOf(frame), 0)), wire.ErrCorruptRecord},
+		{"op-0", frameOf(withByte(bodyOf(frame), 1, 0)), wire.ErrCorruptRecord},
+		{"op-5", frameOf(withByte(bodyOf(frame), 1, 5)), wire.ErrCorruptRecord},
+		{"hostile-image-count", frameOf(append(bodyOf(frame)[:len(bodyOf(frame))-2], 0xFF, 0x7F, 0)), wire.ErrCorruptRecord},
+		{"unknown-version", frameOf(withByte(bodyOf(frame), 0, 0xFF)), wire.ErrFormatVersion},
 	}
 	for _, tc := range cases {
 		_, _, err := wire.DecodeStableRecord(bytes.NewReader(tc.data))
@@ -153,12 +137,20 @@ func flip(b []byte, i int) []byte {
 	return out
 }
 
-// garbageFrame builds a frame whose CRC is valid but whose body is not
-// gob: corruption the checksum cannot catch must still be rejected.
-func garbageFrame() []byte {
-	body := []byte{1, 2, 3, 4}
-	frame := []byte{0, 0, 0, 4, 0, 0, 0, 0}
-	crc := wireCRC(body)
-	frame[4], frame[5], frame[6], frame[7] = byte(crc>>24), byte(crc>>16), byte(crc>>8), byte(crc)
-	return append(frame, body...)
+// frameOf wraps a hand-made body in a valid length+CRC header: damage the
+// checksum cannot catch must still be rejected by the body parser.
+func frameOf(body []byte) []byte {
+	var hdr [8]byte
+	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)))
+	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+	return append(hdr[:], body...)
+}
+
+// bodyOf returns a copy of a record frame's body.
+func bodyOf(frame []byte) []byte { return append([]byte(nil), frame[8:]...) }
+
+// withByte returns b with b[i] replaced.
+func withByte(b []byte, i int, v byte) []byte {
+	b[i] = v
+	return b
 }

@@ -1,20 +1,14 @@
 package wire
 
-// Persisted tie-break schedules: the frame format internal/explore uses
-// for recorded counterexamples. A stored frame is
-//
-//	[4-byte BE body length][4-byte BE CRC32C of body][varint body]
-//
-// reusing the stable-record framing discipline, but the body is packed
-// with uvarints instead of gob: a schedule is a long run of tiny integers
-// (most tie-break choices fit one byte), and the compact form keeps the
-// committed regression corpus small and diffable byte-for-byte.
+// Persisted tie-break schedules: what internal/explore stores for recorded
+// counterexamples, one record frame (see the package comment) each. A
+// schedule is a long run of tiny integers (most tie-break choices fit one
+// byte), so the uvarint body keeps the committed regression corpus small
+// and diffable byte-for-byte.
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 )
 
@@ -44,38 +38,26 @@ const (
 	maxScheduleChoice = 1 << 20
 )
 
-// ErrCorruptSchedule reports a schedule frame that is complete but does
-// not decode (bad checksum, version, or field bounds). Torn frames reuse
-// ErrTornRecord.
-var ErrCorruptSchedule = errors.New("wire: corrupt schedule record")
-
 // AppendScheduleRecord appends the framed record to dst and returns the
 // extended slice.
 func AppendScheduleRecord(dst []byte, r *ScheduleRecord) ([]byte, error) {
 	if len(r.Name) > maxScheduleName {
 		return dst, fmt.Errorf("wire: encode schedule: name too long (%d bytes)", len(r.Name))
 	}
-	body := make([]byte, 0, 16+len(r.Name)+len(r.Choices))
-	body = binary.AppendUvarint(body, scheduleVersion)
-	body = binary.AppendUvarint(body, uint64(len(r.Name)))
-	body = append(body, r.Name...)
-	body = binary.AppendUvarint(body, uint64(r.Mutation))
-	body = binary.AppendUvarint(body, r.Seed)
-	body = binary.AppendUvarint(body, uint64(len(r.Choices)))
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, scheduleVersion)
+	dst = binary.AppendUvarint(dst, uint64(len(r.Name)))
+	dst = append(dst, r.Name...)
+	dst = binary.AppendUvarint(dst, uint64(r.Mutation))
+	dst = binary.AppendUvarint(dst, r.Seed)
+	dst = binary.AppendUvarint(dst, uint64(len(r.Choices)))
 	for _, c := range r.Choices {
 		if c < 0 || c > maxScheduleChoice {
-			return dst, fmt.Errorf("wire: encode schedule: choice %d out of range", c)
+			return dst[:start], fmt.Errorf("wire: encode schedule: choice %d out of range", c)
 		}
-		body = binary.AppendUvarint(body, uint64(c))
+		dst = binary.AppendUvarint(dst, uint64(c))
 	}
-	if len(body) > MaxFrame {
-		return dst, fmt.Errorf("wire: schedule record too large (%d bytes)", len(body))
-	}
-	var hdr [recordHeaderLen]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(body, castagnoli))
-	dst = append(dst, hdr[:]...)
-	return append(dst, body...), nil
+	return sealFrame(dst, start)
 }
 
 // EncodeScheduleRecord writes one framed record and returns the number of
@@ -89,96 +71,32 @@ func EncodeScheduleRecord(w io.Writer, r *ScheduleRecord) (int, error) {
 }
 
 // DecodeScheduleRecord reads one framed record and reports how many bytes
-// of the stream it consumed. Errors mirror DecodeStableRecord: io.EOF for
-// a clean end, ErrTornRecord for an incomplete frame, ErrCorruptSchedule
-// for a complete frame that fails validation.
+// of the stream it consumed. Errors follow DecodeStableRecord exactly.
 func DecodeScheduleRecord(rd io.Reader) (*ScheduleRecord, int, error) {
-	var hdr [recordHeaderLen]byte
-	n, err := io.ReadFull(rd, hdr[:])
-	if err == io.EOF {
-		return nil, 0, io.EOF
-	}
-	if err != nil {
-		return nil, n, fmt.Errorf("%w: short header (%d bytes)", ErrTornRecord, n)
-	}
-	bodyLen := binary.BigEndian.Uint32(hdr[:4])
-	if bodyLen > MaxFrame {
-		return nil, n, fmt.Errorf("%w: length prefix %d exceeds MaxFrame", ErrCorruptSchedule, bodyLen)
-	}
-	body := make([]byte, bodyLen)
-	m, err := io.ReadFull(rd, body)
-	n += m
-	if err != nil {
-		return nil, n, fmt.Errorf("%w: short body (%d of %d bytes)", ErrTornRecord, m, bodyLen)
-	}
-	if got, want := crc32.Checksum(body, castagnoli), binary.BigEndian.Uint32(hdr[4:]); got != want {
-		return nil, n, fmt.Errorf("%w: crc mismatch (got %08x want %08x)", ErrCorruptSchedule, got, want)
-	}
-	rec, err := decodeScheduleBody(body)
+	body, n, err := readFrame(rd)
 	if err != nil {
 		return nil, n, err
 	}
-	return rec, n, nil
-}
-
-// decodeScheduleBody unpacks the varint body of a checksum-verified frame.
-func decodeScheduleBody(body []byte) (*ScheduleRecord, error) {
-	next := func(field string) (uint64, error) {
-		v, k := binary.Uvarint(body)
-		if k <= 0 {
-			return 0, fmt.Errorf("%w: truncated %s", ErrCorruptSchedule, field)
-		}
-		body = body[k:]
-		return v, nil
-	}
-	ver, err := next("version")
+	c, err := openBody(body, scheduleVersion)
 	if err != nil {
-		return nil, err
+		return nil, n, err
 	}
-	if ver != scheduleVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorruptSchedule, ver)
+	name, mutation := c.bytes(), c.uvarint()
+	if len(name) > maxScheduleName || mutation > 0xff {
+		return nil, n, fmt.Errorf("%w: name of %d bytes, mutation %d", ErrCorruptRecord, len(name), mutation)
 	}
-	nameLen, err := next("name length")
-	if err != nil {
-		return nil, err
-	}
-	if nameLen > maxScheduleName || nameLen > uint64(len(body)) {
-		return nil, fmt.Errorf("%w: bad name length %d", ErrCorruptSchedule, nameLen)
-	}
-	rec := &ScheduleRecord{Name: string(body[:nameLen])}
-	body = body[nameLen:]
-	mut, err := next("mutation")
-	if err != nil {
-		return nil, err
-	}
-	if mut > 0xff {
-		return nil, fmt.Errorf("%w: mutation %d out of range", ErrCorruptSchedule, mut)
-	}
-	rec.Mutation = uint8(mut)
-	if rec.Seed, err = next("seed"); err != nil {
-		return nil, err
-	}
-	count, err := next("choice count")
-	if err != nil {
-		return nil, err
-	}
-	if count > uint64(len(body)) {
-		// Every choice takes at least one body byte.
-		return nil, fmt.Errorf("%w: choice count %d exceeds body", ErrCorruptSchedule, count)
-	}
-	rec.Choices = make([]int, count)
+	rec := &ScheduleRecord{Name: string(name), Mutation: uint8(mutation), Seed: c.uvarint()}
+	// Every choice takes at least one body byte.
+	rec.Choices = make([]int, c.count(1))
 	for i := range rec.Choices {
-		c, err := next("choice")
-		if err != nil {
-			return nil, err
+		choice := c.uvarint()
+		if choice > maxScheduleChoice {
+			return nil, n, fmt.Errorf("%w: choice %d out of range", ErrCorruptRecord, choice)
 		}
-		if c > maxScheduleChoice {
-			return nil, fmt.Errorf("%w: choice %d out of range", ErrCorruptSchedule, c)
-		}
-		rec.Choices[i] = int(c)
+		rec.Choices[i] = int(choice)
 	}
-	if len(body) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorruptSchedule, len(body))
+	if err := c.close(); err != nil {
+		return nil, n, err
 	}
-	return rec, nil
+	return rec, n, nil
 }

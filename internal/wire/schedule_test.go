@@ -69,31 +69,42 @@ func TestScheduleRecordTornAndCorrupt(t *testing.T) {
 		}
 	}
 	// Flip each body byte: the CRC must catch it.
-	for i := recordHeaderLen; i < len(frame); i++ {
+	for i := frameHeaderLen; i < len(frame); i++ {
 		bad := append([]byte(nil), frame...)
 		bad[i] ^= 0x40
 		_, _, err := DecodeScheduleRecord(bytes.NewReader(bad))
-		if !errors.Is(err, ErrCorruptSchedule) {
-			t.Fatalf("flip %d: got %v, want ErrCorruptSchedule", i, err)
+		if !errors.Is(err, ErrCorruptRecord) {
+			t.Fatalf("flip %d: got %v, want ErrCorruptRecord", i, err)
 		}
 	}
 	// A hostile choice count larger than the remaining body, behind a
 	// valid CRC: the decoder must reject it before allocating.
 	body := []byte{scheduleVersion, 0 /* name len */, 0 /* mutation */, 0 /* seed */, 200 /* count */}
 	_, _, err = DecodeScheduleRecord(bytes.NewReader(frameBody(body)))
-	if !errors.Is(err, ErrCorruptSchedule) {
-		t.Fatalf("hostile count: got %v, want ErrCorruptSchedule", err)
+	if !errors.Is(err, ErrCorruptRecord) {
+		t.Fatalf("hostile count: got %v, want ErrCorruptRecord", err)
 	}
 	// A version from the future must be refused, not misparsed.
 	_, _, err = DecodeScheduleRecord(bytes.NewReader(frameBody([]byte{99, 0, 0, 0, 0})))
-	if !errors.Is(err, ErrCorruptSchedule) {
-		t.Fatalf("future version: got %v, want ErrCorruptSchedule", err)
+	if !errors.Is(err, ErrFormatVersion) {
+		t.Fatalf("future version: got %v, want ErrFormatVersion", err)
+	}
+	// Out-of-range fields behind a valid CRC.
+	for name, body := range map[string][]byte{
+		"mutation 256":   {scheduleVersion, 0, 0x80, 0x02, 0, 0},
+		"choice 2^20+1":  {scheduleVersion, 0, 0, 0, 1, 0x81, 0x80, 0x40},
+		"name too long":  append([]byte{scheduleVersion, 0x81, 0x08}, make([]byte, maxScheduleName+4)...),
+		"trailing bytes": {scheduleVersion, 0, 0, 0, 0, 0},
+	} {
+		if _, _, err := DecodeScheduleRecord(bytes.NewReader(frameBody(body))); !errors.Is(err, ErrCorruptRecord) {
+			t.Fatalf("%s: got %v, want ErrCorruptRecord", name, err)
+		}
 	}
 }
 
 // frameBody wraps a raw body in a valid length+CRC header.
 func frameBody(body []byte) []byte {
-	var hdr [recordHeaderLen]byte
+	var hdr [frameHeaderLen]byte
 	binary.BigEndian.PutUint32(hdr[:4], uint32(len(body)))
 	binary.BigEndian.PutUint32(hdr[4:], crc32.Checksum(body, castagnoli))
 	return append(hdr[:], body...)

@@ -2,6 +2,7 @@ package wire_test
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"reflect"
 	"testing"
@@ -31,9 +32,18 @@ func sampleMessage() *protocol.Message {
 	}
 }
 
+// roundTrip encodes and decodes a message through memory.
+func roundTrip(m *protocol.Message) (*protocol.Message, error) {
+	frame, err := wire.AppendMessage(nil, m)
+	if err != nil {
+		return nil, err
+	}
+	return wire.DecodeMessage(frame)
+}
+
 func TestRoundTripAllFields(t *testing.T) {
 	in := sampleMessage()
-	out, err := wire.RoundTrip(in)
+	out, err := roundTrip(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +62,7 @@ func TestRoundTripAllFields(t *testing.T) {
 
 func TestRoundTripZeroValues(t *testing.T) {
 	in := &protocol.Message{Kind: protocol.KindComputation, Trigger: protocol.NoTrigger}
-	out, err := wire.RoundTrip(in)
+	out, err := roundTrip(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +81,7 @@ func TestWeightExactnessSurvivesWire(t *testing.T) {
 		w = w.Half()
 	}
 	in := &protocol.Message{Kind: protocol.KindReply, Weight: w}
-	out, err := wire.RoundTrip(in)
+	out, err := roundTrip(in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,17 +91,17 @@ func TestWeightExactnessSurvivesWire(t *testing.T) {
 }
 
 func TestStreamOfMessages(t *testing.T) {
-	var buf bytes.Buffer
-	enc := wire.NewEncoder(&buf)
+	var stream []byte
 	const k = 50
 	for i := 0; i < k; i++ {
 		m := sampleMessage()
 		m.Seq = uint64(i)
-		if err := enc.Encode(m); err != nil {
+		var err error
+		if stream, err = wire.AppendMessage(stream, m); err != nil {
 			t.Fatal(err)
 		}
 	}
-	dec := wire.NewDecoder(&buf)
+	dec := wire.NewDecoder(bytes.NewReader(stream))
 	for i := 0; i < k; i++ {
 		m, err := dec.Decode()
 		if err != nil {
@@ -107,13 +117,43 @@ func TestStreamOfMessages(t *testing.T) {
 }
 
 func TestDecodeTruncatedBody(t *testing.T) {
-	var buf bytes.Buffer
-	if err := wire.NewEncoder(&buf).Encode(sampleMessage()); err != nil {
+	frame, err := wire.AppendMessage(nil, sampleMessage())
+	if err != nil {
 		t.Fatal(err)
 	}
-	trunc := buf.Bytes()[:buf.Len()-3]
+	trunc := frame[:len(frame)-3]
 	if _, err := wire.NewDecoder(bytes.NewReader(trunc)).Decode(); err == nil {
-		t.Fatal("truncated frame accepted")
+		t.Fatal("truncated frame accepted by the stream decoder")
+	}
+	if _, err := wire.DecodeMessage(trunc); err == nil {
+		t.Fatal("truncated frame accepted by DecodeMessage")
+	}
+	if _, err := wire.DecodeMessage(append(frame, 0)); err == nil {
+		t.Fatal("frame with a trailing byte accepted by DecodeMessage")
+	}
+}
+
+// TestDecodeRejectsHostileBodies hands the decoder bodies no encoder
+// writes. A message frame has no checksum, so the parser is the only
+// thing between these and the engine.
+func TestDecodeRejectsHostileBodies(t *testing.T) {
+	for name, body := range map[string][]byte{
+		"empty body":           {},
+		"unknown flag bit":     {1, 0x80, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		"payload past the end": {1, 0, 2, 0, 0, 0, 0, 100},
+		"MR count past end":    {1, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0x3F},
+		"MR flags missing":     {1, 2, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		"short weight":         {1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1},
+		"weight exponent 2^32": {1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 1},
+	} {
+		frame := append([]byte{0, 0, 0, byte(len(body))}, body...)
+		if m, err := wire.DecodeMessage(frame); err == nil {
+			t.Errorf("%s: decoded to %+v", name, m)
+		}
+	}
+	frame := []byte{0, 0, 0, 2, 0xFF, 0}
+	if _, err := wire.DecodeMessage(frame); !errors.Is(err, wire.ErrFormatVersion) {
+		t.Errorf("unknown version: got %v, want ErrFormatVersion", err)
 	}
 }
 
@@ -156,7 +196,7 @@ func TestPropMessageRoundTrip(t *testing.T) {
 			Payload: payload,
 			Trigger: protocol.Trigger{Pid: int(from % 16), Inum: int(csn)},
 		}
-		out, err := wire.RoundTrip(in)
+		out, err := roundTrip(in)
 		if err != nil {
 			return false
 		}
