@@ -151,6 +151,9 @@ func run(args []string) error {
 				return merr
 			}
 			fmt.Printf("P%d: commits=%d aborts=%d\n", nc.ID, m.Commits, m.Aborts)
+			fmt.Printf("  store appends=%d bytes=%d syncs=%d compactions=%d replayed=%d truncated=%d\n",
+				m.Store.Appends, m.Store.AppendedBytes, m.Store.Syncs, m.Store.Compactions,
+				m.Store.ReplayedRecords, m.Store.TruncatedBytes)
 			for peer, sm := range m.Sessions {
 				fmt.Printf("  ->P%d data=%d retx=%d acks=%d dups=%d buffered=%d batches=%d envelopes=%d backlog=%d\n",
 					peer, sm.DataFrames, sm.Retransmissions, sm.AcksSent, sm.DupsSuppressed,

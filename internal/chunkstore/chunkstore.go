@@ -7,15 +7,14 @@
 // patch-encodes a changed chunk against the chunk at the same offset in
 // the previous permanent payload.
 //
-// Durability reuses the internal/stable idioms wholesale: append-only
-// CRC-framed segment logs on the stable.FS seam (so the errfs
-// power-failure gauntlet applies unchanged), fsync discipline with the
-// commit record as the commit point, torn-tail truncation at open,
-// mid-log damage failing the open, and poisoning after an I/O error.
-// Garbage collection is refcount-based and tied to the paper's discard
-// rule: a chunk is live while any retained manifest (permanent history
-// bounded by Keep, plus pending tentatives) can reach it; compaction
-// rewrites exactly the live set behind a wire.ChunkOpReset boundary and
+// Durability is internal/seglog's, the segment log internal/stable also
+// stands on: single-write CRC-framed appends with the commit record as
+// the commit point, one open-time recovery rule, poisoning after an I/O
+// error, and the errfs power-failure gauntlet over all of it. Garbage
+// collection is refcount-based and tied to the paper's discard rule: a
+// chunk is live while any retained manifest (permanent history bounded
+// by Keep, plus pending tentatives) can reach it; compaction rewrites
+// exactly the live set behind a wire.ChunkOpReset boundary and the log
 // removes the superseded segments.
 package chunkstore
 
@@ -24,7 +23,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
 	"path/filepath"
 	"runtime"
 	"sort"
@@ -34,7 +32,7 @@ import (
 
 	"mutablecp/internal/checkpoint"
 	"mutablecp/internal/protocol"
-	"mutablecp/internal/stable"
+	"mutablecp/internal/seglog"
 	"mutablecp/internal/wire"
 )
 
@@ -89,10 +87,10 @@ const (
 // Options configures a chunk store.
 type Options struct {
 	// FS is the filesystem seam; nil means the real disk.
-	FS stable.FS
-	// Sync is the fsync discipline, sharing stable's policy enum: the
-	// commit marker is the durable point under SyncOnCommit.
-	Sync stable.SyncPolicy
+	FS seglog.FS
+	// Sync is the fsync discipline: the commit marker is the durable
+	// point under SyncOnCommit.
+	Sync seglog.SyncPolicy
 	// ChunkBytes is the fixed chunk size (default 64 KiB). Must leave
 	// room inside wire.MaxFrame for framing overhead.
 	ChunkBytes int
@@ -125,9 +123,6 @@ const (
 )
 
 func (o Options) defaults() Options {
-	if o.FS == nil {
-		o.FS = stable.OS()
-	}
 	if o.ChunkBytes <= 0 {
 		o.ChunkBytes = defaultChunkBytes
 	}
@@ -179,8 +174,8 @@ type chunkInfo struct {
 	owner protocol.ProcessID
 }
 
-// Stats is a point-in-time summary of the store, flat for the control
-// RPC's gob plane.
+// Stats is a point-in-time summary of the store, plain data for the
+// control RPC's gob plane.
 type Stats struct {
 	Stores     int // stripe members represented (1 for a plain store)
 	Segments   int
@@ -203,11 +198,7 @@ type Stats struct {
 	SelfDedupChunks  uint64
 	CrossDedupChunks uint64
 
-	Appends         uint64
-	Syncs           uint64
-	Compactions     uint64
-	ReplayedRecords uint64
-	TruncatedBytes  int64
+	seglog.Metrics // the log's disk counters
 }
 
 // GarbageBytes reports stored payload bytes no retained manifest reaches.
@@ -225,210 +216,70 @@ func (st Stats) DedupRatio() float64 {
 // Store is one MSS's content-addressed chunk store. It is safe for
 // concurrent use.
 type Store struct {
+	// mu, the single index mutex, is held across every operation, the wait
+	// on the log's sync ticket included, so operations never interleave.
 	mu   sync.Mutex
-	dir  string
 	opts Options
-	fs   stable.FS
+	log  *seglog.Log
 
 	chunks map[wire.ChunkHash]*chunkInfo
 	perm   map[protocol.ProcessID][]*Manifest
 	tent   map[protocol.ProcessID]map[protocol.Trigger]*Manifest
 
-	active     stable.File
-	activeName string
-	activeSize int64
-	segs       []string
-	nextSeq    uint64
-
 	liveBytes int64
 	diskBytes int64
 	ctrlBytes int64 // manifest/commit/drop frame bytes since the last compaction
-	broken    error
 	closed    bool
 	stats     Stats
-}
-
-func chunkSegName(seq uint64) string { return fmt.Sprintf("chk-%08d.log", seq) }
-
-func chunkSegSeq(name string) (uint64, bool) {
-	var seq uint64
-	if _, err := fmt.Sscanf(name, "chk-%08d.log", &seq); err != nil {
-		return 0, false
-	}
-	return seq, true
 }
 
 // Dir returns the conventional chunk-store directory under a store root.
 func Dir(root string) string { return filepath.Join(root, "chunks") }
 
-// Open opens (or creates) the chunk store in dir. On an existing
-// directory it runs recovery: replay from the newest reset boundary,
-// truncate the torn tail, rebuild the index and refcounts, and require
-// every retained manifest to resolve locally (unless Partial).
+// Open opens (or creates) the chunk store in dir. seglog.Open recovers an
+// existing directory — replay from the newest reset boundary, truncate
+// the torn tail — and Open then rebuilds the refcounts and requires every
+// retained manifest to resolve locally (unless Partial).
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.defaults()
 	if opts.ChunkBytes > maxChunkBytes {
 		return nil, fmt.Errorf("chunkstore: chunk size %d exceeds limit %d", opts.ChunkBytes, maxChunkBytes)
 	}
 	s := &Store{
-		dir:     dir,
-		opts:    opts,
-		fs:      opts.FS,
-		chunks:  make(map[wire.ChunkHash]*chunkInfo),
-		perm:    make(map[protocol.ProcessID][]*Manifest),
-		tent:    make(map[protocol.ProcessID]map[protocol.Trigger]*Manifest),
-		nextSeq: 1,
+		opts:   opts,
+		chunks: make(map[wire.ChunkHash]*chunkInfo),
+		perm:   make(map[protocol.ProcessID][]*Manifest),
+		tent:   make(map[protocol.ProcessID]map[protocol.Trigger]*Manifest),
 	}
-	if err := s.fs.MkdirAll(dir); err != nil {
-		return nil, fmt.Errorf("chunkstore: mkdir %s: %w", dir, err)
-	}
-	names, err := s.fs.ReadDir(dir)
+	log, err := seglog.Open(dir, "chk",
+		seglog.Options{FS: opts.FS, Sync: opts.Sync, SegmentBytes: opts.SegmentBytes},
+		seglog.Client{Head: resetTarget, Apply: s.apply, Boundary: resetFrame})
 	if err != nil {
-		return nil, fmt.Errorf("chunkstore: list %s: %w", dir, err)
+		return nil, fmt.Errorf("chunkstore: open %s: %w", dir, err)
 	}
-	for _, name := range names {
-		if seq, ok := chunkSegSeq(name); ok {
-			s.segs = append(s.segs, filepath.Join(dir, name))
-			if seq >= s.nextSeq {
-				s.nextSeq = seq + 1
-			}
-		}
-	}
-	if len(s.segs) == 0 {
-		startSeq := s.nextSeq
-		if err := s.roll(); err != nil {
-			return nil, err
-		}
-		if err := s.append(&wire.ChunkRecord{Op: wire.ChunkOpReset, Length: int64(startSeq)}, true); err != nil {
-			return nil, fmt.Errorf("chunkstore: init %s: %w", dir, err)
-		}
-		return s, nil
-	}
-	if err := s.recover(); err != nil {
+	s.log = log
+	if err := s.rebuildRefs(); err != nil {
+		log.Close() //nolint:errcheck // the open already failed
 		return nil, err
 	}
 	return s, nil
 }
 
-// recover replays the segment chain from the newest intact reset
-// boundary. The boundary record names the first segment of its rewrite
-// (compaction writes data first and publishes the boundary only once it
-// is durable), so a crash anywhere in a compaction leaves either the
-// old chain or a complete new one. Anything before the boundary target
-// is a superseded leftover — a crash during segment removal can leave
-// any subset behind — and is deleted here.
-func (s *Store) recover() error {
-	bound, startSeq := -1, uint64(0)
-	for i := len(s.segs) - 1; i >= 0; i-- {
-		seq, ok, err := s.resetTarget(s.segs[i])
-		if err != nil {
-			return err
-		}
-		if ok {
-			bound, startSeq = i, seq
-			break
-		}
-	}
-	if bound < 0 {
-		// No intact boundary anywhere means the store never acknowledged
-		// anything on this chain: the init boundary is made durable before
-		// the first save can be acknowledged, and compaction publishes its
-		// new boundary durably before removing the old one — so an acked
-		// store always leaves an intact boundary behind. What we are
-		// looking at is the debris of a crash during initialization;
-		// reinitialize in place.
-		return s.reinit()
-	}
-	start := -1
-	for i, path := range s.segs {
-		if seq, ok := chunkSegSeq(segBase(path)); ok && seq == startSeq {
-			start = i
-			break
-		}
-	}
-	if start < 0 || start > bound {
-		return fmt.Errorf("chunkstore: %s: reset boundary targets missing segment %d", s.dir, startSeq)
-	}
-	stale := s.segs[:start]
-	s.segs = append([]string(nil), s.segs[start:]...)
-	last := len(s.segs) - 1
-	for i, path := range s.segs {
-		valid, err := s.replaySegment(path)
-		if err == nil {
-			continue
-		}
-		if errors.Is(err, wire.ErrFormatVersion) {
-			return fmt.Errorf("chunkstore: %s: %w", path, err)
-		}
-		if !errors.Is(err, wire.ErrTornRecord) && !errors.Is(err, wire.ErrCorruptRecord) {
-			return err
-		}
-		if i != last {
-			return fmt.Errorf("chunkstore: %s: mid-log damage: %w", path, err)
-		}
-		if terr := s.fs.Truncate(path, valid); terr != nil {
-			return fmt.Errorf("chunkstore: truncate torn tail of %s: %w", path, terr)
-		}
-	}
-	if err := s.rebuildRefs(); err != nil {
-		return err
-	}
-	for _, path := range stale {
-		if err := s.fs.Remove(path); err != nil {
-			return fmt.Errorf("chunkstore: remove stale %s: %w", path, err)
-		}
-	}
-	if len(stale) > 0 && s.opts.Sync != stable.SyncNever {
-		if err := s.fs.SyncDir(s.dir); err != nil {
-			return fmt.Errorf("chunkstore: sync dir %s: %w", s.dir, err)
-		}
-		s.stats.Syncs++
-	}
-	s.activeName = s.segs[len(s.segs)-1]
-	f, err := s.fs.OpenAppend(s.activeName)
-	if err != nil {
-		return fmt.Errorf("chunkstore: reopen %s: %w", s.activeName, err)
-	}
-	s.active = f
-	return nil
+// resetFrame is the log's boundary frame. It names the first segment of
+// its rewrite, which is durable before the boundary is published, so a
+// crash in a compaction leaves the old chain or a complete new one.
+func resetFrame(start uint64) ([]byte, error) {
+	return wire.AppendChunkRecord(nil, &wire.ChunkRecord{Op: wire.ChunkOpReset, Length: int64(start)})
 }
 
-// reinit wipes the debris of a crash that predates the first durable
-// boundary and starts the chain fresh. nextSeq stays past every name
-// ever used: a removal still volatile at the next crash may resurrect
-// an old segment, and recovery must find the new boundary strictly
-// newer than it.
-func (s *Store) reinit() error {
-	for _, path := range s.segs {
-		if err := s.fs.Remove(path); err != nil {
-			return fmt.Errorf("chunkstore: remove %s: %w", path, err)
-		}
-	}
-	s.segs = nil
-	startSeq := s.nextSeq
-	if err := s.roll(); err != nil {
-		return err
-	}
-	if err := s.append(&wire.ChunkRecord{Op: wire.ChunkOpReset, Length: int64(startSeq)}, true); err != nil {
-		return fmt.Errorf("chunkstore: init %s: %w", s.dir, err)
-	}
-	return nil
-}
-
-// resetTarget reports whether the segment's first record is an intact
-// reset boundary, and if so which segment seq its rewrite starts at. An
-// intact first record of another format version is an error: the segment
-// is another build's, not the debris recover may wipe when it finds no
-// boundary.
-func (s *Store) resetTarget(path string) (uint64, bool, error) {
-	f, err := s.fs.Open(path)
-	if err != nil {
-		return 0, false, nil
-	}
-	defer f.Close()
-	rec, _, err := wire.DecodeChunkRecord(f)
+// resetTarget is the log's boundary test: whether a segment's first
+// record is a reset boundary, and which segment its rewrite starts at.
+// An intact record of another format version is another build's, not
+// debris, and an error.
+func resetTarget(_ uint64, body []byte) (uint64, bool, error) {
+	rec, err := wire.ParseChunkRecord(body)
 	if errors.Is(err, wire.ErrFormatVersion) {
-		return 0, false, fmt.Errorf("chunkstore: %s: %w", path, err)
+		return 0, false, err
 	}
 	if err != nil || rec.Op != wire.ChunkOpReset || rec.Length <= 0 {
 		return 0, false, nil
@@ -436,40 +287,14 @@ func (s *Store) resetTarget(path string) (uint64, bool, error) {
 	return uint64(rec.Length), true, nil
 }
 
-func segBase(path string) string { return filepath.Base(path) }
-
-// replaySegment applies one segment's records to the index, returning
-// the byte offset of the end of the last valid record.
-func (s *Store) replaySegment(path string) (int64, error) {
-	f, err := s.fs.Open(path)
-	if err != nil {
-		return 0, fmt.Errorf("chunkstore: open %s: %w", path, err)
-	}
-	defer f.Close()
-	var valid int64
-	for {
-		rec, n, err := wire.DecodeChunkRecord(f)
-		if err == io.EOF {
-			s.activeSize = valid
-			return valid, nil
-		}
-		if err != nil {
-			s.activeSize = valid
-			s.stats.TruncatedBytes += int64(n)
-			return valid, err
-		}
-		if err := s.apply(rec, path, valid); err != nil {
-			return valid, fmt.Errorf("chunkstore: %s at offset %d: %w", path, valid, err)
-		}
-		valid += int64(n)
-		s.stats.ReplayedRecords++
-	}
-}
-
 // apply folds one replayed record into the index. Refcounts are not
 // maintained here — rebuildRefs recomputes them from the surviving
 // manifests once the whole chain is replayed.
-func (s *Store) apply(rec *wire.ChunkRecord, seg string, off int64) error {
+func (s *Store) apply(seg string, off int64, body []byte) error {
+	rec, err := wire.ParseChunkRecord(body)
+	if err != nil {
+		return err
+	}
 	switch rec.Op {
 	case wire.ChunkOpReset:
 		return nil
@@ -641,95 +466,28 @@ func (s *Store) trimPermanent(proc protocol.ProcessID, unref func(*Manifest)) {
 
 // --- write path ---
 
-func (s *Store) roll() error {
-	if s.active != nil {
-		if err := s.syncActive(); err != nil {
-			return err
-		}
-		if err := s.active.Close(); err != nil {
-			return s.poison(fmt.Errorf("chunkstore: close %s: %w", s.activeName, err))
-		}
-		s.active = nil
-	}
-	name := filepath.Join(s.dir, chunkSegName(s.nextSeq))
-	f, err := s.fs.Create(name)
-	if err != nil {
-		return s.poison(fmt.Errorf("chunkstore: create %s: %w", name, err))
-	}
-	s.nextSeq++
-	s.active = f
-	s.activeName = name
-	s.activeSize = 0
-	s.segs = append(s.segs, name)
-	if s.opts.Sync != stable.SyncNever {
-		if err := s.fs.SyncDir(s.dir); err != nil {
-			return s.poison(fmt.Errorf("chunkstore: sync dir %s: %w", s.dir, err))
-		}
-		s.stats.Syncs++
-	}
-	return nil
-}
-
-func (s *Store) syncActive() error {
-	if s.opts.Sync == stable.SyncNever || s.active == nil {
-		return nil
-	}
-	if err := s.active.Sync(); err != nil {
-		return s.poison(fmt.Errorf("chunkstore: fsync %s: %w", s.activeName, err))
-	}
-	s.stats.Syncs++
-	return nil
-}
-
-func (s *Store) poison(err error) error {
-	if s.broken == nil {
-		s.broken = err
-	}
-	return err
-}
-
 // Broken returns the error that poisoned the store, if any.
-func (s *Store) Broken() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.broken
-}
+func (s *Store) Broken() error { return s.log.Broken() }
 
 func (s *Store) usable() error {
 	if s.closed {
 		return ErrClosed
 	}
-	return s.broken
+	return s.log.Broken()
 }
 
-// append frames rec, writes it as a single ordered write, and applies
-// the fsync discipline. It returns the frame's start offset and length
-// so chunk records can be indexed.
-func (s *Store) append(rec *wire.ChunkRecord, durable bool) error {
-	_, _, err := s.appendAt(rec, durable)
-	return err
-}
-
-func (s *Store) appendAt(rec *wire.ChunkRecord, durable bool) (seg string, off int64, err error) {
-	if err := s.usable(); err != nil {
-		return "", 0, err
-	}
+// append frames rec, appends it and waits on the log's sync ticket per
+// the fsync discipline (durable marks a commit-grade record). It returns
+// where the frame went, so chunk records can be indexed, and its length.
+func (s *Store) append(rec *wire.ChunkRecord, durable bool) (seglog.Pos, int, error) {
 	frame, err := wire.AppendChunkRecord(nil, rec)
 	if err != nil {
-		return "", 0, err
+		return seglog.Pos{}, 0, err
 	}
-	if s.activeSize+int64(len(frame)) > s.opts.SegmentBytes && s.activeSize > 0 {
-		if err := s.roll(); err != nil {
-			return "", 0, err
-		}
+	pos, err := s.log.Append(frame)
+	if err != nil {
+		return pos, 0, err
 	}
-	off = s.activeSize
-	n, werr := s.active.Write(frame)
-	s.activeSize += int64(n)
-	if werr != nil {
-		return "", 0, s.poison(fmt.Errorf("chunkstore: append to %s: %w", s.activeName, werr))
-	}
-	s.stats.Appends++
 	switch rec.Op {
 	case wire.ChunkOpManifest, wire.ChunkOpCommit, wire.ChunkOpDrop:
 		// Control records are not payload bytes, but they still consume
@@ -737,12 +495,7 @@ func (s *Store) appendAt(rec *wire.ChunkRecord, durable bool) (seg string, off i
 		// chain (see maybeCompactLocked).
 		s.ctrlBytes += int64(len(frame))
 	}
-	if s.opts.Sync == stable.SyncAlways || (durable && s.opts.Sync == stable.SyncOnCommit) {
-		if err := s.syncActive(); err != nil {
-			return "", 0, err
-		}
-	}
-	return s.activeName, off, nil
+	return pos, len(frame), s.log.WaitDurable(pos.Gen, durable)
 }
 
 // HashChunk returns the content address of one chunk.
@@ -875,22 +628,22 @@ func (s *Store) putChunkLocked(proc protocol.ProcessID, h wire.ChunkHash, data [
 	if info, ok := s.chunks[h]; ok && s.opts.Mode != ModeFull {
 		return 0, info.owner != proc, nil
 	}
-	seg, off, err := s.appendAt(&wire.ChunkRecord{Op: wire.ChunkOpPut, Proc: proc, Hash: h, Payload: data}, false)
+	pos, _, err := s.append(&wire.ChunkRecord{Op: wire.ChunkOpPut, Proc: proc, Hash: h, Payload: data}, false)
 	if err != nil {
 		return 0, false, err
 	}
-	s.indexChunk(h, &chunkInfo{size: len(data), stored: len(data), seg: seg, off: off, owner: proc})
+	s.indexChunk(h, &chunkInfo{size: len(data), stored: len(data), seg: pos.Segment, off: pos.Offset, owner: proc})
 	return len(data), false, nil
 }
 
 // putDeltaLocked stores a chunk as a patch against base (which must be a
 // full indexed chunk) and returns the payload bytes appended.
 func (s *Store) putDeltaLocked(proc protocol.ProcessID, h, base wire.ChunkHash, patch []byte, size int) (int, error) {
-	seg, off, err := s.appendAt(&wire.ChunkRecord{Op: wire.ChunkOpDelta, Proc: proc, Hash: h, Base: base, Payload: patch}, false)
+	pos, _, err := s.append(&wire.ChunkRecord{Op: wire.ChunkOpDelta, Proc: proc, Hash: h, Base: base, Payload: patch}, false)
 	if err != nil {
 		return 0, err
 	}
-	s.indexChunk(h, &chunkInfo{size: size, stored: len(patch), seg: seg, off: off, delta: true, base: base, owner: proc})
+	s.indexChunk(h, &chunkInfo{size: size, stored: len(patch), seg: pos.Segment, off: pos.Offset, delta: true, base: base, owner: proc})
 	s.ref(s.chunks[base]) // the delta holds its base live
 	return len(patch), nil
 }
@@ -904,12 +657,7 @@ func (s *Store) PutTentativeManifest(m *Manifest) (int, error) {
 	if err := s.usable(); err != nil {
 		return 0, err
 	}
-	tm := s.tent[m.Proc]
-	if tm == nil {
-		tm = make(map[protocol.Trigger]*Manifest)
-		s.tent[m.Proc] = tm
-	}
-	if _, dup := tm[m.Trigger]; dup {
+	if s.tent[m.Proc][m.Trigger] != nil {
 		return 0, checkpoint.ErrPayloadPending
 	}
 	if !s.opts.Partial {
@@ -919,25 +667,32 @@ func (s *Store) PutTentativeManifest(m *Manifest) (int, error) {
 			}
 		}
 	}
-	rec := &wire.ChunkRecord{
+	return s.putManifestLocked(manifestCopy(m))
+}
+
+// putManifestLocked appends m's tentative manifest record, registers m
+// (which the store now owns) and takes references on the locally present
+// chunks. It returns the frame bytes appended.
+func (s *Store) putManifestLocked(m *Manifest) (int, error) {
+	_, n, err := s.append(&wire.ChunkRecord{
 		Op: wire.ChunkOpManifest, Proc: m.Proc, Trigger: m.Trigger, At: m.At,
 		Status: statusTentative, ChunkBytes: m.ChunkBytes, Length: m.Length, Hashes: m.Hashes,
-	}
-	frame, err := wire.AppendChunkRecord(nil, rec)
+	}, false)
 	if err != nil {
 		return 0, err
 	}
-	if err := s.append(rec, false); err != nil {
-		return 0, err
+	tm := s.tent[m.Proc]
+	if tm == nil {
+		tm = make(map[protocol.Trigger]*Manifest)
+		s.tent[m.Proc] = tm
 	}
-	cp := manifestCopy(m)
-	tm[m.Trigger] = cp
-	for _, h := range cp.Hashes {
+	tm[m.Trigger] = m
+	for _, h := range m.Hashes {
 		if info := s.chunks[h]; info != nil {
 			s.ref(info)
 		}
 	}
-	return len(frame), nil
+	return n, nil
 }
 
 // PutTentative chunks a process image, stores the new chunks (dedup and
@@ -1017,32 +772,14 @@ func (s *Store) PutTentative(proc protocol.ProcessID, trig protocol.Trigger, at 
 		r.NewBytes += uint64(n)
 		r.NewChunks++
 	}
-	m := &Manifest{
+	n, err := s.putManifestLocked(&Manifest{
 		Proc: proc, Trigger: trig, At: at,
 		ChunkBytes: s.opts.ChunkBytes, Length: int64(len(image)), Hashes: hashes,
-	}
-	// Inline PutTentativeManifest under the held lock.
-	rec := &wire.ChunkRecord{
-		Op: wire.ChunkOpManifest, Proc: proc, Trigger: trig, At: at,
-		Status: statusTentative, ChunkBytes: m.ChunkBytes, Length: m.Length, Hashes: hashes,
-	}
-	frame, err := wire.AppendChunkRecord(nil, rec)
+	})
 	if err != nil {
 		return r, err
 	}
-	if err := s.append(rec, false); err != nil {
-		return r, err
-	}
-	tm := s.tent[proc]
-	if tm == nil {
-		tm = make(map[protocol.Trigger]*Manifest)
-		s.tent[proc] = tm
-	}
-	tm[trig] = m
-	for _, h := range hashes {
-		s.ref(s.chunks[h])
-	}
-	r.NewBytes += uint64(len(frame))
+	r.NewBytes += uint64(n)
 	s.stats.Saves++
 	s.stats.LogicalBytes += r.LogicalBytes
 	s.stats.NewBytes += r.NewBytes
@@ -1068,7 +805,7 @@ func (s *Store) CommitTentative(proc protocol.ProcessID, trig protocol.Trigger, 
 	if m == nil {
 		return checkpoint.ErrNoPayload
 	}
-	if err := s.append(&wire.ChunkRecord{Op: wire.ChunkOpCommit, Proc: proc, Trigger: trig, At: at}, true); err != nil {
+	if _, _, err := s.append(&wire.ChunkRecord{Op: wire.ChunkOpCommit, Proc: proc, Trigger: trig, At: at}, true); err != nil {
 		return err
 	}
 	delete(s.tent[proc], trig)
@@ -1090,7 +827,7 @@ func (s *Store) DropTentative(proc protocol.ProcessID, trig protocol.Trigger) er
 	if m == nil {
 		return checkpoint.ErrNoPayload
 	}
-	if err := s.append(&wire.ChunkRecord{Op: wire.ChunkOpDrop, Proc: proc, Trigger: trig}, true); err != nil {
+	if _, _, err := s.append(&wire.ChunkRecord{Op: wire.ChunkOpDrop, Proc: proc, Trigger: trig}, true); err != nil {
 		return err
 	}
 	delete(s.tent[proc], trig)
@@ -1107,9 +844,13 @@ func (s *Store) readChunkLocked(h wire.ChunkHash) ([]byte, error) {
 	if info == nil {
 		return nil, fmt.Errorf("%w: %x", ErrUnknownChunk, h[:8])
 	}
-	rec, err := s.readRecordAt(info.seg, info.off)
+	body, err := s.log.ReadAt(info.seg, info.off)
 	if err != nil {
 		return nil, err
+	}
+	rec, err := wire.ParseChunkRecord(body)
+	if err != nil {
+		return nil, fmt.Errorf("chunkstore: record at %s+%d: %w", info.seg, info.off, err)
 	}
 	if rec.Hash != h {
 		return nil, fmt.Errorf("%w: record at %s+%d holds %x", ErrBadChunk, info.seg, info.off, rec.Hash[:8])
@@ -1129,24 +870,6 @@ func (s *Store) readChunkLocked(h wire.ChunkHash) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %x", ErrBadChunk, h[:8])
 	}
 	return data, nil
-}
-
-func (s *Store) readRecordAt(seg string, off int64) (*wire.ChunkRecord, error) {
-	f, err := s.fs.Open(seg)
-	if err != nil {
-		return nil, fmt.Errorf("chunkstore: open %s: %w", seg, err)
-	}
-	defer f.Close()
-	if off > 0 {
-		if _, err := io.CopyN(io.Discard, f, off); err != nil {
-			return nil, fmt.Errorf("chunkstore: seek %s to %d: %w", seg, off, err)
-		}
-	}
-	rec, _, err := wire.DecodeChunkRecord(f)
-	if err != nil {
-		return nil, fmt.Errorf("chunkstore: read %s at %d: %w", seg, off, err)
-	}
-	return rec, nil
 }
 
 // ReadChunk materializes and hash-verifies one chunk.
@@ -1322,8 +1045,9 @@ func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := s.stats
+	st.Metrics = s.log.Metrics()
 	st.Stores = 1
-	st.Segments = len(s.segs)
+	st.Segments = len(s.log.Segments())
 	st.Chunks = len(s.chunks)
 	st.DiskBytes = s.diskBytes
 	st.LiveBytes = s.liveBytes
@@ -1341,7 +1065,7 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// Close syncs (per policy) and closes the active segment.
+// Close syncs (per policy) and closes the log.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -1349,17 +1073,5 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.active == nil {
-		return s.broken
-	}
-	serr := error(nil)
-	if s.broken == nil {
-		serr = s.syncActive()
-	}
-	cerr := s.active.Close()
-	s.active = nil
-	if serr != nil {
-		return serr
-	}
-	return cerr
+	return s.log.Close()
 }

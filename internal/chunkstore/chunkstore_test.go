@@ -93,7 +93,7 @@ func TestForeignFormatFailsOpen(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		seg := s.segs[len(s.segs)-1]
+		seg := s.log.Segments()[len(s.log.Segments())-1]
 		s.Close()
 		if where == "head" {
 			if err := fs.Truncate(seg, 0); err != nil {

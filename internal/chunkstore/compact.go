@@ -1,21 +1,20 @@
 package chunkstore
 
-// Compaction: the chunk store's garbage collector. The live set — every
-// chunk reachable from a retained permanent manifest or a pending
-// tentative — is rewritten into fresh segments (deltas materialized to
-// full chunks), followed by the manifests themselves, and finally a
-// wire.ChunkOpReset boundary record naming the first rewritten segment.
-// Only after the boundary is durable are the superseded segments
-// removed: a crash anywhere in between leaves either the old chain or a
-// complete new one, never a half state (recovery starts at the newest
-// *complete* boundary it can find).
+// Compaction: the chunk store's garbage collector. This file decides
+// when, and writes the live set — every chunk reachable from a retained
+// permanent manifest or a pending tentative (deltas materialized to full
+// chunks), followed by the manifests themselves — as the rewrite phase
+// of seglog.Compact. The log does the rest: it rolls first, fsyncs the
+// rewrite, publishes a wire.ChunkOpReset boundary naming the first
+// rewritten segment, and only once that is durable removes the
+// superseded segments, so a crash anywhere in between leaves either the
+// old chain or a complete new one, never a half state.
 
 import (
 	"fmt"
 	"sort"
 
 	"mutablecp/internal/protocol"
-	"mutablecp/internal/stable"
 	"mutablecp/internal/wire"
 )
 
@@ -52,11 +51,6 @@ func (s *Store) Compact() error {
 }
 
 func (s *Store) compactLocked() error {
-	startSeq := s.nextSeq
-	if err := s.roll(); err != nil {
-		return err
-	}
-
 	// Deterministic manifest order: procs ascending, permanents oldest
 	// first, then tentatives in trigger order.
 	procs := make([]protocol.ProcessID, 0, len(s.perm)+len(s.tent))
@@ -93,81 +87,50 @@ func (s *Store) compactLocked() error {
 			if err != nil {
 				return err
 			}
-			seg, off, err := s.appendAt(&wire.ChunkRecord{Op: wire.ChunkOpPut, Proc: old.owner, Hash: h, Payload: data}, false)
+			pos, _, err := s.append(&wire.ChunkRecord{Op: wire.ChunkOpPut, Proc: old.owner, Hash: h, Payload: data}, false)
 			if err != nil {
 				return err
 			}
-			newIdx[h] = &chunkInfo{size: len(data), stored: len(data), seg: seg, off: off, owner: old.owner}
+			newIdx[h] = &chunkInfo{size: len(data), stored: len(data), seg: pos.Segment, off: pos.Offset, owner: old.owner}
 			newDisk += int64(len(data))
 		}
 		return nil
 	}
 	writeManifest := func(m *Manifest, status uint8) error {
-		return s.append(&wire.ChunkRecord{
+		_, _, err := s.append(&wire.ChunkRecord{
 			Op: wire.ChunkOpManifest, Proc: m.Proc, Trigger: m.Trigger, At: m.At,
 			Status: status, ChunkBytes: m.ChunkBytes, Length: m.Length, Hashes: m.Hashes,
 		}, false)
-	}
-	for _, p := range procs {
-		for _, m := range s.perm[p] {
-			if err := copyChunks(m); err != nil {
-				return err
-			}
-			if err := writeManifest(m, statusPermanent); err != nil {
-				return err
-			}
-		}
-		for _, trig := range s.tentTriggersLocked(p) {
-			m := s.tent[p][trig]
-			if err := copyChunks(m); err != nil {
-				return err
-			}
-			if err := writeManifest(m, statusTentative); err != nil {
-				return err
-			}
-		}
-	}
-
-	// Make the rewrite durable, then publish the boundary. Recovery only
-	// trusts a boundary whose record is intact, so a crash before this
-	// point leaves the old chain authoritative.
-	if err := s.syncActive(); err != nil {
 		return err
 	}
-	if err := s.roll(); err != nil {
-		return err
-	}
-	if err := s.append(&wire.ChunkRecord{Op: wire.ChunkOpReset, Length: int64(startSeq)}, true); err != nil {
-		return err
-	}
-
-	// Remove the superseded prefix (crash here leaves any subset behind;
-	// recovery ignores everything before the boundary's target).
-	var keep []string
-	for _, path := range s.segs {
-		seq, ok := chunkSegSeq(segBase(path))
-		if ok && seq < startSeq {
-			if err := s.fs.Remove(path); err != nil {
-				return s.poison(fmt.Errorf("chunkstore: compact remove %s: %w", path, err))
+	rewrite := func() error {
+		for _, p := range procs {
+			for _, m := range s.perm[p] {
+				if err := copyChunks(m); err != nil {
+					return err
+				}
+				if err := writeManifest(m, statusPermanent); err != nil {
+					return err
+				}
 			}
-			continue
+			for _, trig := range s.tentTriggersLocked(p) {
+				m := s.tent[p][trig]
+				if err := copyChunks(m); err != nil {
+					return err
+				}
+				if err := writeManifest(m, statusTentative); err != nil {
+					return err
+				}
+			}
 		}
-		keep = append(keep, path)
+		return nil
 	}
-	s.segs = keep
-	if s.opts.Sync != stable.SyncNever {
-		if err := s.fs.SyncDir(s.dir); err != nil {
-			return s.poison(fmt.Errorf("chunkstore: sync dir %s: %w", s.dir, err))
-		}
-		s.stats.Syncs++
+	if err := s.log.Compact(rewrite); err != nil {
+		return err
 	}
 
 	s.chunks = newIdx
 	s.diskBytes = newDisk
 	s.ctrlBytes = 0
-	if err := s.rebuildRefs(); err != nil {
-		return err
-	}
-	s.stats.Compactions++
-	return nil
+	return s.rebuildRefs()
 }

@@ -54,11 +54,6 @@ type Config struct {
 	// PayloadWorkers bounds the SHA-256 fan-out of payload saves
 	// (chunkstore.Options.Workers). 0 means GOMAXPROCS.
 	PayloadWorkers int `json:"payload_workers,omitempty"`
-	// WriterBatch caps how many envelopes one per-peer writer pass
-	// coalesces into a single socket write. Larger batches amortize
-	// syscalls under load; smaller ones bound the head-of-line latency a
-	// full batch can add. 0 means 128.
-	WriterBatch int `json:"writer_batch,omitempty"`
 	// Nodes lists every process. IDs must be exactly 0..len(Nodes)-1
 	// (the engines index peers densely), in any order.
 	Nodes []NodeConfig `json:"nodes"`
@@ -94,15 +89,6 @@ func (c *Config) StoreDir(id int) string {
 		return nc.StoreDir
 	}
 	return stable.ProcDir(c.StoreRoot, protocol.ProcessID(id))
-}
-
-// WriterBatchSize returns the per-peer writer's envelope cap per
-// coalesced socket write.
-func (c *Config) WriterBatchSize() int {
-	if c.WriterBatch <= 0 {
-		return 128
-	}
-	return c.WriterBatch
 }
 
 // RequestTimeout returns the configured §3.6 timeout.

@@ -1,6 +1,8 @@
 package daemon
 
 import (
+	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -137,5 +139,20 @@ func TestConfigRoundTrip(t *testing.T) {
 	}
 	if got := out.StoreDir(1); got != filepath.Join(in.StoreRoot, "p001") {
 		t.Fatalf("default store dir: %s", got)
+	}
+
+	// LoadConfig does not reject unknown keys, so a file written when
+	// writer_batch was still a setting (it is now the constant
+	// writerBatch) keeps loading.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := bytes.Replace(data, []byte("{"), []byte("{\n  \"writer_batch\": 64,"), 1)
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out, err = LoadConfig(path); err != nil || out.N() != 3 {
+		t.Fatalf("config file with a retired key: %v", err)
 	}
 }

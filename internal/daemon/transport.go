@@ -252,6 +252,11 @@ func (s *peerSession) retransmitTick() {
 	s.mu.Unlock()
 }
 
+// writerBatch caps how many envelopes one writer pass coalesces into a
+// single socket write: enough to amortize the syscall under load, bounded
+// so a full batch adds little head-of-line latency.
+const writerBatch = 128
+
 // writeLoop is the per-peer sender: it drains everything queued since
 // the last write into one buffer and hands it to the link as a single
 // coalesced Send — under load, many envelopes per syscall.
@@ -273,8 +278,8 @@ func (s *peerSession) writeLoop() {
 		// the envelopes behind one giant write. Leftovers go first on the
 		// next pass (they keep coalescing while Send is on the wire).
 		count := len(s.sendQ)
-		if max := s.d.cfg.WriterBatchSize(); count > max {
-			count = max
+		if count > writerBatch {
+			count = writerBatch
 		}
 		for i := 0; i < count; i++ {
 			buf = appendEnvelope(buf, &s.sendQ[i])

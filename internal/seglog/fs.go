@@ -1,6 +1,6 @@
-package stable
+package seglog
 
-// The filesystem seam. The store performs a deliberately narrow set of
+// The filesystem seam. The log performs a deliberately narrow set of
 // operations — append, fsync, directory listing, truncate (torn-tail
 // recovery), remove (compaction GC), and directory fsync (name
 // durability) — so the whole disk surface can be swapped for the
@@ -21,14 +21,14 @@ import (
 type File interface {
 	io.Writer
 	// Sync flushes written bytes to durable media. A Sync error poisons
-	// the store: per the fsync contract there is no way to know what made
+	// the log: per the fsync contract there is no way to know what made
 	// it to disk, so the only safe reaction is to stop writing and
 	// recover by reopening.
 	Sync() error
 	Close() error
 }
 
-// FS is the filesystem the store runs on. Implementations: osFS (the
+// FS is the filesystem the log runs on. Implementations: osFS (the
 // real disk) and errfs.MemFS (simulated disk with fault injection).
 type FS interface {
 	// MkdirAll creates dir and any missing parents.

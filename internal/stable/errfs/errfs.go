@@ -454,3 +454,43 @@ func (m *MemFS) Snapshot() []byte {
 	}
 	return buf.Bytes()
 }
+
+// ReadFault wraps fs so that every file opened for reading delivers its
+// first after bytes and then fails with err: a disk that starts
+// returning EIO mid-file, which no hook on whole operations can model.
+// Everything else passes through to fs.
+func ReadFault(fs stable.FS, after int64, err error) stable.FS {
+	return readFaultFS{FS: fs, after: after, err: err}
+}
+
+type readFaultFS struct {
+	stable.FS
+	after int64
+	err   error
+}
+
+func (f readFaultFS) Open(name string) (io.ReadCloser, error) {
+	r, err := f.FS.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	return &faultReader{ReadCloser: r, left: f.after, err: f.err}, nil
+}
+
+type faultReader struct {
+	io.ReadCloser
+	left int64
+	err  error
+}
+
+func (r *faultReader) Read(p []byte) (int, error) {
+	if r.left == 0 {
+		return 0, r.err
+	}
+	if int64(len(p)) > r.left {
+		p = p[:r.left]
+	}
+	n, err := r.ReadCloser.Read(p)
+	r.left -= int64(n)
+	return n, err
+}

@@ -107,16 +107,22 @@ func (c *cursor) hash() (h ChunkHash) {
 }
 
 // DecodeChunkRecord reads one framed record and reports how many bytes of
-// the stream it consumed. Errors follow DecodeStableRecord exactly. The
-// record's Payload aliases the frame's buffer, which nothing else holds.
+// the stream it consumed. Errors follow DecodeStableRecord exactly.
 func DecodeChunkRecord(r io.Reader) (*ChunkRecord, int, error) {
-	body, n, err := readFrame(r)
+	body, n, err := ReadFrame(r)
 	if err != nil {
 		return nil, n, err
 	}
+	rec, err := ParseChunkRecord(body)
+	return rec, n, err
+}
+
+// ParseChunkRecord parses a frame body; errors follow ParseStableRecord.
+// The record's Payload aliases body.
+func ParseChunkRecord(body []byte) (*ChunkRecord, error) {
 	c, err := openBody(body, chunkVersion)
 	if err != nil {
-		return nil, n, err
+		return nil, err
 	}
 	rec := &ChunkRecord{
 		Op: ChunkOp(c.byte()), Proc: c.int(),
@@ -134,10 +140,10 @@ func DecodeChunkRecord(r io.Reader) (*ChunkRecord, int, error) {
 		}
 	}
 	if err := c.close(); err != nil {
-		return nil, n, err
+		return nil, err
 	}
 	if rec.Op == 0 || rec.Op >= chunkOpMax {
-		return nil, n, fmt.Errorf("%w: bad op %d", ErrCorruptRecord, rec.Op)
+		return nil, fmt.Errorf("%w: bad op %d", ErrCorruptRecord, rec.Op)
 	}
-	return rec, n, nil
+	return rec, nil
 }

@@ -119,17 +119,24 @@ func AppendStableRecord(dst []byte, r *StableRecord) ([]byte, error) {
 }
 
 // DecodeStableRecord reads one framed record and reports how many bytes
-// of the stream it consumed. Errors are readFrame's, plus
-// ErrFormatVersion for an intact frame of another format version and
-// ErrCorruptRecord for a body that does not parse or names no op.
+// of the stream it consumed. Errors are ReadFrame's and
+// ParseStableRecord's.
 func DecodeStableRecord(r io.Reader) (*StableRecord, int, error) {
-	body, n, err := readFrame(r)
+	body, n, err := ReadFrame(r)
 	if err != nil {
 		return nil, n, err
 	}
+	rec, err := ParseStableRecord(body)
+	return rec, n, err
+}
+
+// ParseStableRecord parses a frame body. It returns ErrFormatVersion for
+// an intact body of another format version and ErrCorruptRecord for one
+// that does not parse or names no op.
+func ParseStableRecord(body []byte) (*StableRecord, error) {
 	c, err := openBody(body, stableVersion)
 	if err != nil {
-		return nil, n, err
+		return nil, err
 	}
 	rec := &StableRecord{
 		Op: RecordOp(c.byte()), Proc: c.int(),
@@ -138,10 +145,10 @@ func DecodeStableRecord(r io.Reader) (*StableRecord, int, error) {
 		Permanent: c.images(), Tentative: c.images(),
 	}
 	if err := c.close(); err != nil {
-		return nil, n, err
+		return nil, err
 	}
 	if rec.Op == 0 || rec.Op >= opMax {
-		return nil, n, fmt.Errorf("%w: bad op %d", ErrCorruptRecord, rec.Op)
+		return nil, fmt.Errorf("%w: bad op %d", ErrCorruptRecord, rec.Op)
 	}
-	return rec, n, nil
+	return rec, nil
 }

@@ -73,7 +73,7 @@ func EncodeScheduleRecord(w io.Writer, r *ScheduleRecord) (int, error) {
 // DecodeScheduleRecord reads one framed record and reports how many bytes
 // of the stream it consumed. Errors follow DecodeStableRecord exactly.
 func DecodeScheduleRecord(rd io.Reader) (*ScheduleRecord, int, error) {
-	body, n, err := readFrame(rd)
+	body, n, err := ReadFrame(rd)
 	if err != nil {
 		return nil, n, err
 	}

@@ -66,20 +66,27 @@ func sealFrame(dst []byte, start int) ([]byte, error) {
 	return dst, nil
 }
 
-// readFrame reads one record frame and returns its checksum-verified body
-// and how many bytes of the stream it consumed. Errors:
+// ReadFrame reads one record frame and returns its checksum-verified body
+// and how many bytes of the stream it consumed. It is the only reader of
+// the frame; the Parse functions take the body from there. Errors:
 //
 //   - io.EOF: clean end of log (no bytes of a further record present)
-//   - ErrTornRecord: the frame stops mid-header or mid-body
+//   - ErrTornRecord: the stream ends mid-header or mid-body
 //   - ErrCorruptRecord: checksum failure or an absurd length prefix
-func readFrame(r io.Reader) ([]byte, int, error) {
+//   - anything else: the reader's own error, unclassified. A read that
+//     failed says nothing about what the file holds, so it must never be
+//     answered with the truncation a torn record gets.
+func ReadFrame(r io.Reader) ([]byte, int, error) {
 	var hdr [frameHeaderLen]byte
 	n, err := io.ReadFull(r, hdr[:])
 	if err == io.EOF {
 		return nil, 0, io.EOF
 	}
-	if err != nil {
+	if err == io.ErrUnexpectedEOF {
 		return nil, n, fmt.Errorf("%w: short header (%d bytes)", ErrTornRecord, n)
+	}
+	if err != nil {
+		return nil, n, fmt.Errorf("wire: read record header: %w", err)
 	}
 	bodyLen := binary.BigEndian.Uint32(hdr[:4])
 	if bodyLen > MaxFrame {
@@ -88,8 +95,11 @@ func readFrame(r io.Reader) ([]byte, int, error) {
 	body := make([]byte, bodyLen)
 	m, err := io.ReadFull(r, body)
 	n += m
-	if err != nil {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
 		return nil, n, fmt.Errorf("%w: short body (%d of %d bytes)", ErrTornRecord, m, bodyLen)
+	}
+	if err != nil {
+		return nil, n, fmt.Errorf("wire: read record body: %w", err)
 	}
 	if got, want := crc32.Checksum(body, castagnoli), binary.BigEndian.Uint32(hdr[4:]); got != want {
 		return nil, n, fmt.Errorf("%w: crc mismatch (got %08x want %08x)", ErrCorruptRecord, got, want)
