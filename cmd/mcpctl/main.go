@@ -20,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"time"
 
 	"mutablecp/internal/daemon"
@@ -154,10 +155,19 @@ func run(args []string) error {
 			fmt.Printf("  store appends=%d bytes=%d syncs=%d compactions=%d replayed=%d truncated=%d\n",
 				m.Store.Appends, m.Store.AppendedBytes, m.Store.Syncs, m.Store.Compactions,
 				m.Store.ReplayedRecords, m.Store.TruncatedBytes)
-			for peer, sm := range m.Sessions {
-				fmt.Printf("  ->P%d data=%d retx=%d acks=%d dups=%d buffered=%d batches=%d envelopes=%d backlog=%d\n",
+			// Sorted, so two calls can be compared line by line. connects
+			// and reopened tell a stale link from a running cluster: after
+			// one peer restart each survivor shows one more of both.
+			peers := make([]int, 0, len(m.Sessions))
+			for peer := range m.Sessions {
+				peers = append(peers, peer)
+			}
+			sort.Ints(peers)
+			for _, peer := range peers {
+				sm := m.Sessions[peer]
+				fmt.Printf("  ->P%d data=%d retx=%d acks=%d dups=%d buffered=%d batches=%d envelopes=%d connects=%d reopened=%d backlog=%d\n",
 					peer, sm.DataFrames, sm.Retransmissions, sm.AcksSent, sm.DupsSuppressed,
-					sm.Buffered, sm.Batches, sm.Envelopes, m.Backlog[peer])
+					sm.Buffered, sm.Batches, sm.Envelopes, sm.Connects, sm.Reopened, m.Backlog[peer])
 			}
 		}
 	case "store":

@@ -56,7 +56,7 @@ func TestUsageErrors(t *testing.T) {
 	}
 }
 
-// TestAgainstCluster drives the read-only subcommands against a 2-daemon
+// TestAgainstCluster drives the read-only subcommands against a 3-daemon
 // in-process cluster with a payload plane that has committed one
 // checkpoint. metrics and store print the disk counters the stores take
 // from seglog.Metrics, so a renamed or dropped field shows here.
@@ -68,16 +68,17 @@ func TestAgainstCluster(t *testing.T) {
 		PayloadChunkBytes: 2 << 10,
 	}
 	var lns []net.Listener
-	for i := 0; i < 4; i++ {
+	const n = 3
+	for i := 0; i < 2*n; i++ {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
 		lns = append(lns, ln)
 	}
-	for i := 0; i < 2; i++ {
+	for i := 0; i < n; i++ {
 		cfg.Nodes = append(cfg.Nodes, daemon.NodeConfig{
-			ID: i, Addr: lns[i].Addr().String(), CtlAddr: lns[2+i].Addr().String(),
+			ID: i, Addr: lns[i].Addr().String(), CtlAddr: lns[n+i].Addr().String(),
 		})
 	}
 	for _, ln := range lns {
@@ -98,7 +99,7 @@ func TestAgainstCluster(t *testing.T) {
 	mcpctl := func(args ...string) (string, error) {
 		return runCaptured(t, append([]string{"-config", path}, args...)...)
 	}
-	if out, err := mcpctl("-timeout", "15s", "wait"); err != nil || !strings.Contains(out, "cluster ready: 2 nodes") {
+	if out, err := mcpctl("-timeout", "15s", "wait"); err != nil || !strings.Contains(out, "cluster ready: 3 nodes") {
 		t.Fatalf("wait: %v\n%s", err, out)
 	}
 	// P1 depends on P0 once it has received from it; only then does a
@@ -106,7 +107,14 @@ func TestAgainstCluster(t *testing.T) {
 	if out, err := mcpctl("send", "-from", "0", "-to", "1", "-count", "3"); err != nil || !strings.Contains(out, "queued 3 message(s) P0 -> P1") {
 		t.Fatalf("send: %v\n%s", err, out)
 	}
-	delivered := regexp.MustCompile(`P0: .*\n  store .*\n  ->P1 data=3 .* backlog=0\n`)
+	// The per-peer lines come sorted by peer, each with the connection
+	// counters: P0 booted first, so it holds one outbound connection per
+	// peer and reopened each outbox once, at the later starter's hello.
+	delivered := regexp.MustCompile(`P0: .*\n  store .*\n` +
+		`  ->P1 data=3 .* envelopes=\d+ connects=1 reopened=1 backlog=0\n` +
+		`  ->P2 data=0 .* envelopes=\d+ connects=1 reopened=1 backlog=0\n` +
+		`P1: .*\n  store .*\n  ->P0 .*\n  ->P2 .*\n` +
+		`P2: .*\n  store .*\n  ->P0 .*\n  ->P1 .*\n$`)
 	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(10 * time.Millisecond) {
 		out, err := mcpctl("metrics")
 		if err != nil {

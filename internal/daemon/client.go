@@ -134,7 +134,7 @@ func WaitClusterReady(cfg *Config, timeout time.Duration) error {
 	for _, nc := range cfg.Nodes {
 		pending[nc.ID] = nc.CtlAddr
 	}
-	for len(pending) > 0 {
+	for poll := readyPollMin; len(pending) > 0; poll = min(2*poll, readyPollMax) {
 		for id, addr := range pending {
 			cl, err := Dial(addr)
 			if err == nil {
@@ -155,7 +155,7 @@ func WaitClusterReady(cfg *Config, timeout time.Duration) error {
 			}
 			return fmt.Errorf("daemon: cluster not ready after %v, waiting for %v", timeout, ids)
 		}
-		time.Sleep(25 * time.Millisecond)
+		time.Sleep(poll)
 	}
 	return nil
 }

@@ -84,14 +84,7 @@ func (d *Daemon) acceptControl() {
 		if err != nil {
 			return
 		}
-		d.connsMu.Lock()
-		d.conns = append(d.conns, conn)
-		d.connsMu.Unlock()
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			d.serveControl(conn)
-		}()
+		d.serveConn(conn, d.serveControl)
 	}
 }
 
@@ -127,10 +120,10 @@ func (d *Daemon) handleControl(req Request) Response {
 	switch req.Op {
 	case OpStatus:
 		resp.ID, resp.N = d.id, d.n
-		resp.Algorithm = d.engineName()
 		resp.Ready = d.Ready()
 		resp.Incarnation = d.inc
 		err := d.onLoop(func() {
+			resp.Algorithm = d.engine.Name()
 			resp.InProgress = d.engine.InProgress()
 			resp.Commits, resp.Aborts = d.commits, d.aborts
 		})
@@ -222,12 +215,4 @@ func (d *Daemon) handleControl(req Request) Response {
 		resp.Err = "daemon: unknown op " + req.Op
 	}
 	return resp
-}
-
-func (d *Daemon) engineName() string {
-	var name string
-	if err := d.onLoop(func() { name = d.engine.Name() }); err != nil {
-		return ""
-	}
-	return name
 }

@@ -123,8 +123,10 @@ type Daemon struct {
 
 	logger *log.Logger
 
+	// conns holds every accepted connection for as long as its serve
+	// goroutine runs, so Stop can close them.
 	connsMu sync.Mutex
-	conns   []net.Conn
+	conns   map[net.Conn]struct{}
 
 	wg        sync.WaitGroup
 	loopWG    sync.WaitGroup
@@ -170,6 +172,7 @@ func New(cfg *Config, id int) (*Daemon, error) {
 		newEngine: newEngine,
 		mutable:   checkpoint.NewMutableStore(protocol.ProcessID(id)),
 		mb:        newMailbox(),
+		conns:     make(map[net.Conn]struct{}),
 		logger:    log.New(os.Stderr, fmt.Sprintf("mcpd[P%d] ", id), log.LstdFlags|log.Lmicroseconds),
 		closed:    make(chan struct{}),
 		stopReq:   make(chan struct{}),
@@ -241,23 +244,29 @@ func New(cfg *Config, id int) (*Daemon, error) {
 	return d, nil
 }
 
-// dialPeers drives the bootstrap handshakes in the background so the
-// cluster converges no matter the start order: peers whose listeners are
-// not up yet are re-dialed until they are. Once every handshake has
-// completed the loop exits — later breaks are repaired lazily by sends
-// and retransmissions, and a restarted peer announces itself by dialing
-// us.
+// dialPeers drives the bootstrap handshakes in the background, all peers
+// at once. Every daemon listens before it dials, so of any two the later
+// starter's dial finds the earlier one listening, and the earlier one
+// answers that hello by dialing back at once (peerSession.peerAlive): the
+// cluster converges on the first pass whatever the start order. The retry
+// pass is a safety net for a dial that failed for some other reason. Once
+// every handshake has completed the loop exits; a later break is repaired
+// by the next send, and a restarted peer's hello by the same rule.
 func (d *Daemon) dialPeers() {
 	for {
-		ready := true
+		var wg sync.WaitGroup
 		for _, s := range d.sessions {
 			if s == nil || s.ready() {
 				continue
 			}
-			ready = false
-			s.connectOnce() //nolint:errcheck // retried on the next pass
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				s.connectOnce() //nolint:errcheck // retried on the next pass
+			}()
 		}
-		if ready {
+		wg.Wait()
+		if d.Ready() {
 			return
 		}
 		select {
@@ -422,15 +431,32 @@ func (d *Daemon) acceptData() {
 		if err != nil {
 			return
 		}
-		d.connsMu.Lock()
-		d.conns = append(d.conns, conn)
-		d.connsMu.Unlock()
-		d.wg.Add(1)
-		go func() {
-			defer d.wg.Done()
-			d.serveData(conn)
-		}()
+		d.serveConn(conn, d.serveData)
 	}
+}
+
+// serveConn runs serve on an accepted connection in its own goroutine.
+// The connection is in d.conns for exactly as long, so Stop can close
+// what is still open and nothing accumulates over the daemon's lifetime.
+func (d *Daemon) serveConn(conn net.Conn, serve func(net.Conn)) {
+	d.connsMu.Lock()
+	select {
+	case <-d.closed: // accepted as Stop swept d.conns: nobody else would close it
+		d.connsMu.Unlock()
+		conn.Close() //nolint:errcheck
+		return
+	default:
+	}
+	d.conns[conn] = struct{}{}
+	d.connsMu.Unlock()
+	d.wg.Add(1)
+	go func() {
+		defer d.wg.Done()
+		serve(conn)
+		d.connsMu.Lock()
+		delete(d.conns, conn)
+		d.connsMu.Unlock()
+	}()
 }
 
 // serveData handles one inbound peer connection: hello/welcome
@@ -447,12 +473,14 @@ func (d *Daemon) serveData(conn net.Conn) {
 		return
 	}
 	conn.SetReadDeadline(time.Time{}) //nolint:errcheck
+	// The rule first, the welcome second: when the peer's handshake
+	// returns, our socket to its previous incarnation is already gone.
+	s := d.sessions[hello.Src]
+	s.peerAlive(hello.Inc)
 	welcome := envelope{Kind: envHello, Src: d.id, Inc: d.inc}
 	if err := writeEnvelope(conn, &welcome); err != nil {
 		return
 	}
-	s := d.sessions[hello.Src]
-	s.noteRemoteInc(hello.Inc)
 
 	deliver := func(body []byte) {
 		m, err := wire.DecodeMessage(body)
@@ -481,7 +509,7 @@ func (d *Daemon) serveData(conn net.Conn) {
 // daemon keeps dialing peers whose listeners are not up yet).
 func (d *Daemon) WaitReady(timeout time.Duration) error {
 	deadline := time.Now().Add(timeout)
-	for {
+	for poll := readyPollMin; ; poll = min(2*poll, readyPollMax) {
 		ready := true
 		for _, s := range d.sessions {
 			if s == nil || s.ready() {
@@ -505,10 +533,19 @@ func (d *Daemon) WaitReady(timeout time.Duration) error {
 		select {
 		case <-d.closed:
 			return ErrStopped
-		case <-time.After(25 * time.Millisecond):
+		case <-time.After(poll):
 		}
 	}
 }
+
+// Readiness polls (WaitReady here, WaitClusterReady in client.go) start
+// fine and back off to the cap: a cluster that converges in a few
+// milliseconds is not quantised to the cap, one that takes seconds is not
+// hammered.
+const (
+	readyPollMin = time.Millisecond
+	readyPollMax = 25 * time.Millisecond
+)
 
 // Ready reports whether every peer handshake has completed.
 func (d *Daemon) Ready() bool {
@@ -536,15 +573,13 @@ func (d *Daemon) Stop() {
 		d.dataLn.Close() //nolint:errcheck
 		d.ctlLn.Close()  //nolint:errcheck
 		d.connsMu.Lock()
-		conns := d.conns
-		d.conns = nil
-		d.connsMu.Unlock()
-		for _, c := range conns {
-			c.Close() //nolint:errcheck
+		for c := range d.conns {
+			c.Close() //nolint:errcheck // its serve goroutine returns and forgets it
 		}
+		d.connsMu.Unlock()
 		d.mb.close()
-		d.loopWG.Wait()    // loop drains queued events before exiting
-		d.stopPersister()  // then the durability pipeline drains
+		d.loopWG.Wait()   // loop drains queued events before exiting
+		d.stopPersister() // then the durability pipeline drains
 		for _, s := range d.sessions {
 			if s != nil {
 				s.close() // flushes the writer's queue

@@ -1,0 +1,28 @@
+package daemon
+
+import "time"
+
+// OpenConns is how many accepted connections are being served right now.
+func (d *Daemon) OpenConns() int {
+	d.connsMu.Lock()
+	defer d.connsMu.Unlock()
+	return len(d.conns)
+}
+
+// StopRetransmitTimers disarms every session's retransmit timer for good.
+// The timer is free-running: when it ticks it resends whatever is unacked,
+// however briefly, so a test that counts retransmissions around a
+// sub-millisecond exchange would collide with it now and then. With the
+// timers stopped, a frame arrives only if the path under test carries it.
+func (d *Daemon) StopRetransmitTimers() {
+	for _, s := range d.sessions {
+		if s == nil {
+			continue
+		}
+		// Stop reports false while a tick is running; the tick re-arms the
+		// timer before it returns, so try again.
+		for !s.timer.Stop() {
+			time.Sleep(time.Millisecond)
+		}
+	}
+}

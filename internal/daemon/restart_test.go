@@ -1,0 +1,178 @@
+package daemon_test
+
+import (
+	"net"
+	"runtime"
+	"testing"
+	"time"
+
+	"mutablecp/internal/daemon"
+	"mutablecp/internal/protocol"
+)
+
+// metricsOf fetches one daemon's counters over a fresh control connection.
+func metricsOf(t testing.TB, cfg *daemon.Config, id int) daemon.Metrics {
+	t.Helper()
+	nc, _ := cfg.Node(id)
+	cl, err := daemon.Dial(nc.CtlAddr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close() //nolint:errcheck
+	m, err := cl.Metrics()
+	if err != nil {
+		t.Fatalf("metrics P%d: %v", id, err)
+	}
+	return m
+}
+
+// waitFor polls cond every millisecond and fails the test with what()
+// when it has not held within ten seconds.
+func waitFor(t testing.TB, cond func() bool, what func() string) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal(what())
+		}
+	}
+}
+
+// TestRestartedPeerIsRedialedAtOnce pins the connection-lifecycle rule: a
+// hello from a restarted peer makes every survivor drop its socket to the
+// dead incarnation and dial the new one, so traffic in both directions
+// flows the moment the newcomer is ready — with no frame lost to the old
+// socket, hence nothing for the retransmit timer to repair. The timers
+// are stopped for the whole test, so a frame that arrives was carried by
+// that path; before the rule, the survivors' first writes went to the
+// dead socket and this test hangs on the undelivered frames.
+func TestRestartedPeerIsRedialedAtOnce(t *testing.T) {
+	const n, victim = 3, 1
+	cfg := newClusterConfig(t, n, 2*time.Second)
+	daemons := make([]*daemon.Daemon, n)
+	boot := func(id int) {
+		t.Helper()
+		d, err := daemon.New(cfg, id)
+		if err != nil {
+			t.Fatalf("start P%d: %v", id, err)
+		}
+		d.StopRetransmitTimers()
+		daemons[id] = d
+	}
+	defer func() {
+		for _, d := range daemons {
+			d.Stop()
+		}
+	}()
+	for id := range daemons {
+		boot(id)
+	}
+	for id, d := range daemons {
+		if err := d.WaitReady(10 * time.Second); err != nil {
+			t.Fatalf("P%d: %v", id, err)
+		}
+	}
+	send := func(from, to int) {
+		t.Helper()
+		if err := daemons[from].SendApp(protocol.ProcessID(to), []byte("m")); err != nil {
+			t.Fatalf("send P%d->P%d: %v", from, to, err)
+		}
+	}
+	// Every link carries a frame, so each survivor's socket to the victim
+	// is an established one when the victim dies.
+	for from := 0; from < n; from++ {
+		for to := 0; to < n; to++ {
+			if from != to {
+				send(from, to)
+			}
+		}
+	}
+	quiesce(t, cfg, 10*time.Second)
+
+	daemons[victim].Stop()
+	// One frame is left unacked across the restart: sent to the dead
+	// incarnation, it must reach the new one exactly once.
+	send(0, victim)
+	waitFor(t, func() bool { return metricsOf(t, cfg, 0).Backlog[victim] == 1 },
+		func() string { return "P0's frame to the stopped victim never reached its outbox" })
+	before := map[int]daemon.SessionMetrics{}
+	for _, id := range []int{0, 2} {
+		before[id] = metricsOf(t, cfg, id).Sessions[victim]
+	}
+
+	boot(victim)
+	for deadline := time.Now().Add(10 * time.Second); !daemons[victim].Ready(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("restarted victim never became ready")
+		}
+	}
+	// The moment it is ready: both directions, every pair with the victim.
+	send(0, victim)
+	send(2, victim)
+	send(victim, 0)
+	send(victim, 2)
+	// Fails here if a survivor wrote to its socket to the dead incarnation:
+	// with no retransmit timer that frame is never acknowledged.
+	quiesce(t, cfg, 10*time.Second)
+
+	for id := range daemons {
+		for peer, sm := range metricsOf(t, cfg, id).Sessions {
+			if sm.Retransmissions != 0 || sm.DupsSuppressed != 0 {
+				t.Errorf("P%d session with P%d: retx=%d dups=%d, want 0 and 0",
+					id, peer, sm.Retransmissions, sm.DupsSuppressed)
+			}
+		}
+	}
+	for _, id := range []int{0, 2} {
+		after := metricsOf(t, cfg, id).Sessions[victim]
+		if got := after.Connects - before[id].Connects; got != 1 {
+			t.Errorf("survivor P%d dialed the restarted peer %d times, want exactly 1", id, got)
+		}
+		if got := after.Reopened - before[id].Reopened; got != 1 {
+			t.Errorf("survivor P%d reopened its outbox %d times, want exactly 1", id, got)
+		}
+	}
+	// Exactly-once, at the engine: the victim restarted from csn 0 with
+	// zeroed counters, so a checkpoint there records what it delivered
+	// since — two frames from P0 (the one held across the restart and the
+	// one sent at ready), one from P2.
+	if committed, err := daemons[victim].Checkpoint(10 * time.Second); err != nil || !committed {
+		t.Fatalf("checkpoint at the restarted peer: committed=%v err=%v", committed, err)
+	}
+	st, err := daemons[victim].PermanentState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.RecvFrom) != n || st.RecvFrom[0] != 2 || st.RecvFrom[2] != 1 {
+		t.Fatalf("restarted peer delivered %v per sender, want [2 0 1]: the frame held across the restart was lost or delivered twice", st.RecvFrom)
+	}
+}
+
+// TestServedConnectionsAreForgotten: the daemon tracks an accepted
+// connection only while it is being served. A readiness poll opens a
+// fresh control connection per probe and a peer restart a fresh data
+// connection, so anything left behind grows for the daemon's lifetime.
+func TestServedConnectionsAreForgotten(t *testing.T) {
+	cfg := newClusterConfig(t, 2, 2*time.Second)
+	d, err := daemon.New(cfg, 0) // P1 is never started: no peer connects
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Stop()
+	for i := 0; i < 50; i++ {
+		cl, err := daemon.Dial(d.CtlAddr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Status(); err != nil {
+			t.Fatal(err)
+		}
+		cl.Close() //nolint:errcheck
+		conn, err := net.Dial("tcp", d.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		conn.Close() //nolint:errcheck // a peer that goes away before its hello
+	}
+	waitFor(t, func() bool { return d.OpenConns() == 0 },
+		func() string { return "connections still tracked after every client closed" })
+}

@@ -26,6 +26,22 @@ import (
 // side restarts — the surviving sender reopens its outbox under the new
 // generation, renumbering and replaying its unacked backlog, and the
 // restarted peer's fresh inbox adopts it cleanly.
+//
+// One rule governs the outbound connection's lifecycle: an inbound hello
+// is proof the peer is alive at that incarnation, so the outbound link
+// must lead there now. A restarted peer dials every survivor at boot;
+// each survivor, on reading that hello, drops the socket that led to the
+// dead incarnation and has its writer dial the new one at once (peerAlive
+// below). Without it the survivor's first write after the restart lands
+// on the dead socket and is lost, and the frame returns only on the
+// retransmit timer. Breaks that no hello announces are repaired lazily by
+// the next Send, as before.
+//
+// Lock order: Link's send lock → peerSession.mu → Link's state lock. The
+// handshake runs inside Link.Send/Connect (send lock held) and takes
+// s.mu; Link.Reset takes only the state lock, which is never held across
+// I/O, so peerAlive may call it under s.mu. Nothing under s.mu may call
+// Link.Send or Link.Connect.
 
 // Envelope kinds.
 const (
@@ -57,6 +73,7 @@ type SessionMetrics struct {
 	Buffered        uint64
 	StaleFrames     uint64
 	Reopened        uint64
+	Connects        uint64 // outbound connections dialed and welcomed
 	Batches         uint64 // Link.Send calls (coalesced envelope groups)
 	Envelopes       uint64 // envelopes carried by those batches
 }
@@ -83,11 +100,16 @@ type peerSession struct {
 	out       relnet.Outbox[[]byte]
 	in        relnet.Inbox[[]byte]
 	remoteInc int64
-	sendQ     []envelope // envelopes awaiting the writer, in order
-	ackDirty  bool
-	ackGen    uint64
-	ackCum    uint64
-	closed    bool
+	// linkInc is the incarnation that welcomed the outbound connection
+	// most recently dialed; zero until the first handshake completes.
+	linkInc int64
+	// connect asks the writer to dial now, with nothing to send yet.
+	connect  bool
+	sendQ    []envelope // envelopes awaiting the writer, in order
+	ackDirty bool
+	ackGen   uint64
+	ackCum   uint64
+	closed   bool
 
 	rto   time.Duration
 	timer *time.Timer
@@ -139,17 +161,45 @@ func (s *peerSession) handshake(conn net.Conn) error {
 		return fmt.Errorf("handshake: peer at %s identifies as node %d, want %d",
 			s.link.Addr(), welcome.Src, s.peer)
 	}
-	s.noteRemoteInc(welcome.Inc)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.linkInc = welcome.Inc
+	s.metrics.Connects++
+	s.noteRemoteIncLocked(welcome.Inc)
 	return nil
 }
 
-// noteRemoteInc records the peer's incarnation (from its hello on either
-// side's connection) and reopens the outbox when the pair generation
-// moved: the peer restarted, so the unacked backlog is renumbered from 0
-// under the new generation and queued for replay.
-func (s *peerSession) noteRemoteInc(inc int64) {
+// peerAlive applies the connection-lifecycle rule to a hello read on an
+// inbound connection. If the outbound link was welcomed by an older
+// incarnation — or by none, the cold-boot case where our dial found the
+// peer not listening yet and accrued backoff — the link is reset (socket
+// dropped, backoff cleared, a waiting Send woken) and the writer is told
+// to dial now, so the handshake is off the next frame's critical path. A
+// link already welcomed by this incarnation is left alone.
+//
+// Reset and the reopen happen in one critical section, before the writer
+// can see the renumbered backlog: no frame of the new generation is ever
+// written to the old socket. A dial racing this hello either has passed
+// its handshake (linkInc is current, nothing to reset) or has not yet
+// taken s.mu there (it installs its connection after our Reset), so a
+// good connection is never dropped.
+func (s *peerSession) peerAlive(inc int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.linkInc < inc {
+		s.link.Reset()
+		s.connect = true
+		s.cond.Signal()
+	}
+	s.noteRemoteIncLocked(inc)
+}
+
+// noteRemoteIncLocked records the peer's incarnation (from its hello on
+// either side's connection) and reopens the outbox when the pair
+// generation moved: the peer restarted, so the unacked backlog is
+// renumbered from 0 under the new generation and queued for replay. The
+// caller holds s.mu.
+func (s *peerSession) noteRemoteIncLocked(inc int64) {
 	if inc > s.remoteInc {
 		s.remoteInc = inc
 	}
@@ -265,12 +315,23 @@ func (s *peerSession) writeLoop() {
 	var buf []byte
 	for {
 		s.mu.Lock()
-		for len(s.sendQ) == 0 && !s.ackDirty && !s.closed {
+		for len(s.sendQ) == 0 && !s.ackDirty && !s.connect && !s.closed {
 			s.cond.Wait()
 		}
 		if s.closed {
 			s.mu.Unlock()
 			return
+		}
+		s.connect = false
+		if len(s.sendQ) == 0 && !s.ackDirty {
+			// Woken by peerAlive with nothing queued: dial now so the next
+			// frame finds the connection up. The handshake requeues any
+			// backlog. With frames queued, Send below dials anyway.
+			s.mu.Unlock()
+			if err := s.link.Connect(); err != nil {
+				s.d.logf("P%d: connect to P%d: %v", s.d.id, s.peer, err)
+			}
+			continue
 		}
 		buf = buf[:0]
 		// Drain up to the batch cap into one buffer: enough to amortize

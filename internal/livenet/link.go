@@ -20,21 +20,39 @@ import (
 // down keeps escalating the schedule across sends instead of restarting
 // it at the base every time (the old per-send schedule hammered a dead
 // peer at the base rate forever — each send retried from 10 ms no matter
-// how long the peer had been gone). A successful write resets the
-// schedule.
+// how long the peer had been gone). The schedule paces dials to a peer
+// that does not answer and nothing else: a connection that has carried a
+// write and then breaks is re-dialed at once. A successful write resets
+// the schedule, and so does Reset, for a caller that has learned by other
+// means that the peer is up.
+//
+// Two locks. sendMu is the channel's FIFO: Send and Connect hold it from
+// start to end — across the backoff wait, the dial, the OnConnect
+// handshake and the write — so no frame overtakes another. mu guards the
+// fields and is never held across I/O or a wait, which is what lets Reset
+// and Close interrupt a Send that is waiting out a backoff or writing to
+// a dead socket. Order: sendMu before mu.
 type Link struct {
+	sendMu sync.Mutex
+
 	mu   sync.Mutex
 	addr string
 	opts LinkOptions
 
 	conn net.Conn
 	w    *bufio.Writer
+	// proven is set once conn has carried a successful write: its loss is
+	// then a broken connection, not a peer that accepts and hangs up.
+	proven bool
 
-	// backoff is the sleep the next dial attempt pays; zero means dial
+	// backoff is the wait the next dial attempt pays; zero means dial
 	// immediately. It escalates exponentially across failed attempts —
 	// whether those attempts happen inside one send or across many — and
-	// resets only on a successful write.
+	// resets on a successful write or a Reset.
 	backoff time.Duration
+	// wake is closed (and replaced) by Reset and Close to end a backoff
+	// wait early.
+	wake chan struct{}
 
 	dialFailures uint64
 	closed       bool
@@ -54,7 +72,8 @@ type LinkOptions struct {
 	MaxBackoff time.Duration
 	// OnConnect, when non-nil, runs on every freshly dialed connection
 	// before any frame is written (handshakes); an error counts as a dial
-	// failure.
+	// failure. It runs under the link's send lock, not its state lock, so
+	// it may block on the network but must not call Send or Connect.
 	OnConnect func(conn net.Conn) error
 }
 
@@ -80,24 +99,20 @@ var ErrLinkClosed = errors.New("livenet: link closed")
 // NewLink returns an unconnected link to addr. The first Send (or an
 // explicit Connect) dials it.
 func NewLink(addr string, opts LinkOptions) *Link {
-	return &Link{addr: addr, opts: opts.defaults()}
+	return &Link{addr: addr, opts: opts.defaults(), wake: make(chan struct{})}
 }
 
 // Addr returns the peer address.
 func (l *Link) Addr() string { return l.addr }
 
-// Connect dials the peer now if not connected, without sleeping: one
-// attempt, so bootstrap layers can drive their own retry cadence.
+// Connect dials the peer now if not connected, without waiting out the
+// backoff: one attempt, so bootstrap layers can drive their own retry
+// cadence.
 func (l *Link) Connect() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrLinkClosed
-	}
-	if l.conn != nil {
-		return nil
-	}
-	return l.dialLocked()
+	l.sendMu.Lock()
+	defer l.sendMu.Unlock()
+	_, _, err := l.acquire(false)
+	return err
 }
 
 // Connected reports whether the link currently holds a live connection.
@@ -123,26 +138,56 @@ func (l *Link) DialFailures() uint64 {
 	return l.dialFailures
 }
 
-// dialLocked dials and runs the handshake; the caller holds l.mu. On
-// failure the backoff escalates; it resets only on a later successful
-// write (a dial can succeed against a half-open peer and still fail the
-// first write, so the write is the real evidence of health).
-func (l *Link) dialLocked() error {
+// acquire returns the live connection, dialing one first if there is
+// none; the caller holds sendMu. With wait set the dial first waits out
+// the link's backoff, unless Reset or Close cuts the wait short. A failed
+// dial (or handshake) escalates the backoff; a dial can also succeed
+// against a half-open peer and still fail the first write, so only a
+// write resets the schedule.
+func (l *Link) acquire(wait bool) (net.Conn, *bufio.Writer, error) {
+	l.mu.Lock()
+	conn, w, closed, backoff, wake := l.conn, l.w, l.closed, l.backoff, l.wake
+	l.mu.Unlock()
+	if closed {
+		return nil, nil, ErrLinkClosed
+	}
+	if conn != nil {
+		return conn, w, nil
+	}
+	if wait && backoff > 0 {
+		// Waiting under sendMu is deliberate: the link is a FIFO channel,
+		// so letting another Send overtake would reorder frames.
+		t := time.NewTimer(backoff)
+		select {
+		case <-t.C:
+		case <-wake:
+			t.Stop()
+			return l.acquire(wait) // Reset or Close changed the state: read it again
+		}
+	}
+
 	conn, err := net.Dial("tcp", l.addr)
 	if err == nil && l.opts.OnConnect != nil {
 		if herr := l.opts.OnConnect(conn); herr != nil {
 			conn.Close() //nolint:errcheck
-			conn, err = nil, herr
+			err = herr
 		}
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		if err == nil {
+			conn.Close() //nolint:errcheck
+		}
+		return nil, nil, ErrLinkClosed
 	}
 	if err != nil {
 		l.dialFailures++
 		l.escalateLocked()
-		return err
+		return nil, nil, err
 	}
-	l.conn = conn
-	l.w = bufio.NewWriter(conn)
-	return nil
+	l.conn, l.w, l.proven = conn, bufio.NewWriter(conn), false
+	return l.conn, l.w, nil
 }
 
 func (l *Link) escalateLocked() {
@@ -159,39 +204,44 @@ func (l *Link) escalateLocked() {
 // Send writes one pre-framed byte sequence (one frame or a coalesced
 // batch, from wire.AppendMessage or the daemon's envelope codec) and
 // flushes. A broken connection is re-dialed up to MaxAttempts times
-// within this call, honouring the link's persistent backoff schedule.
+// within this call: at once when the connection had been carrying
+// writes, on the link's persistent backoff schedule when dials fail.
 func (l *Link) Send(frame []byte) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
+	l.sendMu.Lock()
+	defer l.sendMu.Unlock()
 	var lastErr error
 	for attempt := 0; attempt < l.opts.MaxAttempts; attempt++ {
-		if l.closed {
-			return ErrLinkClosed
+		conn, w, err := l.acquire(true)
+		if errors.Is(err, ErrLinkClosed) {
+			return err
 		}
-		if l.conn == nil {
-			if l.backoff > 0 {
-				// Sleeping under the lock is deliberate: the link is a FIFO
-				// channel, so letting another Send overtake would reorder
-				// frames.
-				time.Sleep(l.backoff)
-			}
-			if err := l.dialLocked(); err != nil {
-				lastErr = err
-				continue
-			}
+		if err != nil {
+			lastErr = err
+			continue
 		}
-		l.conn.SetWriteDeadline(time.Now().Add(l.opts.WriteTimeout)) //nolint:errcheck
-		_, werr := l.w.Write(frame)
+		conn.SetWriteDeadline(time.Now().Add(l.opts.WriteTimeout)) //nolint:errcheck
+		_, werr := w.Write(frame)
 		if werr == nil {
-			werr = l.w.Flush()
+			werr = w.Flush()
 		}
+		l.mu.Lock()
 		if werr == nil {
-			l.backoff = 0
+			l.proven, l.backoff = true, 0
+			l.mu.Unlock()
 			return nil
 		}
+		// Reset or Close may have dropped conn already; that is theirs to
+		// account for. Otherwise the backoff is charged only when the
+		// connection never carried a write (a peer that accepts and hangs
+		// up is paced like one that refuses).
+		if l.conn == conn {
+			if !l.proven {
+				l.escalateLocked()
+			}
+			l.dropConnLocked()
+		}
+		l.mu.Unlock()
 		lastErr = werr
-		l.dropConnLocked()
-		l.escalateLocked()
 	}
 	return fmt.Errorf("livenet: send to %s after %d attempts: %w", l.addr, l.opts.MaxAttempts, lastErr)
 }
@@ -205,6 +255,27 @@ func (l *Link) dropConnLocked() {
 	}
 }
 
+// interruptLocked ends a backoff wait in progress; the caller holds l.mu.
+func (l *Link) interruptLocked() {
+	close(l.wake)
+	l.wake = make(chan struct{})
+}
+
+// Reset is for a caller that knows the peer is reachable now and that the
+// current socket, if any, does not lead to it (the peer restarted): the
+// socket is dropped, the backoff schedule starts over, and a Send waiting
+// out a backoff dials at once. It never blocks on the network.
+func (l *Link) Reset() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.closed {
+		return
+	}
+	l.dropConnLocked()
+	l.backoff = 0
+	l.interruptLocked()
+}
+
 // Kill abruptly closes the socket but leaves the link usable (fault
 // injection): the next Send discovers the break on its write and runs the
 // full failure path.
@@ -216,10 +287,15 @@ func (l *Link) Kill() {
 	}
 }
 
-// Close shuts the link down; all later operations fail.
+// Close shuts the link down; all later operations fail, and a Send
+// waiting out a backoff returns ErrLinkClosed.
 func (l *Link) Close() {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.closed {
+		return
+	}
 	l.closed = true
 	l.dropConnLocked()
+	l.interruptLocked()
 }

@@ -18,8 +18,9 @@ import (
 //
 // The mesh is failure-hardened: every write carries a deadline so a wedged
 // peer cannot block a sender's event loop, reads idle out when configured,
-// and a broken connection is re-dialed with exponential backoff on the
-// next send. The backoff schedule lives on the Link — per channel, not
+// and a broken connection is re-dialed on the next send — at once when it
+// had been carrying frames, with exponential backoff while the peer does
+// not answer. The backoff schedule lives on the Link — per channel, not
 // per send — so a peer that stays down keeps escalating instead of being
 // hammered at the base interval by every send. Listeners accept forever,
 // not a fixed number of times, so re-dialed connections are served.
@@ -87,7 +88,7 @@ func NewTCP(cfg Config) (*Cluster, error) {
 
 // KillConnection abruptly closes the from->to TCP connection (fault
 // injection for tests). The sender discovers the break on its next write
-// and reconnects with backoff; in-flight frames on the dead socket are
+// and reconnects at once; in-flight frames on the dead socket are
 // lost, frames sent afterwards are not.
 func (c *Cluster) KillConnection(from, to protocol.ProcessID) error {
 	if c.mesh == nil {
