@@ -35,8 +35,7 @@ func runOne(b *testing.B, cfg harness.Config) *harness.Result {
 }
 
 // reportSimRate attaches the simulated-events-per-wall-second throughput of
-// the whole stack, the headline number cmd/mcpbench tracks across
-// baselines.
+// the whole stack (bench/'s sim1k tracks the same stack end to end).
 func reportSimRate(b *testing.B, events uint64) {
 	b.Helper()
 	if secs := b.Elapsed().Seconds(); secs > 0 {

@@ -27,6 +27,7 @@ import (
 	"strings"
 	"time"
 
+	"mutablecp/internal/algorithms"
 	"mutablecp/internal/chunkstore"
 	"mutablecp/internal/harness"
 	"mutablecp/internal/profiling"
@@ -118,15 +119,8 @@ func validate(fs *flag.FlagSet, algo string, n int, rate, ratio float64,
 		}
 	}
 
-	valid := false
-	for _, a := range harness.Algorithms() {
-		if a == algo {
-			valid = true
-			break
-		}
-	}
-	if !valid {
-		return fmt.Errorf("unknown -algo %q (want %s)", algo, strings.Join(harness.Algorithms(), ", "))
+	if _, err := algorithms.New(algo); err != nil {
+		return fmt.Errorf("unknown -algo %q (want %s)", algo, strings.Join(algorithms.Names(), ", "))
 	}
 	if n < 2 {
 		return fmt.Errorf("-n must be >= 2 (checkpointing needs at least two processes)")
@@ -260,7 +254,7 @@ func parseScale(s string) ([]int, error) {
 func run(args []string) error {
 	fs := flag.NewFlagSet("mcpsim", flag.ContinueOnError)
 	algo := fs.String("algo", harness.AlgoMutable,
-		"algorithm: "+strings.Join(harness.Algorithms(), ", "))
+		"algorithm: "+strings.Join(algorithms.Names(), ", "))
 	n := fs.Int("n", 16, "number of processes")
 	rate := fs.Float64("rate", 0.05, "per-process message sending rate (msgs/s)")
 	wl := fs.String("workload", "p2p", "workload: p2p, group, or client-server")

@@ -371,11 +371,6 @@ type Snapshot struct {
 	w     []uint64
 }
 
-// SnapshotFromBools builds a (necessarily present) snapshot from []bool.
-func SnapshotFromBools(bs []bool) Snapshot {
-	return FromBools(bs).Snapshot()
-}
-
 // IsZero reports absence: no vector was recorded, as opposed to an empty
 // one.
 func (p Snapshot) IsZero() bool { return p.ids == nil && p.w == nil }

@@ -188,8 +188,8 @@ func TestZeroSnapshotMeansAbsent(t *testing.T) {
 	if empty.IsZero() {
 		t.Fatal("snapshot of an empty set must be present")
 	}
-	if got := SnapshotFromBools(make([]bool, 8)); got.IsZero() {
-		t.Fatal("SnapshotFromBools of all-false must be present")
+	if got := FromBools(make([]bool, 8)).Snapshot(); got.IsZero() {
+		t.Fatal("snapshot of an all-false FromBools must be present")
 	}
 	big := New(1_000_000)
 	if big.Snapshot().IsZero() {

@@ -168,9 +168,6 @@ func (st *StableStore) SetRetain(k int) {
 	st.retain = k
 }
 
-// Retain reports the configured permanent-history bound (0 = unbounded).
-func (st *StableStore) Retain() int { return st.retain }
-
 // SeedPermanent replaces the pristine initial checkpoint with a restored
 // one (recovery restart). It is only valid on a fresh store.
 func (st *StableStore) SeedPermanent(s protocol.State) error {

@@ -204,15 +204,6 @@ type Stats struct {
 // GarbageBytes reports stored payload bytes no retained manifest reaches.
 func (st Stats) GarbageBytes() int64 { return st.DiskBytes - st.LiveBytes }
 
-// DedupRatio reports logical bytes per byte actually written (1.0 means
-// no savings; higher is better).
-func (st Stats) DedupRatio() float64 {
-	if st.NewBytes == 0 {
-		return 0
-	}
-	return float64(st.LogicalBytes) / float64(st.NewBytes)
-}
-
 // Store is one MSS's content-addressed chunk store. It is safe for
 // concurrent use.
 type Store struct {
@@ -880,14 +871,6 @@ func (s *Store) ReadChunk(h wire.ChunkHash) ([]byte, error) {
 		return nil, ErrClosed
 	}
 	return s.readChunkLocked(h)
-}
-
-// HasChunk reports whether the chunk is locally indexed.
-func (s *Store) HasChunk(h wire.ChunkHash) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.chunks[h]
-	return ok
 }
 
 // Permanent returns the newest permanent manifest for proc.

@@ -83,9 +83,6 @@ func OpenStripe(dirs []string, replicas int, opts Options) (*Stripe, error) {
 // Stores exposes the members (tests kill and audit individual MSSes).
 func (st *Stripe) Stores() []*Store { return st.stores }
 
-// Replicas reports the replication factor.
-func (st *Stripe) Replicas() int { return st.replicas }
-
 // home is the placement map: the chunk's primary member, with replicas
 // on the next replicas-1 members of the ring.
 func (st *Stripe) home(h wire.ChunkHash) int {

@@ -261,9 +261,6 @@ func (e *Engine) CSN() []int {
 // rendering is part of the fingerprint format and must not change).
 func (e *Engine) DependencyVector() []bool { return e.r.Bools() }
 
-// MutableCount reports how many mutable checkpoints are currently held.
-func (e *Engine) MutableCount() int { return len(e.mutables) }
-
 // Sent exposes the sent_i flag (tests).
 func (e *Engine) Sent() bool { return e.sent }
 

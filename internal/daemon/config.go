@@ -15,8 +15,8 @@ import (
 	"path/filepath"
 	"time"
 
+	"mutablecp/internal/algorithms"
 	"mutablecp/internal/chunkstore"
-	"mutablecp/internal/harness"
 	"mutablecp/internal/protocol"
 	"mutablecp/internal/stable"
 	"mutablecp/internal/workload"
@@ -25,7 +25,7 @@ import (
 // Config describes a whole cluster; every daemon loads the same file and
 // picks its own row out of Nodes by ID.
 type Config struct {
-	// Algorithm names the checkpointing engine (harness registry:
+	// Algorithm names the checkpointing engine (internal/algorithms registry:
 	// "mutable", "koo-toueg", ...). Empty means "mutable".
 	Algorithm string `json:"algorithm"`
 	// StoreRoot is the directory holding the per-process stable stores
@@ -146,9 +146,9 @@ func (c *Config) Validate() error {
 	}
 	algo := c.Algorithm
 	if algo == "" {
-		algo = harness.AlgoMutable
+		algo = algorithms.Mutable
 	}
-	if _, err := harness.NewEngine(algo); err != nil {
+	if _, err := algorithms.New(algo); err != nil {
 		return fmt.Errorf("daemon: %w", err)
 	}
 	if c.PayloadBytes > 0 {

@@ -9,9 +9,9 @@ import (
 	"sync"
 	"time"
 
+	"mutablecp/internal/algorithms"
 	"mutablecp/internal/checkpoint"
 	"mutablecp/internal/chunkstore"
-	"mutablecp/internal/harness"
 	"mutablecp/internal/protocol"
 	"mutablecp/internal/stable"
 	"mutablecp/internal/trace"
@@ -157,9 +157,9 @@ func New(cfg *Config, id int) (*Daemon, error) {
 	}
 	algo := cfg.Algorithm
 	if algo == "" {
-		algo = harness.AlgoMutable
+		algo = algorithms.Mutable
 	}
-	newEngine, err := harness.NewEngine(algo)
+	newEngine, err := algorithms.New(algo)
 	if err != nil {
 		return nil, err
 	}

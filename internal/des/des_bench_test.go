@@ -1,8 +1,9 @@
 package des_test
 
 // Kernel microbenchmarks. Every benchmark reports allocations and an
-// events/sec throughput metric so cmd/mcpbench can track the per-event
-// cost of the hot path (schedule + heap push + pop + fire) over time.
+// events/sec throughput metric: the per-event cost of the hot path
+// (schedule + heap push + pop + fire). bench/'s des.events_per_s is the
+// tracked number; these localise a change to one kernel operation.
 
 import (
 	"testing"
@@ -72,6 +73,23 @@ func BenchmarkDESCancel(b *testing.B) {
 	}
 }
 
+// TestCancelAllocFree: cancellation, and the compaction it triggers, must
+// not allocate, because the free list is pre-grown on the schedule path.
+func TestCancelAllocFree(t *testing.T) {
+	sim := des.New()
+	ids := make([]des.EventID, 4096)
+	for i := range ids {
+		ids[i] = sim.Schedule(time.Second, func() {})
+	}
+	var j int
+	if allocs := testing.AllocsPerRun(2048, func() {
+		sim.Cancel(ids[j])
+		j++
+	}); allocs != 0 {
+		t.Fatalf("Cancel allocates (%v allocs/op, want 0)", allocs)
+	}
+}
+
 // BenchmarkDESRescheduleStorm hammers Ticker.Reschedule the way checkpoint
 // schedulers do when every message resets the interval timer: each
 // iteration is a cancel plus a re-schedule against a populated heap.
@@ -92,4 +110,37 @@ func BenchmarkDESRescheduleStorm(b *testing.B) {
 		b.ReportMetric(float64(b.N)/secs, "reschedules/sec")
 	}
 	tk.Stop()
+}
+
+// BenchmarkDESParallel4Cell runs the sharded kernel under its intended
+// load: four cells, each running a local event chain whose every event
+// hops to the next shard with the lookahead as its delay. One op is one
+// event, so events/sec compares directly with BenchmarkDESEventChurn; the
+// gap is what the window barrier and merge cost.
+func BenchmarkDESParallel4Cell(b *testing.B) {
+	sh := des.NewShards(4, time.Millisecond)
+	sh.SetWorkers(4)
+	per := b.N/4 + 1
+	var next [4]func()
+	for s := 0; s < 4; s++ {
+		s := s
+		cnt := 0
+		next[s] = func() {
+			// cnt is only mutated on shard s: next[s] is only ever
+			// scheduled there.
+			cnt++
+			if cnt < per {
+				sh.Post(s, (s+1)%4, time.Millisecond, next[(s+1)%4])
+			}
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for s := 0; s < 4; s++ {
+		sh.Shard(s).Schedule(0, next[s])
+	}
+	if err := sh.RunAll(); err != nil {
+		b.Fatal(err)
+	}
+	reportEventRate(b, sh.Executed())
 }

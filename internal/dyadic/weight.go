@@ -159,7 +159,8 @@ func (w Weight) String() string {
 	}
 }
 
-// Sum adds a slice of weights exactly.
+// Sum adds a slice of weights exactly: the reference checker the Lemma 2
+// weight tests compare split shares against.
 func Sum(ws ...Weight) Weight {
 	total := Zero()
 	for _, w := range ws {

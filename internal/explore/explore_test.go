@@ -143,3 +143,24 @@ func TestShrinkRejectsPassingSchedule(t *testing.T) {
 		t.Fatal("shrinking a passing schedule must error")
 	}
 }
+
+// BenchmarkWalks256 is 256 random-walk schedules of the race scenario per
+// op, through the whole explorer stack: chooser hook, invariant oracle,
+// fingerprinting and the deterministic merge.
+func BenchmarkWalks256(b *testing.B) {
+	s := RaceScenario(4)
+	var walks uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rep, err := s.Walks(1, 256, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if rep.Violations != 0 {
+			b.Fatalf("unmutated engine violated: %v", rep.First.Violation)
+		}
+		walks += uint64(rep.Runs)
+	}
+	b.ReportMetric(float64(walks)/b.Elapsed().Seconds(), "schedules/sec")
+}

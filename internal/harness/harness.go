@@ -9,15 +9,10 @@ import (
 	"path/filepath"
 	"time"
 
-	"mutablecp/internal/algorithms/chandylamport"
-	"mutablecp/internal/algorithms/elnozahy"
-	"mutablecp/internal/algorithms/kootoueg"
-	"mutablecp/internal/algorithms/logbased"
-	"mutablecp/internal/algorithms/naive"
+	"mutablecp/internal/algorithms"
 	"mutablecp/internal/checkpoint"
 	"mutablecp/internal/chunkstore"
 	"mutablecp/internal/consistency"
-	"mutablecp/internal/core"
 	"mutablecp/internal/protocol"
 	"mutablecp/internal/recovery"
 	"mutablecp/internal/simrt"
@@ -27,62 +22,20 @@ import (
 	"mutablecp/internal/workload"
 )
 
-// Algorithm names accepted by Config.Algorithm.
+// Algorithm names accepted by Config.Algorithm: the internal/algorithms
+// registry under the names experiment configs use. The end-of-run line
+// check is skipped for AlgoLogBased, whose checkpoints are uncoordinated.
 const (
-	AlgoMutable = "mutable"
-	// AlgoMutableTargeted is the mutable algorithm with the §3.3.5
-	// "update" commit dissemination instead of the broadcast.
-	AlgoMutableTargeted = "mutable-targeted"
-	AlgoKooToueg        = "koo-toueg"
-	AlgoElnozahy        = "elnozahy"
-	AlgoChandyLamport   = "chandy-lamport"
-	AlgoNaiveSimple     = "naive-simple"
-	AlgoNaiveRevised    = "naive-revised"
-	AlgoNaiveNoCSN      = "naive-nocsn"
-	// AlgoLogBased is independent checkpointing with sender-based message
-	// logging: the fourth recovery family (replay only the failed process
-	// from its own checkpoint plus its peers' logs). Its checkpoints are
-	// deliberately uncoordinated, so the permanent "line" is not a
-	// consistent cut and the end-of-run line check is skipped for it.
-	AlgoLogBased = "log-based"
+	AlgoMutable         = algorithms.Mutable
+	AlgoMutableTargeted = algorithms.MutableTargeted
+	AlgoKooToueg        = algorithms.KooToueg
+	AlgoElnozahy        = algorithms.Elnozahy
+	AlgoChandyLamport   = algorithms.ChandyLamport
+	AlgoNaiveSimple     = algorithms.NaiveSimple
+	AlgoNaiveRevised    = algorithms.NaiveRevised
+	AlgoNaiveNoCSN      = algorithms.NaiveNoCSN
+	AlgoLogBased        = algorithms.LogBased
 )
-
-// Algorithms lists every registered algorithm name.
-func Algorithms() []string {
-	return []string{
-		AlgoMutable, AlgoMutableTargeted, AlgoKooToueg, AlgoElnozahy,
-		AlgoChandyLamport, AlgoNaiveSimple, AlgoNaiveRevised, AlgoNaiveNoCSN,
-		AlgoLogBased,
-	}
-}
-
-// NewEngine builds an engine factory for a registered algorithm name.
-func NewEngine(name string) (func(env protocol.Env) protocol.Engine, error) {
-	switch name {
-	case AlgoMutable:
-		return func(env protocol.Env) protocol.Engine { return core.New(env) }, nil
-	case AlgoMutableTargeted:
-		return func(env protocol.Env) protocol.Engine {
-			return core.NewWithOptions(env, core.Options{Dissemination: core.CommitTargeted})
-		}, nil
-	case AlgoKooToueg:
-		return func(env protocol.Env) protocol.Engine { return kootoueg.New(env) }, nil
-	case AlgoElnozahy:
-		return func(env protocol.Env) protocol.Engine { return elnozahy.New(env) }, nil
-	case AlgoChandyLamport:
-		return func(env protocol.Env) protocol.Engine { return chandylamport.New(env) }, nil
-	case AlgoNaiveSimple:
-		return func(env protocol.Env) protocol.Engine { return naive.New(env, naive.ModeSimple) }, nil
-	case AlgoNaiveRevised:
-		return func(env protocol.Env) protocol.Engine { return naive.New(env, naive.ModeRevised) }, nil
-	case AlgoNaiveNoCSN:
-		return func(env protocol.Env) protocol.Engine { return naive.New(env, naive.ModeNoCSN) }, nil
-	case AlgoLogBased:
-		return func(env protocol.Env) protocol.Engine { return logbased.New(env) }, nil
-	default:
-		return nil, fmt.Errorf("harness: unknown algorithm %q", name)
-	}
-}
 
 // WorkloadKind selects the communication environment of §5.1.
 type WorkloadKind int
@@ -319,7 +272,7 @@ func newGenerator(cfg Config) (workload.Generator, error) {
 // drains it. Callers read metrics, state, or the trace off the returned
 // cluster.
 func runCluster(cfg Config, tl *trace.Log) (*simrt.Cluster, *payloadRun, error) {
-	factory, err := NewEngine(cfg.Algorithm)
+	factory, err := algorithms.New(cfg.Algorithm)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"mutablecp/internal/algorithms"
 	"mutablecp/internal/harness"
 )
 
@@ -19,7 +20,7 @@ func short(algo string, rate float64) harness.Config {
 }
 
 func TestUnknownAlgorithmRejected(t *testing.T) {
-	if _, err := harness.NewEngine("nope"); err == nil {
+	if _, err := algorithms.New("nope"); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 	if _, err := harness.Run(harness.Config{Algorithm: "nope", Rate: 0.1}); err == nil {
@@ -28,12 +29,12 @@ func TestUnknownAlgorithmRejected(t *testing.T) {
 }
 
 func TestAlgorithmsRegistryComplete(t *testing.T) {
-	names := harness.Algorithms()
+	names := algorithms.Names()
 	if len(names) != 9 {
 		t.Fatalf("registry has %d algorithms", len(names))
 	}
 	for _, name := range names {
-		factory, err := harness.NewEngine(name)
+		factory, err := algorithms.New(name)
 		if err != nil || factory == nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"mutablecp/internal/algorithms"
 	"mutablecp/internal/harness"
 )
 
@@ -64,7 +65,7 @@ func requireIdenticalResults(t *testing.T, seq, par *harness.Result) {
 // verdicts regardless of completion order.
 func TestParallelRunSeedsDeterministic(t *testing.T) {
 	seeds := []uint64{3, 5, 11}
-	for _, algo := range harness.Algorithms() {
+	for _, algo := range algorithms.Names() {
 		algo := algo
 		t.Run(algo, func(t *testing.T) {
 			t.Parallel()

@@ -3,11 +3,12 @@ package harness_test
 import (
 	"testing"
 
+	"mutablecp/internal/algorithms"
 	"mutablecp/internal/harness"
 )
 
 func TestQuickAll(t *testing.T) {
-	for _, algo := range harness.Algorithms() {
+	for _, algo := range algorithms.Names() {
 		algo := algo
 		t.Run(algo, func(t *testing.T) {
 			res, err := harness.Run(harness.Config{

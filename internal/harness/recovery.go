@@ -15,6 +15,7 @@ import (
 	"strings"
 	"time"
 
+	"mutablecp/internal/algorithms"
 	"mutablecp/internal/consistency"
 	"mutablecp/internal/protocol"
 	"mutablecp/internal/recovery"
@@ -160,7 +161,7 @@ type RecoveryResult struct {
 // RunRecovery executes one crash-and-recover experiment.
 func RunRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 	cfg = cfg.defaults()
-	factory, err := NewEngine(cfg.Algorithm)
+	factory, err := algorithms.New(cfg.Algorithm)
 	if err != nil {
 		return nil, err
 	}

@@ -143,3 +143,53 @@ func TestRunRecoveryMutationDetected(t *testing.T) {
 		t.Fatal("skip-dedup mutation survived the post-recovery consistency check")
 	}
 }
+
+// benchRecovery runs one crash-and-recover simulation per op: a
+// 256-process cluster, one victim crashed mid-run, recovered live by
+// internal/recovery's executor, and the resumed run re-verified.
+func benchRecovery(b *testing.B, algo string) {
+	cfg := RecoveryConfig{
+		Algorithm: algo,
+		N:         256,
+		Seed:      1,
+		Rate:      0.1,
+		Interval:  120 * time.Second,
+		// The coordinated restore re-transfers every process's 512 KB
+		// checkpoint over the shared 2 Mb/s medium (~9 simulated minutes
+		// at N=256); the horizon leaves room to commit again after that.
+		Horizon:      2400 * time.Second,
+		Failures:     1,
+		CrashAt:      600 * time.Second,
+		RestartAfter: 30 * time.Second,
+	}
+	var replayed, rolled uint64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := RunRecovery(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.ClusterErrors) > 0 {
+			b.Fatal(res.ClusterErrors[0])
+		}
+		if !res.PostRecoveryOK {
+			b.Fatal(res.PostRecoveryErr)
+		}
+		if res.Restarts != 1 || res.NewCommits == 0 {
+			b.Fatalf("recovery incomplete: restarts=%d newCommits=%d", res.Restarts, res.NewCommits)
+		}
+		replayed += res.Replayed
+		rolled += res.PeerRollbacks
+	}
+	b.ReportMetric(float64(replayed)/float64(b.N), "replayed/op")
+	b.ReportMetric(float64(rolled)/float64(b.N), "peer-rollbacks/op")
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "recoveries/sec")
+}
+
+// BenchmarkRecoveryRollback256 restores the whole cluster to its newest
+// committed line (the coordinated families' recovery).
+func BenchmarkRecoveryRollback256(b *testing.B) { benchRecovery(b, AlgoMutable) }
+
+// BenchmarkRecoveryReplay256 restores only the victim and replays its
+// peers' sender logs (log-based recovery).
+func BenchmarkRecoveryReplay256(b *testing.B) { benchRecovery(b, AlgoLogBased) }

@@ -115,13 +115,6 @@ func (l *Link) Connect() error {
 	return err
 }
 
-// Connected reports whether the link currently holds a live connection.
-func (l *Link) Connected() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.conn != nil
-}
-
 // Backoff returns the delay the next dial attempt will pay (zero right
 // after a successful write). Exposed for the reconnect-schedule
 // regression test and for operational introspection.

@@ -24,7 +24,8 @@ type Config struct {
 	// NewEngine builds the checkpointing algorithm for one process.
 	NewEngine func(env protocol.Env) protocol.Engine
 	// Delay, when positive, adds an artificial network delay per message
-	// (makes races observable in demos).
+	// (makes races observable in demos). In-memory transport only: NewTCP
+	// rejects it.
 	Delay time.Duration
 	// Trace, when non-nil, records structured events.
 	Trace *trace.Log
@@ -170,6 +171,9 @@ func (c *Cluster) Send(from, to protocol.ProcessID, payload []byte) error {
 // waits for it to terminate (or the timeout to expire). It returns whether
 // the instance committed.
 func (c *Cluster) Checkpoint(initiator protocol.ProcessID, timeout time.Duration) (bool, error) {
+	if initiator < 0 || initiator >= c.cfg.N {
+		return false, fmt.Errorf("livenet: bad initiator %d", initiator)
+	}
 	n := c.nodes[initiator]
 	result := make(chan bool, 1)
 	errCh := make(chan error, 1)

@@ -6,16 +6,16 @@ import (
 	"testing"
 	"time"
 
+	"mutablecp/internal/algorithms"
 	"mutablecp/internal/consistency"
 	"mutablecp/internal/core"
-	"mutablecp/internal/harness"
 	"mutablecp/internal/livenet"
 	"mutablecp/internal/protocol"
 )
 
 func newLive(t *testing.T, n int, algo string) *livenet.Cluster {
 	t.Helper()
-	factory, err := harness.NewEngine(algo)
+	factory, err := algorithms.New(algo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func newLive(t *testing.T, n int, algo string) *livenet.Cluster {
 }
 
 func TestLiveCheckpointCommits(t *testing.T) {
-	c := newLive(t, 4, harness.AlgoMutable)
+	c := newLive(t, 4, algorithms.Mutable)
 	for i := 0; i < 20; i++ {
 		from := i % 4
 		to := (i + 1) % 4
@@ -88,7 +88,7 @@ func TestLiveDeliveryCountsAndOrder(t *testing.T) {
 }
 
 func TestLiveCheckpointUnderConcurrentTraffic(t *testing.T) {
-	c := newLive(t, 6, harness.AlgoMutable)
+	c := newLive(t, 6, algorithms.Mutable)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for g := 0; g < 6; g++ {
@@ -130,7 +130,7 @@ func TestLiveCheckpointUnderConcurrentTraffic(t *testing.T) {
 }
 
 func TestLiveAllAlgorithms(t *testing.T) {
-	for _, algo := range []string{harness.AlgoMutable, harness.AlgoKooToueg, harness.AlgoElnozahy, harness.AlgoChandyLamport} {
+	for _, algo := range []string{algorithms.Mutable, algorithms.KooToueg, algorithms.Elnozahy, algorithms.ChandyLamport} {
 		algo := algo
 		t.Run(algo, func(t *testing.T) {
 			c := newLive(t, 4, algo)
@@ -154,7 +154,7 @@ func TestLiveAllAlgorithms(t *testing.T) {
 }
 
 func TestLiveWithNetworkDelay(t *testing.T) {
-	factory, _ := harness.NewEngine(harness.AlgoMutable)
+	factory, _ := algorithms.New(algorithms.Mutable)
 	c, err := livenet.New(livenet.Config{N: 4, NewEngine: factory, Delay: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +173,7 @@ func TestLiveWithNetworkDelay(t *testing.T) {
 }
 
 func TestLiveBadSendRejected(t *testing.T) {
-	c := newLive(t, 2, harness.AlgoMutable)
+	c := newLive(t, 2, algorithms.Mutable)
 	if err := c.Send(0, 0, nil); err == nil {
 		t.Fatal("self-send accepted")
 	}
@@ -192,7 +192,7 @@ func TestLiveConfigValidation(t *testing.T) {
 }
 
 func TestLiveSequentialCheckpointsAdvanceLine(t *testing.T) {
-	c := newLive(t, 3, harness.AlgoMutable)
+	c := newLive(t, 3, algorithms.Mutable)
 	var lastCSN int
 	for round := 1; round <= 3; round++ {
 		_ = c.Send(1, 0, nil)
@@ -217,7 +217,7 @@ func TestLiveSequentialCheckpointsAdvanceLine(t *testing.T) {
 func TestLiveTimeout(t *testing.T) {
 	// A 0-timeout checkpoint on a cluster with pending dependencies
 	// reports a timeout error rather than hanging.
-	c := newLive(t, 3, harness.AlgoMutable)
+	c := newLive(t, 3, algorithms.Mutable)
 	_ = c.Send(1, 0, nil)
 	c.Quiesce(5 * time.Millisecond)
 	_, err := c.Checkpoint(0, time.Nanosecond)

@@ -59,6 +59,9 @@ func NewTCP(cfg Config) (*Cluster, error) {
 	if cfg.NewEngine == nil {
 		return nil, errors.New("livenet: Config.NewEngine is required")
 	}
+	if cfg.Delay > 0 {
+		return nil, errors.New("livenet: Config.Delay applies to the in-memory transport only, not TCP")
+	}
 	mesh := &tcpMesh{
 		n:        cfg.N,
 		readIdle: cfg.TCPReadIdleTimeout,

@@ -5,15 +5,15 @@ import (
 	"testing"
 	"time"
 
+	"mutablecp/internal/algorithms"
 	"mutablecp/internal/consistency"
-	"mutablecp/internal/harness"
 	"mutablecp/internal/livenet"
 	"mutablecp/internal/protocol"
 )
 
 func newTCP(t *testing.T, n int, algo string) *livenet.Cluster {
 	t.Helper()
-	factory, err := harness.NewEngine(algo)
+	factory, err := algorithms.New(algo)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func newTCP(t *testing.T, n int, algo string) *livenet.Cluster {
 }
 
 func TestTCPCheckpointCommits(t *testing.T) {
-	c := newTCP(t, 4, harness.AlgoMutable)
+	c := newTCP(t, 4, algorithms.Mutable)
 	for i := 0; i < 20; i++ {
 		if err := c.Send(i%4, (i+1)%4, []byte{byte(i)}); err != nil {
 			t.Fatal(err)
@@ -49,7 +49,7 @@ func TestTCPCheckpointCommits(t *testing.T) {
 func TestTCPFIFOPerChannel(t *testing.T) {
 	var mu sync.Mutex
 	var got []int
-	factory, _ := harness.NewEngine(harness.AlgoMutable)
+	factory, _ := algorithms.New(algorithms.Mutable)
 	c, err := livenet.NewTCP(livenet.Config{
 		N:         3,
 		NewEngine: factory,
@@ -96,7 +96,7 @@ func TestTCPFIFOPerChannel(t *testing.T) {
 func byte255(i int) int { return int(byte(i)) }
 
 func TestTCPMultipleRounds(t *testing.T) {
-	c := newTCP(t, 3, harness.AlgoMutable)
+	c := newTCP(t, 3, algorithms.Mutable)
 	for round := 0; round < 3; round++ {
 		_ = c.Send(1, 0, nil)
 		_ = c.Send(2, 1, nil)
@@ -116,7 +116,7 @@ func TestTCPMultipleRounds(t *testing.T) {
 }
 
 func TestTCPBaselineAlgorithms(t *testing.T) {
-	for _, algo := range []string{harness.AlgoKooToueg, harness.AlgoElnozahy} {
+	for _, algo := range []string{algorithms.KooToueg, algorithms.Elnozahy} {
 		algo := algo
 		t.Run(algo, func(t *testing.T) {
 			c := newTCP(t, 3, algo)
@@ -137,7 +137,7 @@ func TestTCPBaselineAlgorithms(t *testing.T) {
 func TestTCPKilledConnectionRecovers(t *testing.T) {
 	var mu sync.Mutex
 	var got []int
-	factory, err := harness.NewEngine(harness.AlgoMutable)
+	factory, err := algorithms.New(algorithms.Mutable)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestTCPKilledConnectionRecovers(t *testing.T) {
 // TestTCPKillConnectionValidation: the fault hook rejects channels that do
 // not exist.
 func TestTCPKillConnectionValidation(t *testing.T) {
-	c := newTCP(t, 2, harness.AlgoMutable)
+	c := newTCP(t, 2, algorithms.Mutable)
 	if err := c.KillConnection(0, 0); err == nil {
 		t.Fatal("self-channel accepted")
 	}

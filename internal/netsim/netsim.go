@@ -124,7 +124,8 @@ func (m *Medium) TransmitBroadcast(size int, delivers []func()) time.Duration {
 }
 
 // Utilization returns the fraction of time the medium has been busy up to
-// now (approximate: counts scheduled transmission time).
+// now (approximate: counts scheduled transmission time). TestUtilization
+// uses it to check that BytesCarried charges one TxTime per transmit.
 func (m *Medium) Utilization() float64 {
 	if m.sim.Now() == 0 {
 		return 0

@@ -2,7 +2,7 @@
 // -mutexprofile/-blockprofile flag set into a command's lifecycle:
 // start CPU profiling and arm the contention samplers up front, write
 // the exit snapshots (heap, mutex, block) when the command finishes.
-// The CLIs (mcpsim, mcpbench, mcpd) share this so their flags behave
+// The CLIs (mcpsim, mcpd) share this so their flags behave
 // identically and feed straight into `go tool pprof`.
 package profiling
 

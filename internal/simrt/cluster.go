@@ -222,7 +222,7 @@ type Cluster struct {
 	msgPool []*protocol.Message
 
 	// OnDeliver, when non-nil, observes every computation-message delivery
-	// (application hook used by tests and examples).
+	// (application hook used by workloads and tests).
 	OnDeliver func(to, from protocol.ProcessID, payload []byte)
 
 	errs []error
@@ -625,18 +625,6 @@ func (c *Cluster) firstFailed() protocol.ProcessID {
 		}
 	}
 	return -1
-}
-
-// DownProcs returns the ids of every process currently off the live
-// phase, in id order.
-func (c *Cluster) DownProcs() []protocol.ProcessID {
-	var out []protocol.ProcessID
-	for _, p := range c.procs {
-		if p.down() {
-			out = append(out, p.id)
-		}
-	}
-	return out
 }
 
 // ResetOwners clears every SingleInitiation slot. The recovery executor

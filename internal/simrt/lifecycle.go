@@ -192,9 +192,6 @@ func (p *Proc) ForwardSentTo(to protocol.ProcessID, v uint64) {
 	}
 }
 
-// DownSince reports when the process crashed (-1 when not down).
-func (p *Proc) DownSince() time.Duration { return p.downSince }
-
 // StableTransferNow models the checkpoint-restore transfer from the MSS
 // over the wireless link (recovery's one unavoidable stable read). With
 // a payload plane the restore is real: the newest permanent image is

@@ -721,10 +721,6 @@ func (p *Proc) Failed() bool { return p.down() }
 // Phase reports the process's lifecycle phase.
 func (p *Proc) Phase() Phase { return p.phase }
 
-// Epoch reports the process's rollback epoch (bumped by every recovery
-// restore; in-flight deliveries carrying an older epoch are dropped).
-func (p *Proc) Epoch() uint64 { return p.epoch }
-
 // Doze puts the host into the paper's doze mode: it powers down and is
 // awakened only by an arriving message, each wakeup costing the
 // configured latency. Application sends are deferred until Wake.

@@ -38,7 +38,8 @@ func (s *Sample) Add(x float64) {
 	s.m2 += delta * (x - s.mean)
 }
 
-// AddN records count copies of the observation x.
+// AddN records count copies of the observation x. Sample is public API
+// through mutablecp.ExperimentResult; TestAddN pins AddN to count Adds.
 func (s *Sample) AddN(x float64, count int) {
 	for i := 0; i < count; i++ {
 		s.Add(x)
@@ -82,7 +83,8 @@ func (s *Sample) StdErr() float64 {
 func (s *Sample) CI95() float64 { return 1.96 * s.StdErr() }
 
 // CI95Relative returns CI95 / |mean|, or 0 when the mean is 0. The paper
-// reports this staying under 0.10 for most data points.
+// reports this staying under 0.10 for most data points. TestCI95Relative
+// protects the zero-mean guard.
 func (s *Sample) CI95Relative() float64 {
 	if s.mean == 0 {
 		return 0

@@ -145,7 +145,8 @@ func (l *Log) Events() []Event {
 	return out
 }
 
-// Filter returns the retained events matching the predicate.
+// Filter returns the retained events matching the predicate. Log is public
+// API as mutablecp.TraceLog; TestCountAndFilter covers Filter and CountFor.
 func (l *Log) Filter(pred func(Event) bool) []Event {
 	var out []Event
 	for _, e := range l.Events() {
@@ -167,7 +168,8 @@ func (l *Log) Count(kind Kind) int {
 	return n
 }
 
-// CountFor returns how many retained events have the kind and process.
+// CountFor returns how many retained events have the kind and process
+// (public through mutablecp.TraceLog, like Filter).
 func (l *Log) CountFor(kind Kind, process int) int {
 	n := 0
 	for _, e := range l.Events() {
@@ -178,7 +180,8 @@ func (l *Log) CountFor(kind Kind, process int) int {
 	return n
 }
 
-// Dump renders all retained events, one per line.
+// Dump renders all retained events, one per line (public through
+// mutablecp.TraceLog). TestDumpAndString pins the peer/peerless line format.
 func (l *Log) Dump() string {
 	var b strings.Builder
 	for _, e := range l.Events() {

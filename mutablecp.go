@@ -3,6 +3,7 @@ package mutablecp
 import (
 	"time"
 
+	"mutablecp/internal/algorithms"
 	"mutablecp/internal/consistency"
 	"mutablecp/internal/harness"
 	"mutablecp/internal/livenet"
@@ -12,17 +13,17 @@ import (
 
 // Algorithm names accepted throughout the public API.
 const (
-	AlgoMutable       = harness.AlgoMutable
-	AlgoKooToueg      = harness.AlgoKooToueg
-	AlgoElnozahy      = harness.AlgoElnozahy
-	AlgoChandyLamport = harness.AlgoChandyLamport
-	AlgoNaiveSimple   = harness.AlgoNaiveSimple
-	AlgoNaiveRevised  = harness.AlgoNaiveRevised
-	AlgoNaiveNoCSN    = harness.AlgoNaiveNoCSN
+	AlgoMutable       = algorithms.Mutable
+	AlgoKooToueg      = algorithms.KooToueg
+	AlgoElnozahy      = algorithms.Elnozahy
+	AlgoChandyLamport = algorithms.ChandyLamport
+	AlgoNaiveSimple   = algorithms.NaiveSimple
+	AlgoNaiveRevised  = algorithms.NaiveRevised
+	AlgoNaiveNoCSN    = algorithms.NaiveNoCSN
 )
 
 // Algorithms lists every available checkpointing algorithm.
-func Algorithms() []string { return harness.Algorithms() }
+func Algorithms() []string { return algorithms.Names() }
 
 // Core protocol types, re-exported for library users.
 type (
@@ -89,7 +90,7 @@ type LiveOptions struct {
 	// wire codec instead of in-memory channels.
 	TCP bool
 	// Delay adds an artificial per-message network delay (in-memory
-	// transport only).
+	// transport only: NewLiveCluster rejects it together with TCP).
 	Delay time.Duration
 	// Trace, when non-nil, records structured protocol events.
 	Trace *TraceLog
@@ -108,7 +109,7 @@ func NewLiveCluster(opts LiveOptions) (*LiveCluster, error) {
 	if algo == "" {
 		algo = AlgoMutable
 	}
-	factory, err := harness.NewEngine(algo)
+	factory, err := algorithms.New(algo)
 	if err != nil {
 		return nil, err
 	}

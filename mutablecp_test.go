@@ -96,6 +96,20 @@ func TestPublicBadOptions(t *testing.T) {
 	if _, err := mutablecp.NewLiveCluster(mutablecp.LiveOptions{N: 3, Algorithm: "bogus"}); err == nil {
 		t.Fatal("bogus algorithm accepted")
 	}
+	if c, err := mutablecp.NewLiveCluster(mutablecp.LiveOptions{N: 3, TCP: true, Delay: time.Millisecond}); err == nil {
+		c.Close()
+		t.Fatal("TCP with Delay accepted (the delay would be dropped)")
+	}
+	cluster, err := mutablecp.NewLiveCluster(mutablecp.LiveOptions{N: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cluster.Close()
+	for _, p := range []mutablecp.ProcessID{-1, 3} {
+		if _, err := cluster.Checkpoint(p, time.Second); err == nil {
+			t.Fatalf("initiator %d accepted", p)
+		}
+	}
 }
 
 func TestPublicTraceLog(t *testing.T) {
