@@ -103,11 +103,10 @@ func (c *Client) Store() (stats chunkstore.Stats, ok bool, err error) {
 	return resp.Payload, resp.HasPayload, err
 }
 
-// Resolve reports whether the checkpointing instance identified by trig
-// committed at this daemon (its permanent history retains the trigger).
-func (c *Client) Resolve(trig protocol.Trigger) (bool, error) {
+// Resolve asks the daemon that initiated trig how that instance ended.
+func (c *Client) Resolve(trig protocol.Trigger) (Outcome, error) {
 	resp, err := c.do(Request{Op: OpResolve, Trig: trig}, DialTimeout)
-	return resp.Resolved, err
+	return resp.Outcome, err
 }
 
 // Rollback restores the daemon to its newest permanent checkpoint.

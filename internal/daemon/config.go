@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"time"
 
 	"mutablecp/internal/algorithms"
@@ -25,8 +26,10 @@ import (
 // Config describes a whole cluster; every daemon loads the same file and
 // picks its own row out of Nodes by ID.
 type Config struct {
-	// Algorithm names the checkpointing engine (internal/algorithms registry:
-	// "mutable", "koo-toueg", ...). Empty means "mutable".
+	// Algorithm names the checkpointing engine: "mutable" or
+	// "mutable-targeted" (internal/algorithms registry). Empty means
+	// "mutable". Validate rejects the registry's other engines; see
+	// daemonAlgorithms.
 	Algorithm string `json:"algorithm"`
 	// StoreRoot is the directory holding the per-process stable stores
 	// (StoreRoot/p000, p001, ... unless a node overrides StoreDir).
@@ -99,9 +102,17 @@ func (c *Config) RequestTimeout() time.Duration {
 	return time.Duration(c.RequestTimeoutMS) * time.Millisecond
 }
 
-// StoreOptions returns the stable.Options the daemons open stores with.
+// compactEvery is how many commits a daemon's stable log takes between
+// compactions: a boot replays at most this many commits' records on top
+// of one snapshot (≈ 0.2 ms at 1.5 ms per thousand records), while the
+// compaction's three fsyncs add under 0.05 to the syncs per commit.
+const compactEvery = 64
+
+// StoreOptions returns the stable.Options the daemons open stores with:
+// the paper's discard rule (keep the newest permanent checkpoint only),
+// applied on disk every compactEvery commits.
 func (c *Config) StoreOptions() stable.Options {
-	opts := stable.Options{Sync: stable.SyncOnCommit}
+	opts := stable.Options{Sync: stable.SyncOnCommit, Keep: 1, CompactEvery: compactEvery}
 	if c.NoSync {
 		opts.Sync = stable.SyncNever
 	}
@@ -126,6 +137,15 @@ func (c *Config) ChunkOptions() chunkstore.Options {
 	return opts
 }
 
+// daemonAlgorithms are the engines mcpd runs: the two variants of
+// internal/core. Restart resolution (resolveInDoubt) asks a tentative's
+// trigger Pid how the instance ended and holds an own commit's frames
+// until its record is applied (transmit). Both rules need an engine whose
+// trigger names the initiator and whose commit frames carry that trigger.
+// elnozahy names every round (0, csn) whoever started it, and koo-toueg
+// announces with KindDecision, so neither may run here.
+var daemonAlgorithms = []string{algorithms.Mutable, algorithms.MutableTargeted}
+
 // Validate rejects configs a cluster cannot run on. It is deliberately
 // strict: a bad cluster file should fail every daemon at startup, not
 // wedge the protocol at the first checkpoint.
@@ -144,12 +164,9 @@ func (c *Config) Validate() error {
 			return fmt.Errorf("daemon: config needs store_root (or a store_dir on every node)")
 		}
 	}
-	algo := c.Algorithm
-	if algo == "" {
-		algo = algorithms.Mutable
-	}
-	if _, err := algorithms.New(algo); err != nil {
-		return fmt.Errorf("daemon: %w", err)
+	if c.Algorithm != "" && !slices.Contains(daemonAlgorithms, c.Algorithm) {
+		return fmt.Errorf("daemon: algorithm %q: mcpd runs only %q: restart resolution relies on the mutable engine's triggers and commit order",
+			c.Algorithm, daemonAlgorithms)
 	}
 	if c.PayloadBytes > 0 {
 		if _, err := workload.ParseImageProfile(c.PayloadProfile); err != nil {

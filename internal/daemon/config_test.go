@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
+
+	"mutablecp/internal/algorithms"
 )
 
 func validConfig() *Config {
@@ -24,11 +27,12 @@ func validConfig() *Config {
 // must fail loudly at startup on every daemon, not wedge the protocol at
 // the first checkpoint.
 func TestConfigValidation(t *testing.T) {
-	cases := []struct {
+	type configCase struct {
 		name    string
 		mutate  func(*Config)
 		wantErr string // substring; empty = config must pass
-	}{
+	}
+	cases := []configCase{
 		{name: "valid", mutate: func(c *Config) {}},
 		{
 			name: "valid with per-node store dirs and no root",
@@ -99,6 +103,20 @@ func TestConfigValidation(t *testing.T) {
 			mutate:  func(c *Config) { c.Algorithm = "two-phase-wishing" },
 			wantErr: "two-phase-wishing",
 		},
+		{name: "valid mutable-targeted", mutate: func(c *Config) { c.Algorithm = algorithms.MutableTargeted }},
+		{name: "valid default algorithm", mutate: func(c *Config) { c.Algorithm = "" }},
+	}
+	// Every other registered engine breaks restart resolution's rules
+	// (daemonAlgorithms), so mcpd refuses it at startup.
+	for _, name := range algorithms.Names() {
+		if slices.Contains(daemonAlgorithms, name) {
+			continue
+		}
+		cases = append(cases, configCase{
+			name:    "registry algorithm " + name,
+			mutate:  func(c *Config) { c.Algorithm = name },
+			wantErr: "mcpd runs only",
+		})
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -118,6 +136,20 @@ func TestConfigValidation(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.wantErr)
 			}
 		})
+	}
+}
+
+// TestStoreOptionsBoundTheLog pins the daemon's stable-log settings: the
+// discard rule keeps one permanent, and compaction every 64 commits
+// bounds what a restart replays. Keep 0 would keep every record forever.
+func TestStoreOptionsBoundTheLog(t *testing.T) {
+	for _, noSync := range []bool{false, true} {
+		cfg := validConfig()
+		cfg.NoSync = noSync
+		opts := cfg.StoreOptions()
+		if opts.Keep != 1 || opts.CompactEvery != 64 {
+			t.Errorf("no_sync=%v: Keep %d CompactEvery %d, want 1 and 64", noSync, opts.Keep, opts.CompactEvery)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"encoding/gob"
+	"fmt"
 	"net"
 	"time"
 
@@ -66,8 +67,22 @@ type Response struct {
 	Payload    chunkstore.Stats
 
 	// resolve
-	Resolved bool
+	Outcome Outcome
 }
+
+// Outcome is an initiator's answer to resolve: how one of its own
+// instances ended.
+type Outcome int
+
+const (
+	// OutcomeCommitted: the initiator's store holds the commit.
+	OutcomeCommitted Outcome = iota + 1
+	// OutcomeAborted: the initiator dropped the instance, or never durably
+	// started it; no process holds it committed.
+	OutcomeAborted
+	// OutcomePending: the initiator's engine is still deciding; ask again.
+	OutcomePending
+)
 
 // Metrics aggregates one daemon's counters for the control plane.
 type Metrics struct {
@@ -112,6 +127,9 @@ func (d *Daemon) serveControl(conn net.Conn) {
 }
 
 func (d *Daemon) handleControl(req Request) Response {
+	if !d.running.Load() {
+		return d.bootControl(req)
+	}
 	var resp Response
 	fail := func(err error) Response {
 		resp.Err = err.Error()
@@ -189,18 +207,19 @@ func (d *Daemon) handleControl(req Request) Response {
 			return fail(err)
 		}
 	case OpResolve:
-		// Did the instance req.Trig commit here? A restarting peer asks
-		// this to settle a tentative checkpoint it acked before crashing
-		// (2PC in-doubt resolution: the commit decision outlives the
-		// crash at the survivors' stores).
+		// How did this daemon's instance req.Trig end? A restarting peer
+		// asks to settle a tentative checkpoint it acked before crashing
+		// (2PC in-doubt resolution: the initiator alone decided it).
+		if err := d.ownsTrigger(req.Trig); err != nil {
+			return fail(err)
+		}
 		err := d.onLoop(func() {
-			d.drainPersister() // the asker's fate may ride on a commit still in flight
-			for _, rec := range d.store.History() {
-				if rec.Trigger == req.Trig {
-					resp.Resolved = true
-					return
-				}
+			if e, ok := d.engine.(initiator); ok && e.Initiating() && e.OwnTrigger() == req.Trig {
+				resp.Outcome = OutcomePending
+				return
 			}
+			d.drainPersister() // the decision may still be on its way to the log
+			resp.Outcome = d.storeOutcome(req.Trig)
 		})
 		if err != nil {
 			return fail(err)
@@ -215,4 +234,51 @@ func (d *Daemon) handleControl(req Request) Response {
 		resp.Err = "daemon: unknown op " + req.Op
 	}
 	return resp
+}
+
+// bootControl serves the control plane while New is still recovering:
+// status at once (never ready), resolve from the store, nothing else.
+// No engine runs yet, so no own instance is pending, and an own tentative
+// the crash left undecided is about to be dropped: the store's answer is
+// final.
+func (d *Daemon) bootControl(req Request) Response {
+	var resp Response
+	switch req.Op {
+	case OpStatus:
+		resp.ID, resp.N, resp.Incarnation = d.id, d.n, d.inc
+	case OpResolve:
+		if err := d.ownsTrigger(req.Trig); err != nil {
+			resp.Err = err.Error()
+			return resp
+		}
+		resp.Outcome = d.storeOutcome(req.Trig)
+	default:
+		resp.Err = fmt.Sprintf("daemon: P%d is starting: %s refused", d.id, req.Op)
+	}
+	return resp
+}
+
+// initiator is what resolve asks of the engine: whether it is still
+// deciding its own instance, and which one that is.
+type initiator interface {
+	Initiating() bool
+	OwnTrigger() protocol.Trigger
+}
+
+// ownsTrigger refuses a resolve for an instance this daemon did not
+// initiate: only the initiator's store records the outcome.
+func (d *Daemon) ownsTrigger(trig protocol.Trigger) error {
+	if trig.Pid != d.id {
+		return fmt.Errorf("daemon: P%d cannot resolve %+v: P%d initiated it", d.id, trig, trig.Pid)
+	}
+	return nil
+}
+
+// storeOutcome answers resolve from the outcomes this daemon's store
+// keeps for its own instances.
+func (d *Daemon) storeOutcome(trig protocol.Trigger) Outcome {
+	if d.store.Outcomes().Committed(trig.Inum) {
+		return OutcomeCommitted
+	}
+	return OutcomeAborted
 }

@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mutablecp/internal/algorithms"
@@ -106,12 +107,18 @@ type Daemon struct {
 	blocked  bool
 	appQ     []queuedApp
 
-	// Instance tracking; loop-goroutine only.
-	doneCh     chan bool
-	lastDone   *bool
-	abortTimer *time.Timer
-	commits    uint64
-	aborts     uint64
+	// Instance tracking; loop-goroutine only. heldCommits are the frames
+	// announcing an own commit, which wait for the instance's
+	// CheckpointingDone (see transmit).
+	doneCh      chan bool
+	lastDone    *bool
+	abortTimer  *time.Timer
+	commits     uint64
+	aborts      uint64
+	heldCommits []func()
+	// sentHook, when set (tests, on the loop), sees every frame as it is
+	// handed to its peer's session.
+	sentHook func(kind protocol.Kind, trig protocol.Trigger)
 
 	// Durability pipeline (persist.go). persistSeq/persistAck/pendActs
 	// are loop-goroutine only; the channel feeds the persister goroutine.
@@ -127,6 +134,10 @@ type Daemon struct {
 	// goroutine runs, so Stop can close them.
 	connsMu sync.Mutex
 	conns   map[net.Conn]struct{}
+
+	// running is set once the event loop serves the control plane; until
+	// then the control listener answers from the store (bootControl).
+	running atomic.Bool
 
 	wg        sync.WaitGroup
 	loopWG    sync.WaitGroup
@@ -144,9 +155,12 @@ type queuedApp struct {
 var _ protocol.Env = (*Daemon)(nil)
 
 // New builds and starts one daemon for cfg.Nodes[id]: it recovers its
-// stable store, restores the engine from the newest permanent
-// checkpoint, binds its peer and control listeners, and begins dialing
-// peers. Call WaitReady for the readiness barrier and Stop to shut down.
+// stable store, binds its control listener, settles any tentative
+// checkpoint in doubt with its initiator, restores the engine from the
+// newest permanent checkpoint, binds its peer listener, and begins
+// dialing peers. Call WaitReady for the readiness barrier and Stop to
+// shut down. A tentative whose initiator cannot settle it fails New with
+// *ErrInDoubt.
 func New(cfg *Config, id int) (*Daemon, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -202,25 +216,25 @@ func New(cfg *Config, id int) (*Daemon, error) {
 			Seed:      uint64(id) + 1,
 		})
 	}
-	if err := d.resolveInDoubt(); err != nil {
-		d.closeStores()
-		return nil, err
-	}
-	if err := d.restoreFromStore(); err != nil {
-		d.closeStores()
-		return nil, err
-	}
-
-	d.dataLn, err = net.Listen("tcp", nc.Addr)
-	if err != nil {
-		d.closeStores()
-		return nil, fmt.Errorf("daemon: listen %s: %w", nc.Addr, err)
-	}
+	// The control plane comes up before in-doubt resolution: a peer
+	// restarting at the same time may be waiting on this store's answer
+	// while this daemon waits on its (bootControl).
 	d.ctlLn, err = net.Listen("tcp", nc.CtlAddr)
 	if err != nil {
-		d.dataLn.Close() //nolint:errcheck
 		d.closeStores()
 		return nil, fmt.Errorf("daemon: listen %s: %w", nc.CtlAddr, err)
+	}
+	d.wg.Add(1)
+	go func() { defer d.wg.Done(); d.acceptControl() }()
+	if err := d.resolveInDoubt(); err != nil {
+		return nil, d.abortBoot(err)
+	}
+	if err := d.restoreFromStore(); err != nil {
+		return nil, d.abortBoot(err)
+	}
+	d.dataLn, err = net.Listen("tcp", nc.Addr)
+	if err != nil {
+		return nil, d.abortBoot(fmt.Errorf("daemon: listen %s: %w", nc.Addr, err))
 	}
 
 	d.sessions = make([]*peerSession, d.n)
@@ -237,11 +251,23 @@ func New(cfg *Config, id int) (*Daemon, error) {
 		defer d.loopWG.Done()
 		d.loop()
 	}()
-	d.wg.Add(3)
+	d.running.Store(true)
+	d.wg.Add(2)
 	go func() { defer d.wg.Done(); d.acceptData() }()
-	go func() { defer d.wg.Done(); d.acceptControl() }()
 	go func() { defer d.wg.Done(); d.dialPeers() }()
 	return d, nil
+}
+
+// abortBoot undoes a New that failed after the control listener came up:
+// it stops serving, waits for the control goroutines and closes the
+// stores, then returns err.
+func (d *Daemon) abortBoot(err error) error {
+	close(d.closed)
+	d.ctlLn.Close() //nolint:errcheck
+	d.closeConns()
+	d.wg.Wait()
+	d.closeStores()
+	return err
 }
 
 // dialPeers drives the bootstrap handshakes in the background, all peers
@@ -277,46 +303,60 @@ func (d *Daemon) dialPeers() {
 	}
 }
 
+// ErrInDoubt is New's error when a tentative checkpoint's instance
+// cannot be settled: its initiator, the one process that decides it
+// (§3.6), stayed unreachable or undecided for 2 × RequestTimeout. This is
+// two-phase commit's blocking case. The store is left as it was, and New
+// succeeds once the initiator answers.
+type ErrInDoubt struct {
+	Trigger protocol.Trigger
+	// Last is the last failure to reach the initiator, nil if it was
+	// reached and answered pending.
+	Last error
+}
+
+func (e *ErrInDoubt) Error() string {
+	msg := fmt.Sprintf("daemon: tentative checkpoint %+v is in doubt: initiator P%d did not settle it", e.Trigger, e.Trigger.Pid)
+	if e.Last != nil {
+		msg += ": " + e.Last.Error()
+	}
+	return msg
+}
+
+func (e *ErrInDoubt) Unwrap() error { return e.Last }
+
 // resolveInDoubt settles tentative checkpoints that survived a crash,
-// before restoreFromStore presumes abort and drops them. Presumed abort
-// is wrong in exactly one race: this daemon persisted and acked the
-// tentative, the initiator collected every ack and committed the
-// instance, and the crash landed before the commit broadcast was
-// processed here. The commit decision outlives the crash in the
-// survivors' stores, so ask them over the control plane: if any live
-// peer's permanent history retains the tentative's trigger, the
-// instance committed and the tentative is promoted here too. With no
-// reachable peer (cold cluster start) or no peer retaining the trigger,
-// the presumed-abort path stands and restoreFromStore drops it.
+// before restoreFromStore drops them. Dropping is wrong in exactly one
+// race: this daemon persisted and acked the tentative, the initiator
+// committed the instance, and the crash landed before the commit
+// broadcast was processed here. So each tentative's initiator is asked
+// (resolve), and answers from the outcomes its own store keeps: a
+// commit promotes the tentative here too, an abort leaves it to be
+// dropped, and pending — or no answer — is asked again until the
+// deadline, then fails the boot with ErrInDoubt. Every answer is known
+// before the store is touched. A tentative whose trigger names this
+// daemon is of its own instance (the core engine names an instance by its
+// initiator) and needs no question: the initiator logs its commit before
+// announcing it
+// (transmit), so an own tentative with no commit record never committed,
+// and restoreFromStore's drop is the abort.
 func (d *Daemon) resolveInDoubt() error {
-	tents := d.store.TentativeTriggers()
-	if len(tents) == 0 {
-		return nil
-	}
-	committed := make(map[protocol.Trigger]bool, len(tents))
-	for _, nc := range d.cfg.Nodes {
-		if nc.ID == d.id {
+	deadline := time.Now().Add(2 * d.cfg.RequestTimeout())
+	var promote []protocol.Trigger
+	for _, trig := range d.store.TentativeTriggers() {
+		if trig.Pid == d.id {
 			continue
 		}
-		cl, err := Dial(nc.CtlAddr)
+		out, err := d.askInitiator(trig, deadline)
 		if err != nil {
-			continue // down or restarting too: it cannot vote
+			return err
 		}
-		for _, trig := range tents {
-			if committed[trig] {
-				continue
-			}
-			if ok, rerr := cl.Resolve(trig); rerr == nil && ok {
-				committed[trig] = true
-			}
+		if out == OutcomeCommitted {
+			promote = append(promote, trig)
 		}
-		cl.Close() //nolint:errcheck
 	}
-	for _, trig := range tents {
-		if !committed[trig] {
-			continue
-		}
-		d.logf("promoting in-doubt tentative %+v: instance committed at a peer", trig)
+	for _, trig := range promote {
+		d.logf("promoting in-doubt tentative %+v: its initiator committed the instance", trig)
 		if err := d.store.MakePermanent(trig, d.Now()); err != nil {
 			return fmt.Errorf("daemon: promote in-doubt tentative: %w", err)
 		}
@@ -340,11 +380,39 @@ func (d *Daemon) resolveInDoubt() error {
 	return nil
 }
 
+// askInitiator asks trig's initiator how the instance ended, again and
+// again while it is unreachable or still deciding, until deadline.
+func (d *Daemon) askInitiator(trig protocol.Trigger, deadline time.Time) (Outcome, error) {
+	nc, ok := d.cfg.Node(trig.Pid)
+	if !ok {
+		return 0, fmt.Errorf("daemon: tentative checkpoint %+v names no node", trig)
+	}
+	ask := func() (Outcome, error) {
+		cl, err := Dial(nc.CtlAddr)
+		if err != nil {
+			return 0, err
+		}
+		defer cl.Close() //nolint:errcheck
+		return cl.Resolve(trig)
+	}
+	for poll := readyPollMin; ; poll = min(2*poll, readyPollMax) {
+		out, err := ask()
+		if err == nil && out != OutcomePending {
+			return out, nil
+		}
+		if time.Now().After(deadline) {
+			return 0, &ErrInDoubt{Trigger: trig, Last: err}
+		}
+		time.Sleep(poll)
+	}
+}
+
 // restoreFromStore aligns in-memory state with the on-disk store: stale
 // tentatives from a crashed instance are dropped (they never committed;
 // the initiator's §3.6 timeout aborted the instance for the survivors),
 // counters resume from the newest permanent checkpoint, and the engine
-// restarts its numbering there.
+// restarts its numbering past every own instance the store has decided
+// — a dropped one included, so no trigger ever names two instances.
 func (d *Daemon) restoreFromStore() error {
 	for _, trig := range d.store.TentativeTriggers() {
 		d.logger.Printf("dropping stale tentative checkpoint %+v from before restart", trig)
@@ -372,9 +440,9 @@ func (d *Daemon) restoreFromStore() error {
 	d.blocked = false
 	d.appQ = nil
 	d.engine = d.newEngine(d)
-	if perm.State.CSN > 0 {
+	if csn := max(perm.State.CSN, d.store.Outcomes().Decided); csn > 0 {
 		if r, ok := d.engine.(protocol.CheckpointRestorer); ok {
-			r.RestoreFromCheckpoint(perm.State.CSN)
+			r.RestoreFromCheckpoint(csn)
 		}
 	}
 	return nil
@@ -572,11 +640,7 @@ func (d *Daemon) Stop() {
 		close(d.closed)
 		d.dataLn.Close() //nolint:errcheck
 		d.ctlLn.Close()  //nolint:errcheck
-		d.connsMu.Lock()
-		for c := range d.conns {
-			c.Close() //nolint:errcheck // its serve goroutine returns and forgets it
-		}
-		d.connsMu.Unlock()
+		d.closeConns()
 		d.mb.close()
 		d.loopWG.Wait()   // loop drains queued events before exiting
 		d.stopPersister() // then the durability pipeline drains
@@ -588,6 +652,16 @@ func (d *Daemon) Stop() {
 		d.wg.Wait()
 		d.closeStores()
 	})
+}
+
+// closeConns closes every connection still being served; each serve
+// goroutine then returns and forgets its connection.
+func (d *Daemon) closeConns() {
+	d.connsMu.Lock()
+	defer d.connsMu.Unlock()
+	for c := range d.conns {
+		c.Close() //nolint:errcheck
+	}
 }
 
 // closeStores closes the stable store and, when present, the payload
@@ -726,9 +800,26 @@ func (d *Daemon) transmit(m *protocol.Message) {
 		d.logf("encode to P%d: %v", m.To, err)
 		return
 	}
+	kind, trig := m.Kind, m.Trigger
+	send := func() {
+		if d.sentHook != nil {
+			d.sentHook(kind, trig)
+		}
+		s.sendFrame(frame)
+	}
+	if kind == protocol.KindCommit && trig.Pid == d.ID() {
+		// The decision is logged before it is announced: the core engine
+		// (the only one mcpd runs, Config.Validate) sends its commit
+		// before it asks for the commit record, so the frames wait for
+		// CheckpointingDone, which follows that request, and then for the
+		// record itself. No peer can hold a commit the initiator's store
+		// does not, which is what lets resolve ask the initiator alone.
+		d.heldCommits = append(d.heldCommits, send)
+		return
+	}
 	// Ordered-ack invariant: a message produced after a persistence call
 	// must not reach the wire before that write is applied.
-	d.afterDurable(func() { s.sendFrame(frame) })
+	d.afterDurable(send)
 }
 
 // --- protocol.Env (loop goroutine only) ---
@@ -899,10 +990,10 @@ func (d *Daemon) UnblockApp() {
 	}
 }
 
-// CheckpointingDone implements protocol.Env. The client-visible
-// completion is an action past the durability point: it is released
-// only once the instance's own commit (submitted just before this
-// callback) has been applied and fsynced.
+// CheckpointingDone implements protocol.Env. The commit frames and the
+// client-visible completion are actions past the durability point: they
+// are released only once the instance's own commit (submitted just
+// before this callback) has been applied and fsynced.
 func (d *Daemon) CheckpointingDone(trig protocol.Trigger, committed bool) {
 	d.cancelRequestTimeout()
 	if committed {
@@ -910,7 +1001,14 @@ func (d *Daemon) CheckpointingDone(trig protocol.Trigger, committed bool) {
 	} else {
 		d.aborts++
 	}
-	d.afterDurable(func() { d.notifyDone(committed) })
+	held := d.heldCommits
+	d.heldCommits = nil
+	d.afterDurable(func() {
+		for _, send := range held {
+			send()
+		}
+		d.notifyDone(committed)
+	})
 }
 
 func (d *Daemon) notifyDone(committed bool) {

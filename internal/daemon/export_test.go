@@ -1,6 +1,10 @@
 package daemon
 
-import "time"
+import (
+	"time"
+
+	"mutablecp/internal/protocol"
+)
 
 // OpenConns is how many accepted connections are being served right now.
 func (d *Daemon) OpenConns() int {
@@ -25,4 +29,23 @@ func (d *Daemon) StopRetransmitTimers() {
 			time.Sleep(time.Millisecond)
 		}
 	}
+}
+
+// DaemonAlgorithms are the engines Config.Validate lets mcpd run.
+var DaemonAlgorithms = daemonAlgorithms
+
+// StoreSegments lists the stable log's live segment files.
+func (d *Daemon) StoreSegments() []string { return d.store.Segments() }
+
+// OnCommitFrame calls fn, on the event loop, for every frame announcing
+// one of this daemon's own commits at the moment it is handed to the
+// peer's session, with whether the store already holds that commit.
+func (d *Daemon) OnCommitFrame(fn func(trig protocol.Trigger, logged bool)) error {
+	return d.onLoop(func() {
+		d.sentHook = func(kind protocol.Kind, trig protocol.Trigger) {
+			if kind == protocol.KindCommit && trig.Pid == d.ID() {
+				fn(trig, d.store.Outcomes().Committed(trig.Inum))
+			}
+		}
+	})
 }

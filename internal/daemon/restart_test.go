@@ -8,6 +8,7 @@ import (
 
 	"mutablecp/internal/daemon"
 	"mutablecp/internal/protocol"
+	"mutablecp/internal/stable"
 )
 
 // metricsOf fetches one daemon's counters over a fresh control connection.
@@ -175,4 +176,94 @@ func TestServedConnectionsAreForgotten(t *testing.T) {
 	}
 	waitFor(t, func() bool { return d.OpenConns() == 0 },
 		func() string { return "connections still tracked after every client closed" })
+}
+
+// TestRestartReplaysBoundedLog: the discard rule bounds what a restart
+// replays. After 300 commits the log holds one snapshot plus the records
+// of the commits since the last compaction, not all 600 records ever
+// written — also when the daemon restarts more often than it compacts,
+// as restart4's victims do.
+func TestRestartReplaysBoundedLog(t *testing.T) {
+	const commits, restartEvery = 300, 40
+	cfg := newClusterConfig(t, 2, 5*time.Second)
+	cfg.NoSync = true // the test counts records, not fsyncs
+	daemons := make([]*daemon.Daemon, 2)
+	boot := func(id int) {
+		t.Helper()
+		d, err := daemon.New(cfg, id)
+		if err != nil {
+			t.Fatalf("start P%d: %v", id, err)
+		}
+		daemons[id] = d
+	}
+	defer func() {
+		for _, d := range daemons {
+			d.Stop()
+		}
+	}()
+	boot(0)
+	boot(1)
+	if err := daemon.WaitClusterReady(cfg, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i <= commits; i++ {
+		if committed, err := daemons[0].Checkpoint(10 * time.Second); err != nil || !committed {
+			t.Fatalf("commit %d: committed=%v err=%v", i, committed, err)
+		}
+		if i%restartEvery == 0 || i == commits {
+			daemons[0].Stop()
+			boot(0)
+		}
+	}
+	if n := metricsOf(t, cfg, 0).Store.ReplayedRecords; n > 150 {
+		t.Errorf("restart replayed %d records after %d commits, want at most 150", n, commits)
+	}
+	if segs := daemons[0].StoreSegments(); len(segs) > 2 {
+		t.Errorf("log has %d segments, want at most 2: %v", len(segs), segs)
+	}
+	if st, err := daemons[0].PermanentState(); err != nil || st.CSN != commits {
+		t.Fatalf("restart restored csn %d (%v), want %d", st.CSN, err, commits)
+	}
+}
+
+// TestRestartDoesNotReuseTrigger: a crash left own instance 5 undecided
+// over a permanent checkpoint at csn 4. The restart drops it, which is
+// its abort, so the next instance is 6: were it 5 again, "did (P0, 5)
+// commit?" would name two instances with opposite answers.
+func TestRestartDoesNotReuseTrigger(t *testing.T) {
+	cfg := newClusterConfig(t, 2, 2*time.Second)
+	stale := protocol.Trigger{Pid: 0, Inum: 5}
+	seedLog(t, cfg, 0, func(st *stable.Store) {
+		commitAt(t, st, protocol.Trigger{Pid: 0, Inum: 4}, 4)
+		tentativeAt(t, st, stale, 5)
+	})
+	for id := 0; id < 2; id++ {
+		d, err := daemon.New(cfg, id)
+		if err != nil {
+			t.Fatalf("start P%d: %v", id, err)
+		}
+		defer d.Stop()
+	}
+	if err := daemon.WaitClusterReady(cfg, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	cl := ctlClient(t, cfg, 0)
+	if committed, err := cl.Checkpoint(0); err != nil || !committed {
+		t.Fatalf("checkpoint: committed=%v err=%v", committed, err)
+	}
+	st, err := cl.Line()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.CSN == stale.Inum {
+		t.Fatalf("the restarted initiator reused trigger %+v", stale)
+	}
+	for trig, want := range map[protocol.Trigger]daemon.Outcome{
+		stale:                  daemon.OutcomeAborted,
+		{Pid: 0, Inum: st.CSN}: daemon.OutcomeCommitted,
+	} {
+		if out, err := cl.Resolve(trig); err != nil || out != want {
+			t.Errorf("resolve %+v: %v (%v), want %v", trig, out, err, want)
+		}
+	}
 }

@@ -23,6 +23,7 @@ import (
 	"testing"
 	"time"
 
+	"mutablecp/internal/daemon"
 	"mutablecp/internal/protocol"
 	"mutablecp/internal/stable"
 	"mutablecp/internal/stable/errfs"
@@ -40,6 +41,12 @@ const (
 // groupCSN gives every (committer, iteration) a unique CSN so recovered
 // records are attributable.
 func groupCSN(who, iter int) int { return (who+1)*100 + iter }
+
+// groupTrigger is the instance a committer saves at an iteration: all of
+// them are the store's own, so the outcome summary answers for each.
+func groupTrigger(who, iter int) protocol.Trigger {
+	return protocol.Trigger{Pid: 0, Inum: who*groupIters + iter + 1}
+}
 
 // groupAcks is the mutex-guarded acknowledgement log shared by the
 // committers. The durability contract is defined over it: an entry
@@ -69,7 +76,7 @@ func groupScript(st *stable.Store, a *groupAcks) bool {
 		go func(who int) {
 			defer wg.Done()
 			for iter := 0; iter < groupIters; iter++ {
-				trig := protocol.Trigger{Pid: protocol.ProcessID(who), Inum: iter + 1}
+				trig := groupTrigger(who, iter)
 				csn := groupCSN(who, iter)
 				at := time.Duration(csn) * time.Second
 				if err := st.SaveTentative(state(0, groupCommitters, csn), trig, at); err != nil {
@@ -100,14 +107,25 @@ func groupScript(st *stable.Store, a *groupAcks) bool {
 	return sawErr
 }
 
+// groupOptions picks the store options a gauntlet runs under.
+type groupOptions func(fs *errfs.MemFS) stable.Options
+
+// groupOpts keeps every permanent and compacts often.
 func groupOpts(fs *errfs.MemFS) stable.Options {
 	return stable.Options{FS: fs, Sync: stable.SyncOnCommit, Keep: groupKeep, CompactEvery: 3}
+}
+
+// daemonOpts are exactly the options mcpd opens its store with.
+func daemonOpts(fs *errfs.MemFS) stable.Options {
+	opts := (&daemon.Config{}).StoreOptions()
+	opts.FS = fs
+	return opts
 }
 
 // runGroupToCrash runs the concurrent script with the power pulled at op
 // crashAt (0 = fault-free). It returns the ack log and whether the crash
 // point was actually reached by this schedule.
-func runGroupToCrash(t *testing.T, fs *errfs.MemFS, crashAt uint64) (*groupAcks, bool) {
+func runGroupToCrash(t *testing.T, opts groupOptions, fs *errfs.MemFS, crashAt uint64) (*groupAcks, bool) {
 	t.Helper()
 	hit := false
 	if crashAt > 0 {
@@ -125,7 +143,7 @@ func runGroupToCrash(t *testing.T, fs *errfs.MemFS, crashAt uint64) (*groupAcks,
 		})
 	}
 	a := newGroupAcks()
-	st, err := stable.Open("mss/p000", 0, groupCommitters, groupOpts(fs))
+	st, err := stable.Open("mss/p000", 0, groupCommitters, opts(fs))
 	if err == nil {
 		sawErr := groupScript(st, a)
 		cerr := st.Close()
@@ -141,17 +159,25 @@ func runGroupToCrash(t *testing.T, fs *errfs.MemFS, crashAt uint64) (*groupAcks,
 
 // verifyGroupReopen checks the reopened store against the concurrent
 // acknowledgement log.
-func verifyGroupReopen(t *testing.T, k uint64, re *stable.Store, a *groupAcks) {
+func verifyGroupReopen(t *testing.T, k uint64, re *stable.Store, keepsAll bool, a *groupAcks) {
 	t.Helper()
 	// Index the recovered history by trigger.
 	perm := make(map[protocol.Trigger]int)
 	for _, rec := range re.History() {
 		perm[rec.Trigger] = rec.State.CSN
 	}
-	// Every acknowledged commit survived with the right state: the sync
-	// ticket must not release a committer before its record is durable,
-	// even when another caller performed the fsync.
+	// Every acknowledged commit survived: the sync ticket must not release
+	// a committer before its record is durable, even when another caller
+	// performed the fsync. The outcome summary says so under any Keep;
+	// a history that retains every commit must also hold its state.
+	outcomes := re.Outcomes()
 	for trig, csn := range a.commits {
+		if !outcomes.Committed(trig.Inum) {
+			t.Fatalf("crash@%d: acknowledged commit %v not in the outcomes %+v", k, trig, outcomes)
+		}
+		if !keepsAll {
+			continue
+		}
 		got, ok := perm[trig]
 		if !ok {
 			t.Fatalf("crash@%d: acknowledged commit %v (CSN %d) lost", k, trig, csn)
@@ -160,14 +186,20 @@ func verifyGroupReopen(t *testing.T, k uint64, re *stable.Store, a *groupAcks) {
 			t.Fatalf("crash@%d: commit %v recovered with CSN %d, want %d", k, trig, got, csn)
 		}
 	}
+	if len(a.commits) > 0 && re.Permanent().State.CSN == 0 {
+		t.Fatalf("crash@%d: %d commits acknowledged, permanent is still the seed", k, len(a.commits))
+	}
 	// Acknowledged drops are commit-grade: the tentative must not
-	// resurface (as tentative or permanent).
+	// resurface (as tentative or permanent), and the drop is an abort.
 	for trig := range a.drops {
 		if _, ok := re.Tentative(trig); ok {
 			t.Fatalf("crash@%d: dropped tentative %v resurfaced", k, trig)
 		}
 		if _, ok := perm[trig]; ok {
 			t.Fatalf("crash@%d: dropped tentative %v resurfaced as permanent", k, trig)
+		}
+		if outcomes.Committed(trig.Inum) {
+			t.Fatalf("crash@%d: acknowledged drop %v answers committed", k, trig)
 		}
 	}
 	// Nothing invented: every recovered record maps back to a CSN the
@@ -201,14 +233,15 @@ func verifyGroupReopen(t *testing.T, k uint64, re *stable.Store, a *groupAcks) {
 
 // reopenImage opens and cleanly closes the store on fs, returning the
 // resulting disk image.
-func reopenImage(t *testing.T, k uint64, fs *errfs.MemFS, a *groupAcks, verify bool) []byte {
+func reopenImage(t *testing.T, k uint64, opts groupOptions, fs *errfs.MemFS, a *groupAcks, verify bool) []byte {
 	t.Helper()
-	re, err := stable.Open("mss/p000", 0, groupCommitters, groupOpts(fs))
+	o := opts(fs)
+	re, err := stable.Open("mss/p000", 0, groupCommitters, o)
 	if err != nil {
 		t.Fatalf("crash@%d: reopen failed: %v", k, err)
 	}
 	if verify {
-		verifyGroupReopen(t, k, re, a)
+		verifyGroupReopen(t, k, re, o.Keep == 0 || o.Keep >= groupCommitters*groupIters, a)
 	}
 	if err := re.Close(); err != nil {
 		t.Fatalf("crash@%d: close: %v", k, err)
@@ -216,14 +249,21 @@ func reopenImage(t *testing.T, k uint64, fs *errfs.MemFS, a *groupAcks, verify b
 	return fs.Snapshot()
 }
 
-func TestGroupCommitGauntlet(t *testing.T) {
+func TestGroupCommitGauntlet(t *testing.T) { groupGauntlet(t, groupOpts) }
+
+// TestGroupCommitGauntletDaemonOptions runs the same gauntlet under the
+// options mcpd uses, where the discard rule keeps one permanent and the
+// outcome summary is the only record of the older commits.
+func TestGroupCommitGauntletDaemonOptions(t *testing.T) { groupGauntlet(t, daemonOpts) }
+
+func groupGauntlet(t *testing.T, opts groupOptions) {
 	// Pass 1 (fault-free) sizes the crash-point range. Coalescing makes
 	// the exact op count schedule-dependent, so later runs may perform
 	// fewer ops; unreached points are skipped, but most must be covered.
 	var total uint64
 	{
 		fs := errfs.New()
-		runGroupToCrash(t, fs, 0)
+		runGroupToCrash(t, opts, fs, 0)
 		total = fs.Ops()
 	}
 	if total < 30 {
@@ -233,7 +273,7 @@ func TestGroupCommitGauntlet(t *testing.T) {
 	covered := 0
 	for k := uint64(1); k <= total; k++ {
 		fs := errfs.New()
-		a, hit := runGroupToCrash(t, fs, k)
+		a, hit := runGroupToCrash(t, opts, fs, k)
 		if !hit {
 			continue
 		}
@@ -245,12 +285,12 @@ func TestGroupCommitGauntlet(t *testing.T) {
 		// The first reopen verifies acks; the second must not change the
 		// disk beyond what the first reopen's own workload appended — so
 		// compare two bare reopens before running the verification writes.
-		img1 := reopenImage(t, k, fs, a, false)
-		img2 := reopenImage(t, k, fs, a, false)
+		img1 := reopenImage(t, k, opts, fs, a, false)
+		img2 := reopenImage(t, k, opts, fs, a, false)
 		if !bytes.Equal(img1, img2) {
 			t.Fatalf("crash@%d: recovering the identical image twice diverged", k)
 		}
-		reopenImage(t, k, fs, a, true)
+		reopenImage(t, k, opts, fs, a, true)
 	}
 	if covered < int(total)/2 {
 		t.Fatalf("only %d/%d crash points reached — schedules too short", covered, total)

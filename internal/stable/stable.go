@@ -16,14 +16,17 @@
 // newest snapshot-headed segment, so the two backends cannot drift
 // apart. Compaction writes a snapshot record into a fresh segment and
 // the log deletes the older segments, garbage-collecting superseded
-// permanent checkpoints per the paper's discard rule. The write
-// protocol, group commit, poisoning and recovery are seglog's.
+// permanent checkpoints per the paper's discard rule; the outcomes of the
+// process's own instances (Outcomes) outlive them in the snapshot. The
+// write protocol, group commit, poisoning and recovery are seglog's.
 package stable
 
 import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"slices"
+	"sort"
 	"sync"
 	"time"
 
@@ -52,8 +55,11 @@ const (
 // OS returns the real-disk filesystem.
 func OS() FS { return seglog.OS() }
 
-// Options configures a store. The zero value is the production setting:
-// real disk, fsync on commit, keep one permanent checkpoint.
+// Options configures a store. The zero value is real disk, fsync on
+// commit, and the audit setting for history: every permanent checkpoint
+// is kept and the log is never compacted, so it grows with every record.
+// A long-running process sets Keep (internal/daemon: Keep 1,
+// CompactEvery 64).
 type Options struct {
 	// FS, Sync and SegmentBytes (default 4 MiB) are the log's options.
 	FS           FS
@@ -74,6 +80,39 @@ type Options struct {
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("stable: store is closed")
 
+// Outcomes is what a store knows about the instances its own process
+// initiated (trigger Pid == the store's process): the highest inum it has
+// decided, committed or dropped, and the dropped ones, ascending. Only
+// the initiator decides an instance (§3.6), so this is every answer
+// in-doubt resolution asks of it, and it survives the discard rule where
+// the permanent history does not: replay derives it from the commit and
+// drop records, and compaction carries it in the snapshot.
+type Outcomes struct {
+	Decided int
+	Aborted []int
+}
+
+// Committed reports whether own instance inum committed: it was decided
+// and not dropped. Any other inum aborted or was never durably started.
+func (o Outcomes) Committed(inum int) bool {
+	if inum > o.Decided {
+		return false
+	}
+	i := sort.SearchInts(o.Aborted, inum)
+	return i == len(o.Aborted) || o.Aborted[i] != inum
+}
+
+// record notes the decision on own instance inum.
+func (o *Outcomes) record(inum int, committed bool) {
+	o.Decided = max(o.Decided, inum)
+	if committed {
+		return
+	}
+	if i := sort.SearchInts(o.Aborted, inum); i == len(o.Aborted) || o.Aborted[i] != inum {
+		o.Aborted = slices.Insert(o.Aborted, i, inum)
+	}
+}
+
 // Store is one process's durable checkpoint log. It implements
 // checkpoint.Store and is safe for concurrent use: index mutations and
 // their appends serialize under mu, in the same order, and the wait for
@@ -90,8 +129,11 @@ type Store struct {
 	// open. Reusing checkpoint.StableStore guarantees the durable backend
 	// answers every query exactly as the memory backend would.
 	mem *checkpoint.StableStore
+	// outcomes summarises the own instances decided in the log.
+	outcomes Outcomes
 
-	// sinceCompact counts commits the newest snapshot does not cover.
+	// sinceCompact counts commits the newest boundary does not cover,
+	// replayed ones included.
 	sinceCompact int
 	closed       bool
 }
@@ -160,16 +202,36 @@ func (s *Store) apply(_ string, _ int64, body []byte) error {
 		}
 		mem.SetRetain(s.opts.Keep)
 		s.mem = mem
+		// Outcomes only accumulate, so a snapshot's are merged in: a
+		// version-1 snapshot carries none and keeps what replay derived.
+		s.outcomes.Decided = max(s.outcomes.Decided, rec.Decided)
+		for _, inum := range rec.Aborted {
+			s.outcomes.record(inum, false)
+		}
 		return nil
 	case wire.OpTentative:
 		return s.mem.SaveTentative(rec.State, rec.Trigger, rec.At)
 	case wire.OpCommit:
-		return s.mem.MakePermanent(rec.Trigger, rec.At)
+		// Replay starts at the newest boundary, so no replayed commit is
+		// covered by it: the cadence resumes where the last process left
+		// it, and a process restarted more often than every CompactEvery
+		// commits still compacts.
+		s.sinceCompact++
+		return s.decided(rec.Trigger, true, s.mem.MakePermanent(rec.Trigger, rec.At))
 	case wire.OpDrop:
-		return s.mem.DropTentative(rec.Trigger)
+		return s.decided(rec.Trigger, false, s.mem.DropTentative(rec.Trigger))
 	default:
 		return fmt.Errorf("unknown op %d", rec.Op)
 	}
+}
+
+// decided records a successful commit or drop of trig in the outcomes
+// when trig is one of this process's own instances, and passes err on.
+func (s *Store) decided(trig protocol.Trigger, committed bool, err error) error {
+	if err == nil && trig.Pid == s.proc {
+		s.outcomes.record(trig.Inum, committed)
+	}
+	return err
 }
 
 // Broken returns the error that poisoned the store, if any.
@@ -230,6 +292,8 @@ func (s *Store) snapshotRecord() *wire.StableRecord {
 		Op:        wire.OpSnapshot,
 		Proc:      s.proc,
 		Permanent: recordsToImages(s.mem.History()),
+		Decided:   s.outcomes.Decided,
+		Aborted:   s.outcomes.Aborted,
 	}
 	for _, trig := range s.mem.TentativeTriggers() {
 		t, _ := s.mem.Tentative(trig)
@@ -335,7 +399,7 @@ func (s *Store) MakePermanent(trig protocol.Trigger, at time.Duration) error {
 			return 0, err
 		}
 		s.sinceCompact++
-		return gen, s.mem.MakePermanent(trig, at)
+		return gen, s.decided(trig, true, s.mem.MakePermanent(trig, at))
 	})
 	if err != nil || s.opts.Keep == 0 {
 		return err
@@ -363,8 +427,17 @@ func (s *Store) DropTentative(trig protocol.Trigger) error {
 		if err != nil {
 			return 0, err
 		}
-		return gen, s.mem.DropTentative(trig)
+		return gen, s.decided(trig, false, s.mem.DropTentative(trig))
 	})
+}
+
+// Outcomes returns the summary of this process's own instances. It
+// reflects every commit and drop applied so far, durable or not: a caller
+// that answers for the disk waits for the pending ones first.
+func (s *Store) Outcomes() Outcomes {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return Outcomes{Decided: s.outcomes.Decided, Aborted: slices.Clone(s.outcomes.Aborted)}
 }
 
 // Permanent implements checkpoint.Store.

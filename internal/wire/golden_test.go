@@ -53,9 +53,17 @@ func goldenRows() []goldenRow {
 			},
 		})
 	}
-	for _, rec := range []*wire.StableRecord{sampleTentativeRecord(), sampleSnapshotRecord()} {
+	for _, s := range []struct {
+		name string
+		rec  *wire.StableRecord
+	}{
+		{"stable-tentative", sampleTentativeRecord()},
+		{"stable-snapshot", sampleSnapshotRecord()},
+		{"stable-snapshot-v2", sampleOutcomesRecord()},
+	} {
+		rec := s.rec
 		rows = append(rows, goldenRow{
-			name:   "stable-" + rec.Op.String(),
+			name:   s.name,
 			encode: func() ([]byte, error) { return wire.AppendStableRecord(nil, rec) },
 			reencode: func(frame []byte) ([]byte, error) {
 				got, _, err := wire.DecodeStableRecord(bytes.NewReader(frame))

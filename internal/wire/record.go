@@ -4,7 +4,8 @@ package wire
 // on-disk segment log, one record frame (see the package comment) each.
 // The body has the same fields for every op, in the order
 // AppendStableRecord writes them; the ones an op does not use are zero
-// and cost a byte.
+// and cost a byte. The outcomes that end a version-2 body are the one
+// exception: a body without them stops before them.
 
 import (
 	"encoding/binary"
@@ -70,10 +71,20 @@ type StableRecord struct {
 	// in deterministic trigger order.
 	Permanent []CheckpointImage
 	Tentative []CheckpointImage
+
+	// Snapshot: the outcomes of the process's own instances, as
+	// stable.Outcomes keeps them — the highest own inum decided and the
+	// own inums aborted, ascending. Version 2 only.
+	Decided int
+	Aborted []int
 }
 
+// A body is version 2 when it carries outcomes and version 1 otherwise,
+// so every record but a snapshot is byte-identical to what version-1
+// builds wrote, and a version-1 log needs no rewriting.
 const (
-	stableVersion = 1
+	stableVersion1 = 1
+	stableVersion  = 2
 	// minImageLen is the encoded size of a zero CheckpointImage: no image
 	// list can claim more entries than the remaining bytes divided by it.
 	minImageLen = 9
@@ -111,10 +122,21 @@ func AppendStableRecord(dst []byte, r *StableRecord) ([]byte, error) {
 		return dst, fmt.Errorf("wire: encode stable record: bad op %d", r.Op)
 	}
 	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, stableVersion, byte(r.Op))
+	outcomes := r.Decided != 0 || len(r.Aborted) > 0
+	version := byte(stableVersion1)
+	if outcomes {
+		version = stableVersion
+	}
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, version, byte(r.Op))
 	dst = appendTrigger(appendInt(dst, r.Proc), r.Trigger)
 	dst = appendState(binary.AppendVarint(dst, int64(r.At)), &r.State)
 	dst = appendImages(appendImages(dst, r.Permanent), r.Tentative)
+	if outcomes {
+		dst = binary.AppendUvarint(appendInt(dst, r.Decided), uint64(len(r.Aborted)))
+		for _, inum := range r.Aborted {
+			dst = appendInt(dst, inum)
+		}
+	}
 	return sealFrame(dst, start)
 }
 
@@ -134,7 +156,11 @@ func DecodeStableRecord(r io.Reader) (*StableRecord, int, error) {
 // an intact body of another format version and ErrCorruptRecord for one
 // that does not parse or names no op.
 func ParseStableRecord(body []byte) (*StableRecord, error) {
-	c, err := openBody(body, stableVersion)
+	version := byte(stableVersion)
+	if len(body) > 0 && body[0] == stableVersion1 {
+		version = stableVersion1
+	}
+	c, err := openBody(body, version)
 	if err != nil {
 		return nil, err
 	}
@@ -143,6 +169,15 @@ func ParseStableRecord(body []byte) (*StableRecord, error) {
 		Trigger: c.trigger(), At: time.Duration(c.varint()),
 		State:     c.state(),
 		Permanent: c.images(), Tentative: c.images(),
+	}
+	if version == stableVersion {
+		rec.Decided = c.int()
+		if n := c.count(1); n > 0 {
+			rec.Aborted = make([]int, n)
+			for i := range rec.Aborted {
+				rec.Aborted[i] = c.int()
+			}
+		}
 	}
 	if err := c.close(); err != nil {
 		return nil, err

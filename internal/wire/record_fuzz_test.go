@@ -82,6 +82,7 @@ func corpusRecords() []*wire.StableRecord {
 		sampleSnapshotRecord(),
 		{Op: wire.OpCommit, Proc: 1, Trigger: sampleTentativeRecord().Trigger},
 		{Op: wire.OpDrop, Proc: 2, Trigger: sampleTentativeRecord().Trigger},
+		sampleOutcomesRecord(),
 	}
 }
 
@@ -101,7 +102,7 @@ func TestGenerateStableRecordCorpus(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	names := []string{"tentative", "snapshot", "commit", "drop"}
+	names := []string{"tentative", "snapshot", "commit", "drop", "snapshot-v2"}
 	var stream []byte
 	for i, rec := range corpusRecords() {
 		frame, err := wire.AppendStableRecord(nil, rec)

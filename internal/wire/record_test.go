@@ -48,6 +48,63 @@ func sampleSnapshotRecord() *wire.StableRecord {
 	}
 }
 
+// sampleOutcomesRecord is a compacted snapshot that carries the store's
+// outcome summary, the one body written as version 2.
+func sampleOutcomesRecord() *wire.StableRecord {
+	rec := sampleSnapshotRecord()
+	rec.Decided = 7
+	rec.Aborted = []int{2, 5}
+	return rec
+}
+
+// TestStableRecordVersions: a body without outcomes is version 1, one
+// with them version 2, and both decode to the record that was encoded.
+func TestStableRecordVersions(t *testing.T) {
+	for _, tc := range []struct {
+		rec     *wire.StableRecord
+		version byte
+	}{
+		{sampleSnapshotRecord(), 1},
+		{sampleOutcomesRecord(), 2},
+		{&wire.StableRecord{Op: wire.OpSnapshot, Decided: 3}, 2},
+	} {
+		frame, err := wire.AppendStableRecord(nil, tc.rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v := bodyOf(frame)[0]; v != tc.version {
+			t.Errorf("decided %d aborted %v: version %d, want %d", tc.rec.Decided, tc.rec.Aborted, v, tc.version)
+		}
+		got, _, err := wire.DecodeStableRecord(bytes.NewReader(frame))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, tc.rec) {
+			t.Fatalf("round trip changed the record:\n got %+v\nwant %+v", got, tc.rec)
+		}
+	}
+	// A version-1 body ends after the images: outcome bytes there are
+	// trailing garbage, not a summary.
+	v1 := bodyOf(mustFrame(t, sampleSnapshotRecord()))
+	if _, err := wire.ParseStableRecord(append(v1, 6, 0)); !errors.Is(err, wire.ErrCorruptRecord) {
+		t.Fatalf("version-1 body with outcome bytes: err = %v, want ErrCorruptRecord", err)
+	}
+	// A hostile aborted count is refused before it sizes an allocation.
+	v2 := bodyOf(mustFrame(t, &wire.StableRecord{Op: wire.OpSnapshot, Decided: 1}))
+	if _, err := wire.ParseStableRecord(append(v2[:len(v2)-1], 0xFF, 0x7F)); !errors.Is(err, wire.ErrCorruptRecord) {
+		t.Fatalf("hostile aborted count: err = %v, want ErrCorruptRecord", err)
+	}
+}
+
+func mustFrame(t *testing.T, rec *wire.StableRecord) []byte {
+	t.Helper()
+	frame, err := wire.AppendStableRecord(nil, rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
 func TestStableRecordStream(t *testing.T) {
 	var stream []byte
 	var ends []int
