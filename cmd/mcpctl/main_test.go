@@ -1,7 +1,6 @@
 package main
 
 import (
-	"net"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -61,29 +60,11 @@ func TestUsageErrors(t *testing.T) {
 // checkpoint. metrics and store print the disk counters the stores take
 // from seglog.Metrics, so a renamed or dropped field shows here.
 func TestAgainstCluster(t *testing.T) {
-	cfg := &daemon.Config{
-		Algorithm:         "mutable",
-		StoreRoot:         filepath.Join(t.TempDir(), "stores"),
-		PayloadBytes:      16 << 10,
-		PayloadChunkBytes: 2 << 10,
+	cfg, err := daemon.LoopbackConfig(3, filepath.Join(t.TempDir(), "stores"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	var lns []net.Listener
-	const n = 3
-	for i := 0; i < 2*n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns = append(lns, ln)
-	}
-	for i := 0; i < n; i++ {
-		cfg.Nodes = append(cfg.Nodes, daemon.NodeConfig{
-			ID: i, Addr: lns[i].Addr().String(), CtlAddr: lns[n+i].Addr().String(),
-		})
-	}
-	for _, ln := range lns {
-		ln.Close() //nolint:errcheck // only reserved the port
-	}
+	cfg.PayloadBytes, cfg.PayloadChunkBytes = 16<<10, 2<<10
 	path := filepath.Join(t.TempDir(), "cluster.json")
 	if err := daemon.WriteConfig(path, cfg); err != nil {
 		t.Fatal(err)

@@ -5,11 +5,12 @@
 // discrete-event mobile-network simulator, the Koo–Toueg,
 // Elnozahy–Johnson–Zwaenepoel and Chandy–Lamport baselines, the §3.1.1
 // strawman schemes, workload generators, a consistency checker, a
-// recovery manager, and a live goroutine runtime.
+// recovery manager, and a cluster daemon that runs the engine in real
+// time over TCP with durable stores.
 //
 // # Quick start
 //
-// Run the algorithm as a live concurrent system:
+// Run the algorithm as a live cluster of in-process daemons:
 //
 //	cluster, err := mutablecp.NewLiveCluster(mutablecp.LiveOptions{N: 4})
 //	if err != nil { ... }

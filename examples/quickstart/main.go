@@ -1,5 +1,5 @@
-// Quickstart: run the mutable-checkpoint algorithm as a live concurrent
-// system — four processes exchanging messages over in-memory channels,
+// Quickstart: run the mutable-checkpoint algorithm as a live cluster —
+// four in-process mcpd daemons exchanging messages over loopback TCP,
 // one coordinated checkpoint, and a verified recovery line.
 //
 //	go run ./examples/quickstart
@@ -20,11 +20,8 @@ func main() {
 }
 
 func run() error {
-	trace := mutablecp.NewTraceLog()
-	cluster, err := mutablecp.NewLiveCluster(mutablecp.LiveOptions{
-		N:     4,
-		Trace: trace,
-	})
+	const n = 4
+	cluster, err := mutablecp.NewLiveCluster(mutablecp.LiveOptions{N: n})
 	if err != nil {
 		return err
 	}
@@ -32,13 +29,15 @@ func run() error {
 
 	// Some application traffic: a ring of messages creating dependencies.
 	for i := 0; i < 12; i++ {
-		from := i % 4
-		to := (i + 1) % 4
+		from := i % n
+		to := (i + 1) % n
 		if err := cluster.Send(from, to, []byte(fmt.Sprintf("msg-%d", i))); err != nil {
 			return err
 		}
 	}
-	cluster.Quiesce(20 * time.Millisecond)
+	if err := cluster.Quiesce(10 * time.Second); err != nil {
+		return err
+	}
 
 	// P0 initiates a coordinated checkpoint. Only processes P0 depends on
 	// (transitively) write checkpoints to stable storage; nobody blocks.
@@ -48,24 +47,17 @@ func run() error {
 	}
 	fmt.Printf("checkpoint committed: %v\n", committed)
 
-	cluster.Quiesce(20 * time.Millisecond)
+	if err := cluster.Quiesce(10 * time.Second); err != nil {
+		return err
+	}
 	line := cluster.RecoveryLine()
 	if err := mutablecp.VerifyConsistent(line); err != nil {
 		return fmt.Errorf("recovery line inconsistent: %w", err)
 	}
 	fmt.Println("recovery line (consistent):")
-	for p := 0; p < 4; p++ {
+	for p := 0; p < n; p++ {
 		st := line[p]
-		fmt.Printf("  P%d: checkpoint #%d, sent=%v recv=%v\n", p, st.CSN, st.SentTo, st.RecvFrom)
-	}
-
-	fmt.Printf("\nprotocol events recorded: %d (last few below)\n", trace.Len())
-	evs := trace.Events()
-	if len(evs) > 8 {
-		evs = evs[len(evs)-8:]
-	}
-	for _, e := range evs {
-		fmt.Println(" ", e)
+		fmt.Printf("  P%d: csn=%d sent=%v recv=%v\n", p, st.CSN, st.SentTo, st.RecvFrom)
 	}
 	return nil
 }

@@ -59,8 +59,8 @@ var (
 // Store is the stable-storage lifecycle surface shared by the in-memory
 // StableStore and the durable segment log in internal/stable: tentative
 // write, promotion to permanent on commit, discard on abort, and
-// garbage collection of superseded permanents. The runtimes (simrt,
-// livenet) and the recovery manager speak only this interface, so a
+// garbage collection of superseded permanents. The simulation runtime
+// (simrt) and the recovery manager speak only this interface, so a
 // simulation can run against either backend.
 type Store interface {
 	// SeedPermanent replaces the pristine initial checkpoint with a

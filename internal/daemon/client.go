@@ -159,6 +159,53 @@ func WaitClusterReady(cfg *Config, timeout time.Duration) error {
 	return nil
 }
 
+// WaitQuiescent polls every daemon, with WaitClusterReady's backoff,
+// until one pass finds no instance in progress and no channel holding
+// an unacked frame. App counters and permanent checkpoints are then
+// globally consistent. A daemon it cannot reach counts as busy.
+func WaitQuiescent(cfg *Config, timeout time.Duration) error {
+	deadline := time.Now().Add(timeout)
+	for poll := readyPollMin; ; poll = min(2*poll, readyPollMax) {
+		err := busy(cfg)
+		if err == nil {
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("daemon: cluster not quiescent after %v: %w", timeout, err)
+		}
+		time.Sleep(poll)
+	}
+}
+
+// busy names the first daemon keeping the cluster from quiescence, or
+// returns nil.
+func busy(cfg *Config) error {
+	for _, nc := range cfg.Nodes {
+		cl, err := Dial(nc.CtlAddr)
+		if err != nil {
+			return err
+		}
+		st, err := cl.Status()
+		var m Metrics
+		if err == nil {
+			m, err = cl.Metrics()
+		}
+		cl.Close() //nolint:errcheck
+		if err != nil {
+			return fmt.Errorf("P%d: %w", nc.ID, err)
+		}
+		if st.InProgress {
+			return fmt.Errorf("P%d has an instance in progress", nc.ID)
+		}
+		for peer, n := range m.Backlog {
+			if n > 0 {
+				return fmt.Errorf("P%d has %d unacked frame(s) to P%d", nc.ID, n, peer)
+			}
+		}
+	}
+	return nil
+}
+
 // AuditLine collects every daemon's newest permanent checkpoint over the
 // control plane and validates the assembled recovery line for orphan
 // messages — the live complement of recovery.OpenLine's on-disk audit.

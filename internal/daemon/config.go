@@ -1,16 +1,18 @@
 // Package daemon runs one checkpointing process per OS process: the
-// third driver of the same protocol engines, after the discrete-event
-// runtime (internal/simrt) and the in-process live cluster
-// (internal/livenet). An mcpd daemon loads a shared cluster config,
-// binds the livenet TCP transport with the relnet ARQ sublayer on top
-// for reliable FIFO delivery across real sockets, opens its own
-// on-disk stable store, and exposes a length-prefixed control RPC for
-// initiation, recovery-line queries, metrics, and graceful shutdown.
+// real-time driver of the protocol engines, beside the discrete-event
+// runtime (internal/simrt) that drives them in virtual time. An mcpd
+// daemon loads a shared cluster config, sends over livenet.Link TCP
+// connections with the relnet ARQ sublayer on top for reliable FIFO
+// delivery across real sockets, opens its own on-disk stable store, and
+// exposes a gob control RPC for initiation, recovery-line queries,
+// metrics, and graceful shutdown. The public mutablecp.LiveCluster runs
+// the same daemons in one process.
 package daemon
 
 import (
 	"encoding/json"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"slices"
@@ -204,6 +206,34 @@ func (c *Config) Validate() error {
 		dirs[dir] = nc.ID
 	}
 	return nil
+}
+
+// LoopbackConfig returns the config of an n-node cluster on 127.0.0.1
+// with its stores under storeRoot. Every peer and control address is a
+// free port, found by binding and releasing it: another process could
+// take one before the daemon binds it, which loopback's ephemeral range
+// makes unlikely, not impossible.
+func LoopbackConfig(n int, storeRoot string) (*Config, error) {
+	var lns []net.Listener
+	defer func() {
+		for _, ln := range lns {
+			ln.Close() //nolint:errcheck // only reserved the port
+		}
+	}()
+	for i := 0; i < 2*n; i++ {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return nil, fmt.Errorf("daemon: reserve a loopback port: %w", err)
+		}
+		lns = append(lns, ln)
+	}
+	cfg := &Config{StoreRoot: storeRoot}
+	for i := 0; i < n; i++ {
+		cfg.Nodes = append(cfg.Nodes, NodeConfig{
+			ID: i, Addr: lns[i].Addr().String(), CtlAddr: lns[n+i].Addr().String(),
+		})
+	}
+	return cfg, nil
 }
 
 // LoadConfig reads and validates a cluster config file (JSON).

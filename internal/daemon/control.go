@@ -173,13 +173,6 @@ func (d *Daemon) handleControl(req Request) Response {
 			Sessions: make(map[int]SessionMetrics, d.n-1),
 			Backlog:  make(map[int]int, d.n-1),
 		}
-		for _, s := range d.sessions {
-			if s == nil {
-				continue
-			}
-			m.Sessions[s.peer] = s.snapshotMetrics()
-			m.Backlog[s.peer] = s.backlog()
-		}
 		err := d.onLoop(func() {
 			d.drainPersister()
 			m.Commits, m.Aborts = d.commits, d.aborts
@@ -187,6 +180,14 @@ func (d *Daemon) handleControl(req Request) Response {
 		})
 		if err != nil {
 			return fail(err)
+		}
+		// After the drain: frames it released are in the backlog.
+		for _, s := range d.sessions {
+			if s == nil {
+				continue
+			}
+			m.Sessions[s.peer] = s.snapshotMetrics()
+			m.Backlog[s.peer] = s.backlog()
 		}
 		resp.Metrics = m
 	case OpStore:

@@ -21,9 +21,9 @@ import (
 )
 
 // mailbox is an unbounded FIFO queue feeding the daemon's event loop —
-// the same single-threaded engine discipline simrt and livenet use, so
-// protocol.Engine runs unmodified: every engine call happens on the loop
-// goroutine, in message-arrival order.
+// the same single-threaded engine discipline simrt's event kernel gives,
+// so protocol.Engine runs unmodified: every engine call happens on the
+// loop goroutine, in message-arrival order.
 type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
@@ -104,8 +104,6 @@ type Daemon struct {
 	// Computation bookkeeping; loop-goroutine only.
 	sentTo   []uint64
 	recvFrom []uint64
-	blocked  bool
-	appQ     []queuedApp
 
 	// Instance tracking; loop-goroutine only. heldCommits are the frames
 	// announcing an own commit, which wait for the instance's
@@ -145,11 +143,6 @@ type Daemon struct {
 	closeOnce sync.Once
 	stopReq   chan struct{}
 	stopOnce  sync.Once
-}
-
-type queuedApp struct {
-	to      protocol.ProcessID
-	payload []byte
 }
 
 var _ protocol.Env = (*Daemon)(nil)
@@ -437,8 +430,6 @@ func (d *Daemon) restoreFromStore() error {
 	perm := d.store.Permanent()
 	d.sentTo = append([]uint64(nil), protocol.PadCounters(perm.State.SentTo, d.n)...)
 	d.recvFrom = append([]uint64(nil), protocol.PadCounters(perm.State.RecvFrom, d.n)...)
-	d.blocked = false
-	d.appQ = nil
 	d.engine = d.newEngine(d)
 	if csn := max(perm.State.CSN, d.store.Outcomes().Decided); csn > 0 {
 		if r, ok := d.engine.(protocol.CheckpointRestorer); ok {
@@ -779,10 +770,6 @@ func (d *Daemon) PermanentState() (protocol.State, error) {
 }
 
 func (d *Daemon) sendApp(to protocol.ProcessID, payload []byte) {
-	if d.blocked {
-		d.appQ = append(d.appQ, queuedApp{to: to, payload: payload})
-		return
-	}
 	m := &protocol.Message{From: d.ID(), To: to, Payload: payload}
 	d.engine.PrepareSend(m)
 	d.sentTo[to]++
@@ -974,21 +961,12 @@ func (d *Daemon) DeliverApp(m *protocol.Message) {
 	d.recvFrom[m.From]++
 }
 
-// BlockApp implements protocol.Env.
-func (d *Daemon) BlockApp() { d.blocked = true }
+// BlockApp implements protocol.Env. No engine mcpd runs blocks the
+// application: Config.Validate admits only daemonAlgorithms.
+func (d *Daemon) BlockApp() { panic("daemon: BlockApp from an engine Config.Validate refuses") }
 
-// UnblockApp implements protocol.Env.
-func (d *Daemon) UnblockApp() {
-	if !d.blocked {
-		return
-	}
-	d.blocked = false
-	q := d.appQ
-	d.appQ = nil
-	for _, s := range q {
-		d.sendApp(s.to, s.payload)
-	}
-}
+// UnblockApp implements protocol.Env; see BlockApp.
+func (d *Daemon) UnblockApp() { panic("daemon: UnblockApp from an engine Config.Validate refuses") }
 
 // CheckpointingDone implements protocol.Env. The commit frames and the
 // client-visible completion are actions past the durability point: they

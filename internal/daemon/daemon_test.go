@@ -2,7 +2,6 @@ package daemon_test
 
 import (
 	"fmt"
-	"net"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -23,40 +22,15 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// reserveAddrs picks n distinct free loopback ports by binding and
-// releasing them. The window between release and the daemon's bind is a
-// theoretical race; on loopback with ephemeral ports it is negligible.
-func reserveAddrs(t testing.TB, n int) []string {
-	t.Helper()
-	lns := make([]net.Listener, n)
-	addrs := make([]string, n)
-	for i := 0; i < n; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		lns[i] = ln
-		addrs[i] = ln.Addr().String()
-	}
-	for _, ln := range lns {
-		ln.Close() //nolint:errcheck
-	}
-	return addrs
-}
-
+// newClusterConfig is a loopback cluster of n nodes with stores in the
+// test's temp dir and the given §3.6 request timeout.
 func newClusterConfig(t testing.TB, n int, reqTimeout time.Duration) *daemon.Config {
 	t.Helper()
-	addrs := reserveAddrs(t, 2*n)
-	cfg := &daemon.Config{
-		Algorithm:        "mutable",
-		StoreRoot:        filepath.Join(t.TempDir(), "stores"),
-		RequestTimeoutMS: int(reqTimeout / time.Millisecond),
+	cfg, err := daemon.LoopbackConfig(n, filepath.Join(t.TempDir(), "stores"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		cfg.Nodes = append(cfg.Nodes, daemon.NodeConfig{
-			ID: i, Addr: addrs[i], CtlAddr: addrs[n+i],
-		})
-	}
+	cfg.RequestTimeoutMS = int(reqTimeout / time.Millisecond)
 	return cfg
 }
 
@@ -93,44 +67,11 @@ func TestStartOrderIndependence(t *testing.T) {
 	}
 }
 
-// quiesce polls the cluster until no channel holds unacked frames and no
-// instance is in progress — app counters are then globally consistent.
+// quiesce fails the test unless the cluster goes quiet within timeout.
 func quiesce(t testing.TB, cfg *daemon.Config, timeout time.Duration) {
 	t.Helper()
-	deadline := time.Now().Add(timeout)
-	for {
-		settled := true
-		for _, nc := range cfg.Nodes {
-			cl, err := daemon.Dial(nc.CtlAddr)
-			if err != nil {
-				t.Fatalf("quiesce dial P%d: %v", nc.ID, err)
-			}
-			st, serr := cl.Status()
-			var m daemon.Metrics
-			var merr error
-			if serr == nil {
-				m, merr = cl.Metrics()
-			}
-			cl.Close() //nolint:errcheck
-			if serr != nil || merr != nil {
-				t.Fatalf("quiesce P%d: %v %v", nc.ID, serr, merr)
-			}
-			if st.InProgress {
-				settled = false
-			}
-			for _, backlog := range m.Backlog {
-				if backlog > 0 {
-					settled = false
-				}
-			}
-		}
-		if settled {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("cluster did not quiesce within %v", timeout)
-		}
-		time.Sleep(20 * time.Millisecond)
+	if err := daemon.WaitQuiescent(cfg, timeout); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -49,3 +49,7 @@ func (d *Daemon) OnCommitFrame(fn func(trig protocol.Trigger, logged bool)) erro
 		}
 	})
 }
+
+// KillLink closes the socket of this daemon's link to peer and leaves the
+// link usable, so the next write to peer fails and redials.
+func (d *Daemon) KillLink(peer int) { d.sessions[peer].link.Kill() }

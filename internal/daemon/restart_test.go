@@ -148,6 +148,64 @@ func TestRestartedPeerIsRedialedAtOnce(t *testing.T) {
 	}
 }
 
+// TestKilledConnectionLosesNothing: a data connection killed under
+// traffic is redialed at the next write, and the ARQ channel replays what
+// the dead socket swallowed, so every message arrives exactly once. Then
+// the reverse link, which carries the acks and the reply, is killed, and
+// a checkpoint commits across it with a consistent line.
+func TestKilledConnectionLosesNothing(t *testing.T) {
+	const n, k = 3, 50
+	cfg := newClusterConfig(t, n, 5*time.Second)
+	cfg.NoSync = true // the test is about sockets, not the disk
+	daemons := make([]*daemon.Daemon, n)
+	defer func() {
+		for _, d := range daemons {
+			if d != nil {
+				d.Stop()
+			}
+		}
+	}()
+	for id := range daemons {
+		d, err := daemon.New(cfg, id)
+		if err != nil {
+			t.Fatalf("start P%d: %v", id, err)
+		}
+		daemons[id] = d
+	}
+	if err := daemon.WaitClusterReady(cfg, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	send := func() {
+		t.Helper()
+		for i := 0; i < k; i++ {
+			if err := daemons[0].SendApp(1, []byte{byte(i)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	connects := func(from, to int) uint64 { return metricsOf(t, cfg, from).Sessions[to].Connects }
+	before01, before10 := connects(0, 1), connects(1, 0)
+	send()
+	daemons[0].KillLink(1) // mid-stream: frames in flight die with the socket
+	send()
+	quiesce(t, cfg, 10*time.Second)
+	daemons[1].KillLink(0)
+	if committed, err := daemons[1].Checkpoint(10 * time.Second); err != nil || !committed {
+		t.Fatalf("checkpoint across the killed link: committed=%v err=%v", committed, err)
+	}
+	quiesce(t, cfg, 10*time.Second)
+	line, err := daemon.AuditLine(cfg)
+	if err != nil {
+		t.Fatalf("audit: %v", err)
+	}
+	if got := line[1].RecvFrom[0]; got != 2*k {
+		t.Fatalf("P1 delivered %d of P0's %d messages", got, 2*k)
+	}
+	if connects(0, 1) == before01 || connects(1, 0) == before10 {
+		t.Fatal("a killed link carried traffic without redialing: the kill missed")
+	}
+}
+
 // TestServedConnectionsAreForgotten: the daemon tracks an accepted
 // connection only while it is being served. A readiness poll opens a
 // fresh control connection per probe and a peer restart a fresh data

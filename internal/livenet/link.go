@@ -1,3 +1,7 @@
+// Package livenet is the sender side of the cluster daemon's TCP
+// channels: a Link per peer that redials a broken connection and paces
+// dials to a peer that does not answer. The ARQ, incarnations and
+// delivery live above it, in internal/daemon and internal/relnet.
 package livenet
 
 import (
@@ -9,11 +13,17 @@ import (
 	"time"
 )
 
+// Link defaults; LinkOptions overrides each.
+const (
+	defaultTCPWriteTimeout  = 5 * time.Second
+	defaultTCPMaxReconnects = 5
+	tcpReconnectBackoff     = 10 * time.Millisecond
+)
+
 // Link is the sender side of one TCP channel: it owns the connection to a
 // fixed peer address, repairs it when broken, and writes pre-framed bytes
 // (internal/wire frames) with a deadline so a wedged peer cannot block
-// the caller forever. The in-process mesh (NewTCP clusters) holds one per
-// ordered pair; the multi-process daemon (internal/daemon) holds one per
+// the caller forever. The cluster daemon (internal/daemon) holds one per
 // peer.
 //
 // Reconnect backoff is per-link state, not per-send: a peer that stays
@@ -271,7 +281,8 @@ func (l *Link) Reset() {
 
 // Kill abruptly closes the socket but leaves the link usable (fault
 // injection): the next Send discovers the break on its write and runs the
-// full failure path.
+// full failure path. Test-only: TestLinkRedialsAtOnceAfterWriteError and
+// the daemon's TestKilledConnectionLosesNothing.
 func (l *Link) Kill() {
 	l.mu.Lock()
 	defer l.mu.Unlock()

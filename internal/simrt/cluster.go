@@ -1,9 +1,10 @@
 // Package simrt is the discrete-event simulation runtime: it binds a
 // checkpointing engine per process to the simulated network, the checkpoint
 // stores, the workload, and the metrics collector. The same engines also
-// run under internal/livenet with real goroutines; simrt exists so the
-// paper's virtual-time experiments (900-second checkpoint intervals,
-// 2-second checkpoint transfers) finish in milliseconds of wall time.
+// run in real time under the cluster daemon (internal/daemon); simrt
+// exists so the paper's virtual-time experiments (900-second checkpoint
+// intervals, 2-second checkpoint transfers) finish in milliseconds of
+// wall time.
 package simrt
 
 import (

@@ -8,7 +8,6 @@ package trace
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 )
@@ -80,7 +79,7 @@ func (e Event) String() string {
 
 // Log collects events. The zero value is usable and unbounded; construct
 // with NewRing to keep only the most recent events. Log is safe for
-// concurrent use so the live (goroutine) runtime can share one.
+// concurrent use.
 type Log struct {
 	mu    sync.Mutex
 	ring  int // 0 = unbounded
@@ -143,50 +142,4 @@ func (l *Log) Events() []Event {
 	out = append(out, l.evs[l.start:]...)
 	out = append(out, l.evs[:l.start]...)
 	return out
-}
-
-// Filter returns the retained events matching the predicate. Log is public
-// API as mutablecp.TraceLog; TestCountAndFilter covers Filter and CountFor.
-func (l *Log) Filter(pred func(Event) bool) []Event {
-	var out []Event
-	for _, e := range l.Events() {
-		if pred(e) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Count returns how many retained events have the given kind.
-func (l *Log) Count(kind Kind) int {
-	n := 0
-	for _, e := range l.Events() {
-		if e.Kind == kind {
-			n++
-		}
-	}
-	return n
-}
-
-// CountFor returns how many retained events have the kind and process
-// (public through mutablecp.TraceLog, like Filter).
-func (l *Log) CountFor(kind Kind, process int) int {
-	n := 0
-	for _, e := range l.Events() {
-		if e.Kind == kind && e.Process == process {
-			n++
-		}
-	}
-	return n
-}
-
-// Dump renders all retained events, one per line (public through
-// mutablecp.TraceLog). TestDumpAndString pins the peer/peerless line format.
-func (l *Log) Dump() string {
-	var b strings.Builder
-	for _, e := range l.Events() {
-		b.WriteString(e.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
 }

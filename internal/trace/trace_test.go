@@ -56,33 +56,14 @@ func TestRingPanicsOnBadSize(t *testing.T) {
 	trace.NewRing(0)
 }
 
-func TestCountAndFilter(t *testing.T) {
-	l := trace.New()
-	l.Addf(0, trace.KindTentative, 1, -1, "")
-	l.Addf(0, trace.KindTentative, 2, -1, "")
-	l.Addf(0, trace.KindMutable, 1, -1, "")
-	if got := l.Count(trace.KindTentative); got != 2 {
-		t.Fatalf("Count = %d, want 2", got)
+func TestEventString(t *testing.T) {
+	peer := trace.Event{At: time.Second, Kind: trace.KindRequest, Process: 3, Peer: 4, Detail: "w=1/2"}
+	if got, want := peer.String(), "[1s] P3 request P4 w=1/2"; got != want {
+		t.Fatalf("peer event renders %q, want %q", got, want)
 	}
-	if got := l.CountFor(trace.KindTentative, 1); got != 1 {
-		t.Fatalf("CountFor = %d, want 1", got)
-	}
-	got := l.Filter(func(e trace.Event) bool { return e.Process == 1 })
-	if len(got) != 2 {
-		t.Fatalf("Filter = %d events, want 2", len(got))
-	}
-}
-
-func TestDumpAndString(t *testing.T) {
-	l := trace.New()
-	l.Addf(time.Second, trace.KindRequest, 3, 4, "w=1/2")
-	l.Addf(time.Second, trace.KindCommit, 3, -1, "done")
-	dump := l.Dump()
-	if !strings.Contains(dump, "P3 request P4 w=1/2") {
-		t.Fatalf("dump missing peer event: %q", dump)
-	}
-	if !strings.Contains(dump, "P3 commit done") {
-		t.Fatalf("dump missing peerless event: %q", dump)
+	peerless := trace.Event{At: time.Second, Kind: trace.KindCommit, Process: 3, Peer: -1, Detail: "done"}
+	if got, want := peerless.String(), "[1s] P3 commit done"; got != want {
+		t.Fatalf("peerless event renders %q, want %q", got, want)
 	}
 }
 

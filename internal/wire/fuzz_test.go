@@ -13,9 +13,10 @@ import (
 	"mutablecp/internal/wire"
 )
 
-// FuzzDecode feeds arbitrary byte streams to the frame decoder. The decoder
-// sits directly on the network in livenet, so it must reject garbage with an
-// error — never a panic, never an unbounded allocation. Every message that
+// FuzzDecode feeds arbitrary byte streams to the frame decoder. Its body
+// decoder is the one the daemon runs on every peer frame, so it must
+// reject garbage with an error — never a panic, never an unbounded
+// allocation. Every message that
 // does decode is pushed through the two operations the engines perform on
 // it: weight arithmetic (which used to explode on crafted exponents, see
 // dyadic.MaxExp) and re-encoding (forwarded triggers and weights must

@@ -1,5 +1,5 @@
 // Package wire is the byte format of everything that leaves a process:
-// protocol messages between peers (internal/livenet, internal/daemon) and
+// protocol messages between peers (internal/daemon) and
 // the records internal/stable, internal/chunkstore and internal/explore
 // append to their files. There is one encoding and one record frame.
 //
@@ -359,7 +359,9 @@ func decodeMessage(body []byte) (*protocol.Message, error) {
 	return m, nil
 }
 
-// Decoder reads framed messages from a stream.
+// Decoder reads framed messages from a stream. The daemon decodes frame
+// bodies with DecodeMessage; Decoder serves bench's wire probe and
+// FuzzDecode.
 type Decoder struct {
 	r *bufio.Reader
 }

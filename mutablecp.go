@@ -1,25 +1,29 @@
 package mutablecp
 
 import (
+	"errors"
+	"fmt"
+	"os"
 	"time"
 
 	"mutablecp/internal/algorithms"
 	"mutablecp/internal/consistency"
+	"mutablecp/internal/core"
+	"mutablecp/internal/daemon"
 	"mutablecp/internal/harness"
-	"mutablecp/internal/livenet"
 	"mutablecp/internal/protocol"
-	"mutablecp/internal/trace"
 )
 
 // Algorithm names accepted throughout the public API.
 const (
-	AlgoMutable       = algorithms.Mutable
-	AlgoKooToueg      = algorithms.KooToueg
-	AlgoElnozahy      = algorithms.Elnozahy
-	AlgoChandyLamport = algorithms.ChandyLamport
-	AlgoNaiveSimple   = algorithms.NaiveSimple
-	AlgoNaiveRevised  = algorithms.NaiveRevised
-	AlgoNaiveNoCSN    = algorithms.NaiveNoCSN
+	AlgoMutable         = algorithms.Mutable
+	AlgoMutableTargeted = algorithms.MutableTargeted
+	AlgoKooToueg        = algorithms.KooToueg
+	AlgoElnozahy        = algorithms.Elnozahy
+	AlgoChandyLamport   = algorithms.ChandyLamport
+	AlgoNaiveSimple     = algorithms.NaiveSimple
+	AlgoNaiveRevised    = algorithms.NaiveRevised
+	AlgoNaiveNoCSN      = algorithms.NaiveNoCSN
 )
 
 // Algorithms lists every available checkpointing algorithm.
@@ -33,13 +37,7 @@ type (
 	Trigger = protocol.Trigger
 	// State is a checkpoint snapshot's channel-counter content.
 	State = protocol.State
-	// TraceLog records structured protocol events.
-	TraceLog = trace.Log
 )
-
-// NewTraceLog returns an unbounded structured event log usable in both
-// live and simulated clusters.
-func NewTraceLog() *TraceLog { return trace.New() }
 
 // Experiment API (simulated time), re-exported from the harness.
 type (
@@ -80,78 +78,124 @@ func Table1(rate float64, seeds []uint64) ([]Table1Row, error) {
 	return harness.Table1(rate, seeds)
 }
 
-// LiveOptions configures a live (goroutine-per-process) cluster.
+// LiveOptions configures a live cluster.
 type LiveOptions struct {
 	// N is the number of processes (minimum 2).
 	N int
-	// Algorithm selects the checkpointing protocol; default AlgoMutable.
+	// Algorithm selects the engine: AlgoMutable (the default) or
+	// AlgoMutableTargeted, the two the cluster daemon runs.
 	Algorithm string
-	// TCP routes every message over loopback TCP connections through the
-	// wire codec instead of in-memory channels.
-	TCP bool
-	// Delay adds an artificial per-message network delay (in-memory
-	// transport only: NewLiveCluster rejects it together with TCP).
-	Delay time.Duration
-	// Trace, when non-nil, records structured protocol events.
-	Trace *TraceLog
-	// OnDeliver observes computation-message deliveries.
-	OnDeliver func(to, from ProcessID, payload []byte)
 }
 
-// LiveCluster is a running concurrent instance of the protocol.
+// LiveCluster is a running cluster of N in-process mcpd daemons: real
+// time, loopback TCP between them, and durable checkpoint stores in a
+// temporary directory the cluster owns.
 type LiveCluster struct {
-	inner *livenet.Cluster
+	cfg     *daemon.Config
+	daemons []*daemon.Daemon
 }
 
-// NewLiveCluster builds and starts a live cluster.
+// liveReadyTimeout bounds NewLiveCluster's wait for every peer handshake.
+const liveReadyTimeout = 10 * time.Second
+
+// NewLiveCluster starts a live cluster and returns once every daemon has
+// completed its handshakes. Call Close to stop it and delete its stores.
 func NewLiveCluster(opts LiveOptions) (*LiveCluster, error) {
-	algo := opts.Algorithm
-	if algo == "" {
-		algo = AlgoMutable
-	}
-	factory, err := algorithms.New(algo)
+	dir, err := os.MkdirTemp("", "mutablecp-live-")
 	if err != nil {
 		return nil, err
 	}
-	cfg := livenet.Config{
-		N:         opts.N,
-		NewEngine: factory,
-		Delay:     opts.Delay,
-		Trace:     opts.Trace,
-		OnDeliver: opts.OnDeliver,
-	}
-	var inner *livenet.Cluster
-	if opts.TCP {
-		inner, err = livenet.NewTCP(cfg)
-	} else {
-		inner, err = livenet.New(cfg)
+	cfg, err := daemon.LoopbackConfig(opts.N, dir)
+	if err == nil {
+		cfg.Algorithm = opts.Algorithm
+		err = cfg.Validate()
 	}
 	if err != nil {
+		os.RemoveAll(dir) //nolint:errcheck
 		return nil, err
 	}
-	return &LiveCluster{inner: inner}, nil
+	c := &LiveCluster{cfg: cfg}
+	for id := range cfg.Nodes {
+		d, err := daemon.New(cfg, id)
+		if err != nil {
+			c.Close()
+			return nil, err
+		}
+		c.daemons = append(c.daemons, d)
+	}
+	if err := daemon.WaitClusterReady(cfg, liveReadyTimeout); err != nil {
+		c.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
+// process returns the daemon running p.
+func (c *LiveCluster) process(p ProcessID) (*daemon.Daemon, error) {
+	if p < 0 || p >= len(c.daemons) {
+		return nil, fmt.Errorf("mutablecp: no process P%d in a cluster of %d", p, len(c.daemons))
+	}
+	return c.daemons[p], nil
 }
 
 // Send sends one application message between processes.
 func (c *LiveCluster) Send(from, to ProcessID, payload []byte) error {
-	return c.inner.Send(from, to, payload)
+	d, err := c.process(from)
+	if err != nil {
+		return err
+	}
+	return d.SendApp(to, payload)
 }
 
 // Checkpoint runs one coordinated checkpoint from the given initiator and
-// waits for it to terminate. It reports whether the instance committed.
+// waits up to timeout for it to terminate. It reports whether the
+// instance committed. An initiator still inside an earlier instance,
+// whose commit has not reached it yet, is asked again until it is out.
 func (c *LiveCluster) Checkpoint(initiator ProcessID, timeout time.Duration) (bool, error) {
-	return c.inner.Checkpoint(initiator, timeout)
+	d, err := c.process(initiator)
+	if err != nil {
+		return false, err
+	}
+	deadline := time.Now().Add(timeout)
+	for {
+		committed, err := d.Checkpoint(time.Until(deadline))
+		if !errors.Is(err, core.ErrCheckpointInProgress) || time.Now().After(deadline) {
+			return committed, err
+		}
+		time.Sleep(time.Millisecond)
+	}
 }
 
-// Quiesce waits (best effort) until the cluster is idle.
-func (c *LiveCluster) Quiesce(settle time.Duration) { c.inner.Quiesce(settle) }
+// Quiesce waits until no instance is in progress and no message is in
+// flight, or fails after timeout.
+func (c *LiveCluster) Quiesce(timeout time.Duration) error {
+	return daemon.WaitQuiescent(c.cfg, timeout)
+}
 
 // RecoveryLine returns every process's newest permanent checkpoint state:
-// the globally consistent line a failure would roll back to.
-func (c *LiveCluster) RecoveryLine() map[ProcessID]State { return c.inner.PermanentLine() }
+// the globally consistent line a failure would roll back to. Call it
+// before Close.
+func (c *LiveCluster) RecoveryLine() map[ProcessID]State {
+	line := make(map[ProcessID]State, len(c.daemons))
+	for p, d := range c.daemons {
+		st, err := d.PermanentState()
+		if err != nil {
+			continue // stopped by Close
+		}
+		st.SentTo = protocol.PadCounters(st.SentTo, len(c.daemons))
+		st.RecvFrom = protocol.PadCounters(st.RecvFrom, len(c.daemons))
+		line[p] = st
+	}
+	return line
+}
 
-// Close stops the cluster and waits for its goroutines.
-func (c *LiveCluster) Close() { c.inner.Close() }
+// Close stops every daemon and deletes the cluster's stores.
+func (c *LiveCluster) Close() {
+	for _, d := range c.daemons {
+		d.Stop()
+	}
+	os.RemoveAll(c.cfg.StoreRoot) //nolint:errcheck
+}
 
 // VerifyConsistent checks a global checkpoint (one State per process) for
 // orphan messages; it returns nil when consistent.
