@@ -2,8 +2,8 @@ package mutablecp_test
 
 // Benchmark harness: one benchmark per table and figure of the paper's
 // evaluation (§5), plus the ablations called out in DESIGN.md §5. The
-// benchmarks run the same simulations as cmd/mcpfig and cmd/mcpcompare and
-// surface the headline metrics through b.ReportMetric, so
+// benchmarks run the same simulations as cmd/mcpcompare and surface
+// the headline metrics through b.ReportMetric, so
 //
 //	go test -bench=. -benchmem
 //

@@ -1,7 +1,7 @@
 // Command mcpsim runs a single simulated experiment with full control
 // over algorithm, workload, and parameters, and prints the per-initiation
-// statistics. It is the general-purpose entry point; mcpfig and
-// mcpcompare wrap specific paper artifacts.
+// statistics. It is the general-purpose entry point; mcpcompare wraps
+// the specific paper artifacts.
 //
 // Usage:
 //

@@ -28,7 +28,7 @@
 //
 // Regenerate the paper's figures and tables with the bundled tools:
 //
-//	go run ./cmd/mcpfig -fig 5
+//	go run ./cmd/mcpcompare -fig 5
 //	go run ./cmd/mcpcompare
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for measured

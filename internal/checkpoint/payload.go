@@ -11,7 +11,6 @@ import (
 var (
 	ErrNoPayload      = errors.New("checkpoint: no payload for trigger")
 	ErrPayloadPending = errors.New("checkpoint: a payload is already pending for trigger")
-	ErrNoPermPayload  = errors.New("checkpoint: no permanent payload committed")
 )
 
 // PayloadReceipt describes what one payload save cost after chunk-level
@@ -32,9 +31,8 @@ type PayloadReceipt struct {
 // the process image itself, content-addressed and deduplicated. The
 // lifecycle mirrors Store exactly — a payload is saved tentatively with
 // its trigger, committed when the instance commits, dropped when it
-// aborts — so the runtimes drive both from the same Env hooks. A nil
-// PayloadStore means the run is control-plane only (the pre-data-plane
-// behaviour).
+// aborts — and a Keeper drives both. A nil PayloadStore means the run is
+// control-plane only (the pre-data-plane behaviour).
 type PayloadStore interface {
 	// SavePayload stores the process image for a tentative checkpoint.
 	SavePayload(trig protocol.Trigger, at time.Duration, image []byte) (PayloadReceipt, error)
@@ -42,6 +40,9 @@ type PayloadStore interface {
 	CommitPayload(trig protocol.Trigger, at time.Duration) error
 	// DropPayload discards trig's tentative payload (abort path).
 	DropPayload(trig protocol.Trigger) error
+	// TentativePayloads lists the pending payload triggers in (Pid, Inum)
+	// order.
+	TentativePayloads() []protocol.Trigger
 	// PermanentPayload materializes the newest permanent payload image.
 	// ok is false when no payload has been committed yet.
 	PermanentPayload() (image []byte, ok bool, err error)
@@ -49,7 +50,4 @@ type PayloadStore interface {
 	// payload: the deduped distinct-chunk bytes the wireless transfer
 	// must carry. ok is false when no payload has been committed yet.
 	RestorePayloadBytes() (bytes uint64, ok bool)
-	// VerifyPayload checks that every retained manifest resolves to
-	// intact, hash-verified chunks.
-	VerifyPayload() error
 }

@@ -48,12 +48,10 @@ type Record struct {
 
 // Errors returned by the stores.
 var (
-	ErrNoTentative       = errors.New("checkpoint: no tentative checkpoint pending")
-	ErrTentativePending  = errors.New("checkpoint: a tentative checkpoint is already pending")
-	ErrNoMutable         = errors.New("checkpoint: no mutable checkpoint stored")
-	ErrDuplicateMutable  = errors.New("checkpoint: mutable checkpoint for trigger already stored")
-	ErrNoPermanent       = errors.New("checkpoint: no permanent checkpoint recorded")
-	ErrUnknownCheckpoint = errors.New("checkpoint: unknown checkpoint")
+	ErrNoTentative      = errors.New("checkpoint: no tentative checkpoint pending")
+	ErrTentativePending = errors.New("checkpoint: a tentative checkpoint is already pending")
+	ErrNoMutable        = errors.New("checkpoint: no mutable checkpoint stored")
+	ErrDuplicateMutable = errors.New("checkpoint: mutable checkpoint for trigger already stored")
 )
 
 // Store is the stable-storage lifecycle surface shared by the in-memory

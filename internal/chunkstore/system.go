@@ -71,14 +71,14 @@ func (v procView) DropPayload(trig protocol.Trigger) error {
 	return v.sys.DropTentative(v.proc, trig)
 }
 
+func (v procView) TentativePayloads() []protocol.Trigger {
+	return v.sys.TentativeTriggers(v.proc)
+}
+
 func (v procView) PermanentPayload() ([]byte, bool, error) {
 	return v.sys.Materialize(v.proc)
 }
 
 func (v procView) RestorePayloadBytes() (uint64, bool) {
 	return v.sys.RestoreCost(v.proc)
-}
-
-func (v procView) VerifyPayload() error {
-	return v.sys.Verify(v.proc)
 }

@@ -128,12 +128,11 @@ func (c *Client) Shutdown() error {
 // failures are retried until the deadline, so the caller may start the
 // daemons in any order and call this immediately.
 func WaitClusterReady(cfg *Config, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
 	pending := make(map[int]string, cfg.N())
 	for _, nc := range cfg.Nodes {
 		pending[nc.ID] = nc.CtlAddr
 	}
-	for poll := readyPollMin; len(pending) > 0; poll = min(2*poll, readyPollMax) {
+	if pollUntil(time.Now().Add(timeout), nil, func() bool {
 		for id, addr := range pending {
 			cl, err := Dial(addr)
 			if err == nil {
@@ -144,37 +143,27 @@ func WaitClusterReady(cfg *Config, timeout time.Duration) error {
 				}
 			}
 		}
-		if len(pending) == 0 {
-			return nil
+		return len(pending) == 0
+	}) != nil {
+		ids := make([]int, 0, len(pending))
+		for id := range pending {
+			ids = append(ids, id)
 		}
-		if time.Now().After(deadline) {
-			ids := make([]int, 0, len(pending))
-			for id := range pending {
-				ids = append(ids, id)
-			}
-			return fmt.Errorf("daemon: cluster not ready after %v, waiting for %v", timeout, ids)
-		}
-		time.Sleep(poll)
+		return fmt.Errorf("daemon: cluster not ready after %v, waiting for %v", timeout, ids)
 	}
 	return nil
 }
 
-// WaitQuiescent polls every daemon, with WaitClusterReady's backoff,
-// until one pass finds no instance in progress and no channel holding
-// an unacked frame. App counters and permanent checkpoints are then
-// globally consistent. A daemon it cannot reach counts as busy.
+// WaitQuiescent polls every daemon until one pass finds no instance in
+// progress and no channel holding an unacked frame. App counters and
+// permanent checkpoints are then globally consistent. A daemon it cannot
+// reach counts as busy.
 func WaitQuiescent(cfg *Config, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for poll := readyPollMin; ; poll = min(2*poll, readyPollMax) {
-		err := busy(cfg)
-		if err == nil {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			return fmt.Errorf("daemon: cluster not quiescent after %v: %w", timeout, err)
-		}
-		time.Sleep(poll)
+	var err error
+	if pollUntil(time.Now().Add(timeout), nil, func() bool { err = busy(cfg); return err == nil }) != nil {
+		return fmt.Errorf("daemon: cluster not quiescent after %v: %w", timeout, err)
 	}
+	return nil
 }
 
 // busy names the first daemon keeping the cluster from quiescence, or

@@ -121,13 +121,21 @@ func (c *Config) StoreOptions() stable.Options {
 	return opts
 }
 
+// defaultPayloadChunkBytes is PayloadChunkBytes' default: the page size
+// the synthetic image dirties, so dedup is counted per dirtied page.
+const defaultPayloadChunkBytes = 4096
+
 // ChunkOptions returns the chunkstore.Options for the payload plane
 // (meaningful only when PayloadBytes > 0; Validate already vetted the
-// mode string).
+// mode string). Its ChunkBytes is also the image's page size.
 func (c *Config) ChunkOptions() chunkstore.Options {
 	mode, _ := chunkstore.ParseMode(c.PayloadMode)
+	chunk := c.PayloadChunkBytes
+	if chunk <= 0 {
+		chunk = defaultPayloadChunkBytes
+	}
 	opts := chunkstore.Options{
-		ChunkBytes: c.PayloadChunkBytes,
+		ChunkBytes: chunk,
 		Mode:       mode,
 		Keep:       1,
 		Sync:       stable.SyncOnCommit,

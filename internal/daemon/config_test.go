@@ -153,6 +153,20 @@ func TestStoreOptionsBoundTheLog(t *testing.T) {
 	}
 }
 
+// TestChunkOptionsDefaultToImagePages pins the payload chunk size to the
+// 4 KiB page the synthetic image dirties when the config leaves it unset;
+// chunkstore's own 64 KiB default would count dedup per 16 pages.
+func TestChunkOptionsDefaultToImagePages(t *testing.T) {
+	cfg := Config{PayloadBytes: 256 << 10}
+	if got := cfg.ChunkOptions().ChunkBytes; got != 4096 {
+		t.Errorf("ChunkBytes %d with payload_chunk_bytes unset, want 4096", got)
+	}
+	cfg.PayloadChunkBytes = 2 << 10
+	if got := cfg.ChunkOptions().ChunkBytes; got != 2<<10 {
+		t.Errorf("ChunkBytes %d, want the configured %d", got, 2<<10)
+	}
+}
+
 // TestConfigRoundTrip pins the file format Load expects.
 func TestConfigRoundTrip(t *testing.T) {
 	dir := t.TempDir()

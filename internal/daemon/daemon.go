@@ -83,18 +83,15 @@ type Daemon struct {
 
 	newEngine func(env protocol.Env) protocol.Engine
 	engine    protocol.Engine
-	store     *stable.Store
-	mutable   *checkpoint.MutableStore
 	mb        *mailbox
 
-	// Payload plane (nil/empty without Config.PayloadBytes). The chunk
-	// store holds the image bytes; images steps the synthetic process
-	// image; pendingImg holds images captured at mutable saves for later
-	// promotion. Loop-goroutine only, like the engine.
-	payload    *chunkstore.Store
-	pview      checkpoint.PayloadStore
-	images     *workload.Images
-	pendingImg map[protocol.Trigger][]byte
+	// ckpt is the checkpoint lifecycle over store and, with
+	// Config.PayloadBytes, the payload chunk store. Its volatile half runs
+	// on the loop, its durable half on the persister; store and payload
+	// are kept for their metrics, audits and Close.
+	ckpt    *checkpoint.Keeper
+	store   *stable.Store
+	payload *chunkstore.Store
 
 	sessions []*peerSession // nil at d.id
 
@@ -177,7 +174,6 @@ func New(cfg *Config, id int) (*Daemon, error) {
 		inc:       bootIncarnation(),
 		start:     time.Now(),
 		newEngine: newEngine,
-		mutable:   checkpoint.NewMutableStore(protocol.ProcessID(id)),
 		mb:        newMailbox(),
 		conns:     make(map[net.Conn]struct{}),
 		logger:    log.New(os.Stderr, fmt.Sprintf("mcpd[P%d] ", id), log.LstdFlags|log.Lmicroseconds),
@@ -193,22 +189,27 @@ func New(cfg *Config, id int) (*Daemon, error) {
 	if err != nil {
 		return nil, fmt.Errorf("daemon: open store: %w", err)
 	}
+	var pview checkpoint.PayloadStore
+	var image func(protocol.ProcessID) []byte
 	if cfg.PayloadBytes > 0 {
-		d.payload, err = chunkstore.Open(chunkstore.Dir(dir), cfg.ChunkOptions())
+		opts := cfg.ChunkOptions()
+		d.payload, err = chunkstore.Open(chunkstore.Dir(dir), opts)
 		if err != nil {
 			d.store.Close() //nolint:errcheck
 			return nil, fmt.Errorf("daemon: open payload store: %w", err)
 		}
-		d.pview = d.payload.Proc(d.ID())
+		pview = d.payload.Proc(d.ID())
 		profile, _ := workload.ParseImageProfile(cfg.PayloadProfile)
-		d.images = workload.NewImages(workload.ImagesConfig{
+		images := workload.NewImages(workload.ImagesConfig{
 			Procs:     1,
 			Bytes:     cfg.PayloadBytes,
-			PageBytes: cfg.PayloadChunkBytes,
+			PageBytes: opts.ChunkBytes,
 			Profile:   profile,
 			Seed:      uint64(id) + 1,
 		})
+		image = func(protocol.ProcessID) []byte { return images.Image(0) }
 	}
+	d.ckpt = checkpoint.NewKeeper(d.ID(), d.store, pview, image)
 	// The control plane comes up before in-doubt resolution: a peer
 	// restarting at the same time may be waiting on this store's answer
 	// while this daemon waits on its (bootControl).
@@ -350,24 +351,8 @@ func (d *Daemon) resolveInDoubt() error {
 	}
 	for _, trig := range promote {
 		d.logf("promoting in-doubt tentative %+v: its initiator committed the instance", trig)
-		if err := d.store.MakePermanent(trig, d.Now()); err != nil {
+		if err := d.ckpt.CommitInDoubt(trig, d.Now()); err != nil {
 			return fmt.Errorf("daemon: promote in-doubt tentative: %w", err)
-		}
-		if d.pview == nil {
-			continue
-		}
-		err := d.pview.CommitPayload(trig, d.Now())
-		if errors.Is(err, checkpoint.ErrNoPayload) {
-			// The crash landed between the control record and the payload
-			// save; store the current image so the promoted checkpoint
-			// stays restorable.
-			if _, serr := d.pview.SavePayload(trig, d.Now(), d.images.Image(0)); serr != nil {
-				return fmt.Errorf("daemon: re-save in-doubt payload: %w", serr)
-			}
-			err = d.pview.CommitPayload(trig, d.Now())
-		}
-		if err != nil {
-			return fmt.Errorf("daemon: promote in-doubt payload: %w", err)
 		}
 	}
 	return nil
@@ -388,16 +373,15 @@ func (d *Daemon) askInitiator(trig protocol.Trigger, deadline time.Time) (Outcom
 		defer cl.Close() //nolint:errcheck
 		return cl.Resolve(trig)
 	}
-	for poll := readyPollMin; ; poll = min(2*poll, readyPollMax) {
-		out, err := ask()
-		if err == nil && out != OutcomePending {
-			return out, nil
-		}
-		if time.Now().After(deadline) {
-			return 0, &ErrInDoubt{Trigger: trig, Last: err}
-		}
-		time.Sleep(poll)
+	var out Outcome
+	var err error
+	if pollUntil(deadline, nil, func() bool {
+		out, err = ask()
+		return err == nil && out != OutcomePending
+	}) != nil {
+		return 0, &ErrInDoubt{Trigger: trig, Last: err}
 	}
+	return out, nil
 }
 
 // restoreFromStore aligns in-memory state with the on-disk store: stale
@@ -407,25 +391,18 @@ func (d *Daemon) askInitiator(trig protocol.Trigger, deadline time.Time) (Outcom
 // restarts its numbering past every own instance the store has decided
 // — a dropped one included, so no trigger ever names two instances.
 func (d *Daemon) restoreFromStore() error {
-	for _, trig := range d.store.TentativeTriggers() {
-		d.logger.Printf("dropping stale tentative checkpoint %+v from before restart", trig)
-		if err := d.store.DropTentative(trig); err != nil {
-			return fmt.Errorf("daemon: drop stale tentative: %w", err)
-		}
+	d.ckpt.Crash()
+	dropped, err := d.ckpt.DropTentatives()
+	for _, trig := range dropped {
+		d.logf("dropped stale tentative checkpoint %+v from before restart", trig)
+	}
+	if err != nil {
+		return fmt.Errorf("daemon: drop stale tentatives: %w", err)
 	}
 	if d.payload != nil {
-		// The payload plane mirrors the discard: a tentative image whose
-		// instance died with the old incarnation will never commit.
-		for _, trig := range d.payload.TentativeTriggers(d.ID()) {
-			d.logger.Printf("dropping stale tentative payload %+v from before restart", trig)
-			if err := d.payload.DropTentative(d.ID(), trig); err != nil {
-				return fmt.Errorf("daemon: drop stale tentative payload: %w", err)
-			}
-		}
 		if err := d.payload.Verify(d.ID()); err != nil {
 			return fmt.Errorf("daemon: payload audit after restart: %w", err)
 		}
-		d.pendingImg = nil
 	}
 	perm := d.store.Permanent()
 	d.sentTo = append([]uint64(nil), protocol.PadCounters(perm.State.SentTo, d.n)...)
@@ -567,44 +544,50 @@ func (d *Daemon) serveData(conn net.Conn) {
 // the readiness barrier that makes cluster start order irrelevant (each
 // daemon keeps dialing peers whose listeners are not up yet).
 func (d *Daemon) WaitReady(timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for poll := readyPollMin; ; poll = min(2*poll, readyPollMax) {
-		ready := true
+	var waiting []int
+	err := pollUntil(time.Now().Add(timeout), d.closed, func() bool {
+		waiting = waiting[:0]
 		for _, s := range d.sessions {
-			if s == nil || s.ready() {
-				continue
+			if s != nil && !s.ready() {
+				waiting = append(waiting, s.peer)
+				s.connectOnce() //nolint:errcheck // retried until the deadline
 			}
-			ready = false
-			s.connectOnce() //nolint:errcheck // retried until the deadline
 		}
-		if ready {
-			return nil
-		}
-		if time.Now().After(deadline) {
-			var waiting []int
-			for _, s := range d.sessions {
-				if s != nil && !s.ready() {
-					waiting = append(waiting, s.peer)
-				}
-			}
-			return fmt.Errorf("daemon: P%d not ready after %v, waiting for peers %v", d.id, timeout, waiting)
-		}
-		select {
-		case <-d.closed:
-			return ErrStopped
-		case <-time.After(poll):
-		}
+		return len(waiting) == 0
+	})
+	if err == errExpired {
+		return fmt.Errorf("daemon: P%d not ready after %v, waiting for peers %v", d.id, timeout, waiting)
 	}
+	return err
 }
 
-// Readiness polls (WaitReady here, WaitClusterReady in client.go) start
-// fine and back off to the cap: a cluster that converges in a few
-// milliseconds is not quantised to the cap, one that takes seconds is not
-// hammered.
+// Every wait for a condition (readiness, quiescence, an initiator's
+// answer) polls from readyPollMin and backs off to readyPollMax: one that
+// converges in a few milliseconds is not quantised to the cap, one that
+// takes seconds is not hammered.
 const (
 	readyPollMin = time.Millisecond
 	readyPollMax = 25 * time.Millisecond
 )
+
+var errExpired = errors.New("daemon: deadline passed")
+
+// pollUntil calls try, with the backoff above between calls, until it
+// reports done (nil), the deadline passes first (errExpired), or stop is
+// closed (ErrStopped). A nil stop never closes.
+func pollUntil(deadline time.Time, stop <-chan struct{}, try func() bool) error {
+	for poll := readyPollMin; !try(); poll = min(2*poll, readyPollMax) {
+		if time.Now().After(deadline) {
+			return errExpired
+		}
+		select {
+		case <-stop:
+			return ErrStopped
+		case <-time.After(poll):
+		}
+	}
+	return nil
+}
 
 // Ready reports whether every peer handshake has completed.
 func (d *Daemon) Ready() bool {
@@ -750,7 +733,6 @@ func (d *Daemon) Rollback() error {
 	err := d.onLoop(func() {
 		d.drainPersister() // no write may land after the rewind reads the store
 		d.cancelRequestTimeout()
-		d.mutable.Clear()
 		rerr = d.restoreFromStore()
 	})
 	if err != nil {
@@ -846,82 +828,38 @@ func (d *Daemon) CaptureState() protocol.State {
 	}
 }
 
-// savePayload stores the given image as trig's tentative payload.
-// Persister goroutine only.
-func (d *Daemon) savePayload(trig protocol.Trigger, at time.Duration, img []byte) {
-	if _, err := d.pview.SavePayload(trig, at, img); err != nil {
-		panic(fmt.Sprintf("mcpd P%d: save payload: %v", d.id, err))
-	}
+// SaveTentative implements protocol.Env. The image is drawn here, on
+// the loop, so the checkpoint freezes the state at the protocol action,
+// not at flush time; the write runs on the persister.
+func (d *Daemon) SaveTentative(s protocol.State, trig protocol.Trigger) {
+	d.saveTentative(s, trig, d.ckpt.Image())
 }
 
-// SaveTentative implements protocol.Env. The write runs on the
-// persister; the image snapshot is captured here, on the loop, so the
-// checkpoint freezes the state at the protocol action (§ mutable
-// checkpoints fix their content at save time, not at flush time).
-func (d *Daemon) SaveTentative(s protocol.State, trig protocol.Trigger) {
+func (d *Daemon) saveTentative(s protocol.State, trig protocol.Trigger, img []byte) {
 	at := d.Now()
-	var img []byte
-	if d.pview != nil {
-		img = d.images.Image(0)
-	}
-	d.submitPersist(func() {
-		if err := d.store.SaveTentative(s, trig, at); err != nil {
-			panic(fmt.Sprintf("mcpd P%d: %v", d.id, err))
-		}
-		if d.pview != nil {
-			d.savePayload(trig, at, img)
-		}
+	d.submitPersist(func() error {
+		_, err := d.ckpt.SaveTentative(s, trig, at, img)
+		return err
 	})
 }
 
 // SaveMutable implements protocol.Env.
 func (d *Daemon) SaveMutable(s protocol.State, trig protocol.Trigger) {
-	if err := d.mutable.Save(s, trig, d.Now()); err != nil {
-		panic(fmt.Sprintf("mcpd P%d: %v", d.id, err))
-	}
-	if d.pview != nil {
-		// Freeze the image now; a promotion transfers this snapshot.
-		if d.pendingImg == nil {
-			d.pendingImg = make(map[protocol.Trigger][]byte)
-		}
-		d.pendingImg[trig] = d.images.Image(0)
-	}
+	d.must(d.ckpt.SaveMutable(s, trig, d.Now()))
 }
 
-// PromoteMutable implements protocol.Env. The in-memory mutable record
-// moves out on the loop (engine-ordered); the stable write follows on
-// the persister.
+// PromoteMutable implements protocol.Env. The mutable record and its
+// frozen image move out on the loop (engine-ordered); the stable write
+// follows on the persister.
 func (d *Daemon) PromoteMutable(trig protocol.Trigger) {
-	rec, err := d.mutable.Take(trig)
-	if err != nil {
-		panic(fmt.Sprintf("mcpd P%d: %v", d.id, err))
-	}
-	at := d.Now()
-	var img []byte
-	if d.pview != nil {
-		var ok bool
-		img, ok = d.pendingImg[trig]
-		delete(d.pendingImg, trig)
-		if !ok {
-			img = d.images.Image(0)
-		}
-	}
-	d.submitPersist(func() {
-		if err := d.store.SaveTentative(rec.State, trig, at); err != nil {
-			panic(fmt.Sprintf("mcpd P%d: %v", d.id, err))
-		}
-		if d.pview != nil {
-			d.savePayload(trig, at, img)
-		}
-	})
+	rec, img, err := d.ckpt.TakeMutable(trig)
+	d.must(err)
+	d.saveTentative(rec.State, trig, img)
 }
 
 // DiscardMutable implements protocol.Env.
 func (d *Daemon) DiscardMutable(trig protocol.Trigger) {
-	if _, err := d.mutable.Take(trig); err != nil {
-		panic(fmt.Sprintf("mcpd P%d: %v", d.id, err))
-	}
-	delete(d.pendingImg, trig)
+	d.must(d.ckpt.DiscardMutable(trig))
 }
 
 // MakePermanent implements protocol.Env. The commit fsync runs on the
@@ -930,30 +868,21 @@ func (d *Daemon) DiscardMutable(trig protocol.Trigger) {
 // behind it by afterDurable.
 func (d *Daemon) MakePermanent(trig protocol.Trigger) {
 	at := d.Now()
-	d.submitPersist(func() {
-		if err := d.store.MakePermanent(trig, at); err != nil {
-			panic(fmt.Sprintf("mcpd P%d: %v", d.id, err))
-		}
-		if d.pview != nil {
-			if err := d.pview.CommitPayload(trig, at); err != nil {
-				panic(fmt.Sprintf("mcpd P%d: commit payload: %v", d.id, err))
-			}
-		}
-	})
+	d.submitPersist(func() error { return d.ckpt.Commit(trig, at) })
 }
 
 // DropTentative implements protocol.Env.
 func (d *Daemon) DropTentative(trig protocol.Trigger) {
-	d.submitPersist(func() {
-		if err := d.store.DropTentative(trig); err != nil {
-			panic(fmt.Sprintf("mcpd P%d: %v", d.id, err))
-		}
-		if d.pview != nil {
-			if err := d.pview.DropPayload(trig); err != nil && !errors.Is(err, checkpoint.ErrNoPayload) {
-				panic(fmt.Sprintf("mcpd P%d: drop payload: %v", d.id, err))
-			}
-		}
-	})
+	d.submitPersist(func() error { return d.ckpt.Drop(trig) })
+}
+
+// must is the daemon's one answer to a checkpoint-storage error, from
+// the loop or the persister: a daemon that cannot keep its checkpoints
+// is dead.
+func (d *Daemon) must(err error) {
+	if err != nil {
+		panic(fmt.Sprintf("mcpd P%d: %v", d.id, err))
+	}
 }
 
 // DeliverApp implements protocol.Env.

@@ -26,13 +26,12 @@ package daemon
 //     are untouched: both live on the loop/transport side and never
 //     read the store.
 //
-// A persistence failure panics on the persister goroutine with the
-// same message the loop used to panic with — a daemon that cannot
-// write its store is dead either way.
+// A job returns its storage error, and the persister hands it to
+// Daemon.must, the same crash a volatile-half error on the loop takes.
 
 type persistJob struct {
 	seq uint64
-	fn  func()
+	fn  func() error
 }
 
 // pendingAction is a loop action gated on a persister watermark.
@@ -49,7 +48,7 @@ func (d *Daemon) startPersister() {
 	go func() {
 		defer d.persistWG.Done()
 		for job := range d.persistCh {
-			job.fn()
+			d.must(job.fn())
 			seq := job.seq
 			d.mb.put(func() { d.persistComplete(seq) })
 		}
@@ -65,7 +64,7 @@ func (d *Daemon) stopPersister() {
 
 // submitPersist queues fn for ordered execution on the persister.
 // Loop goroutine only.
-func (d *Daemon) submitPersist(fn func()) {
+func (d *Daemon) submitPersist(fn func() error) {
 	d.persistSeq++
 	d.persistCh <- persistJob{seq: d.persistSeq, fn: fn}
 }
@@ -113,7 +112,7 @@ func (d *Daemon) drainPersister() {
 	}
 	done := make(chan struct{})
 	d.persistSeq++
-	d.persistCh <- persistJob{seq: d.persistSeq, fn: func() { close(done) }}
+	d.persistCh <- persistJob{seq: d.persistSeq, fn: func() error { close(done); return nil }}
 	<-done
 	d.persistAck = d.persistSeq
 	d.flushPending()

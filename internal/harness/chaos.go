@@ -1,7 +1,7 @@
 package harness
 
 // The chaos gauntlet: runs the mutable-checkpointing engine over the full
-// unreliable stack — relnet's ARQ sublayer on top of netsim.Faulty on top
+// unreliable stack — netsim.Reliable's ARQ on top of netsim.Faulty on top
 // of the shared wireless LAN — and verifies that the protocol's safety
 // properties survive message loss, duplication, jitter, partition windows,
 // and fail-stop crashes:
@@ -31,10 +31,8 @@ import (
 	"mutablecp/internal/netsim"
 	"mutablecp/internal/protocol"
 	"mutablecp/internal/recovery"
-	"mutablecp/internal/relnet"
 	"mutablecp/internal/simrt"
 	"mutablecp/internal/stable"
-	"mutablecp/internal/workload"
 )
 
 // ChaosConfig describes one chaos-gauntlet run. The zero value takes the
@@ -156,7 +154,7 @@ type ChaosResult struct {
 	LinesChecked int
 
 	TimeoutAborts uint64
-	Rel           relnet.Metrics
+	Rel           netsim.ReliableMetrics
 
 	Dropped          uint64
 	Duplicated       uint64
@@ -200,7 +198,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	fc := cfg.faultConfig()
 
 	var faulty *netsim.Faulty
-	var rel *relnet.Reliable
+	var rel *netsim.Reliable
 	simCfg := simrt.Config{
 		N:                     cfg.N,
 		Seed:                  cfg.Seed,
@@ -213,7 +211,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		NewTransport: func(sim *des.Simulator, n int) netsim.Transport {
 			lan := netsim.NewLAN(sim, n, netsim.WirelessLAN2Mbps)
 			faulty = netsim.NewFaulty(sim, lan, n, fc)
-			rel = relnet.New(sim, faulty, n, relnet.Config{})
+			rel = netsim.NewReliable(sim, faulty, n, netsim.ReliableConfig{})
 			return rel
 		},
 	}
@@ -231,7 +229,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		return nil, err
 	}
 
-	gen := &workload.PointToPoint{Rate: cfg.Rate}
+	gen := &simrt.PointToPoint{Rate: cfg.Rate}
 	gen.Install(cluster)
 	// Fail-stop the victims at the transport's crash instant: the host
 	// stops generating traffic and loses its volatile state exactly when
@@ -522,7 +520,7 @@ func DefaultChaosPoints() []ChaosPoint {
 			Drop: 0.20, Dup: 0.10, JitterMax: 10 * time.Millisecond,
 			PartitionWindow: 10 * time.Second, CrashCount: 1,
 		}},
-		// The crash is recovered live 20 s later (under relnet's ~30 s ARQ
+		// The crash is recovered live 20 s later (under the ~30 s ARQ
 		// give-up): coordinated rollback, post-recovery consistency, and a
 		// RecoveredOK verdict on top of the usual line checks.
 		{Label: "recover", Config: ChaosConfig{

@@ -238,7 +238,7 @@ type Result struct {
 }
 
 // newGenerator builds the workload generator for one experiment config.
-func newGenerator(cfg Config) (workload.Generator, error) {
+func newGenerator(cfg Config) (simrt.Generator, error) {
 	switch cfg.Workload {
 	case WorkloadP2P:
 		active := 0
@@ -257,11 +257,11 @@ func newGenerator(cfg Config) (workload.Generator, error) {
 			}
 			active = cfg.Active
 		}
-		return &workload.PointToPoint{Rate: cfg.Rate, Active: active}, nil
+		return &simrt.PointToPoint{Rate: cfg.Rate, Active: active}, nil
 	case WorkloadGroup:
-		return &workload.Group{Groups: cfg.Groups, IntraRate: cfg.Rate, InterRatio: cfg.GroupRatio}, nil
+		return &simrt.Group{Groups: cfg.Groups, IntraRate: cfg.Rate, InterRatio: cfg.GroupRatio}, nil
 	case WorkloadClientServer:
-		return &workload.ClientServer{Servers: cfg.Servers, Rate: cfg.Rate}, nil
+		return &simrt.ClientServer{Servers: cfg.Servers, Rate: cfg.Rate}, nil
 	default:
 		return nil, fmt.Errorf("harness: unknown workload kind %d", cfg.Workload)
 	}

@@ -20,7 +20,6 @@ import (
 	"mutablecp/internal/protocol"
 	"mutablecp/internal/recovery"
 	"mutablecp/internal/simrt"
-	"mutablecp/internal/workload"
 )
 
 // RecoveryModeFor maps an algorithm family to its recovery strategy:
@@ -204,7 +203,7 @@ func RunRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 			return nil, err
 		}
 	}
-	gen := &workload.PointToPoint{Rate: cfg.Rate}
+	gen := &simrt.PointToPoint{Rate: cfg.Rate}
 	gen.Install(cluster)
 	cluster.Start()
 	if err := cluster.Run(cfg.Horizon); err != nil {

@@ -3,8 +3,8 @@ package netsim
 // Faulty decorates any Transport with deterministic, seeded fault
 // injection: message drop, duplication, extra delivery jitter, partition
 // windows, and fail-stop crashes. It deliberately breaks the reliable
-// FIFO guarantee the computation model requires — internal/relnet layers
-// an ARQ sublayer on top to restore it, and the chaos gauntlet in
+// FIFO guarantee the computation model requires — Reliable layers an
+// ARQ sublayer on top to restore it, and the chaos gauntlet in
 // internal/harness drives the whole stack.
 //
 // All randomness comes from one xrand stream consumed in a fixed order

@@ -158,34 +158,16 @@ func (x *Executor) completeCommits() error {
 	}
 	now := x.cluster.VirtualNow()
 	for i := 0; i < n; i++ {
-		p := x.cluster.Proc(i)
-		st := p.Stable()
-		pay := p.Payload()
-		for _, trig := range st.TentativeTriggers() {
+		k := x.cluster.Proc(i).Checkpoints()
+		for _, trig := range k.Stable.TentativeTriggers() {
 			if committed[trig] {
-				if err := st.MakePermanent(trig, now); err != nil {
+				if err := k.CommitInDoubt(trig, now); err != nil {
 					return fmt.Errorf("recovery: complete commit P%d %+v: %w", i, trig, err)
 				}
-				// The payload plane shadows the promotion, or the restore
-				// below would materialize an image older than the line.
-				if pay != nil {
-					if err := pay.CommitPayload(trig, now); err != nil && !errors.Is(err, checkpoint.ErrNoPayload) {
-						return fmt.Errorf("recovery: complete payload commit P%d %+v: %w", i, trig, err)
-					}
-				}
-				continue
 			}
-			if err := st.DropTentative(trig); err != nil {
-				return fmt.Errorf("recovery: drop tentative P%d %+v: %w", i, trig, err)
-			}
-			// Shadow the drop too: a leftover tentative payload would
-			// collide (ErrPayloadPending) when the resumed execution
-			// reuses the trigger.
-			if pay != nil {
-				if err := pay.DropPayload(trig); err != nil && !errors.Is(err, checkpoint.ErrNoPayload) {
-					return fmt.Errorf("recovery: drop tentative payload P%d %+v: %w", i, trig, err)
-				}
-			}
+		}
+		if _, err := k.DropTentatives(); err != nil {
+			return fmt.Errorf("recovery: drop tentatives P%d: %w", i, err)
 		}
 	}
 	return nil
@@ -266,8 +248,8 @@ func (x *Executor) recoverLog(victim protocol.ProcessID) (*Report, error) {
 	st := perm.State
 	rep := &Report{Victim: victim, Mode: ModeLog, RestoredCSN: st.CSN}
 	x.restoreProc(p, st)
-	if err := p.DropAllTentatives(); err != nil {
-		return nil, fmt.Errorf("recovery: %w", err)
+	if _, err := p.Checkpoints().DropTentatives(); err != nil {
+		return nil, fmt.Errorf("recovery: drop tentatives P%d: %w", victim, err)
 	}
 	x.cluster.PurgeRolledBack(victim, st.CSN)
 	p.MarkReplaying()

@@ -12,7 +12,6 @@ import (
 	"mutablecp/internal/protocol"
 	"mutablecp/internal/recovery"
 	"mutablecp/internal/simrt"
-	"mutablecp/internal/workload"
 )
 
 // recoveryRun is one crash-and-recover simulation and everything the
@@ -68,7 +67,7 @@ func runRecovery(t *testing.T, algo func(env protocol.Env) protocol.Engine, opts
 	if err := cluster.InstallCrashes(plans, hook); err != nil {
 		t.Fatalf("install crashes: %v", err)
 	}
-	gen := &workload.PointToPoint{Rate: 2}
+	gen := &simrt.PointToPoint{Rate: 2}
 	gen.Install(cluster)
 	cluster.Start()
 	if err := cluster.Run(horizon); err != nil {

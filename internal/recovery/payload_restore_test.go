@@ -67,7 +67,7 @@ func TestRollbackRecoveryRestoresPayload(t *testing.T) {
 	if err := cluster.InstallCrashes(plans, hook); err != nil {
 		t.Fatalf("install crashes: %v", err)
 	}
-	gen := &workload.PointToPoint{Rate: 1}
+	gen := &simrt.PointToPoint{Rate: 1}
 	gen.Install(cluster)
 	cluster.Start()
 	if err := cluster.Run(600 * time.Second); err != nil {

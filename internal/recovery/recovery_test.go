@@ -10,7 +10,6 @@ import (
 	"mutablecp/internal/protocol"
 	"mutablecp/internal/recovery"
 	"mutablecp/internal/simrt"
-	"mutablecp/internal/workload"
 )
 
 func storesOf(c *simrt.Cluster) map[protocol.ProcessID]checkpoint.Store {
@@ -33,7 +32,7 @@ func runCluster(t *testing.T, seed uint64, horizon time.Duration) *simrt.Cluster
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := &workload.PointToPoint{Rate: 0.1}
+	gen := &simrt.PointToPoint{Rate: 0.1}
 	gen.Install(c)
 	c.Start()
 	if err := c.Run(horizon); err != nil {
@@ -201,7 +200,7 @@ func TestRestartFromLine(t *testing.T) {
 		}
 	}
 	// And the restarted system runs more checkpoint rounds correctly.
-	gen := &workload.PointToPoint{Rate: 0.1}
+	gen := &simrt.PointToPoint{Rate: 0.1}
 	gen.Install(restarted)
 	restarted.Start()
 	if err := restarted.Run(time.Hour); err != nil {

@@ -15,7 +15,6 @@ import (
 	"mutablecp/internal/recovery"
 	"mutablecp/internal/simrt"
 	"mutablecp/internal/stable"
-	"mutablecp/internal/workload"
 )
 
 func TestMSSRestartRecoversLineFromDisk(t *testing.T) {
@@ -35,7 +34,7 @@ func TestMSSRestartRecoversLineFromDisk(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := &workload.PointToPoint{Rate: 0.1}
+	gen := &simrt.PointToPoint{Rate: 0.1}
 	gen.Install(c)
 	c.Start()
 	if err := c.Run(2 * time.Hour); err != nil {

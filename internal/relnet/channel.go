@@ -1,14 +1,15 @@
-package relnet
-
-// Transport-agnostic halves of one ordered-pair ARQ channel. The DES
-// decorator (Reliable) instantiates them with T=func() — a deliver
-// closure executed in virtual time — and the multi-process daemon
-// (internal/daemon) with T=[]byte, the wire-framed message bytes it
-// retransmits across real sockets. Both speak the same protocol:
+// Package relnet holds the transport-agnostic halves of one ordered-pair
+// ARQ channel, the reliable FIFO channel the Cao–Singhal computation
+// model assumes (§2.1). The DES decorator (netsim.Reliable) instantiates
+// them with T=func() — a deliver closure executed in virtual time — and
+// the multi-process daemon (internal/daemon) with T=[]byte, the
+// wire-framed message bytes it retransmits across real sockets. Both
+// speak the same protocol:
 // per-channel sequence numbers under a channel incarnation (generation),
 // cumulative acknowledgements, receiver-side resequencing with duplicate
 // suppression, and generation adoption so a reopened channel supersedes
 // a stale one.
+package relnet
 
 // OutFrame is one in-flight data frame on a channel's sender half.
 type OutFrame[T any] struct {

@@ -9,7 +9,6 @@ import (
 	"mutablecp/internal/core"
 	"mutablecp/internal/protocol"
 	"mutablecp/internal/simrt"
-	"mutablecp/internal/workload"
 )
 
 // TestBlockingRuntimePaths drives Koo–Toueg through the simulation
@@ -110,7 +109,7 @@ func TestRestartWithinSimrt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := &workload.PointToPoint{Rate: 0.2}
+	gen := &simrt.PointToPoint{Rate: 0.2}
 	gen.Install(first)
 	first.Start()
 	first.Run(time.Hour)

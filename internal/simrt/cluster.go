@@ -59,8 +59,7 @@ type Config struct {
 	// transfer. It is called once per tentative save (and once per
 	// mutable save, whose captured image is the one a later promotion
 	// transfers — the mutable checkpoint froze the state at save time).
-	// A plain func, not an interface: workload imports simrt, so simrt
-	// cannot name workload's Images type. Required with NewPayload.
+	// workload.Images.Image fits. Required with NewPayload.
 	Images func(pid protocol.ProcessID) []byte
 	// RestoreImage, when non-nil, hands a recovering process the payload
 	// image its restore materialized, overwriting the live image the
@@ -319,7 +318,7 @@ func (c *Cluster) restoreLine(line map[protocol.ProcessID]protocol.State) error 
 		}
 		p.sentTo = append(p.sentTo[:0], st.SentTo...)
 		p.recvFrom = append(p.recvFrom[:0], st.RecvFrom...)
-		if err := p.stable.SeedPermanent(st); err != nil {
+		if err := p.ckpt.Stable.SeedPermanent(st); err != nil {
 			return fmt.Errorf("simrt: %w", err)
 		}
 	}
@@ -396,7 +395,7 @@ func (c *Cluster) newPayload(pid protocol.ProcessID) (checkpoint.PayloadStore, e
 // station, not the hosts, that restarted.
 func (c *Cluster) RestartStores() error {
 	for _, p := range c.procs {
-		if closer, ok := p.stable.(io.Closer); ok {
+		if closer, ok := p.ckpt.Stable.(io.Closer); ok {
 			if err := closer.Close(); err != nil {
 				return fmt.Errorf("simrt: close P%d store: %w", p.id, err)
 			}
@@ -405,8 +404,7 @@ func (c *Cluster) RestartStores() error {
 		if err != nil {
 			return fmt.Errorf("simrt: reopen P%d store: %w", p.id, err)
 		}
-		p.stable = st
-		if closer, ok := p.payload.(io.Closer); ok {
+		if closer, ok := p.ckpt.Payload.(io.Closer); ok {
 			if err := closer.Close(); err != nil {
 				return fmt.Errorf("simrt: close P%d payload store: %w", p.id, err)
 			}
@@ -415,7 +413,7 @@ func (c *Cluster) RestartStores() error {
 		if err != nil {
 			return fmt.Errorf("simrt: reopen P%d payload store: %w", p.id, err)
 		}
-		p.payload = pay
+		p.ckpt.Stable, p.ckpt.Payload = st, pay
 	}
 	return nil
 }
@@ -591,7 +589,7 @@ func (c *Cluster) States() map[protocol.ProcessID]protocol.State {
 func (c *Cluster) PermanentLine() map[protocol.ProcessID]protocol.State {
 	out := make(map[protocol.ProcessID]protocol.State, c.cfg.N)
 	for _, p := range c.procs {
-		out[p.id] = p.stable.Permanent().State
+		out[p.id] = p.Stable().Permanent().State
 	}
 	return out
 }

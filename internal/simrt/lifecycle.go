@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"time"
 
-	"mutablecp/internal/checkpoint"
 	"mutablecp/internal/netsim"
 	"mutablecp/internal/protocol"
 	"mutablecp/internal/trace"
@@ -77,7 +76,7 @@ func (c *Cluster) PurgeRolledBack(pid protocol.ProcessID, csn int) {
 func (p *Proc) BeginRestore() {
 	p.phase = PhaseRestoring
 	p.epoch++
-	p.mutable.Clear()
+	p.ckpt.Crash()
 	p.queue = nil
 	p.inbox = nil
 	p.blocked = false
@@ -91,33 +90,13 @@ func (p *Proc) BeginRestore() {
 	}
 	p.engine = p.c.cfg.NewEngine(p)
 	if rr, ok := p.c.transport.(netsim.PeerResetter); ok {
-		// Stateful transports (relnet's ARQ) must re-establish this
+		// Stateful transports (netsim.Reliable) must re-establish this
 		// process's channels: a sender half may have given the crashed
 		// peer up for dead, and abandoned frames leave resequencing gaps
 		// that would wedge the channel forever.
 		rr.ResetPeer(p.id)
 	}
 	p.Trace(trace.KindNote, -1, "restore begins (epoch %d)", p.epoch)
-}
-
-// DropAllTentatives discards every pending tentative checkpoint in the
-// process's stable store: after a rollback their instances can never
-// commit, and a leftover record would collide (ErrTentativePending) when
-// the resumed execution reuses the trigger. The payload plane shadows
-// each drop — a stranded tentative payload would collide the same way
-// (ErrPayloadPending) on trigger reuse.
-func (p *Proc) DropAllTentatives() error {
-	for _, trig := range p.stable.TentativeTriggers() {
-		if err := p.stable.DropTentative(trig); err != nil {
-			return fmt.Errorf("P%d drop tentative %+v: %w", p.id, trig, err)
-		}
-		if p.payload != nil {
-			if err := p.payload.DropPayload(trig); err != nil && !errors.Is(err, checkpoint.ErrNoPayload) {
-				return fmt.Errorf("P%d drop tentative payload %+v: %w", p.id, trig, err)
-			}
-		}
-	}
-	return nil
 }
 
 // SetCounters overwrites the process's channel counters from a restored
@@ -200,12 +179,10 @@ func (p *Proc) ForwardSentTo(to protocol.ProcessID, v uint64) {
 // manifest actually requires — not the fixed CheckpointBytes.
 func (p *Proc) StableTransferNow() {
 	transfer := p.c.cfg.CheckpointBytes
-	if p.payload != nil {
-		img, ok, err := p.payload.PermanentPayload()
-		if err != nil {
-			p.c.fail(fmt.Errorf("P%d restore payload: %w", p.id, err))
-		} else if ok {
-			if n, priced := p.payload.RestorePayloadBytes(); priced {
+	if pay := p.ckpt.Payload; pay != nil {
+		img, ok, err := pay.PermanentPayload()
+		if p.check("restore payload", err) && ok {
+			if n, priced := pay.RestorePayloadBytes(); priced {
 				transfer = int(n)
 			}
 			if p.c.cfg.RestoreImage != nil {

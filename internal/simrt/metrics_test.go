@@ -7,7 +7,6 @@ import (
 	"mutablecp/internal/core"
 	"mutablecp/internal/protocol"
 	"mutablecp/internal/simrt"
-	"mutablecp/internal/workload"
 )
 
 // TestMetricsAttribution checks that per-initiation records attribute
@@ -75,7 +74,7 @@ func TestMetricsGlobalTotals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := &workload.PointToPoint{Rate: 0.1}
+	gen := &simrt.PointToPoint{Rate: 0.1}
 	gen.Install(c)
 	c.Start()
 	c.Run(2 * time.Hour)

@@ -10,7 +10,6 @@ import (
 	"mutablecp/internal/netsim"
 	"mutablecp/internal/protocol"
 	"mutablecp/internal/simrt"
-	"mutablecp/internal/workload"
 )
 
 func newManualCluster(t *testing.T, n int, cellular bool) *simrt.Cluster {
@@ -118,7 +117,7 @@ func TestCheckpointingOverCellularWithHandoffs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := &workload.PointToPoint{Rate: 0.2}
+	gen := &simrt.PointToPoint{Rate: 0.2}
 	gen.Install(c)
 	c.Start()
 	// Periodic handoffs: every 100 s someone moves.
@@ -246,7 +245,7 @@ func TestAllAlgorithmsOnCellular(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			gen := &workload.PointToPoint{Rate: 0.1}
+			gen := &simrt.PointToPoint{Rate: 0.1}
 			gen.Install(c)
 			c.Start()
 			c.Run(time.Hour)

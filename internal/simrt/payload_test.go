@@ -53,7 +53,7 @@ func TestPayloadPlane(t *testing.T) {
 	if err != nil {
 		t.Fatalf("new cluster: %v", err)
 	}
-	gen := &workload.PointToPoint{Rate: 0.1}
+	gen := &simrt.PointToPoint{Rate: 0.1}
 	gen.Install(c)
 	c.Start()
 	if err := c.Run(4 * time.Hour); err != nil {

@@ -7,7 +7,6 @@ import (
 	"mutablecp/internal/des"
 	"mutablecp/internal/netsim"
 	"mutablecp/internal/protocol"
-	"mutablecp/internal/relnet"
 )
 
 func poolCluster(t testing.TB, newTransport func(sim *des.Simulator, n int) netsim.Transport) *Cluster {
@@ -41,7 +40,7 @@ func TestMessagePoolingGate(t *testing.T) {
 	reliable := poolCluster(t, func(sim *des.Simulator, n int) netsim.Transport {
 		inner := netsim.NewLAN(sim, n, netsim.WirelessLAN2Mbps)
 		faulty := netsim.NewFaulty(sim, inner, n, netsim.FaultConfig{Dup: 0.5})
-		return relnet.New(sim, faulty, n, relnet.Config{})
+		return netsim.NewReliable(sim, faulty, n, netsim.ReliableConfig{})
 	})
 	if !reliable.pooling {
 		t.Error("ARQ layer restores exactly-once; pooling should be enabled")

@@ -1,7 +1,6 @@
 package simrt
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -56,15 +55,8 @@ type Proc struct {
 	c  *Cluster
 	id protocol.ProcessID
 
-	engine  protocol.Engine
-	stable  checkpoint.Store
-	mutable *checkpoint.MutableStore
-	payload checkpoint.PayloadStore // nil: control-plane-only run
-
-	// pendingImg holds the process image captured at each mutable save:
-	// a promotion transfers the state as of the save, not as of the
-	// promotion. Volatile, like the mutable store it shadows.
-	pendingImg map[protocol.Trigger][]byte
+	engine protocol.Engine
+	ckpt   *checkpoint.Keeper
 
 	sentTo   []uint64
 	recvFrom []uint64
@@ -114,9 +106,7 @@ func newProc(c *Cluster, id protocol.ProcessID) (*Proc, error) {
 	return &Proc{
 		c:         c,
 		id:        id,
-		stable:    st,
-		payload:   pay,
-		mutable:   checkpoint.NewMutableStore(id),
+		ckpt:      checkpoint.NewKeeper(id, st, pay, c.cfg.Images),
 		downSince: -1,
 	}, nil
 }
@@ -153,15 +143,14 @@ func (p *Proc) owner() *int { return &p.c.owners[p.cell()] }
 // Engine returns the process's checkpointing engine.
 func (p *Proc) Engine() protocol.Engine { return p.engine }
 
+// Checkpoints returns the process's checkpoint lifecycle.
+func (p *Proc) Checkpoints() *checkpoint.Keeper { return p.ckpt }
+
 // Stable returns the process's stable checkpoint store (at the MSS).
-func (p *Proc) Stable() checkpoint.Store { return p.stable }
+func (p *Proc) Stable() checkpoint.Store { return p.ckpt.Stable }
 
 // Mutable returns the process's mutable checkpoint store.
-func (p *Proc) Mutable() *checkpoint.MutableStore { return p.mutable }
-
-// Payload returns the process's checkpoint payload store (nil in a
-// control-plane-only run).
-func (p *Proc) Payload() checkpoint.PayloadStore { return p.payload }
+func (p *Proc) Mutable() *checkpoint.MutableStore { return p.ckpt.Mutable() }
 
 // Blocked reports whether the computation is currently blocked.
 func (p *Proc) Blocked() bool { return p.blocked }
@@ -236,16 +225,12 @@ func (p *Proc) requestTimeout(a aborter, trig protocol.Trigger, ep uint64) {
 	if p.c.cfg.PartialAbortOnFailure {
 		if pa, ok := p.engine.(partialAborter); ok {
 			if failed := p.c.firstFailed(); failed >= 0 {
-				if err := pa.AbortPartialStrict(failed); err != nil {
-					p.c.fail(fmt.Errorf("P%d partial abort: %w", p.id, err))
-				}
+				p.check("partial abort", pa.AbortPartialStrict(failed))
 				return
 			}
 		}
 	}
-	if err := a.AbortCurrent(); err != nil {
-		p.c.fail(fmt.Errorf("P%d timeout abort: %w", p.id, err))
-	}
+	p.check("timeout abort", a.AbortCurrent())
 }
 
 // --- application side ---
@@ -451,47 +436,32 @@ func (p *Proc) CaptureState() protocol.State {
 	}
 }
 
-// savePayload stores img as trig's tentative payload and returns the
-// bytes the stable transfer must carry: the receipt's NewBytes — what
-// dedup and delta encoding left to actually move — or the configured
-// fixed CheckpointBytes when the run has no payload plane.
-func (p *Proc) savePayload(trig protocol.Trigger, img []byte) int {
-	if p.payload == nil {
-		return p.c.cfg.CheckpointBytes
-	}
-	rcpt, err := p.payload.SavePayload(trig, p.sim().Now(), img)
-	if err != nil {
-		p.c.fail(fmt.Errorf("P%d save payload: %w", p.id, err))
-		return p.c.cfg.CheckpointBytes
+// saveTentative records a tentative checkpoint carrying img and charges
+// its stable transfer: the payload receipt's NewBytes — what dedup and
+// delta encoding left to actually move — or the configured fixed
+// CheckpointBytes when the run has no payload plane. It returns the
+// initiation record the checkpoint counts toward, if any.
+func (p *Proc) saveTentative(s protocol.State, trig protocol.Trigger, img []byte) *InitiationRecord {
+	rcpt, err := p.ckpt.SaveTentative(s, trig, p.sim().Now(), img)
+	if !p.check("save tentative", err) {
+		return nil
 	}
 	m := p.metrics()
-	m.PayloadSaves++
-	m.PayloadLogicalBytes += rcpt.LogicalBytes
-	m.PayloadNewBytes += rcpt.NewBytes
-	m.PayloadNewChunks += uint64(rcpt.NewChunks)
-	m.PayloadDedupChunks += uint64(rcpt.DedupChunks)
-	m.PayloadDeltaChunks += uint64(rcpt.DeltaChunks)
-	return int(rcpt.NewBytes)
-}
-
-// SaveTentative implements protocol.Env: a pre-copy pause plus the 512 KB
-// transfer to stable storage at the MSS (or, with a payload store, the
-// deduplicated incremental bytes of the live process image).
-func (p *Proc) SaveTentative(s protocol.State, trig protocol.Trigger) {
-	if err := p.stable.SaveTentative(s, trig, p.sim().Now()); err != nil {
-		p.c.fail(fmt.Errorf("P%d save tentative: %w", p.id, err))
-		return
-	}
-	p.metrics().TotalTentative++
+	m.TotalTentative++
 	rec := p.recordFor(trig)
 	if rec != nil {
 		rec.Tentative++
 	}
 	transfer := p.c.cfg.CheckpointBytes
-	if p.payload != nil {
-		transfer = p.savePayload(trig, p.c.cfg.Images(p.id))
+	if p.ckpt.Payload != nil {
+		m.PayloadSaves++
+		m.PayloadLogicalBytes += rcpt.LogicalBytes
+		m.PayloadNewBytes += rcpt.NewBytes
+		m.PayloadNewChunks += uint64(rcpt.NewChunks)
+		m.PayloadDedupChunks += uint64(rcpt.DedupChunks)
+		m.PayloadDeltaChunks += uint64(rcpt.DeltaChunks)
+		transfer = int(rcpt.NewBytes)
 	}
-	p.busyUntil = p.sim().Now() + p.c.cfg.MutableSaveTime
 	if !p.disconnected {
 		p.c.transport.StableTransfer(p.id, transfer, nil)
 	}
@@ -500,104 +470,71 @@ func (p *Proc) SaveTentative(s protocol.State, trig protocol.Trigger) {
 		// full interval.
 		p.ticker.Reschedule()
 	}
+	return rec
+}
+
+// SaveTentative implements protocol.Env: a pre-copy pause plus the 512 KB
+// transfer to stable storage at the MSS (or, with a payload store, the
+// deduplicated incremental bytes of the live process image).
+func (p *Proc) SaveTentative(s protocol.State, trig protocol.Trigger) {
+	p.saveTentative(s, trig, p.ckpt.Image())
+	p.busyUntil = p.sim().Now() + p.c.cfg.MutableSaveTime
 }
 
 // SaveMutable implements protocol.Env: a local memory copy only.
 func (p *Proc) SaveMutable(s protocol.State, trig protocol.Trigger) {
-	if err := p.mutable.Save(s, trig, p.sim().Now()); err != nil {
-		p.c.fail(fmt.Errorf("P%d save mutable: %w", p.id, err))
+	if !p.check("save mutable", p.ckpt.SaveMutable(s, trig, p.sim().Now())) {
 		return
 	}
 	p.metrics().TotalMutable++
 	if rec := p.recordFor(trig); rec != nil {
 		rec.Mutable++
 	}
-	if p.payload != nil {
-		// The mutable checkpoint freezes the state now; a later promotion
-		// transfers this image, not whatever the process mutated into.
-		if p.pendingImg == nil {
-			p.pendingImg = make(map[protocol.Trigger][]byte)
-		}
-		p.pendingImg[trig] = p.c.cfg.Images(p.id)
-	}
 	p.busyUntil = p.sim().Now() + p.c.cfg.MutableSaveTime
 }
 
-// PromoteMutable implements protocol.Env: the stored snapshot crosses the
-// wireless medium to stable storage.
+// PromoteMutable implements protocol.Env: the stored snapshot, and the
+// image frozen with it, cross the wireless medium to stable storage.
 func (p *Proc) PromoteMutable(trig protocol.Trigger) {
-	rec, err := p.mutable.Take(trig)
-	if err != nil {
-		p.c.fail(fmt.Errorf("P%d promote: %w", p.id, err))
+	rec, img, err := p.ckpt.TakeMutable(trig)
+	if !p.check("promote", err) {
 		return
 	}
-	if err := p.stable.SaveTentative(rec.State, trig, p.sim().Now()); err != nil {
-		p.c.fail(fmt.Errorf("P%d promote: %w", p.id, err))
-		return
-	}
-	p.metrics().TotalTentative++
-	if r := p.recordFor(trig); r != nil {
-		r.Tentative++
+	if r := p.saveTentative(rec.State, trig, img); r != nil {
 		r.Promoted++
-	}
-	transfer := p.c.cfg.CheckpointBytes
-	if p.payload != nil {
-		img, ok := p.pendingImg[trig]
-		delete(p.pendingImg, trig)
-		if !ok {
-			// No captured image (e.g. a line-seeded mutable): snapshot now.
-			img = p.c.cfg.Images(p.id)
-		}
-		transfer = p.savePayload(trig, img)
-	}
-	if !p.disconnected {
-		p.c.transport.StableTransfer(p.id, transfer, nil)
-	}
-	if p.ticker != nil {
-		p.ticker.Reschedule()
 	}
 }
 
 // DiscardMutable implements protocol.Env.
 func (p *Proc) DiscardMutable(trig protocol.Trigger) {
-	if _, err := p.mutable.Take(trig); err != nil {
-		p.c.fail(fmt.Errorf("P%d discard: %w", p.id, err))
+	if !p.check("discard", p.ckpt.DiscardMutable(trig)) {
 		return
 	}
 	p.metrics().TotalDiscarded++
 	if rec := p.recordFor(trig); rec != nil {
 		rec.Discarded++
 	}
-	delete(p.pendingImg, trig)
 }
 
 // MakePermanent implements protocol.Env.
 func (p *Proc) MakePermanent(trig protocol.Trigger) {
-	if err := p.stable.MakePermanent(trig, p.sim().Now()); err != nil {
-		p.c.fail(fmt.Errorf("P%d make permanent: %w", p.id, err))
-		return
-	}
-	p.metrics().TotalPermanent++
-	if p.payload != nil {
-		if err := p.payload.CommitPayload(trig, p.sim().Now()); err != nil {
-			p.c.fail(fmt.Errorf("P%d commit payload: %w", p.id, err))
-		}
+	if p.check("make permanent", p.ckpt.Commit(trig, p.sim().Now())) {
+		p.metrics().TotalPermanent++
 	}
 }
 
 // DropTentative implements protocol.Env.
 func (p *Proc) DropTentative(trig protocol.Trigger) {
-	if err := p.stable.DropTentative(trig); err != nil {
-		p.c.fail(fmt.Errorf("P%d drop tentative: %w", p.id, err))
+	p.check("drop tentative", p.ckpt.Drop(trig))
+}
+
+// check records err, if any, as a cluster error of this process's and
+// reports whether there was none.
+func (p *Proc) check(what string, err error) bool {
+	if err != nil {
+		p.c.fail(fmt.Errorf("P%d %s: %w", p.id, what, err))
 	}
-	if p.payload != nil {
-		// The control plane may drop a tentative whose payload never made
-		// it (a crash between the two saves, or a line-seeded state with no
-		// image); an absent payload is not an error here.
-		if err := p.payload.DropPayload(trig); err != nil && !errors.Is(err, checkpoint.ErrNoPayload) {
-			p.c.fail(fmt.Errorf("P%d drop payload: %w", p.id, err))
-		}
-	}
+	return err == nil
 }
 
 // DeliverApp implements protocol.Env.
@@ -698,8 +635,7 @@ func (p *Proc) Fail() {
 	p.phase = PhaseDown
 	p.downSince = p.sim().Now()
 	p.metrics().Crashes++
-	p.mutable.Clear()
-	p.pendingImg = nil
+	p.ckpt.Crash()
 	p.queue = nil
 	p.inbox = nil
 	if p.ticker != nil {

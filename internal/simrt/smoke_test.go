@@ -8,7 +8,6 @@ import (
 	"mutablecp/internal/core"
 	"mutablecp/internal/protocol"
 	"mutablecp/internal/simrt"
-	"mutablecp/internal/workload"
 )
 
 func newCoreCluster(t *testing.T, seed uint64) *simrt.Cluster {
@@ -32,7 +31,7 @@ func newCoreCluster(t *testing.T, seed uint64) *simrt.Cluster {
 // permanent checkpoints is consistent (Theorem 1).
 func TestSmokeMutableCheckpointing(t *testing.T) {
 	c := newCoreCluster(t, 42)
-	gen := &workload.PointToPoint{Rate: 0.1}
+	gen := &simrt.PointToPoint{Rate: 0.1}
 	gen.Install(c)
 	c.Start()
 	if err := c.Run(4 * time.Hour); err != nil {

@@ -1,6 +1,5 @@
-package workload
-
-// Synthetic process images for the checkpoint payload plane. Each
+// Package workload supplies synthetic process images for the checkpoint
+// payload plane (the traffic generators live in internal/simrt). Each
 // process owns an evolving memory image; every checkpoint snapshots the
 // image after one mutation step, so the chunk store sees exactly the
 // page-dirtying behaviour the profile models:
@@ -19,6 +18,7 @@ package workload
 // images are deterministic across runs and independent across
 // processes — a process's image evolves identically no matter how the
 // cluster's shards interleave.
+package workload
 
 import (
 	"fmt"
