@@ -24,7 +24,7 @@ const benchHorizon = 10 * 900 * time.Second
 func runOne(b *testing.B, cfg harness.Config) *harness.Result {
 	b.Helper()
 	cfg.Horizon = benchHorizon
-	res, err := harness.RunSeeds(cfg, benchSeeds)
+	res, err := harness.Sequential().RunSeeds(cfg, benchSeeds)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -403,11 +403,8 @@ func run(args []string) error {
 		}
 		fmt.Print(harness.FormatChaos(rows))
 		if *store != "" {
-			fmt.Printf("durable store        OK (on-disk image matched the verified state at every point")
-			if *mssRestart {
-				fmt.Printf("; survived mid-run MSS restart")
-			}
-			fmt.Printf(")\n")
+			// A failed store audit fails the gauntlet before this point.
+			printStoreVerdict(nil, *mssRestart)
 		}
 		return profileErr(nil)
 	}
@@ -482,11 +479,7 @@ func run(args []string) error {
 		fmt.Printf("consistency          VIOLATED: %v\n", res.ConsistencyErr)
 	}
 	if *store != "" {
-		if res.DiskLineOK {
-			fmt.Printf("durable store        OK (on-disk recovery line matches the live line)\n")
-		} else {
-			fmt.Printf("durable store        FAILED: %v\n", res.DiskLineErr)
-		}
+		printStoreVerdict(res.DiskLineErr, false)
 	}
 	if cfg.PayloadBytes > 0 {
 		fmt.Printf("payload transfer     %dKiB logical -> %dKiB after dedup (ratio %.3f over %d saves, mode %v)\n",
@@ -513,6 +506,21 @@ func run(args []string) error {
 		return profileErr(fmt.Errorf("run finished with errors"))
 	}
 	return profileErr(nil)
+}
+
+// printStoreVerdict prints the durable-store audit line (the stores
+// reopened from disk hold what the verified run ended with) that -store
+// runs and -chaos -store gauntlets share.
+func printStoreVerdict(err error, mssRestart bool) {
+	if err != nil {
+		fmt.Printf("durable store        FAILED: %v\n", err)
+		return
+	}
+	fmt.Printf("durable store        OK (on-disk image matched the verified state at every point")
+	if mssRestart {
+		fmt.Printf("; survived mid-run MSS restart")
+	}
+	fmt.Printf(")\n")
 }
 
 // runRecovery executes the crash-and-recover experiment once per seed and

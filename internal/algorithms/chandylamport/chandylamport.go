@@ -47,10 +47,7 @@ type Engine struct {
 	doneAcks   int
 }
 
-var (
-	_ protocol.Engine   = (*Engine)(nil)
-	_ protocol.Blocking = (*Engine)(nil)
-)
+var _ protocol.Engine = (*Engine)(nil)
 
 // New returns a Chandy–Lamport engine bound to env.
 func New(env protocol.Env) *Engine {
@@ -67,9 +64,6 @@ func New(env protocol.Env) *Engine {
 
 // Name identifies the algorithm.
 func (e *Engine) Name() string { return "chandy-lamport" }
-
-// BlocksComputation reports that this algorithm never blocks.
-func (e *Engine) BlocksComputation() bool { return false }
 
 // InProgress reports whether a snapshot is being recorded here.
 func (e *Engine) InProgress() bool { return e.recording || e.initiating }

@@ -44,7 +44,6 @@ type Engine struct {
 
 var (
 	_ protocol.Engine             = (*Engine)(nil)
-	_ protocol.Blocking           = (*Engine)(nil)
 	_ protocol.CheckpointRestorer = (*Engine)(nil)
 )
 
@@ -55,9 +54,6 @@ func New(env protocol.Env) *Engine {
 
 // Name identifies the algorithm.
 func (e *Engine) Name() string { return "elnozahy" }
-
-// BlocksComputation reports that this algorithm never blocks.
-func (e *Engine) BlocksComputation() bool { return false }
 
 // InProgress reports whether this process has an uncommitted checkpoint.
 func (e *Engine) InProgress() bool { return e.pending || e.initiating }

@@ -55,7 +55,6 @@ type Engine struct {
 
 var (
 	_ protocol.Engine             = (*Engine)(nil)
-	_ protocol.Blocking           = (*Engine)(nil)
 	_ protocol.CheckpointRestorer = (*Engine)(nil)
 )
 
@@ -76,9 +75,6 @@ func New(env protocol.Env) *Engine {
 
 // Name identifies the algorithm.
 func (e *Engine) Name() string { return "koo-toueg" }
-
-// BlocksComputation reports that this algorithm blocks.
-func (e *Engine) BlocksComputation() bool { return true }
 
 // InProgress reports whether the process is inside an instance.
 func (e *Engine) InProgress() bool { return e.inProgress }

@@ -31,7 +31,6 @@ type Engine struct {
 
 var (
 	_ protocol.Engine             = (*Engine)(nil)
-	_ protocol.Blocking           = (*Engine)(nil)
 	_ protocol.CheckpointRestorer = (*Engine)(nil)
 )
 
@@ -42,9 +41,6 @@ func New(env protocol.Env) *Engine {
 
 // Name identifies the algorithm.
 func (e *Engine) Name() string { return "log-based" }
-
-// BlocksComputation reports that this algorithm never blocks.
-func (e *Engine) BlocksComputation() bool { return false }
 
 // InProgress always reports false: an independent checkpoint is committed
 // within the Initiate call, so there is never an instance in flight.

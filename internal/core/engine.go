@@ -193,8 +193,8 @@ type Engine struct {
 }
 
 var (
-	_ protocol.Engine   = (*Engine)(nil)
-	_ protocol.Blocking = (*Engine)(nil)
+	_ protocol.Engine    = (*Engine)(nil)
+	_ protocol.Initiator = (*Engine)(nil)
 )
 
 // New returns an engine for the process identified by env, in a
@@ -240,9 +240,6 @@ func (e *Engine) setCSN(k protocol.ProcessID, v int) {
 // Name identifies the algorithm.
 func (e *Engine) Name() string { return "mutable" }
 
-// BlocksComputation reports that this algorithm never blocks.
-func (e *Engine) BlocksComputation() bool { return false }
-
 // InProgress reports the paper's cp_state.
 func (e *Engine) InProgress() bool { return e.cpState }
 
@@ -264,7 +261,7 @@ func (e *Engine) DependencyVector() []bool { return e.r.Bools() }
 // Sent exposes the sent_i flag (tests).
 func (e *Engine) Sent() bool { return e.sent }
 
-// OwnTrigger exposes the current trigger (tests).
+// OwnTrigger names the instance this process initiated last.
 func (e *Engine) OwnTrigger() protocol.Trigger { return e.ownTrigger }
 
 // PrepareSend implements the paper's "actions taken when P_i sends a
@@ -772,7 +769,7 @@ func (e *Engine) handleAbort(trig protocol.Trigger) {
 // (tests).
 func (e *Engine) Weight() dyadic.Weight { return e.weight }
 
-// Initiating reports whether this process is the active initiator (tests).
+// Initiating reports whether this process is the active initiator.
 func (e *Engine) Initiating() bool { return e.initiating }
 
 // OldCSN exposes the csn of the current tentative/permanent checkpoint

@@ -215,7 +215,7 @@ func (d *Daemon) handleControl(req Request) Response {
 			return fail(err)
 		}
 		err := d.onLoop(func() {
-			if e, ok := d.engine.(initiator); ok && e.Initiating() && e.OwnTrigger() == req.Trig {
+			if e, ok := d.engine.(protocol.Initiator); ok && e.Initiating() && e.OwnTrigger() == req.Trig {
 				resp.Outcome = OutcomePending
 				return
 			}
@@ -257,13 +257,6 @@ func (d *Daemon) bootControl(req Request) Response {
 		resp.Err = fmt.Sprintf("daemon: P%d is starting: %s refused", d.id, req.Op)
 	}
 	return resp
-}
-
-// initiator is what resolve asks of the engine: whether it is still
-// deciding its own instance, and which one that is.
-type initiator interface {
-	Initiating() bool
-	OwnTrigger() protocol.Trigger
 }
 
 // ownsTrigger refuses a resolve for an instance this daemon did not

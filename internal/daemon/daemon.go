@@ -697,8 +697,7 @@ func (d *Daemon) armRequestTimeout() {
 			if !d.engine.InProgress() {
 				return
 			}
-			type aborter interface{ AbortCurrent() error }
-			if a, ok := d.engine.(aborter); ok {
+			if a, ok := d.engine.(protocol.Initiator); ok {
 				d.logf("request timeout: aborting in-progress instance")
 				if err := a.AbortCurrent(); err != nil {
 					d.logf("abort failed: %v", err)

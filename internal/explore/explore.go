@@ -16,10 +16,10 @@
 //     Exhaust walks the whole bounded choice tree depth-first with a
 //     state-fingerprint visited set for pruning.
 //   - An invariant oracle checks every run: each committed recovery line
-//     is orphan-free (Theorem 1, via consistency.Check on the replayed
-//     permanent history), no tentative/mutable checkpoint or termination
-//     weight leaks after the run drains (Lemma 2 / §3.6 clean abort),
-//     at most one pending tentative per process (Lemma 1), and the run
+//     is orphan-free (Theorem 1) and no tentative/mutable checkpoint or
+//     termination weight leaks after the run drains (Lemma 2 / §3.6 clean
+//     abort), both by simrt's run audit, the one the chaos gauntlet uses;
+//     at most one pending tentative per process (Lemma 1); and the run
 //     terminates within its step budget (Theorem 2).
 //   - Every run records its schedule, so a violation is reproducible
 //     byte-for-byte; Shrink minimizes a failing schedule's divergence
@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"mutablecp/internal/algorithms/logbased"
-	"mutablecp/internal/consistency"
 	"mutablecp/internal/core"
 	"mutablecp/internal/des"
 	"mutablecp/internal/dyadic"
@@ -252,12 +251,6 @@ type engineProbe interface {
 	PendingTentatives() int
 }
 
-// scriptedAborter is the initiator surface a scripted abort drives.
-type scriptedAborter interface {
-	Initiating() bool
-	AbortCurrent() error
-}
-
 // execute builds the cluster, installs the script, and steps the kernel
 // to completion under the recorder, checking invariants as it goes.
 func (s Scenario) execute(rec *recorder) (*RunResult, error) {
@@ -287,17 +280,15 @@ func (s Scenario) execute(rec *recorder) (*RunResult, error) {
 		return nil, fmt.Errorf("explore: %w", err)
 	}
 	sim := cluster.Sim()
-	// recVio is set by the recovery hook the instant a recovery leaves the
-	// cluster inconsistent; the step loop stops on it.
-	var recVio *Violation
+	// The executor checks the live states inside every recovery event; the
+	// step loop stops on the first recovery that left them inconsistent.
+	var exec *recovery.Executor
+	mode, recKind := recovery.ModeRollback, KindOrphanReplay
+	if s.LogBased {
+		mode, recKind = recovery.ModeLog, KindDuplicateDelivery
+	}
 	if len(s.Crashes) > 0 {
-		mode := recovery.ModeRollback
-		kind := KindOrphanReplay
-		if s.LogBased {
-			mode = recovery.ModeLog
-			kind = KindDuplicateDelivery
-		}
-		exec, err := recovery.NewExecutor(cluster, recovery.ExecOptions{
+		exec, err = recovery.NewExecutor(cluster, recovery.ExecOptions{
 			Mode: mode, Mutation: s.RecoveryMutation,
 		})
 		if err != nil {
@@ -311,17 +302,7 @@ func (s Scenario) execute(rec *recorder) (*RunResult, error) {
 				RestartAfter: time.Duration(c.RestartAfter) * s.Quantum,
 			})
 		}
-		hook := func(pid protocol.ProcessID) error {
-			if _, err := exec.Recover(pid); err != nil {
-				return err
-			}
-			if err := consistency.Check(cluster.States()); err != nil && recVio == nil {
-				recVio = &Violation{Kind: kind, Detail: fmt.Sprintf(
-					"after recovering P%d: %v", pid, err)}
-			}
-			return nil
-		}
-		if err := cluster.InstallCrashes(plans, hook); err != nil {
+		if err := exec.Install(plans); err != nil {
 			return nil, fmt.Errorf("explore: %w", err)
 		}
 	}
@@ -343,11 +324,8 @@ func (s Scenario) execute(rec *recorder) (*RunResult, error) {
 	for _, ab := range s.Aborts {
 		ab := ab
 		sim.ScheduleAt(time.Duration(ab.At)*s.Quantum, func() {
-			if a, ok := cluster.Proc(ab.By).Engine().(scriptedAborter); ok && a.Initiating() {
-				if err := a.AbortCurrent(); err != nil {
-					// Surfaces through cluster.Errors via the oracle.
-					_ = err
-				}
+			if a, ok := cluster.Proc(ab.By).Engine().(protocol.Initiator); ok && a.Initiating() {
+				_ = a.AbortCurrent() // fails only when not initiating, ruled out above
 			}
 		})
 	}
@@ -356,8 +334,8 @@ func (s Scenario) execute(rec *recorder) (*RunResult, error) {
 	res := &RunResult{}
 	for sim.Step() {
 		res.Steps++
-		if recVio != nil {
-			res.Violation = recVio
+		if exec != nil && exec.Inconsistent() != nil {
+			res.Violation = &Violation{Kind: recKind, Detail: exec.Inconsistent().Error()}
 			break
 		}
 		if res.Violation = s.stepInvariants(cluster); res.Violation != nil {
@@ -374,7 +352,7 @@ func (s Scenario) execute(rec *recorder) (*RunResult, error) {
 	if res.Violation == nil {
 		res.Violation = s.verify(cluster)
 	}
-	res.Fingerprint = fingerprint(tl, cluster)
+	res.Fingerprint = cluster.Digest()
 	return res, nil
 }
 
@@ -401,74 +379,22 @@ func (s Scenario) stepInvariants(cluster *simrt.Cluster) *Violation {
 	return nil
 }
 
-// verify is the post-run oracle: it replays the run's permanent history
-// as a sequence of global recovery lines (orphan-checking each committed
-// one) and audits every process for leaked state. The run has fully
-// drained when it is called.
+// verify is the post-run oracle, simrt's run audit applied to a drained
+// run: every committed recovery line is orphan-free and nothing leaked.
+// Independent checkpoints never form consistent lines, so under LogBased
+// only the leak audit runs; recovery correctness is checked live
+// (KindDuplicateDelivery) instead.
 func (s Scenario) verify(cluster *simrt.Cluster) *Violation {
 	for _, e := range cluster.Errors() {
 		return &Violation{Kind: KindClusterError, Detail: e.Error()}
 	}
-	n := cluster.N()
-	line := make(map[protocol.ProcessID]protocol.State, n)
-	perm := make([]map[protocol.Trigger]protocol.State, n)
-	for p := 0; p < n; p++ {
-		hist := cluster.Proc(protocol.ProcessID(p)).Stable().History()
-		line[protocol.ProcessID(p)] = hist[0].State
-		perm[p] = make(map[protocol.Trigger]protocol.State, len(hist)-1)
-		for _, rec := range hist[1:] {
-			perm[p][rec.Trigger] = rec.State
+	if !s.LogBased {
+		if _, _, err := cluster.AuditLines(); err != nil {
+			return &Violation{Kind: KindOrphanLine, Detail: err.Error()}
 		}
 	}
-	recs := completedByEnd(cluster)
-	if s.LogBased {
-		// Independent checkpoints never form consistent lines; recovery
-		// correctness is checked live (KindDuplicateDelivery) instead.
-		recs = nil
-	}
-	for _, rec := range recs {
-		updated := 0
-		for p := 0; p < n; p++ {
-			if st, ok := perm[p][rec.Trigger]; ok {
-				line[protocol.ProcessID(p)] = st
-				updated++
-			}
-		}
-		if updated == 0 {
-			// Clean abort: the line stands.
-			continue
-		}
-		if err := consistency.Check(line); err != nil {
-			return &Violation{Kind: KindOrphanLine, Detail: fmt.Sprintf(
-				"committed line for trigger %+v: %v", rec.Trigger, err)}
-		}
-	}
-	for p := 0; p < n; p++ {
-		proc := cluster.Proc(protocol.ProcessID(p))
-		if tents := proc.Stable().TentativeTriggers(); len(tents) > 0 {
-			return &Violation{Kind: KindLeak, Detail: fmt.Sprintf(
-				"P%d leaked tentative checkpoint(s) %v after drain", p, tents)}
-		}
-		if muts := proc.Mutable().Triggers(); len(muts) > 0 {
-			return &Violation{Kind: KindLeak, Detail: fmt.Sprintf(
-				"P%d leaked mutable checkpoint(s) %v after drain", p, muts)}
-		}
-		if eng, ok := proc.Engine().(engineProbe); ok && eng.Initiating() {
-			return &Violation{Kind: KindLeak, Detail: fmt.Sprintf(
-				"P%d still holds termination weight %v after drain", p, eng.Weight())}
-		}
+	if err := cluster.AuditLeaks(); err != nil {
+		return &Violation{Kind: KindLeak, Detail: err.Error()}
 	}
 	return nil
-}
-
-// completedByEnd returns terminated instances ordered by termination time
-// (stable on the metrics' initiation order for equal instants).
-func completedByEnd(cluster *simrt.Cluster) []*simrt.InitiationRecord {
-	recs := append([]*simrt.InitiationRecord(nil), cluster.Metrics().Completed()...)
-	for i := 1; i < len(recs); i++ {
-		for j := i; j > 0 && recs[j].End < recs[j-1].End; j-- {
-			recs[j], recs[j-1] = recs[j-1], recs[j]
-		}
-	}
-	return recs
 }

@@ -14,18 +14,18 @@ package harness
 //   - identical seed + fault configuration reproduce byte-identical
 //     metrics (the Fingerprint field).
 //
-// Instances whose *initiator* crashed are exempt from the leak check:
-// their participants legitimately hold tentative checkpoints that only the
-// MSS-side recovery procedure (future work, see ROADMAP) would resolve.
+// The first two are simrt's run audit (AuditLines, AuditLeaks), the same
+// oracle the model checker applies. Instances whose *initiator* is still
+// down at the end are exempt from the leak check: their participants
+// legitimately hold tentative checkpoints that only the MSS-side recovery
+// procedure (future work, see ROADMAP) would resolve.
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
 	"mutablecp/internal/checkpoint"
-	"mutablecp/internal/consistency"
 	"mutablecp/internal/core"
 	"mutablecp/internal/des"
 	"mutablecp/internal/netsim"
@@ -156,11 +156,11 @@ type ChaosResult struct {
 	TimeoutAborts uint64
 	Rel           netsim.ReliableMetrics
 
-	Dropped          uint64
-	Duplicated       uint64
-	Jittered         uint64
-	PartitionDropped uint64
-	CrashDropped     uint64
+	Dropped           uint64
+	Duplicated        uint64
+	Jittered          uint64
+	PartitionDropped  uint64
+	CrashDropped      uint64
 	RevivedDeliveries uint64
 
 	// Crash-and-recover verdict (CrashRestartAfter > 0 only). RecoveredOK
@@ -179,10 +179,6 @@ type ChaosResult struct {
 	// seeds and fault configs must produce equal fingerprints.
 	Fingerprint string
 }
-
-// initiating is the slice of the engine surface the post-run weight check
-// needs; core.Engine implements it.
-type initiating interface{ Initiating() bool }
 
 // RunChaos executes one chaos run and verifies it. A non-nil error means
 // either an infrastructure failure or a protocol-safety violation (orphan
@@ -215,7 +211,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 			return rel
 		},
 	}
-	// The chaos verifier replays the full permanent history, so the
+	// The line audit replays the full permanent history, so the
 	// durable stores run in audit mode (Keep=0: no compaction).
 	storeOpts := stable.Options{}
 	if cfg.StoreDir != "" {
@@ -235,10 +231,9 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	// stops generating traffic and loses its volatile state exactly when
 	// the network stops carrying its frames. Iterate in process order, not
 	// map order — same-instant events execute in schedule order.
-	var postRecoveryErr error
-	recoveries := 0
+	var exec *recovery.Executor
 	if cfg.CrashRestartAfter > 0 {
-		exec, err := recovery.NewExecutor(cluster, recovery.ExecOptions{Mode: recovery.ModeRollback})
+		exec, err = recovery.NewExecutor(cluster, recovery.ExecOptions{Mode: recovery.ModeRollback})
 		if err != nil {
 			return nil, fmt.Errorf("chaos: %w", err)
 		}
@@ -246,19 +241,7 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		plans := []simrt.CrashPlan{{
 			Proc: victim, At: fc.CrashAt[victim], RestartAfter: cfg.CrashRestartAfter,
 		}}
-		hook := func(pid protocol.ProcessID) error {
-			if _, err := exec.Recover(pid); err != nil {
-				return err
-			}
-			recoveries++
-			// Checked inside the recovery event: later traffic cannot mask
-			// an orphan or double delivery the rollback left behind.
-			if err := consistency.Check(cluster.States()); err != nil && postRecoveryErr == nil {
-				postRecoveryErr = err
-			}
-			return nil
-		}
-		if err := cluster.InstallCrashes(plans, hook); err != nil {
+		if err := exec.Install(plans); err != nil {
 			return nil, fmt.Errorf("chaos: %w", err)
 		}
 	} else {
@@ -314,15 +297,21 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		RecoveryTime:      met.RecoveryTime,
 		SimulatedEvents:   cluster.Executed(),
 	}
-	if err := verifyChaos(cluster, fc, cfg.CrashRestartAfter > 0, res); err != nil {
-		return nil, err
+	// A crash that was never recovered leaves its victim down, which is
+	// how the audit knows to exempt it.
+	if res.Committed, res.Aborted, err = cluster.AuditLines(); err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
 	}
-	if cfg.CrashRestartAfter > 0 {
-		if postRecoveryErr != nil {
-			return nil, fmt.Errorf("chaos: post-recovery live state: %w", postRecoveryErr)
+	res.LinesChecked = res.Committed
+	if err := cluster.AuditLeaks(); err != nil {
+		return nil, fmt.Errorf("chaos: %w", err)
+	}
+	if exec != nil {
+		if err := exec.Inconsistent(); err != nil {
+			return nil, fmt.Errorf("chaos: post-recovery live state: %w", err)
 		}
-		if recoveries != 1 || res.Restarts != 1 {
-			return nil, fmt.Errorf("chaos: %d recoveries, %d restarts, want 1/1", recoveries, res.Restarts)
+		if n := len(exec.Reports()); n != 1 || res.Restarts != 1 {
+			return nil, fmt.Errorf("chaos: %d recoveries, %d restarts, want 1/1", n, res.Restarts)
 		}
 		restartAt := fc.CrashAt[protocol.ProcessID(cfg.N-1)] + cfg.CrashRestartAfter
 		newCommits := 0
@@ -337,11 +326,11 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		res.RecoveredOK = true
 	}
 	if cfg.StoreDir != "" {
-		// Everything the verifier just accepted must survive a final
-		// storage restart byte-for-byte: reopen every store from disk and
-		// compare it against the verified in-memory image.
-		if err := verifyDiskFidelity(cluster); err != nil {
-			return nil, err
+		// Everything the audit just accepted must survive a final storage
+		// restart: reopen every store from disk and compare it against the
+		// audited in-memory image.
+		if err := cluster.VerifyStoreRestart(); err != nil {
+			return nil, fmt.Errorf("chaos: final store restart: %w", err)
 		}
 	}
 	res.Fingerprint = fmt.Sprintf(
@@ -351,145 +340,6 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		res.RevivedDeliveries, res.Restarts, res.PeerRollbacks, res.Replayed, res.RecoveryTime,
 		res.RecoveredOK, res.SimulatedEvents)
 	return res, nil
-}
-
-// verifyChaos replays the run's permanent history as a sequence of global
-// checkpoint lines, orphan-checking each, then audits every process for
-// leaked state. When the crash was recovered, no process stays crashed:
-// the victim is back, the rollback cleaned every half-done instance, and
-// the full leak audit applies to everyone.
-func verifyChaos(cluster *simrt.Cluster, fc netsim.FaultConfig, recovered bool, res *ChaosResult) error {
-	n := cluster.N()
-	crashed := func(p protocol.ProcessID) bool {
-		if recovered {
-			return false
-		}
-		_, ok := fc.CrashAt[p]
-		return ok
-	}
-
-	// Index every permanent checkpoint by (process, trigger). The seeded
-	// initial checkpoint (NoTrigger) forms the starting line.
-	line := make(map[protocol.ProcessID]protocol.State, n)
-	perm := make([]map[protocol.Trigger]protocol.State, n)
-	for p := 0; p < n; p++ {
-		hist := cluster.Proc(p).Stable().History()
-		line[p] = hist[0].State
-		perm[p] = make(map[protocol.Trigger]protocol.State, len(hist)-1)
-		for _, rec := range hist[1:] {
-			perm[p][rec.Trigger] = rec.State
-		}
-	}
-
-	// Walk terminated instances in termination order and advance the line.
-	recs := append([]*simrt.InitiationRecord(nil), cluster.Metrics().Completed()...)
-	sort.SliceStable(recs, func(i, j int) bool { return recs[i].End < recs[j].End })
-	for _, rec := range recs {
-		updated := 0
-		for p := 0; p < n; p++ {
-			if st, ok := perm[p][rec.Trigger]; ok {
-				line[p] = st
-				updated++
-			}
-		}
-		if updated == 0 {
-			// A clean abort: the instance must have left no permanents
-			// anywhere (already true: updated == 0), and the line stands.
-			res.Aborted++
-			continue
-		}
-		res.Committed++
-		// A crashed participant that reached its tentative checkpoint
-		// stored it at the MSS before dying; the MSS commits on its behalf
-		// (the commit message itself was lost with the host), so the line
-		// uses the surviving tentative.
-		for p := 0; p < n; p++ {
-			if !crashed(p) {
-				continue
-			}
-			if t, ok := cluster.Proc(p).Stable().Tentative(rec.Trigger); ok {
-				line[p] = t.State
-			}
-		}
-		if err := consistency.Check(line); err != nil {
-			return fmt.Errorf("chaos: committed line for trigger %+v (ended %v): %w",
-				rec.Trigger, rec.End, err)
-		}
-		res.LinesChecked++
-	}
-
-	// Leak audit. Crashed processes are skipped entirely (their volatile
-	// state is gone and their MSS-side tentatives were handled above), and
-	// instances whose initiator crashed are exempt: nobody is left to
-	// disseminate their commit or abort.
-	for p := 0; p < n; p++ {
-		if crashed(p) {
-			continue
-		}
-		proc := cluster.Proc(p)
-		for _, trig := range proc.Stable().TentativeTriggers() {
-			if !crashed(trig.Pid) {
-				return fmt.Errorf("chaos: P%d leaked a tentative checkpoint for live-initiator trigger %+v", p, trig)
-			}
-		}
-		for _, trig := range proc.Mutable().Triggers() {
-			if !crashed(trig.Pid) {
-				return fmt.Errorf("chaos: P%d leaked a mutable checkpoint for live-initiator trigger %+v", p, trig)
-			}
-		}
-		if eng, ok := proc.Engine().(initiating); ok && eng.Initiating() {
-			return fmt.Errorf("chaos: P%d still holds termination weight after the drain", p)
-		}
-	}
-	return nil
-}
-
-// verifyDiskFidelity restarts the durable stores and checks the state
-// they recover from disk — permanent history, newest permanent, pending
-// tentatives — equals the state the run ended (and was verified) with.
-func verifyDiskFidelity(cluster *simrt.Cluster) error {
-	type image struct {
-		histCSNs []int
-		permCSN  int
-		tents    []protocol.Trigger
-	}
-	before := make([]image, cluster.N())
-	for p := 0; p < cluster.N(); p++ {
-		st := cluster.Proc(p).Stable()
-		img := image{permCSN: st.Permanent().State.CSN, tents: st.TentativeTriggers()}
-		for _, rec := range st.History() {
-			img.histCSNs = append(img.histCSNs, rec.State.CSN)
-		}
-		before[p] = img
-	}
-	if err := cluster.RestartStores(); err != nil {
-		return fmt.Errorf("chaos: final store restart: %w", err)
-	}
-	for p := 0; p < cluster.N(); p++ {
-		st := cluster.Proc(p).Stable()
-		if got := st.Permanent().State.CSN; got != before[p].permCSN {
-			return fmt.Errorf("chaos: P%d permanent CSN %d from disk, had %d", p, got, before[p].permCSN)
-		}
-		hist := st.History()
-		if len(hist) != len(before[p].histCSNs) {
-			return fmt.Errorf("chaos: P%d recovered %d permanents from disk, had %d", p, len(hist), len(before[p].histCSNs))
-		}
-		for i, rec := range hist {
-			if rec.State.CSN != before[p].histCSNs[i] {
-				return fmt.Errorf("chaos: P%d history[%d] CSN %d from disk, had %d", p, i, rec.State.CSN, before[p].histCSNs[i])
-			}
-		}
-		got := st.TentativeTriggers()
-		if len(got) != len(before[p].tents) {
-			return fmt.Errorf("chaos: P%d recovered %d tentatives from disk, had %d", p, len(got), len(before[p].tents))
-		}
-		for i, trig := range got {
-			if trig != before[p].tents[i] {
-				return fmt.Errorf("chaos: P%d tentative %v from disk, had %v", p, trig, before[p].tents[i])
-			}
-		}
-	}
-	return nil
 }
 
 // ChaosPoint is one operating point of the gauntlet grid.
@@ -557,14 +407,9 @@ type ChaosRow struct {
 }
 
 // ChaosGauntlet runs every operating point across every seed and verifies
-// each run; see Runner.ChaosGauntlet for the parallel form.
-func ChaosGauntlet(points []ChaosPoint, seeds []uint64) ([]ChaosRow, error) {
-	return Sequential().ChaosGauntlet(points, seeds)
-}
-
-// ChaosGauntlet is the parallel form: every (point, seed) cell is an
-// independent simulation. On failure the error names the first failing
-// point and seed in deterministic grid order, regardless of worker count.
+// each run. Every (point, seed) cell is an independent simulation. On
+// failure the error names the first failing point and seed in
+// deterministic grid order, regardless of worker count.
 func (r *Runner) ChaosGauntlet(points []ChaosPoint, seeds []uint64) ([]ChaosRow, error) {
 	if len(points) == 0 {
 		points = DefaultChaosPoints()

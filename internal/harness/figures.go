@@ -31,13 +31,9 @@ type FigSeries struct {
 }
 
 // Fig5 regenerates Fig. 5: tentative and redundant mutable checkpoints per
-// initiation vs. message sending rate, point-to-point communication.
-func Fig5(seeds []uint64, rates []float64) (*FigSeries, error) {
-	return Sequential().Fig5(seeds, rates)
-}
-
-// Fig5 is the parallel form of the package-level Fig5: every (rate, seed)
-// cell is an independent simulation fanned out over the Runner's pool.
+// initiation vs. message sending rate, point-to-point communication. Every
+// (rate, seed) cell is an independent simulation fanned out over the
+// Runner's pool.
 func (r *Runner) Fig5(seeds []uint64, rates []float64) (*FigSeries, error) {
 	return r.figure("Fig. 5: point-to-point communication", Config{
 		Algorithm: AlgoMutable,
@@ -48,11 +44,6 @@ func (r *Runner) Fig5(seeds []uint64, rates []float64) (*FigSeries, error) {
 // Fig6 regenerates one panel of Fig. 6: the group-communication
 // environment with the given intra/inter rate ratio (paper: 1000 left,
 // 10000 right).
-func Fig6(ratio float64, seeds []uint64, rates []float64) (*FigSeries, error) {
-	return Sequential().Fig6(ratio, seeds, rates)
-}
-
-// Fig6 is the parallel form of the package-level Fig6.
 func (r *Runner) Fig6(ratio float64, seeds []uint64, rates []float64) (*FigSeries, error) {
 	return r.figure(
 		fmt.Sprintf("Fig. 6: group communication (intra/inter ratio %g)", ratio),
@@ -122,13 +113,8 @@ type Table1Row struct {
 }
 
 // Table1 regenerates Table 1 empirically: the three algorithms under an
-// identical workload and seed set.
-func Table1(rate float64, seeds []uint64) ([]Table1Row, error) {
-	return Sequential().Table1(rate, seeds)
-}
-
-// Table1 is the parallel form of the package-level Table1: each
-// (algorithm, seed) cell runs as an independent simulation.
+// identical workload and seed set. Each (algorithm, seed) cell runs as an
+// independent simulation.
 func (r *Runner) Table1(rate float64, seeds []uint64) ([]Table1Row, error) {
 	entries := []struct {
 		algo        string
@@ -202,11 +188,6 @@ type AblationRow struct {
 // Ablation runs the avalanche ablation: the naive simple and revised
 // schemes take stable checkpoints where the paper's algorithm takes cheap
 // mutable ones (or none).
-func Ablation(rate float64, seeds []uint64) ([]AblationRow, error) {
-	return Sequential().Ablation(rate, seeds)
-}
-
-// Ablation is the parallel form of the package-level Ablation.
 func (r *Runner) Ablation(rate float64, seeds []uint64) ([]AblationRow, error) {
 	algos := []string{AlgoNaiveSimple, AlgoNaiveRevised, AlgoMutable}
 	merged, err := r.runGrid(len(algos), seeds,
@@ -275,11 +256,6 @@ type FanoutRow struct {
 // CommitFanout runs the §3.3.5 ablation: broadcast commits wake every
 // dozing host on every initiation; the targeted update approach spends
 // more point-to-point messages but leaves uninvolved dozing hosts asleep.
-func CommitFanout(rate float64, dozing int, seeds []uint64) ([]FanoutRow, error) {
-	return Sequential().CommitFanout(rate, dozing, seeds)
-}
-
-// CommitFanout is the parallel form of the package-level CommitFanout.
 func (r *Runner) CommitFanout(rate float64, dozing int, seeds []uint64) ([]FanoutRow, error) {
 	algos := []string{AlgoMutable, AlgoMutableTargeted}
 	merged, err := r.runGrid(len(algos), seeds,

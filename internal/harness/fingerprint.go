@@ -2,37 +2,20 @@ package harness
 
 import (
 	"fmt"
-	"hash/fnv"
-	"io"
 
-	"mutablecp/internal/protocol"
-	"mutablecp/internal/simrt"
 	"mutablecp/internal/trace"
 )
 
 // TraceFingerprint runs one experiment with a structured trace attached
-// and digests the complete execution: every trace event string in order,
-// each process's final channel counters and engine state, the permanent
-// checkpoint history, and the simulated event count. Two runs with equal
-// fingerprints executed byte-identically, which makes the digest the
-// equivalence oracle for engine-representation refactors: any change to
-// message contents, checkpoint decisions, trace formatting, or state
-// accessors shows up as a different fingerprint for the same seed.
+// and digests the complete execution (simrt.Cluster.Digest): every trace
+// event string in order, each process's final channel counters and engine
+// state, the permanent checkpoint history, and the simulated event count.
+// Two runs with equal fingerprints executed byte-identically, which makes
+// the digest the equivalence oracle for engine-representation refactors:
+// any change to message contents, checkpoint decisions, trace formatting,
+// or state accessors shows up as a different fingerprint for the same seed.
 func TraceFingerprint(cfg Config) (string, error) {
-	cfg = cfg.defaults()
-	tl := trace.New()
-	cluster, pr, err := runCluster(cfg, tl)
-	if err != nil {
-		return "", err
-	}
-	defer pr.close()
-	h := fnv.New64a()
-	for _, ev := range tl.Events() {
-		io.WriteString(h, ev.String()) //nolint:errcheck
-		h.Write([]byte{'\n'})          //nolint:errcheck
-	}
-	digestCluster(h, cluster)
-	return fmt.Sprintf("%016x", h.Sum64()), nil
+	return fingerprint(cfg, trace.New())
 }
 
 // StateFingerprint digests the final cluster state — per-process channel
@@ -44,43 +27,14 @@ func TraceFingerprint(cfg Config) (string, error) {
 // for CellWorkers=K must be byte-identical to the CellWorkers=1
 // reference run of the same configuration and seed.
 func StateFingerprint(cfg Config) (string, error) {
-	cfg = cfg.defaults()
-	cluster, pr, err := runCluster(cfg, nil)
+	return fingerprint(cfg, nil)
+}
+
+func fingerprint(cfg Config, tl *trace.Log) (string, error) {
+	cluster, pr, err := runCluster(cfg.defaults(), tl)
 	if err != nil {
 		return "", err
 	}
 	defer pr.close()
-	h := fnv.New64a()
-	digestCluster(h, cluster)
-	return fmt.Sprintf("%016x", h.Sum64()), nil
-}
-
-func digestCluster(h io.Writer, cluster *simrt.Cluster) {
-	for p := 0; p < cluster.N(); p++ {
-		proc := cluster.Proc(protocol.ProcessID(p))
-		st := proc.CaptureState()
-		// Counters are stored truncated; render padded to N so the digest
-		// stays byte-identical to the dense-representation goldens.
-		fmt.Fprintf(h, "P%d sent=%v recv=%v\n", p,
-			protocol.PadCounters(st.SentTo, cluster.N()),
-			protocol.PadCounters(st.RecvFrom, cluster.N()))
-		if eng, ok := proc.Engine().(engineState); ok {
-			fmt.Fprintf(h, "csn=%v r=%v sent=%v old=%d\n",
-				eng.CSN(), eng.DependencyVector(), eng.Sent(), eng.OldCSN())
-		}
-		for _, rec := range proc.Stable().History() {
-			fmt.Fprintf(h, "perm csn=%d trig=%+v\n", rec.State.CSN, rec.Trigger)
-		}
-	}
-	fmt.Fprintf(h, "events=%d", cluster.Executed())
-}
-
-// engineState is the engine surface the fingerprint folds in. The []bool
-// and []int forms are the stable cross-representation boundary: engines
-// may store state however they like but must render it identically here.
-type engineState interface {
-	CSN() []int
-	DependencyVector() []bool
-	Sent() bool
-	OldCSN() int
+	return fmt.Sprintf("%016x", cluster.Digest()), nil
 }

@@ -14,7 +14,6 @@ import (
 	"mutablecp/internal/chunkstore"
 	"mutablecp/internal/consistency"
 	"mutablecp/internal/protocol"
-	"mutablecp/internal/recovery"
 	"mutablecp/internal/simrt"
 	"mutablecp/internal/stable"
 	"mutablecp/internal/stats"
@@ -107,8 +106,8 @@ type Config struct {
 	// StoreDir, when non-empty, backs every process's stable store with
 	// the durable internal/stable log under this directory (one
 	// subdirectory per process) instead of the in-memory store. After the
-	// run the recovery line is additionally reconstructed from disk and
-	// validated; the verdict lands in Result.DiskLineOK. Each seed writes
+	// run every store is additionally reopened from disk and compared with
+	// what it held; the verdict lands in Result.DiskLineOK. Each seed writes
 	// under its own seed-<n> subdirectory, so one StoreDir serves a whole
 	// RunSeeds sweep without collisions. The directory must be private to
 	// this experiment.
@@ -214,10 +213,11 @@ type Result struct {
 	// cost; only meaningful with Config.DozeCount > 0).
 	DozeWakeups uint64
 
-	// DiskLineOK reports whether the recovery line reconstructed from the
-	// on-disk stores after the run matches the live permanent line and
-	// passes the orphan check. Always true for in-memory runs (no disk to
-	// disagree with).
+	// DiskLineOK reports whether every store reopened from disk after the
+	// run holds what it held before (simrt.Cluster.VerifyStoreRestart):
+	// the retained permanents, which include the recovery line the
+	// consistency check passed, and the pending tentatives. Always true for
+	// in-memory runs (no disk to disagree with).
 	DiskLineOK  bool
 	DiskLineErr error
 
@@ -383,7 +383,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	res.DiskLineOK = true
 	if cfg.StoreDir != "" {
-		res.DiskLineErr = checkDiskLine(cluster, storeSeedDir(cfg.StoreDir, cfg.Seed), stable.Options{Keep: 1})
+		res.DiskLineErr = cluster.VerifyStoreRestart()
 		res.DiskLineOK = res.DiskLineErr == nil
 	}
 	res.PayloadSaves = met.PayloadSaves
@@ -400,42 +400,4 @@ func Run(cfg Config) (*Result, error) {
 // of one sweep run concurrently and must never share a segment log.
 func storeSeedDir(root string, seed uint64) string {
 	return filepath.Join(root, fmt.Sprintf("seed-%d", seed))
-}
-
-// checkDiskLine closes the durable stores, reconstructs the recovery line
-// from the directory alone (a simulated MSS restart), and verifies it
-// matches the live permanent line the cluster ended with.
-func checkDiskLine(cluster *simrt.Cluster, dir string, opts stable.Options) error {
-	live := cluster.PermanentLine()
-	if err := cluster.RestartStores(); err != nil {
-		return err
-	}
-	line, err := recovery.OpenLine(dir, cluster.N(), opts)
-	if err != nil {
-		return err
-	}
-	for p := 0; p < cluster.N(); p++ {
-		got := line.Checkpoints[p].State
-		want := live[p]
-		if got.CSN != want.CSN {
-			return fmt.Errorf("harness: P%d on-disk permanent CSN %d, live %d", p, got.CSN, want.CSN)
-		}
-		// Counters may be stored truncated; compare through the accessor
-		// so a truncated vector equals its zero-padded form.
-		for j := 0; j < cluster.N(); j++ {
-			if protocol.CounterAt(got.SentTo, j) != protocol.CounterAt(want.SentTo, j) ||
-				protocol.CounterAt(got.RecvFrom, j) != protocol.CounterAt(want.RecvFrom, j) {
-				return fmt.Errorf("harness: P%d on-disk checkpoint counters differ from live line", p)
-			}
-		}
-	}
-	return nil
-}
-
-// RunSeeds runs the experiment across several seeds and merges the
-// per-initiation samples, shrinking confidence intervals the way the
-// paper's "large number of samples" does. It is the sequential form of
-// Runner.RunSeeds; Parallel(n).RunSeeds produces identical results.
-func RunSeeds(cfg Config, seeds []uint64) (*Result, error) {
-	return Sequential().RunSeeds(cfg, seeds)
 }

@@ -68,14 +68,14 @@ func TestRunSeedsMerges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	merged, err := harness.RunSeeds(short(harness.AlgoMutable, 0.05), []uint64{3, 4})
+	merged, err := harness.Sequential().RunSeeds(short(harness.AlgoMutable, 0.05), []uint64{3, 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if merged.Initiations <= single.Initiations {
 		t.Fatalf("merged %d vs single %d", merged.Initiations, single.Initiations)
 	}
-	if _, err := harness.RunSeeds(short(harness.AlgoMutable, 0.05), nil); err == nil {
+	if _, err := harness.Sequential().RunSeeds(short(harness.AlgoMutable, 0.05), nil); err == nil {
 		t.Fatal("no-seeds accepted")
 	}
 }
@@ -85,7 +85,7 @@ func TestRunSeedsMerges(t *testing.T) {
 // rate, approaching N=16, and redundant mutable checkpoints stay far below
 // tentative ones (paper: < 4%).
 func TestFig5ShapeRises(t *testing.T) {
-	series, err := harness.Fig5([]uint64{1, 2}, []float64{0.002, 0.01, 0.1})
+	series, err := harness.Sequential().Fig5([]uint64{1, 2}, []float64{0.002, 0.01, 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,15 +119,15 @@ func TestFig5ShapeRises(t *testing.T) {
 func TestFig6FewerCheckpointsThanP2P(t *testing.T) {
 	rate := []float64{0.02}
 	seeds := []uint64{1, 2}
-	p2p, err := harness.Fig5(seeds, rate)
+	p2p, err := harness.Sequential().Fig5(seeds, rate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g1000, err := harness.Fig6(1000, seeds, rate)
+	g1000, err := harness.Sequential().Fig6(1000, seeds, rate)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g10000, err := harness.Fig6(10000, seeds, rate)
+	g10000, err := harness.Sequential().Fig6(10000, seeds, rate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestFig6FewerCheckpointsThanP2P(t *testing.T) {
 // algorithm takes no more checkpoints than Elnozahy and roughly matches
 // Koo–Toueg (both ~Nmin).
 func TestTable1Shape(t *testing.T) {
-	rows, err := harness.Table1(0.01, []uint64{1, 2})
+	rows, err := harness.Sequential().Table1(0.01, []uint64{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestTable1Shape(t *testing.T) {
 // TestAblationAvalanche asserts E9's shape: the naive schemes write far
 // more stable checkpoints per interval than the mutable scheme.
 func TestAblationAvalanche(t *testing.T) {
-	rows, err := harness.Ablation(0.05, []uint64{1})
+	rows, err := harness.Sequential().Ablation(0.05, []uint64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,13 +219,13 @@ func TestAblationAvalanche(t *testing.T) {
 // rates where Nmin < N).
 func TestOutputCommitDelayClaim(t *testing.T) {
 	seeds := []uint64{1, 2}
-	mu, err := harness.RunSeeds(harness.Config{
+	mu, err := harness.Sequential().RunSeeds(harness.Config{
 		Algorithm: harness.AlgoMutable, Rate: 0.003, Horizon: 20 * 900 * time.Second,
 	}, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ez, err := harness.RunSeeds(harness.Config{
+	ez, err := harness.Sequential().RunSeeds(harness.Config{
 		Algorithm: harness.AlgoElnozahy, Rate: 0.003, Horizon: 20 * 900 * time.Second,
 	}, seeds)
 	if err != nil {
@@ -283,7 +283,7 @@ func TestGroupWorkloadRun(t *testing.T) {
 // approach never wakes uninvolved dozing hosts, while the broadcast wakes
 // nearly all of them on every initiation.
 func TestCommitFanoutTradeoff(t *testing.T) {
-	rows, err := harness.CommitFanout(0.05, 8, []uint64{1})
+	rows, err := harness.Sequential().CommitFanout(0.05, 8, []uint64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +340,7 @@ func TestDozeCountValidation(t *testing.T) {
 // message count grows superlinearly with N while Elnozahy's and the
 // mutable algorithm's grow roughly linearly.
 func TestScaleSweepComplexity(t *testing.T) {
-	rows, err := harness.ScaleSweep([]int{4, 16}, 0.1, []uint64{1})
+	rows, err := harness.Sequential().ScaleSweep([]int{4, 16}, 0.1, []uint64{1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,7 +368,7 @@ func TestScaleSweepComplexity(t *testing.T) {
 // increases redundant mutable checkpoints — the paper's §5.2 explanation
 // of why they are rare at 900 s.
 func TestIntervalSweepRedundantGrows(t *testing.T) {
-	rows, err := harness.IntervalSweep(
+	rows, err := harness.Sequential().IntervalSweep(
 		[]time.Duration{100 * time.Second, 900 * time.Second}, 0.05, []uint64{1})
 	if err != nil {
 		t.Fatal(err)
@@ -384,7 +384,7 @@ func TestIntervalSweepRedundantGrows(t *testing.T) {
 
 // TestFigCSV checks the plotting output.
 func TestFigCSV(t *testing.T) {
-	series, err := harness.Fig5([]uint64{1}, []float64{0.05})
+	series, err := harness.Sequential().Fig5([]uint64{1}, []float64{0.05})
 	if err != nil {
 		t.Fatal(err)
 	}

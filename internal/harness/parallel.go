@@ -30,8 +30,7 @@ func Parallel(workers int) *Runner {
 	return &Runner{workers: workers}
 }
 
-// Sequential returns a single-worker Runner. The package-level RunSeeds,
-// Fig5, ScaleSweep, etc. are thin wrappers over it.
+// Sequential returns a single-worker Runner.
 func Sequential() *Runner { return &Runner{workers: 1} }
 
 // Workers reports the degree of parallelism.

@@ -75,7 +75,7 @@ func TestParallelRunSeedsDeterministic(t *testing.T) {
 				Horizon:         harness.ShortHorizon,
 				SkipConsistency: algo == harness.AlgoNaiveNoCSN,
 			}
-			seq, err := harness.RunSeeds(cfg, seeds)
+			seq, err := harness.Sequential().RunSeeds(cfg, seeds)
 			if err != nil {
 				t.Fatalf("sequential: %v", err)
 			}
@@ -94,7 +94,7 @@ func TestParallelRunSeedsDeterministic(t *testing.T) {
 func TestParallelFig5ByteIdentical(t *testing.T) {
 	seeds := []uint64{1, 2}
 	rates := []float64{0.01, 0.05}
-	seq, err := harness.Fig5(seeds, rates)
+	seq, err := harness.Sequential().Fig5(seeds, rates)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestParallelFig5ByteIdentical(t *testing.T) {
 // reduced size: scale and interval sweeps must not depend on worker count.
 func TestParallelSweepsDeterministic(t *testing.T) {
 	seeds := []uint64{1}
-	seqScale, err := harness.ScaleSweep([]int{4, 8}, 0.1, seeds)
+	seqScale, err := harness.Sequential().ScaleSweep([]int{4, 8}, 0.1, seeds)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestRunSeedsErrorNamesFirstSeed(t *testing.T) {
 		Horizon:   harness.ShortHorizon,
 	}
 	seeds := []uint64{42, 7, 9}
-	_, seqErr := harness.RunSeeds(bad, seeds)
+	_, seqErr := harness.Sequential().RunSeeds(bad, seeds)
 	if seqErr == nil {
 		t.Fatal("sequential RunSeeds accepted a broken config")
 	}

@@ -76,7 +76,7 @@ func TestPayloadStripedExperiment(t *testing.T) {
 	cfg.Horizon = 45 * time.Minute
 	cfg.PayloadStripe = 3
 	cfg.PayloadDir = t.TempDir()
-	res, err := RunSeeds(cfg, []uint64{1, 2})
+	res, err := Sequential().RunSeeds(cfg, []uint64{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"mutablecp/internal/algorithms"
-	"mutablecp/internal/consistency"
 	"mutablecp/internal/protocol"
 	"mutablecp/internal/recovery"
 	"mutablecp/internal/simrt"
@@ -185,23 +184,8 @@ func RunRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &RecoveryResult{Config: cfg, Mode: mode, PostRecoveryOK: true}
-	hook := func(pid protocol.ProcessID) error {
-		rep, err := exec.Recover(pid)
-		if err != nil {
-			return err
-		}
-		res.Reports = append(res.Reports, rep)
-		if err := consistency.Check(cluster.States()); err != nil && res.PostRecoveryOK {
-			res.PostRecoveryOK = false
-			res.PostRecoveryErr = err
-		}
-		return nil
-	}
-	if len(plans) > 0 {
-		if err := cluster.InstallCrashes(plans, hook); err != nil {
-			return nil, err
-		}
+	if err := exec.Install(plans); err != nil {
+		return nil, err
 	}
 	gen := &simrt.PointToPoint{Rate: cfg.Rate}
 	gen.Install(cluster)
@@ -216,13 +200,20 @@ func RunRecovery(cfg RecoveryConfig) (*RecoveryResult, error) {
 	}
 
 	met := cluster.Metrics()
-	res.Crashes = met.Crashes
-	res.Restarts = met.Restarts
-	res.RecoveryTime = met.RecoveryTime
-	res.PeerRollbacks = met.PeerRollbacks
-	res.Replayed = met.ReplayedMessages
-	res.Deduped = met.DedupedReplays
-	res.ClusterErrors = cluster.Errors()
+	res := &RecoveryResult{
+		Config:          cfg,
+		Mode:            mode,
+		Reports:         exec.Reports(),
+		Crashes:         met.Crashes,
+		Restarts:        met.Restarts,
+		RecoveryTime:    met.RecoveryTime,
+		PeerRollbacks:   met.PeerRollbacks,
+		Replayed:        met.ReplayedMessages,
+		Deduped:         met.DedupedReplays,
+		PostRecoveryOK:  exec.Inconsistent() == nil,
+		PostRecoveryErr: exec.Inconsistent(),
+		ClusterErrors:   cluster.Errors(),
+	}
 
 	var lastRestart time.Duration
 	for _, p := range plans {

@@ -19,13 +19,8 @@ type ScaleRow struct {
 // ScaleSweep measures how the system-message overhead grows with N at a
 // rate where the dependency set saturates: the paper's complexity claims
 // (Koo–Toueg O(N·Ndep) → O(N²); mutable and Elnozahy O(N)) become visible
-// as the curves diverge.
-func ScaleSweep(ns []int, rate float64, seeds []uint64) ([]ScaleRow, error) {
-	return Sequential().ScaleSweep(ns, rate, seeds)
-}
-
-// ScaleSweep is the parallel form of the package-level ScaleSweep: every
-// (N, algorithm, seed) cell is an independent simulation.
+// as the curves diverge. Every (N, algorithm, seed) cell is an independent
+// simulation.
 func (r *Runner) ScaleSweep(ns []int, rate float64, seeds []uint64) ([]ScaleRow, error) {
 	if len(ns) == 0 {
 		ns = []int{4, 8, 16, 32}
@@ -95,11 +90,6 @@ type IntervalRow struct {
 // intervals shrink every dependency window (fewer tentative checkpoints
 // per initiation) while the checkpointing time itself stays put, so the
 // redundant-mutable window grows in relative terms.
-func IntervalSweep(intervals []time.Duration, rate float64, seeds []uint64) ([]IntervalRow, error) {
-	return Sequential().IntervalSweep(intervals, rate, seeds)
-}
-
-// IntervalSweep is the parallel form of the package-level IntervalSweep.
 func (r *Runner) IntervalSweep(intervals []time.Duration, rate float64, seeds []uint64) ([]IntervalRow, error) {
 	if len(intervals) == 0 {
 		intervals = []time.Duration{

@@ -27,6 +27,7 @@ import (
 	"fmt"
 
 	"mutablecp/internal/checkpoint"
+	"mutablecp/internal/consistency"
 	"mutablecp/internal/protocol"
 	"mutablecp/internal/simrt"
 )
@@ -79,6 +80,10 @@ type ExecOptions struct {
 type Executor struct {
 	cluster *simrt.Cluster
 	opts    ExecOptions
+
+	// Filled by the restart hook Install schedules.
+	reports      []*Report
+	inconsistent error
 }
 
 // NewExecutor validates the pairing and returns an executor. Recovery
@@ -111,9 +116,34 @@ type Report struct {
 	Deduped     uint64 // log entries skipped by the exactly-once rule
 }
 
+// Install schedules the crash plans with Recover as the restart hook, and
+// checks the live states right after each recovery, inside its event:
+// later traffic cannot mask an orphan a rollback left behind or a message
+// log replay delivered twice. Reports and Inconsistent read the outcome.
+func (x *Executor) Install(plans []simrt.CrashPlan) error {
+	return x.cluster.InstallCrashes(plans, func(pid protocol.ProcessID) error {
+		rep, err := x.Recover(pid)
+		if err != nil {
+			return err
+		}
+		x.reports = append(x.reports, rep)
+		if err := consistency.Check(x.cluster.States()); err != nil && x.inconsistent == nil {
+			x.inconsistent = fmt.Errorf("after recovering P%d: %w", pid, err)
+		}
+		return nil
+	})
+}
+
+// Reports returns one report per recovery the installed hook ran, in
+// order.
+func (x *Executor) Reports() []*Report { return x.reports }
+
+// Inconsistent returns the first installed recovery that left the live
+// states inconsistent, or nil.
+func (x *Executor) Inconsistent() error { return x.inconsistent }
+
 // Recover brings the crashed process back to live, per the configured
-// mode. It must run as a simulation event (e.g. from
-// simrt.Cluster.InstallCrashes' restart hook).
+// mode. It must run as a simulation event (Install schedules it).
 func (x *Executor) Recover(victim protocol.ProcessID) (*Report, error) {
 	if victim < 0 || victim >= x.cluster.N() {
 		return nil, fmt.Errorf("recovery: unknown process P%d", victim)

@@ -42,7 +42,7 @@ type Config struct {
 	NewStore func(pid protocol.ProcessID, n int) (checkpoint.Store, error)
 	// RetainPermanents bounds how many permanent checkpoints the default
 	// in-memory store keeps (the paper's discard rule). 0 keeps all —
-	// the audit setting the chaos harness's line replay requires.
+	// the audit setting AuditLines requires.
 	// Factory-built stores configure their own retention.
 	RetainPermanents int
 

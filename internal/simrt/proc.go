@@ -180,14 +180,6 @@ func (p *Proc) MaybeInitiate() bool {
 	return true
 }
 
-// aborter is the initiator-side §3.6 surface a timeout needs; core.Engine
-// implements it, the comparison engines need not.
-type aborter interface {
-	Initiating() bool
-	OwnTrigger() protocol.Trigger
-	AbortCurrent() error
-}
-
 // partialAborter is the Kim–Park refinement for timeouts with a known
 // fail-stopped process.
 type partialAborter interface {
@@ -201,7 +193,7 @@ func (p *Proc) armRequestTimeout() {
 	if p.c.cfg.RequestTimeout <= 0 {
 		return
 	}
-	a, ok := p.engine.(aborter)
+	a, ok := p.engine.(protocol.Initiator)
 	if !ok || !a.Initiating() {
 		// Engine without an abort path, or the instance already terminated
 		// synchronously (dependency-free initiator).
@@ -214,7 +206,7 @@ func (p *Proc) armRequestTimeout() {
 	})
 }
 
-func (p *Proc) requestTimeout(a aborter, trig protocol.Trigger, ep uint64) {
+func (p *Proc) requestTimeout(a protocol.Initiator, trig protocol.Trigger, ep uint64) {
 	if p.down() || p.epoch != ep || !a.Initiating() || a.OwnTrigger() != trig {
 		// Crashed, rolled back (the aborter references a discarded
 		// engine), or the instance already terminated.

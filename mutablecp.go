@@ -65,17 +65,17 @@ func RunExperiment(cfg ExperimentConfig) (*ExperimentResult, error) {
 
 // Fig5 regenerates the paper's Fig. 5 series.
 func Fig5(seeds []uint64, rates []float64) (*FigSeries, error) {
-	return harness.Fig5(seeds, rates)
+	return harness.Sequential().Fig5(seeds, rates)
 }
 
 // Fig6 regenerates one panel of the paper's Fig. 6.
 func Fig6(ratio float64, seeds []uint64, rates []float64) (*FigSeries, error) {
-	return harness.Fig6(ratio, seeds, rates)
+	return harness.Sequential().Fig6(ratio, seeds, rates)
 }
 
 // Table1 regenerates the paper's Table 1 empirically.
 func Table1(rate float64, seeds []uint64) ([]Table1Row, error) {
-	return harness.Table1(rate, seeds)
+	return harness.Sequential().Table1(rate, seeds)
 }
 
 // LiveOptions configures a live cluster.
