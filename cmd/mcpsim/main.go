@@ -47,7 +47,7 @@ func main() {
 func validate(fs *flag.FlagSet, algo string, n int, rate, ratio float64,
 	horizon time.Duration, seedCount, parallel int, chaos bool,
 	chaosDrop, chaosDup float64, chaosCrashes int, store string, mssRestart bool,
-	wl string, servers int, scale string, cells, cellWorkers, active int,
+	wl string, servers int, scale string, active int,
 	recoveryMode string, crashAt, restartAfter time.Duration) error {
 	set := make(map[string]bool)
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
@@ -62,18 +62,6 @@ func validate(fs *flag.FlagSet, algo string, n int, rate, ratio float64,
 	}
 	if servers < 0 {
 		return fmt.Errorf("-servers must be >= 0 (0 picks n/8)")
-	}
-	if cells < 0 {
-		return fmt.Errorf("-cells must be >= 0 (0 or 1 = single sequential kernel)")
-	}
-	if cellWorkers < 0 {
-		return fmt.Errorf("-cell-workers must be >= 0 (0 = all CPUs)")
-	}
-	if set["cell-workers"] && cells <= 1 {
-		return fmt.Errorf("-cell-workers requires -cells > 1")
-	}
-	if cells > 1 && chaos {
-		return fmt.Errorf("-cells does not apply to -chaos (fault injection drives the single kernel directly)")
 	}
 	if active < 0 {
 		return fmt.Errorf("-active must be >= 0 (0 = every process generates load)")
@@ -99,9 +87,6 @@ func validate(fs *flag.FlagSet, algo string, n int, rate, ratio float64,
 			if servers >= rung {
 				return fmt.Errorf("-servers %d must be below every -scale rung (smallest is %d)", servers, rung)
 			}
-			if cells > rung {
-				return fmt.Errorf("-cells %d must not exceed any -scale rung (smallest is %d)", cells, rung)
-			}
 			if active > rung {
 				return fmt.Errorf("-active %d must not exceed any -scale rung (smallest is %d)", active, rung)
 			}
@@ -110,9 +95,6 @@ func validate(fs *flag.FlagSet, algo string, n int, rate, ratio float64,
 	if scale == "" {
 		if servers >= n {
 			return fmt.Errorf("-servers must be < -n")
-		}
-		if cells > n {
-			return fmt.Errorf("-cells must be <= -n (at least one process per cell)")
 		}
 		if active > n {
 			return fmt.Errorf("-active must be <= -n")
@@ -187,11 +169,10 @@ func validate(fs *flag.FlagSet, algo string, n int, rate, ratio float64,
 		if scale != "" {
 			return fmt.Errorf("-scale does not apply to -recovery (one cluster, one seeded crash)")
 		}
-		// The recovery experiment fixes a point-to-point workload on the
-		// single sequential kernel (the executor restores the whole cluster
-		// synchronously) and runs its seeds sequentially.
+		// The recovery experiment fixes a point-to-point workload and runs
+		// its seeds sequentially.
 		for _, f := range []string{"workload", "ratio", "servers", "active",
-			"store", "cells", "cell-workers", "parallel"} {
+			"store", "parallel"} {
 			if set[f] {
 				return fmt.Errorf("-%s does not apply to -recovery", f)
 			}
@@ -262,10 +243,6 @@ func run(args []string) error {
 		"client-server workload: number of server processes (0 = n/8, minimum 2)")
 	scale := fs.String("scale", "",
 		"run a large-N ladder instead of one experiment: comma-separated process counts, e.g. 8,64,512,4096")
-	cells := fs.Int("cells", 0,
-		"shard the simulation into this many cells on the conservative parallel kernel (0 or 1 = single sequential kernel)")
-	cellWorkers := fs.Int("cell-workers", 0,
-		"with -cells: worker pool size for the parallel kernel; 0 = all CPUs, 1 = sequential reference execution")
 	active := fs.Int("active", 0,
 		"p2p workload: only the first N processes generate load and schedule checkpoints (0 = all); the scale ladder's min-process regime")
 	prof := profiling.AddFlags(fs)
@@ -317,7 +294,7 @@ func run(args []string) error {
 	}
 	if err := validate(fs, *algo, *n, *rate, *ratio, *horizon, *seedCount,
 		*parallel, *chaos, *chaosDrop, *chaosDup, *chaosCrashes, *store, *mssRestart,
-		*wl, *servers, *scale, *cells, *cellWorkers, *active,
+		*wl, *servers, *scale, *active,
 		*recoveryMode, *crashAt, *restartAfter); err != nil {
 		return err
 	}
@@ -334,9 +311,6 @@ func run(args []string) error {
 	} else {
 		if *chaos || *recoveryMode != "" {
 			return fmt.Errorf("-payload-bytes does not apply to -chaos or -recovery (those fix their own experiment shape)")
-		}
-		if *cells > 1 {
-			return fmt.Errorf("-payload-bytes needs the sequential kernel (drop -cells)")
 		}
 		if *payloadStripe < 0 {
 			return fmt.Errorf("-payload-stripe must be >= 0")
@@ -418,8 +392,6 @@ func run(args []string) error {
 		Horizon:         *horizon,
 		SkipConsistency: *algo == harness.AlgoNaiveNoCSN,
 		StoreDir:        *store,
-		Cells:           *cells,
-		CellWorkers:     *cellWorkers,
 		Active:          *active,
 	}
 	if *payloadBytes > 0 {
@@ -579,9 +551,6 @@ func runRecovery(base harness.RecoveryConfig, seeds []uint64, mode string) error
 func runScale(cfg harness.Config, ladder []int, seedList []uint64, parallel int, wl string) error {
 	fmt.Printf("scale ladder         algo=%s workload=%s rate=%g horizon=%v seeds=%d",
 		cfg.Algorithm, wl, cfg.Rate, cfg.Horizon, len(seedList))
-	if cfg.Cells > 1 {
-		fmt.Printf(" cells=%d", cfg.Cells)
-	}
 	if cfg.Active > 0 {
 		fmt.Printf(" active=%d", cfg.Active)
 	}

@@ -115,7 +115,6 @@ func TestFlagValidation(t *testing.T) {
 		{"recovery under chaos", []string{"-chaos", "-recovery", "rollback"}, "-recovery does not apply to -chaos"},
 		{"recovery under scale", []string{"-recovery", "rollback", "-scale", "8,64"}, "-scale does not apply to -recovery"},
 		{"workload under recovery", []string{"-recovery", "rollback", "-workload", "group"}, "-workload does not apply to -recovery"},
-		{"cells under recovery", []string{"-recovery", "rollback", "-cells", "4"}, "-cells does not apply to -recovery"},
 		{"store under recovery", []string{"-recovery", "rollback", "-store", "/tmp/x"}, "-store does not apply to -recovery"},
 		{"parallel under recovery", []string{"-recovery", "rollback", "-parallel", "4"}, "-parallel does not apply to -recovery"},
 		{"log mode with rollback algo", []string{"-recovery", "log", "-algo", "mutable"}, "pair it with -algo log-based"},

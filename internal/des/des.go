@@ -227,16 +227,6 @@ func (s *Simulator) compact() {
 // current event completes.
 func (s *Simulator) Stop() { s.stopped = true }
 
-// NextEventAt peeks at the earliest pending event's timestamp without
-// firing it. The second result is false when no live event is queued.
-func (s *Simulator) NextEventAt() (time.Duration, bool) {
-	s.pruneRoot()
-	if len(s.heap) == 0 {
-		return 0, false
-	}
-	return s.heap[0].at, true
-}
-
 // SetChooser installs (or, with nil, removes) a tie-break strategy. With a
 // chooser installed, Step collects every live event sharing the earliest
 // timestamp and asks the chooser which fires first; the rest are requeued

@@ -111,36 +111,3 @@ func BenchmarkDESRescheduleStorm(b *testing.B) {
 	}
 	tk.Stop()
 }
-
-// BenchmarkDESParallel4Cell runs the sharded kernel under its intended
-// load: four cells, each running a local event chain whose every event
-// hops to the next shard with the lookahead as its delay. One op is one
-// event, so events/sec compares directly with BenchmarkDESEventChurn; the
-// gap is what the window barrier and merge cost.
-func BenchmarkDESParallel4Cell(b *testing.B) {
-	sh := des.NewShards(4, time.Millisecond)
-	sh.SetWorkers(4)
-	per := b.N/4 + 1
-	var next [4]func()
-	for s := 0; s < 4; s++ {
-		s := s
-		cnt := 0
-		next[s] = func() {
-			// cnt is only mutated on shard s: next[s] is only ever
-			// scheduled there.
-			cnt++
-			if cnt < per {
-				sh.Post(s, (s+1)%4, time.Millisecond, next[(s+1)%4])
-			}
-		}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for s := 0; s < 4; s++ {
-		sh.Shard(s).Schedule(0, next[s])
-	}
-	if err := sh.RunAll(); err != nil {
-		b.Fatal(err)
-	}
-	reportEventRate(b, sh.Executed())
-}

@@ -94,15 +94,6 @@ type Config struct {
 	// Point-to-point workloads only; mutually exclusive with DozeCount.
 	Active int
 
-	// Cells, when > 1, runs the simulation on the conservative parallel
-	// kernel: processes are placed round-robin into Cells cells, each on
-	// its own DES shard (simrt.Config.Cells). Implies the sharded
-	// cellular topology instead of the shared LAN.
-	Cells int
-	// CellWorkers bounds shard concurrency (0 = GOMAXPROCS, 1 = the
-	// sequential reference execution of the sharded model).
-	CellWorkers int
-
 	// StoreDir, when non-empty, backs every process's stable store with
 	// the durable internal/stable log under this directory (one
 	// subdirectory per process) instead of the in-memory store. After the
@@ -119,7 +110,6 @@ type Config struct {
 	// content-addressed chunk store whose save/commit/drop lifecycle
 	// shadows the control plane. The stable transfer is then charged the
 	// deduplicated incremental bytes instead of the fixed 512 KB.
-	// Single-kernel runs only (not with Cells > 1).
 	PayloadBytes int
 	// PayloadChunkBytes is the chunking granularity (default 4 KiB); it
 	// doubles as the image source's page size so dedup accounting is
@@ -284,8 +274,6 @@ func runCluster(cfg Config, tl *trace.Log) (*simrt.Cluster, *payloadRun, error) 
 		ScheduleCheckpoints: true,
 		SingleInitiation:    true,
 		ScheduledProcs:      cfg.Active,
-		Cells:               cfg.Cells,
-		CellWorkers:         cfg.CellWorkers,
 		Trace:               tl,
 	}
 	storeOpts := stable.Options{Keep: 1}
@@ -338,8 +326,6 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
-	// Metrics() re-merges per-cell collectors on every call in cell
-	// mode, so take the snapshot once.
 	met := cluster.Metrics()
 	res := &Result{
 		Config:          cfg,

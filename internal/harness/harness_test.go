@@ -396,3 +396,57 @@ func TestFigCSV(t *testing.T) {
 		t.Fatalf("csv row missing: %q", csv)
 	}
 }
+
+// TestActiveSubsetRun exercises the scale ladder's regime on a small
+// instance: only the first Active processes generate load and schedule
+// checkpoints, the rest are idle spectators in the dependency vectors.
+func TestActiveSubsetRun(t *testing.T) {
+	cfg := harness.Config{
+		Algorithm: harness.AlgoMutable,
+		N:         64,
+		Seed:      3,
+		Workload:  harness.WorkloadP2P,
+		Rate:      0.05,
+		Horizon:   4 * 900 * time.Second,
+		Active:    8,
+	}
+	res, err := harness.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.ConsistencyOK {
+		t.Fatalf("permanent line inconsistent: %v", res.ConsistencyErr)
+	}
+	if res.Initiations == 0 {
+		t.Fatal("no checkpoint instances completed with an active subset")
+	}
+}
+
+// TestScaleLadderEventsIndependentOfN pins the scale ladder's regime:
+// with a fixed active set, an instance's cost is set by its participants,
+// not by N, so the simulated event count is identical at every rung. The
+// run goes through the same sweep call as mcpsim -scale.
+func TestScaleLadderEventsIndependentOfN(t *testing.T) {
+	const wantEvents = 3206 // seed 1, 1 h, 8 active
+	for _, n := range []int{8, 4096, 65536} {
+		res, err := harness.Parallel(1).RunSeeds(harness.Config{
+			Algorithm: harness.AlgoMutableTargeted,
+			N:         n,
+			Rate:      0.05,
+			Horizon:   time.Hour,
+			Active:    8,
+		}, []uint64{1})
+		if err != nil {
+			t.Fatalf("n=%d: %v", n, err)
+		}
+		if res.SimulatedEvents != wantEvents {
+			t.Errorf("n=%d: %d simulated events, want %d", n, res.SimulatedEvents, wantEvents)
+		}
+		if !res.ConsistencyOK {
+			t.Errorf("n=%d: recovery line inconsistent: %v", n, res.ConsistencyErr)
+		}
+		if len(res.ClusterErrors) != 0 {
+			t.Errorf("n=%d: cluster errors: %v", n, res.ClusterErrors)
+		}
+	}
+}

@@ -86,14 +86,10 @@ type Executor struct {
 	inconsistent error
 }
 
-// NewExecutor validates the pairing and returns an executor. Recovery
-// touches every process synchronously, so the cluster must run on a
-// single kernel; ModeLog additionally requires sender-based message
-// logging to be enabled (there is nothing to replay from otherwise).
+// NewExecutor validates the pairing and returns an executor. ModeLog
+// requires sender-based message logging to be enabled (there is nothing
+// to replay from otherwise).
 func NewExecutor(cluster *simrt.Cluster, opts ExecOptions) (*Executor, error) {
-	if cluster.Cells() != 1 {
-		return nil, errors.New("recovery: executor requires single-kernel mode (cells=1)")
-	}
 	switch opts.Mode {
 	case ModeRollback:
 	case ModeLog:
@@ -186,7 +182,7 @@ func (x *Executor) completeCommits() error {
 			}
 		}
 	}
-	now := x.cluster.VirtualNow()
+	now := x.cluster.Sim().Now()
 	for i := 0; i < n; i++ {
 		k := x.cluster.Proc(i).Checkpoints()
 		for _, trig := range k.Stable.TentativeTriggers() {

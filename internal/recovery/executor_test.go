@@ -256,15 +256,4 @@ func TestExecutorValidation(t *testing.T) {
 	if _, err := exec.Recover(99); err == nil {
 		t.Fatal("Recover accepted an unknown process")
 	}
-
-	sharded, err := simrt.New(simrt.Config{N: 4, Cells: 2, NewEngine: mutableEngine})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := recovery.NewExecutor(sharded, recovery.ExecOptions{Mode: recovery.ModeRollback}); err == nil {
-		t.Fatal("executor accepted a sharded cluster")
-	}
-	if err := sharded.InstallCrashes([]simrt.CrashPlan{{Proc: 0, At: time.Second}}, nil); err == nil {
-		t.Fatal("InstallCrashes accepted a sharded cluster")
-	}
 }

@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"mutablecp/internal/checkpoint"
@@ -94,29 +93,8 @@ type Config struct {
 	// itself cost O(N) heap and O(N log N) event churn.
 	ScheduledProcs int
 	// SingleInitiation serializes initiations cluster-wide (the paper's
-	// evaluation regime: "concurrent initiation … not considered"). With
-	// Cells > 1 the serialization is per cell: cross-cell coordination
-	// would need zero-latency shared state, which the conservative
-	// parallel kernel rules out by construction.
+	// evaluation regime: "concurrent initiation … not considered").
 	SingleInitiation bool
-
-	// Cells, when > 1, shards the simulation: processes are placed
-	// round-robin into Cells cells (one per MSS), each cell's events run
-	// on its own DES shard, and inter-cell traffic crosses a wired link
-	// whose propagation latency is the conservative lookahead
-	// (des.Shards). The run uses up to GOMAXPROCS cores and is
-	// deterministic: results are byte-identical for any worker count.
-	// Cell mode excludes Trace (a cross-shard trace log would impose a
-	// global event order the parallel kernel does not define) and
-	// ignores NewTransport (the topology is the sharded cellular one).
-	Cells int
-	// CellWorkers bounds shard concurrency in cell mode; 0 = GOMAXPROCS,
-	// 1 = sequential execution of the sharded model (the reference the
-	// parallel runs are fingerprint-checked against).
-	CellWorkers int
-	// WiredLatency is the inter-cell propagation delay in cell mode (the
-	// conservative lookahead). Default 1 ms.
-	WiredLatency time.Duration
 
 	// RequestTimeout, when positive, arms a §3.6 timeout at every
 	// initiation: if the initiator's termination weight has not returned
@@ -179,39 +157,25 @@ func (c Config) Defaults() Config {
 	if c.DozeWakeLatency == 0 {
 		c.DozeWakeLatency = 5 * time.Millisecond
 	}
-	if c.WiredLatency == 0 {
-		c.WiredLatency = time.Millisecond
-	}
 	return c
 }
 
 // Cluster is one simulated system instance.
 type Cluster struct {
 	cfg       Config
-	sim       *des.Simulator // single-kernel mode; nil when sharded
-	shards    *des.Shards    // cell mode; nil when single-kernel
-	cells     int            // number of cells (1 in single-kernel mode)
+	sim       *des.Simulator
 	transport netsim.Transport
 	procs     []*Proc
 	rng       *xrand.Stream
+	metrics   *Metrics
 
-	// Per-cell state: each slot is touched only by its own cell's shard
-	// during a run (index 0 is the whole cluster in single-kernel mode),
-	// so sharded execution needs no locks here. Cross-cell views (the
-	// merged Metrics, SkippedInitiations) are built after the run or at
-	// barriers.
-	cellMetrics []*Metrics
-	// owners[cell] is the pid of the process whose initiation is in
-	// flight in that cell, or -1. Used when cfg.SingleInitiation is set.
-	owners []int
+	// owner is the pid of the process whose initiation is in flight, or
+	// -1. Used when cfg.SingleInitiation is set.
+	owner int
 
-	// Diagnostics: checkpoint-timer firings skipped and why, per cell.
-	skippedInProgress []uint64
-	skippedActive     []uint64
-
-	// failMu guards errs: invariant violations can be reported from any
-	// shard.
-	failMu sync.Mutex
+	// Diagnostics: checkpoint-timer firings skipped and why.
+	skippedInProgress uint64
+	skippedActive     uint64
 
 	// msgPool recycles protocol.Message structs on the send/deliver hot
 	// path. Enabled only when the transport guarantees exactly-once
@@ -238,52 +202,18 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.N < 2 {
 		return nil, fmt.Errorf("simrt: need at least 2 processes, got %d", cfg.N)
 	}
-	cells := 1
-	if cfg.Cells > 1 {
-		cells = cfg.Cells
-		if cells > cfg.N {
-			return nil, fmt.Errorf("simrt: %d cells for %d processes", cells, cfg.N)
-		}
-		if cfg.Trace != nil {
-			return nil, errors.New("simrt: Trace is not supported in cell mode (no global event order across shards)")
-		}
-		if cfg.NewPayload != nil {
-			// The payload plane is single-kernel for now: the image source
-			// and a shared chunk store would be touched from every shard,
-			// and neither claims cross-shard thread-safety.
-			return nil, errors.New("simrt: payload stores are not supported in cell mode")
-		}
-	}
 	if (cfg.NewPayload == nil) != (cfg.Images == nil) {
 		return nil, errors.New("simrt: NewPayload and Images must be set together")
 	}
 	c := &Cluster{
-		cfg:               cfg,
-		cells:             cells,
-		rng:               xrand.New(cfg.Seed),
-		cellMetrics:       make([]*Metrics, cells),
-		owners:            make([]int, cells),
-		skippedInProgress: make([]uint64, cells),
-		skippedActive:     make([]uint64, cells),
+		cfg:     cfg,
+		sim:     des.New(),
+		rng:     xrand.New(cfg.Seed),
+		metrics: newMetrics(),
+		owner:   -1,
 	}
-	for i := range c.cellMetrics {
-		c.cellMetrics[i] = newMetrics()
-		c.owners[i] = -1
-	}
-	if cells > 1 {
-		c.shards = des.NewShards(cells, cfg.WiredLatency)
-		c.shards.SetWorkers(cfg.CellWorkers)
-		c.transport = netsim.NewShardedCells(c.shards, cfg.N, netsim.CellularConfig{
-			WiredLatency: cfg.WiredLatency,
-		})
-		// Message structs cross shards in cell mode; recycling one could
-		// hand it to a delivery still in flight on another shard.
-		c.pooling = false
-	} else {
-		c.sim = des.New()
-		c.transport = cfg.NewTransport(c.sim, cfg.N)
-		_, c.pooling = c.transport.(netsim.ExactlyOnce)
-	}
+	c.transport = cfg.NewTransport(c.sim, cfg.N)
+	_, c.pooling = c.transport.(netsim.ExactlyOnce)
 	c.procs = make([]*Proc, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		p, err := newProc(c, i)
@@ -418,68 +348,11 @@ func (c *Cluster) RestartStores() error {
 	return nil
 }
 
-// Sim exposes the simulator for workloads and tests. It panics in cell
-// mode, where there is no single kernel: use ScheduleFor to schedule
-// per-process work and Executed/VirtualNow for aggregates.
-func (c *Cluster) Sim() *des.Simulator {
-	if c.sim == nil {
-		panic("simrt: Sim() has no single kernel in cell mode; use ScheduleFor/Executed")
-	}
-	return c.sim
-}
+// Sim exposes the simulator for workloads and tests.
+func (c *Cluster) Sim() *des.Simulator { return c.sim }
 
-// Shards exposes the parallel kernel in cell mode (nil otherwise).
-func (c *Cluster) Shards() *des.Shards { return c.shards }
-
-// Cells reports the cell count (1 in single-kernel mode).
-func (c *Cluster) Cells() int { return c.cells }
-
-// cellOf maps a process to its cell: round-robin, matching the sharded
-// cellular topology's placement.
-func (c *Cluster) cellOf(p protocol.ProcessID) int {
-	if c.cells == 1 {
-		return 0
-	}
-	return int(p) % c.cells
-}
-
-// simFor returns the kernel that runs a process's events.
-func (c *Cluster) simFor(p protocol.ProcessID) *des.Simulator {
-	if c.shards == nil {
-		return c.sim
-	}
-	return c.shards.Shard(c.cellOf(p))
-}
-
-// metricsFor returns the collector a process's events write to (its
-// cell's in cell mode; merged views come from Metrics()).
-func (c *Cluster) metricsFor(p protocol.ProcessID) *Metrics {
-	return c.cellMetrics[c.cellOf(p)]
-}
-
-// ScheduleFor schedules fn on the kernel owning process p, delay from
-// that kernel's current virtual time. Workload generators use it so a
-// process's sends always execute on its own shard.
-func (c *Cluster) ScheduleFor(p protocol.ProcessID, delay time.Duration, fn func()) {
-	c.simFor(p).Schedule(delay, fn)
-}
-
-// Executed reports the total events fired across all kernels.
-func (c *Cluster) Executed() uint64 {
-	if c.shards != nil {
-		return c.shards.Executed()
-	}
-	return c.sim.Executed()
-}
-
-// VirtualNow returns the current virtual time (the last barrier's common
-// time in cell mode).
-func (c *Cluster) VirtualNow() time.Duration {
-	if c.shards != nil {
-		return c.shards.Now()
-	}
-	return c.sim.Now()
-}
+// Executed reports the total events fired.
+func (c *Cluster) Executed() uint64 { return c.sim.Executed() }
 
 // N returns the number of processes.
 func (c *Cluster) N() int { return c.cfg.N }
@@ -490,17 +363,8 @@ func (c *Cluster) Config() Config { return c.cfg }
 // Proc returns process i's runtime.
 func (c *Cluster) Proc(i protocol.ProcessID) *Proc { return c.procs[i] }
 
-// Metrics returns the collector. In cell mode it merges the per-cell
-// collectors deterministically (cell order; per-initiation records are
-// combined across cells with the initiator's cell providing the
-// lifecycle fields). Call it between runs or after Drain, not from
-// inside event callbacks.
-func (c *Cluster) Metrics() *Metrics {
-	if c.cells == 1 {
-		return c.cellMetrics[0]
-	}
-	return mergeMetrics(c.cellMetrics)
-}
+// Metrics returns the collector.
+func (c *Cluster) Metrics() *Metrics { return c.metrics }
 
 // Rand returns a derived random stream for the given label.
 func (c *Cluster) Rand(label uint64) *xrand.Stream { return c.rng.Derive(label) }
@@ -509,11 +373,7 @@ func (c *Cluster) Rand(label uint64) *xrand.Stream { return c.rng.Derive(label) 
 // (always empty for a correct protocol).
 func (c *Cluster) Errors() []error { return append([]error(nil), c.errs...) }
 
-func (c *Cluster) fail(err error) {
-	c.failMu.Lock()
-	c.errs = append(c.errs, err)
-	c.failMu.Unlock()
-}
+func (c *Cluster) fail(err error) { c.errs = append(c.errs, err) }
 
 // Start arms the per-process checkpoint timers with random phases, if
 // ScheduleCheckpoints is set.
@@ -531,29 +391,18 @@ func (c *Cluster) Start() {
 		// Spread first initiations uniformly across one interval.
 		phase := time.Duration(phases.Float64() * float64(c.cfg.CheckpointInterval))
 		offset := phase - c.cfg.CheckpointInterval // ticker fires at period+phase
-		p.ticker = c.simFor(p.id).NewTicker(c.cfg.CheckpointInterval, offset, func() {
+		p.ticker = c.sim.NewTicker(c.cfg.CheckpointInterval, offset, func() {
 			p.MaybeInitiate()
 		})
 	}
 }
 
-// Run advances the simulation to the horizon — in parallel lookahead
-// windows in cell mode.
-func (c *Cluster) Run(horizon time.Duration) error {
-	if c.shards != nil {
-		return c.shards.Run(horizon)
-	}
-	return c.sim.Run(horizon)
-}
+// Run advances the simulation to the horizon.
+func (c *Cluster) Run(horizon time.Duration) error { return c.sim.Run(horizon) }
 
 // Drain runs remaining events with no new horizon (used after stopping the
 // workload and tickers to let in-flight checkpointing terminate).
-func (c *Cluster) Drain() error {
-	if c.shards != nil {
-		return c.shards.RunAll()
-	}
-	return c.sim.RunAll()
-}
+func (c *Cluster) Drain() error { return c.sim.RunAll() }
 
 // StopTimers stops every checkpoint timer.
 func (c *Cluster) StopTimers() {
@@ -626,22 +475,14 @@ func (c *Cluster) firstFailed() protocol.ProcessID {
 	return -1
 }
 
-// ResetOwners clears every SingleInitiation slot. The recovery executor
+// ResetOwners clears the SingleInitiation slot. The recovery executor
 // calls it after a coordinated rollback: any instance that was in flight
 // belongs to the discarded execution.
-func (c *Cluster) ResetOwners() {
-	for i := range c.owners {
-		c.owners[i] = -1
-	}
-}
+func (c *Cluster) ResetOwners() { c.owner = -1 }
 
 // SkippedInitiations reports checkpoint-timer firings that did not start
 // an initiation, split by cause: the process already inside an instance,
 // and another instance in flight under SingleInitiation.
 func (c *Cluster) SkippedInitiations() (inProgress, activeElsewhere uint64) {
-	for cell := 0; cell < c.cells; cell++ {
-		inProgress += c.skippedInProgress[cell]
-		activeElsewhere += c.skippedActive[cell]
-	}
-	return inProgress, activeElsewhere
+	return c.skippedInProgress, c.skippedActive
 }

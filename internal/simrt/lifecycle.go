@@ -7,7 +7,6 @@ package simrt
 // rest of the system only ever observes a process live or down.
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -28,12 +27,8 @@ type CrashPlan struct {
 // InstallCrashes schedules the crash plans on the kernel. onRestart is
 // the recovery entry point, invoked at each plan's restart instant with
 // the crashed process's id; an error from it is recorded as a cluster
-// error. Requires single-kernel mode: recovery touches every process
-// synchronously, which the sharded kernel's lookahead rule forbids.
+// error.
 func (c *Cluster) InstallCrashes(plans []CrashPlan, onRestart func(protocol.ProcessID) error) error {
-	if c.cells != 1 {
-		return errors.New("simrt: crash/recovery lifecycle requires single-kernel mode (cells=1)")
-	}
 	for _, pl := range plans {
 		if pl.Proc < 0 || pl.Proc >= c.cfg.N {
 			return fmt.Errorf("simrt: crash plan for unknown process P%d", pl.Proc)
@@ -62,9 +57,7 @@ func (c *Cluster) InstallCrashes(plans []CrashPlan, onRestart func(protocol.Proc
 // process initiated after csn — instances the rollback discarded, whose
 // triggers the resumed execution will legitimately reuse.
 func (c *Cluster) PurgeRolledBack(pid protocol.ProcessID, csn int) {
-	for _, m := range c.cellMetrics {
-		m.purgeRolledBack(pid, csn)
-	}
+	c.metrics.purgeRolledBack(pid, csn)
 }
 
 // BeginRestore moves a process into PhaseRestoring: its volatile state is
@@ -82,7 +75,7 @@ func (p *Proc) BeginRestore() {
 	p.blocked = false
 	p.disconnected = false
 	p.dozing = false
-	p.busyUntil = p.sim().Now()
+	p.busyUntil = p.c.sim.Now()
 	if p.ticker != nil {
 		// des.Ticker stop is sticky; MarkLive arms a fresh one.
 		p.ticker.Stop()
@@ -117,18 +110,18 @@ func (p *Proc) MarkReplaying() { p.phase = PhaseReplaying }
 // recovery avoids). The checkpoint ticker is re-armed if the process had
 // one scheduled.
 func (p *Proc) MarkLive() {
-	now := p.sim().Now()
+	now := p.c.sim.Now()
 	if p.downSince >= 0 {
-		p.metrics().Restarts++
-		p.metrics().RecoveryTime += now - p.downSince
+		p.c.metrics.Restarts++
+		p.c.metrics.RecoveryTime += now - p.downSince
 		p.downSince = -1
 	} else {
-		p.metrics().PeerRollbacks++
+		p.c.metrics.PeerRollbacks++
 	}
 	p.phase = PhaseLive
 	if p.c.cfg.ScheduleCheckpoints &&
 		(p.c.cfg.ScheduledProcs <= 0 || int(p.id) < p.c.cfg.ScheduledProcs) {
-		p.ticker = p.sim().NewTicker(p.c.cfg.CheckpointInterval, 0, func() {
+		p.ticker = p.c.sim.NewTicker(p.c.cfg.CheckpointInterval, 0, func() {
 			p.MaybeInitiate()
 		})
 	}
@@ -140,7 +133,7 @@ func (p *Proc) MarkLive() {
 // replay step of recovery: content-free counter deltas, csn 0, no
 // trigger — the same shape restoreLine uses for a cold restart).
 func (p *Proc) InjectReplay(from protocol.ProcessID) {
-	p.metrics().ReplayedMessages++
+	p.c.metrics.ReplayedMessages++
 	m := &protocol.Message{
 		Kind: protocol.KindComputation,
 		From: from,
@@ -152,7 +145,7 @@ func (p *Proc) InjectReplay(from protocol.ProcessID) {
 
 // CountDedupedReplays records log entries the executor skipped because
 // the restored checkpoint already covered them (the exactly-once rule).
-func (p *Proc) CountDedupedReplays(n uint64) { p.metrics().DedupedReplays += n }
+func (p *Proc) CountDedupedReplays(n uint64) { p.c.metrics.DedupedReplays += n }
 
 // LoggedSends reports the sender-based message log's count toward one
 // destination (0 unless the cluster runs with MessageLogging).

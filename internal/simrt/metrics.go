@@ -71,12 +71,12 @@ type Metrics struct {
 	PayloadDeltaChunks  uint64
 
 	// Crash/recovery lifecycle counters.
-	Crashes          uint64 // fail-stop events
-	Restarts         uint64 // processes brought back to live
-	ReplayedMessages uint64 // logged/in-transit messages redelivered during recovery
-	DedupedReplays   uint64 // log entries skipped because the checkpoint already covered them
-	StaleDropped     uint64 // in-flight deliveries fenced off by an epoch bump
-	PeerRollbacks    uint64 // non-failed processes rolled back by a recovery
+	Crashes          uint64        // fail-stop events
+	Restarts         uint64        // processes brought back to live
+	ReplayedMessages uint64        // logged/in-transit messages redelivered during recovery
+	DedupedReplays   uint64        // log entries skipped because the checkpoint already covered them
+	StaleDropped     uint64        // in-flight deliveries fenced off by an epoch bump
+	PeerRollbacks    uint64        // non-failed processes rolled back by a recovery
 	RecoveryTime     time.Duration // summed down → live time across restarts
 
 	byTrigger map[protocol.Trigger]*InitiationRecord
@@ -152,71 +152,4 @@ func (m *Metrics) purgeRolledBack(pid protocol.ProcessID, csn int) {
 		kept = append(kept, trig)
 	}
 	m.order = kept
-}
-
-// mergeMetrics folds per-cell collectors into one cluster-wide view. An
-// instance's participants can span cells, so a trigger may have a record
-// in several cells: the initiator's cell (pid % cells) owns the
-// lifecycle fields (Start, End, Done, Committed) and the others
-// contribute their additive counters. Cells are walked in index order,
-// which makes the merged record order — like harness.Parallel's
-// seed-order merge — independent of how the shards interleaved.
-func mergeMetrics(cells []*Metrics) *Metrics {
-	merged := newMetrics()
-	for _, cm := range cells {
-		merged.CompMsgs += cm.CompMsgs
-		merged.CompBytes += cm.CompBytes
-		merged.SysMsgs += cm.SysMsgs
-		merged.SysBytes += cm.SysBytes
-		merged.TotalTentative += cm.TotalTentative
-		merged.TotalMutable += cm.TotalMutable
-		merged.TotalDiscarded += cm.TotalDiscarded
-		merged.TotalPermanent += cm.TotalPermanent
-		merged.TimeoutAborts += cm.TimeoutAborts
-		merged.PayloadSaves += cm.PayloadSaves
-		merged.PayloadLogicalBytes += cm.PayloadLogicalBytes
-		merged.PayloadNewBytes += cm.PayloadNewBytes
-		merged.PayloadNewChunks += cm.PayloadNewChunks
-		merged.PayloadDedupChunks += cm.PayloadDedupChunks
-		merged.PayloadDeltaChunks += cm.PayloadDeltaChunks
-		merged.Crashes += cm.Crashes
-		merged.Restarts += cm.Restarts
-		merged.ReplayedMessages += cm.ReplayedMessages
-		merged.DedupedReplays += cm.DedupedReplays
-		merged.StaleDropped += cm.StaleDropped
-		merged.PeerRollbacks += cm.PeerRollbacks
-		merged.RecoveryTime += cm.RecoveryTime
-	}
-	for _, cm := range cells {
-		for _, trig := range cm.order {
-			if _, seen := merged.byTrigger[trig]; seen {
-				continue
-			}
-			home := int(trig.Pid) % len(cells)
-			base, ok := cells[home].byTrigger[trig]
-			if !ok {
-				base = cm.byTrigger[trig]
-			}
-			rec := *base
-			merged.byTrigger[trig] = &rec
-			merged.order = append(merged.order, trig)
-			for _, other := range cells {
-				orec, ok := other.byTrigger[trig]
-				if !ok || orec == base {
-					continue
-				}
-				rec.Tentative += orec.Tentative
-				rec.Promoted += orec.Promoted
-				rec.Mutable += orec.Mutable
-				rec.Discarded += orec.Discarded
-				rec.Requests += orec.Requests
-				rec.Replies += orec.Replies
-				rec.Commits += orec.Commits
-				rec.SysMsgs += orec.SysMsgs
-				rec.SysBytes += orec.SysBytes
-				rec.BlockedTime += orec.BlockedTime
-			}
-		}
-	}
-	return merged
 }

@@ -141,15 +141,4 @@ func TestPayloadConfigValidation(t *testing.T) {
 	}); err == nil {
 		t.Error("NewPayload without Images accepted")
 	}
-	if _, err := simrt.New(simrt.Config{
-		NewEngine: eng,
-		N:         8,
-		Cells:     2,
-		NewPayload: func(pid protocol.ProcessID, n int) (checkpoint.PayloadStore, error) {
-			return nil, nil
-		},
-		Images: func(pid protocol.ProcessID) []byte { return nil },
-	}); err == nil {
-		t.Error("payload store accepted in cell mode")
-	}
 }

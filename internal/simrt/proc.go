@@ -127,19 +127,6 @@ func growCounter(v []uint64, i int) []uint64 {
 	return v
 }
 
-// cell returns the cell this process lives in (0 in single-kernel mode).
-func (p *Proc) cell() int { return p.c.cellOf(p.id) }
-
-// sim returns the kernel that runs this process's events.
-func (p *Proc) sim() *des.Simulator { return p.c.simFor(p.id) }
-
-// metrics returns the collector this process's events write to.
-func (p *Proc) metrics() *Metrics { return p.c.metricsFor(p.id) }
-
-// owner returns the SingleInitiation slot this process coordinates
-// through — cluster-wide in single-kernel mode, per cell in cell mode.
-func (p *Proc) owner() *int { return &p.c.owners[p.cell()] }
-
 // Engine returns the process's checkpointing engine.
 func (p *Proc) Engine() protocol.Engine { return p.engine }
 
@@ -163,17 +150,17 @@ func (p *Proc) Disconnected() bool { return p.disconnected }
 // instance may be in flight. It reports whether an initiation started.
 func (p *Proc) MaybeInitiate() bool {
 	if p.engine.InProgress() {
-		p.c.skippedInProgress[p.cell()]++
+		p.c.skippedInProgress++
 		return false
 	}
-	if p.c.cfg.SingleInitiation && *p.owner() >= 0 {
-		p.c.skippedActive[p.cell()]++
+	if p.c.cfg.SingleInitiation && p.c.owner >= 0 {
+		p.c.skippedActive++
 		return false
 	}
-	*p.owner() = p.id
+	p.c.owner = p.id
 	if err := p.engine.Initiate(); err != nil {
-		*p.owner() = -1
-		p.c.skippedInProgress[p.cell()]++
+		p.c.owner = -1
+		p.c.skippedInProgress++
 		return false
 	}
 	p.armRequestTimeout()
@@ -201,7 +188,7 @@ func (p *Proc) armRequestTimeout() {
 	}
 	trig := a.OwnTrigger()
 	ep := p.epoch
-	p.sim().Schedule(p.c.cfg.RequestTimeout, func() {
+	p.c.sim.Schedule(p.c.cfg.RequestTimeout, func() {
 		p.requestTimeout(a, trig, ep)
 	})
 }
@@ -212,7 +199,7 @@ func (p *Proc) requestTimeout(a protocol.Initiator, trig protocol.Trigger, ep ui
 		// engine), or the instance already terminated.
 		return
 	}
-	p.metrics().TimeoutAborts++
+	p.c.metrics.TimeoutAborts++
 	p.Trace(trace.KindAbort, -1, "request timeout trigger=%v", trig)
 	if p.c.cfg.PartialAbortOnFailure {
 		if pa, ok := p.engine.(partialAborter); ok {
@@ -251,8 +238,8 @@ func (p *Proc) sendApp(to protocol.ProcessID, payload []byte) {
 		p.logged = growCounter(p.logged, to)
 		p.logged[to]++
 	}
-	p.metrics().CompMsgs++
-	p.metrics().CompBytes += uint64(m.Size)
+	p.c.metrics.CompMsgs++
+	p.c.metrics.CompBytes += uint64(m.Size)
 	if p.Tracing() {
 		// Guarded at the call site: variadic Trace boxes its arguments
 		// even when the log is nil, which is the hot path's only
@@ -263,7 +250,7 @@ func (p *Proc) sendApp(to protocol.ProcessID, payload []byte) {
 	epS, epD := p.epoch, dst.epoch
 	p.c.transport.Unicast(p.id, to, m.Size, func() {
 		if p.epoch != epS || dst.epoch != epD {
-			dst.metrics().StaleDropped++
+			p.c.metrics.StaleDropped++
 			return
 		}
 		dst.receive(m)
@@ -285,7 +272,7 @@ func (p *Proc) receive(m *protocol.Message) {
 	if p.down() {
 		return // fail-stop: messages to a crashed host are lost
 	}
-	now := p.sim().Now()
+	now := p.c.sim.Now()
 	if p.dozing {
 		// §1: the MH in doze mode is awakened on receiving a message.
 		p.wakeups++
@@ -294,9 +281,9 @@ func (p *Proc) receive(m *protocol.Message) {
 	}
 	if now < p.busyUntil {
 		ep := p.epoch
-		p.sim().ScheduleAt(p.busyUntil, func() {
+		p.c.sim.ScheduleAt(p.busyUntil, func() {
 			if p.epoch != ep {
-				p.metrics().StaleDropped++
+				p.c.metrics.StaleDropped++
 				return
 			}
 			p.deliverNow(m)
@@ -331,7 +318,7 @@ func (p *Proc) ID() protocol.ProcessID { return p.id }
 func (p *Proc) N() int { return p.c.cfg.N }
 
 // Now implements protocol.Env.
-func (p *Proc) Now() time.Duration { return p.sim().Now() }
+func (p *Proc) Now() time.Duration { return p.c.sim.Now() }
 
 // Send implements protocol.Env for system messages.
 func (p *Proc) Send(m *protocol.Message) {
@@ -342,7 +329,7 @@ func (p *Proc) Send(m *protocol.Message) {
 	epS, epD := p.epoch, dst.epoch
 	p.c.transport.Unicast(p.id, m.To, m.Size, func() {
 		if p.epoch != epS || dst.epoch != epD {
-			dst.metrics().StaleDropped++
+			p.c.metrics.StaleDropped++
 			return
 		}
 		dst.receive(m)
@@ -366,7 +353,7 @@ func (p *Proc) Broadcast(m *protocol.Message) {
 			// — but receive() drops on a down process and recovery runs
 			// atomically, so a receiver epoch can only change together
 			// with the sender's in rollback mode.)
-			dst.metrics().StaleDropped++
+			p.c.metrics.StaleDropped++
 			return
 		}
 		// Each destination gets its own shallow copy so deliveries can be
@@ -379,8 +366,8 @@ func (p *Proc) Broadcast(m *protocol.Message) {
 }
 
 func (p *Proc) countSys(m *protocol.Message, n int) {
-	p.metrics().SysMsgs += uint64(n)
-	p.metrics().SysBytes += uint64(n * m.Size)
+	p.c.metrics.SysMsgs += uint64(n)
+	p.c.metrics.SysBytes += uint64(n * m.Size)
 	rec := p.recordFor(m.Trigger)
 	if rec == nil {
 		return
@@ -401,14 +388,14 @@ func (p *Proc) countSys(m *protocol.Message, n int) {
 // its trigger when present, otherwise the single active initiation.
 func (p *Proc) recordFor(trig protocol.Trigger) *InitiationRecord {
 	if !trig.IsNone() {
-		return p.metrics().record(trig, p.sim().Now())
+		return p.c.metrics.record(trig, p.c.sim.Now())
 	}
-	if *p.owner() >= 0 {
+	if p.c.owner >= 0 {
 		// Attribute trigger-less traffic (e.g. markers) to the in-flight
 		// instance.
-		for _, t := range p.metrics().order {
-			rec := p.metrics().byTrigger[t]
-			if !rec.Done && rec.Initiator == *p.owner() {
+		for _, t := range p.c.metrics.order {
+			rec := p.c.metrics.byTrigger[t]
+			if !rec.Done && rec.Initiator == p.c.owner {
 				return rec
 			}
 		}
@@ -424,7 +411,7 @@ func (p *Proc) CaptureState() protocol.State {
 		Proc:     p.id,
 		SentTo:   append([]uint64(nil), p.sentTo...),
 		RecvFrom: append([]uint64(nil), p.recvFrom...),
-		At:       p.sim().Now(),
+		At:       p.c.sim.Now(),
 	}
 }
 
@@ -434,11 +421,11 @@ func (p *Proc) CaptureState() protocol.State {
 // CheckpointBytes when the run has no payload plane. It returns the
 // initiation record the checkpoint counts toward, if any.
 func (p *Proc) saveTentative(s protocol.State, trig protocol.Trigger, img []byte) *InitiationRecord {
-	rcpt, err := p.ckpt.SaveTentative(s, trig, p.sim().Now(), img)
+	rcpt, err := p.ckpt.SaveTentative(s, trig, p.c.sim.Now(), img)
 	if !p.check("save tentative", err) {
 		return nil
 	}
-	m := p.metrics()
+	m := p.c.metrics
 	m.TotalTentative++
 	rec := p.recordFor(trig)
 	if rec != nil {
@@ -470,19 +457,19 @@ func (p *Proc) saveTentative(s protocol.State, trig protocol.Trigger, img []byte
 // deduplicated incremental bytes of the live process image).
 func (p *Proc) SaveTentative(s protocol.State, trig protocol.Trigger) {
 	p.saveTentative(s, trig, p.ckpt.Image())
-	p.busyUntil = p.sim().Now() + p.c.cfg.MutableSaveTime
+	p.busyUntil = p.c.sim.Now() + p.c.cfg.MutableSaveTime
 }
 
 // SaveMutable implements protocol.Env: a local memory copy only.
 func (p *Proc) SaveMutable(s protocol.State, trig protocol.Trigger) {
-	if !p.check("save mutable", p.ckpt.SaveMutable(s, trig, p.sim().Now())) {
+	if !p.check("save mutable", p.ckpt.SaveMutable(s, trig, p.c.sim.Now())) {
 		return
 	}
-	p.metrics().TotalMutable++
+	p.c.metrics.TotalMutable++
 	if rec := p.recordFor(trig); rec != nil {
 		rec.Mutable++
 	}
-	p.busyUntil = p.sim().Now() + p.c.cfg.MutableSaveTime
+	p.busyUntil = p.c.sim.Now() + p.c.cfg.MutableSaveTime
 }
 
 // PromoteMutable implements protocol.Env: the stored snapshot, and the
@@ -502,7 +489,7 @@ func (p *Proc) DiscardMutable(trig protocol.Trigger) {
 	if !p.check("discard", p.ckpt.DiscardMutable(trig)) {
 		return
 	}
-	p.metrics().TotalDiscarded++
+	p.c.metrics.TotalDiscarded++
 	if rec := p.recordFor(trig); rec != nil {
 		rec.Discarded++
 	}
@@ -510,8 +497,8 @@ func (p *Proc) DiscardMutable(trig protocol.Trigger) {
 
 // MakePermanent implements protocol.Env.
 func (p *Proc) MakePermanent(trig protocol.Trigger) {
-	if p.check("make permanent", p.ckpt.Commit(trig, p.sim().Now())) {
-		p.metrics().TotalPermanent++
+	if p.check("make permanent", p.ckpt.Commit(trig, p.c.sim.Now())) {
+		p.c.metrics.TotalPermanent++
 	}
 }
 
@@ -544,7 +531,7 @@ func (p *Proc) BlockApp() {
 		return
 	}
 	p.blocked = true
-	p.blockedSince = p.sim().Now()
+	p.blockedSince = p.c.sim.Now()
 	p.Trace(trace.KindBlock, -1, "")
 }
 
@@ -554,7 +541,7 @@ func (p *Proc) UnblockApp() {
 		return
 	}
 	p.blocked = false
-	blockedFor := p.sim().Now() - p.blockedSince
+	blockedFor := p.c.sim.Now() - p.blockedSince
 	if rec := p.recordFor(protocol.NoTrigger); rec != nil {
 		rec.BlockedTime += blockedFor
 	}
@@ -564,12 +551,12 @@ func (p *Proc) UnblockApp() {
 
 // CheckpointingDone implements protocol.Env.
 func (p *Proc) CheckpointingDone(trig protocol.Trigger, committed bool) {
-	rec := p.metrics().record(trig, p.sim().Now())
-	rec.End = p.sim().Now()
+	rec := p.c.metrics.record(trig, p.c.sim.Now())
+	rec.End = p.c.sim.Now()
 	rec.Done = true
 	rec.Committed = committed
-	if *p.owner() == p.id {
-		*p.owner() = -1
+	if p.c.owner == p.id {
+		p.c.owner = -1
 	}
 }
 
@@ -578,7 +565,7 @@ func (p *Proc) Trace(kind trace.Kind, peer int, format string, args ...any) {
 	if p.c.cfg.Trace == nil {
 		return
 	}
-	p.c.cfg.Trace.Addf(p.sim().Now(), kind, p.id, peer, format, args...)
+	p.c.cfg.Trace.Addf(p.c.sim.Now(), kind, p.id, peer, format, args...)
 }
 
 // Tracing implements protocol.Env.
@@ -625,19 +612,19 @@ func (p *Proc) Fail() {
 		return
 	}
 	p.phase = PhaseDown
-	p.downSince = p.sim().Now()
-	p.metrics().Crashes++
+	p.downSince = p.c.sim.Now()
+	p.c.metrics.Crashes++
 	p.ckpt.Crash()
 	p.queue = nil
 	p.inbox = nil
 	if p.ticker != nil {
 		p.ticker.Stop()
 	}
-	if *p.owner() == p.id {
+	if p.c.owner == p.id {
 		// A crashed initiator can never terminate its instance; under
 		// SingleInitiation the cluster would otherwise be deadlocked for
 		// the rest of the run.
-		*p.owner() = -1
+		p.c.owner = -1
 	}
 	p.Trace(trace.KindNote, -1, "fail-stop")
 }

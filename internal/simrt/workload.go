@@ -69,9 +69,9 @@ func (w *PointToPoint) Install(c *Cluster) {
 				dst++
 			}
 			c.SendApp(i, dst, nil)
-			c.ScheduleFor(i, secs(rng.Exp(w.Rate)), fire)
+			c.sim.Schedule(secs(rng.Exp(w.Rate)), fire)
 		}
-		c.ScheduleFor(i, secs(rng.Exp(w.Rate)), fire)
+		c.sim.Schedule(secs(rng.Exp(w.Rate)), fire)
 	}
 }
 
@@ -147,9 +147,9 @@ func (w *Group) Install(c *Cluster) {
 				dst++
 			}
 			c.SendApp(i, dst, nil)
-			c.ScheduleFor(i, secs(rng.Exp(w.IntraRate)), intra)
+			c.sim.Schedule(secs(rng.Exp(w.IntraRate)), intra)
 		}
-		c.ScheduleFor(i, secs(rng.Exp(w.IntraRate)), intra)
+		c.sim.Schedule(secs(rng.Exp(w.IntraRate)), intra)
 
 		if i != w.LeaderOf(g, n) {
 			continue
@@ -166,9 +166,9 @@ func (w *Group) Install(c *Cluster) {
 				og++
 			}
 			c.SendApp(i, w.LeaderOf(og, n), nil)
-			c.ScheduleFor(i, secs(irng.Exp(interRate)), inter)
+			c.sim.Schedule(secs(irng.Exp(interRate)), inter)
 		}
-		c.ScheduleFor(i, secs(irng.Exp(interRate)), inter)
+		c.sim.Schedule(secs(irng.Exp(interRate)), inter)
 	}
 }
 
@@ -221,9 +221,9 @@ func (w *ClientServer) Install(c *Cluster) {
 				return
 			}
 			c.SendApp(i, rng.Intn(w.Servers), []byte{reqMark})
-			c.ScheduleFor(i, secs(rng.Exp(w.Rate)), fire)
+			c.sim.Schedule(secs(rng.Exp(w.Rate)), fire)
 		}
-		c.ScheduleFor(i, secs(rng.Exp(w.Rate)), fire)
+		c.sim.Schedule(secs(rng.Exp(w.Rate)), fire)
 	}
 }
 

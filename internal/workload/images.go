@@ -17,7 +17,7 @@
 // Everything is driven by xrand streams derived from (seed, pid), so
 // images are deterministic across runs and independent across
 // processes — a process's image evolves identically no matter how the
-// cluster's shards interleave.
+// other processes' events interleave with its own.
 package workload
 
 import (
@@ -105,9 +105,8 @@ func (c ImagesConfig) defaults() ImagesConfig {
 	return c
 }
 
-// Images is a deterministic per-process image source. Each process's
-// state is touched only from its own goroutine/shard, so no locking is
-// needed (matching simrt's per-cell ownership discipline).
+// Images is a deterministic per-process image source. The simulator
+// drives it from its single event loop, so no locking is needed.
 type Images struct {
 	cfg  ImagesConfig
 	imgs [][]byte
