@@ -272,10 +272,6 @@ func run(args []string) error {
 		"with -payload-bytes: image mutation profile: uniform, skewed, or append")
 	payloadMode := fs.String("payload-mode", "",
 		"with -payload-bytes: storage mode: incremental, delta, or full")
-	payloadStripe := fs.Int("payload-stripe", 0,
-		"with -payload-bytes: stripe payload chunks across this many MSS stores (0 or 1 = single store; needs -store)")
-	payloadReplicas := fs.Int("payload-replicas", 0,
-		"with -payload-stripe: replicas per chunk (0 = 2)")
 	recoveryMode := fs.String("recovery", "",
 		"run a crash-and-recover experiment: rollback (coordinated line) or log (sender-based message logging)")
 	crashAt := fs.Duration("crash-at", 0,
@@ -299,8 +295,7 @@ func run(args []string) error {
 		return err
 	}
 	if *payloadBytes <= 0 {
-		for _, f := range []string{"payload-chunk", "payload-profile", "payload-mode",
-			"payload-stripe", "payload-replicas"} {
+		for _, f := range []string{"payload-chunk", "payload-profile", "payload-mode"} {
 			if explicit[f] {
 				return fmt.Errorf("-%s requires -payload-bytes", f)
 			}
@@ -312,11 +307,8 @@ func run(args []string) error {
 		if *chaos || *recoveryMode != "" {
 			return fmt.Errorf("-payload-bytes does not apply to -chaos or -recovery (those fix their own experiment shape)")
 		}
-		if *payloadStripe < 0 {
-			return fmt.Errorf("-payload-stripe must be >= 0")
-		}
-		if *payloadStripe > 1 && *store == "" {
-			return fmt.Errorf("-payload-stripe needs -store (stripe members live on disk so a member can be lost and restored)")
+		if *payloadChunk < 0 {
+			return fmt.Errorf("-payload-chunk must be >= 0")
 		}
 	}
 	imgProfile, err := workload.ParseImageProfile(*payloadProfile)
@@ -399,10 +391,8 @@ func run(args []string) error {
 		cfg.PayloadChunkBytes = *payloadChunk
 		cfg.PayloadProfile = imgProfile
 		cfg.PayloadMode = chunkMode
-		cfg.PayloadStripe = *payloadStripe
-		cfg.PayloadReplicas = *payloadReplicas
-		// With -store the chunk stores persist next to the stable stores;
-		// otherwise they run on the in-memory error-injecting filesystem.
+		// With -store the chunk store persists next to the stable stores;
+		// otherwise it runs on the in-memory error-injecting filesystem.
 		cfg.PayloadDir = *store
 	}
 	switch *wl {
@@ -460,10 +450,6 @@ func run(args []string) error {
 		fmt.Printf("payload dedup        %d chunks (%d self-process, %d cross-process), %d delta\n",
 			res.PayloadStats.DedupChunks, res.PayloadStats.SelfDedupChunks,
 			res.PayloadStats.CrossDedupChunks, res.PayloadStats.DeltaChunks)
-		if cfg.PayloadStripe > 1 {
-			fmt.Printf("payload stripe       %d stores, %d chunks live across members\n",
-				res.PayloadStats.Stores, res.PayloadStats.LiveChunks)
-		}
 		if res.PayloadVerifyOK {
 			fmt.Printf("payload audit        OK (every manifest resolves to intact chunks)\n")
 		} else {

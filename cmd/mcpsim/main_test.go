@@ -60,6 +60,19 @@ func TestRunRecoveryLog(t *testing.T) {
 	}
 }
 
+// TestRunPayload drives the payload plane through the CLI with the
+// chunk store on disk under -store, in delta mode.
+func TestRunPayload(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation run")
+	}
+	err := run([]string{"-n", "8", "-payload-bytes", "65536", "-payload-profile", "skewed",
+		"-payload-mode", "delta", "-horizon", "90m", "-seed", "7", "-store", t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestUnknownWorkloadRejected(t *testing.T) {
 	if err := run([]string{"-workload", "mesh"}); err == nil {
 		t.Fatal("unknown workload accepted")
@@ -125,6 +138,14 @@ func TestFlagValidation(t *testing.T) {
 		{"zero restart-after", []string{"-recovery", "rollback", "-restart-after", "0s"}, "-restart-after must be positive"},
 		{"crash beyond horizon", []string{"-recovery", "rollback", "-horizon", "1h", "-crash-at", "59m"},
 			"leaves no -horizon"},
+		{"payload-chunk without payload-bytes", []string{"-payload-chunk", "8192"}, "-payload-chunk requires -payload-bytes"},
+		{"negative payload-bytes", []string{"-payload-bytes", "-1"}, "-payload-bytes must be >= 0"},
+		{"payload under chaos", []string{"-chaos", "-payload-bytes", "4096"}, "-payload-bytes does not apply to -chaos"},
+		{"payload under recovery", []string{"-recovery", "rollback", "-payload-bytes", "4096"}, "does not apply to -chaos or -recovery"},
+		{"bad payload-mode", []string{"-payload-bytes", "4096", "-payload-mode", "zip"}, "unknown mode"},
+		{"bad payload-profile", []string{"-payload-bytes", "4096", "-payload-profile", "hot"}, "unknown image profile"},
+		{"negative payload-chunk", []string{"-payload-bytes", "4096", "-payload-chunk", "-5"}, "-payload-chunk must be >= 0"},
+		{"payload-stripe is gone", []string{"-payload-bytes", "4096", "-payload-stripe", "3"}, "flag provided but not defined"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

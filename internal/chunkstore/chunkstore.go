@@ -105,10 +105,6 @@ type Options struct {
 	// unreachable bytes exceed this fraction of the on-disk payload
 	// bytes (default 0.5). Negative disables auto-compaction.
 	GarbageRatio float64
-	// Partial marks this store as one member of a stripe: manifests may
-	// reference chunks placed on other members, so open does not require
-	// local resolution and refcounts cover local chunks only.
-	Partial bool
 	// Workers bounds the SHA-256 fan-out on the save path. Hashing runs
 	// in parallel but the manifest and segment records are assembled in
 	// input order, so the on-disk bytes are identical for any worker
@@ -177,7 +173,6 @@ type chunkInfo struct {
 // Stats is a point-in-time summary of the store, plain data for the
 // control RPC's gob plane.
 type Stats struct {
-	Stores     int // stripe members represented (1 for a plain store)
 	Segments   int
 	Chunks     int   // indexed chunks, including unreferenced-but-revivable ones
 	LiveChunks int   // chunks reachable from a retained manifest
@@ -230,7 +225,7 @@ func Dir(root string) string { return filepath.Join(root, "chunks") }
 // Open opens (or creates) the chunk store in dir. seglog.Open recovers an
 // existing directory — replay from the newest reset boundary, truncate
 // the torn tail — and Open then rebuilds the refcounts and requires every
-// retained manifest to resolve locally (unless Partial).
+// retained manifest to resolve.
 func Open(dir string, opts Options) (*Store, error) {
 	opts = opts.defaults()
 	if opts.ChunkBytes > maxChunkBytes {
@@ -373,9 +368,9 @@ func (s *Store) indexChunk(h wire.ChunkHash, info *chunkInfo) {
 }
 
 // rebuildRefs recomputes refcounts from the retained manifests, drops
-// unreferenced delta entries (they cannot be safely revived), and —
-// outside Partial mode — requires every retained manifest to resolve to
-// locally indexed chunks, transitively through delta bases.
+// unreferenced delta entries (they cannot be safely revived), and
+// requires every retained manifest to resolve to indexed chunks,
+// transitively through delta bases.
 func (s *Store) rebuildRefs() error {
 	for _, info := range s.chunks {
 		info.refs = 0
@@ -384,9 +379,6 @@ func (s *Store) rebuildRefs() error {
 		for _, h := range m.Hashes {
 			info := s.chunks[h]
 			if info == nil {
-				if s.opts.Partial {
-					continue
-				}
 				return fmt.Errorf("chunkstore: %s manifest P%d %+v references missing chunk %x", kind, m.Proc, m.Trigger, h[:8])
 			}
 			info.refs++
@@ -419,9 +411,6 @@ func (s *Store) rebuildRefs() error {
 		}
 		b := s.chunks[info.base]
 		if b == nil {
-			if s.opts.Partial {
-				continue
-			}
 			return fmt.Errorf("chunkstore: delta chunk %x references missing base %x", h[:8], info.base[:8])
 		}
 		if b.delta {
@@ -559,7 +548,7 @@ func (s *Store) ref(info *chunkInfo) {
 func (s *Store) unref(h wire.ChunkHash) {
 	info := s.chunks[h]
 	if info == nil {
-		return // stripe member without this chunk
+		return // nothing indexed to release
 	}
 	info.refs--
 	if info.refs > 0 {
@@ -578,53 +567,16 @@ func (s *Store) unrefManifest(m *Manifest) {
 	}
 }
 
-// ChunkWrite is one entry in a batched chunk append: the content and
-// its already-computed address.
-type ChunkWrite struct {
-	Hash wire.ChunkHash
-	Data []byte
-}
-
-// ChunkWriteResult reports what one entry of a batched append did.
-// Cross is meaningful only on a dedup hit (Bytes == 0): it reports that
-// the matching chunk was first stored by a different process.
-type ChunkWriteResult struct {
-	Bytes int
-	Cross bool
-}
-
-// PutChunks appends a batch of content-addressed chunks for proc, in
-// order, under one lock acquisition (the stripe issues one batch per
-// member so concurrent members never interleave within a log). The
-// caller must pass each chunk's true hash. Reference counts are not
-// changed — references come from manifests.
-func (s *Store) PutChunks(proc protocol.ProcessID, batch []ChunkWrite) ([]ChunkWriteResult, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.usable(); err != nil {
-		return nil, err
-	}
-	out := make([]ChunkWriteResult, len(batch))
-	for i, cw := range batch {
-		n, cross, err := s.putChunkLocked(proc, cw.Hash, cw.Data)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = ChunkWriteResult{Bytes: n, Cross: cross}
-	}
-	return out, nil
-}
-
-func (s *Store) putChunkLocked(proc protocol.ProcessID, h wire.ChunkHash, data []byte) (int, bool, error) {
-	if info, ok := s.chunks[h]; ok && s.opts.Mode != ModeFull {
-		return 0, info.owner != proc, nil
-	}
+// putChunkLocked stores one chunk whole for proc and returns the payload
+// bytes appended. The caller has already ruled out a dedup hit (ModeFull
+// rewrites a known chunk anyway).
+func (s *Store) putChunkLocked(proc protocol.ProcessID, h wire.ChunkHash, data []byte) (int, error) {
 	pos, _, err := s.append(&wire.ChunkRecord{Op: wire.ChunkOpPut, Proc: proc, Hash: h, Payload: data}, false)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	s.indexChunk(h, &chunkInfo{size: len(data), stored: len(data), seg: pos.Segment, off: pos.Offset, owner: proc})
-	return len(data), false, nil
+	return len(data), nil
 }
 
 // putDeltaLocked stores a chunk as a patch against base (which must be a
@@ -639,31 +591,9 @@ func (s *Store) putDeltaLocked(proc protocol.ProcessID, h, base wire.ChunkHash, 
 	return len(patch), nil
 }
 
-// PutTentativeManifest appends a tentative manifest record, registers
-// it, and takes references on the locally present chunks. It returns the
-// frame bytes appended.
-func (s *Store) PutTentativeManifest(m *Manifest) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.usable(); err != nil {
-		return 0, err
-	}
-	if s.tent[m.Proc][m.Trigger] != nil {
-		return 0, checkpoint.ErrPayloadPending
-	}
-	if !s.opts.Partial {
-		for _, h := range m.Hashes {
-			if s.chunks[h] == nil {
-				return 0, fmt.Errorf("chunkstore: manifest P%d %+v references unknown chunk %x", m.Proc, m.Trigger, h[:8])
-			}
-		}
-	}
-	return s.putManifestLocked(manifestCopy(m))
-}
-
 // putManifestLocked appends m's tentative manifest record, registers m
-// (which the store now owns) and takes references on the locally present
-// chunks. It returns the frame bytes appended.
+// (which the store now owns) and takes references on its chunks. It
+// returns the frame bytes appended.
 func (s *Store) putManifestLocked(m *Manifest) (int, error) {
 	_, n, err := s.append(&wire.ChunkRecord{
 		Op: wire.ChunkOpManifest, Proc: m.Proc, Trigger: m.Trigger, At: m.At,
@@ -679,16 +609,13 @@ func (s *Store) putManifestLocked(m *Manifest) (int, error) {
 	}
 	tm[m.Trigger] = m
 	for _, h := range m.Hashes {
-		if info := s.chunks[h]; info != nil {
-			s.ref(info)
-		}
+		s.ref(s.chunks[h])
 	}
 	return n, nil
 }
 
 // PutTentative chunks a process image, stores the new chunks (dedup and
-// delta per the mode), and records the tentative manifest. It is the
-// single-store save path; a Stripe places chunks itself.
+// delta per the mode), and records the tentative manifest.
 //
 // SHA-256 hashing — the CPU-bound half of a save — runs outside the
 // lock over the worker pool; the index lookups and appends then run in
@@ -756,7 +683,7 @@ func (s *Store) PutTentative(proc protocol.ProcessID, trig protocol.Trigger, at 
 				}
 			}
 		}
-		n, _, err := s.putChunkLocked(proc, h, data)
+		n, err := s.putChunkLocked(proc, h, data)
 		if err != nil {
 			return r, err
 		}
@@ -861,16 +788,6 @@ func (s *Store) readChunkLocked(h wire.ChunkHash) ([]byte, error) {
 		return nil, fmt.Errorf("%w: %x", ErrBadChunk, h[:8])
 	}
 	return data, nil
-}
-
-// ReadChunk materializes and hash-verifies one chunk.
-func (s *Store) ReadChunk(h wire.ChunkHash) ([]byte, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	return s.readChunkLocked(h)
 }
 
 // Permanent returns the newest permanent manifest for proc.
@@ -1029,7 +946,6 @@ func (s *Store) Stats() Stats {
 	defer s.mu.Unlock()
 	st := s.stats
 	st.Metrics = s.log.Metrics()
-	st.Stores = 1
 	st.Segments = len(s.log.Segments())
 	st.Chunks = len(s.chunks)
 	st.DiskBytes = s.diskBytes

@@ -409,95 +409,3 @@ func TestDiffApplyRoundTrip(t *testing.T) {
 		}
 	}
 }
-
-func TestStripeKillOneMSSRestores(t *testing.T) {
-	// Replication 2 across 3 members: wiping any single member must
-	// leave the newest committed line fully restorable.
-	fs := errfs.New()
-	dirs := StripeDirs("stripe", 3)
-	opts := Options{FS: fs, ChunkBytes: 1 << 10, SegmentBytes: 16 << 10, Keep: 1}
-	st, err := OpenStripe(dirs, 2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(10))
-	images := map[protocol.ProcessID][]byte{}
-	for pid := protocol.ProcessID(0); pid < 4; pid++ {
-		img := randImage(rng, 12<<10)
-		images[pid] = img
-		if _, err := st.PutTentative(pid, trig(pid, 1), 0, img); err != nil {
-			t.Fatal(err)
-		}
-		if err := st.CommitTentative(pid, trig(pid, 1), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	for victim := 0; victim < 3; victim++ {
-		// Wipe one member's directory: remove all of its segment files.
-		names, err := fs.ReadDir(dirs[victim])
-		if err != nil {
-			t.Fatal(err)
-		}
-		removed := map[string][]byte{}
-		for _, name := range names {
-			path := dirs[victim] + "/" + name
-			if data, ok := fs.FileData(path); ok {
-				removed[path] = append([]byte(nil), data...)
-			}
-			if err := fs.Remove(path); err != nil {
-				t.Fatal(err)
-			}
-		}
-		st2, err := OpenStripe(dirs, 2, opts)
-		if err != nil {
-			t.Fatalf("victim %d: reopen: %v", victim, err)
-		}
-		for pid, want := range images {
-			got, ok, err := st2.Materialize(pid)
-			if err != nil || !ok {
-				t.Fatalf("victim %d: P%d restore: ok=%v err=%v", victim, pid, ok, err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("victim %d: P%d restored image differs", victim, pid)
-			}
-			if err := st2.Verify(pid); err != nil {
-				t.Fatalf("victim %d: P%d verify: %v", victim, pid, err)
-			}
-		}
-		if err := st2.Close(); err != nil {
-			t.Fatal(err)
-		}
-		// Put the victim's files back for the next scenario (clearing
-		// whatever the fresh open created first).
-		now, err := fs.ReadDir(dirs[victim])
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range now {
-			if err := fs.Remove(dirs[victim] + "/" + name); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for path, data := range removed {
-			f, err := fs.Create(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := f.Write(data); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := fs.SyncDir(dirs[victim]); err != nil {
-			t.Fatal(err)
-		}
-	}
-}

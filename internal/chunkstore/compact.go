@@ -78,9 +78,6 @@ func (s *Store) compactLocked() error {
 			}
 			old := s.chunks[h]
 			if old == nil {
-				if s.opts.Partial {
-					continue // placed on another stripe member
-				}
 				return fmt.Errorf("chunkstore: compact: manifest P%d %+v references missing chunk %x", m.Proc, m.Trigger, h[:8])
 			}
 			data, err := s.readChunkLocked(h)

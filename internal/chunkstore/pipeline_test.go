@@ -3,8 +3,7 @@ package chunkstore
 // The parallel save pipeline must be invisible on disk: hashing fans
 // out over a worker pool, but the records are assembled in input order,
 // so every segment and every manifest must be byte-identical whatever
-// the worker count — for the single store and for the stripe (where
-// members additionally write concurrently).
+// the worker count.
 
 import (
 	"bytes"
@@ -76,28 +75,6 @@ func runStoreWorkload(t *testing.T, workers int) ([]byte, Stats) {
 	return fs.Snapshot(), st
 }
 
-func runStripeWorkload(t *testing.T, workers int) ([]byte, Stats) {
-	t.Helper()
-	fs := errfs.New()
-	opts := testOpts(fs)
-	opts.Workers = workers
-	st, err := OpenStripe(StripeDirs("stripe", 3), 2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipelineWorkload(t,
-		func(p protocol.ProcessID, tr protocol.Trigger, at time.Duration, img []byte) error {
-			_, err := st.PutTentative(p, tr, at, img)
-			return err
-		},
-		st.CommitTentative, st.DropTentative)
-	stats := st.Stats()
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return fs.Snapshot(), stats
-}
-
 func TestPipelineDeterministicAcrossWorkers(t *testing.T) {
 	baseImg, baseStats := runStoreWorkload(t, 1)
 	if baseStats.DedupChunks == 0 || baseStats.NewChunks == 0 {
@@ -118,26 +95,6 @@ func TestPipelineDeterministicAcrossWorkers(t *testing.T) {
 		}
 		if st != baseStats {
 			t.Fatalf("store stats with %d workers differ:\n 1: %+v\n%2d: %+v", workers, baseStats, workers, st)
-		}
-	}
-}
-
-func TestStripePipelineDeterministicAcrossWorkers(t *testing.T) {
-	baseImg, baseStats := runStripeWorkload(t, 1)
-	if baseStats.DedupChunks == 0 || baseStats.NewChunks == 0 {
-		t.Fatalf("workload not representative: %+v", baseStats)
-	}
-	if baseStats.SelfDedupChunks+baseStats.CrossDedupChunks != baseStats.DedupChunks {
-		t.Fatalf("dedup split does not sum: self=%d cross=%d total=%d",
-			baseStats.SelfDedupChunks, baseStats.CrossDedupChunks, baseStats.DedupChunks)
-	}
-	for _, workers := range []int{2, 8} {
-		img, st := runStripeWorkload(t, workers)
-		if !bytes.Equal(img, baseImg) {
-			t.Fatalf("stripe disk image with %d workers differs from 1 worker", workers)
-		}
-		if st != baseStats {
-			t.Fatalf("stripe stats with %d workers differ:\n 1: %+v\n%2d: %+v", workers, baseStats, workers, st)
 		}
 	}
 }

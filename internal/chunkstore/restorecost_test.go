@@ -64,32 +64,3 @@ func TestRestoreCost(t *testing.T) {
 		t.Fatalf("after second commit RestoreCost = %d,%v, want %d,true", got, ok, 3*chunk)
 	}
 }
-
-// TestStripeRestoreCost: the stripe prices exactly like a single store —
-// the manifest is replicated, so any member's copy carries the answer.
-func TestStripeRestoreCost(t *testing.T) {
-	fs := errfs.New()
-	opts := testOpts(fs)
-	st, err := OpenStripe(StripeDirs("stripe", 3), 2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-
-	chunk := opts.ChunkBytes
-	rng := rand.New(rand.NewSource(9))
-	img := randImage(rng, 6*chunk)
-	copy(img[4*chunk:5*chunk], img[:chunk]) // one intra-image duplicate
-	if _, err := st.PutTentative(1, trig(1, 1), time.Second, img); err != nil {
-		t.Fatal(err)
-	}
-	if err := st.CommitTentative(1, trig(1, 1), 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if got, ok := st.RestoreCost(1); !ok || got != uint64(5*chunk) {
-		t.Fatalf("stripe RestoreCost = %d,%v, want %d,true", got, ok, 5*chunk)
-	}
-	if _, ok := st.RestoreCost(2); ok {
-		t.Fatal("stripe priced a process with no permanent payload")
-	}
-}

@@ -56,9 +56,6 @@ type Config struct {
 	// PayloadMode selects payload storage: "incremental" (default),
 	// "delta", or "full".
 	PayloadMode string `json:"payload_mode,omitempty"`
-	// PayloadWorkers bounds the SHA-256 fan-out of payload saves
-	// (chunkstore.Options.Workers). 0 means GOMAXPROCS.
-	PayloadWorkers int `json:"payload_workers,omitempty"`
 	// Nodes lists every process. IDs must be exactly 0..len(Nodes)-1
 	// (the engines index peers densely), in any order.
 	Nodes []NodeConfig `json:"nodes"`
@@ -139,7 +136,6 @@ func (c *Config) ChunkOptions() chunkstore.Options {
 		Mode:       mode,
 		Keep:       1,
 		Sync:       stable.SyncOnCommit,
-		Workers:    c.PayloadWorkers,
 	}
 	if c.NoSync {
 		opts.Sync = stable.SyncNever

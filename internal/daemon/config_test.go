@@ -189,12 +189,13 @@ func TestConfigRoundTrip(t *testing.T) {
 
 	// LoadConfig does not reject unknown keys, so a file written when
 	// writer_batch was still a setting (it is now the constant
-	// writerBatch) keeps loading.
+	// writerBatch), or payload_workers (saves now hash over GOMAXPROCS
+	// workers), keeps loading.
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	old := bytes.Replace(data, []byte("{"), []byte("{\n  \"writer_batch\": 64,"), 1)
+	old := bytes.Replace(data, []byte("{"), []byte("{\n  \"writer_batch\": 64,\n  \"payload_workers\": 4,"), 1)
 	if err := os.WriteFile(path, old, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -120,11 +120,6 @@ type Config struct {
 	PayloadProfile workload.ImageProfile
 	// PayloadMode selects full, incremental, or delta payload storage.
 	PayloadMode chunkstore.Mode
-	// PayloadStripe, when > 1, stripes the payload across that many MSS
-	// chunk stores with PayloadReplicas copies of every chunk (default 2,
-	// so a crashed MSS never holds the only copy).
-	PayloadStripe   int
-	PayloadReplicas int
 	// PayloadDir, when non-empty, puts the chunk segments on the real
 	// filesystem under per-seed subdirectories; empty keeps them on an
 	// in-memory errfs.
@@ -162,13 +157,8 @@ func (c Config) defaults() Config {
 	if c.WarmupInitiations == 0 {
 		c.WarmupInitiations = 1
 	}
-	if c.PayloadBytes > 0 {
-		if c.PayloadChunkBytes == 0 {
-			c.PayloadChunkBytes = 4 << 10
-		}
-		if c.PayloadStripe > 1 && c.PayloadReplicas == 0 {
-			c.PayloadReplicas = 2
-		}
+	if c.PayloadBytes > 0 && c.PayloadChunkBytes == 0 {
+		c.PayloadChunkBytes = 4 << 10
 	}
 	return c
 }

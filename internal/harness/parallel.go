@@ -189,6 +189,17 @@ func mergeSeedResults(seeds []uint64, results []*Result) *Result {
 		merged.PayloadSaves += res.PayloadSaves
 		merged.PayloadLogicalBytes += res.PayloadLogicalBytes
 		merged.PayloadNewBytes += res.PayloadNewBytes
+		// The save-side counters sum across seeds; the store-shape fields
+		// (segments, live chunks, disk bytes) stay the first seed's.
+		ps, rs := &merged.PayloadStats, &res.PayloadStats
+		ps.Saves += rs.Saves
+		ps.LogicalBytes += rs.LogicalBytes
+		ps.NewBytes += rs.NewBytes
+		ps.NewChunks += rs.NewChunks
+		ps.DedupChunks += rs.DedupChunks
+		ps.DeltaChunks += rs.DeltaChunks
+		ps.SelfDedupChunks += rs.SelfDedupChunks
+		ps.CrossDedupChunks += rs.CrossDedupChunks
 		merged.PayloadVerifyOK = merged.PayloadVerifyOK && res.PayloadVerifyOK
 		if merged.PayloadVerifyErr == nil {
 			merged.PayloadVerifyErr = res.PayloadVerifyErr

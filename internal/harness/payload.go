@@ -21,16 +21,16 @@ import (
 	"mutablecp/internal/workload"
 )
 
-// payloadRun owns one experiment's payload backend for the duration of
-// the run.
+// payloadRun owns one experiment's chunk store for the duration of the
+// run.
 type payloadRun struct {
-	sys chunkstore.System
+	store *chunkstore.Store
 }
 
-// newPayloadRun builds the payload backend for cfg, or nil when the run
-// is control-plane only. With PayloadDir empty the chunk segments live
-// on an in-memory errfs (fast, hermetic); a directory makes them real
-// files, one tree per seed so sweep seeds never share a segment log.
+// newPayloadRun opens the chunk store for cfg, or returns nil when the
+// run is control-plane only. With PayloadDir empty the chunk segments
+// live on an in-memory errfs (fast, hermetic); a directory makes them
+// real files, one tree per seed so sweep seeds never share a segment log.
 func newPayloadRun(cfg Config) (*payloadRun, error) {
 	if cfg.PayloadBytes <= 0 {
 		return nil, nil
@@ -46,19 +46,11 @@ func newPayloadRun(cfg Config) (*payloadRun, error) {
 	} else {
 		opts.FS = errfs.New()
 	}
-	if cfg.PayloadStripe > 1 {
-		sys, err := chunkstore.OpenStripe(
-			chunkstore.StripeDirs(root, cfg.PayloadStripe), cfg.PayloadReplicas, opts)
-		if err != nil {
-			return nil, fmt.Errorf("harness: open payload stripe: %w", err)
-		}
-		return &payloadRun{sys: sys}, nil
-	}
 	s, err := chunkstore.Open(chunkstore.Dir(root), opts)
 	if err != nil {
 		return nil, fmt.Errorf("harness: open payload store: %w", err)
 	}
-	return &payloadRun{sys: s}, nil
+	return &payloadRun{store: s}, nil
 }
 
 // wire installs the payload factory and the image source into the
@@ -76,37 +68,28 @@ func (pr *payloadRun) wire(simCfg *simrt.Config, cfg Config) {
 	})
 	simCfg.Images = images.Image
 	simCfg.RestoreImage = images.Restore
-	sys := pr.sys
-	simCfg.NewPayload = func(pid protocol.ProcessID, n int) (checkpoint.PayloadStore, error) {
-		switch b := sys.(type) {
-		case *chunkstore.Store:
-			return b.Proc(pid), nil
-		case *chunkstore.Stripe:
-			return b.Proc(pid), nil
-		default:
-			return nil, fmt.Errorf("harness: unknown payload backend %T", sys)
-		}
+	simCfg.NewPayload = func(pid protocol.ProcessID, _ int) (checkpoint.PayloadStore, error) {
+		return pr.store.Proc(pid), nil
 	}
 }
 
-// finish audits the payload plane into the result and closes the
-// backend.
+// finish audits the payload plane into the result and closes the store.
 func (pr *payloadRun) finish(res *Result, n int) {
 	if pr == nil {
 		return
 	}
-	res.PayloadVerifyErr = recovery.VerifyPayloads(pr.sys, n)
+	res.PayloadVerifyErr = recovery.VerifyPayloads(pr.store, n)
 	res.PayloadVerifyOK = res.PayloadVerifyErr == nil
-	res.PayloadStats = pr.sys.Stats()
-	if err := pr.sys.Close(); err != nil && res.PayloadVerifyErr == nil {
+	res.PayloadStats = pr.store.Stats()
+	if err := pr.store.Close(); err != nil && res.PayloadVerifyErr == nil {
 		res.PayloadVerifyErr = fmt.Errorf("harness: close payload store: %w", err)
 		res.PayloadVerifyOK = false
 	}
 }
 
-// close releases the backend on early-error paths.
+// close releases the store on early-error paths.
 func (pr *payloadRun) close() {
 	if pr != nil {
-		pr.sys.Close() //nolint:errcheck
+		pr.store.Close() //nolint:errcheck
 	}
 }

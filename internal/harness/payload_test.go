@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -68,14 +69,15 @@ func TestPayloadExperiment(t *testing.T) {
 	}
 }
 
-// TestPayloadStripedExperiment runs the payload plane over a 3-way MSS
-// stripe with 2 replicas per chunk and checks the audit passes and the
-// seed-merge path carries the payload verdicts.
-func TestPayloadStripedExperiment(t *testing.T) {
+// TestPayloadOnDiskSeeds runs the payload plane on a real directory for
+// two seeds: each seed keeps its own chunk log under payload-seed-<n>/,
+// the audit passes, and the merged dedup counters are the sum of the
+// single-seed runs.
+func TestPayloadOnDiskSeeds(t *testing.T) {
 	cfg := payloadConfig(chunkstore.ModeIncremental)
 	cfg.Horizon = 45 * time.Minute
-	cfg.PayloadStripe = 3
-	cfg.PayloadDir = t.TempDir()
+	dir := t.TempDir()
+	cfg.PayloadDir = dir
 	res, err := Sequential().RunSeeds(cfg, []uint64{1, 2})
 	if err != nil {
 		t.Fatal(err)
@@ -84,12 +86,31 @@ func TestPayloadStripedExperiment(t *testing.T) {
 		t.Errorf("cluster error: %v", e)
 	}
 	if !res.PayloadVerifyOK {
-		t.Fatalf("striped payload audit failed: %v", res.PayloadVerifyErr)
+		t.Fatalf("on-disk payload audit failed: %v", res.PayloadVerifyErr)
 	}
 	if res.PayloadSaves == 0 {
-		t.Fatal("striped run saved no payloads")
+		t.Fatal("on-disk run saved no payloads")
 	}
-	if res.PayloadStats.Stores != 3 {
-		t.Errorf("expected 3 stripe members, stats say %d", res.PayloadStats.Stores)
+	for _, seed := range []string{"payload-seed-1", "payload-seed-2"} {
+		segs, err := filepath.Glob(filepath.Join(chunkstore.Dir(filepath.Join(dir, seed)), "*"))
+		if err != nil || len(segs) == 0 {
+			t.Errorf("%s holds no chunk log (err %v)", seed, err)
+		}
+	}
+
+	var want uint64
+	for _, seed := range []uint64{1, 2} {
+		one := cfg
+		one.Seed = seed
+		one.PayloadDir = ""
+		r, err := Run(one)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want += r.PayloadStats.DedupChunks
+	}
+	if res.PayloadStats.DedupChunks != want {
+		t.Errorf("merged dedup chunks %d, want the single-seed sum %d",
+			res.PayloadStats.DedupChunks, want)
 	}
 }
