@@ -31,6 +31,7 @@ import (
 	"mutablecp/internal/chunkstore"
 	"mutablecp/internal/harness"
 	"mutablecp/internal/profiling"
+	"mutablecp/internal/simrt"
 	"mutablecp/internal/workload"
 )
 
@@ -44,13 +45,11 @@ func main() {
 // validate rejects bad values and conflicting flag combinations before
 // any experiment starts, so a long sweep never dies halfway through (or
 // silently ignores a flag the user thought was in effect).
-func validate(fs *flag.FlagSet, algo string, n int, rate, ratio float64,
+func validate(set map[string]bool, algo string, n int, rate, ratio float64,
 	horizon time.Duration, seedCount, parallel int, chaos bool,
 	chaosDrop, chaosDup float64, chaosCrashes int, store string, mssRestart bool,
-	wl string, servers int, scale string, active int,
+	wl string, servers int, scale string,
 	recoveryMode string, crashAt, restartAfter time.Duration) error {
-	set := make(map[string]bool)
-	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	switch wl {
 	case "p2p", "group", "client-server":
@@ -62,15 +61,6 @@ func validate(fs *flag.FlagSet, algo string, n int, rate, ratio float64,
 	}
 	if servers < 0 {
 		return fmt.Errorf("-servers must be >= 0 (0 picks n/8)")
-	}
-	if active < 0 {
-		return fmt.Errorf("-active must be >= 0 (0 = every process generates load)")
-	}
-	if active > 0 && wl != "p2p" {
-		return fmt.Errorf("-active only applies to -workload p2p")
-	}
-	if active == 1 {
-		return fmt.Errorf("-active must be >= 2 (messaging needs a pair)")
 	}
 	if scale != "" {
 		if chaos {
@@ -87,18 +77,10 @@ func validate(fs *flag.FlagSet, algo string, n int, rate, ratio float64,
 			if servers >= rung {
 				return fmt.Errorf("-servers %d must be below every -scale rung (smallest is %d)", servers, rung)
 			}
-			if active > rung {
-				return fmt.Errorf("-active %d must not exceed any -scale rung (smallest is %d)", active, rung)
-			}
 		}
 	}
-	if scale == "" {
-		if servers >= n {
-			return fmt.Errorf("-servers must be < -n")
-		}
-		if active > n {
-			return fmt.Errorf("-active must be <= -n")
-		}
+	if scale == "" && servers >= n {
+		return fmt.Errorf("-servers must be < -n")
 	}
 
 	if _, err := algorithms.New(algo); err != nil {
@@ -169,10 +151,8 @@ func validate(fs *flag.FlagSet, algo string, n int, rate, ratio float64,
 		if scale != "" {
 			return fmt.Errorf("-scale does not apply to -recovery (one cluster, one seeded crash)")
 		}
-		// The recovery experiment fixes a point-to-point workload and runs
-		// its seeds sequentially.
-		for _, f := range []string{"workload", "ratio", "servers", "active",
-			"store", "parallel"} {
+		// The recovery experiment fixes a point-to-point workload.
+		for _, f := range []string{"workload", "ratio", "servers", "active"} {
 			if set[f] {
 				return fmt.Errorf("-%s does not apply to -recovery", f)
 			}
@@ -188,16 +168,6 @@ func validate(fs *flag.FlagSet, algo string, n int, rate, ratio float64,
 		}
 		if restartAfter <= 0 {
 			return fmt.Errorf("-restart-after must be positive")
-		}
-		eff := crashAt
-		if eff == 0 {
-			eff = horizon / 2
-		}
-		// The resumed run needs room to commit again: at least one 2m
-		// checkpoint interval (the experiment's default) after the restart.
-		if eff+restartAfter+2*time.Minute > horizon {
-			return fmt.Errorf("crash at %v + %v down window leaves no -horizon (%v) for the resumed run",
-				eff, restartAfter, horizon)
 		}
 	} else {
 		for _, f := range []string{"crash-at", "restart-after"} {
@@ -288,9 +258,9 @@ func run(args []string) error {
 		// default it rather than demand a redundant -algo.
 		*algo = harness.AlgoLogBased
 	}
-	if err := validate(fs, *algo, *n, *rate, *ratio, *horizon, *seedCount,
+	if err := validate(explicit, *algo, *n, *rate, *ratio, *horizon, *seedCount,
 		*parallel, *chaos, *chaosDrop, *chaosDup, *chaosCrashes, *store, *mssRestart,
-		*wl, *servers, *scale, *active,
+		*wl, *servers, *scale,
 		*recoveryMode, *crashAt, *restartAfter); err != nil {
 		return err
 	}
@@ -303,13 +273,8 @@ func run(args []string) error {
 		if explicit["payload-bytes"] && *payloadBytes < 0 {
 			return fmt.Errorf("-payload-bytes must be >= 0")
 		}
-	} else {
-		if *chaos || *recoveryMode != "" {
-			return fmt.Errorf("-payload-bytes does not apply to -chaos or -recovery (those fix their own experiment shape)")
-		}
-		if *payloadChunk < 0 {
-			return fmt.Errorf("-payload-chunk must be >= 0")
-		}
+	} else if *payloadChunk < 0 {
+		return fmt.Errorf("-payload-chunk must be >= 0")
 	}
 	imgProfile, err := workload.ParseImageProfile(*payloadProfile)
 	if err != nil {
@@ -333,48 +298,6 @@ func run(args []string) error {
 	for i := range seedList {
 		seedList[i] = *seed + uint64(i)
 	}
-	if *recoveryMode != "" {
-		return profileErr(runRecovery(harness.RecoveryConfig{
-			Algorithm:    *algo,
-			N:            *n,
-			Rate:         *rate,
-			Horizon:      *horizon,
-			Failures:     1,
-			CrashAt:      *crashAt,
-			RestartAfter: *restartAfter,
-		}, seedList, *recoveryMode))
-	}
-	if *chaos {
-		points := harness.DefaultChaosPoints()
-		if *chaosDrop >= 0 {
-			points = []harness.ChaosPoint{{
-				Label: fmt.Sprintf("drop%g", *chaosDrop*100),
-				Config: harness.ChaosConfig{
-					Drop: *chaosDrop, Dup: *chaosDup, JitterMax: *chaosJitter,
-					PartitionWindow: *chaosPartition, CrashCount: *chaosCrashes,
-				},
-			}}
-		}
-		if *store != "" {
-			// One subdirectory per operating point; RunChaos adds the
-			// per-seed level below it.
-			for i := range points {
-				points[i].Config.StoreDir = filepath.Join(*store, points[i].Label)
-				points[i].Config.MSSRestart = *mssRestart
-			}
-		}
-		rows, err := harness.Parallel(*parallel).ChaosGauntlet(points, seedList)
-		if err != nil {
-			return profileErr(err)
-		}
-		fmt.Print(harness.FormatChaos(rows))
-		if *store != "" {
-			// A failed store audit fails the gauntlet before this point.
-			printStoreVerdict(nil, *mssRestart)
-		}
-		return profileErr(nil)
-	}
-
 	cfg := harness.Config{
 		Algorithm:       *algo,
 		N:               *n,
@@ -386,15 +309,16 @@ func run(args []string) error {
 		StoreDir:        *store,
 		Active:          *active,
 	}
-	if *payloadBytes > 0 {
-		cfg.PayloadBytes = *payloadBytes
-		cfg.PayloadChunkBytes = *payloadChunk
-		cfg.PayloadProfile = imgProfile
-		cfg.PayloadMode = chunkMode
-		// With -store the chunk store persists next to the stable stores;
-		// otherwise it runs on the in-memory error-injecting filesystem.
-		cfg.PayloadDir = *store
+	// withPayload attaches the payload plane with its chunk store under
+	// dir: next to the stable stores with -store, otherwise on the
+	// in-memory error-injecting filesystem.
+	withPayload := func(c *harness.Config, dir string) {
+		if *payloadBytes > 0 {
+			c.PayloadBytes, c.PayloadChunkBytes = *payloadBytes, *payloadChunk
+			c.PayloadProfile, c.PayloadMode, c.PayloadDir = imgProfile, chunkMode, dir
+		}
 	}
+	withPayload(&cfg, *store)
 	switch *wl {
 	case "p2p":
 		cfg.Workload = harness.WorkloadP2P
@@ -403,8 +327,53 @@ func run(args []string) error {
 	case "client-server":
 		cfg.Workload = harness.WorkloadClientServer
 		cfg.Servers = *servers
-	default:
-		return profileErr(fmt.Errorf("unknown workload %q (want p2p, group, or client-server)", *wl))
+	}
+
+	if *recoveryMode != "" {
+		// A 2 min checkpoint interval, shorter than the paper's 900 s, so
+		// a bounded horizon sees several lines; P0 crashes mid-run unless
+		// -crash-at pins the instant.
+		cfg.Interval = 2 * time.Minute
+		cfg.Crashes = harness.SpacedCrashes(cfg, 1, *restartAfter)
+		if *crashAt > 0 {
+			cfg.Crashes[0].At = *crashAt
+		}
+		return profileErr(runRecovery(cfg, seedList, *recoveryMode, *parallel))
+	}
+	if *chaos {
+		points := harness.DefaultChaosPoints()
+		if *chaosDrop >= 0 {
+			pt := points[0] // the gauntlet's shape, with a custom fault mix
+			pt.Label = fmt.Sprintf("drop%g", *chaosDrop*100)
+			pt.Config.Faults = &harness.Faults{
+				Drop: *chaosDrop, Dup: *chaosDup, JitterMax: *chaosJitter, PartitionWindow: *chaosPartition,
+			}
+			for i := 0; i < *chaosCrashes; i++ {
+				pt.Config.Crashes = append(pt.Config.Crashes,
+					simrt.CrashPlan{Proc: pt.Config.N - 1 - i, At: pt.Config.Horizon / 2})
+			}
+			points = []harness.ChaosPoint{pt}
+		}
+		for i := range points {
+			c := &points[i].Config
+			if *store != "" {
+				// One subdirectory per operating point; Run adds the
+				// per-seed level below it.
+				c.StoreDir = filepath.Join(*store, points[i].Label)
+				c.Faults.MSSRestart = *mssRestart
+			}
+			withPayload(c, c.StoreDir)
+		}
+		rows, err := harness.Parallel(*parallel).ChaosGauntlet(points, seedList)
+		if err != nil {
+			return profileErr(err)
+		}
+		fmt.Print(harness.FormatChaos(rows))
+		if *store != "" {
+			// A failed store audit fails the gauntlet before this point.
+			printStoreVerdict(nil, *mssRestart)
+		}
+		return profileErr(nil)
 	}
 
 	if *scale != "" {
@@ -459,8 +428,7 @@ func run(args []string) error {
 	for _, e := range res.ClusterErrors {
 		fmt.Printf("cluster error        %v\n", e)
 	}
-	if len(res.ClusterErrors) > 0 || (!res.ConsistencyOK && !cfg.SkipConsistency) ||
-		!res.DiskLineOK || !res.PayloadVerifyOK {
+	if res.Err() != nil {
 		return profileErr(fmt.Errorf("run finished with errors"))
 	}
 	return profileErr(nil)
@@ -481,49 +449,40 @@ func printStoreVerdict(err error, mssRestart bool) {
 	fmt.Printf(")\n")
 }
 
-// runRecovery executes the crash-and-recover experiment once per seed and
-// prints one verdict row each: a crash at the pinned (or mid-horizon)
-// instant, the executor's recovery, and the resumed run's consistency.
-// Any seed that ends inconsistent, fails to restart, or stops committing
-// after the recovery fails the whole invocation.
-func runRecovery(base harness.RecoveryConfig, seeds []uint64, mode string) error {
-	crash := base.CrashAt
-	if crash == 0 {
-		crash = base.Horizon / 2
+// runRecovery executes the crash-and-recover experiment once per seed,
+// the seeds fanned out over the worker pool, and prints one verdict row
+// each: the crash, the executor's recovery, and the resumed run's
+// consistency. Any seed with a failed verdict fails the whole invocation.
+func runRecovery(cfg harness.Config, seeds []uint64, mode string, parallel int) error {
+	results, err := harness.RunJobs(harness.Parallel(parallel).Workers(), len(seeds), func(i int) (*harness.Result, error) {
+		c := cfg
+		c.Seed = seeds[i]
+		return harness.Run(c)
+	})
+	if err != nil {
+		return err
 	}
-	fmt.Printf("recovery             %s (algo %s)\n", mode, base.Algorithm)
-	fmt.Printf("crash                P0 at %v, restart after %v, horizon %v\n",
-		crash, base.RestartAfter, base.Horizon)
+	crash := cfg.Crashes[0]
+	fmt.Printf("recovery             %s (algo %s)\n", mode, cfg.Algorithm)
+	fmt.Printf("crash                P%d at %v, restart after %v, horizon %v\n",
+		crash.Proc, crash.At, crash.RestartAfter, cfg.Horizon)
 	fmt.Printf("%-6s %-9s %-12s %-15s %-9s %-8s %-8s %-12s %s\n",
 		"seed", "restarts", "recovery(s)", "peer-rollbacks", "replayed", "deduped", "logged", "new-commits", "consistency")
 	var firstErr error
-	for _, seed := range seeds {
-		cfg := base
-		cfg.Seed = seed
-		res, err := harness.RunRecovery(cfg)
-		if err != nil {
-			return err
-		}
+	for i, res := range results {
 		verdict := "OK"
-		fail := func(format string, a ...any) {
-			verdict = fmt.Sprintf(format, a...)
+		if err := res.Err(); err != nil {
+			verdict = err.Error()
 			if firstErr == nil {
-				firstErr = fmt.Errorf("seed %d: %s", seed, verdict)
+				firstErr = fmt.Errorf("seed %d: %w", seeds[i], err)
 			}
 		}
-		switch {
-		case len(res.ClusterErrors) > 0:
-			fail("cluster error: %v", res.ClusterErrors[0])
-		case !res.PostRecoveryOK:
-			fail("VIOLATED: %v", res.PostRecoveryErr)
-		case res.Restarts != 1:
-			fail("restarts %d, want 1", res.Restarts)
-		case res.NewCommits == 0:
-			fail("no commit after the recovery")
-		}
 		fmt.Printf("%-6d %-9d %-12.1f %-15d %-9d %-8d %-8d %-12d %s\n",
-			seed, res.Restarts, res.RecoveryTime.Seconds(), res.PeerRollbacks,
+			seeds[i], res.Restarts, res.RecoveryTime.Seconds(), res.PeerRollbacks,
 			res.Replayed, res.Deduped, res.LoggedMsgs, res.NewCommits, verdict)
+	}
+	if cfg.StoreDir != "" && firstErr == nil {
+		printStoreVerdict(nil, false)
 	}
 	return firstErr
 }

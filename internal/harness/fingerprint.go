@@ -15,10 +15,12 @@ import (
 // any change to message contents, checkpoint decisions, trace formatting,
 // or state accessors shows up as a different fingerprint for the same seed.
 func TraceFingerprint(cfg Config) (string, error) {
-	cluster, pr, err := runCluster(cfg.defaults(), trace.New())
+	r, err := drive(cfg.defaults(), trace.New())
 	if err != nil {
 		return "", err
 	}
-	defer pr.close()
-	return fmt.Sprintf("%016x", cluster.Digest()), nil
+	if r.payload != nil {
+		defer r.payload.Close() //nolint:errcheck
+	}
+	return fmt.Sprintf("%016x", r.cluster.Digest()), nil
 }

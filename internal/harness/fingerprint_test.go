@@ -90,21 +90,29 @@ func TestEngineFingerprintGolden(t *testing.T) {
 		}
 		got[gc.name] = fp
 	}
+	checkGolden(t, goldenPath, got, "engine execution diverged from the recorded []bool baseline")
+}
+
+// checkGolden compares got against the golden map at path, or rewrites
+// the file under -update. Only the keys in got are compared, so a -short
+// run checks a prefix of the grid against the full file.
+func checkGolden(t *testing.T, path string, got map[string]string, diverged string) {
+	t.Helper()
 	if *update {
-		if err := os.MkdirAll(filepath.Dir(goldenPath), 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		buf, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPath, append(buf, '\n'), 0o644); err != nil {
+		if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("wrote %d fingerprints to %s", len(got), goldenPath)
+		t.Logf("wrote %d fingerprints to %s", len(got), path)
 		return
 	}
-	buf, err := os.ReadFile(goldenPath)
+	buf, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatalf("missing golden file (run with -update to capture): %v", err)
 	}
@@ -124,8 +132,7 @@ func TestEngineFingerprintGolden(t *testing.T) {
 			continue
 		}
 		if got[name] != w {
-			t.Errorf("%s: fingerprint %s, golden %s — engine execution diverged from the recorded []bool baseline",
-				name, got[name], w)
+			t.Errorf("%s: fingerprint %s, golden %s — %s", name, got[name], w, diverged)
 		}
 	}
 }

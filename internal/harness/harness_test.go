@@ -336,6 +336,21 @@ func TestDozeCountValidation(t *testing.T) {
 	}
 }
 
+// TestPointToPointOnlyKnobsValidated: Active and DozeCount are
+// point-to-point knobs, rejected up front on any other workload instead of
+// silently arming timers (Active) or indexing past the process table
+// (DozeCount >= N).
+func TestPointToPointOnlyKnobsValidated(t *testing.T) {
+	for name, cfg := range map[string]harness.Config{
+		"active under group":   {Workload: harness.WorkloadGroup, N: 8, Active: 3},
+		"doze beyond N, group": {Workload: harness.WorkloadGroup, N: 4, DozeCount: 5},
+	} {
+		if _, err := harness.Run(cfg); err == nil || !strings.Contains(err.Error(), "point-to-point workloads only") {
+			t.Errorf("%s: err = %v, want the point-to-point-only rejection", name, err)
+		}
+	}
+}
+
 // TestScaleSweepComplexity asserts the complexity claims: Koo–Toueg's
 // message count grows superlinearly with N while Elnozahy's and the
 // mutable algorithm's grow roughly linearly.

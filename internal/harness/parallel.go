@@ -87,30 +87,41 @@ func RunJobs[T any](workers, n int, job func(int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// runGrid runs one simulation per (cell, seed) pair — cells*len(seeds)
-// independent jobs — and merges each cell's per-seed results in seed
-// order. configFor builds the cell's base config (its Seed field is
-// overwritten); label names the cell in errors.
-func (r *Runner) runGrid(cells int, seeds []uint64,
-	configFor func(cell int) Config, label func(cell int) string) ([]*Result, error) {
+// runCells runs one simulation per (cell, seed) pair — cells*len(seeds)
+// independent jobs — and returns the results cell by cell, each cell's in
+// seed order. configFor builds the cell's base config (its Seed field is
+// overwritten); label names the cell in errors. With strict, a failed
+// verdict (Result.Err) fails the cell like a run error.
+func (r *Runner) runCells(cells int, seeds []uint64, configFor func(cell int) Config,
+	label func(cell int) string, strict bool) ([]*Result, error) {
 	if len(seeds) == 0 {
 		return nil, fmt.Errorf("harness: no seeds")
 	}
 	nS := len(seeds)
-	flat, err := RunJobs(r.Workers(), cells*nS, func(i int) (*Result, error) {
+	return RunJobs(r.Workers(), cells*nS, func(i int) (*Result, error) {
 		cfg := configFor(i / nS)
 		cfg.Seed = seeds[i%nS]
 		res, err := Run(cfg)
+		if err == nil && strict {
+			err = res.Err()
+		}
 		if err != nil {
 			return nil, fmt.Errorf("%s: seed %d: %w", label(i/nS), cfg.Seed, err)
 		}
 		return res, nil
 	})
+}
+
+// runGrid is runCells with each cell's per-seed results merged in seed
+// order.
+func (r *Runner) runGrid(cells int, seeds []uint64,
+	configFor func(cell int) Config, label func(cell int) string) ([]*Result, error) {
+	flat, err := r.runCells(cells, seeds, configFor, label, false)
 	if err != nil {
 		return nil, err
 	}
 	merged := make([]*Result, cells)
-	for c := 0; c < cells; c++ {
+	for c, nS := 0, len(seeds); c < cells; c++ {
 		merged[c] = mergeSeedResults(seeds, flat[c*nS:(c+1)*nS])
 	}
 	return merged, nil
@@ -121,22 +132,11 @@ func (r *Runner) runGrid(cells int, seeds []uint64,
 // shrinking confidence intervals the way the paper's "large number of
 // samples" does. Results are identical to the sequential path.
 func (r *Runner) RunSeeds(cfg Config, seeds []uint64) (*Result, error) {
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("harness: no seeds")
-	}
-	results, err := RunJobs(r.Workers(), len(seeds), func(i int) (*Result, error) {
-		c := cfg
-		c.Seed = seeds[i]
-		res, err := Run(c)
-		if err != nil {
-			return nil, fmt.Errorf("harness: seed %d: %w", seeds[i], err)
-		}
-		return res, nil
-	})
+	merged, err := r.runGrid(1, seeds, func(int) Config { return cfg }, func(int) string { return "harness" })
 	if err != nil {
 		return nil, err
 	}
-	return mergeSeedResults(seeds, results), nil
+	return merged[0], nil
 }
 
 // mergeSeedResults folds per-seed results into one, always walking in seed
@@ -148,14 +148,11 @@ func mergeSeedResults(seeds []uint64, results []*Result) *Result {
 	var merged *Result
 	for i, res := range results {
 		seed := seeds[i]
-		if res.ConsistencyErr != nil {
-			res.ConsistencyErr = fmt.Errorf("seed %d: %w", seed, res.ConsistencyErr)
-		}
-		if res.DiskLineErr != nil {
-			res.DiskLineErr = fmt.Errorf("seed %d: %w", seed, res.DiskLineErr)
-		}
-		if res.PayloadVerifyErr != nil {
-			res.PayloadVerifyErr = fmt.Errorf("seed %d: %w", seed, res.PayloadVerifyErr)
+		errs := res.verdictErrs()
+		for _, e := range errs {
+			if *e != nil {
+				*e = fmt.Errorf("seed %d: %w", seed, *e)
+			}
 		}
 		for j, e := range res.ClusterErrors {
 			res.ClusterErrors[j] = fmt.Errorf("seed %d: %w", seed, e)
@@ -163,6 +160,11 @@ func mergeSeedResults(seeds []uint64, results []*Result) *Result {
 		if merged == nil {
 			merged = res
 			continue
+		}
+		for j, e := range merged.verdictErrs() {
+			if *e == nil {
+				*e = *errs[j]
+			}
 		}
 		merged.Initiations += res.Initiations
 		merged.Tentative.Merge(&res.Tentative)
@@ -178,14 +180,35 @@ func mergeSeedResults(seeds []uint64, results []*Result) *Result {
 		merged.TotalMutableCk += res.TotalMutableCk
 		merged.Intervals += res.Intervals
 		merged.DozeWakeups += res.DozeWakeups
-		merged.ConsistencyOK = merged.ConsistencyOK && res.ConsistencyOK
-		if merged.ConsistencyErr == nil {
-			merged.ConsistencyErr = res.ConsistencyErr
-		}
-		merged.DiskLineOK = merged.DiskLineOK && res.DiskLineOK
-		if merged.DiskLineErr == nil {
-			merged.DiskLineErr = res.DiskLineErr
-		}
+		merged.Committed += res.Committed
+		merged.Aborted += res.Aborted
+		merged.LinesChecked += res.LinesChecked
+		merged.NewCommits += res.NewCommits
+		merged.TimeoutAborts += res.TimeoutAborts
+		mr, rr := &merged.Rel, &res.Rel
+		mr.DataFrames += rr.DataFrames
+		mr.Retransmissions += rr.Retransmissions
+		mr.AcksSent += rr.AcksSent
+		mr.DupsSuppressed += rr.DupsSuppressed
+		mr.Buffered += rr.Buffered
+		mr.GaveUp += rr.GaveUp
+		mr.Reopened += rr.Reopened
+		mr.StaleFrames += rr.StaleFrames
+		mr.ChannelResets += rr.ChannelResets
+		merged.Dropped += res.Dropped
+		merged.Duplicated += res.Duplicated
+		merged.Jittered += res.Jittered
+		merged.PartitionDropped += res.PartitionDropped
+		merged.CrashDropped += res.CrashDropped
+		merged.RevivedDeliveries += res.RevivedDeliveries
+		merged.Reports = append(merged.Reports, res.Reports...)
+		merged.Crashes += res.Crashes
+		merged.Restarts += res.Restarts
+		merged.RecoveryTime += res.RecoveryTime
+		merged.PeerRollbacks += res.PeerRollbacks
+		merged.Replayed += res.Replayed
+		merged.Deduped += res.Deduped
+		merged.LoggedMsgs += res.LoggedMsgs
 		merged.PayloadSaves += res.PayloadSaves
 		merged.PayloadLogicalBytes += res.PayloadLogicalBytes
 		merged.PayloadNewBytes += res.PayloadNewBytes
@@ -200,12 +223,12 @@ func mergeSeedResults(seeds []uint64, results []*Result) *Result {
 		ps.DeltaChunks += rs.DeltaChunks
 		ps.SelfDedupChunks += rs.SelfDedupChunks
 		ps.CrossDedupChunks += rs.CrossDedupChunks
-		merged.PayloadVerifyOK = merged.PayloadVerifyOK && res.PayloadVerifyOK
-		if merged.PayloadVerifyErr == nil {
-			merged.PayloadVerifyErr = res.PayloadVerifyErr
-		}
 		merged.ClusterErrors = append(merged.ClusterErrors, res.ClusterErrors...)
 	}
+	merged.ConsistencyOK = merged.ConsistencyErr == nil
+	merged.PostRecoveryOK = merged.PostRecoveryErr == nil
+	merged.DiskLineOK = merged.DiskLineErr == nil
+	merged.PayloadVerifyOK = merged.PayloadVerifyErr == nil
 	if merged.Tentative.Mean() > 0 {
 		merged.RedundantRatio = merged.Redundant.Mean() / merged.Tentative.Mean()
 	}

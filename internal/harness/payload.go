@@ -21,17 +21,12 @@ import (
 	"mutablecp/internal/workload"
 )
 
-// payloadRun owns one experiment's chunk store for the duration of the
-// run.
-type payloadRun struct {
-	store *chunkstore.Store
-}
-
-// newPayloadRun opens the chunk store for cfg, or returns nil when the
-// run is control-plane only. With PayloadDir empty the chunk segments
-// live on an in-memory errfs (fast, hermetic); a directory makes them
-// real files, one tree per seed so sweep seeds never share a segment log.
-func newPayloadRun(cfg Config) (*payloadRun, error) {
+// openPayload opens the chunk store for cfg and wires it and the image
+// source into simCfg, or returns nil when the run is control-plane only.
+// With PayloadDir empty the chunk segments live on an in-memory errfs
+// (fast, hermetic); a directory makes them real files, one tree per seed
+// so sweep seeds never share a segment log.
+func openPayload(cfg Config, simCfg *simrt.Config) (*chunkstore.Store, error) {
 	if cfg.PayloadBytes <= 0 {
 		return nil, nil
 	}
@@ -46,18 +41,9 @@ func newPayloadRun(cfg Config) (*payloadRun, error) {
 	} else {
 		opts.FS = errfs.New()
 	}
-	s, err := chunkstore.Open(chunkstore.Dir(root), opts)
+	store, err := chunkstore.Open(chunkstore.Dir(root), opts)
 	if err != nil {
 		return nil, fmt.Errorf("harness: open payload store: %w", err)
-	}
-	return &payloadRun{store: s}, nil
-}
-
-// wire installs the payload factory and the image source into the
-// simulation config.
-func (pr *payloadRun) wire(simCfg *simrt.Config, cfg Config) {
-	if pr == nil {
-		return
 	}
 	images := workload.NewImages(workload.ImagesConfig{
 		Procs:     cfg.N,
@@ -69,27 +55,21 @@ func (pr *payloadRun) wire(simCfg *simrt.Config, cfg Config) {
 	simCfg.Images = images.Image
 	simCfg.RestoreImage = images.Restore
 	simCfg.NewPayload = func(pid protocol.ProcessID, _ int) (checkpoint.PayloadStore, error) {
-		return pr.store.Proc(pid), nil
+		return store.Proc(pid), nil
 	}
+	return store, nil
 }
 
-// finish audits the payload plane into the result and closes the store.
-func (pr *payloadRun) finish(res *Result, n int) {
-	if pr == nil {
+// finishPayload audits the payload plane into the result and closes the
+// store.
+func finishPayload(store *chunkstore.Store, res *Result) {
+	if store == nil {
 		return
 	}
-	res.PayloadVerifyErr = recovery.VerifyPayloads(pr.store, n)
-	res.PayloadVerifyOK = res.PayloadVerifyErr == nil
-	res.PayloadStats = pr.store.Stats()
-	if err := pr.store.Close(); err != nil && res.PayloadVerifyErr == nil {
+	res.PayloadVerifyErr = recovery.VerifyPayloads(store, res.Config.N)
+	res.PayloadStats = store.Stats()
+	if err := store.Close(); err != nil && res.PayloadVerifyErr == nil {
 		res.PayloadVerifyErr = fmt.Errorf("harness: close payload store: %w", err)
-		res.PayloadVerifyOK = false
 	}
-}
-
-// close releases the store on early-error paths.
-func (pr *payloadRun) close() {
-	if pr != nil {
-		pr.store.Close() //nolint:errcheck
-	}
+	res.PayloadVerifyOK = res.PayloadVerifyErr == nil
 }

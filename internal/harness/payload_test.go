@@ -114,3 +114,22 @@ func TestPayloadOnDiskSeeds(t *testing.T) {
 			res.PayloadStats.DedupChunks, want)
 	}
 }
+
+// TestPayloadUnderChaos runs the payload plane under the gauntlet's drop5
+// fault mix and mid-run crash: the run audit passes and every retained
+// manifest still resolves.
+func TestPayloadUnderChaos(t *testing.T) {
+	cfg := DefaultChaosPoints()[2].Config
+	if cfg.Faults.Drop != 0.05 || len(cfg.Crashes) != 1 {
+		t.Fatalf("point 2 is not the drop5 shape: %+v", cfg)
+	}
+	cfg.Seed = 1
+	cfg.PayloadBytes, cfg.PayloadProfile = 64<<10, workload.ProfileSkewed
+	res := runOK(t, cfg)
+	if !res.PayloadVerifyOK || res.PayloadSaves == 0 {
+		t.Fatalf("payload audit %v over %d saves", res.PayloadVerifyErr, res.PayloadSaves)
+	}
+	if res.Committed == 0 || res.LinesChecked != res.Committed {
+		t.Fatalf("checked %d lines for %d commits", res.LinesChecked, res.Committed)
+	}
+}
