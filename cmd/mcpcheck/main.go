@@ -9,58 +9,44 @@
 //	mcpcheck                                     # 256 random walks of the race scenario
 //	mcpcheck -scenario burst -runs 1024 -workers 0
 //	mcpcheck -mode exhaust -scenario race -n 3 -max-runs 4096
-//	mcpcheck -mutation skip-mutable -expect-violation -out ce.schedule
-//	mcpcheck -mode replay -schedule ce.schedule -mutation skip-mutable -expect-violation
-//	mcpcheck -mode shrink -schedule ce.schedule -mutation skip-mutable -out min.schedule
+//	mcpcheck -mode replay -schedule ce.schedule
+//	mcpcheck -mode shrink -schedule ce.schedule -expect-violation -out min.schedule
+//
+// A saved schedule records its scenario, process count and walk seed, so
+// replay and shrink need no other flags. The seeded defects the checker
+// is validated against are test-only overlays (internal/explore's
+// TestMutantsKilled); a binary built under one finds violations, and
+// -expect-violation turns that into its passing exit status.
 package main
 
 import (
 	"bytes"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
 
-	"mutablecp/internal/core"
 	"mutablecp/internal/explore"
 	"mutablecp/internal/wire"
 )
 
+// minN is the smallest process count every catalog scenario scripts.
+const minN = 3
+
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "mcpcheck:", err)
 		os.Exit(1)
 	}
 }
 
-// mutationNames maps -mutation values to engine mutations.
-var mutationNames = map[string]core.Mutation{
-	"none":           core.MutNone,
-	"mr-suppression": core.MutLiteralMRSuppression,
-	"skip-mutable":   core.MutSkipMutableCheckpoint,
-	"skip-sent-gate": core.MutSkipSentGate,
-}
-
-func mutationList() string {
-	names := make([]string, 0, len(mutationNames))
-	for n := range mutationNames {
-		names = append(names, n)
-	}
-	// Stable order for usage text.
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
-	return strings.Join(names, ", ")
-}
-
-func run(args []string) error {
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("mcpcheck", flag.ContinueOnError)
 	scenario := fs.String("scenario", "race",
 		"scenario: "+strings.Join(explore.ScenarioNames(), ", "))
-	n := fs.Int("n", 4, "number of processes")
+	n := fs.Int("n", 4, "number of processes (with -mode replay/shrink: the schedule's own)")
 	budget := fs.Int("budget", 0, "per-run kernel step budget (0 = scenario default)")
 	mode := fs.String("mode", "walk", "strategy: walk, exhaust, replay, shrink")
 	runs := fs.Int("runs", 256, "with -mode walk: number of random-walk schedules")
@@ -69,12 +55,11 @@ func run(args []string) error {
 	maxRuns := fs.Int("max-runs", 4096, "with -mode exhaust: schedule budget")
 	maxDepth := fs.Int("max-depth", 64, "with -mode exhaust: branching depth bound")
 	noPrune := fs.Bool("no-prune", false, "with -mode exhaust: disable fingerprint pruning")
-	mutation := fs.String("mutation", "none", "engine mutation to inject: "+mutationList())
 	schedule := fs.String("schedule", "", "with -mode replay/shrink: schedule file to load")
-	out := fs.String("out", "", "write the (shrunken) counterexample schedule to this file")
+	outPath := fs.String("out", "", "write the (shrunken) counterexample schedule to this file")
 	doShrink := fs.Bool("shrink", true, "shrink counterexamples found by walk/exhaust")
 	expect := fs.Bool("expect-violation", false,
-		"invert the exit status: succeed only if a violation is found (mutation testing)")
+		"invert the exit status: succeed only if a violation is found (a seeded defect's test)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -114,17 +99,34 @@ func run(args []string) error {
 			}
 		}
 	}
-	mut, ok := mutationNames[*mutation]
-	if !ok {
-		return fmt.Errorf("unknown -mutation %q (want %s)", *mutation, mutationList())
+	// A saved schedule replays at the scenario and size it was found at.
+	var rec *wire.ScheduleRecord
+	name := *scenario
+	if *mode == "replay" || *mode == "shrink" {
+		var err error
+		if rec, err = loadSchedule(*schedule); err != nil {
+			return err
+		}
+		if !set["scenario"] {
+			name = rec.Name
+		}
+		if rec.N != 0 {
+			if set["n"] && *n != rec.N {
+				return fmt.Errorf("%s was recorded at n=%d, not -n %d", *schedule, rec.N, *n)
+			}
+			*n = rec.N
+		}
 	}
-
-	s, err := explore.ScenarioByName(*scenario, *n)
+	if *n < minN {
+		return fmt.Errorf("-n must be >= %d (the scenarios' minimum)", minN)
+	}
+	s, err := explore.ScenarioByName(name, *n)
 	if err != nil {
 		return err
 	}
-	s.Mutation = mut
 	s.Budget = *budget
+	out := &wire.ScheduleRecord{Name: s.Name, N: s.N}
+	fmt.Fprintf(w, "scenario             %s (n=%d)\n", s.Name, s.N)
 
 	var found *explore.RunResult
 	switch *mode {
@@ -135,15 +137,15 @@ func run(args []string) error {
 			return err
 		}
 		elapsed := time.Since(start)
-		fmt.Printf("scenario             %s (n=%d, mutation=%v)\n", s.Name, s.N, mut)
-		fmt.Printf("walks                %d (base seed %d)\n", rep.Runs, rep.BaseSeed)
-		fmt.Printf("throughput           %.0f schedules/sec (%d steps, %d decisions)\n",
+		fmt.Fprintf(w, "walks                %d (base seed %d)\n", rep.Runs, rep.BaseSeed)
+		fmt.Fprintf(w, "throughput           %.0f schedules/sec (%d steps, %d decisions)\n",
 			float64(rep.Runs)/elapsed.Seconds(), rep.Steps, rep.Decisions)
-		fmt.Printf("unique executions    %d\n", rep.Unique)
-		fmt.Printf("violations           %d\n", rep.Violations)
+		fmt.Fprintf(w, "unique executions    %d\n", rep.Unique)
+		fmt.Fprintf(w, "violations           %d\n", rep.Violations)
 		if rep.First != nil {
-			fmt.Printf("first violation      seed %d: %v\n", rep.FirstSeed, rep.First.Violation)
+			fmt.Fprintf(w, "first violation      seed %d: %v\n", rep.FirstSeed, rep.First.Violation)
 			found = rep.First
+			out.Seed = rep.FirstSeed
 		}
 	case "exhaust":
 		rep, err := s.Exhaust(explore.ExhaustOptions{
@@ -152,52 +154,39 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("scenario             %s (n=%d, mutation=%v)\n", s.Name, s.N, mut)
-		fmt.Printf("schedules explored   %d (unique %d, pruned %d, truncated %v)\n",
+		fmt.Fprintf(w, "schedules explored   %d (unique %d, pruned %d, truncated %v)\n",
 			rep.Runs, rep.Unique, rep.Pruned, rep.Truncated)
 		if rep.Violation != nil {
-			fmt.Printf("violation            %v\n", rep.Violation.Violation)
+			fmt.Fprintf(w, "violation            %v\n", rep.Violation.Violation)
 			found = rep.Violation
 		}
 	case "replay", "shrink":
-		rec, err := loadSchedule(*schedule)
-		if err != nil {
-			return err
+		out.Mutant, out.Seed = rec.Mutant, rec.Seed
+		if rec.Mutant != "" {
+			fmt.Fprintf(w, "recorded against     mutant %s\n", rec.Mutant)
 		}
-		if rec.Name != s.Name && !set["scenario"] {
-			// The record knows which scenario it belongs to.
-			if s, err = explore.ScenarioByName(rec.Name, *n); err != nil {
-				return err
-			}
-			s.Mutation = mut
-			s.Budget = *budget
-		}
-		if !set["mutation"] && rec.Mutation != 0 {
-			s.Mutation = core.Mutation(rec.Mutation)
-		}
-		fmt.Printf("scenario             %s (n=%d, mutation=%v)\n", s.Name, s.N, s.Mutation)
-		fmt.Printf("schedule             %v (divergence %d)\n", rec.Choices, explore.Divergence(rec.Choices))
+		fmt.Fprintf(w, "schedule             %v (divergence %d)\n", rec.Choices, explore.Divergence(rec.Choices))
 		if *mode == "shrink" {
 			shr, err := s.Shrink(rec.Choices)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("shrunk               %v (divergence %d) in %d replays\n",
+			fmt.Fprintf(w, "shrunk               %v (divergence %d) in %d replays\n",
 				shr.Schedule, explore.Divergence(shr.Schedule), shr.Runs)
-			fmt.Printf("violation            %v\n", shr.Result.Violation)
+			fmt.Fprintf(w, "violation            %v\n", shr.Result.Violation)
 			found = shr.Result
 		} else {
 			res, err := s.Replay(rec.Choices)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("steps                %d (%d decisions)\n", res.Steps, res.Decisions())
-			fmt.Printf("fingerprint          %016x\n", res.Fingerprint)
+			fmt.Fprintf(w, "steps                %d (%d decisions)\n", res.Steps, res.Decisions())
+			fmt.Fprintf(w, "fingerprint          %016x\n", res.Fingerprint)
 			if res.Violation != nil {
-				fmt.Printf("violation            %v\n", res.Violation)
+				fmt.Fprintf(w, "violation            %v\n", res.Violation)
 				found = res
 			} else {
-				fmt.Printf("violation            none\n")
+				fmt.Fprintf(w, "violation            none\n")
 			}
 		}
 	}
@@ -207,20 +196,17 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		fmt.Printf("shrunk               %v (divergence %d) in %d replays\n",
+		fmt.Fprintf(w, "shrunk               %v (divergence %d) in %d replays\n",
 			shr.Schedule, explore.Divergence(shr.Schedule), shr.Runs)
 		found = shr.Result
 		found.Schedule = shr.Schedule
 	}
-	if found != nil && *out != "" {
-		if err := saveSchedule(*out, &wire.ScheduleRecord{
-			Name:     s.Name,
-			Mutation: uint8(s.Mutation),
-			Choices:  found.Schedule,
-		}); err != nil {
+	if found != nil && *outPath != "" {
+		out.Choices = found.Schedule
+		if err := saveSchedule(*outPath, out); err != nil {
 			return err
 		}
-		fmt.Printf("counterexample       written to %s\n", *out)
+		fmt.Fprintf(w, "counterexample       written to %s\n", *outPath)
 	}
 
 	if *expect && found == nil {

@@ -49,58 +49,11 @@ const (
 	CommitTargeted
 )
 
-// Mutation selects a deliberately injected engine defect. Production code
-// always runs MutNone; the non-zero values exist so the schedule explorer
-// (internal/explore, cmd/mcpcheck) can prove it detects real protocol bugs:
-// each mutation removes one safety-critical guard, and the explorer must
-// find an interleaving that turns the missing guard into an orphan message
-// on a committed recovery line.
-type Mutation int
-
-const (
-	// MutNone runs the engine unmodified.
-	MutNone Mutation = iota
-	// MutLiteralMRSuppression drops the R-bit guard from prop_cp's MR
-	// suppression check, leaving the literal csn comparison. Against
-	// never-checkpointed dependencies (csn 0) the comparison 0 >= 0 holds
-	// vacuously, so the request is suppressed and the dependency never
-	// takes a checkpoint for the instance.
-	MutLiteralMRSuppression
-	// MutSkipMutableCheckpoint skips the §3.3.3 mutable checkpoint even
-	// when all three conditions hold, so a process that already sent
-	// messages joins the instance without capturing its pre-join state.
-	MutSkipMutableCheckpoint
-	// MutSkipSentGate never raises sent_i on PrepareSend, so the §3.3.3
-	// sent-flag condition fails vacuously and the mutable checkpoint is
-	// skipped exactly when it was needed.
-	MutSkipSentGate
-)
-
-// String names the mutation for traces and CLI flags.
-func (m Mutation) String() string {
-	switch m {
-	case MutNone:
-		return "none"
-	case MutLiteralMRSuppression:
-		return "mr-suppression"
-	case MutSkipMutableCheckpoint:
-		return "skip-mutable"
-	case MutSkipSentGate:
-		return "skip-sent-gate"
-	default:
-		return "unknown"
-	}
-}
-
 // Options tunes the engine beyond the paper's defaults.
 type Options struct {
 	// Dissemination selects the second-phase fan-out; zero means
 	// CommitBroadcast (what the paper's evaluation uses).
 	Dissemination CommitDissemination
-
-	// Mutation injects a deliberate defect for model-checker self-tests.
-	// Leave zero (MutNone) everywhere except mutation testing.
-	Mutation Mutation
 }
 
 // mutableCP is the engine-side bookkeeping for one mutable checkpoint: the
@@ -281,9 +234,7 @@ func (e *Engine) PrepareSend(m *protocol.Message) {
 	} else {
 		m.Trigger = protocol.NoTrigger
 	}
-	if e.opts.Mutation != MutSkipSentGate {
-		e.sent = true
-	}
+	e.sent = true
 }
 
 // Initiate starts a checkpointing instance at this process (§3.3.1).
@@ -359,11 +310,7 @@ func (e *Engine) propCPLoaded(r bitset.Snapshot, trig protocol.Trigger, recvWeig
 			continue
 		}
 		kcsn := e.csnOf(k)
-		if e.opts.Mutation == MutLiteralMRSuppression {
-			if temp.CSN(k) >= kcsn {
-				continue
-			}
-		} else if temp.Flag(k) && temp.CSN(k) >= kcsn {
+		if temp.Flag(k) && temp.CSN(k) >= kcsn {
 			// Someone already sent P_k a request with req_csn >= csn_i[k].
 			continue
 		}
@@ -466,7 +413,7 @@ func (e *Engine) handleComputation(m *protocol.Message) {
 	e.setCSN(j, m.CSN)
 
 	if !m.Trigger.IsNone() && e.sent && m.Trigger != e.ownTrigger {
-		if _, have := e.mutables[m.Trigger]; !have && e.opts.Mutation != MutSkipMutableCheckpoint {
+		if _, have := e.mutables[m.Trigger]; !have {
 			// Conditions 1–3 of §3.3.3 hold: take a mutable checkpoint
 			// before processing m.
 			e.takeMutable(m.Trigger)

@@ -1,12 +1,11 @@
 package explore
 
 // The committed counterexample corpus: every testdata/*.schedule file is
-// a shrunken schedule that makes a specific engine mutation violate a
-// safety invariant. The regression test replays each against its
-// mutation (must fail, byte-deterministically) and against the unmutated
-// engine (must pass), so any future change that silently re-opens or
-// masks one of these interleavings is caught. Regenerate with
-// `go test ./internal/explore -run TestMutations -update`.
+// a shrunken schedule that makes a specific mutant violate a safety
+// invariant. The regression test replays each against the correct engine
+// (must pass) and, under the file's own mutant, against that mutant (must
+// fail), byte-deterministically both times, so any future change that
+// silently re-opens or masks one of these interleavings is caught.
 
 import (
 	"bytes"
@@ -14,7 +13,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"mutablecp/internal/core"
 	"mutablecp/internal/wire"
 )
 
@@ -23,10 +21,7 @@ func TestCorpusRegression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) < len(mutations()) {
-		t.Fatalf("corpus has %d schedules, want at least one per mutation (%d)", len(files), len(mutations()))
-	}
-	covered := make(map[core.Mutation]bool)
+	covered := make(map[string]bool)
 	for _, path := range files {
 		data, err := os.ReadFile(path)
 		if err != nil {
@@ -36,20 +31,26 @@ func TestCorpusRegression(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", path, err)
 		}
-		mut := core.Mutation(rec.Mutation)
-		covered[mut] = true
+		covered[rec.Mutant] = true
 		t.Run(filepath.Base(path), func(t *testing.T) {
-			s, err := ScenarioByName(rec.Name, corpusN)
+			want := mutant() != ""
+			if want && mutant() != rec.Mutant {
+				t.Skipf("recorded against mutant %s", rec.Mutant)
+			}
+			n := rec.N
+			if n == 0 {
+				n = corpusN // a version-1 record predates N
+			}
+			s, err := ScenarioByName(rec.Name, n)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.Mutation = mut
 			first, err := s.Replay(rec.Choices)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if first.Violation == nil {
-				t.Fatalf("corpus schedule no longer violates under mutation %v", mut)
+			if (first.Violation != nil) != want {
+				t.Fatalf("under mutant %q the corpus schedule violates: %v, want %v", mutant(), first.Violation, want)
 			}
 			second, err := s.Replay(rec.Choices)
 			if err != nil {
@@ -58,22 +59,12 @@ func TestCorpusRegression(t *testing.T) {
 			if first.Fingerprint != second.Fingerprint {
 				t.Fatalf("corpus replay not byte-deterministic: %x vs %x", first.Fingerprint, second.Fingerprint)
 			}
-			clean, err := ScenarioByName(rec.Name, corpusN)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fixed, err := clean.Replay(rec.Choices)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fixed.Violation != nil {
-				t.Fatalf("unmutated engine fails the corpus schedule: %v", fixed.Violation)
-			}
 		})
 	}
-	for _, mut := range mutations() {
-		if !covered[mut] {
-			t.Errorf("no corpus schedule covers mutation %v", mut)
+	// Every mutant this test kills has a schedule of its own.
+	for _, m := range killers(loadMutants(t), "TestCorpusRegression") {
+		if !covered[m] {
+			t.Errorf("no corpus schedule covers mutant %s", m)
 		}
 	}
 }

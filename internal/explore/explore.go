@@ -26,8 +26,8 @@
 //     from the default order, and wire.ScheduleRecord persists it.
 //
 // cmd/mcpcheck is the CLI; the committed corpus under testdata holds
-// shrunken counterexamples for deliberately mutated engines
-// (core.Mutation), replayed as regression tests.
+// shrunken counterexamples for the seeded defects under testdata/mutants,
+// replayed as regression tests.
 package explore
 
 import (
@@ -98,14 +98,6 @@ type Scenario struct {
 	// form consistent lines by design — and the post-recovery live-state
 	// check takes its place.
 	LogBased bool
-
-	// Mutation injects a deliberate engine defect (mutation testing).
-	// Core engines only; ignored under LogBased.
-	Mutation core.Mutation
-	// RecoveryMutation injects a deliberate recovery-path defect into the
-	// executor (e.g. recovery.MutSkipDedup replays without exactly-once
-	// dedup).
-	RecoveryMutation recovery.Mutation
 }
 
 func (s Scenario) defaults() Scenario {
@@ -256,9 +248,7 @@ type engineProbe interface {
 func (s Scenario) execute(rec *recorder) (*RunResult, error) {
 	s = s.defaults()
 	tl := trace.New()
-	factory := func(env protocol.Env) protocol.Engine {
-		return core.NewWithOptions(env, core.Options{Mutation: s.Mutation})
-	}
+	factory := func(env protocol.Env) protocol.Engine { return core.New(env) }
 	if s.LogBased {
 		factory = func(env protocol.Env) protocol.Engine { return logbased.New(env) }
 	}
@@ -288,9 +278,7 @@ func (s Scenario) execute(rec *recorder) (*RunResult, error) {
 		mode, recKind = recovery.ModeLog, KindDuplicateDelivery
 	}
 	if len(s.Crashes) > 0 {
-		exec, err = recovery.NewExecutor(cluster, recovery.ExecOptions{
-			Mode: mode, Mutation: s.RecoveryMutation,
-		})
+		exec, err = recovery.NewExecutor(cluster, mode)
 		if err != nil {
 			return nil, fmt.Errorf("explore: %w", err)
 		}

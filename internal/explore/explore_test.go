@@ -100,30 +100,40 @@ func TestWalksDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestExhaustCleanOnUnmutated bounds-exhausts the small race scenario:
+// TestExhaustCleanOnUnmutated bounds-exhausts the small catalog
+// scenarios other than race, which TestExhaustFindsMutations searches:
 // every reachable interleaving of the correct engine must satisfy the
 // oracle.
 func TestExhaustCleanOnUnmutated(t *testing.T) {
-	rep, err := RaceScenario(3).Exhaust(ExhaustOptions{MaxRuns: 1500})
-	if err != nil {
-		t.Fatal(err)
+	for _, name := range ScenarioNames() {
+		if name == "race" {
+			continue
+		}
+		s, err := ScenarioByName(name, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := s.Exhaust(ExhaustOptions{MaxRuns: 1500})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.Violation != nil {
+			t.Fatalf("%s: unmutated engine violated under exhaust: %v (schedule %v)",
+				name, rep.Violation.Violation, rep.Violation.Schedule)
+		}
+		if rep.Runs < 2 {
+			t.Fatalf("%s: exhaust explored only %d schedule", name, rep.Runs)
+		}
+		t.Logf("%s: %d runs, %d unique, %d pruned, truncated=%v",
+			name, rep.Runs, rep.Unique, rep.Pruned, rep.Truncated)
 	}
-	if rep.Violation != nil {
-		t.Fatalf("unmutated engine violated under exhaust: %v (schedule %v)",
-			rep.Violation.Violation, rep.Violation.Schedule)
-	}
-	if rep.Runs < 10 {
-		t.Fatalf("exhaust explored only %d schedules", rep.Runs)
-	}
-	t.Logf("exhaust: %d runs, %d unique, %d pruned, truncated=%v",
-		rep.Runs, rep.Unique, rep.Pruned, rep.Truncated)
 }
 
 // TestExhaustPruningSound compares pruned and unpruned bounded searches:
-// pruning may only skip work, never change the verdict.
+// pruning may only skip work, never change the verdict. Both searches
+// must find the violation under a mutant and none in the correct engine.
 func TestExhaustPruningSound(t *testing.T) {
 	s := RaceScenario(3)
-	s.Mutation = 0
 	pruned, err := s.Exhaust(ExhaustOptions{MaxRuns: 400})
 	if err != nil {
 		t.Fatal(err)
@@ -132,8 +142,10 @@ func TestExhaustPruningSound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if (pruned.Violation == nil) != (full.Violation == nil) {
-		t.Fatalf("pruning changed the verdict: pruned=%v full=%v", pruned.Violation, full.Violation)
+	want := mutant() != ""
+	if (pruned.Violation != nil) != want || (full.Violation != nil) != want {
+		t.Fatalf("under mutant %q: pruned=%v full=%v, want violations %v",
+			mutant(), pruned.Violation, full.Violation, want)
 	}
 }
 

@@ -1,14 +1,18 @@
 package explore
 
 // Mutation testing: the proof that the explorer finds real bugs. Each
-// core.Mutation removes one safety-critical guard from the engine; the
-// tests here require that random walks detect every mutation within a
-// small budget, that the counterexample shrinks and replays
-// byte-deterministically, and that the unmutated engine survives a 10x
-// larger budget (and a bounded exhaustive search) with zero violations.
+// mutant under testdata/mutants removes one safety-critical guard, and
+// TestMutantsKilled runs the tests here under it: random walks must
+// detect it within a small budget, the counterexample must shrink and
+// replay byte-deterministically, and a bounded exhaustive search must
+// find it too. Each shrunk counterexample is written to the directory
+// counterexampleEnv names, and the runner replays it on the correct
+// code, which must pass it. Without a mutant the correct engine must
+// survive 10x the walk budget and the same exhaustive search.
 //
-// Run with -update to regenerate the committed counterexample corpus
-// under testdata/ from freshly found-and-shrunk schedules.
+// Run `go test ./internal/explore -run TestMutantsKilled -args -update`
+// to regenerate the committed counterexample corpus under testdata/ from
+// freshly found-and-shrunk schedules.
 
 import (
 	"flag"
@@ -17,104 +21,88 @@ import (
 	"path/filepath"
 	"testing"
 
-	"mutablecp/internal/core"
 	"mutablecp/internal/wire"
 )
 
 var update = flag.Bool("update", false, "rewrite the testdata counterexample corpus")
 
 // mutationWalkBudget is the "small budget": random walks allowed to find
-// each mutation. The unmutated engine must survive 10x this.
+// each mutant. The correct engine must survive 10x this.
 const mutationWalkBudget = 128
 
 // corpusN is the scenario size the committed corpus is recorded at.
 const corpusN = 4
 
-func mutations() []core.Mutation {
-	return []core.Mutation{
-		core.MutLiteralMRSuppression,
-		core.MutSkipMutableCheckpoint,
-		core.MutSkipSentGate,
-	}
-}
-
-func TestMutationsDetectedShrunkAndReplayed(t *testing.T) {
-	for _, mut := range mutations() {
-		mut := mut
-		t.Run(mut.String(), func(t *testing.T) {
-			s := RaceScenario(corpusN)
-			s.Mutation = mut
-			rep, err := s.Walks(1, mutationWalkBudget, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if rep.First == nil {
-				t.Fatalf("mutation %v survived %d random walks undetected", mut, mutationWalkBudget)
-			}
-			t.Logf("detected at seed %d (%d/%d walks violated): %v",
-				rep.FirstSeed, rep.Violations, rep.Runs, rep.First.Violation)
-
-			shr, err := s.Shrink(rep.First.Schedule)
-			if err != nil {
-				t.Fatalf("shrink: %v", err)
-			}
-			if shr.Result.Violation == nil {
-				t.Fatal("shrunken schedule no longer fails")
-			}
-			if Divergence(shr.Schedule) > Divergence(rep.First.Schedule) {
-				t.Fatalf("shrink increased divergence: %v -> %v", rep.First.Schedule, shr.Schedule)
-			}
-			t.Logf("shrunk %v (divergence %d) -> %v (divergence %d) in %d replays",
-				rep.First.Schedule, Divergence(rep.First.Schedule),
-				shr.Schedule, Divergence(shr.Schedule), shr.Runs)
-
-			// Byte-deterministic replay: the shrunken counterexample
-			// reproduces the identical execution every time.
-			once, err := s.Replay(shr.Schedule)
-			if err != nil {
-				t.Fatal(err)
-			}
-			twice, err := s.Replay(shr.Schedule)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if once.Fingerprint != twice.Fingerprint {
-				t.Fatalf("replay not deterministic: %x vs %x", once.Fingerprint, twice.Fingerprint)
-			}
-			if once.Violation == nil || once.Violation.Kind != shr.Result.Violation.Kind {
-				t.Fatalf("replay violation %v does not reproduce shrunk violation %v",
-					once.Violation, shr.Result.Violation)
-			}
-
-			// The same schedule on the unmutated engine must be clean:
-			// the counterexample isolates the mutation, not the scenario.
-			clean := RaceScenario(corpusN)
-			healthy, err := clean.Replay(shr.Schedule)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if healthy.Violation != nil {
-				t.Fatalf("unmutated engine fails the shrunken schedule too: %v", healthy.Violation)
-			}
-
-			if *update {
-				writeCorpusFile(t, &wire.ScheduleRecord{
-					Name:     clean.Name,
-					Mutation: uint8(mut),
-					Seed:     rep.FirstSeed,
-					Choices:  shr.Schedule,
-				})
-			}
-		})
-	}
-}
-
-func writeCorpusFile(t *testing.T, rec *wire.ScheduleRecord) {
+// detectShrinkReplay is both halves of the walk-budget claim for s.
+// Without a mutant, s must survive 10x the budget. Under one, some walk
+// within the budget must violate with kind (any kind if ""), the
+// counterexample must shrink without growing and replay to the identical
+// execution, and it is saved for the runner to replay on correct code.
+func detectShrinkReplay(t *testing.T, s Scenario, kind string) {
 	t.Helper()
-	if err := os.MkdirAll("testdata", 0o755); err != nil {
+	if mutant() == "" {
+		surviveTenfold(t, s)
+		return
+	}
+	rep, err := s.Walks(1, mutationWalkBudget, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join("testdata", fmt.Sprintf("%s-%s.schedule", rec.Name, core.Mutation(rec.Mutation)))
+	if rep.First == nil {
+		t.Fatalf("mutant %s survived %d random walks undetected", mutant(), mutationWalkBudget)
+	}
+	if kind != "" && rep.First.Violation.Kind != kind {
+		t.Fatalf("violation kind %q, want %q", rep.First.Violation.Kind, kind)
+	}
+	t.Logf("detected at seed %d (%d/%d walks violated): %v",
+		rep.FirstSeed, rep.Violations, rep.Runs, rep.First.Violation)
+
+	shr, err := s.Shrink(rep.First.Schedule)
+	if err != nil {
+		t.Fatalf("shrink: %v", err)
+	}
+	if shr.Result.Violation == nil {
+		t.Fatal("shrunken schedule no longer fails")
+	}
+	if Divergence(shr.Schedule) > Divergence(rep.First.Schedule) {
+		t.Fatalf("shrink increased divergence: %v -> %v", rep.First.Schedule, shr.Schedule)
+	}
+	t.Logf("shrunk %v (divergence %d) -> %v (divergence %d) in %d replays",
+		rep.First.Schedule, Divergence(rep.First.Schedule),
+		shr.Schedule, Divergence(shr.Schedule), shr.Runs)
+
+	// Byte-deterministic replay: the shrunken counterexample reproduces
+	// the identical execution every time.
+	once, err := s.Replay(shr.Schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	twice, err := s.Replay(shr.Schedule)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if once.Fingerprint != twice.Fingerprint {
+		t.Fatalf("replay not deterministic: %x vs %x", once.Fingerprint, twice.Fingerprint)
+	}
+	if once.Violation == nil || once.Violation.Kind != shr.Result.Violation.Kind {
+		t.Fatalf("replay violation %v does not reproduce shrunk violation %v",
+			once.Violation, shr.Result.Violation)
+	}
+	writeCounterexample(t, &wire.ScheduleRecord{
+		Name: s.Name, Mutant: mutant(), N: s.N, Seed: rep.FirstSeed, Choices: shr.Schedule,
+	})
+}
+
+// writeCounterexample saves rec as <scenario>-<mutant>.schedule in the
+// directory counterexampleEnv names. Outside the runner it is unset and
+// nothing is written.
+func writeCounterexample(t *testing.T, rec *wire.ScheduleRecord) {
+	t.Helper()
+	dir := os.Getenv(counterexampleEnv)
+	if dir == "" {
+		return
+	}
+	path := filepath.Join(dir, fmt.Sprintf("%s-%s.schedule", rec.Name, rec.Mutant))
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
@@ -126,45 +114,66 @@ func writeCorpusFile(t *testing.T, rec *wire.ScheduleRecord) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("wrote %s (choices %v)", path, rec.Choices)
 }
 
-// TestUnmutatedSurvivesTenfoldBudget gives the correct engine 10x the
-// walk budget each mutation was found within, on every catalog scenario:
-// zero violations allowed.
+func TestMutationsDetectedShrunkAndReplayed(t *testing.T) {
+	detectShrinkReplay(t, RaceScenario(corpusN), "")
+}
+
+// surviveTenfold gives the correct engine 10x the walk budget a mutant
+// is found within: zero violations allowed.
+func surviveTenfold(t *testing.T, s Scenario) {
+	t.Helper()
+	rep, err := s.Walks(1, 10*mutationWalkBudget, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Violations != 0 {
+		t.Fatalf("%s: unmutated engine violated %d/%d walks; first (seed %d): %v",
+			s.Name, rep.Violations, rep.Runs, rep.FirstSeed, rep.First.Violation)
+	}
+	t.Logf("%s: %d walks clean (%d unique executions, %d decisions)",
+		s.Name, rep.Runs, rep.Unique, rep.Decisions)
+}
+
+// TestUnmutatedSurvivesTenfoldBudget walks the catalog scenarios no
+// detection test walks at 10x the budget. Race and replay get theirs
+// from TestMutationsDetectedShrunkAndReplayed and
+// TestRecoveryMutationDetectedShrunkAndReplayed.
 func TestUnmutatedSurvivesTenfoldBudget(t *testing.T) {
-	for _, name := range ScenarioNames() {
+	for _, name := range []string{"abort", "burst", "recover"} {
 		s, err := ScenarioByName(name, corpusN)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep, err := s.Walks(1, 10*mutationWalkBudget, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Violations != 0 {
-			t.Fatalf("%s: unmutated engine violated %d/%d walks; first (seed %d): %v",
-				name, rep.Violations, rep.Runs, rep.FirstSeed, rep.First.Violation)
-		}
-		t.Logf("%s: %d walks clean (%d unique executions, %d decisions)",
-			name, rep.Runs, rep.Unique, rep.Decisions)
+		surviveTenfold(t, s)
 	}
 }
 
 // TestExhaustFindsMutations proves the bounded DFS strategy also detects
-// every mutation, without randomness, on the minimal 3-process scenario.
+// the mutant, without randomness, on the minimal 3-process scenario;
+// every interleaving the same search reaches in the correct engine must
+// satisfy the oracle.
 func TestExhaustFindsMutations(t *testing.T) {
-	for _, mut := range mutations() {
-		s := RaceScenario(3)
-		s.Mutation = mut
-		rep, err := s.Exhaust(ExhaustOptions{MaxRuns: 2000})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Violation == nil {
-			t.Fatalf("mutation %v survived %d exhaustively searched schedules", mut, rep.Runs)
-		}
-		t.Logf("%v: found after %d schedules: %v (schedule %v)",
-			mut, rep.Runs, rep.Violation.Violation, rep.Violation.Schedule)
+	rep, err := RaceScenario(3).Exhaust(ExhaustOptions{MaxRuns: 2000})
+	if err != nil {
+		t.Fatal(err)
 	}
+	if mutant() == "" {
+		if rep.Violation != nil {
+			t.Fatalf("correct engine violated under exhaust: %v (schedule %v)",
+				rep.Violation.Violation, rep.Violation.Schedule)
+		}
+		if rep.Runs < 10 {
+			t.Fatalf("exhaust explored only %d schedules", rep.Runs)
+		}
+		t.Logf("exhaust: %d runs, %d unique, %d pruned, truncated=%v",
+			rep.Runs, rep.Unique, rep.Pruned, rep.Truncated)
+		return
+	}
+	if rep.Violation == nil {
+		t.Fatalf("mutant %s survived %d exhaustively searched schedules", mutant(), rep.Runs)
+	}
+	t.Logf("%s: found after %d schedules: %v (schedule %v)",
+		mutant(), rep.Runs, rep.Violation.Violation, rep.Violation.Schedule)
 }

@@ -1,74 +1,16 @@
 package explore
 
-// Recovery-path mutation testing: the crash+recover scenarios must catch
-// a deliberately broken executor. recovery.MutSkipDedup replays the full
-// sender log without deduplicating against the restored checkpoint's
-// receive counters, so every message the checkpoint already covered is
-// delivered twice — the live-state oracle inside the recovery event
-// reports KindDuplicateDelivery.
+import "testing"
 
-import (
-	"testing"
-
-	"mutablecp/internal/recovery"
-)
-
+// TestRecoveryMutationDetectedShrunkAndReplayed: the crash+recover
+// scenarios must catch a broken executor. Under the skip-dedup mutant the
+// executor replays each sender's whole log without deduplicating against
+// the restored checkpoint's receive counters, so every message the
+// checkpoint already covered is delivered twice, and the live-state check
+// inside the recovery event reports KindDuplicateDelivery. The correct
+// executor survives 10x as many walks.
 func TestRecoveryMutationDetectedShrunkAndReplayed(t *testing.T) {
-	s := ReplayScenario(corpusN)
-	s.RecoveryMutation = recovery.MutSkipDedup
-	rep, err := s.Walks(1, mutationWalkBudget, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.First == nil {
-		t.Fatalf("recovery mutation survived %d random walks undetected", mutationWalkBudget)
-	}
-	if rep.First.Violation.Kind != KindDuplicateDelivery {
-		t.Fatalf("violation kind %q, want %q", rep.First.Violation.Kind, KindDuplicateDelivery)
-	}
-	t.Logf("detected at seed %d (%d/%d walks violated): %v",
-		rep.FirstSeed, rep.Violations, rep.Runs, rep.First.Violation)
-
-	shr, err := s.Shrink(rep.First.Schedule)
-	if err != nil {
-		t.Fatalf("shrink: %v", err)
-	}
-	if shr.Result.Violation == nil {
-		t.Fatal("shrunken schedule no longer fails")
-	}
-	if Divergence(shr.Schedule) > Divergence(rep.First.Schedule) {
-		t.Fatalf("shrink increased divergence: %v -> %v", rep.First.Schedule, shr.Schedule)
-	}
-	t.Logf("shrunk %v (divergence %d) -> %v (divergence %d) in %d replays",
-		rep.First.Schedule, Divergence(rep.First.Schedule),
-		shr.Schedule, Divergence(shr.Schedule), shr.Runs)
-
-	once, err := s.Replay(shr.Schedule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	twice, err := s.Replay(shr.Schedule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if once.Fingerprint != twice.Fingerprint {
-		t.Fatalf("replay not deterministic: %x vs %x", once.Fingerprint, twice.Fingerprint)
-	}
-	if once.Violation == nil || once.Violation.Kind != shr.Result.Violation.Kind {
-		t.Fatalf("replay violation %v does not reproduce shrunk violation %v",
-			once.Violation, shr.Result.Violation)
-	}
-
-	// The correct executor is clean on the very same schedule: the
-	// counterexample isolates the recovery bug, not the scenario.
-	clean := ReplayScenario(corpusN)
-	healthy, err := clean.Replay(shr.Schedule)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if healthy.Violation != nil {
-		t.Fatalf("correct executor fails the shrunken schedule too: %v", healthy.Violation)
-	}
+	detectShrinkReplay(t, ReplayScenario(corpusN), KindDuplicateDelivery)
 }
 
 // TestRecoverScenarioExercisesRecovery pins that both crash scenarios

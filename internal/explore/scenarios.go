@@ -200,7 +200,7 @@ func RecoverScenario(n int) Scenario {
 // and crashes. Recovery restores P1's own checkpoint alone and replays
 // the logs with exactly-once dedup against the checkpoint's receive
 // counters; the live-state check after the recovery event catches any
-// double delivery (KindDuplicateDelivery, the recovery.MutSkipDedup
+// double delivery (KindDuplicateDelivery, the skip-dedup mutant's
 // signal) or lost message.
 func ReplayScenario(n int) Scenario {
 	if n < 3 {

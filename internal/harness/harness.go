@@ -148,10 +148,6 @@ type Config struct {
 	// not share a run with a fail-stop one: recovery touches every
 	// process, so no other victim may be down at the time.
 	Crashes []simrt.CrashPlan
-
-	// RecoveryMutation seeds a recovery-path bug (oracle fodder for the
-	// tests); leave zero for the correct executor.
-	RecoveryMutation recovery.Mutation
 }
 
 // Faults is a run's fault mix. Zero fields inject nothing of that kind; an
@@ -510,7 +506,7 @@ func drive(cfg Config, tl *trace.Log) (r *simRun, err error) {
 	plans := slices.Clone(cfg.Crashes)
 	slices.SortStableFunc(plans, func(a, b simrt.CrashPlan) int { return cmp.Compare(a.Proc, b.Proc) })
 	if restarts(plans) {
-		r.exec, err = recovery.NewExecutor(cluster, recovery.ExecOptions{Mode: mode, Mutation: cfg.RecoveryMutation})
+		r.exec, err = recovery.NewExecutor(cluster, mode)
 		if err == nil {
 			err = r.exec.Install(plans)
 		}

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -154,15 +155,16 @@ func TestRecoverySweepAndFormat(t *testing.T) {
 	}
 }
 
+// TestRunRecoveryMutationDetected: the post-recovery consistency check
+// passes a log-based recovery and fails it under the skip-dedup mutant,
+// whose replay delivers the restored checkpoint's prefix twice.
 func TestRunRecoveryMutationDetected(t *testing.T) {
-	cfg := fastRecovery(AlgoLogBased, 1)
-	cfg.RecoveryMutation = recovery.MutSkipDedup
-	res, err := Run(cfg)
+	res, err := Run(fastRecovery(AlgoLogBased, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.PostRecoveryOK {
-		t.Fatal("skip-dedup mutation survived the post-recovery consistency check")
+	if want := os.Getenv("MUTABLECP_MUTANT") == ""; res.PostRecoveryOK != want {
+		t.Fatalf("post-recovery check passed: %v, want %v (%v)", res.PostRecoveryOK, want, res.PostRecoveryErr)
 	}
 }
 

@@ -57,29 +57,10 @@ func (m Mode) String() string {
 	}
 }
 
-// Mutation seeds a recovery-path bug for the model checker's oracle to
-// catch (internal/explore); MutNone is the correct executor.
-type Mutation int
-
-// Seeded recovery-path mutations.
-const (
-	MutNone Mutation = iota
-	// MutSkipDedup replays the full sender log without deduplicating
-	// against the restored checkpoint's receive counters — messages the
-	// checkpoint already recorded are delivered a second time.
-	MutSkipDedup
-)
-
-// ExecOptions configures an Executor.
-type ExecOptions struct {
-	Mode     Mode
-	Mutation Mutation
-}
-
 // Executor drives live recovery on one cluster.
 type Executor struct {
 	cluster *simrt.Cluster
-	opts    ExecOptions
+	mode    Mode
 
 	// Filled by the restart hook Install schedules.
 	reports      []*Report
@@ -89,17 +70,17 @@ type Executor struct {
 // NewExecutor validates the pairing and returns an executor. ModeLog
 // requires sender-based message logging to be enabled (there is nothing
 // to replay from otherwise).
-func NewExecutor(cluster *simrt.Cluster, opts ExecOptions) (*Executor, error) {
-	switch opts.Mode {
+func NewExecutor(cluster *simrt.Cluster, mode Mode) (*Executor, error) {
+	switch mode {
 	case ModeRollback:
 	case ModeLog:
 		if !cluster.Config().MessageLogging {
 			return nil, errors.New("recovery: ModeLog requires simrt.Config.MessageLogging")
 		}
 	default:
-		return nil, fmt.Errorf("recovery: unknown mode %d", opts.Mode)
+		return nil, fmt.Errorf("recovery: unknown mode %d", mode)
 	}
-	return &Executor{cluster: cluster, opts: opts}, nil
+	return &Executor{cluster: cluster, mode: mode}, nil
 }
 
 // Report describes one executed recovery.
@@ -148,7 +129,7 @@ func (x *Executor) Recover(victim protocol.ProcessID) (*Report, error) {
 	if p.Phase() != simrt.PhaseDown {
 		return nil, fmt.Errorf("recovery: P%d is %v, not down", victim, p.Phase())
 	}
-	switch x.opts.Mode {
+	switch x.mode {
 	case ModeLog:
 		return x.recoverLog(victim)
 	default:
@@ -286,17 +267,9 @@ func (x *Executor) recoverLog(victim protocol.ProcessID) (*Report, error) {
 		}
 		logged := x.cluster.Proc(q).LoggedSends(victim)
 		covered := protocol.CounterAt(st.RecvFrom, q)
-		start := covered
-		if x.opts.Mutation == MutSkipDedup {
-			// Seeded bug: ignore what the checkpoint already recorded and
-			// replay the whole log — the first `covered` messages arrive a
-			// second time.
-			start = 0
-		} else {
-			p.CountDedupedReplays(covered)
-			rep.Deduped += covered
-		}
-		for k := start; k < logged; k++ {
+		p.CountDedupedReplays(covered)
+		rep.Deduped += covered
+		for k := covered; k < logged; k++ {
 			p.InjectReplay(q)
 			rep.Replayed++
 		}

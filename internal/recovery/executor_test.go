@@ -2,6 +2,7 @@ package recovery_test
 
 import (
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -35,7 +36,7 @@ const (
 // runRecovery drives a 5-process cluster with steady p2p traffic and
 // 60-second checkpoint intervals, crashes P3 mid-run, recovers it through
 // the executor, and runs on to the horizon.
-func runRecovery(t *testing.T, algo func(env protocol.Env) protocol.Engine, opts recovery.ExecOptions, logging bool, seed uint64) *recoveryRun {
+func runRecovery(t *testing.T, algo func(env protocol.Env) protocol.Engine, mode recovery.Mode, logging bool, seed uint64) *recoveryRun {
 	t.Helper()
 	cluster, err := simrt.New(simrt.Config{
 		N:                   5,
@@ -49,7 +50,7 @@ func runRecovery(t *testing.T, algo func(env protocol.Env) protocol.Engine, opts
 	if err != nil {
 		t.Fatalf("new cluster: %v", err)
 	}
-	exec, err := recovery.NewExecutor(cluster, opts)
+	exec, err := recovery.NewExecutor(cluster, mode)
 	if err != nil {
 		t.Fatalf("new executor: %v", err)
 	}
@@ -109,7 +110,7 @@ func logbasedEngine(env protocol.Env) protocol.Engine { return logbased.New(env)
 // live by coordinated rollback — the resumed run is orphan-free, commits
 // new lines, and every peer rolled back exactly once.
 func TestRollbackRecoveryEndToEnd(t *testing.T) {
-	r := runRecovery(t, mutableEngine, recovery.ExecOptions{Mode: recovery.ModeRollback}, false, 42)
+	r := runRecovery(t, mutableEngine, recovery.ModeRollback, false, 42)
 	for _, err := range r.cluster.Errors() {
 		t.Errorf("cluster error: %v", err)
 	}
@@ -149,7 +150,7 @@ func TestRollbackRecoveryEndToEnd(t *testing.T) {
 // failed process from its own checkpoint plus its peers' logs; nobody
 // else rolls back, and dedup enforces exactly-once redelivery.
 func TestLogRecoveryRollsBackOnlyVictim(t *testing.T) {
-	r := runRecovery(t, logbasedEngine, recovery.ExecOptions{Mode: recovery.ModeLog}, true, 42)
+	r := runRecovery(t, logbasedEngine, recovery.ModeLog, true, 42)
 	for _, err := range r.cluster.Errors() {
 		t.Errorf("cluster error: %v", err)
 	}
@@ -185,18 +186,24 @@ func TestLogRecoveryRollsBackOnlyVictim(t *testing.T) {
 	}
 }
 
-// TestSkipDedupMutationCausesDuplicateDelivery: the seeded recovery-path
-// bug (replay without dedup) is observable as a consistency violation on
-// the live states immediately after recovery — some channel's receive
-// count exceeds its send count.
+// TestSkipDedupMutationCausesDuplicateDelivery: log replay skips what the
+// restored checkpoint already recorded, so the live states are consistent
+// right after recovery. Under the skip-dedup mutant (replay without
+// dedup) that prefix arrives twice: some channel's receive count exceeds
+// its send count, and nothing is reported deduped.
 func TestSkipDedupMutationCausesDuplicateDelivery(t *testing.T) {
-	r := runRecovery(t, logbasedEngine,
-		recovery.ExecOptions{Mode: recovery.ModeLog, Mutation: recovery.MutSkipDedup}, true, 42)
+	r := runRecovery(t, logbasedEngine, recovery.ModeLog, true, 42)
 	if r.rep == nil {
 		t.Fatal("recovery never ran")
 	}
+	if os.Getenv("MUTABLECP_MUTANT") == "" {
+		if r.postErr != nil || r.rep.Deduped == 0 {
+			t.Fatalf("correct executor: post-recovery %v, %d deduped replays", r.postErr, r.rep.Deduped)
+		}
+		return
+	}
 	if r.postErr == nil {
-		t.Fatal("skip-dedup mutation went undetected: post-recovery states still consistent")
+		t.Fatal("skip-dedup mutant went undetected: post-recovery states still consistent")
 	}
 	if r.rep.Deduped != 0 {
 		t.Fatalf("mutated executor reported %d deduped replays", r.rep.Deduped)
@@ -209,20 +216,20 @@ func TestRecoveryDeterministic(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		algo    func(env protocol.Env) protocol.Engine
-		opts    recovery.ExecOptions
+		mode    recovery.Mode
 		logging bool
 	}{
-		{"rollback", mutableEngine, recovery.ExecOptions{Mode: recovery.ModeRollback}, false},
-		{"log", logbasedEngine, recovery.ExecOptions{Mode: recovery.ModeLog}, true},
+		{"rollback", mutableEngine, recovery.ModeRollback, false},
+		{"log", logbasedEngine, recovery.ModeLog, true},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			a := runRecovery(t, tc.algo, tc.opts, tc.logging, 7)
-			b := runRecovery(t, tc.algo, tc.opts, tc.logging, 7)
+			a := runRecovery(t, tc.algo, tc.mode, tc.logging, 7)
+			b := runRecovery(t, tc.algo, tc.mode, tc.logging, 7)
 			if a.fp != b.fp {
 				t.Fatalf("same seed diverged:\n%s\n%s", a.fp, b.fp)
 			}
-			c := runRecovery(t, tc.algo, tc.opts, tc.logging, 8)
+			c := runRecovery(t, tc.algo, tc.mode, tc.logging, 8)
 			if c.fp == a.fp {
 				t.Fatal("different seeds produced identical executions")
 			}
@@ -240,13 +247,13 @@ func TestExecutorValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := recovery.NewExecutor(cluster, recovery.ExecOptions{Mode: recovery.ModeLog}); err == nil {
+	if _, err := recovery.NewExecutor(cluster, recovery.ModeLog); err == nil {
 		t.Fatal("ModeLog accepted without MessageLogging")
 	}
-	if _, err := recovery.NewExecutor(cluster, recovery.ExecOptions{}); err == nil {
+	if _, err := recovery.NewExecutor(cluster, 0); err == nil {
 		t.Fatal("zero mode accepted")
 	}
-	exec, err := recovery.NewExecutor(cluster, recovery.ExecOptions{Mode: recovery.ModeRollback})
+	exec, err := recovery.NewExecutor(cluster, recovery.ModeRollback)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -52,7 +52,7 @@ func TestRollbackRecoveryRestoresPayload(t *testing.T) {
 	if err != nil {
 		t.Fatalf("new cluster: %v", err)
 	}
-	exec, err := recovery.NewExecutor(cluster, recovery.ExecOptions{Mode: recovery.ModeRollback})
+	exec, err := recovery.NewExecutor(cluster, recovery.ModeRollback)
 	if err != nil {
 		t.Fatalf("new executor: %v", err)
 	}

@@ -18,37 +18,55 @@ import (
 type ScheduleRecord struct {
 	// Name is the scenario the schedule belongs to.
 	Name string
-	// Mutation is the engine mutation the schedule was found against
-	// (core.Mutation's numeric value; wire stays protocol-agnostic).
-	Mutation uint8
-	// Seed is the random-walk seed that first produced the schedule
-	// (0 for shrunken or hand-written schedules).
+	// Mutant names the seeded defect the schedule was found against (a
+	// file under internal/explore/testdata/mutants); empty for the
+	// correct engine or when the writer does not know.
+	Mutant string
+	// N is the process count the schedule was recorded at; 0 in a
+	// version-1 record, which predates the field.
+	N int
+	// Seed is the random-walk seed the schedule came from, shrunk or
+	// not; 0 for exhaustive or hand-written schedules.
 	Seed uint64
 	// Choices holds the chosen index at every decision point, in order.
 	// Decision points past the end replay as 0 (schedule order).
 	Choices []int
 }
 
+// A version-1 body names its mutant by number, through scheduleV1Mutants,
+// and records no N; version 2 names the mutant and records N. Only
+// version 2 is written, and version 1 still decodes, so the committed
+// corpus needs no rewriting.
 const (
-	scheduleVersion = 1
-	// maxScheduleName bounds the scenario-name field.
+	scheduleVersion1 = 1
+	scheduleVersion  = 2
+	// maxScheduleName bounds the scenario and mutant names.
 	maxScheduleName = 1024
-	// maxScheduleChoice bounds a single tie-break choice; no instant ever
-	// has this many simultaneous events in a bounded scenario.
+	// maxScheduleChoice bounds a single tie-break choice and N; no
+	// instant ever has this many simultaneous events in a bounded
+	// scenario.
 	maxScheduleChoice = 1 << 20
 )
+
+// scheduleV1Mutants maps a version-1 mutation number to its mutant.
+var scheduleV1Mutants = [...]string{"", "mr-suppression", "skip-mutable", "skip-sent-gate"}
 
 // AppendScheduleRecord appends the framed record to dst and returns the
 // extended slice.
 func AppendScheduleRecord(dst []byte, r *ScheduleRecord) ([]byte, error) {
-	if len(r.Name) > maxScheduleName {
-		return dst, fmt.Errorf("wire: encode schedule: name too long (%d bytes)", len(r.Name))
+	if len(r.Name) > maxScheduleName || len(r.Mutant) > maxScheduleName {
+		return dst, fmt.Errorf("wire: encode schedule: name too long (%d, %d bytes)", len(r.Name), len(r.Mutant))
+	}
+	if r.N < 0 || r.N > maxScheduleChoice {
+		return dst, fmt.Errorf("wire: encode schedule: n %d out of range", r.N)
 	}
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, scheduleVersion)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Name)))
 	dst = append(dst, r.Name...)
-	dst = binary.AppendUvarint(dst, uint64(r.Mutation))
+	dst = binary.AppendUvarint(dst, uint64(len(r.Mutant)))
+	dst = append(dst, r.Mutant...)
+	dst = binary.AppendUvarint(dst, uint64(r.N))
 	dst = binary.AppendUvarint(dst, r.Seed)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Choices)))
 	for _, c := range r.Choices {
@@ -77,15 +95,30 @@ func DecodeScheduleRecord(rd io.Reader) (*ScheduleRecord, int, error) {
 	if err != nil {
 		return nil, n, err
 	}
-	c, err := openBody(body, scheduleVersion)
+	version := byte(scheduleVersion)
+	if len(body) > 0 && body[0] == scheduleVersion1 {
+		version = scheduleVersion1
+	}
+	c, err := openBody(body, version)
 	if err != nil {
 		return nil, n, err
 	}
-	name, mutation := c.bytes(), c.uvarint()
-	if len(name) > maxScheduleName || mutation > 0xff {
-		return nil, n, fmt.Errorf("%w: name of %d bytes, mutation %d", ErrCorruptRecord, len(name), mutation)
+	name := c.bytes()
+	var mutant string
+	var procs uint64
+	if version == scheduleVersion1 {
+		num := c.uvarint()
+		if num >= uint64(len(scheduleV1Mutants)) {
+			return nil, n, fmt.Errorf("%w: version-1 mutation %d", ErrCorruptRecord, num)
+		}
+		mutant = scheduleV1Mutants[num]
+	} else {
+		mutant, procs = string(c.bytes()), c.uvarint()
 	}
-	rec := &ScheduleRecord{Name: string(name), Mutation: uint8(mutation), Seed: c.uvarint()}
+	if len(name) > maxScheduleName || len(mutant) > maxScheduleName || procs > maxScheduleChoice {
+		return nil, n, fmt.Errorf("%w: names of %d and %d bytes, n %d", ErrCorruptRecord, len(name), len(mutant), procs)
+	}
+	rec := &ScheduleRecord{Name: string(name), Mutant: mutant, N: int(procs), Seed: c.uvarint()}
 	// Every choice takes at least one body byte.
 	rec.Choices = make([]int, c.count(1))
 	for i := range rec.Choices {

@@ -11,9 +11,9 @@ import (
 
 func TestScheduleRecordRoundTrip(t *testing.T) {
 	recs := []*ScheduleRecord{
-		{Name: "race", Mutation: 2, Seed: 42, Choices: []int{0, 1, 0, 2, 1}},
-		{Name: "", Mutation: 0, Seed: 0, Choices: nil},
-		{Name: "burst", Mutation: 3, Seed: 1 << 60, Choices: []int{maxScheduleChoice}},
+		{Name: "race", Mutant: "skip-mutable", N: 3, Seed: 42, Choices: []int{0, 1, 0, 2, 1}},
+		{Name: "", Mutant: "", N: 0, Seed: 0, Choices: nil},
+		{Name: "burst", Mutant: "skip-sent-gate", N: maxScheduleChoice, Seed: 1 << 60, Choices: []int{maxScheduleChoice}},
 	}
 	var buf bytes.Buffer
 	for _, r := range recs {
@@ -27,7 +27,7 @@ func TestScheduleRecordRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode %d: %v", i, err)
 		}
-		if got.Name != want.Name || got.Mutation != want.Mutation || got.Seed != want.Seed {
+		if got.Name != want.Name || got.Mutant != want.Mutant || got.N != want.N || got.Seed != want.Seed {
 			t.Fatalf("decode %d: got %+v want %+v", i, got, want)
 		}
 		if len(got.Choices) != len(want.Choices) {
@@ -44,6 +44,21 @@ func TestScheduleRecordRoundTrip(t *testing.T) {
 	}
 }
 
+// TestScheduleRecordVersion1 decodes a version-1 body, whose numeric
+// mutation names a mutant through the version-1 table and which records
+// no N.
+func TestScheduleRecordVersion1(t *testing.T) {
+	body := []byte{scheduleVersion1, 4, 'r', 'a', 'c', 'e', 2 /* mutation */, 7 /* seed */, 2, 1, 0}
+	rec, _, err := DecodeScheduleRecord(bytes.NewReader(frameBody(body)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.Name != "race" || rec.Mutant != "skip-mutable" || rec.N != 0 || rec.Seed != 7 ||
+		len(rec.Choices) != 2 || rec.Choices[0] != 1 || rec.Choices[1] != 0 {
+		t.Fatalf("decoded %+v", rec)
+	}
+}
+
 func TestScheduleRecordRejectsBadInput(t *testing.T) {
 	if _, err := AppendScheduleRecord(nil, &ScheduleRecord{Choices: []int{-1}}); err == nil {
 		t.Fatal("negative choice encoded")
@@ -53,6 +68,14 @@ func TestScheduleRecordRejectsBadInput(t *testing.T) {
 	}
 	if _, err := AppendScheduleRecord(nil, &ScheduleRecord{Name: string(make([]byte, maxScheduleName+1))}); err == nil {
 		t.Fatal("oversized name encoded")
+	}
+	if _, err := AppendScheduleRecord(nil, &ScheduleRecord{Mutant: string(make([]byte, maxScheduleName+1))}); err == nil {
+		t.Fatal("oversized mutant name encoded")
+	}
+	for _, n := range []int{-1, maxScheduleChoice + 1} {
+		if _, err := AppendScheduleRecord(nil, &ScheduleRecord{N: n}); err == nil {
+			t.Fatalf("n %d encoded", n)
+		}
 	}
 }
 
@@ -79,7 +102,7 @@ func TestScheduleRecordTornAndCorrupt(t *testing.T) {
 	}
 	// A hostile choice count larger than the remaining body, behind a
 	// valid CRC: the decoder must reject it before allocating.
-	body := []byte{scheduleVersion, 0 /* name len */, 0 /* mutation */, 0 /* seed */, 200 /* count */}
+	body := []byte{scheduleVersion, 0 /* name len */, 0 /* mutant len */, 0 /* n */, 0 /* seed */, 200 /* count */}
 	_, _, err = DecodeScheduleRecord(bytes.NewReader(frameBody(body)))
 	if !errors.Is(err, ErrCorruptRecord) {
 		t.Fatalf("hostile count: got %v, want ErrCorruptRecord", err)
@@ -91,10 +114,14 @@ func TestScheduleRecordTornAndCorrupt(t *testing.T) {
 	}
 	// Out-of-range fields behind a valid CRC.
 	for name, body := range map[string][]byte{
-		"mutation 256":   {scheduleVersion, 0, 0x80, 0x02, 0, 0},
-		"choice 2^20+1":  {scheduleVersion, 0, 0, 0, 1, 0x81, 0x80, 0x40},
-		"name too long":  append([]byte{scheduleVersion, 0x81, 0x08}, make([]byte, maxScheduleName+4)...),
-		"trailing bytes": {scheduleVersion, 0, 0, 0, 0, 0},
+		"v1 mutation 4":   {scheduleVersion1, 0, 4, 0, 0},
+		"v1 mutation 256": {scheduleVersion1, 0, 0x80, 0x02, 0, 0},
+		"v1 trailing":     {scheduleVersion1, 0, 0, 0, 0, 0},
+		"n 2^20+1":        {scheduleVersion, 0, 0, 0x81, 0x80, 0x40, 0, 0},
+		"choice 2^20+1":   {scheduleVersion, 0, 0, 0, 0, 1, 0x81, 0x80, 0x40},
+		"name too long":   append([]byte{scheduleVersion, 0x81, 0x08}, make([]byte, maxScheduleName+4)...),
+		"mutant too long": append([]byte{scheduleVersion, 0, 0x81, 0x08}, make([]byte, maxScheduleName+4)...),
+		"trailing bytes":  {scheduleVersion, 0, 0, 0, 0, 0, 0},
 	} {
 		if _, _, err := DecodeScheduleRecord(bytes.NewReader(frameBody(body))); !errors.Is(err, ErrCorruptRecord) {
 			t.Fatalf("%s: got %v, want ErrCorruptRecord", name, err)
