@@ -189,11 +189,11 @@ func run(args []string) error {
 			if stats.LogicalBytes > 0 {
 				ratio = float64(stats.NewBytes) / float64(stats.LogicalBytes)
 			}
-			fmt.Printf("P%d: perm=%d tent=%d chunks=%d live=%d new=%dKiB logical=%dKiB ratio=%.3f dedup=%d (self=%d cross=%d) delta=%d gc=%d (verified)\n",
+			fmt.Printf("P%d: perm=%d tent=%d chunks=%d live=%d new=%dKiB logical=%dKiB ratio=%.3f dedup=%d (self=%d cross=%d) gc=%d (verified)\n",
 				nc.ID, stats.Permanents, stats.Tentatives, stats.Chunks, stats.LiveChunks,
 				stats.NewBytes>>10, stats.LogicalBytes>>10, ratio,
 				stats.DedupChunks, stats.SelfDedupChunks, stats.CrossDedupChunks,
-				stats.DeltaChunks, stats.Compactions)
+				stats.Compactions)
 		}
 	case "recover":
 		if err := daemon.RollbackCluster(cfg); err != nil {

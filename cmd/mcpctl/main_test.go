@@ -124,7 +124,7 @@ func TestAgainstCluster(t *testing.T) {
 			`->P1 data=[1-9]`,
 		}},
 		{[]string{"store"}, []string{
-			`P0: perm=1 tent=0 chunks=8 live=8 new=16KiB logical=16KiB ratio=1\.0\d\d dedup=0 \(self=0 cross=0\) delta=0 gc=0 \(verified\)`,
+			`P0: perm=1 tent=0 chunks=8 live=8 new=16KiB logical=16KiB ratio=1\.0\d\d dedup=0 \(self=0 cross=0\) gc=0 \(verified\)`,
 			`P1: perm=1 tent=0 `,
 		}},
 		{[]string{"checkpoint", "-at", "7"}, nil},

@@ -10,6 +10,7 @@
 //	mcpsim -workload group -ratio 10000 -rate 0.1
 //	mcpsim -algo mutable -rate 0.05 -seeds 8 -parallel 0
 //	mcpsim -algo mutable -rate 0.05 -store /tmp/mcp-store
+//	mcpsim -n 8 -payload-bytes 65536 -payload-profile skewed
 //	mcpsim -chaos -seeds 5
 //	mcpsim -chaos -chaos-drop 0.3 -chaos-partition 20s -chaos-crashes 2
 //	mcpsim -chaos -store /tmp/mcp-store -chaos-mss-restart
@@ -28,7 +29,6 @@ import (
 	"time"
 
 	"mutablecp/internal/algorithms"
-	"mutablecp/internal/chunkstore"
 	"mutablecp/internal/harness"
 	"mutablecp/internal/profiling"
 	"mutablecp/internal/simrt"
@@ -240,8 +240,6 @@ func run(args []string) error {
 		"with -payload-bytes: content-addressed chunk size in bytes (0 = 4096)")
 	payloadProfile := fs.String("payload-profile", "",
 		"with -payload-bytes: image mutation profile: uniform, skewed, or append")
-	payloadMode := fs.String("payload-mode", "",
-		"with -payload-bytes: storage mode: incremental, delta, or full")
 	recoveryMode := fs.String("recovery", "",
 		"run a crash-and-recover experiment: rollback (coordinated line) or log (sender-based message logging)")
 	crashAt := fs.Duration("crash-at", 0,
@@ -265,7 +263,7 @@ func run(args []string) error {
 		return err
 	}
 	if *payloadBytes <= 0 {
-		for _, f := range []string{"payload-chunk", "payload-profile", "payload-mode"} {
+		for _, f := range []string{"payload-chunk", "payload-profile"} {
 			if explicit[f] {
 				return fmt.Errorf("-%s requires -payload-bytes", f)
 			}
@@ -277,10 +275,6 @@ func run(args []string) error {
 		return fmt.Errorf("-payload-chunk must be >= 0")
 	}
 	imgProfile, err := workload.ParseImageProfile(*payloadProfile)
-	if err != nil {
-		return err
-	}
-	chunkMode, err := chunkstore.ParseMode(*payloadMode)
 	if err != nil {
 		return err
 	}
@@ -315,7 +309,7 @@ func run(args []string) error {
 	withPayload := func(c *harness.Config, dir string) {
 		if *payloadBytes > 0 {
 			c.PayloadBytes, c.PayloadChunkBytes = *payloadBytes, *payloadChunk
-			c.PayloadProfile, c.PayloadMode, c.PayloadDir = imgProfile, chunkMode, dir
+			c.PayloadProfile, c.PayloadDir = imgProfile, dir
 		}
 	}
 	withPayload(&cfg, *store)
@@ -413,12 +407,12 @@ func run(args []string) error {
 		printStoreVerdict(res.DiskLineErr, false)
 	}
 	if cfg.PayloadBytes > 0 {
-		fmt.Printf("payload transfer     %dKiB logical -> %dKiB after dedup (ratio %.3f over %d saves, mode %v)\n",
+		fmt.Printf("payload transfer     %dKiB logical -> %dKiB after dedup (ratio %.3f over %d saves)\n",
 			res.PayloadLogicalBytes>>10, res.PayloadNewBytes>>10,
-			res.PayloadRatio, res.PayloadSaves, cfg.PayloadMode)
-		fmt.Printf("payload dedup        %d chunks (%d self-process, %d cross-process), %d delta\n",
+			res.PayloadRatio, res.PayloadSaves)
+		fmt.Printf("payload dedup        %d chunks (%d self-process, %d cross-process)\n",
 			res.PayloadStats.DedupChunks, res.PayloadStats.SelfDedupChunks,
-			res.PayloadStats.CrossDedupChunks, res.PayloadStats.DeltaChunks)
+			res.PayloadStats.CrossDedupChunks)
 		if res.PayloadVerifyOK {
 			fmt.Printf("payload audit        OK (every manifest resolves to intact chunks)\n")
 		} else {

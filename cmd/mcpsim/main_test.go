@@ -118,13 +118,13 @@ func captureRun(t *testing.T, args []string) string {
 }
 
 // TestRunPayload drives the payload plane through the CLI with the
-// chunk store on disk under -store, in delta mode.
+// chunk store on disk under -store.
 func TestRunPayload(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run")
 	}
 	err := run([]string{"-n", "8", "-payload-bytes", "65536", "-payload-profile", "skewed",
-		"-payload-mode", "delta", "-horizon", "90m", "-seed", "7", "-store", t.TempDir()})
+		"-horizon", "90m", "-seed", "7", "-store", t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestFlagValidation(t *testing.T) {
 			"checkpoint interval before the horizon"},
 		{"payload-chunk without payload-bytes", []string{"-payload-chunk", "8192"}, "-payload-chunk requires -payload-bytes"},
 		{"negative payload-bytes", []string{"-payload-bytes", "-1"}, "-payload-bytes must be >= 0"},
-		{"bad payload-mode", []string{"-payload-bytes", "4096", "-payload-mode", "zip"}, "unknown mode"},
+		{"bad payload-mode", []string{"-payload-bytes", "4096", "-payload-mode", "delta"}, "flag provided but not defined: -payload-mode"},
 		{"bad payload-profile", []string{"-payload-bytes", "4096", "-payload-profile", "hot"}, "unknown image profile"},
 		{"negative payload-chunk", []string{"-payload-bytes", "4096", "-payload-chunk", "-5"}, "-payload-chunk must be >= 0"},
 		{"payload-stripe is gone", []string{"-payload-bytes", "4096", "-payload-stripe", "3"}, "flag provided but not defined"},

@@ -14,16 +14,15 @@ var (
 )
 
 // PayloadReceipt describes what one payload save cost after chunk-level
-// dedup and delta encoding. NewBytes is the only data that actually
-// crosses the wireless medium and lands on disk; LogicalBytes is the
-// full process-image size a naive snapshot would have transferred.
+// dedup. NewBytes is the only data that actually crosses the wireless
+// medium and lands on disk; LogicalBytes is the full process-image size a
+// naive snapshot would have transferred.
 type PayloadReceipt struct {
 	LogicalBytes uint64 // process image size
-	NewBytes     uint64 // chunk + patch bytes actually written
+	NewBytes     uint64 // chunk + manifest bytes actually written
 	Chunks       int    // chunks in the manifest
 	NewChunks    int    // chunks not present in the store before this save
 	DedupChunks  int    // chunks satisfied by an existing identical chunk
-	DeltaChunks  int    // new chunks stored as patches against a base
 }
 
 // PayloadStore is the optional data plane behind a Store: where Store

@@ -3,9 +3,8 @@
 // fixed-size chunks, each addressed by its SHA-256; a per-checkpoint
 // manifest records the hash sequence. Successive checkpoints of the same
 // process dedup automatically — only chunks whose content changed are
-// written (incremental checkpointing) — and an optional delta mode
-// patch-encodes a changed chunk against the chunk at the same offset in
-// the previous permanent payload.
+// written (incremental checkpointing). Every indexed chunk is stored
+// whole, so reading one is reading one record.
 //
 // Durability is internal/seglog's, the segment log internal/stable also
 // stands on: single-write CRC-framed appends with the commit record as
@@ -36,47 +35,17 @@ import (
 	"mutablecp/internal/wire"
 )
 
-// Mode selects how much work the store does to shrink a payload.
+// Mode names the store's one payload encoding, content-addressed
+// incremental saves. It remains only so daemon.Config.PayloadMode's
+// one accepted value has a name.
 type Mode int
 
-// Payload storage modes. ModeFull is the naive baseline: every chunk of
-// every checkpoint is written. ModeIncremental (the default) skips
-// chunks already present under the same hash. ModeDelta additionally
-// patch-encodes a changed chunk against the same-offset chunk of the
-// previous permanent payload when the patch is materially smaller.
-const (
-	ModeIncremental Mode = iota
-	ModeFull
-	ModeDelta
-)
+// ModeIncremental is the one mode: a chunk already present under the
+// same hash is not written again.
+const ModeIncremental Mode = 0
 
 // String names the mode.
-func (m Mode) String() string {
-	switch m {
-	case ModeIncremental:
-		return "incremental"
-	case ModeFull:
-		return "full"
-	case ModeDelta:
-		return "delta"
-	default:
-		return "mode?"
-	}
-}
-
-// ParseMode parses a mode name as used by the CLI flags.
-func ParseMode(s string) (Mode, error) {
-	switch s {
-	case "incremental", "":
-		return ModeIncremental, nil
-	case "full":
-		return ModeFull, nil
-	case "delta":
-		return ModeDelta, nil
-	default:
-		return 0, fmt.Errorf("chunkstore: unknown mode %q (want full, incremental, or delta)", s)
-	}
-}
+func (Mode) String() string { return "incremental" }
 
 // Manifest statuses persisted in wire.ChunkRecord.Status.
 const (
@@ -97,19 +66,17 @@ type Options struct {
 	// Keep bounds the permanent manifest history per process (the
 	// paper's discard rule); 0 keeps everything.
 	Keep int
-	// Mode selects full / incremental / delta storage.
-	Mode Mode
 	// SegmentBytes is the roll threshold (default 8 MiB).
 	SegmentBytes int64
 	// GarbageRatio triggers auto-compaction after a commit when
 	// unreachable bytes exceed this fraction of the on-disk payload
-	// bytes (default 0.5). Negative disables auto-compaction.
+	// bytes (0 or negative means 0.5).
 	GarbageRatio float64
-	// Workers bounds the SHA-256 fan-out on the save path. Hashing runs
-	// in parallel but the manifest and segment records are assembled in
-	// input order, so the on-disk bytes are identical for any worker
-	// count. 0 means GOMAXPROCS.
-	Workers int
+
+	// workers bounds the SHA-256 fan-out on the save path; 0 means
+	// GOMAXPROCS. Only tests set it, to show the on-disk bytes do not
+	// depend on it.
+	workers int
 }
 
 const (
@@ -125,14 +92,14 @@ func (o Options) defaults() Options {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = defaultSegmentBytes
 	}
-	if o.GarbageRatio == 0 {
+	if o.GarbageRatio <= 0 {
 		o.GarbageRatio = 0.5
 	}
 	if o.Keep < 0 {
 		o.Keep = 0
 	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
+	if o.workers <= 0 {
+		o.workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -157,13 +124,10 @@ type Manifest struct {
 
 // chunkInfo locates one stored chunk and tracks its liveness.
 type chunkInfo struct {
-	refs   int64  // references from retained manifests (+1 per delta built on it)
-	size   int    // decoded chunk length
-	stored int    // payload bytes on disk (chunk content, or the patch)
-	seg    string // segment holding the record
-	off    int64  // frame start offset within seg
-	delta  bool
-	base   wire.ChunkHash
+	refs int64  // references from retained manifests
+	size int    // chunk length, as stored on disk
+	seg  string // segment holding the record
+	off  int64  // frame start offset within seg
 	// owner is the process whose save first stored the chunk, persisted
 	// in the record's Proc field so the self/cross dedup split survives
 	// recovery. Records from before owner tagging replay as process 0.
@@ -183,10 +147,9 @@ type Stats struct {
 
 	Saves        uint64
 	LogicalBytes uint64 // image bytes presented to the store
-	NewBytes     uint64 // chunk/patch/manifest bytes actually appended
+	NewBytes     uint64 // chunk/manifest bytes actually appended
 	NewChunks    uint64
 	DedupChunks  uint64
-	DeltaChunks  uint64
 	// DedupChunks split by who stored the matching chunk first: a hit on
 	// the saving process's own earlier chunk (temporal locality) vs. a
 	// hit on another process's chunk (content shared across processes).
@@ -260,17 +223,34 @@ func resetFrame(start uint64) ([]byte, error) {
 
 // resetTarget is the log's boundary test: whether a segment's first
 // record is a reset boundary, and which segment its rewrite starts at.
-// An intact record of another format version is another build's, not
-// debris, and an error.
+// An intact record of another format version, or with an op this store
+// does not apply, is another build's, not debris, and an error.
 func resetTarget(_ uint64, body []byte) (uint64, bool, error) {
 	rec, err := wire.ParseChunkRecord(body)
 	if errors.Is(err, wire.ErrFormatVersion) {
 		return 0, false, err
 	}
-	if err != nil || rec.Op != wire.ChunkOpReset || rec.Length <= 0 {
+	if err != nil {
 		return 0, false, nil
 	}
-	return uint64(rec.Length), true, nil
+	switch rec.Op {
+	case wire.ChunkOpReset:
+		if rec.Length <= 0 {
+			return 0, false, nil
+		}
+		return uint64(rec.Length), true, nil
+	case wire.ChunkOpPut, wire.ChunkOpManifest, wire.ChunkOpCommit, wire.ChunkOpDrop:
+		return 0, false, nil
+	default:
+		return 0, false, errUnsupportedOp(rec.Op)
+	}
+}
+
+// errUnsupportedOp refuses an intact record whose op the store does not
+// apply: the patch records of a removed delta storage mode. It is not
+// wire.ErrCorruptRecord, so the open fails and recovery cuts nothing.
+func errUnsupportedOp(op wire.ChunkOp) error {
+	return fmt.Errorf("chunkstore: unsupported chunk record op %d (%v)", op, op)
 }
 
 // apply folds one replayed record into the index. Refcounts are not
@@ -285,20 +265,7 @@ func (s *Store) apply(seg string, off int64, body []byte) error {
 	case wire.ChunkOpReset:
 		return nil
 	case wire.ChunkOpPut:
-		s.indexChunk(rec.Hash, &chunkInfo{
-			size: len(rec.Payload), stored: len(rec.Payload), seg: seg, off: off,
-			owner: rec.Proc,
-		})
-		return nil
-	case wire.ChunkOpDelta:
-		size, err := patchOutLen(rec.Payload)
-		if err != nil {
-			return err
-		}
-		s.indexChunk(rec.Hash, &chunkInfo{
-			size: size, stored: len(rec.Payload), seg: seg, off: off,
-			delta: true, base: rec.Base, owner: rec.Proc,
-		})
+		s.indexChunk(rec.Hash, &chunkInfo{size: len(rec.Payload), seg: seg, off: off, owner: rec.Proc})
 		return nil
 	case wire.ChunkOpManifest:
 		m := &Manifest{
@@ -352,25 +319,23 @@ func (s *Store) apply(seg string, off int64, body []byte) error {
 		delete(s.tent[rec.Proc], rec.Trigger)
 		return nil
 	default:
-		return fmt.Errorf("unknown op %d", rec.Op)
+		return errUnsupportedOp(rec.Op)
 	}
 }
 
 // indexChunk records a chunk's (latest) location. diskBytes counts every
-// stored copy — duplicates from compaction or ModeFull rewrites are
-// garbage until the next compaction.
+// stored copy — duplicates from compaction are garbage until the next
+// compaction.
 func (s *Store) indexChunk(h wire.ChunkHash, info *chunkInfo) {
-	s.diskBytes += int64(info.stored)
+	s.diskBytes += int64(info.size)
 	if old := s.chunks[h]; old != nil {
 		info.refs = old.refs
 	}
 	s.chunks[h] = info
 }
 
-// rebuildRefs recomputes refcounts from the retained manifests, drops
-// unreferenced delta entries (they cannot be safely revived), and
-// requires every retained manifest to resolve to indexed chunks,
-// transitively through delta bases.
+// rebuildRefs recomputes refcounts from the retained manifests and
+// requires every retained manifest to resolve to indexed chunks.
 func (s *Store) rebuildRefs() error {
 	for _, info := range s.chunks {
 		info.refs = 0
@@ -399,29 +364,10 @@ func (s *Store) rebuildRefs() error {
 			}
 		}
 	}
-	// A delta entry holds one reference on its base; a base must itself
-	// be a full chunk (no chains).
-	for h, info := range s.chunks {
-		if !info.delta {
-			continue
-		}
-		if info.refs == 0 {
-			delete(s.chunks, h)
-			continue
-		}
-		b := s.chunks[info.base]
-		if b == nil {
-			return fmt.Errorf("chunkstore: delta chunk %x references missing base %x", h[:8], info.base[:8])
-		}
-		if b.delta {
-			return fmt.Errorf("chunkstore: delta chunk %x has delta base %x", h[:8], info.base[:8])
-		}
-		b.refs++
-	}
 	s.liveBytes = 0
 	for _, info := range s.chunks {
 		if info.refs > 0 {
-			s.liveBytes += int64(info.stored)
+			s.liveBytes += int64(info.size)
 		}
 	}
 	return nil
@@ -538,26 +484,21 @@ func SplitChunks(image []byte, chunkBytes int) [][]byte {
 // ref bumps a chunk's reference count, reviving garbage if needed.
 func (s *Store) ref(info *chunkInfo) {
 	if info.refs == 0 {
-		s.liveBytes += int64(info.stored)
+		s.liveBytes += int64(info.size)
 	}
 	info.refs++
 }
 
-// unref releases one reference; a delta chunk whose count hits zero is
-// dropped from the index (never revived) and releases its base.
+// unref releases one reference. A chunk whose count hits zero stays
+// indexed as garbage, revivable by a later save, until compaction.
 func (s *Store) unref(h wire.ChunkHash) {
 	info := s.chunks[h]
 	if info == nil {
 		return // nothing indexed to release
 	}
 	info.refs--
-	if info.refs > 0 {
-		return
-	}
-	s.liveBytes -= int64(info.stored)
-	if info.delta {
-		delete(s.chunks, h)
-		s.unref(info.base)
+	if info.refs == 0 {
+		s.liveBytes -= int64(info.size)
 	}
 }
 
@@ -567,28 +508,15 @@ func (s *Store) unrefManifest(m *Manifest) {
 	}
 }
 
-// putChunkLocked stores one chunk whole for proc and returns the payload
-// bytes appended. The caller has already ruled out a dedup hit (ModeFull
-// rewrites a known chunk anyway).
-func (s *Store) putChunkLocked(proc protocol.ProcessID, h wire.ChunkHash, data []byte) (int, error) {
+// putChunkLocked stores one chunk whole for proc. The caller has already
+// ruled out a dedup hit.
+func (s *Store) putChunkLocked(proc protocol.ProcessID, h wire.ChunkHash, data []byte) error {
 	pos, _, err := s.append(&wire.ChunkRecord{Op: wire.ChunkOpPut, Proc: proc, Hash: h, Payload: data}, false)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	s.indexChunk(h, &chunkInfo{size: len(data), stored: len(data), seg: pos.Segment, off: pos.Offset, owner: proc})
-	return len(data), nil
-}
-
-// putDeltaLocked stores a chunk as a patch against base (which must be a
-// full indexed chunk) and returns the payload bytes appended.
-func (s *Store) putDeltaLocked(proc protocol.ProcessID, h, base wire.ChunkHash, patch []byte, size int) (int, error) {
-	pos, _, err := s.append(&wire.ChunkRecord{Op: wire.ChunkOpDelta, Proc: proc, Hash: h, Base: base, Payload: patch}, false)
-	if err != nil {
-		return 0, err
-	}
-	s.indexChunk(h, &chunkInfo{size: size, stored: len(patch), seg: pos.Segment, off: pos.Offset, delta: true, base: base, owner: proc})
-	s.ref(s.chunks[base]) // the delta holds its base live
-	return len(patch), nil
+	s.indexChunk(h, &chunkInfo{size: len(data), seg: pos.Segment, off: pos.Offset, owner: proc})
+	return nil
 }
 
 // putManifestLocked appends m's tentative manifest record, registers m
@@ -614,13 +542,13 @@ func (s *Store) putManifestLocked(m *Manifest) (int, error) {
 	return n, nil
 }
 
-// PutTentative chunks a process image, stores the new chunks (dedup and
-// delta per the mode), and records the tentative manifest.
+// PutTentative chunks a process image, stores the chunks not already
+// indexed, and records the tentative manifest.
 //
 // SHA-256 hashing — the CPU-bound half of a save — runs outside the
 // lock over the worker pool; the index lookups and appends then run in
 // input order under one lock hold, so the segment and manifest bytes
-// are identical whatever Workers is set to.
+// are identical whatever the worker count.
 func (s *Store) PutTentative(proc protocol.ProcessID, trig protocol.Trigger, at time.Duration, image []byte) (checkpoint.PayloadReceipt, error) {
 	var r checkpoint.PayloadReceipt
 	s.mu.Lock()
@@ -635,7 +563,7 @@ func (s *Store) PutTentative(proc protocol.ProcessID, trig protocol.Trigger, at 
 	s.mu.Unlock()
 
 	chunks := SplitChunks(image, s.opts.ChunkBytes)
-	hashes := hashChunks(chunks, s.opts.Workers)
+	hashes := hashChunks(chunks, s.opts.workers)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -645,18 +573,12 @@ func (s *Store) PutTentative(proc protocol.ProcessID, trig protocol.Trigger, at 
 	if s.tent[proc][trig] != nil {
 		return r, checkpoint.ErrPayloadPending
 	}
-	var base *Manifest
-	if s.opts.Mode == ModeDelta {
-		if ms := s.perm[proc]; len(ms) > 0 {
-			base = ms[len(ms)-1]
-		}
-	}
 	r.LogicalBytes = uint64(len(image))
 	r.Chunks = len(chunks)
 	var selfDedup, crossDedup uint64
 	for i, data := range chunks {
 		h := hashes[i]
-		if info, ok := s.chunks[h]; ok && s.opts.Mode != ModeFull {
+		if info, ok := s.chunks[h]; ok {
 			r.DedupChunks++
 			if info.owner == proc {
 				selfDedup++
@@ -665,29 +587,10 @@ func (s *Store) PutTentative(proc protocol.ProcessID, trig protocol.Trigger, at 
 			}
 			continue
 		}
-		if base != nil && i < len(base.Hashes) && base.Hashes[i] != h {
-			if binfo := s.chunks[base.Hashes[i]]; binfo != nil && !binfo.delta {
-				bdata, err := s.readChunkLocked(base.Hashes[i])
-				if err != nil {
-					return r, err
-				}
-				if patch := DiffChunk(bdata, data); patch != nil {
-					n, err := s.putDeltaLocked(proc, h, base.Hashes[i], patch, len(data))
-					if err != nil {
-						return r, err
-					}
-					r.NewBytes += uint64(n)
-					r.NewChunks++
-					r.DeltaChunks++
-					continue
-				}
-			}
-		}
-		n, err := s.putChunkLocked(proc, h, data)
-		if err != nil {
+		if err := s.putChunkLocked(proc, h, data); err != nil {
 			return r, err
 		}
-		r.NewBytes += uint64(n)
+		r.NewBytes += uint64(len(data))
 		r.NewChunks++
 	}
 	n, err := s.putManifestLocked(&Manifest{
@@ -703,7 +606,6 @@ func (s *Store) PutTentative(proc protocol.ProcessID, trig protocol.Trigger, at 
 	s.stats.NewBytes += r.NewBytes
 	s.stats.NewChunks += uint64(r.NewChunks)
 	s.stats.DedupChunks += uint64(r.DedupChunks)
-	s.stats.DeltaChunks += uint64(r.DeltaChunks)
 	s.stats.SelfDedupChunks += selfDedup
 	s.stats.CrossDedupChunks += crossDedup
 	return r, nil
@@ -755,8 +657,8 @@ func (s *Store) DropTentative(proc protocol.ProcessID, trig protocol.Trigger) er
 
 // --- read path ---
 
-// readChunkLocked materializes one chunk's content, resolving a delta
-// through its base, and verifies the content hash.
+// readChunkLocked reads one chunk's record and verifies the content
+// hash.
 func (s *Store) readChunkLocked(h wire.ChunkHash) ([]byte, error) {
 	info := s.chunks[h]
 	if info == nil {
@@ -773,21 +675,10 @@ func (s *Store) readChunkLocked(h wire.ChunkHash) ([]byte, error) {
 	if rec.Hash != h {
 		return nil, fmt.Errorf("%w: record at %s+%d holds %x", ErrBadChunk, info.seg, info.off, rec.Hash[:8])
 	}
-	data := rec.Payload
-	if rec.Op == wire.ChunkOpDelta {
-		bdata, err := s.readChunkLocked(rec.Base)
-		if err != nil {
-			return nil, fmt.Errorf("chunkstore: delta base of %x: %w", h[:8], err)
-		}
-		data, err = ApplyPatch(bdata, rec.Payload)
-		if err != nil {
-			return nil, fmt.Errorf("chunkstore: patch for %x: %w", h[:8], err)
-		}
-	}
-	if HashChunk(data) != h {
+	if HashChunk(rec.Payload) != h {
 		return nil, fmt.Errorf("%w: %x", ErrBadChunk, h[:8])
 	}
-	return data, nil
+	return rec.Payload, nil
 }
 
 // Permanent returns the newest permanent manifest for proc.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -76,45 +77,67 @@ func TestSaveCommitMaterialize(t *testing.T) {
 	}
 }
 
-// TestForeignFormatFailsOpen puts an intact record of another format
-// version where recovery would otherwise see debris: at the tail of the
+// TestForeignFormatFailsOpen puts an intact record the store cannot
+// apply where recovery would otherwise see debris: at the tail of the
 // last segment (a torn tail is truncated) and at the head of the only
-// segment (a store with no boundary is wiped and started again). Both
-// opens must name the mismatch and leave the file as they found it.
+// segment (a store with no boundary is wiped and started again). Two such
+// records: one of another format version, and a valid-CRC patch record
+// (wire.ChunkOpDelta) of the removed delta storage mode. Every open must
+// name what it refused, must not report the record as corrupt (which
+// would cut it), and must leave the file byte-identical.
 func TestForeignFormatFailsOpen(t *testing.T) {
 	body := []byte{0xFF, 0}
 	foreign := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
 	foreign = binary.BigEndian.AppendUint32(foreign, crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
 	foreign = append(foreign, body...)
+	delta, err := wire.AppendChunkRecord(nil, &wire.ChunkRecord{
+		Op: wire.ChunkOpDelta, Hash: HashChunk([]byte("next")), Base: HashChunk([]byte("base")),
+		Payload: []byte{4, 0, 1, 'n'},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	for _, where := range []string{"tail", "head"} {
-		fs := errfs.New()
-		s, err := Open("cs", testOpts(fs))
-		if err != nil {
-			t.Fatal(err)
-		}
-		seg := s.log.Segments()[len(s.log.Segments())-1]
-		s.Close()
-		if where == "head" {
-			if err := fs.Truncate(seg, 0); err != nil {
+	for _, in := range []struct {
+		name  string
+		frame []byte
+		check func(error) bool
+	}{
+		{"format version", foreign, func(err error) bool { return errors.Is(err, wire.ErrFormatVersion) }},
+		{"delta op", delta, func(err error) bool {
+			return err != nil && strings.Contains(err.Error(), wire.ChunkOpDelta.String()) &&
+				!errors.Is(err, wire.ErrCorruptRecord) && !errors.Is(err, wire.ErrTornRecord)
+		}},
+	} {
+		for _, where := range []string{"tail", "head"} {
+			fs := errfs.New()
+			s, err := Open("cs", testOpts(fs))
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		f, err := fs.OpenAppend(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.Write(foreign); err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		before, _ := fs.FileData(seg)
+			seg := s.log.Segments()[len(s.log.Segments())-1]
+			s.Close()
+			if where == "head" {
+				if err := fs.Truncate(seg, 0); err != nil {
+					t.Fatal(err)
+				}
+			}
+			f, err := fs.OpenAppend(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write(in.frame); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			before, _ := fs.FileData(seg)
 
-		if _, err := Open("cs", testOpts(fs)); !errors.Is(err, wire.ErrFormatVersion) {
-			t.Fatalf("%s: open over a foreign record: got %v, want ErrFormatVersion", where, err)
-		}
-		if after, ok := fs.FileData(seg); !ok || len(after) != len(before) {
-			t.Fatalf("%s: open changed %s from %d to %d bytes", where, seg, len(before), len(after))
+			if _, err := Open("cs", testOpts(fs)); !in.check(err) {
+				t.Fatalf("%s at %s: open got %v", in.name, where, err)
+			}
+			if after, ok := fs.FileData(seg); !ok || !bytes.Equal(after, before) {
+				t.Fatalf("%s at %s: open changed %s from %d to %d bytes", in.name, where, seg, len(before), len(after))
+			}
 		}
 	}
 }
@@ -151,77 +174,6 @@ func TestIncrementalDedup(t *testing.T) {
 	got, _, err := s.Materialize(0)
 	if err != nil || !bytes.Equal(got, img2) {
 		t.Fatalf("materialize after incremental: %v", err)
-	}
-}
-
-func TestFullModeRewritesEverything(t *testing.T) {
-	fs := errfs.New()
-	opts := testOpts(fs)
-	opts.Mode = ModeFull
-	s, err := Open("cs", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	img := randImage(rand.New(rand.NewSource(3)), 8<<10)
-	for i := 1; i <= 2; i++ {
-		r, err := s.PutTentative(0, trig(0, i), 0, img)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r.NewChunks != 8 || r.DedupChunks != 0 {
-			t.Fatalf("full-mode save %d receipt: %+v", i, r)
-		}
-		if err := s.CommitTentative(0, trig(0, i), 0); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, _, err := s.Materialize(0)
-	if err != nil || !bytes.Equal(got, img) {
-		t.Fatalf("full-mode materialize: %v", err)
-	}
-}
-
-func TestDeltaMode(t *testing.T) {
-	fs := errfs.New()
-	opts := testOpts(fs)
-	opts.Mode = ModeDelta
-	s, err := Open("cs", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(4))
-	img := randImage(rng, 16<<10)
-	if _, err := s.PutTentative(0, trig(0, 1), 0, img); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CommitTentative(0, trig(0, 1), 0); err != nil {
-		t.Fatal(err)
-	}
-	// Flip one byte in each of 4 chunks: delta encodes a few bytes per
-	// chunk instead of 1 KiB.
-	img2 := append([]byte(nil), img...)
-	for c := 0; c < 4; c++ {
-		img2[c*(1<<10)+17] ^= 0xff
-	}
-	r, err := s.PutTentative(0, trig(0, 2), 0, img2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.DeltaChunks != 4 {
-		t.Fatalf("delta receipt: %+v", r)
-	}
-	if r.NewBytes > 2048 {
-		t.Fatalf("delta wrote %d bytes for 4 one-byte flips", r.NewBytes)
-	}
-	if err := s.CommitTentative(0, trig(0, 2), 0); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := s.Materialize(0)
-	if err != nil || !bytes.Equal(got, img2) {
-		t.Fatalf("delta materialize: %v", err)
-	}
-	if err := s.Verify(0); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -345,67 +297,5 @@ func TestRetentionBoundsHistory(t *testing.T) {
 	}
 	if m, ok := s.Permanent(0); !ok || m.Trigger != trig(0, 5) {
 		t.Fatalf("newest permanent: %+v ok=%v", m, ok)
-	}
-}
-
-func TestDeltaChainForbidden(t *testing.T) {
-	// Successive delta saves must always base on full chunks: materialize
-	// after several generations still round-trips.
-	fs := errfs.New()
-	opts := testOpts(fs)
-	opts.Mode = ModeDelta
-	opts.Keep = 1
-	s, err := Open("cs", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(8))
-	img := randImage(rng, 8<<10)
-	for i := 1; i <= 6; i++ {
-		img = append([]byte(nil), img...)
-		img[(i%8)*(1<<10)+3] ^= 0x5a
-		if _, err := s.PutTentative(0, trig(0, i), time.Duration(i), img); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.CommitTentative(0, trig(0, i), time.Duration(i)); err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := s.Materialize(0)
-		if err != nil || !bytes.Equal(got, img) {
-			t.Fatalf("gen %d materialize: %v", i, err)
-		}
-	}
-	if err := s.Verify(0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDiffApplyRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(4096)
-		base := randImage(rng, n)
-		next := append([]byte(nil), base...)
-		// Random edits, maybe grow or shrink.
-		for e := rng.Intn(8); e > 0; e-- {
-			next[rng.Intn(len(next))] ^= byte(1 + rng.Intn(255))
-		}
-		switch rng.Intn(3) {
-		case 1:
-			next = append(next, randImage(rng, rng.Intn(64))...)
-		case 2:
-			next = next[:rng.Intn(len(next)+1)]
-		}
-		patch := DiffChunk(base, next)
-		if patch == nil {
-			continue // not profitable, stored whole
-		}
-		got, err := ApplyPatch(base, patch)
-		if err != nil {
-			t.Fatalf("trial %d: apply: %v", trial, err)
-		}
-		if !bytes.Equal(got, next) {
-			t.Fatalf("trial %d: roundtrip mismatch (base=%d next=%d patch=%d)", trial, len(base), len(next), len(patch))
-		}
 	}
 }

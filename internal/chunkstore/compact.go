@@ -2,8 +2,8 @@ package chunkstore
 
 // Compaction: the chunk store's garbage collector. This file decides
 // when, and writes the live set — every chunk reachable from a retained
-// permanent manifest or a pending tentative (deltas materialized to full
-// chunks), followed by the manifests themselves — as the rewrite phase
+// permanent manifest or a pending tentative, followed by the manifests
+// themselves — as the rewrite phase
 // of seglog.Compact. The log does the rest: it rolls first, fsyncs the
 // rewrite, publishes a wire.ChunkOpReset boundary naming the first
 // rewritten segment, and only once that is durable removes the
@@ -27,9 +27,6 @@ const ctrlCompactFactor = 4
 // exceed the configured fraction of the on-disk payload bytes, or when
 // control records alone have outgrown the chain.
 func (s *Store) maybeCompactLocked() error {
-	if s.opts.GarbageRatio < 0 {
-		return nil
-	}
 	garbage := s.diskBytes - s.liveBytes
 	if garbage > 0 && float64(garbage) >= s.opts.GarbageRatio*float64(s.diskBytes) {
 		return s.compactLocked()
@@ -88,7 +85,7 @@ func (s *Store) compactLocked() error {
 			if err != nil {
 				return err
 			}
-			newIdx[h] = &chunkInfo{size: len(data), stored: len(data), seg: pos.Segment, off: pos.Offset, owner: old.owner}
+			newIdx[h] = &chunkInfo{size: len(data), seg: pos.Segment, off: pos.Offset, owner: old.owner}
 			newDisk += int64(len(data))
 		}
 		return nil

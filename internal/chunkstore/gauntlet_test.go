@@ -59,9 +59,9 @@ func newPayloadAck() *payloadAck {
 
 const gauntletChunk = 256
 
-func gauntletOpts(fs *errfs.MemFS, pol stable.SyncPolicy, mode Mode) Options {
+func gauntletOpts(fs *errfs.MemFS, pol stable.SyncPolicy) Options {
 	return Options{
-		FS: fs, Sync: pol, Mode: mode,
+		FS: fs, Sync: pol,
 		ChunkBytes: gauntletChunk, SegmentBytes: 4 << 10, Keep: 1,
 	}
 }
@@ -125,7 +125,7 @@ func payloadScript(s *Store, a *payloadAck) error {
 // runPayloadCrash runs the script against a disk that pulls the power
 // at op crashAt (tearing the write if op crashAt is a write). crashAt =
 // 0 means no fault. It returns the acknowledgement log.
-func runPayloadCrash(t *testing.T, fs *errfs.MemFS, pol stable.SyncPolicy, mode Mode, crashAt uint64) *payloadAck {
+func runPayloadCrash(t *testing.T, fs *errfs.MemFS, pol stable.SyncPolicy, crashAt uint64) *payloadAck {
 	t.Helper()
 	var hit bool
 	if crashAt > 0 {
@@ -143,7 +143,7 @@ func runPayloadCrash(t *testing.T, fs *errfs.MemFS, pol stable.SyncPolicy, mode 
 		})
 	}
 	a := newPayloadAck()
-	s, err := Open("chunks", gauntletOpts(fs, pol, mode))
+	s, err := Open("chunks", gauntletOpts(fs, pol))
 	if err == nil {
 		err = payloadScript(s, a)
 	}
@@ -239,12 +239,12 @@ func verifyPayloadReopen(t *testing.T, k uint64, re *Store, a *payloadAck, pol s
 	}
 }
 
-func chunkGauntlet(t *testing.T, pol stable.SyncPolicy, mode Mode) {
+func chunkGauntlet(t *testing.T, pol stable.SyncPolicy) {
 	// Pass 1 (fault-free) counts the crash points.
 	var total uint64
 	{
 		fs := errfs.New()
-		runPayloadCrash(t, fs, pol, mode, 0)
+		runPayloadCrash(t, fs, pol, 0)
 		total = fs.Ops()
 	}
 	if total < 40 {
@@ -254,9 +254,9 @@ func chunkGauntlet(t *testing.T, pol stable.SyncPolicy, mode Mode) {
 	images := make([][]byte, total+1)
 	for k := uint64(1); k <= total; k++ {
 		fs := errfs.New()
-		a := runPayloadCrash(t, fs, pol, mode, k)
+		a := runPayloadCrash(t, fs, pol, k)
 		fs.Recover()
-		re, err := Open("chunks", gauntletOpts(fs, pol, mode))
+		re, err := Open("chunks", gauntletOpts(fs, pol))
 		if err != nil {
 			t.Fatalf("crash@%d: reopen failed: %v", k, err)
 		}
@@ -271,9 +271,9 @@ func chunkGauntlet(t *testing.T, pol stable.SyncPolicy, mode Mode) {
 	// identical disk image, byte for byte.
 	for k := uint64(1); k <= total; k++ {
 		fs := errfs.New()
-		a := runPayloadCrash(t, fs, pol, mode, k)
+		a := runPayloadCrash(t, fs, pol, k)
 		fs.Recover()
-		re, err := Open("chunks", gauntletOpts(fs, pol, mode))
+		re, err := Open("chunks", gauntletOpts(fs, pol))
 		if err != nil {
 			t.Fatalf("crash@%d (replay): reopen failed: %v", k, err)
 		}
@@ -289,17 +289,9 @@ func TestChunkPowerFailureGauntlet(t *testing.T) {
 	for _, pol := range []stable.SyncPolicy{stable.SyncOnCommit, stable.SyncAlways, stable.SyncNever} {
 		pol := pol
 		t.Run(fmt.Sprintf("sync=%v/mode=incremental", pol), func(t *testing.T) {
-			chunkGauntlet(t, pol, ModeIncremental)
+			chunkGauntlet(t, pol)
 		})
 	}
-	// Delta mode exercises patch records and base references through
-	// every crash point; full mode exercises the rewrite-everything path.
-	t.Run("sync=commit/mode=delta", func(t *testing.T) {
-		chunkGauntlet(t, stable.SyncOnCommit, ModeDelta)
-	})
-	t.Run("sync=commit/mode=full", func(t *testing.T) {
-		chunkGauntlet(t, stable.SyncOnCommit, ModeFull)
-	})
 }
 
 // TestChunkShortWriteGauntlet injects a non-crash short write at every
@@ -310,7 +302,7 @@ func TestChunkShortWriteGauntlet(t *testing.T) {
 	var writes uint64
 	{
 		fs := errfs.New()
-		runPayloadCrash(t, fs, stable.SyncOnCommit, ModeIncremental, 0)
+		runPayloadCrash(t, fs, stable.SyncOnCommit, 0)
 		writes = fs.Ops()
 	}
 	for k := uint64(1); k <= writes; k++ {
@@ -326,7 +318,7 @@ func TestChunkShortWriteGauntlet(t *testing.T) {
 			return errfs.FaultNone
 		})
 		a := newPayloadAck()
-		s, err := Open("chunks", gauntletOpts(fs, stable.SyncOnCommit, ModeIncremental))
+		s, err := Open("chunks", gauntletOpts(fs, stable.SyncOnCommit))
 		if err == nil {
 			err = payloadScript(s, a)
 		}
@@ -343,7 +335,7 @@ func TestChunkShortWriteGauntlet(t *testing.T) {
 			}
 			s.Close()
 		}
-		re, err := Open("chunks", gauntletOpts(fs, stable.SyncOnCommit, ModeIncremental))
+		re, err := Open("chunks", gauntletOpts(fs, stable.SyncOnCommit))
 		if err != nil {
 			t.Fatalf("short-write@%d: reopen failed: %v", k, err)
 		}

@@ -99,7 +99,7 @@ func auditGC(t *testing.T, tag string, s *Store, model *gcModel, keep int, procs
 	}
 }
 
-func gcProperty(t *testing.T, seed int64, mode Mode, keep int) {
+func gcProperty(t *testing.T, seed int64, keep int) {
 	const (
 		procs = 3
 		steps = 120
@@ -108,7 +108,7 @@ func gcProperty(t *testing.T, seed int64, mode Mode, keep int) {
 	rng := rand.New(rand.NewSource(seed))
 	fs := errfs.New()
 	opts := Options{
-		FS: fs, Mode: mode, ChunkBytes: chunk, SegmentBytes: 4 << 10,
+		FS: fs, ChunkBytes: chunk, SegmentBytes: 4 << 10,
 		Keep: keep, GarbageRatio: 0.3,
 	}
 	s, err := Open("chunks", opts)
@@ -133,7 +133,7 @@ func gcProperty(t *testing.T, seed int64, mode Mode, keep int) {
 		// chunks move or state reloads (compact, reopen), else sampled.
 		audit := step%5 == 0
 		proc := protocol.ProcessID(rng.Intn(procs))
-		tag := fmt.Sprintf("seed=%d mode=%v keep=%d step=%d", seed, mode, keep, step)
+		tag := fmt.Sprintf("seed=%d keep=%d step=%d", seed, keep, step)
 		switch k := rng.Intn(10); {
 		case k < 4: // save a new tentative
 			var img []byte
@@ -196,9 +196,9 @@ func gcProperty(t *testing.T, seed int64, mode Mode, keep int) {
 			auditGC(t, tag, s, model, keep, procs)
 		}
 	}
-	auditGC(t, fmt.Sprintf("seed=%d mode=%v keep=%d end", seed, mode, keep), s, model, keep, procs)
+	auditGC(t, fmt.Sprintf("seed=%d keep=%d end", seed, keep), s, model, keep, procs)
 	if compactions == 0 {
-		t.Fatalf("seed=%d mode=%v keep=%d: run never compacted — not a GC test", seed, mode, keep)
+		t.Fatalf("seed=%d keep=%d: run never compacted — not a GC test", seed, keep)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("close: %v", err)
@@ -206,14 +206,12 @@ func gcProperty(t *testing.T, seed int64, mode Mode, keep int) {
 }
 
 func TestGCRetentionProperty(t *testing.T) {
-	for _, mode := range []Mode{ModeIncremental, ModeDelta, ModeFull} {
-		for _, keep := range []int{1, 2, 0} {
-			mode, keep := mode, keep
-			t.Run(fmt.Sprintf("mode=%v/keep=%d", mode, keep), func(t *testing.T) {
-				for seed := int64(1); seed <= 4; seed++ {
-					gcProperty(t, seed, mode, keep)
-				}
-			})
-		}
+	for _, keep := range []int{1, 2, 0} {
+		keep := keep
+		t.Run(fmt.Sprintf("mode=incremental/keep=%d", keep), func(t *testing.T) {
+			for seed := int64(1); seed <= 4; seed++ {
+				gcProperty(t, seed, keep)
+			}
+		})
 	}
 }

@@ -85,9 +85,9 @@ func TestOpenIOErrorModifiesNothing(t *testing.T) {
 // that names the first of them.
 func TestSegmentLayout(t *testing.T) {
 	fs := errfs.New()
-	opts := testOpts(fs) // 1 KiB chunks, 16 KiB segments, Keep 2
-	opts.GarbageRatio = -1
-	s, err := Open("cs", opts)
+	// 1 KiB chunks, 16 KiB segments, Keep 2: the third commit leaves a
+	// third of the payload bytes garbage, below the 0.5 that compacts.
+	s, err := Open("cs", testOpts(fs))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -57,7 +57,7 @@ func runStoreWorkload(t *testing.T, workers int) ([]byte, Stats) {
 	t.Helper()
 	fs := errfs.New()
 	opts := testOpts(fs)
-	opts.Workers = workers
+	opts.workers = workers
 	s, err := Open("cs", opts)
 	if err != nil {
 		t.Fatal(err)

@@ -53,8 +53,9 @@ type Config struct {
 	// PayloadProfile mutates the image between checkpoints: "uniform"
 	// (default), "skewed", or "append".
 	PayloadProfile string `json:"payload_profile,omitempty"`
-	// PayloadMode selects payload storage: "incremental" (default),
-	// "delta", or "full".
+	// PayloadMode names the payload encoding. The chunk store has one,
+	// "incremental", which is also what empty means; the "delta" and
+	// "full" modes were removed and are refused.
 	PayloadMode string `json:"payload_mode,omitempty"`
 	// Nodes lists every process. IDs must be exactly 0..len(Nodes)-1
 	// (the engines index peers densely), in any order.
@@ -123,17 +124,15 @@ func (c *Config) StoreOptions() stable.Options {
 const defaultPayloadChunkBytes = 4096
 
 // ChunkOptions returns the chunkstore.Options for the payload plane
-// (meaningful only when PayloadBytes > 0; Validate already vetted the
-// mode string). Its ChunkBytes is also the image's page size.
+// (meaningful only when PayloadBytes > 0). Its ChunkBytes is also the
+// image's page size.
 func (c *Config) ChunkOptions() chunkstore.Options {
-	mode, _ := chunkstore.ParseMode(c.PayloadMode)
 	chunk := c.PayloadChunkBytes
 	if chunk <= 0 {
 		chunk = defaultPayloadChunkBytes
 	}
 	opts := chunkstore.Options{
 		ChunkBytes: chunk,
-		Mode:       mode,
 		Keep:       1,
 		Sync:       stable.SyncOnCommit,
 	}
@@ -178,8 +177,13 @@ func (c *Config) Validate() error {
 		if _, err := workload.ParseImageProfile(c.PayloadProfile); err != nil {
 			return fmt.Errorf("daemon: %w", err)
 		}
-		if _, err := chunkstore.ParseMode(c.PayloadMode); err != nil {
-			return fmt.Errorf("daemon: %w", err)
+		switch c.PayloadMode {
+		case "", chunkstore.ModeIncremental.String():
+		case "delta", "full":
+			return fmt.Errorf("daemon: payload_mode %q was removed: the chunk store has one mode, %q",
+				c.PayloadMode, chunkstore.ModeIncremental)
+		default:
+			return fmt.Errorf("daemon: unknown payload_mode %q (want %q)", c.PayloadMode, chunkstore.ModeIncremental)
 		}
 	}
 	seen := make(map[int]bool, len(c.Nodes))

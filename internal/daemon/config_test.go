@@ -105,6 +105,26 @@ func TestConfigValidation(t *testing.T) {
 		},
 		{name: "valid mutable-targeted", mutate: func(c *Config) { c.Algorithm = algorithms.MutableTargeted }},
 		{name: "valid default algorithm", mutate: func(c *Config) { c.Algorithm = "" }},
+		{name: "valid default payload mode", mutate: func(c *Config) { c.PayloadBytes = 4096 }},
+		{
+			name:   "valid incremental payload mode",
+			mutate: func(c *Config) { c.PayloadBytes, c.PayloadMode = 4096, "incremental" },
+		},
+		{
+			name:    "removed delta payload mode",
+			mutate:  func(c *Config) { c.PayloadBytes, c.PayloadMode = 4096, "delta" },
+			wantErr: `payload_mode "delta" was removed`,
+		},
+		{
+			name:    "removed full payload mode",
+			mutate:  func(c *Config) { c.PayloadBytes, c.PayloadMode = 4096, "full" },
+			wantErr: `payload_mode "full" was removed`,
+		},
+		{
+			name:    "unknown payload mode",
+			mutate:  func(c *Config) { c.PayloadBytes, c.PayloadMode = 4096, "zip" },
+			wantErr: `unknown payload_mode "zip"`,
+		},
 	}
 	// Every other registered engine breaks restart resolution's rules
 	// (daemonAlgorithms), so mcpd refuses it at startup.

@@ -125,8 +125,6 @@ type Config struct {
 	// PayloadProfile selects how images mutate between checkpoints
 	// (uniform, skewed-dirty-page, or append-only).
 	PayloadProfile workload.ImageProfile
-	// PayloadMode selects full, incremental, or delta payload storage.
-	PayloadMode chunkstore.Mode
 	// PayloadDir, when non-empty, puts the chunk segments on the real
 	// filesystem under per-seed subdirectories; empty keeps them on an
 	// in-memory errfs.

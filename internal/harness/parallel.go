@@ -220,7 +220,6 @@ func mergeSeedResults(seeds []uint64, results []*Result) *Result {
 		ps.NewBytes += rs.NewBytes
 		ps.NewChunks += rs.NewChunks
 		ps.DedupChunks += rs.DedupChunks
-		ps.DeltaChunks += rs.DeltaChunks
 		ps.SelfDedupChunks += rs.SelfDedupChunks
 		ps.CrossDedupChunks += rs.CrossDedupChunks
 		merged.ClusterErrors = append(merged.ClusterErrors, res.ClusterErrors...)

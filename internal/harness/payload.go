@@ -32,7 +32,6 @@ func openPayload(cfg Config, simCfg *simrt.Config) (*chunkstore.Store, error) {
 	}
 	opts := chunkstore.Options{
 		ChunkBytes: cfg.PayloadChunkBytes,
-		Mode:       cfg.PayloadMode,
 		Keep:       1,
 	}
 	root := "payload"

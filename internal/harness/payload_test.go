@@ -9,7 +9,7 @@ import (
 	"mutablecp/internal/workload"
 )
 
-func payloadConfig(mode chunkstore.Mode) Config {
+func payloadConfig() Config {
 	return Config{
 		Algorithm:      AlgoMutable,
 		N:              8,
@@ -19,53 +19,35 @@ func payloadConfig(mode chunkstore.Mode) Config {
 		Horizon:        90 * time.Minute,
 		PayloadBytes:   64 << 10,
 		PayloadProfile: workload.ProfileSkewed,
-		PayloadMode:    mode,
 	}
 }
 
-// TestPayloadExperiment is experiment E23's engine: the same protocol
-// run with full, incremental, and delta payload storage must (a) pass
-// the end-of-run payload audit, and (b) order the transfer ratios the
-// way content addressing promises — incremental strictly beats full on
-// a skewed-dirty-page workload, and delta is no worse than incremental.
+// TestPayloadExperiment is experiment E23's engine: the protocol run with
+// content-addressed payload storage must (a) pass the end-of-run payload
+// audit, (b) save exactly one payload per stable checkpoint, and (c) keep
+// the transfer ratio well under half of the naive full-image transfer on
+// a skewed-dirty-page workload.
 func TestPayloadExperiment(t *testing.T) {
-	ratios := make(map[chunkstore.Mode]float64)
-	for _, mode := range []chunkstore.Mode{
-		chunkstore.ModeFull, chunkstore.ModeIncremental, chunkstore.ModeDelta,
-	} {
-		res, err := Run(payloadConfig(mode))
-		if err != nil {
-			t.Fatalf("mode=%v: %v", mode, err)
-		}
-		for _, e := range res.ClusterErrors {
-			t.Errorf("mode=%v cluster error: %v", mode, e)
-		}
-		if !res.PayloadVerifyOK {
-			t.Fatalf("mode=%v payload audit failed: %v", mode, res.PayloadVerifyErr)
-		}
-		if res.PayloadSaves == 0 || res.PayloadSaves != res.TotalStable {
-			t.Errorf("mode=%v: %d payload saves for %d stable checkpoints",
-				mode, res.PayloadSaves, res.TotalStable)
-		}
-		if res.PayloadRatio <= 0 {
-			t.Fatalf("mode=%v: no payload bytes accounted", mode)
-		}
-		ratios[mode] = res.PayloadRatio
-		t.Logf("mode=%v saves=%d logical=%dKiB new=%dKiB ratio=%.3f",
-			mode, res.PayloadSaves, res.PayloadLogicalBytes>>10,
-			res.PayloadNewBytes>>10, res.PayloadRatio)
+	res, err := Run(payloadConfig())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ratios[chunkstore.ModeIncremental] >= ratios[chunkstore.ModeFull] {
-		t.Errorf("incremental (%.3f) did not beat full (%.3f) on a skewed workload",
-			ratios[chunkstore.ModeIncremental], ratios[chunkstore.ModeFull])
+	for _, e := range res.ClusterErrors {
+		t.Errorf("cluster error: %v", e)
 	}
-	if ratios[chunkstore.ModeIncremental] > 0.5 {
-		t.Errorf("incremental ratio %.3f: dedup should keep well under half the full transfer",
-			ratios[chunkstore.ModeIncremental])
+	if !res.PayloadVerifyOK {
+		t.Fatalf("payload audit failed: %v", res.PayloadVerifyErr)
 	}
-	if ratios[chunkstore.ModeDelta] > ratios[chunkstore.ModeIncremental] {
-		t.Errorf("delta (%.3f) must not exceed incremental (%.3f)",
-			ratios[chunkstore.ModeDelta], ratios[chunkstore.ModeIncremental])
+	if res.PayloadSaves == 0 || res.PayloadSaves != res.TotalStable {
+		t.Errorf("%d payload saves for %d stable checkpoints", res.PayloadSaves, res.TotalStable)
+	}
+	if res.PayloadRatio <= 0 {
+		t.Fatal("no payload bytes accounted")
+	}
+	t.Logf("saves=%d logical=%dKiB new=%dKiB ratio=%.3f",
+		res.PayloadSaves, res.PayloadLogicalBytes>>10, res.PayloadNewBytes>>10, res.PayloadRatio)
+	if res.PayloadRatio > 0.5 {
+		t.Errorf("ratio %.3f: dedup should keep well under half the full transfer", res.PayloadRatio)
 	}
 }
 
@@ -74,7 +56,7 @@ func TestPayloadExperiment(t *testing.T) {
 // the audit passes, and the merged dedup counters are the sum of the
 // single-seed runs.
 func TestPayloadOnDiskSeeds(t *testing.T) {
-	cfg := payloadConfig(chunkstore.ModeIncremental)
+	cfg := payloadConfig()
 	cfg.Horizon = 45 * time.Minute
 	dir := t.TempDir()
 	cfg.PayloadDir = dir

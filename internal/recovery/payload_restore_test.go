@@ -22,7 +22,7 @@ func TestRollbackRecoveryRestoresPayload(t *testing.T) {
 	const procs = 4
 	fs := errfs.New()
 	store, err := chunkstore.Open("chunks", chunkstore.Options{
-		FS: fs, ChunkBytes: 1 << 10, Keep: 2, Mode: chunkstore.ModeIncremental,
+		FS: fs, ChunkBytes: 1 << 10, Keep: 2,
 	})
 	if err != nil {
 		t.Fatalf("open chunk store: %v", err)

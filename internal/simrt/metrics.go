@@ -68,7 +68,6 @@ type Metrics struct {
 	PayloadNewBytes     uint64
 	PayloadNewChunks    uint64
 	PayloadDedupChunks  uint64
-	PayloadDeltaChunks  uint64
 
 	// Crash/recovery lifecycle counters.
 	Crashes          uint64        // fail-stop events

@@ -28,7 +28,7 @@ func TestPayloadPlane(t *testing.T) {
 	)
 	fs := errfs.New()
 	store, err := chunkstore.Open("chunks", chunkstore.Options{
-		FS: fs, ChunkBytes: chunk, Keep: 2, Mode: chunkstore.ModeIncremental,
+		FS: fs, ChunkBytes: chunk, Keep: 2,
 	})
 	if err != nil {
 		t.Fatalf("open chunk store: %v", err)
@@ -119,9 +119,9 @@ func TestPayloadPlane(t *testing.T) {
 			t.Errorf("P%d left %d unresolved tentative payloads: %v", p, len(trigs), trigs)
 		}
 	}
-	t.Logf("saves=%d logical=%dKiB new=%dKiB ratio=%.3f dedup=%d delta=%d",
+	t.Logf("saves=%d logical=%dKiB new=%dKiB ratio=%.3f dedup=%d",
 		m.PayloadSaves, m.PayloadLogicalBytes>>10, m.PayloadNewBytes>>10,
-		ratio, m.PayloadDedupChunks, m.PayloadDeltaChunks)
+		ratio, m.PayloadDedupChunks)
 }
 
 // TestPayloadConfigValidation covers the constructor's payload checks.

@@ -416,10 +416,10 @@ func (p *Proc) CaptureState() protocol.State {
 }
 
 // saveTentative records a tentative checkpoint carrying img and charges
-// its stable transfer: the payload receipt's NewBytes — what dedup and
-// delta encoding left to actually move — or the configured fixed
-// CheckpointBytes when the run has no payload plane. It returns the
-// initiation record the checkpoint counts toward, if any.
+// its stable transfer: the payload receipt's NewBytes — what dedup left
+// to actually move — or the configured fixed CheckpointBytes when the run
+// has no payload plane. It returns the initiation record the checkpoint
+// counts toward, if any.
 func (p *Proc) saveTentative(s protocol.State, trig protocol.Trigger, img []byte) *InitiationRecord {
 	rcpt, err := p.ckpt.SaveTentative(s, trig, p.c.sim.Now(), img)
 	if !p.check("save tentative", err) {
@@ -438,7 +438,6 @@ func (p *Proc) saveTentative(s protocol.State, trig protocol.Trigger, img []byte
 		m.PayloadNewBytes += rcpt.NewBytes
 		m.PayloadNewChunks += uint64(rcpt.NewChunks)
 		m.PayloadDedupChunks += uint64(rcpt.DedupChunks)
-		m.PayloadDeltaChunks += uint64(rcpt.DeltaChunks)
 		transfer = int(rcpt.NewBytes)
 	}
 	if !p.disconnected {

@@ -22,7 +22,9 @@ type ChunkHash [32]byte
 type ChunkOp uint8
 
 // Chunk-store log operations. Put carries one content-addressed chunk;
-// Delta carries a patch against an already-stored base chunk; Manifest
+// Delta carried a patch against an already-stored base chunk and was
+// written only by a storage mode since removed: it still decodes, and
+// the chunk store refuses it at open; Manifest
 // lists the chunk hashes of one checkpoint payload; Commit and Drop are
 // markers resolving a tentative manifest; Reset is the compaction
 // boundary — replay starts at the newest segment that begins with one,
@@ -60,9 +62,9 @@ func (op ChunkOp) String() string {
 type ChunkRecord struct {
 	Op ChunkOp
 
-	// Put / Delta. Hash addresses the decoded chunk content; Base is the
-	// delta's base chunk; Payload is the chunk bytes (Put) or the patch
-	// (Delta).
+	// Put / Delta. Hash addresses the decoded chunk content; Payload is
+	// the chunk bytes (Put) or the patch (Delta). Base was the delta's
+	// base chunk; the chunk store writes it as zero.
 	Hash    ChunkHash
 	Base    ChunkHash
 	Payload []byte
