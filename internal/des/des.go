@@ -1,20 +1,29 @@
 // Package des provides a deterministic discrete-event simulation kernel.
 //
-// The kernel keeps a virtual clock and a priority queue of scheduled events.
-// Events scheduled for the same instant fire in the order they were
-// scheduled, which makes every simulation run fully deterministic for a
-// given seed and schedule. All checkpointing experiments in this repository
-// run on top of this kernel so that virtual time (900-second checkpoint
-// intervals, 2-second checkpoint transfers) is cheap to simulate.
+// The kernel keeps a virtual clock and two queues of scheduled events: a
+// binary heap for events scheduled in any order, and a FIFO for producers
+// that schedule in nondecreasing time order, such as a shared medium whose
+// transmissions complete one after another. Every event gets its
+// (time, schedule order) key when it is scheduled, whichever queue holds
+// it, and the kernel always fires the least key of the two queue heads. So
+// the firing order is the same as with one queue: events fire in time
+// order, and events scheduled for the same instant fire in the order they
+// were scheduled, which makes every simulation run fully deterministic for
+// a given seed and schedule. All checkpointing experiments in this
+// repository run on top of this kernel so that virtual time (900-second
+// checkpoint intervals, 2-second checkpoint transfers) is cheap to
+// simulate.
 //
-// The hot path is allocation-free: the priority queue stores event values
-// (not pointers) in a slice-backed quaternary-comparison binary heap, and
-// event identity is a (slot, generation) pair drawn from a free list, so
-// Schedule/Step never touch a map and never allocate once the backing
-// slices reach steady size. Cancel is lazy: it flips the slot's pending bit
+// The hot path is allocation-free: both queues store event values (not
+// pointers) in slices, and event identity is a (slot, generation) pair
+// drawn from a free list, so Schedule/Step never touch a map and never
+// allocate once the backing slices reach steady size. A FIFO push or pop
+// is O(1), which matters when a saturated medium keeps tens of thousands
+// of deliveries queued. Cancel is lazy: it flips the slot's pending bit
 // and leaves a tombstone in the heap, which is discarded when it surfaces
 // at the root (or swept out wholesale when tombstones outnumber live
 // events), instead of paying an O(log n) heap removal per cancellation.
+// FIFO events cannot be cancelled, so they take no slot.
 package des
 
 import (
@@ -39,7 +48,8 @@ func (id EventID) split() (slot, gen uint32) {
 	return uint32(id >> 32), uint32(id)
 }
 
-// event is a single scheduled callback, stored by value in the heap.
+// event is a single scheduled callback, stored by value in a queue. An
+// event in the FIFO has gen 0: it holds no slot.
 type event struct {
 	at   time.Duration
 	seq  uint64 // tie-breaker: schedule order
@@ -79,6 +89,9 @@ type Simulator struct {
 	now     time.Duration
 	seq     uint64
 	heap    []event
+	fifo    []event // ring buffer, sorted by (at, seq)
+	head    int     // index of the FIFO's first event
+	queued  int     // events in the FIFO
 	slots   []slot
 	free    []uint32 // recycled slot indices
 	dead    int      // cancelled events still sitting in heap
@@ -104,7 +117,7 @@ func (s *Simulator) Executed() uint64 { return s.executed }
 
 // Pending reports how many live (not cancelled) events are currently
 // scheduled.
-func (s *Simulator) Pending() int { return len(s.heap) - s.dead }
+func (s *Simulator) Pending() int { return len(s.heap) - s.dead + s.queued }
 
 // Tombstones reports how many cancelled events are still occupying heap
 // space awaiting lazy removal. It exists for diagnostics and leak tests;
@@ -128,6 +141,50 @@ func (s *Simulator) ScheduleAt(at time.Duration, fn func()) EventID {
 		at = s.now
 	}
 	s.seq++
+	idx := s.newSlot()
+	gen := s.slots[idx].gen
+	s.push(event{at: at, seq: s.seq, fn: fn, slot: idx, gen: gen})
+	return makeEventID(idx, gen)
+}
+
+// ScheduleFIFO runs fn at the given absolute virtual time, like ScheduleAt,
+// but the event cannot be cancelled. A producer whose times never decrease
+// (a shared medium: each transmission ends after the one before it) should
+// use it: such events queue in O(1) instead of O(log n). A time earlier
+// than the last FIFO event's goes to the heap instead, so the firing order
+// never depends on the caller keeping its times in order.
+func (s *Simulator) ScheduleFIFO(at time.Duration, fn func()) {
+	if at < s.now {
+		at = s.now
+	}
+	if s.queued > 0 && at < s.fifo[s.fifoIndex(s.queued-1)].at {
+		s.ScheduleAt(at, fn)
+		return
+	}
+	s.seq++
+	if s.queued == len(s.fifo) {
+		// Grow by half, not double: a saturated medium keeps over 10^5
+		// deliveries queued, and doubling just past such a depth would
+		// leave half the array unused.
+		ring := make([]event, len(s.fifo)+max(64, len(s.fifo)/2))
+		n := copy(ring, s.fifo[s.head:])
+		copy(ring[n:], s.fifo[:s.head])
+		s.fifo, s.head = ring, 0
+	}
+	s.fifo[s.fifoIndex(s.queued)] = event{at: at, seq: s.seq, fn: fn}
+	s.queued++
+}
+
+// fifoIndex is the ring index of the FIFO's i-th event.
+func (s *Simulator) fifoIndex(i int) int {
+	if i += s.head; i >= len(s.fifo) {
+		i -= len(s.fifo)
+	}
+	return i
+}
+
+// newSlot takes a slot for a heap event and marks it pending.
+func (s *Simulator) newSlot() uint32 {
 	var idx uint32
 	if n := len(s.free); n > 0 {
 		idx = s.free[n-1]
@@ -144,10 +201,8 @@ func (s *Simulator) ScheduleAt(at time.Duration, fn func()) EventID {
 			s.free = free
 		}
 	}
-	sl := &s.slots[idx]
-	sl.pending = true
-	s.push(event{at: at, seq: s.seq, fn: fn, slot: idx, gen: sl.gen})
-	return makeEventID(idx, sl.gen)
+	s.slots[idx].pending = true
+	return idx
 }
 
 // Cancel removes a scheduled event. It reports whether the event was still
@@ -171,10 +226,20 @@ func (s *Simulator) Cancel(id EventID) bool {
 	return true
 }
 
+// release frees the slot of an event that has left the heap to fire.
+func (s *Simulator) release(idx uint32) {
+	s.slots[idx].pending = false
+	s.freeSlot(idx)
+}
+
 // freeSlot recycles a slot whose heap entry has been removed, invalidating
-// outstanding EventIDs for it.
+// outstanding EventIDs for it. The generation skips 0 when it wraps, since
+// gen 0 marks an event that holds no slot.
 func (s *Simulator) freeSlot(idx uint32) {
-	s.slots[idx].gen++
+	sl := &s.slots[idx]
+	if sl.gen++; sl.gen == 0 {
+		sl.gen = 1
+	}
 	s.free = append(s.free, idx)
 }
 
@@ -185,8 +250,7 @@ func (s *Simulator) live(ev *event) bool {
 }
 
 // pruneRoot pops tombstones off the heap root so that, on return, heap[0]
-// (if any) is a live event. Keeping the root live lets Run's horizon check
-// peek at heap[0].at without firing anything.
+// (if any) is a live event.
 func (s *Simulator) pruneRoot() {
 	for len(s.heap) > 0 {
 		ev := s.heap[0]
@@ -197,6 +261,33 @@ func (s *Simulator) pruneRoot() {
 		s.dead--
 		s.freeSlot(ev.slot)
 	}
+}
+
+// peek returns the next event to fire, without removing it, and whether
+// it is the FIFO's head rather than the heap's root; nil when nothing is
+// pending. It prunes tombstones off the heap root first, so a horizon
+// check sees a live event.
+func (s *Simulator) peek() (next *event, fromFIFO bool) {
+	s.pruneRoot()
+	if s.queued > 0 {
+		f := &s.fifo[s.head]
+		if len(s.heap) == 0 || s.less(f, &s.heap[0]) {
+			return f, true
+		}
+	}
+	if len(s.heap) == 0 {
+		return nil, false
+	}
+	return &s.heap[0], false
+}
+
+// popFIFO removes the FIFO's first event; callers must copy it out first.
+func (s *Simulator) popFIFO() {
+	s.fifo[s.head] = event{} // release the fn closure
+	if s.head++; s.head == len(s.fifo) {
+		s.head = 0
+	}
+	s.queued--
 }
 
 // compact sweeps every tombstone out of the heap in one O(n) pass and
@@ -229,49 +320,60 @@ func (s *Simulator) Stop() { s.stopped = true }
 
 // SetChooser installs (or, with nil, removes) a tie-break strategy. With a
 // chooser installed, Step collects every live event sharing the earliest
-// timestamp and asks the chooser which fires first; the rest are requeued
-// with their original schedule order intact, so a chooser that always
-// returns 0 is byte-identical to the default kernel.
+// timestamp, from both queues, and asks the chooser which fires first; the
+// rest are requeued with their original schedule order intact, so a
+// chooser that always returns 0 is byte-identical to the default kernel.
 func (s *Simulator) SetChooser(c Chooser) { s.chooser = c }
 
 // Step fires the next pending event, advancing the clock to its timestamp.
 // It reports whether an event fired.
-func (s *Simulator) Step() bool {
-	if s.chooser != nil {
-		return s.chooseStep()
-	}
-	s.pruneRoot()
-	if len(s.heap) == 0 {
+func (s *Simulator) Step() bool { return s.stepBefore(maxTime) }
+
+// maxTime is the horizon of Step and RunAll: no event is due after it.
+const maxTime = time.Duration(1<<63 - 1)
+
+// stepBefore is Step for an event due at or before horizon: a later one
+// stays queued and nothing fires.
+func (s *Simulator) stepBefore(horizon time.Duration) bool {
+	next, fromFIFO := s.peek()
+	if next == nil || next.at > horizon {
 		return false
 	}
-	ev := s.heap[0]
-	s.popRoot()
-	s.slots[ev.slot].pending = false
-	s.freeSlot(ev.slot)
+	if s.chooser != nil {
+		s.chooseStep(next.at)
+		return true
+	}
+	ev := *next
+	if fromFIFO {
+		s.popFIFO()
+	} else {
+		s.popRoot()
+		s.release(ev.slot)
+	}
 	s.now = ev.at
 	s.executed++
 	ev.fn()
 	return true
 }
 
-// chooseStep is Step with an installed chooser: the whole batch of live
-// events at the earliest timestamp is popped into a scratch buffer (they
-// arrive in schedule order, tombstones pruned along the way), the chooser
-// picks one, and the others go back on the heap with their original seq so
-// later ties still break the same way. No user code runs while events sit
-// in the scratch buffer, so nothing can Cancel them mid-decision.
-func (s *Simulator) chooseStep() bool {
-	s.pruneRoot()
-	if len(s.heap) == 0 {
-		return false
-	}
-	at := s.heap[0].at
+// chooseStep is Step with an installed chooser, given the earliest
+// timestamp at: the whole batch of live events at that timestamp is popped
+// from both queues into a scratch buffer (they arrive in schedule order,
+// tombstones pruned along the way), the chooser picks one, and the others
+// go back on the heap with their original seq so later ties still break
+// the same way. No user code runs while events sit in the scratch buffer,
+// so nothing can Cancel them mid-decision.
+func (s *Simulator) chooseStep(at time.Duration) {
+	next, fromFIFO := s.peek()
 	s.scratch = s.scratch[:0]
-	for len(s.heap) > 0 && s.heap[0].at == at {
-		ev := s.heap[0]
-		s.popRoot()
-		s.scratch = append(s.scratch, ev)
-		s.pruneRoot()
+	for next != nil && next.at == at {
+		s.scratch = append(s.scratch, *next)
+		if fromFIFO {
+			s.popFIFO()
+		} else {
+			s.popRoot()
+		}
+		next, fromFIFO = s.peek()
 	}
 	choice := 0
 	if k := len(s.scratch); k > 1 {
@@ -283,38 +385,32 @@ func (s *Simulator) chooseStep() bool {
 	ev := s.scratch[choice]
 	for i, other := range s.scratch {
 		if i != choice {
+			if other.gen == 0 { // from the FIFO: the heap needs a slot
+				other.slot = s.newSlot()
+				other.gen = s.slots[other.slot].gen
+			}
 			s.push(other)
 		}
 		s.scratch[i] = event{} // release fn closures
 	}
-	s.slots[ev.slot].pending = false
-	s.freeSlot(ev.slot)
+	if ev.gen != 0 {
+		s.release(ev.slot)
+	}
 	s.now = at
 	s.executed++
 	ev.fn()
-	return true
 }
 
-// Run fires events in timestamp order until the horizon is passed, the
-// event queue drains, or Stop is called. The clock never advances beyond
-// horizon: an event scheduled after the horizon stays queued and the clock
-// is set to the horizon on return. Run returns ErrStopped only for explicit
-// stops; draining the queue or reaching the horizon returns nil.
+// Run fires, in timestamp order, every event due at or before horizon,
+// until none is left or Stop is called. Events due after horizon stay
+// queued. On a nil return the clock reads horizon, or Now() from before the
+// call if that was later: the clock never moves backwards, so a horizon in
+// the past fires nothing and leaves the clock alone. Run returns
+// ErrStopped only for explicit stops, leaving the clock at the last event
+// fired; draining the queue or reaching the horizon returns nil.
 func (s *Simulator) Run(horizon time.Duration) error {
-	s.stopped = false
-	for {
-		s.pruneRoot()
-		if len(s.heap) == 0 {
-			break
-		}
-		if s.stopped {
-			return ErrStopped
-		}
-		if s.heap[0].at > horizon {
-			s.now = horizon
-			return nil
-		}
-		s.Step()
+	if err := s.runUntil(horizon); err != nil {
+		return err
 	}
 	if s.now < horizon {
 		s.now = horizon
@@ -324,18 +420,21 @@ func (s *Simulator) Run(horizon time.Duration) error {
 
 // RunAll fires events until the queue drains or Stop is called, with no
 // horizon. Use only with workloads that terminate on their own.
-func (s *Simulator) RunAll() error {
+func (s *Simulator) RunAll() error { return s.runUntil(maxTime) }
+
+// runUntil fires events due at or before horizon until none is left or
+// one calls Stop. A stop returns ErrStopped if any event is still queued.
+func (s *Simulator) runUntil(horizon time.Duration) error {
 	s.stopped = false
-	for {
-		s.pruneRoot()
-		if len(s.heap) == 0 {
+	for s.stepBefore(horizon) {
+		if s.stopped {
+			if next, _ := s.peek(); next != nil {
+				return ErrStopped
+			}
 			return nil
 		}
-		if s.stopped {
-			return ErrStopped
-		}
-		s.Step()
 	}
+	return nil
 }
 
 // heap ordering: earliest timestamp first, schedule order breaking ties.

@@ -90,6 +90,26 @@ func TestCancelAllocFree(t *testing.T) {
 	}
 }
 
+// TestFIFOAllocFree: once the FIFO's backing array has reached its steady
+// size, queueing a delivery behind a deep backlog and firing the head
+// allocate nothing.
+func TestFIFOAllocFree(t *testing.T) {
+	sim := des.New()
+	noop := func() {}
+	var tail time.Duration
+	for i := 0; i < 4096; i++ {
+		tail += time.Millisecond
+		sim.ScheduleFIFO(tail, noop)
+	}
+	if allocs := testing.AllocsPerRun(8192, func() {
+		tail += time.Millisecond
+		sim.ScheduleFIFO(tail, noop)
+		sim.Step()
+	}); allocs != 0 {
+		t.Fatalf("ScheduleFIFO+Step allocates (%v allocs/op, want 0)", allocs)
+	}
+}
+
 // BenchmarkDESRescheduleStorm hammers Ticker.Reschedule the way checkpoint
 // schedulers do when every message resets the interval timer: each
 // iteration is a cancel plus a re-schedule against a populated heap.

@@ -132,6 +132,34 @@ func TestRunEmptyAdvancesToHorizon(t *testing.T) {
 	}
 }
 
+// TestRunPastHorizonKeepsClock: a Run whose horizon is behind the clock
+// fires nothing and leaves the clock where it was, so an event scheduled
+// afterwards cannot fire before one that has already fired.
+func TestRunPastHorizonKeepsClock(t *testing.T) {
+	sim := des.New()
+	var at []time.Duration
+	record := func() { at = append(at, sim.Now()) }
+	sim.Schedule(5*time.Second, record)
+	sim.Schedule(20*time.Second, record)
+	if err := sim.Run(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.Run(3 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if sim.Now() != 10*time.Second {
+		t.Fatalf("clock = %v after a past horizon, want 10s", sim.Now())
+	}
+	sim.Schedule(0, record)
+	if err := sim.Run(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	want := []time.Duration{5 * time.Second, 10 * time.Second}
+	if len(at) != len(want) || at[0] != want[0] || at[1] != want[1] {
+		t.Fatalf("fired at %v, want %v", at, want)
+	}
+}
+
 func TestStop(t *testing.T) {
 	sim := des.New()
 	count := 0

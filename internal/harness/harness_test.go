@@ -1,6 +1,7 @@
 package harness_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -463,5 +464,44 @@ func TestScaleLadderEventsIndependentOfN(t *testing.T) {
 		if len(res.ClusterErrors) != 0 {
 			t.Errorf("n=%d: cluster errors: %v", n, res.ClusterErrors)
 		}
+	}
+}
+
+// TestSim1kCountsPinned pins the benchmark's sim1k run: N = 1024 on one
+// saturated 2 Mbps medium, where tens of thousands of queued deliveries in
+// the kernel's FIFO interleave with the heap's timers. The engine goldens
+// run small N, so a kernel change that reorders events at this depth fails
+// here rather than only in the benchmark.
+func TestSim1kCountsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("a full N=1024 simulated hour")
+	}
+	res, err := harness.Run(harness.Config{
+		Algorithm: harness.AlgoMutable,
+		Workload:  harness.WorkloadP2P,
+		N:         1024,
+		Rate:      0.05,
+		Horizon:   time.Hour,
+		Seed:      1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SimulatedEvents != 560071 {
+		t.Errorf("%d simulated events, want 560071", res.SimulatedEvents)
+	}
+	if res.Initiations != 11 {
+		t.Errorf("%d initiations, want 11", res.Initiations)
+	}
+	// Per-initiation means as totals over the 11 initiations: 187 and
+	// 35.55 (391/11).
+	if got := res.Tentative.Mean() * 11; math.Abs(got-2057) > 1e-6 {
+		t.Errorf("tentative checkpoints per initiation %v, want 187", res.Tentative.Mean())
+	}
+	if got := res.Mutable.Mean() * 11; math.Abs(got-391) > 1e-6 {
+		t.Errorf("mutable checkpoints per initiation %v, want 35.55 (391/11)", res.Mutable.Mean())
+	}
+	if !res.ConsistencyOK {
+		t.Errorf("recovery line inconsistent: %v", res.ConsistencyErr)
 	}
 }

@@ -70,7 +70,9 @@ func TxTime(size int, b Bandwidth) time.Duration {
 
 // Medium is a shared half-duplex channel: one transmission at a time,
 // strictly FIFO in request order. It models both the paper's wireless LAN
-// and the per-cell wireless channel of the cellular topology.
+// and the per-cell wireless channel of the cellular topology. Its
+// completion times never decrease, so its deliveries go to the kernel's
+// FIFO (des.Simulator.ScheduleFIFO) rather than its heap.
 type Medium struct {
 	sim       *des.Simulator
 	bandwidth Bandwidth
@@ -98,7 +100,7 @@ func (m *Medium) Transmit(size int, deliver func()) time.Duration {
 	m.BytesCarried += uint64(size)
 	m.Transmits++
 	if deliver != nil {
-		m.sim.ScheduleAt(end, deliver)
+		m.sim.ScheduleFIFO(end, deliver)
 	}
 	return end
 }
@@ -117,7 +119,7 @@ func (m *Medium) TransmitBroadcast(size int, delivers []func()) time.Duration {
 	m.Transmits++
 	for _, d := range delivers {
 		if d != nil {
-			m.sim.ScheduleAt(end, d)
+			m.sim.ScheduleFIFO(end, d)
 		}
 	}
 	return end
