@@ -72,7 +72,7 @@ type Engine struct {
 
 	initiating bool
 	trig       protocol.Trigger
-	weight     dyadic.Weight
+	weight     dyadic.Sum
 }
 
 var _ protocol.Engine = (*Engine)(nil)
@@ -118,7 +118,8 @@ func (e *Engine) Initiate() error {
 	e.initiating = true
 	e.trig = protocol.Trigger{Pid: e.id, Inum: e.csn[e.id] + 1}
 	e.env.Trace(trace.KindInitiate, -1, "trigger=%v", e.trig)
-	e.weight = e.checkpointAndPropagate(e.trig, dyadic.One())
+	e.weight.Reset()
+	e.weight.Add(e.checkpointAndPropagate(e.trig, dyadic.One()))
 	e.maybeDone()
 	return nil
 }
@@ -232,7 +233,7 @@ func (e *Engine) credit(trig protocol.Trigger, w dyadic.Weight) {
 	if !e.initiating || trig != e.trig {
 		return
 	}
-	e.weight = e.weight.Add(w)
+	e.weight.Add(w)
 	e.maybeDone()
 }
 
@@ -241,7 +242,7 @@ func (e *Engine) maybeDone() {
 		return
 	}
 	e.initiating = false
-	e.weight = dyadic.Zero()
+	e.weight.Reset()
 	e.env.Trace(trace.KindCommit, -1, "trigger=%v", e.trig)
 	e.env.CheckpointingDone(e.trig, true)
 }

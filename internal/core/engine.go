@@ -28,6 +28,7 @@ import (
 
 	"mutablecp/internal/bitset"
 	"mutablecp/internal/dyadic"
+	"mutablecp/internal/intvec"
 	"mutablecp/internal/protocol"
 	"mutablecp/internal/trace"
 )
@@ -87,12 +88,12 @@ type Engine struct {
 	id  protocol.ProcessID
 	n   int
 
-	// csn holds csn_i[*] sparsely: only peers whose csn this process has
-	// observed as nonzero have entries (empty until the first write), and
+	// csn holds csn_i[*] for the peers: sparse until this process has
+	// heard a nonzero csn from a fixed fraction of them (intvec), and
 	// the process's own slot lives in ownCSN instead — a min-process
 	// instance touches O(participants) peers, so an idle process at
 	// N=1M costs nothing here. Read through csnOf, write through setCSN.
-	csn        csnVec
+	csn        intvec.Vec
 	ownCSN     int              // csn_i[i], the hot PrepareSend read
 	r          *bitset.Set      // R_i[*]
 	sent       bool             // sent_i
@@ -124,7 +125,7 @@ type Engine struct {
 
 	// Initiator-side state for the instance this process started.
 	initiating bool
-	weight     dyadic.Weight
+	weight     dyadic.Sum // the returned shares, exact (Lemma 2)
 	// participantDeps collects each participant's dependency vector from
 	// its reply, enabling Kim–Park partial commit on failure (§3.6).
 	// Keyed by pid; a missing entry means "never replied" — the
@@ -166,6 +167,7 @@ func NewWithOptions(env protocol.Env, opts Options) *Engine {
 		env:        env,
 		id:         env.ID(),
 		n:          n,
+		csn:        intvec.New(n),
 		r:          bitset.New(n),
 		mrScratch:  protocol.NewMRBuilder(n),
 		ownTrigger: protocol.Trigger{Pid: env.ID(), Inum: 0},
@@ -178,7 +180,7 @@ func (e *Engine) csnOf(k protocol.ProcessID) int {
 	if k == e.id {
 		return e.ownCSN
 	}
-	return e.csn.at(k)
+	return e.csn.At(k)
 }
 
 // setCSN writes csn_i[k], growing the sparse vector on first contact.
@@ -187,7 +189,7 @@ func (e *Engine) setCSN(k protocol.ProcessID, v int) {
 		e.ownCSN = v
 		return
 	}
-	e.csn.set(k, v)
+	e.csn.Set(k, v)
 }
 
 // Name identifies the algorithm.
@@ -200,10 +202,8 @@ func (e *Engine) InProgress() bool { return e.cpState }
 // rendering is part of the fingerprint format and must not change).
 func (e *Engine) CSN() []int {
 	out := make([]int, e.n)
+	e.csn.Each(func(k, v int) { out[k] = v })
 	out[e.id] = e.ownCSN
-	for i, k := range e.csn.ids {
-		out[k] = e.csn.vals[i]
-	}
 	return out
 }
 
@@ -255,7 +255,8 @@ func (e *Engine) Initiate() error {
 	e.mrScratch.SetCSN(e.id, e.ownCSN)
 	e.mrScratch.SetFlag(e.id)
 	e.recordParticipantDeps(e.id, deps)
-	e.weight = e.propCPLoaded(deps, e.ownTrigger, dyadic.One())
+	e.weight.Reset()
+	e.weight.Add(e.propCPLoaded(deps, e.ownTrigger, dyadic.One()))
 
 	e.takeTentative(e.ownTrigger)
 
@@ -534,7 +535,7 @@ func (e *Engine) credit(trig protocol.Trigger, w dyadic.Weight) {
 		// Stale reply for an instance that already terminated.
 		return
 	}
-	e.weight = e.weight.Add(w)
+	e.weight.Add(w)
 	e.maybeCommit()
 }
 
@@ -544,7 +545,7 @@ func (e *Engine) maybeCommit() {
 	}
 	trig := e.ownTrigger
 	e.initiating = false
-	e.weight = dyadic.Zero()
+	e.weight.Reset()
 	e.participantDeps = nil
 	if e.opts.Dissemination == CommitTargeted {
 		// §3.3.5 update approach: commit only to the processes that
@@ -658,7 +659,7 @@ func (e *Engine) AbortCurrent() error {
 	}
 	trig := e.ownTrigger
 	e.initiating = false
-	e.weight = dyadic.Zero()
+	e.weight.Reset()
 	e.participantDeps = nil
 	if e.env.Tracing() {
 		e.env.Trace(trace.KindAbort, -1, "broadcast trigger=%v", trig)
@@ -713,8 +714,9 @@ func (e *Engine) handleAbort(trig protocol.Trigger) {
 }
 
 // Weight exposes the initiator's accumulated termination-detection weight
-// (tests).
-func (e *Engine) Weight() dyadic.Weight { return e.weight }
+// (tests and the model checker's Lemma 2 bound). It is the engine's own
+// counter: read it, do not keep it across the engine's next event.
+func (e *Engine) Weight() *dyadic.Sum { return &e.weight }
 
 // Initiating reports whether this process is the active initiator.
 func (e *Engine) Initiating() bool { return e.initiating }

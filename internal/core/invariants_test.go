@@ -97,7 +97,8 @@ func TestLemma2WeightConservation(t *testing.T) {
 	}
 	steps := 0
 	for w.envs[init].doneCount == 0 {
-		total := w.engines[init].Weight().Add(w.queuedWeight())
+		total := w.queuedWeight()
+		w.engines[init].Weight().Each(total.Add)
 		if !total.IsOne() {
 			t.Fatalf("step %d: initiator %v + in-flight %v != 1",
 				steps, w.engines[init].Weight(), w.queuedWeight())

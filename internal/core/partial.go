@@ -19,7 +19,6 @@ import (
 	"fmt"
 
 	"mutablecp/internal/bitset"
-	"mutablecp/internal/dyadic"
 	"mutablecp/internal/protocol"
 	"mutablecp/internal/trace"
 )
@@ -68,7 +67,7 @@ func (e *Engine) abortPartial(seed map[protocol.ProcessID]bool) error {
 	trig := e.ownTrigger
 	contaminated := e.contaminatedClosure(seed)
 	e.initiating = false
-	e.weight = dyadic.Zero()
+	e.weight.Reset()
 	defer func() { e.participantDeps = nil }()
 
 	excluded := bitset.New(e.n)

@@ -135,12 +135,12 @@ func (w *world) pumpSystem() {
 }
 
 // queuedWeight sums the weight carried by in-flight messages.
-func (w *world) queuedWeight() dyadic.Weight {
-	total := dyadic.Zero()
+func (w *world) queuedWeight() *dyadic.Sum {
+	var total dyadic.Sum
 	for _, m := range w.queue {
-		total = total.Add(m.Weight)
+		total.Add(m.Weight)
 	}
-	return total
+	return &total
 }
 
 // line returns the latest permanent checkpoint state per process.

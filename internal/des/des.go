@@ -17,9 +17,12 @@
 // The hot path is allocation-free: both queues store event values (not
 // pointers) in slices, and event identity is a (slot, generation) pair
 // drawn from a free list, so Schedule/Step never touch a map and never
-// allocate once the backing slices reach steady size. A FIFO push or pop
-// is O(1), which matters when a saturated medium keeps tens of thousands
-// of deliveries queued. Cancel is lazy: it flips the slot's pending bit
+// allocate once the backing slices reach steady size. An event's body is
+// a Firer: a producer that recycles its own event records, such as the
+// simulated network's deliveries, hands the kernel a pointer and
+// allocates no closure per event; Schedule adapts a func() through Func.
+// A FIFO push or pop is O(1), which matters when a saturated medium keeps
+// tens of thousands of deliveries queued. Cancel is lazy: it flips the slot's pending bit
 // and leaves a tombstone in the heap, which is discarded when it surfaces
 // at the root (or swept out wholesale when tombstones outnumber live
 // events), instead of paying an O(log n) heap removal per cancellation.
@@ -48,12 +51,25 @@ func (id EventID) split() (slot, gen uint32) {
 	return uint32(id >> 32), uint32(id)
 }
 
-// event is a single scheduled callback, stored by value in a queue. An
-// event in the FIFO has gen 0: it holds no slot.
+// Firer is an event body: the kernel calls Fire when the event is due.
+// A pointer stored in the interface does not allocate, so a producer that
+// recycles its own event records (a simulated network's deliveries)
+// schedules without allocating.
+type Firer interface{ Fire() }
+
+// Func adapts a func() to a Firer. A func value is one pointer, so the
+// conversion allocates nothing beyond the closure itself.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
+
+// event is a single scheduled body, stored by value in a queue. An event
+// in the FIFO has gen 0: it holds no slot.
 type event struct {
 	at   time.Duration
 	seq  uint64 // tie-breaker: schedule order
-	fn   func()
+	f    Firer
 	slot uint32
 	gen  uint32
 }
@@ -137,28 +153,33 @@ func (s *Simulator) Schedule(delay time.Duration, fn func()) EventID {
 // ScheduleAt runs fn at the given absolute virtual time. Times in the past
 // are clamped to the current instant.
 func (s *Simulator) ScheduleAt(at time.Duration, fn func()) EventID {
+	return s.scheduleAt(at, Func(fn))
+}
+
+func (s *Simulator) scheduleAt(at time.Duration, f Firer) EventID {
 	if at < s.now {
 		at = s.now
 	}
 	s.seq++
 	idx := s.newSlot()
 	gen := s.slots[idx].gen
-	s.push(event{at: at, seq: s.seq, fn: fn, slot: idx, gen: gen})
+	s.push(event{at: at, seq: s.seq, f: f, slot: idx, gen: gen})
 	return makeEventID(idx, gen)
 }
 
-// ScheduleFIFO runs fn at the given absolute virtual time, like ScheduleAt,
-// but the event cannot be cancelled. A producer whose times never decrease
-// (a shared medium: each transmission ends after the one before it) should
-// use it: such events queue in O(1) instead of O(log n). A time earlier
-// than the last FIFO event's goes to the heap instead, so the firing order
-// never depends on the caller keeping its times in order.
-func (s *Simulator) ScheduleFIFO(at time.Duration, fn func()) {
+// ScheduleFIFO fires f at the given absolute virtual time, like
+// ScheduleAt, but the event cannot be cancelled. A producer whose times
+// never decrease (a shared medium: each transmission ends after the one
+// before it) should use it: such events queue in O(1) instead of
+// O(log n). A time earlier than the last FIFO event's goes to the heap
+// instead, so the firing order never depends on the caller keeping its
+// times in order.
+func (s *Simulator) ScheduleFIFO(at time.Duration, f Firer) {
 	if at < s.now {
 		at = s.now
 	}
 	if s.queued > 0 && at < s.fifo[s.fifoIndex(s.queued-1)].at {
-		s.ScheduleAt(at, fn)
+		s.scheduleAt(at, f)
 		return
 	}
 	s.seq++
@@ -171,7 +192,7 @@ func (s *Simulator) ScheduleFIFO(at time.Duration, fn func()) {
 		copy(ring[n:], s.fifo[:s.head])
 		s.fifo, s.head = ring, 0
 	}
-	s.fifo[s.fifoIndex(s.queued)] = event{at: at, seq: s.seq, fn: fn}
+	s.fifo[s.fifoIndex(s.queued)] = event{at: at, seq: s.seq, f: f}
 	s.queued++
 }
 
@@ -283,7 +304,7 @@ func (s *Simulator) peek() (next *event, fromFIFO bool) {
 
 // popFIFO removes the FIFO's first event; callers must copy it out first.
 func (s *Simulator) popFIFO() {
-	s.fifo[s.head] = event{} // release the fn closure
+	s.fifo[s.head] = event{} // release the event body
 	if s.head++; s.head == len(s.fifo) {
 		s.head = 0
 	}
@@ -305,7 +326,7 @@ func (s *Simulator) compact() {
 		}
 	}
 	for i := len(keep); i < len(s.heap); i++ {
-		s.heap[i] = event{} // release dropped fn closures
+		s.heap[i] = event{} // release dropped event bodies
 	}
 	s.heap = keep
 	s.dead = 0
@@ -352,7 +373,7 @@ func (s *Simulator) stepBefore(horizon time.Duration) bool {
 	}
 	s.now = ev.at
 	s.executed++
-	ev.fn()
+	ev.f.Fire()
 	return true
 }
 
@@ -391,14 +412,14 @@ func (s *Simulator) chooseStep(at time.Duration) {
 			}
 			s.push(other)
 		}
-		s.scratch[i] = event{} // release fn closures
+		s.scratch[i] = event{} // release event bodies
 	}
 	if ev.gen != 0 {
 		s.release(ev.slot)
 	}
 	s.now = at
 	s.executed++
-	ev.fn()
+	ev.f.Fire()
 }
 
 // Run fires, in timestamp order, every event due at or before horizon,

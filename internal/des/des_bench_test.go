@@ -95,7 +95,7 @@ func TestCancelAllocFree(t *testing.T) {
 // allocate nothing.
 func TestFIFOAllocFree(t *testing.T) {
 	sim := des.New()
-	noop := func() {}
+	noop := des.Func(func() {})
 	var tail time.Duration
 	for i := 0; i < 4096; i++ {
 		tail += time.Millisecond

@@ -122,7 +122,7 @@ func (sc *orderScript) scheduleFIFO(at time.Duration, fn func()) {
 		return
 	}
 	heap, fifo := len(sc.sim.heap), sc.sim.queued
-	sc.sim.ScheduleFIFO(at, fn)
+	sc.sim.ScheduleFIFO(at, Func(fn))
 	if len(sc.sim.heap) > heap {
 		sc.fallbacks++
 	}

@@ -26,11 +26,13 @@ func BenchmarkAdd(b *testing.B) {
 		w = w.Half()
 		shares[i] = w
 	}
+	var total dyadic.Sum
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		total := w
+		total.Reset()
+		total.Add(w)
 		for _, s := range shares {
-			total = total.Add(s)
+			total.Add(s)
 		}
 		if !total.IsOne() {
 			b.Fatal("lost weight")

@@ -172,8 +172,8 @@ type quantumNet struct {
 
 var _ netsim.Transport = (*quantumNet)(nil)
 
-func (q *quantumNet) Unicast(_, _ protocol.ProcessID, _ int, deliver func()) {
-	q.sim.Schedule(q.latency, deliver)
+func (q *quantumNet) Unicast(_, _ protocol.ProcessID, _ int, deliver des.Firer) {
+	q.sim.Schedule(q.latency, deliver.Fire)
 }
 
 func (q *quantumNet) Broadcast(from protocol.ProcessID, _ int, deliver func(to protocol.ProcessID)) {
@@ -186,9 +186,9 @@ func (q *quantumNet) Broadcast(from protocol.ProcessID, _ int, deliver func(to p
 	}
 }
 
-func (q *quantumNet) StableTransfer(_ protocol.ProcessID, _ int, done func()) {
+func (q *quantumNet) StableTransfer(_ protocol.ProcessID, _ int, done des.Firer) {
 	if done != nil {
-		q.sim.Schedule(q.latency, done)
+		q.sim.Schedule(q.latency, done.Fire)
 	}
 }
 
@@ -239,7 +239,7 @@ func (s Scenario) RandomWalk(seed uint64) (*RunResult, error) {
 // need.
 type engineProbe interface {
 	Initiating() bool
-	Weight() dyadic.Weight
+	Weight() *dyadic.Sum
 	PendingTentatives() int
 }
 
@@ -349,7 +349,6 @@ func (s Scenario) execute(rec *recorder) (*RunResult, error) {
 // initiation) and Lemma 2's upper bound (an initiator's accumulated
 // weight never exceeds 1).
 func (s Scenario) stepInvariants(cluster *simrt.Cluster) *Violation {
-	one := dyadic.One()
 	for p := 0; p < s.N; p++ {
 		eng, ok := cluster.Proc(protocol.ProcessID(p)).Engine().(engineProbe)
 		if !ok {
@@ -359,7 +358,7 @@ func (s Scenario) stepInvariants(cluster *simrt.Cluster) *Violation {
 			return &Violation{Kind: KindPendingBound, Detail: fmt.Sprintf(
 				"P%d holds %d pending tentative checkpoints", p, pend)}
 		}
-		if eng.Initiating() && eng.Weight().Cmp(one) > 0 {
+		if eng.Initiating() && eng.Weight().Over() {
 			return &Violation{Kind: KindWeightBound, Detail: fmt.Sprintf(
 				"P%d accumulated weight %v > 1", p, eng.Weight())}
 		}

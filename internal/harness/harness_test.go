@@ -2,6 +2,7 @@ package harness_test
 
 import (
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -471,11 +472,17 @@ func TestScaleLadderEventsIndependentOfN(t *testing.T) {
 // saturated 2 Mbps medium, where tens of thousands of queued deliveries in
 // the kernel's FIFO interleave with the heap's timers. The engine goldens
 // run small N, so a kernel change that reorders events at this depth fails
-// here rather than only in the benchmark.
+// here rather than only in the benchmark. It also holds the run to its
+// allocation budget: the message path allocates nothing per delivery, and
+// what is left (the engine's request and reply structs, checkpoint
+// snapshots, the pools filling) stays under maxAllocsPerEvent.
 func TestSim1kCountsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a full N=1024 simulated hour")
 	}
+	const maxAllocsPerEvent = 0.8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	res, err := harness.Run(harness.Config{
 		Algorithm: harness.AlgoMutable,
 		Workload:  harness.WorkloadP2P,
@@ -484,8 +491,14 @@ func TestSim1kCountsPinned(t *testing.T) {
 		Horizon:   time.Hour,
 		Seed:      1,
 	})
+	runtime.ReadMemStats(&after)
 	if err != nil {
 		t.Fatal(err)
+	}
+	perEvent := float64(after.Mallocs-before.Mallocs) / float64(res.SimulatedEvents)
+	t.Logf("%d allocations, %.3f per event", after.Mallocs-before.Mallocs, perEvent)
+	if perEvent > maxAllocsPerEvent {
+		t.Errorf("%.3f allocations per simulated event, want at most %v", perEvent, maxAllocsPerEvent)
 	}
 	if res.SimulatedEvents != 560071 {
 		t.Errorf("%d simulated events, want 560071", res.SimulatedEvents)

@@ -33,7 +33,7 @@ type Cellular struct {
 	// FIFO resequencing per directed channel.
 	nextSeq  map[[2]protocol.ProcessID]uint64
 	expected map[[2]protocol.ProcessID]uint64
-	pending  map[[2]protocol.ProcessID]map[uint64]func()
+	pending  map[[2]protocol.ProcessID]map[uint64]des.Firer
 
 	// Handoffs counts completed cell changes.
 	Handoffs uint64
@@ -84,7 +84,7 @@ func NewCellular(sim *des.Simulator, n int, cfg CellularConfig) *Cellular {
 		location:     make([]int, n),
 		nextSeq:      make(map[[2]protocol.ProcessID]uint64),
 		expected:     make(map[[2]protocol.ProcessID]uint64),
-		pending:      make(map[[2]protocol.ProcessID]map[uint64]func()),
+		pending:      make(map[[2]protocol.ProcessID]map[uint64]des.Firer),
 	}
 	c.cells = make([]*Medium, cfg.MSSs)
 	for i := range c.cells {
@@ -124,14 +124,14 @@ func (c *Cellular) Handoff(p protocol.ProcessID, cell int) error {
 
 // Unicast implements Transport: uplink, wired hop (if inter-cell),
 // downlink, then in-order delivery.
-func (c *Cellular) Unicast(from, to protocol.ProcessID, size int, deliver func()) {
+func (c *Cellular) Unicast(from, to protocol.ProcessID, size int, deliver des.Firer) {
 	ch := [2]protocol.ProcessID{from, to}
 	seq := c.nextSeq[ch]
 	c.nextSeq[ch] = seq + 1
 
 	srcCell := c.location[from]
 	dstCell := c.location[to]
-	final := func() { c.resequence(ch, seq, deliver) }
+	final := des.Func(func() { c.resequence(ch, seq, deliver) })
 
 	if srcCell == dstCell {
 		// One transmission on the shared cell medium reaches both the MSS
@@ -146,28 +146,28 @@ func (c *Cellular) Unicast(from, to protocol.ProcessID, size int, deliver func()
 		cur := c.location[to]
 		c.cells[cur].Transmit(size, final)
 	}
-	wired := func() {
+	wired := des.Func(func() {
 		delay := c.wiredLatency + TxTime(size, c.wiredBW)
 		c.sim.Schedule(delay, downlink)
-	}
+	})
 	c.cells[srcCell].Transmit(size, wired)
 }
 
 // resequence delivers in per-channel FIFO order regardless of route
 // changes caused by handoffs.
-func (c *Cellular) resequence(ch [2]protocol.ProcessID, seq uint64, deliver func()) {
+func (c *Cellular) resequence(ch [2]protocol.ProcessID, seq uint64, deliver des.Firer) {
 	exp := c.expected[ch]
 	if seq != exp {
 		c.Reordered++
 		m := c.pending[ch]
 		if m == nil {
-			m = make(map[uint64]func())
+			m = make(map[uint64]des.Firer)
 			c.pending[ch] = m
 		}
 		m[seq] = deliver
 		return
 	}
-	deliver()
+	deliver.Fire()
 	exp++
 	m := c.pending[ch]
 	for {
@@ -176,7 +176,7 @@ func (c *Cellular) resequence(ch [2]protocol.ProcessID, seq uint64, deliver func
 			break
 		}
 		delete(m, exp)
-		next()
+		next.Fire()
 		exp++
 	}
 	c.expected[ch] = exp
@@ -189,7 +189,7 @@ func (c *Cellular) resequence(ch [2]protocol.ProcessID, seq uint64, deliver func
 // overtaken by later, faster-routed sends on the same channel.
 func (c *Cellular) Broadcast(from protocol.ProcessID, size int, deliver func(to protocol.ProcessID)) {
 	srcCell := c.location[from]
-	perCell := make([][]func(), c.numMSS)
+	perCell := make([][]des.Firer, c.numMSS)
 	for p := 0; p < c.n; p++ {
 		if p == from {
 			continue
@@ -199,9 +199,9 @@ func (c *Cellular) Broadcast(from protocol.ProcessID, size int, deliver func(to 
 		seq := c.nextSeq[ch]
 		c.nextSeq[ch] = seq + 1
 		cell := c.location[p]
-		perCell[cell] = append(perCell[cell], func() {
-			c.resequence(ch, seq, func() { deliver(p) })
-		})
+		perCell[cell] = append(perCell[cell], des.Func(func() {
+			c.resequence(ch, seq, des.Func(func() { deliver(p) }))
+		}))
 	}
 	// Uplink once in the source cell (this also reaches same-cell peers),
 	// then wired fan-out to the other cells, in cell order.
@@ -215,16 +215,16 @@ func (c *Cellular) Broadcast(from protocol.ProcessID, size int, deliver func(to 
 			continue
 		}
 		cell := cell
-		c.cells[srcCell].Transmit(size, func() {
+		c.cells[srcCell].Transmit(size, des.Func(func() {
 			c.sim.Schedule(c.wiredLatency+TxTime(size, c.wiredBW), func() {
 				c.cells[cell].TransmitBroadcast(size, delivers)
 			})
-		})
+		}))
 	}
 }
 
 // StableTransfer implements Transport: the checkpoint crosses the host's
 // current cell uplink to its MSS.
-func (c *Cellular) StableTransfer(from protocol.ProcessID, size int, done func()) {
+func (c *Cellular) StableTransfer(from protocol.ProcessID, size int, done des.Firer) {
 	c.cells[c.location[from]].Transmit(size, done)
 }

@@ -26,7 +26,7 @@ func TestSameCellUnicast(t *testing.T) {
 	sim := des.New()
 	c := newCellular(sim, 8)
 	var at time.Duration
-	c.Unicast(0, 4, 1000, func() { at = sim.Now() }) // both in cell 0
+	c.Unicast(0, 4, 1000, des.Func(func() { at = sim.Now() })) // both in cell 0
 	sim.RunAll()
 	if at != 4*time.Millisecond {
 		t.Fatalf("same-cell delivery at %v, want 4ms (one hop)", at)
@@ -37,7 +37,7 @@ func TestInterCellUnicastCrossesWire(t *testing.T) {
 	sim := des.New()
 	c := newCellular(sim, 8)
 	var at time.Duration
-	c.Unicast(0, 1, 1000, func() { at = sim.Now() }) // cell 0 -> cell 1
+	c.Unicast(0, 1, 1000, des.Func(func() { at = sim.Now() })) // cell 0 -> cell 1
 	sim.RunAll()
 	// uplink 4ms + wired (1ms latency + 0.8ms tx) + downlink 4ms.
 	want := 4*time.Millisecond + time.Millisecond + 800*time.Microsecond + 4*time.Millisecond
@@ -74,12 +74,12 @@ func TestFIFOAcrossHandoff(t *testing.T) {
 	c := newCellular(sim, 8)
 	var order []int
 	// P0 (cell 0) sends msg A to P1 (cell 1): slow inter-cell route.
-	c.Unicast(0, 1, 1000, func() { order = append(order, 1) })
+	c.Unicast(0, 1, 1000, des.Func(func() { order = append(order, 1) }))
 	// P0 hands off to cell 1, then sends msg B: fast same-cell route.
 	if err := c.Handoff(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	c.Unicast(0, 1, 1000, func() { order = append(order, 2) })
+	c.Unicast(0, 1, 1000, des.Func(func() { order = append(order, 2) }))
 	sim.RunAll()
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("delivery order = %v, want [1 2]", order)
@@ -99,12 +99,12 @@ func TestHandoffWhileResequencingBufferNonEmpty(t *testing.T) {
 	c := newCellular(sim, 8)
 	var order []string
 	// P0 (cell 0) -> P1 (cell 1): slow route, arrives around 9.8 ms.
-	c.Unicast(0, 1, 1000, func() { order = append(order, "A") })
+	c.Unicast(0, 1, 1000, des.Func(func() { order = append(order, "A") }))
 	if err := c.Handoff(0, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Fast same-cell route: B arrives at 4 ms and must wait for A.
-	c.Unicast(0, 1, 1000, func() { order = append(order, "B") })
+	c.Unicast(0, 1, 1000, des.Func(func() { order = append(order, "B") }))
 	// The broadcast's P1 delivery rides the same fast cell-1 medium and
 	// would land around 4.2 ms — before A — without resequencing.
 	c.Broadcast(0, 50, func(to int) {
@@ -138,7 +138,7 @@ func TestUnicastCannotOvertakeBroadcast(t *testing.T) {
 	if err := c.Handoff(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	c.Unicast(0, 1, 100, func() { order = append(order, "uni") })
+	c.Unicast(0, 1, 100, des.Func(func() { order = append(order, "uni") }))
 	sim.RunAll()
 	if len(order) != 2 || order[0] != "bcast" || order[1] != "uni" {
 		t.Fatalf("delivery order = %v, want [bcast uni]", order)
@@ -167,7 +167,7 @@ func TestCellularStableTransferUsesCurrentCell(t *testing.T) {
 	}
 	before := c.Cell(3).Transmits
 	done := false
-	c.StableTransfer(0, 512*1024, func() { done = true })
+	c.StableTransfer(0, 512*1024, des.Func(func() { done = true }))
 	sim.RunAll()
 	if !done {
 		t.Fatal("transfer never completed")
@@ -186,7 +186,7 @@ func TestPerChannelFIFOManyMessages(t *testing.T) {
 	var got []int
 	for i := 0; i < 50; i++ {
 		i := i
-		c.Unicast(2, 3, 100, func() { got = append(got, i) })
+		c.Unicast(2, 3, 100, des.Func(func() { got = append(got, i) }))
 		if i == 20 {
 			c.Handoff(2, 3) //nolint:errcheck // mid-stream move
 		}

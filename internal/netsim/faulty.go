@@ -158,7 +158,7 @@ func (f *Faulty) fate() (copies int) {
 
 // wrapDeliver adds per-copy jitter and the receiver-side crash check. The
 // jitter draw happens at send time so the draw order is fixed.
-func (f *Faulty) wrapDeliver(to protocol.ProcessID, deliver func()) func() {
+func (f *Faulty) wrapDeliver(to protocol.ProcessID, deliver des.Firer) des.Firer {
 	var jitter time.Duration
 	if f.cfg.JitterMax > 0 {
 		jitter = time.Duration(f.rng.Float64() * float64(f.cfg.JitterMax))
@@ -166,7 +166,7 @@ func (f *Faulty) wrapDeliver(to protocol.ProcessID, deliver func()) func() {
 			f.Jittered++
 		}
 	}
-	return func() {
+	return des.Func(func() {
 		now := f.sim.Now()
 		if f.crashed(to, now) {
 			f.CrashDropped++
@@ -176,15 +176,15 @@ func (f *Faulty) wrapDeliver(to protocol.ProcessID, deliver func()) func() {
 			f.RevivedDeliveries++
 		}
 		if jitter > 0 {
-			f.sim.Schedule(jitter, deliver)
+			f.sim.Schedule(jitter, deliver.Fire)
 			return
 		}
-		deliver()
-	}
+		deliver.Fire()
+	})
 }
 
 // Unicast implements Transport.
-func (f *Faulty) Unicast(from, to protocol.ProcessID, size int, deliver func()) {
+func (f *Faulty) Unicast(from, to protocol.ProcessID, size int, deliver des.Firer) {
 	now := f.sim.Now()
 	if f.crashed(from, now) {
 		f.CrashDropped++
@@ -216,7 +216,7 @@ func (f *Faulty) Broadcast(from protocol.ProcessID, size int, deliver func(to pr
 		f.RevivedDeliveries++
 	}
 	fates := make([]int, f.n)
-	wrapped := make([]func(), f.n)
+	wrapped := make([]des.Firer, f.n)
 	for to := 0; to < f.n; to++ {
 		if to == from {
 			continue
@@ -228,25 +228,25 @@ func (f *Faulty) Broadcast(from protocol.ProcessID, size int, deliver func(to pr
 		fates[to] = f.fate()
 		if fates[to] > 0 {
 			to := to
-			wrapped[to] = f.wrapDeliver(to, func() { deliver(to) })
+			wrapped[to] = f.wrapDeliver(to, des.Func(func() { deliver(to) }))
 		}
 	}
 	f.inner.Broadcast(from, size, func(to protocol.ProcessID) {
 		if fates[to] > 0 {
-			wrapped[to]()
+			wrapped[to].Fire()
 		}
 	})
 	for to := 0; to < f.n; to++ {
 		if fates[to] == 2 {
 			to := to
-			f.inner.Unicast(from, to, size, f.wrapDeliver(to, func() { deliver(to) }))
+			f.inner.Unicast(from, to, size, f.wrapDeliver(to, des.Func(func() { deliver(to) })))
 		}
 	}
 }
 
 // StableTransfer implements Transport: the host-to-MSS checkpoint channel
 // is local and link-layer reliable, so only a crashed host is affected.
-func (f *Faulty) StableTransfer(from protocol.ProcessID, size int, done func()) {
+func (f *Faulty) StableTransfer(from protocol.ProcessID, size int, done des.Firer) {
 	now := f.sim.Now()
 	if f.crashed(from, now) {
 		f.CrashDropped++

@@ -14,10 +14,10 @@ func TestFaultyZeroConfigIsTransparent(t *testing.T) {
 	lan := netsim.NewLAN(sim, 4, netsim.WirelessLAN2Mbps)
 	f := netsim.NewFaulty(sim, lan, 4, netsim.FaultConfig{})
 	var uni, bc int
-	f.Unicast(0, 1, 1000, func() { uni++ })
+	f.Unicast(0, 1, 1000, des.Func(func() { uni++ }))
 	f.Broadcast(0, 1000, func(to int) { bc++ })
 	done := false
-	f.StableTransfer(2, 1000, func() { done = true })
+	f.StableTransfer(2, 1000, des.Func(func() { done = true }))
 	sim.RunAll()
 	if uni != 1 || bc != 3 || !done {
 		t.Fatalf("zero-config faulty altered traffic: uni=%d bc=%d stable=%v", uni, bc, done)
@@ -33,7 +33,7 @@ func TestFaultyDropAll(t *testing.T) {
 	f := netsim.NewFaulty(sim, lan, 4, netsim.FaultConfig{Seed: 7, Drop: 1})
 	delivered := 0
 	for i := 0; i < 10; i++ {
-		f.Unicast(0, 1, 100, func() { delivered++ })
+		f.Unicast(0, 1, 100, des.Func(func() { delivered++ }))
 	}
 	if lan.Medium().Transmits != 0 {
 		t.Fatal("dropped unicasts still occupied the medium")
@@ -58,7 +58,7 @@ func TestFaultyDuplicateAll(t *testing.T) {
 	lan := netsim.NewLAN(sim, 4, netsim.WirelessLAN2Mbps)
 	f := netsim.NewFaulty(sim, lan, 4, netsim.FaultConfig{Seed: 7, Dup: 1})
 	delivered := 0
-	f.Unicast(0, 1, 100, func() { delivered++ })
+	f.Unicast(0, 1, 100, des.Func(func() { delivered++ }))
 	perDest := map[int]int{}
 	f.Broadcast(0, 100, func(to int) { perDest[to]++ })
 	sim.RunAll()
@@ -86,11 +86,11 @@ func TestFaultyPartitionWindow(t *testing.T) {
 	})
 	var crossed, within, after int
 	// Before the window everything passes.
-	f.Unicast(0, 2, 100, func() { crossed++ })
+	f.Unicast(0, 2, 100, des.Func(func() { crossed++ }))
 	sim.Schedule(1500*time.Millisecond, func() {
-		f.Unicast(0, 2, 100, func() { t.Error("cross-partition message delivered") })
-		f.Unicast(2, 1, 100, func() { t.Error("cross-partition message delivered") })
-		f.Unicast(0, 1, 100, func() { within++ }) // same side: passes
+		f.Unicast(0, 2, 100, des.Func(func() { t.Error("cross-partition message delivered") }))
+		f.Unicast(2, 1, 100, des.Func(func() { t.Error("cross-partition message delivered") }))
+		f.Unicast(0, 1, 100, des.Func(func() { within++ })) // same side: passes
 		f.Broadcast(0, 100, func(to int) {
 			if to >= 2 {
 				t.Errorf("broadcast crossed the partition to P%d", to)
@@ -99,7 +99,7 @@ func TestFaultyPartitionWindow(t *testing.T) {
 		})
 	})
 	sim.Schedule(2500*time.Millisecond, func() {
-		f.Unicast(0, 2, 100, func() { after++ }) // window over: passes
+		f.Unicast(0, 2, 100, des.Func(func() { after++ })) // window over: passes
 	})
 	sim.RunAll()
 	if crossed != 1 || within != 2 || after != 1 {
@@ -118,11 +118,11 @@ func TestFaultyCrashStopsTraffic(t *testing.T) {
 		CrashAt: map[int]time.Duration{1: time.Second},
 	})
 	var before, toCrashed int
-	f.Unicast(1, 0, 100, func() { before++ }) // pre-crash: delivered
+	f.Unicast(1, 0, 100, des.Func(func() { before++ })) // pre-crash: delivered
 	sim.Schedule(2*time.Second, func() {
-		f.Unicast(1, 0, 100, func() { t.Error("crashed sender transmitted") })
-		f.Unicast(0, 1, 100, func() { toCrashed++ })
-		f.StableTransfer(1, 100, func() { t.Error("crashed host wrote a checkpoint") })
+		f.Unicast(1, 0, 100, des.Func(func() { t.Error("crashed sender transmitted") }))
+		f.Unicast(0, 1, 100, des.Func(func() { toCrashed++ }))
+		f.StableTransfer(1, 100, des.Func(func() { t.Error("crashed host wrote a checkpoint") }))
 	})
 	sim.RunAll()
 	if before != 1 {
@@ -147,7 +147,7 @@ func TestFaultyCrashSuppressesInFlight(t *testing.T) {
 		CrashAt: map[int]time.Duration{1: time.Microsecond},
 	})
 	// 1000 bytes at 2 Mbps arrive at 4 ms, well after the crash.
-	f.Unicast(0, 1, 1000, func() { t.Error("in-flight message delivered to crashed process") })
+	f.Unicast(0, 1, 1000, des.Func(func() { t.Error("in-flight message delivered to crashed process") }))
 	sim.RunAll()
 	if f.CrashDropped != 1 {
 		t.Fatalf("CrashDropped = %d, want 1", f.CrashDropped)
@@ -167,16 +167,16 @@ func TestFaultyCrashWindow(t *testing.T) {
 		RestartAt: map[int]time.Duration{1: 3 * time.Second},
 	})
 	var before, during, after int
-	f.Unicast(0, 1, 100, func() { before++ }) // pre-window: delivered
+	f.Unicast(0, 1, 100, des.Func(func() { before++ })) // pre-window: delivered
 	sim.Schedule(2*time.Second, func() {
-		f.Unicast(0, 1, 100, func() { during++ }) // inside: dropped at receiver
-		f.Unicast(1, 0, 100, func() { during++ }) // inside: dropped at sender
-		f.StableTransfer(1, 100, func() { during++ })
+		f.Unicast(0, 1, 100, des.Func(func() { during++ })) // inside: dropped at receiver
+		f.Unicast(1, 0, 100, des.Func(func() { during++ })) // inside: dropped at sender
+		f.StableTransfer(1, 100, des.Func(func() { during++ }))
 	})
 	sim.Schedule(4*time.Second, func() {
-		f.Unicast(0, 1, 100, func() { after++ }) // window closed: delivered
-		f.Unicast(1, 0, 100, func() { after++ }) // restarted sender works again
-		f.StableTransfer(1, 100, func() { after++ })
+		f.Unicast(0, 1, 100, des.Func(func() { after++ })) // window closed: delivered
+		f.Unicast(1, 0, 100, des.Func(func() { after++ })) // restarted sender works again
+		f.StableTransfer(1, 100, des.Func(func() { after++ }))
 	})
 	sim.RunAll()
 	if before != 1 {
@@ -207,7 +207,7 @@ func TestFaultyRestartWithoutCrashIgnored(t *testing.T) {
 		RestartAt: map[int]time.Duration{1: time.Microsecond},
 	})
 	got := 0
-	sim.Schedule(time.Second, func() { f.Unicast(0, 1, 100, func() { got++ }) })
+	sim.Schedule(time.Second, func() { f.Unicast(0, 1, 100, des.Func(func() { got++ })) })
 	sim.RunAll()
 	if got != 1 || f.RevivedDeliveries != 0 || f.CrashDropped != 0 {
 		t.Fatalf("got=%d revived=%d crashdropped=%d, want 1/0/0", got, f.RevivedDeliveries, f.CrashDropped)
@@ -227,9 +227,9 @@ func faultyFingerprint(cfg netsim.FaultConfig) string {
 		if from == to {
 			to = (to + 1) % 4
 		}
-		f.Unicast(from, to, 100+i, func() {
+		f.Unicast(from, to, 100+i, des.Func(func() {
 			out += fmt.Sprintf("u%d@%v;", i, sim.Now())
-		})
+		}))
 		if i%10 == 0 {
 			f.Broadcast(from, 60, func(dst int) {
 				out += fmt.Sprintf("b%d>%d@%v;", i, dst, sim.Now())
@@ -263,7 +263,7 @@ func TestFaultyOverCellular(t *testing.T) {
 	var got []int
 	for i := 0; i < 60; i++ {
 		i := i
-		f.Unicast(2, 3, 100, func() { got = append(got, i) })
+		f.Unicast(2, 3, 100, des.Func(func() { got = append(got, i) }))
 		if i == 25 {
 			cell.Handoff(2, 3) //nolint:errcheck
 		}

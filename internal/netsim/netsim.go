@@ -17,11 +17,11 @@ import (
 	"mutablecp/internal/protocol"
 )
 
-// ExactlyOnce marks transports that invoke every deliver callback at most
-// once (no duplication; reliable transports also never invent copies).
-// The process runtime recycles message structs only over such transports:
-// a duplicating transport would hand one recycled — and by then reused —
-// struct to two deliveries.
+// ExactlyOnce marks transports that fire every deliver at most once (no
+// duplication; reliable transports also never invent copies). The
+// process runtime recycles message structs and delivery records only
+// over such transports: a duplicating transport would fire one recycled
+// — and by then reused — record twice.
 type ExactlyOnce interface {
 	DeliversExactlyOnce()
 }
@@ -38,14 +38,17 @@ type PeerResetter interface {
 // Transport is what the process runtime uses to move bytes.
 type Transport interface {
 	// Unicast schedules delivery of size bytes from one process to
-	// another; deliver runs at the arrival instant.
-	Unicast(from, to protocol.ProcessID, size int, deliver func())
+	// another; deliver fires at the arrival instant. A deliver the caller
+	// recycles after it fires (a pooled record) schedules with no
+	// allocation on an exactly-once transport.
+	Unicast(from, to protocol.ProcessID, size int, deliver des.Firer)
 	// Broadcast delivers size bytes from one process to every other
 	// process; deliver runs once per destination.
 	Broadcast(from protocol.ProcessID, size int, deliver func(to protocol.ProcessID))
 	// StableTransfer models moving a checkpoint from the process's host to
-	// stable storage at its MSS; done runs when the transfer completes.
-	StableTransfer(from protocol.ProcessID, size int, done func())
+	// stable storage at its MSS; done, if any, fires when the transfer
+	// completes.
+	StableTransfer(from protocol.ProcessID, size int, done des.Firer)
 }
 
 // Bandwidth is bits per second.
@@ -88,9 +91,9 @@ func NewMedium(sim *des.Simulator, b Bandwidth) *Medium {
 	return &Medium{sim: sim, bandwidth: b}
 }
 
-// Transmit queues size bytes on the medium and runs deliver when the
-// transmission ends. It returns the completion time.
-func (m *Medium) Transmit(size int, deliver func()) time.Duration {
+// Transmit queues size bytes on the medium and fires deliver, if any,
+// when the transmission ends. It returns the completion time.
+func (m *Medium) Transmit(size int, deliver des.Firer) time.Duration {
 	start := m.sim.Now()
 	if m.freeAt > start {
 		start = m.freeAt
@@ -105,10 +108,10 @@ func (m *Medium) Transmit(size int, deliver func()) time.Duration {
 	return end
 }
 
-// TransmitBroadcast queues size bytes once and runs each deliver callback
-// at the completion instant (a single radio transmission reaches every
-// station on the LAN).
-func (m *Medium) TransmitBroadcast(size int, delivers []func()) time.Duration {
+// TransmitBroadcast queues size bytes once and fires each deliver at the
+// completion instant (a single radio transmission reaches every station
+// on the LAN).
+func (m *Medium) TransmitBroadcast(size int, delivers []des.Firer) time.Duration {
 	start := m.sim.Now()
 	if m.freeAt > start {
 		start = m.freeAt
@@ -143,10 +146,29 @@ func (m *Medium) Utilization() float64 {
 type LAN struct {
 	medium *Medium
 	n      int
-	// scratch is Broadcast's reusable delivery-closure list; the medium
-	// schedules every entry before TransmitBroadcast returns, so the
-	// backing array is free for the next broadcast.
-	scratch []func()
+	// scratch is Broadcast's reusable delivery list; the medium schedules
+	// every entry before TransmitBroadcast returns, so the backing array
+	// is free for the next broadcast.
+	scratch []des.Firer
+	// free holds fired broadcast deliveries for reuse: the LAN fires each
+	// of its own records exactly once, whatever transport wraps it.
+	free []*fanout
+}
+
+// fanout is one destination of a LAN broadcast: the typed event the
+// medium fires in place of a per-destination closure.
+type fanout struct {
+	lan     *LAN
+	deliver func(to protocol.ProcessID)
+	to      protocol.ProcessID
+}
+
+// Fire recycles the record, then delivers to its destination.
+func (f *fanout) Fire() {
+	deliver, to := f.deliver, f.to
+	f.deliver = nil
+	f.lan.free = append(f.lan.free, f)
+	deliver(to)
 }
 
 var _ Transport = (*LAN)(nil)
@@ -165,7 +187,7 @@ func NewLAN(sim *des.Simulator, n int, b Bandwidth) *LAN {
 func (l *LAN) Medium() *Medium { return l.medium }
 
 // Unicast implements Transport.
-func (l *LAN) Unicast(_, _ protocol.ProcessID, size int, deliver func()) {
+func (l *LAN) Unicast(_, _ protocol.ProcessID, size int, deliver des.Firer) {
 	l.medium.Transmit(size, deliver)
 }
 
@@ -176,8 +198,14 @@ func (l *LAN) Broadcast(from protocol.ProcessID, size int, deliver func(to proto
 		if to == from {
 			continue
 		}
-		to := to
-		delivers = append(delivers, func() { deliver(to) })
+		var f *fanout
+		if n := len(l.free); n > 0 {
+			f, l.free = l.free[n-1], l.free[:n-1]
+		} else {
+			f = &fanout{lan: l}
+		}
+		f.deliver, f.to = deliver, to
+		delivers = append(delivers, f)
 	}
 	l.medium.TransmitBroadcast(size, delivers)
 	l.scratch = delivers
@@ -185,6 +213,6 @@ func (l *LAN) Broadcast(from protocol.ProcessID, size int, deliver func(to proto
 
 // StableTransfer implements Transport: the checkpoint crosses the wireless
 // medium to the MSS.
-func (l *LAN) StableTransfer(_ protocol.ProcessID, size int, done func()) {
+func (l *LAN) StableTransfer(_ protocol.ProcessID, size int, done des.Firer) {
 	l.medium.Transmit(size, done)
 }

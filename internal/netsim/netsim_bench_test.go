@@ -22,7 +22,7 @@ func BenchmarkMediumBacklog(b *testing.B) {
 	)
 	sim := des.New()
 	m := netsim.NewMedium(sim, netsim.WirelessLAN2Mbps)
-	var deliver func()
+	var deliver des.Func
 	deliver = func() { m.Transmit(size, deliver) }
 	for i := 0; i < backlog; i++ {
 		m.Transmit(size, deliver)

@@ -43,10 +43,10 @@ func TestMediumSerializesFIFO(t *testing.T) {
 	var times []time.Duration
 	for i := 0; i < 3; i++ {
 		i := i
-		m.Transmit(1000, func() {
+		m.Transmit(1000, des.Func(func() {
 			order = append(order, i)
 			times = append(times, sim.Now())
-		})
+		}))
 	}
 	sim.RunAll()
 	for i := range order {
@@ -68,7 +68,7 @@ func TestMediumIdleGapRestartsClock(t *testing.T) {
 	m := netsim.NewMedium(sim, netsim.WirelessLAN2Mbps)
 	var at time.Duration
 	sim.Schedule(time.Second, func() {
-		m.Transmit(1000, func() { at = sim.Now() })
+		m.Transmit(1000, des.Func(func() { at = sim.Now() }))
 	})
 	sim.RunAll()
 	if at != time.Second+4*time.Millisecond {
@@ -108,8 +108,8 @@ func TestLANStableTransferOccupiesMedium(t *testing.T) {
 	sim := des.New()
 	lan := netsim.NewLAN(sim, 2, netsim.WirelessLAN2Mbps)
 	var ckptDone, msgAt time.Duration
-	lan.StableTransfer(0, 512*1024, func() { ckptDone = sim.Now() })
-	lan.Unicast(0, 1, 50, func() { msgAt = sim.Now() })
+	lan.StableTransfer(0, 512*1024, des.Func(func() { ckptDone = sim.Now() }))
+	lan.Unicast(0, 1, 50, des.Func(func() { msgAt = sim.Now() }))
 	sim.RunAll()
 	if ckptDone < 2*time.Second {
 		t.Fatalf("checkpoint transfer took %v, want >= 2s", ckptDone)

@@ -92,7 +92,7 @@ type ReliableMetrics struct {
 // retransmission machinery: the virtual-time timer and its backoff.
 type sendChan struct {
 	from, to protocol.ProcessID
-	out      relnet.Outbox[func()]
+	out      relnet.Outbox[des.Firer]
 	rto      time.Duration
 	retries  int
 	timerID  des.EventID
@@ -108,7 +108,7 @@ type Reliable struct {
 	cfg   ReliableConfig
 
 	send map[[2]protocol.ProcessID]*sendChan
-	recv map[[2]protocol.ProcessID]*relnet.Inbox[func()]
+	recv map[[2]protocol.ProcessID]*relnet.Inbox[des.Firer]
 
 	// Metrics is exported for reports.
 	Metrics ReliableMetrics
@@ -130,7 +130,7 @@ func NewReliable(sim *des.Simulator, inner Transport, n int, cfg ReliableConfig)
 		n:     n,
 		cfg:   cfg.defaults(),
 		send:  make(map[[2]protocol.ProcessID]*sendChan),
-		recv:  make(map[[2]protocol.ProcessID]*relnet.Inbox[func()]),
+		recv:  make(map[[2]protocol.ProcessID]*relnet.Inbox[des.Firer]),
 	}
 }
 
@@ -144,11 +144,11 @@ func (r *Reliable) sendChanFor(from, to protocol.ProcessID) *sendChan {
 	return sc
 }
 
-func (r *Reliable) recvChanFor(from, to protocol.ProcessID) *relnet.Inbox[func()] {
+func (r *Reliable) recvChanFor(from, to protocol.ProcessID) *relnet.Inbox[des.Firer] {
 	key := [2]protocol.ProcessID{from, to}
 	rc := r.recv[key]
 	if rc == nil {
-		rc = new(relnet.Inbox[func()])
+		rc = new(relnet.Inbox[des.Firer])
 		r.recv[key] = rc
 	}
 	return rc
@@ -157,7 +157,7 @@ func (r *Reliable) recvChanFor(from, to protocol.ProcessID) *relnet.Inbox[func()
 // Unicast implements Transport: the message is queued on its channel and
 // delivered to the destination exactly once, in send order, no matter
 // what the inner transport loses, duplicates, or reorders.
-func (r *Reliable) Unicast(from, to protocol.ProcessID, size int, deliver func()) {
+func (r *Reliable) Unicast(from, to protocol.ProcessID, size int, deliver des.Firer) {
 	sc := r.sendChanFor(from, to)
 	if sc.dead {
 		r.reopen(sc)
@@ -184,7 +184,7 @@ func (r *Reliable) Broadcast(from protocol.ProcessID, size int, deliver func(to 
 			r.reopen(sc)
 		}
 		to := to
-		f := sc.out.Push(size, func() { deliver(to) })
+		f := sc.out.Push(size, des.Func(func() { deliver(to) }))
 		seqs[to] = f.Seq
 		live[to] = true
 		r.Metrics.DataFrames++
@@ -197,7 +197,7 @@ func (r *Reliable) Broadcast(from protocol.ProcessID, size int, deliver func(to 
 	}
 	r.inner.Broadcast(from, size+r.cfg.HeaderBytes, func(to protocol.ProcessID) {
 		if live[to] {
-			r.onData(from, to, gens[to], seqs[to], func() { deliver(to) })
+			r.onData(from, to, gens[to], seqs[to], des.Func(func() { deliver(to) }))
 		}
 	})
 	for to := 0; to < r.n; to++ {
@@ -208,18 +208,18 @@ func (r *Reliable) Broadcast(from protocol.ProcessID, size int, deliver func(to 
 }
 
 // transmit sends one data frame through the inner transport.
-func (r *Reliable) transmit(sc *sendChan, f relnet.OutFrame[func()]) {
+func (r *Reliable) transmit(sc *sendChan, f relnet.OutFrame[des.Firer]) {
 	from, to, gen, seq, deliver := sc.from, sc.to, sc.out.Gen(), f.Seq, f.Payload
-	r.inner.Unicast(from, to, f.Size+r.cfg.HeaderBytes, func() {
+	r.inner.Unicast(from, to, f.Size+r.cfg.HeaderBytes, des.Func(func() {
 		r.onData(from, to, gen, seq, deliver)
-	})
+	}))
 }
 
 // onData runs at the destination when a data frame arrives. The verdict
 // logic — staleness, generation adoption, resequencing, duplicate
 // suppression — lives in relnet.Inbox; this wrapper only maps
 // verdicts to metrics and issues the cumulative ack.
-func (r *Reliable) onData(from, to protocol.ProcessID, gen, seq uint64, deliver func()) {
+func (r *Reliable) onData(from, to protocol.ProcessID, gen, seq uint64, deliver des.Firer) {
 	rc := r.recvChanFor(from, to)
 	switch rc.Accept(gen, seq, deliver, runDeliver) {
 	case relnet.VerdictStale:
@@ -235,14 +235,14 @@ func (r *Reliable) onData(from, to protocol.ProcessID, gen, seq uint64, deliver 
 	// Cumulative ack: everything below Cum has been delivered.
 	cum := rc.Cum()
 	r.Metrics.AcksSent++
-	r.inner.Unicast(to, from, r.cfg.AckBytes, func() {
+	r.inner.Unicast(to, from, r.cfg.AckBytes, des.Func(func() {
 		r.onAck(from, to, gen, cum)
-	})
+	}))
 }
 
-// runDeliver executes one delivered closure (the Inbox payload for the
-// DES instantiation is the deliver callback itself).
-func runDeliver(f func()) { f() }
+// runDeliver fires one delivered frame (the Inbox payload for the DES
+// instantiation is the deliver event itself).
+func runDeliver(f des.Firer) { f.Fire() }
 
 // onAck runs at the sender when a cumulative ack arrives.
 func (r *Reliable) onAck(from, to protocol.ProcessID, gen, cum uint64) {
@@ -307,7 +307,7 @@ func (r *Reliable) onTimeout(sc *sendChan) {
 
 // StableTransfer implements Transport: the host-to-MSS channel is local
 // and reliable, so it passes straight through.
-func (r *Reliable) StableTransfer(from protocol.ProcessID, size int, done func()) {
+func (r *Reliable) StableTransfer(from protocol.ProcessID, size int, done des.Firer) {
 	r.inner.StableTransfer(from, size, done)
 }
 

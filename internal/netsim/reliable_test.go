@@ -16,7 +16,7 @@ func TestTransparentOverPerfectNetwork(t *testing.T) {
 	var got []int
 	for i := 0; i < 20; i++ {
 		i := i
-		r.Unicast(0, 1, 100, func() { got = append(got, i) })
+		r.Unicast(0, 1, 100, des.Func(func() { got = append(got, i) }))
 	}
 	seen := 0
 	r.Broadcast(2, 100, func(to int) { seen++ })
@@ -62,8 +62,8 @@ func TestRestoresFIFOUnderChaos(t *testing.T) {
 				// Spread sends over time so retransmission timers interleave
 				// with fresh traffic.
 				sim.Schedule(time.Duration(i)*3*time.Millisecond, func() {
-					r.Unicast(0, 1, 200, func() { fwd = append(fwd, i) })
-					r.Unicast(1, 0, 200, func() { rev = append(rev, i) })
+					r.Unicast(0, 1, 200, des.Func(func() { fwd = append(fwd, i) }))
+					r.Unicast(1, 0, 200, des.Func(func() { rev = append(rev, i) }))
 				})
 			}
 			if err := sim.RunAll(); err != nil {
@@ -102,13 +102,13 @@ func TestBroadcastTakesFIFOSlots(t *testing.T) {
 	for round := 0; round < 30; round++ {
 		round := round
 		sim.Schedule(time.Duration(round)*10*time.Millisecond, func() {
-			r.Unicast(0, 1, 100, func() { got = append(got, fmt.Sprintf("u%d-a", round)) })
+			r.Unicast(0, 1, 100, des.Func(func() { got = append(got, fmt.Sprintf("u%d-a", round)) }))
 			r.Broadcast(0, 100, func(to int) {
 				if to == 1 {
 					got = append(got, fmt.Sprintf("b%d", round))
 				}
 			})
-			r.Unicast(0, 1, 100, func() { got = append(got, fmt.Sprintf("u%d-b", round)) })
+			r.Unicast(0, 1, 100, des.Func(func() { got = append(got, fmt.Sprintf("u%d-b", round)) }))
 		})
 	}
 	if err := sim.RunAll(); err != nil {
@@ -139,8 +139,8 @@ func TestGivesUpOnCrashedPeer(t *testing.T) {
 	})
 	r := netsim.NewReliable(sim, faulty, 2, netsim.ReliableConfig{RTO: 10 * time.Millisecond, MaxRTO: 80 * time.Millisecond, MaxRetries: 5})
 	delivered := false
-	r.Unicast(0, 1, 100, func() { delivered = true })
-	r.Unicast(0, 1, 100, func() { delivered = true })
+	r.Unicast(0, 1, 100, des.Func(func() { delivered = true }))
+	r.Unicast(0, 1, 100, des.Func(func() { delivered = true }))
 	if err := sim.RunAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestGivesUpOnCrashedPeer(t *testing.T) {
 	// A later send reopens the channel under a fresh incarnation — and,
 	// the peer still being dead, the new backlog is given up in turn. The
 	// event count stays bounded either way.
-	r.Unicast(0, 1, 100, func() { delivered = true })
+	r.Unicast(0, 1, 100, des.Func(func() { delivered = true }))
 	if err := sim.RunAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +183,7 @@ func TestReopensAfterGiveUp(t *testing.T) {
 		RTO: 10 * time.Millisecond, MaxRTO: 80 * time.Millisecond, MaxRetries: 5,
 	})
 	var got []int
-	r.Unicast(0, 1, 100, func() { got = append(got, 0) }) // lost: given up mid-outage
+	r.Unicast(0, 1, 100, des.Func(func() { got = append(got, 0) })) // lost: given up mid-outage
 	if err := sim.RunAll(); err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestReopensAfterGiveUp(t *testing.T) {
 	for i := 1; i <= 3; i++ {
 		i := i
 		sim.Schedule(2*time.Second, func() {
-			r.Unicast(0, 1, 100, func() { got = append(got, i) })
+			r.Unicast(0, 1, 100, des.Func(func() { got = append(got, i) }))
 		})
 	}
 	if err := sim.RunAll(); err != nil {
@@ -222,7 +222,7 @@ func TestSurvivesPartitionWindow(t *testing.T) {
 	var got []int
 	for i := 0; i < 5; i++ {
 		i := i
-		r.Unicast(0, 1, 100, func() { got = append(got, i) })
+		r.Unicast(0, 1, 100, des.Func(func() { got = append(got, i) }))
 	}
 	if err := sim.RunAll(); err != nil {
 		t.Fatal(err)
@@ -254,9 +254,9 @@ func chaosFingerprint(seed uint64) string {
 	for i := 0; i < 50; i++ {
 		i := i
 		sim.Schedule(time.Duration(i)*2*time.Millisecond, func() {
-			r.Unicast(i%4, (i+1)%4, 100, func() {
+			r.Unicast(i%4, (i+1)%4, 100, des.Func(func() {
 				out += fmt.Sprintf("%d@%v;", i, sim.Now())
-			})
+			}))
 		})
 	}
 	if err := sim.RunAll(); err != nil {

@@ -184,6 +184,11 @@ type Cluster struct {
 	// delivery. The DES is single-threaded, so a plain free list suffices.
 	pooling bool
 	msgPool []*protocol.Message
+	// deliveries recycles the in-flight records of Cluster.send under the
+	// same gate; deliverySlab carves new records out in batches, so a run
+	// that cannot recycle still pays one allocation per batch.
+	deliveries   []*delivery
+	deliverySlab []delivery
 
 	// OnDeliver, when non-nil, observes every computation-message delivery
 	// (application hook used by workloads and tests).
@@ -463,6 +468,55 @@ func (c *Cluster) releaseMessage(m *protocol.Message) {
 	}
 	*m = protocol.Message{}
 	c.msgPool = append(c.msgPool, m)
+}
+
+// delivery is one message in flight from src to dst: the typed event the
+// transport fires at the arrival instant, in place of a per-message
+// closure. The epochs captured at send time fence it across a rollback.
+type delivery struct {
+	src, dst *Proc
+	epS, epD uint64
+	m        *protocol.Message
+}
+
+// Fire drops a delivery whose sender or receiver rolled back since the
+// send, and otherwise hands the message to the receiver. The record is
+// released first, so the receiver's own sends can reuse it.
+func (d *delivery) Fire() {
+	src, dst, m := d.src, d.dst, d.m
+	stale := src.epoch != d.epS || dst.epoch != d.epD
+	dst.c.releaseDelivery(d)
+	if stale {
+		dst.c.metrics.StaleDropped++
+		return
+	}
+	dst.receive(m)
+}
+
+// send hands m to the transport for delivery from src to process to.
+func (c *Cluster) send(src *Proc, to protocol.ProcessID, m *protocol.Message) {
+	var d *delivery
+	if n := len(c.deliveries); n > 0 {
+		d, c.deliveries = c.deliveries[n-1], c.deliveries[:n-1]
+	} else {
+		if len(c.deliverySlab) == 0 {
+			c.deliverySlab = make([]delivery, 256)
+		}
+		d, c.deliverySlab = &c.deliverySlab[0], c.deliverySlab[1:]
+	}
+	dst := c.procs[to]
+	*d = delivery{src: src, dst: dst, epS: src.epoch, epD: dst.epoch, m: m}
+	c.transport.Unicast(src.id, to, m.Size, d)
+}
+
+// releaseDelivery recycles a fired delivery record when the transport
+// fires each record at most once (see pooling).
+func (c *Cluster) releaseDelivery(d *delivery) {
+	if !c.pooling {
+		return
+	}
+	*d = delivery{}
+	c.deliveries = append(c.deliveries, d)
 }
 
 // firstFailed returns the lowest-numbered fail-stopped process, or -1.

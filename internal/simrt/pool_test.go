@@ -47,6 +47,63 @@ func TestMessagePoolingGate(t *testing.T) {
 	}
 }
 
+// TestDuplicatingTransportDeliversEveryCopy runs a cluster over a raw
+// fault-injecting transport that duplicates every message, so each
+// delivery record and message struct fires twice. Neither may be recycled
+// after its first firing: both copies must arrive intact.
+func TestDuplicatingTransportDeliversEveryCopy(t *testing.T) {
+	c := poolCluster(t, func(sim *des.Simulator, n int) netsim.Transport {
+		inner := netsim.NewLAN(sim, n, netsim.WirelessLAN2Mbps)
+		return netsim.NewFaulty(sim, inner, n, netsim.FaultConfig{Dup: 1})
+	})
+	const k = 20
+	for i := 0; i < k; i++ {
+		c.SendApp(0, 1, nil)
+		c.SendApp(2, 3, nil)
+	}
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	st := c.States()
+	if got := protocol.CounterAt(st[1].RecvFrom, 0); got != 2*k {
+		t.Errorf("P1 received %d from P0, want %d (every message twice)", got, 2*k)
+	}
+	if got := protocol.CounterAt(st[3].RecvFrom, 2); got != 2*k {
+		t.Errorf("P3 received %d from P2, want %d (every message twice)", got, 2*k)
+	}
+	if errs := c.Errors(); len(errs) > 0 {
+		t.Fatalf("cluster errors: %v", errs)
+	}
+}
+
+// TestEpochFencesInFlightDeliveries: a delivery in flight when its sender
+// or its receiver is restored belongs to the discarded execution and is
+// dropped, counted as stale, whichever end moved on.
+func TestEpochFencesInFlightDeliveries(t *testing.T) {
+	c := poolCluster(t, nil)
+	c.SendApp(0, 1, nil)
+	c.SendApp(2, 3, nil)
+	for _, pid := range []protocol.ProcessID{0, 3} { // a sender, a receiver
+		p := c.Proc(pid)
+		p.BeginRestore()
+		p.MarkReplaying()
+		p.MarkLive()
+	}
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	st := c.States()
+	if got := protocol.CounterAt(st[1].RecvFrom, 0); got != 0 {
+		t.Errorf("P1 received %d from a restored sender, want 0", got)
+	}
+	if got := protocol.CounterAt(st[3].RecvFrom, 2); got != 0 {
+		t.Errorf("restored P3 received %d sent before its restore, want 0", got)
+	}
+	if got := c.Metrics().StaleDropped; got != 2 {
+		t.Errorf("%d stale deliveries dropped, want 2", got)
+	}
+}
+
 // TestMessagePoolRecycles sends messages through the full simulated stack
 // and checks that handled structs actually return to the free list and are
 // reused by later sends.
@@ -71,26 +128,69 @@ func TestMessagePoolRecycles(t *testing.T) {
 	}
 }
 
+// sendCompMsgs sends k computation messages round the ring of poolCluster's
+// four processes, draining after every 64.
+func sendCompMsgs(t testing.TB, c *Cluster, k int) {
+	for i := 0; i < k; i++ {
+		c.SendApp(i%4, (i+1)%4, nil)
+		if i%64 == 63 {
+			if err := c.Drain(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if errs := c.Errors(); len(errs) > 0 {
+		t.Fatalf("cluster errors: %v", errs)
+	}
+}
+
+// TestCompMsgAllocFree: once the pools are warm, a computation message
+// through the whole simulated stack — engine send, the delivery record,
+// the LAN's medium, the kernel's FIFO, engine receive — allocates
+// nothing. It is the runtime's sibling of core's TestSteadySendAllocFree:
+// a per-message closure or a regrown counter fails here.
+func TestCompMsgAllocFree(t *testing.T) {
+	c := poolCluster(t, nil)
+	sendCompMsgs(t, c, 1024)
+	if allocs := testing.AllocsPerRun(20, func() { sendCompMsgs(t, c, 256) }); allocs != 0 {
+		t.Fatalf("%v allocations per 256 computation messages, want 0", allocs)
+	}
+}
+
 // BenchmarkClusterCompMsg measures the full simrt cost of one computation
 // message (engine send + LAN transmit + DES event + engine receive); the
-// message-struct pool and the allocation-free engine path keep it flat in N.
+// pools and the allocation-free engine path keep it flat in N.
 func BenchmarkClusterCompMsg(b *testing.B) {
 	c := poolCluster(b, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.SendApp(i%4, (i+1)%4, nil)
-		if i%64 == 63 {
-			if err := c.Drain(); err != nil {
-				b.Fatal(err)
-			}
+	sendCompMsgs(b, c, b.N)
+}
+
+// TestGrowCounter: first contact with peer i grows a truncated counter
+// vector to i+1 entries in one step, keeping the old entries and reading
+// 0 past them.
+func TestGrowCounter(t *testing.T) {
+	v := []uint64{4, 5}
+	v = growCounter(v, 9)
+	if len(v) != 10 {
+		t.Fatalf("len %d after growing to index 9, want 10", len(v))
+	}
+	if v[0] != 4 || v[1] != 5 {
+		t.Fatalf("old entries lost: %v", v)
+	}
+	for i := 2; i < len(v); i++ {
+		if v[i] != 0 {
+			t.Fatalf("entry %d past the old length reads %d, want 0", i, v[i])
 		}
 	}
-	b.StopTimer()
-	if err := c.Drain(); err != nil {
-		b.Fatal(err)
+	if w := growCounter(v, 3); len(w) != 10 || &w[0] != &v[0] {
+		t.Fatal("growing to an index already present changed the vector")
 	}
-	if errs := c.Errors(); len(errs) > 0 {
-		b.Fatalf("cluster errors: %v", errs)
+	if allocs := testing.AllocsPerRun(10, func() { growCounter(nil, 1000) }); allocs > 1 {
+		t.Fatalf("first contact with peer 1000 made %v allocations, want at most 1", allocs)
 	}
 }

@@ -119,11 +119,20 @@ func (p *Proc) down() bool { return p.phase != PhaseLive }
 // addressable. Entries past the stored length are semantically 0
 // (protocol.CounterAt), so a process that only ever talks to peers 0..k
 // carries k+1 counters instead of N — the min-process property applied
-// to runtime state.
+// to runtime state. It grows in one step, with capacity doubling, so first
+// contact with a far peer costs at most one allocation.
 func growCounter(v []uint64, i int) []uint64 {
-	for len(v) <= i {
-		v = append(v, 0)
+	n := len(v)
+	if i < n {
+		return v
 	}
+	if i >= cap(v) {
+		grown := make([]uint64, n, max(i+1, 2*cap(v)))
+		copy(grown, v)
+		v = grown
+	}
+	v = v[:i+1]
+	clear(v[n:])
 	return v
 }
 
@@ -246,15 +255,7 @@ func (p *Proc) sendApp(to protocol.ProcessID, payload []byte) {
 		// avoidable allocation.
 		p.Trace(trace.KindSend, to, "csn=%d trigger=%v", m.CSN, m.Trigger)
 	}
-	dst := p.c.procs[to]
-	epS, epD := p.epoch, dst.epoch
-	p.c.transport.Unicast(p.id, to, m.Size, func() {
-		if p.epoch != epS || dst.epoch != epD {
-			p.c.metrics.StaleDropped++
-			return
-		}
-		dst.receive(m)
-	})
+	p.c.send(p, to, m)
 }
 
 func (p *Proc) flushQueue() {
@@ -325,15 +326,7 @@ func (p *Proc) Send(m *protocol.Message) {
 	m.From = p.id
 	m.Size = p.c.cfg.SysMsgBytes
 	p.countSys(m, 1)
-	dst := p.c.procs[m.To]
-	epS, epD := p.epoch, dst.epoch
-	p.c.transport.Unicast(p.id, m.To, m.Size, func() {
-		if p.epoch != epS || dst.epoch != epD {
-			p.c.metrics.StaleDropped++
-			return
-		}
-		dst.receive(m)
-	})
+	p.c.send(p, m.To, m)
 }
 
 // Broadcast implements protocol.Env: one radio transmission reaching every

@@ -78,8 +78,8 @@ func script(st *stable.Store) (*ack, error) {
 		func() error { return drop(t2) }, // abort path
 		func() error { return save(t3, 3) },
 		func() error { return save(t4, 4) }, // concurrent tentatives
-		func() error { return commit(t3) }, // compacts with t4 pending
-		func() error { return commit(t4) }, // compacts again
+		func() error { return commit(t3) },  // compacts with t4 pending
+		func() error { return commit(t4) },  // compacts again
 	} {
 		if err := op(); err != nil {
 			return a, err

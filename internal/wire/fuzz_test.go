@@ -18,9 +18,9 @@ import (
 // reject garbage with an error — never a panic, never an unbounded
 // allocation. Every message that
 // does decode is pushed through the two operations the engines perform on
-// it: weight arithmetic (which used to explode on crafted exponents, see
-// dyadic.MaxExp) and re-encoding (forwarded triggers and weights must
-// survive another hop).
+// it: accumulating its weight (a crafted exponent must not grow the
+// counter past dyadic.MaxExp) and re-encoding (forwarded triggers and
+// weights must survive another hop).
 //
 // Seed corpus lives in testdata/fuzz/FuzzDecode; regenerate it with
 //
@@ -60,11 +60,23 @@ func FuzzDecode(f *testing.F) {
 // attacker-influenced fields.
 func exerciseDecoded(t *testing.T, m *protocol.Message) {
 	t.Helper()
-	sum := m.Weight.Add(m.Weight)
-	if !m.Weight.IsZero() && sum.Cmp(m.Weight) <= 0 {
-		t.Fatalf("w+w <= w for decoded weight %v", m.Weight)
+	var sum dyadic.Sum
+	sum.Add(m.Weight)
+	sum.Add(m.Weight)
+	switch {
+	case m.Weight.IsZero():
+		if !sum.IsZero() {
+			t.Fatalf("0 + 0 = %v", &sum)
+		}
+	case m.Weight.IsOne():
+		if !sum.Over() {
+			t.Fatalf("1 + 1 = %v is not over 1", &sum)
+		}
+	default:
+		if want := dyadic.Pow(m.Weight.Exp() - 1).String(); sum.String() != want {
+			t.Fatalf("%v + %v = %v, want %s", m.Weight, m.Weight, &sum, want)
+		}
 	}
-	sum.Sub(m.Weight) // must not panic: w+w >= w always holds
 	// The encoder writes the shortest form of every field, so what fitted
 	// a frame once fits again.
 	frame, err := wire.AppendMessage(nil, m)
@@ -125,19 +137,50 @@ func TestGenerateFuzzCorpus(t *testing.T) {
 	}
 	// A frame that smuggles a weight with a giant exponent: the dyadic
 	// bound must reject it at decode time. sampleMessage carries weight
-	// 3/2^5, the frame's last five bytes: exponent {0,0,0,5}, numerator {3}.
+	// 2^-5, the frame's last five bytes: exponent {0,0,0,5}, numerator {1}.
 	raw, err := wire.AppendMessage(nil, sampleMessage())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.HasSuffix(raw, []byte{0, 0, 0, 5, 3}) {
+	if !bytes.HasSuffix(raw, []byte{0, 0, 0, 5, 1}) {
 		t.Fatalf("sample frame does not end in its weight: %x", raw)
 	}
 	mut := append([]byte(nil), raw...)
 	copy(mut[len(mut)-5:], []byte{0xFF, 0xFF, 0xFF, 0xFF})
 	write("garbage-weight-exp", mut)
+	write("weight-numerator-3", nonUnitWeightFrame(t))
 	write("torn-frame", raw[:len(raw)/2])
 	write("garbage-fields", []byte{0, 0, 0, 4, 1, 2, 3, 4})
 	write("unknown-version", []byte{0, 0, 0, 2, 0xFF, 0})
 	write("oversize-header", []byte{0xFF, 0xFF, 0xFF, 0xFF, 0, 0})
+}
+
+// nonUnitWeightFrame is sampleMessage's frame with the weight's numerator
+// byte set to 3: the value 3/2^5, which no engine can send, since every
+// weight is a halving of 1.
+func nonUnitWeightFrame(t *testing.T) []byte {
+	t.Helper()
+	raw, err := wire.AppendMessage(nil, sampleMessage())
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] = 3
+	return raw
+}
+
+// TestDecodeRejectsNonUnitNumerator: a weight whose numerator is not 1
+// is not a power of two, and the frame carrying it is a decode error. The
+// committed corpus entry weight-numerator-3 holds the same bytes.
+func TestDecodeRejectsNonUnitNumerator(t *testing.T) {
+	frame := nonUnitWeightFrame(t)
+	if m, err := wire.DecodeMessage(frame); err == nil {
+		t.Fatalf("numerator 3 decoded as weight %v", m.Weight)
+	}
+	corpus, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzDecode", "weight-numerator-3"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", frame); string(corpus) != want {
+		t.Fatalf("corpus entry weight-numerator-3 is not the numerator-3 frame:\n%s", corpus)
+	}
 }

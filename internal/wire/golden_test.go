@@ -25,7 +25,7 @@ var goldenMessages = []struct {
 	{"request", sampleMessage()},
 	{"computation", &protocol.Message{Kind: protocol.KindComputation, From: 1, To: 2, Seq: 5, Size: 1024, CSN: 3, Trigger: protocol.NoTrigger}},
 	{"reply", &protocol.Message{Kind: protocol.KindReply, From: 7, To: 3, Trigger: protocol.Trigger{Pid: 3, Inum: 9},
-		Weight: dyadic.FromFraction(1, 8)}},
+		Weight: dyadic.Pow(8)}},
 	{"commit", &protocol.Message{Kind: protocol.KindCommit, From: 3, Trigger: protocol.Trigger{Pid: 3, Inum: 9}, Commit: true}},
 	{"abort", &protocol.Message{Kind: protocol.KindAbort, From: 3, Trigger: protocol.Trigger{Pid: 3, Inum: 9}}},
 }

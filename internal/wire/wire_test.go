@@ -27,7 +27,7 @@ func sampleMessage() *protocol.Message {
 		MR: protocol.MRFromEntries([]protocol.MREntry{
 			{CSN: 1, R: true}, {CSN: 0, R: false}, {CSN: 7, R: true},
 		}),
-		Weight: dyadic.FromFraction(3, 5),
+		Weight: dyadic.Pow(5),
 		Commit: true,
 	}
 }
@@ -50,7 +50,7 @@ func TestRoundTripAllFields(t *testing.T) {
 	if !reflect.DeepEqual(in.MR.Entries(), out.MR.Entries()) {
 		t.Fatalf("MR mismatch: %+v vs %+v", in.MR.Entries(), out.MR.Entries())
 	}
-	if !in.Weight.Equal(out.Weight) {
+	if in.Weight != out.Weight {
 		t.Fatalf("weight mismatch: %v vs %v", in.Weight, out.Weight)
 	}
 	in.MR, out.MR = protocol.MRVec{}, protocol.MRVec{}
@@ -85,7 +85,7 @@ func TestWeightExactnessSurvivesWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out.Weight.Equal(w) {
+	if out.Weight != w {
 		t.Fatalf("deep weight mangled: %v vs %v", out.Weight, w)
 	}
 }
@@ -165,20 +165,16 @@ func TestDecodeOversizeFrameRejected(t *testing.T) {
 }
 
 func TestPropWeightMarshalRoundTrip(t *testing.T) {
-	f := func(num int64, exp uint8) bool {
-		if num < 0 {
-			num = -num
-		}
-		w := dyadic.FromFraction(num%100000, uint(exp))
-		data, err := w.MarshalBinary()
-		if err != nil {
-			return false
+	f := func(zero bool, exp uint16) bool {
+		w := dyadic.Pow(int(exp))
+		if zero {
+			w = dyadic.Zero()
 		}
 		var got dyadic.Weight
-		if err := got.UnmarshalBinary(data); err != nil {
+		if err := got.UnmarshalBinary(w.AppendBinary(nil)); err != nil {
 			return false
 		}
-		return got.Equal(w)
+		return got == w
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
