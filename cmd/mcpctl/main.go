@@ -14,6 +14,10 @@
 //	mcpctl -config cluster.json store              # payload chunk-store stats + audit
 //	mcpctl -config cluster.json recover            # roll every node back
 //	mcpctl -config cluster.json shutdown
+//
+// A checkpoint's verdict returns before its commit frames reach the
+// participants, so a line read right after it can be transiently
+// inconsistent; run line, like recover, when the cluster is quiescent.
 package main
 
 import (

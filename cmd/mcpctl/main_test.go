@@ -141,6 +141,13 @@ func TestAgainstCluster(t *testing.T) {
 		if err != nil {
 			t.Fatalf("mcpctl %v: %v\n%s", st.args, err, out)
 		}
+		if st.args[0] == "checkpoint" {
+			// The verdict comes back before the commit frames reach the
+			// participants, which the next steps read.
+			if err := daemon.WaitQuiescent(cfg, 10*time.Second); err != nil {
+				t.Fatal(err)
+			}
+		}
 		for _, want := range st.want {
 			if !regexp.MustCompile(want).MatchString(out) {
 				t.Fatalf("mcpctl %v printed\n%s\nwant a match for %q", st.args, out, want)

@@ -106,9 +106,8 @@ func (o Options) defaults() Options {
 
 // Chunk-store errors.
 var (
-	ErrClosed       = errors.New("chunkstore: store closed")
-	ErrUnknownChunk = errors.New("chunkstore: unknown chunk")
-	ErrBadChunk     = errors.New("chunkstore: chunk content does not match its hash")
+	ErrClosed   = errors.New("chunkstore: store closed")
+	ErrBadChunk = errors.New("chunkstore: chunk content does not match its hash")
 )
 
 // Manifest is one checkpoint payload: the ordered chunk hashes of a
@@ -662,7 +661,7 @@ func (s *Store) DropTentative(proc protocol.ProcessID, trig protocol.Trigger) er
 func (s *Store) readChunkLocked(h wire.ChunkHash) ([]byte, error) {
 	info := s.chunks[h]
 	if info == nil {
-		return nil, fmt.Errorf("%w: %x", ErrUnknownChunk, h[:8])
+		return nil, fmt.Errorf("chunkstore: unknown chunk %x", h[:8])
 	}
 	body, err := s.log.ReadAt(info.seg, info.off)
 	if err != nil {

@@ -198,6 +198,9 @@ func busy(cfg *Config) error {
 // AuditLine collects every daemon's newest permanent checkpoint over the
 // control plane and validates the assembled recovery line for orphan
 // messages — the live complement of recovery.OpenLine's on-disk audit.
+// A line read mid-commit can be transiently inconsistent: the initiator
+// has committed and a participant has not yet received the commit frame.
+// So run it at quiescence (WaitQuiescent), as RollbackCluster must be.
 func AuditLine(cfg *Config) (map[protocol.ProcessID]protocol.State, error) {
 	states := make(map[protocol.ProcessID]protocol.State, cfg.N())
 	for _, nc := range cfg.Nodes {

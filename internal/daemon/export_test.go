@@ -13,21 +13,22 @@ func (d *Daemon) OpenConns() int {
 	return len(d.conns)
 }
 
-// StopRetransmitTimers disarms every session's retransmit timer for good.
-// The timer is free-running: when it ticks it resends whatever is unacked,
-// however briefly, so a test that counts retransmissions around a
-// sub-millisecond exchange would collide with it now and then. With the
-// timers stopped, a frame arrives only if the path under test carries it.
+// StopRetransmitTimers disarms every session's retransmit timer for good,
+// so a frame arrives only if the path under test carries it: a frame held
+// unacked across a peer restart would otherwise be resent once it had
+// waited a full rto.
 func (d *Daemon) StopRetransmitTimers() {
 	for _, s := range d.sessions {
 		if s == nil {
 			continue
 		}
-		// Stop reports false while a tick is running; the tick re-arms the
-		// timer before it returns, so try again.
-		for !s.timer.Stop() {
-			time.Sleep(time.Millisecond)
-		}
+		s.mu.Lock()
+		s.timer.Stop()
+		s.armed = false
+		// Arming an inert timer only resets a channel nobody reads.
+		s.timer = time.NewTimer(time.Hour)
+		s.timer.Stop()
+		s.mu.Unlock()
 	}
 }
 

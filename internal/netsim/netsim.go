@@ -1,13 +1,12 @@
-// Package netsim simulates the paper's mobile network substrate under
-// virtual time: a shared-medium wireless LAN (the evaluation topology of
-// §5.1) and a cellular system of mobile support stations with handoff,
-// disconnection, and reconnection (§2.2).
-//
-// All transports guarantee reliable FIFO delivery, which the paper's
-// computation model requires. The LAN gets FIFO for free (a single shared
-// medium serializes all transmissions); the cellular transport uses
-// per-channel sequence numbers and a resequencing buffer so that handoffs
-// never reorder messages.
+// Package netsim simulates the paper's network under virtual time: the
+// shared-medium wireless LAN of its evaluation (§5.1). Every host and the
+// stable storage at the MSS sit on one medium, which serializes all
+// transmissions and so gives the reliable FIFO channels the paper's
+// computation model requires. Faulty wraps a transport with loss,
+// duplication, jitter, partitions and crashes; Reliable restores
+// exactly-once FIFO channels over it with ARQ. A host's disconnection
+// (§2.2) is the process runtime's business, not the network's: the MSS
+// buffers for it in simrt.
 package netsim
 
 import (
@@ -54,13 +53,8 @@ type Transport interface {
 // Bandwidth is bits per second.
 type Bandwidth float64
 
-// Common bandwidths.
-const (
-	// WirelessLAN2Mbps is the IEEE 802.11 rate the paper simulates.
-	WirelessLAN2Mbps Bandwidth = 2_000_000
-	// Wired10Mbps is the default wired MSS-to-MSS rate.
-	Wired10Mbps Bandwidth = 10_000_000
-)
+// WirelessLAN2Mbps is the IEEE 802.11 rate the paper simulates.
+const WirelessLAN2Mbps Bandwidth = 2_000_000
 
 // TxTime returns the transmission time of size bytes at bandwidth b.
 func TxTime(size int, b Bandwidth) time.Duration {
@@ -71,9 +65,8 @@ func TxTime(size int, b Bandwidth) time.Duration {
 	return time.Duration(bits / float64(b) * float64(time.Second))
 }
 
-// Medium is a shared half-duplex channel: one transmission at a time,
-// strictly FIFO in request order. It models both the paper's wireless LAN
-// and the per-cell wireless channel of the cellular topology. Its
+// Medium is the paper's wireless LAN channel: shared and half-duplex, one
+// transmission at a time, strictly FIFO in request order. Its
 // completion times never decrease, so its deliveries go to the kernel's
 // FIFO (des.Simulator.ScheduleFIFO) rather than its heap.
 type Medium struct {
@@ -126,17 +119,6 @@ func (m *Medium) TransmitBroadcast(size int, delivers []des.Firer) time.Duration
 		}
 	}
 	return end
-}
-
-// Utilization returns the fraction of time the medium has been busy up to
-// now (approximate: counts scheduled transmission time). TestUtilization
-// uses it to check that BytesCarried charges one TxTime per transmit.
-func (m *Medium) Utilization() float64 {
-	if m.sim.Now() == 0 {
-		return 0
-	}
-	busy := TxTime(int(m.BytesCarried), m.bandwidth)
-	return float64(busy) / float64(m.sim.Now())
 }
 
 // LAN is the §5.1 evaluation topology: N mobile hosts and the stable

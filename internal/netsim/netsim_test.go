@@ -119,17 +119,22 @@ func TestLANStableTransferOccupiesMedium(t *testing.T) {
 	}
 }
 
+// TestUtilization: the medium is busy for one TxTime per transmission,
+// counted in BytesCarried, even when the transmission has nothing to
+// deliver.
 func TestUtilization(t *testing.T) {
 	sim := des.New()
 	m := netsim.NewMedium(sim, netsim.WirelessLAN2Mbps)
-	if m.Utilization() != 0 {
-		t.Fatal("utilization non-zero at t=0")
+	if end := m.Transmit(1000, nil); end != 4*time.Millisecond {
+		t.Fatalf("undelivered transmit ends at %v, want 4ms", end)
 	}
-	m.Transmit(1000, nil)
-	sim.Schedule(8*time.Millisecond, func() {})
+	var at time.Duration
+	m.Transmit(1000, des.Func(func() { at = sim.Now() }))
 	sim.RunAll()
-	u := m.Utilization()
-	if u < 0.49 || u > 0.51 {
-		t.Fatalf("utilization = %v, want ~0.5", u)
+	if at != 8*time.Millisecond {
+		t.Fatalf("next delivery at %v, want 8ms (behind the undelivered transmit)", at)
+	}
+	if m.Transmits != 2 || m.BytesCarried != 2000 {
+		t.Fatalf("counters: %d tx %d bytes, want 2 and 2000", m.Transmits, m.BytesCarried)
 	}
 }

@@ -147,10 +147,10 @@ func TestInboxGenerationAdoption(t *testing.T) {
 	}
 }
 
-// TestChannelRestartHandoff exercises the two halves together through the
+// TestChannelBacklogSurvivesRestart exercises the two halves together through the
 // daemon's peer-restart sequence: unacked frames survive the sender-side
 // Reopen and arrive exactly once, in order, under the new incarnation.
-func TestChannelRestartHandoff(t *testing.T) {
+func TestChannelBacklogSurvivesRestart(t *testing.T) {
 	var o Outbox[string]
 	var in Inbox[string]
 	var got []string

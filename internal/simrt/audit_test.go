@@ -15,7 +15,7 @@ import (
 // exempts only the instances it initiated. A tentative left behind by a
 // live initiator's instance is still a leak.
 func TestAuditLeaksLiveInitiatorWhileAnotherIsDown(t *testing.T) {
-	c := newManualCluster(t, 3, false)
+	c := newManualCluster(t, 3)
 	c.Proc(2).Fail()
 	st := c.Proc(1).Stable()
 	if err := st.SaveTentative(c.Proc(1).CaptureState(), protocol.Trigger{Pid: 2, Inum: 1}, 0); err != nil {
@@ -39,7 +39,7 @@ func TestAuditLeaksLiveInitiatorWhileAnotherIsDown(t *testing.T) {
 // the MSS holds its tentative and commits it on its behalf. The line the
 // instance committed is orphan-free only with that tentative in it.
 func TestAuditLinesDownParticipantTentativeJoinsLine(t *testing.T) {
-	c := newManualCluster(t, 3, false)
+	c := newManualCluster(t, 3)
 	c.SendApp(2, 1, nil) // P1 depends on P2
 	c.Run(time.Second)
 	if !c.Proc(1).MaybeInitiate() {
@@ -77,7 +77,7 @@ func TestAuditLinesDownParticipantTentativeJoinsLine(t *testing.T) {
 // TestAuditLinesNamesCommittingTrigger: an orphan forged onto a committed
 // line is reported, and the report names the trigger that committed it.
 func TestAuditLinesNamesCommittingTrigger(t *testing.T) {
-	c := newManualCluster(t, 3, false)
+	c := newManualCluster(t, 3)
 	c.SendApp(1, 0, nil)
 	c.Run(time.Second)
 	if !c.Proc(0).MaybeInitiate() {

@@ -173,10 +173,6 @@ type Cluster struct {
 	// -1. Used when cfg.SingleInitiation is set.
 	owner int
 
-	// Diagnostics: checkpoint-timer firings skipped and why.
-	skippedInProgress uint64
-	skippedActive     uint64
-
 	// msgPool recycles protocol.Message structs on the send/deliver hot
 	// path. Enabled only when the transport guarantees exactly-once
 	// delivery (netsim.ExactlyOnce): under a duplicating transport a
@@ -533,10 +529,3 @@ func (c *Cluster) firstFailed() protocol.ProcessID {
 // calls it after a coordinated rollback: any instance that was in flight
 // belongs to the discarded execution.
 func (c *Cluster) ResetOwners() { c.owner = -1 }
-
-// SkippedInitiations reports checkpoint-timer firings that did not start
-// an initiation, split by cause: the process already inside an instance,
-// and another instance in flight under SingleInitiation.
-func (c *Cluster) SkippedInitiations() (inProgress, activeElsewhere uint64) {
-	return c.skippedInProgress, c.skippedActive
-}

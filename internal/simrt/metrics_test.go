@@ -12,7 +12,7 @@ import (
 // TestMetricsAttribution checks that per-initiation records attribute
 // checkpoints, messages, and durations to the right trigger.
 func TestMetricsAttribution(t *testing.T) {
-	c := newManualCluster(t, 4, false)
+	c := newManualCluster(t, 4)
 	// Dependencies: P0 <- P1 <- P2.
 	c.SendApp(2, 1, nil)
 	c.SendApp(1, 0, nil)

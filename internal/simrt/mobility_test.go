@@ -6,26 +6,18 @@ import (
 
 	"mutablecp/internal/consistency"
 	"mutablecp/internal/core"
-	"mutablecp/internal/des"
-	"mutablecp/internal/netsim"
 	"mutablecp/internal/protocol"
 	"mutablecp/internal/simrt"
 )
 
-func newManualCluster(t *testing.T, n int, cellular bool) *simrt.Cluster {
+func newManualCluster(t *testing.T, n int) *simrt.Cluster {
 	t.Helper()
-	cfg := simrt.Config{
+	c, err := simrt.New(simrt.Config{
 		N:                n,
 		Seed:             5,
 		NewEngine:        func(env protocol.Env) protocol.Engine { return core.New(env) },
 		SingleInitiation: true,
-	}
-	if cellular {
-		cfg.NewTransport = func(sim *des.Simulator, n int) netsim.Transport {
-			return netsim.NewCellular(sim, n, netsim.CellularConfig{})
-		}
-	}
-	c, err := simrt.New(cfg)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +27,7 @@ func newManualCluster(t *testing.T, n int, cellular bool) *simrt.Cluster {
 // TestDisconnectBuffersComputation: computation messages to a disconnected
 // MH are buffered at its MSS and delivered in order on reconnection (§2.2).
 func TestDisconnectBuffersComputation(t *testing.T) {
-	c := newManualCluster(t, 4, false)
+	c := newManualCluster(t, 4)
 	var delivered []int
 	c.OnDeliver = func(to, from protocol.ProcessID, payload []byte) {
 		if to == 1 {
@@ -67,7 +59,7 @@ func TestDisconnectBuffersComputation(t *testing.T) {
 // converts it), so the instance terminates without waiting for
 // reconnection.
 func TestDisconnectedMHStillCheckpoints(t *testing.T) {
-	c := newManualCluster(t, 3, false)
+	c := newManualCluster(t, 3)
 	// P0 depends on P1.
 	c.SendApp(1, 0, nil)
 	c.Run(time.Second)
@@ -98,73 +90,10 @@ func TestDisconnectedMHStillCheckpoints(t *testing.T) {
 	}
 }
 
-// TestCheckpointingOverCellularWithHandoffs: the full algorithm stays
-// correct when hosts move between cells mid-run.
-func TestCheckpointingOverCellularWithHandoffs(t *testing.T) {
-	cfg := simrt.Config{
-		N:                   8,
-		Seed:                11,
-		NewEngine:           func(env protocol.Env) protocol.Engine { return core.New(env) },
-		ScheduleCheckpoints: true,
-		SingleInitiation:    true,
-	}
-	var cell *netsim.Cellular
-	cfg.NewTransport = func(sim *des.Simulator, n int) netsim.Transport {
-		cell = netsim.NewCellular(sim, n, netsim.CellularConfig{})
-		return cell
-	}
-	c, err := simrt.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := &simrt.PointToPoint{Rate: 0.2}
-	gen.Install(c)
-	c.Start()
-	// Periodic handoffs: every 100 s someone moves.
-	hop := c.Rand(0xBEEF)
-	hopTicker := c.Sim().NewTicker(100*time.Second, 0, func() {
-		p := hop.Intn(8)
-		dst := hop.Intn(4)
-		if cell.CellOf(p) != dst {
-			if err := cell.Handoff(p, dst); err != nil {
-				t.Errorf("handoff: %v", err)
-			}
-		}
-	})
-	if err := c.Run(2 * time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	gen.Stop()
-	c.StopTimers()
-	hopTicker.Stop()
-	if err := c.Drain(); err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range c.Errors() {
-		t.Errorf("cluster error: %v", e)
-	}
-	if cell.Handoffs == 0 {
-		t.Fatal("no handoffs happened; test vacuous")
-	}
-	done := c.Metrics().Completed()
-	if len(done) < 4 {
-		t.Fatalf("only %d initiations completed", len(done))
-	}
-	for _, rec := range done {
-		if !rec.Committed {
-			t.Errorf("instance %+v aborted", rec.Trigger)
-		}
-	}
-	if err := consistency.Check(c.PermanentLine()); err != nil {
-		t.Fatalf("inconsistent with handoffs: %v", err)
-	}
-	t.Logf("handoffs=%d resequenced=%d initiations=%d", cell.Handoffs, cell.Reordered, len(done))
-}
-
 // TestBusyHostDefersDelivery: a host saving a mutable checkpoint is busy
 // for 2.5 ms; deliveries during that window wait.
 func TestBusyHostDefersDelivery(t *testing.T) {
-	c := newManualCluster(t, 3, false)
+	c := newManualCluster(t, 3)
 	var deliveredAt []time.Duration
 	c.OnDeliver = func(to, from protocol.ProcessID, payload []byte) {
 		if to == 1 {
@@ -192,7 +121,7 @@ func TestBusyHostDefersDelivery(t *testing.T) {
 
 // TestSelfSendRejected: the runtime records an error for self-sends.
 func TestSelfSendRejected(t *testing.T) {
-	c := newManualCluster(t, 2, false)
+	c := newManualCluster(t, 2)
 	c.SendApp(0, 0, nil)
 	if len(c.Errors()) == 0 {
 		t.Fatal("self-send not flagged")
@@ -202,7 +131,7 @@ func TestSelfSendRejected(t *testing.T) {
 // TestPermanentLineAdvances: each committed instance advances the
 // recovery line of every participant.
 func TestPermanentLineAdvances(t *testing.T) {
-	c := newManualCluster(t, 3, false)
+	c := newManualCluster(t, 3)
 	c.SendApp(1, 0, nil)
 	c.Run(time.Second)
 	line0 := c.PermanentLine()
@@ -219,45 +148,5 @@ func TestPermanentLineAdvances(t *testing.T) {
 	}
 	if line1[2].CSN != 0 {
 		t.Fatal("P2 (uninvolved) advanced spuriously")
-	}
-}
-
-// TestAllAlgorithmsOnCellular: every algorithm stays consistent on the
-// cellular transport.
-func TestAllAlgorithmsOnCellular(t *testing.T) {
-	factories := map[string]func(env protocol.Env) protocol.Engine{
-		"mutable": func(env protocol.Env) protocol.Engine { return core.New(env) },
-	}
-	for name, factory := range factories {
-		name, factory := name, factory
-		t.Run(name, func(t *testing.T) {
-			cfg := simrt.Config{
-				N:                   8,
-				Seed:                3,
-				NewEngine:           factory,
-				ScheduleCheckpoints: true,
-				SingleInitiation:    true,
-			}
-			cfg.NewTransport = func(sim *des.Simulator, n int) netsim.Transport {
-				return netsim.NewCellular(sim, n, netsim.CellularConfig{MSSs: 3})
-			}
-			c, err := simrt.New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gen := &simrt.PointToPoint{Rate: 0.1}
-			gen.Install(c)
-			c.Start()
-			c.Run(time.Hour)
-			gen.Stop()
-			c.StopTimers()
-			c.Drain()
-			for _, e := range c.Errors() {
-				t.Errorf("cluster error: %v", e)
-			}
-			if err := consistency.Check(c.PermanentLine()); err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
 }

@@ -158,18 +158,12 @@ func (p *Proc) Disconnected() bool { return p.disconnected }
 // must not already be inside one and, under SingleInitiation, no other
 // instance may be in flight. It reports whether an initiation started.
 func (p *Proc) MaybeInitiate() bool {
-	if p.engine.InProgress() {
-		p.c.skippedInProgress++
-		return false
-	}
-	if p.c.cfg.SingleInitiation && p.c.owner >= 0 {
-		p.c.skippedActive++
+	if p.engine.InProgress() || p.c.cfg.SingleInitiation && p.c.owner >= 0 {
 		return false
 	}
 	p.c.owner = p.id
 	if err := p.engine.Initiate(); err != nil {
 		p.c.owner = -1
-		p.c.skippedInProgress++
 		return false
 	}
 	p.armRequestTimeout()
