@@ -27,7 +27,7 @@ func keeperOver(t *testing.T) (*checkpoint.Keeper, *chunkstore.Store, *int) {
 		*draws++
 		return bytes.Repeat([]byte{byte(*draws)}, 8<<10)
 	}
-	return checkpoint.NewKeeper(0, checkpoint.NewStableStore(0, 2), cs.Proc(0), image), cs, draws
+	return checkpoint.NewKeeper(0, checkpoint.NewStableStore(0), cs.Proc(0), image), cs, draws
 }
 
 // TestKeeperPromotesTheImageAsOfTheMutableSave: a promoted mutable
@@ -74,7 +74,7 @@ func TestKeeperDropWithoutPayload(t *testing.T) {
 	if err := k.Drop(trig); err != nil {
 		t.Fatalf("drop with no payload: %v", err)
 	}
-	if k.Stable.TentativeCount() != 0 {
+	if len(k.Stable.TentativeTriggers()) != 0 {
 		t.Fatal("control-plane tentative survived the drop")
 	}
 }
@@ -99,7 +99,7 @@ func TestKeeperDropTentativesClearsBothPlanes(t *testing.T) {
 	if len(dropped) != 1 || dropped[0] != both {
 		t.Errorf("dropped %v, want the control-plane tentative %+v", dropped, both)
 	}
-	if n := k.Stable.TentativeCount(); n != 0 {
+	if n := len(k.Stable.TentativeTriggers()); n != 0 {
 		t.Errorf("%d control-plane tentatives left", n)
 	}
 	if trigs := cs.TentativeTriggers(0); len(trigs) != 0 {

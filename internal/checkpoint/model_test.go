@@ -15,12 +15,13 @@ import (
 type stableModel struct {
 	permanent []int // csn history
 	tentative map[protocol.Trigger]int
+	retain    int // 0 keeps everything
 }
 
 func TestStableStoreAgainstModel(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		rng := xrand.New(seed * 7)
-		st := checkpoint.NewStableStore(0, 2)
+		st := checkpoint.NewStableStore(0)
 		model := &stableModel{permanent: []int{0}, tentative: map[protocol.Trigger]int{}}
 		triggers := []protocol.Trigger{{Pid: 1, Inum: 1}, {Pid: 2, Inum: 1}, {Pid: 1, Inum: 2}}
 		csn := 0
@@ -50,6 +51,9 @@ func TestStableStoreAgainstModel(t *testing.T) {
 				if err == nil {
 					model.permanent = append(model.permanent, v)
 					delete(model.tentative, trig)
+					if k := model.retain; k > 0 && len(model.permanent) > k {
+						model.permanent = model.permanent[len(model.permanent)-k:]
+					}
 				}
 			case 2: // drop
 				err := st.DropTentative(trig)
@@ -58,17 +62,14 @@ func TestStableStoreAgainstModel(t *testing.T) {
 					t.Fatalf("seed %d step %d: drop err=%v model exists=%v", seed, step, err, exists)
 				}
 				delete(model.tentative, trig)
-			case 3: // gc
-				keep := rng.Intn(3) + 1
-				st.GC(keep)
-				if len(model.permanent) > keep {
-					model.permanent = model.permanent[len(model.permanent)-keep:]
-				}
+			case 3: // retention bound, applied at the next commit
+				model.retain = rng.Intn(4)
+				st.SetRetain(model.retain)
 			}
 			// Invariants after every step.
-			if st.TentativeCount() != len(model.tentative) {
+			if len(st.TentativeTriggers()) != len(model.tentative) {
 				t.Fatalf("seed %d step %d: tentative count %d vs model %d",
-					seed, step, st.TentativeCount(), len(model.tentative))
+					seed, step, len(st.TentativeTriggers()), len(model.tentative))
 			}
 			hist := st.History()
 			if len(hist) != len(model.permanent) {

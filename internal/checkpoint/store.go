@@ -56,20 +56,15 @@ var (
 
 // Store is the stable-storage lifecycle surface shared by the in-memory
 // StableStore and the durable segment log in internal/stable: tentative
-// write, promotion to permanent on commit, discard on abort, and
-// garbage collection of superseded permanents. The simulation runtime
-// (simrt) and the recovery manager speak only this interface, so a
-// simulation can run against either backend.
+// write, promotion to permanent on commit and discard on abort. Each
+// backend applies its own retention rule to superseded permanents. The
+// simulation runtime (simrt) and the recovery executor speak only this
+// interface, so a simulation can run against either backend.
 type Store interface {
-	// SeedPermanent replaces the pristine initial checkpoint with a
-	// restored one; only valid on a fresh store.
-	SeedPermanent(s protocol.State) error
 	// SaveTentative records a tentative checkpoint for trig.
 	SaveTentative(s protocol.State, trig protocol.Trigger, at time.Duration) error
 	// Tentative returns the pending tentative checkpoint for trig, if any.
 	Tentative(trig protocol.Trigger) (Record, bool)
-	// TentativeCount reports how many tentative checkpoints are pending.
-	TentativeCount() int
 	// TentativeTriggers lists pending triggers in (Pid, Inum) order.
 	TentativeTriggers() []protocol.Trigger
 	// MakePermanent commits the pending tentative checkpoint for trig.
@@ -80,16 +75,14 @@ type Store interface {
 	Permanent() Record
 	// History returns a copy of all retained permanents, oldest first.
 	History() []Record
-	// GC discards all but the newest keep permanent checkpoints.
-	GC(keep int) int
 }
 
 // StableStore holds one process's checkpoints on stable storage. In the
 // paper's single-initiation regime a process keeps at most one permanent
 // and one tentative checkpoint at a time; to support concurrent initiations
 // (§3.5) tentative checkpoints are keyed by the trigger of their
-// initiation. The store retains the permanent history until
-// garbage-collected, which the recovery manager uses.
+// initiation. The store retains the permanent history up to its
+// retention bound (see SetRetain); the run audit replays it.
 type StableStore struct {
 	proc      protocol.ProcessID
 	permanent []Record
@@ -110,8 +103,7 @@ var _ Store = (*StableStore)(nil)
 // numbers checkpoints from C_{p,0}, the pristine process state. The
 // initial counters are empty truncated vectors (all-zero semantics, see
 // protocol.State) so a million idle processes don't pay O(N) each here.
-func NewStableStore(proc protocol.ProcessID, n int) *StableStore {
-	_ = n // arity kept for store-factory compatibility
+func NewStableStore(proc protocol.ProcessID) *StableStore {
 	initial := Record{
 		State:   protocol.State{Proc: proc, CSN: 0},
 		Trigger: protocol.NoTrigger,
@@ -166,16 +158,6 @@ func (st *StableStore) SetRetain(k int) {
 	st.retain = k
 }
 
-// SeedPermanent replaces the pristine initial checkpoint with a restored
-// one (recovery restart). It is only valid on a fresh store.
-func (st *StableStore) SeedPermanent(s protocol.State) error {
-	if len(st.permanent) != 1 || len(st.tentative) != 0 {
-		return fmt.Errorf("checkpoint: SeedPermanent on a used store (P%d)", st.proc)
-	}
-	st.permanent[0] = Record{State: s.Clone(), Trigger: protocol.NoTrigger, Status: StatusPermanent}
-	return nil
-}
-
 // SaveTentative records a tentative checkpoint for the given trigger. At
 // most one tentative checkpoint may be pending per trigger.
 func (st *StableStore) SaveTentative(s protocol.State, trig protocol.Trigger, at time.Duration) error {
@@ -195,9 +177,6 @@ func (st *StableStore) Tentative(trig protocol.Trigger) (Record, bool) {
 	}
 	return *rec, true
 }
-
-// TentativeCount reports how many tentative checkpoints are pending.
-func (st *StableStore) TentativeCount() int { return len(st.tentative) }
 
 // TentativeTriggers lists the triggers of all pending tentative
 // checkpoints in deterministic (Pid, Inum) order. The chaos gauntlet uses
@@ -228,7 +207,7 @@ func (st *StableStore) MakePermanent(trig protocol.Trigger, at time.Duration) er
 		// not accumulate it (this mirrors disk compaction in
 		// internal/stable, which garbage-collects superseded permanents
 		// from the segment log).
-		st.GC(st.retain)
+		st.gc(st.retain)
 	}
 	return nil
 }
@@ -253,19 +232,13 @@ func (st *StableStore) History() []Record {
 	return append([]Record(nil), st.permanent...)
 }
 
-// GC discards all but the newest keep permanent checkpoints. The paper's
-// coordinated approach needs only the latest consistent line, so keep=1 is
-// the common setting.
-func (st *StableStore) GC(keep int) int {
-	if keep < 1 {
-		keep = 1
+// gc discards all but the newest keep (>= 1) permanent checkpoints. The
+// paper's coordinated approach needs only the latest consistent line, so
+// keep=1 is the common setting.
+func (st *StableStore) gc(keep int) {
+	if dropped := len(st.permanent) - keep; dropped > 0 {
+		st.permanent = append([]Record(nil), st.permanent[dropped:]...)
 	}
-	if len(st.permanent) <= keep {
-		return 0
-	}
-	dropped := len(st.permanent) - keep
-	st.permanent = append([]Record(nil), st.permanent[dropped:]...)
-	return dropped
 }
 
 // MutableStore holds a process's mutable checkpoints, keyed by the trigger

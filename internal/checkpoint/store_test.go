@@ -18,7 +18,7 @@ func state(proc, n int) protocol.State {
 }
 
 func TestStableStoreInitialPermanent(t *testing.T) {
-	st := checkpoint.NewStableStore(3, 4)
+	st := checkpoint.NewStableStore(3)
 	perm := st.Permanent()
 	if perm.State.Proc != 3 || perm.State.CSN != 0 || perm.Status != checkpoint.StatusPermanent {
 		t.Fatalf("initial permanent = %+v", perm)
@@ -29,7 +29,7 @@ func TestStableStoreInitialPermanent(t *testing.T) {
 }
 
 func TestTentativeLifecycle(t *testing.T) {
-	st := checkpoint.NewStableStore(0, 2)
+	st := checkpoint.NewStableStore(0)
 	trig := protocol.Trigger{Pid: 1, Inum: 1}
 	s := state(0, 2)
 	s.CSN = 1
@@ -39,13 +39,13 @@ func TestTentativeLifecycle(t *testing.T) {
 	if _, ok := st.Tentative(trig); !ok {
 		t.Fatal("tentative not found")
 	}
-	if st.TentativeCount() != 1 {
-		t.Fatalf("count = %d", st.TentativeCount())
+	if len(st.TentativeTriggers()) != 1 {
+		t.Fatalf("count = %d", len(st.TentativeTriggers()))
 	}
 	if err := st.MakePermanent(trig, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if st.TentativeCount() != 0 {
+	if len(st.TentativeTriggers()) != 0 {
 		t.Fatal("tentative survived commit")
 	}
 	perm := st.Permanent()
@@ -58,7 +58,7 @@ func TestTentativeLifecycle(t *testing.T) {
 }
 
 func TestDuplicateTentativeSameTrigger(t *testing.T) {
-	st := checkpoint.NewStableStore(0, 2)
+	st := checkpoint.NewStableStore(0)
 	trig := protocol.Trigger{Pid: 1, Inum: 1}
 	if err := st.SaveTentative(state(0, 2), trig, 0); err != nil {
 		t.Fatal(err)
@@ -70,7 +70,7 @@ func TestDuplicateTentativeSameTrigger(t *testing.T) {
 }
 
 func TestConcurrentTentativesDifferentTriggers(t *testing.T) {
-	st := checkpoint.NewStableStore(0, 2)
+	st := checkpoint.NewStableStore(0)
 	t1 := protocol.Trigger{Pid: 1, Inum: 1}
 	t2 := protocol.Trigger{Pid: 2, Inum: 1}
 	if err := st.SaveTentative(state(0, 2), t1, 0); err != nil {
@@ -79,8 +79,8 @@ func TestConcurrentTentativesDifferentTriggers(t *testing.T) {
 	if err := st.SaveTentative(state(0, 2), t2, 0); err != nil {
 		t.Fatalf("second trigger rejected: %v", err)
 	}
-	if st.TentativeCount() != 2 {
-		t.Fatalf("count = %d, want 2", st.TentativeCount())
+	if len(st.TentativeTriggers()) != 2 {
+		t.Fatalf("count = %d, want 2", len(st.TentativeTriggers()))
 	}
 	if err := st.DropTentative(t1); err != nil {
 		t.Fatal(err)
@@ -88,13 +88,13 @@ func TestConcurrentTentativesDifferentTriggers(t *testing.T) {
 	if err := st.MakePermanent(t2, 0); err != nil {
 		t.Fatal(err)
 	}
-	if st.TentativeCount() != 0 {
+	if len(st.TentativeTriggers()) != 0 {
 		t.Fatal("leftover tentatives")
 	}
 }
 
 func TestMakePermanentWithoutTentative(t *testing.T) {
-	st := checkpoint.NewStableStore(0, 2)
+	st := checkpoint.NewStableStore(0)
 	err := st.MakePermanent(protocol.Trigger{Pid: 1, Inum: 1}, 0)
 	if !errors.Is(err, checkpoint.ErrNoTentative) {
 		t.Fatalf("err = %v, want ErrNoTentative", err)
@@ -105,7 +105,7 @@ func TestMakePermanentWithoutTentative(t *testing.T) {
 }
 
 func TestTentativeStateIsDeepCopied(t *testing.T) {
-	st := checkpoint.NewStableStore(0, 2)
+	st := checkpoint.NewStableStore(0)
 	s := state(0, 2)
 	trig := protocol.Trigger{Pid: 1, Inum: 1}
 	if err := st.SaveTentative(s, trig, 0); err != nil {
@@ -118,9 +118,13 @@ func TestTentativeStateIsDeepCopied(t *testing.T) {
 	}
 }
 
+// TestGC: a retention bound set on a store that already holds a long
+// history trims it to the newest permanents at the next commit, and a
+// negative bound clamps to "keep everything".
 func TestGC(t *testing.T) {
-	st := checkpoint.NewStableStore(0, 2)
-	for i := 1; i <= 5; i++ {
+	st := checkpoint.NewStableStore(0)
+	commit := func(i int) {
+		t.Helper()
 		trig := protocol.Trigger{Pid: 0, Inum: i}
 		s := state(0, 2)
 		s.CSN = i
@@ -131,18 +135,25 @@ func TestGC(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := st.GC(2); got != 4 { // initial + 5 = 6 permanents, keep 2
-		t.Fatalf("GC dropped %d, want 4", got)
+	for i := 1; i <= 5; i++ {
+		commit(i)
 	}
+	if got := len(st.History()); got != 6 { // initial + 5, nothing retained away
+		t.Fatalf("history without retention = %d, want 6", got)
+	}
+	st.SetRetain(2)
+	commit(6)
 	h := st.History()
-	if len(h) != 2 || h[1].State.CSN != 5 {
-		t.Fatalf("history after GC = %+v", h)
+	if len(h) != 2 || h[0].State.CSN != 5 || h[1].State.CSN != 6 {
+		t.Fatalf("history after retained commit = %+v", h)
 	}
-	if st.GC(0) != 1 { // clamp keep to 1
-		t.Fatal("GC keep<1 not clamped")
+	st.SetRetain(-1)
+	commit(7)
+	if got := len(st.History()); got != 3 {
+		t.Fatalf("history after clamped retention = %d, want 3", got)
 	}
-	if st.Permanent().State.CSN != 5 {
-		t.Fatal("GC dropped the newest permanent")
+	if st.Permanent().State.CSN != 7 {
+		t.Fatal("retention dropped the newest permanent")
 	}
 }
 
@@ -151,7 +162,7 @@ func TestGC(t *testing.T) {
 // garbage-collects the one it supersedes — the store must not accumulate
 // dead permanents over a long run.
 func TestDiscardRuleOnCommit(t *testing.T) {
-	st := checkpoint.NewStableStore(0, 2)
+	st := checkpoint.NewStableStore(0)
 	st.SetRetain(1)
 	for i := 1; i <= 5; i++ {
 		trig := protocol.Trigger{Pid: 0, Inum: i}
@@ -178,8 +189,8 @@ func TestDiscardRuleOnCommit(t *testing.T) {
 	if err := st.MakePermanent(protocol.Trigger{Pid: 1, Inum: 1}, 0); err != nil {
 		t.Fatal(err)
 	}
-	if st.TentativeCount() != 0 || len(st.History()) != 1 {
-		t.Fatalf("tentatives = %d history = %d", st.TentativeCount(), len(st.History()))
+	if len(st.TentativeTriggers()) != 0 || len(st.History()) != 1 {
+		t.Fatalf("tentatives = %d history = %d", len(st.TentativeTriggers()), len(st.History()))
 	}
 }
 
@@ -197,7 +208,7 @@ func TestRestoreStableStore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Permanent().State.CSN != 4 || st.TentativeCount() != 1 {
+	if st.Permanent().State.CSN != 4 || len(st.TentativeTriggers()) != 1 {
 		t.Fatalf("restored store: %+v", st)
 	}
 	if err := st.MakePermanent(protocol.Trigger{Pid: 0, Inum: 5}, 2*time.Second); err != nil {

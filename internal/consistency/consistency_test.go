@@ -93,24 +93,62 @@ func TestInTransitRejectsInconsistent(t *testing.T) {
 	}
 }
 
+// mixedTruncation is a line whose vectors are cut at their last nonzero
+// entry, as the sparse-state ladder stores them: P0 never talked to P2/P3,
+// P2 recorded no receives, P3 no sends. padded is the same line with every
+// vector zero-extended to n; both must read alike.
+func mixedTruncation(padded bool) map[protocol.ProcessID]protocol.State {
+	s := map[protocol.ProcessID]protocol.State{
+		0: {Proc: 0, CSN: 2, SentTo: []uint64{0, 5}, RecvFrom: []uint64{0, 3}},
+		1: {Proc: 1, CSN: 2, SentTo: []uint64{3, 0, 0, 2}, RecvFrom: []uint64{4}},
+		2: {Proc: 2, CSN: 1, SentTo: []uint64{0, 2}, RecvFrom: nil},
+		3: {Proc: 3, CSN: 1, SentTo: nil, RecvFrom: []uint64{0, 1}},
+	}
+	if padded {
+		for id, st := range s {
+			st.SentTo = protocol.PadCounters(st.SentTo, len(s))
+			st.RecvFrom = protocol.PadCounters(st.RecvFrom, len(s))
+			s[id] = st
+		}
+	}
+	return s
+}
+
 func TestTruncatedVectorsMeanZero(t *testing.T) {
 	// Counter vectors may be truncated (or nil): a missing entry is a 0
 	// count, not an error. A nil RecvFrom is a process that recorded no
 	// receives — consistent against any senders.
-	s := mkStates(2)
-	st := s[1]
+	nilRecv := mkStates(2)
+	st := nilRecv[1]
 	st.RecvFrom = nil
-	s[1] = st
-	s[0].SentTo[1] = 3 // in transit, not orphaned
-	if err := consistency.Check(s); err != nil {
-		t.Fatalf("nil RecvFrom rejected: %v", err)
+	nilRecv[1] = st
+	nilRecv[0].SentTo[1] = 3 // in transit, not orphaned
+	// In mixedTruncation: 0→1 sent 5, received 4; 1→0 sent 3, received 3;
+	// 1→3 sent 2, received 1; 2→1 sent 2, and P1's RecvFrom ends before
+	// index 2, so it received 0.
+	mixed := map[[2]protocol.ProcessID]uint64{{0, 1}: 1, {1, 3}: 1, {2, 1}: 2}
+	cases := []struct {
+		name   string
+		states map[protocol.ProcessID]protocol.State
+		want   map[[2]protocol.ProcessID]uint64
+	}{
+		{"nil RecvFrom", nilRecv, map[[2]protocol.ProcessID]uint64{{0, 1}: 3}},
+		{"mixed truncation", mixedTruncation(false), mixed},
+		{"mixed truncation padded", mixedTruncation(true), mixed},
 	}
-	transit, err := consistency.InTransit(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if transit[[2]protocol.ProcessID{0, 1}] != 3 {
-		t.Fatalf("in-transit = %v", transit)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := consistency.Check(tc.states); err != nil {
+				t.Fatalf("truncated vectors rejected: %v", err)
+			}
+			transit, err := consistency.InTransit(tc.states)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(transit, tc.want) {
+				t.Fatalf("in-transit = %v, want %v", transit, tc.want)
+			}
+		})
 	}
 }
 

@@ -232,7 +232,7 @@ func TestAbortDuringOverlappingInitiation(t *testing.T) {
 		if w.engines[i].PendingTentatives() != 0 {
 			t.Fatalf("unresolved tentatives at P%d", i)
 		}
-		if w.envs[i].stable.TentativeCount() != 0 {
+		if len(w.envs[i].stable.TentativeTriggers()) != 0 {
 			t.Fatalf("leaked stable tentative at P%d", i)
 		}
 		if w.envs[i].mutable.Len() != 0 {
@@ -296,7 +296,7 @@ func TestLateMessagesAfterAbort(t *testing.T) {
 		if w.engines[i].PendingTentatives() != 0 {
 			t.Fatalf("unresolved tentatives at P%d", i)
 		}
-		if w.envs[i].stable.TentativeCount() != 0 {
+		if len(w.envs[i].stable.TentativeTriggers()) != 0 {
 			t.Fatalf("leaked stable tentative at P%d", i)
 		}
 		if w.envs[i].mutable.Len() != 0 {

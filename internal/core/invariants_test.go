@@ -293,7 +293,7 @@ func TestMutableBookkeeping(t *testing.T) {
 			if got := w.engines[i].PendingTentatives(); got != 0 {
 				t.Fatalf("round %d: P%d has %d unresolved tentatives", round, i, got)
 			}
-			if got := w.envs[i].stable.TentativeCount(); got != 0 {
+			if got := len(w.envs[i].stable.TentativeTriggers()); got != 0 {
 				t.Fatalf("round %d: P%d store holds %d tentatives", round, i, got)
 			}
 		}

@@ -119,7 +119,7 @@ func TestPartialCommitKeepsIndependentBranch(t *testing.T) {
 		if got := len(w.envs[p].stable.History()); got != 1 {
 			t.Fatalf("P%d committed despite contamination (history=%d)", p, got)
 		}
-		if w.envs[p].stable.TentativeCount() != 0 {
+		if len(w.envs[p].stable.TentativeTriggers()) != 0 {
 			t.Fatalf("P%d keeps a tentative", p)
 		}
 	}

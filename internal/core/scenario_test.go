@@ -476,7 +476,7 @@ func TestAbortRestoresState(t *testing.T) {
 		if got := w.envs[i].stable.Permanent().State.CSN; got != 0 {
 			t.Fatalf("P%d permanent csn = %d after abort, want 0", i, got)
 		}
-		if w.envs[i].stable.TentativeCount() != 0 {
+		if len(w.envs[i].stable.TentativeTriggers()) != 0 {
 			t.Fatalf("P%d keeps a tentative after abort", i)
 		}
 	}

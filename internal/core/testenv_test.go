@@ -51,7 +51,7 @@ func newFakeEnv(w *world, id, n int) *fakeEnv {
 	return &fakeEnv{
 		w:        w,
 		id:       id,
-		stable:   checkpoint.NewStableStore(id, n),
+		stable:   checkpoint.NewStableStore(id),
 		mutable:  checkpoint.NewMutableStore(id),
 		sentTo:   make([]uint64, n),
 		recvFrom: make([]uint64, n),

@@ -32,7 +32,7 @@ func NewWorld(t *testing.T, n int, factory func(env protocol.Env) protocol.Engin
 		env := &Env{
 			w:        w,
 			id:       i,
-			Stable:   checkpoint.NewStableStore(i, n),
+			Stable:   checkpoint.NewStableStore(i),
 			Mutable:  checkpoint.NewMutableStore(i),
 			sentTo:   make([]uint64, n),
 			recvFrom: make([]uint64, n),

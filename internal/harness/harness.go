@@ -54,6 +54,15 @@ const (
 	WorkloadClientServer
 )
 
+const (
+	// groups is the number of groups in a group workload. Paper: 4.
+	groups = 4
+	// warmupInitiations is how many of the first completed instances the
+	// statistics skip (cold-start csn state inflates the very first
+	// request tree).
+	warmupInitiations = 1
+)
+
 // Config describes one simulated run: the §5.1 experiment (N hosts on the
 // shared wireless LAN, a traffic mix, a checkpoint interval) plus two
 // optional sections, a fault mix on the network and a crash plan.
@@ -66,10 +75,9 @@ type Config struct {
 	// Rate is the per-process message sending rate (msgs/s); for group
 	// workloads it is the intra-group rate.
 	Rate float64
-	// GroupRatio is the intra/inter rate ratio (group workloads only).
+	// GroupRatio is the intra/inter rate ratio (group workloads only;
+	// the processes form the paper's 4 groups).
 	GroupRatio float64
-	// Groups is the number of groups (default 4).
-	Groups int
 	// Servers is the number of server processes (client-server workloads
 	// only; default max(2, N/8)).
 	Servers int
@@ -80,9 +88,6 @@ type Config struct {
 	// Interval overrides the per-process checkpoint interval (default the
 	// paper's 900 s).
 	Interval time.Duration
-	// WarmupInitiations skips the first k completed instances (cold-start
-	// csn state inflates the very first request tree).
-	WarmupInitiations int
 
 	// SkipConsistency disables the end-of-run recovery-line check (used
 	// for the deliberately broken naive-nocsn ablation).
@@ -186,9 +191,6 @@ func (c Config) defaults() Config {
 	if c.GroupRatio == 0 {
 		c.GroupRatio = 1000
 	}
-	if c.Groups == 0 {
-		c.Groups = 4
-	}
 	if c.Servers == 0 {
 		c.Servers = c.N / 8
 		if c.Servers < 2 {
@@ -200,9 +202,6 @@ func (c Config) defaults() Config {
 	}
 	if c.Horizon == 0 {
 		c.Horizon = 40 * c.Interval
-	}
-	if c.WarmupInitiations == 0 {
-		c.WarmupInitiations = 1
 	}
 	if c.PayloadBytes > 0 && c.PayloadChunkBytes == 0 {
 		c.PayloadChunkBytes = 4 << 10
@@ -411,7 +410,7 @@ func newGenerator(cfg Config) (simrt.Generator, error) {
 		}
 		return &simrt.PointToPoint{Rate: cfg.Rate, Active: active}, nil
 	case WorkloadGroup:
-		return &simrt.Group{Groups: cfg.Groups, IntraRate: cfg.Rate, InterRatio: cfg.GroupRatio}, nil
+		return &simrt.Group{Groups: groups, IntraRate: cfg.Rate, InterRatio: cfg.GroupRatio}, nil
 	case WorkloadClientServer:
 		return &simrt.ClientServer{Servers: cfg.Servers, Rate: cfg.Rate}, nil
 	default:
@@ -589,7 +588,7 @@ func Run(cfg Config) (*Result, error) {
 				res.NewCommits++
 			}
 		}
-		if i < cfg.WarmupInitiations {
+		if i < warmupInitiations {
 			continue
 		}
 		res.Initiations++

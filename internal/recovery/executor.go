@@ -1,9 +1,9 @@
 package recovery
 
-// Executor performs live recovery on a running simulated cluster: instead
-// of only *computing* the recovery line (Manager), it rolls the cluster
-// back to one and resumes the computation. Two strategies are
-// implemented, matching the Table-1-style comparison:
+// Executor performs live recovery on a running simulated cluster: it rolls
+// the cluster back to a recovery line and resumes the computation. It is
+// the only code that restores a line. Two strategies are implemented,
+// matching the Table-1-style comparison:
 //
 //   - ModeRollback: coordinated rollback. Every process restores its
 //     checkpoint from the newest committed line (Theorem 1 guarantees the
@@ -137,7 +137,7 @@ func (x *Executor) Recover(victim protocol.ProcessID) (*Report, error) {
 	}
 }
 
-// stores collects every process's stable store for the Manager.
+// stores collects every process's stable store for LatestLine.
 func (x *Executor) stores() map[protocol.ProcessID]checkpoint.Store {
 	out := make(map[protocol.ProcessID]checkpoint.Store, x.cluster.N())
 	for i := 0; i < x.cluster.N(); i++ {
@@ -199,8 +199,7 @@ func (x *Executor) recoverRollback(victim protocol.ProcessID) (*Report, error) {
 	if err := x.completeCommits(); err != nil {
 		return nil, err
 	}
-	mgr := NewManager(x.stores())
-	line, err := mgr.LatestLine()
+	line, err := LatestLine(x.stores())
 	if err != nil {
 		return nil, err
 	}

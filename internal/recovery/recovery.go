@@ -3,12 +3,12 @@
 // recent permanent checkpoint. Because the checkpointing algorithms commit
 // only consistent global checkpoints (Theorem 1), the recovery line needs
 // no search — it is simply the newest permanent checkpoint of each
-// process, which this package validates and quantifies.
+// process, which this package validates and the Executor restores on a
+// running simulated cluster, replaying the line's in-transit messages.
 package recovery
 
 import (
 	"fmt"
-	"time"
 
 	"mutablecp/internal/checkpoint"
 	"mutablecp/internal/consistency"
@@ -35,79 +35,19 @@ func (l *Line) Validate() error {
 	return consistency.Check(l.States())
 }
 
-// Manager computes recovery lines and rollback costs from the processes'
-// stable stores.
-type Manager struct {
-	stores map[protocol.ProcessID]checkpoint.Store
-}
-
-// NewManager builds a manager over the given stable stores (one per
-// process; in the paper's system these live at the MSSs and survive MH
-// failures). Any checkpoint.Store works: the in-memory StableStore or
-// the durable internal/stable backend.
-func NewManager(stores map[protocol.ProcessID]checkpoint.Store) *Manager {
-	return &Manager{stores: stores}
-}
-
 // LatestLine returns the recovery line formed by each process's newest
-// permanent checkpoint and validates it.
-func (m *Manager) LatestLine() (*Line, error) {
-	line := &Line{Checkpoints: make(map[protocol.ProcessID]checkpoint.Record, len(m.stores))}
-	for id, st := range m.stores {
+// permanent checkpoint in the given stable stores (one per process; in
+// the paper's system these live at the MSSs and survive MH failures) and
+// validates it.
+func LatestLine(stores map[protocol.ProcessID]checkpoint.Store) (*Line, error) {
+	line := &Line{Checkpoints: make(map[protocol.ProcessID]checkpoint.Record, len(stores))}
+	for id, st := range stores {
 		line.Checkpoints[id] = st.Permanent()
 	}
 	if err := line.Validate(); err != nil {
 		return nil, fmt.Errorf("recovery: %w", err)
 	}
 	return line, nil
-}
-
-// RollbackCost describes how much computation a rollback to the line
-// discards, per process and in total.
-type RollbackCost struct {
-	// LostTime is now - checkpoint time, per process.
-	LostTime map[protocol.ProcessID]time.Duration
-	// LostMessages is the number of computation messages each process had
-	// sent after its checkpoint (work that will be redone).
-	LostMessages map[protocol.ProcessID]uint64
-	TotalTime    time.Duration
-	TotalMsgs    uint64
-}
-
-// Cost quantifies a rollback from the given current states to the line.
-func (m *Manager) Cost(line *Line, current map[protocol.ProcessID]protocol.State, now time.Duration) *RollbackCost {
-	cost := &RollbackCost{
-		LostTime:     make(map[protocol.ProcessID]time.Duration, len(line.Checkpoints)),
-		LostMessages: make(map[protocol.ProcessID]uint64, len(line.Checkpoints)),
-	}
-	for id, rec := range line.Checkpoints {
-		lost := now - rec.State.At
-		if lost < 0 {
-			lost = 0
-		}
-		cost.LostTime[id] = lost
-		cost.TotalTime += lost
-		cur, ok := current[id]
-		if !ok {
-			continue
-		}
-		var msgs uint64
-		for peer, sent := range cur.SentTo {
-			if was := protocol.CounterAt(rec.State.SentTo, peer); sent > was {
-				msgs += sent - was
-			}
-		}
-		cost.LostMessages[id] = msgs
-		cost.TotalMsgs += msgs
-	}
-	return cost
-}
-
-// InTransit returns the channel state the line implies: messages sent
-// before the sender's checkpoint but not received before the receiver's.
-// After rollback these must be replayed by the reliable channel layer.
-func (m *Manager) InTransit(line *Line) (map[[2]protocol.ProcessID]uint64, error) {
-	return consistency.InTransit(line.States())
 }
 
 // OpenLine reconstructs the recovery line from the on-disk stable stores

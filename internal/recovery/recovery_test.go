@@ -1,12 +1,13 @@
 package recovery_test
 
 import (
+	"errors"
 	"testing"
 	"time"
 
+	"mutablecp/internal/algorithms/chandylamport"
 	"mutablecp/internal/checkpoint"
 	"mutablecp/internal/consistency"
-	"mutablecp/internal/core"
 	"mutablecp/internal/protocol"
 	"mutablecp/internal/recovery"
 	"mutablecp/internal/simrt"
@@ -20,19 +21,23 @@ func storesOf(c *simrt.Cluster) map[protocol.ProcessID]checkpoint.Store {
 	return out
 }
 
-func runCluster(t *testing.T, seed uint64, horizon time.Duration) *simrt.Cluster {
+// runCluster runs cfg as 8 processes with timed single initiations (of
+// the mutable engine unless cfg names another) under point-to-point
+// traffic at rate to the horizon, then stops the workload and the
+// checkpoint timers and drains it.
+func runCluster(t *testing.T, cfg simrt.Config, rate float64, horizon time.Duration) *simrt.Cluster {
 	t.Helper()
-	c, err := simrt.New(simrt.Config{
-		N:                   8,
-		Seed:                seed,
-		NewEngine:           func(env protocol.Env) protocol.Engine { return core.New(env) },
-		ScheduleCheckpoints: true,
-		SingleInitiation:    true,
-	})
+	cfg.N = 8
+	if cfg.NewEngine == nil {
+		cfg.NewEngine = mutableEngine
+	}
+	cfg.ScheduleCheckpoints = true
+	cfg.SingleInitiation = true
+	c, err := simrt.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gen := &simrt.PointToPoint{Rate: 0.1}
+	gen := &simrt.PointToPoint{Rate: rate}
 	gen.Install(c)
 	c.Start()
 	if err := c.Run(horizon); err != nil {
@@ -47,9 +52,8 @@ func runCluster(t *testing.T, seed uint64, horizon time.Duration) *simrt.Cluster
 }
 
 func TestLatestLineIsConsistent(t *testing.T) {
-	c := runCluster(t, 4, time.Hour)
-	mgr := recovery.NewManager(storesOf(c))
-	line, err := mgr.LatestLine()
+	c := runCluster(t, simrt.Config{Seed: 4}, 0.1, time.Hour)
+	line, err := recovery.LatestLine(storesOf(c))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,58 +65,10 @@ func TestLatestLineIsConsistent(t *testing.T) {
 	}
 }
 
-func TestRollbackCost(t *testing.T) {
-	c := runCluster(t, 9, time.Hour)
-	mgr := recovery.NewManager(storesOf(c))
-	line, err := mgr.LatestLine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	now := c.Sim().Now()
-	cost := mgr.Cost(line, c.States(), now)
-	if len(cost.LostTime) != 8 {
-		t.Fatalf("lost time for %d processes", len(cost.LostTime))
-	}
-	for id, lost := range cost.LostTime {
-		if lost < 0 || lost > now {
-			t.Fatalf("P%d lost time %v out of range", id, lost)
-		}
-	}
-	// Work after the last checkpoints is lost; with continuous traffic
-	// some messages must be lost on rollback.
-	if cost.TotalMsgs == 0 {
-		t.Log("note: no messages sent since last checkpoints (possible but unlikely)")
-	}
-	if cost.TotalTime <= 0 {
-		t.Fatal("zero total lost time despite running workload")
-	}
-}
-
-func TestInTransitAfterRollback(t *testing.T) {
-	c := runCluster(t, 13, time.Hour)
-	mgr := recovery.NewManager(storesOf(c))
-	line, err := mgr.LatestLine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	transit, err := mgr.InTransit(line)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Every in-transit count must be reproducible from the raw states.
-	states := line.States()
-	for ch, n := range transit {
-		want := protocol.CounterAt(states[ch[0]].SentTo, ch[1]) - protocol.CounterAt(states[ch[1]].RecvFrom, ch[0])
-		if n != want {
-			t.Fatalf("channel %v: %d, want %d", ch, n, want)
-		}
-	}
-}
-
 func TestValidateCatchesCorruptLine(t *testing.T) {
 	stores := map[protocol.ProcessID]checkpoint.Store{
-		0: checkpoint.NewStableStore(0, 2),
-		1: checkpoint.NewStableStore(1, 2),
+		0: checkpoint.NewStableStore(0),
+		1: checkpoint.NewStableStore(1),
 	}
 	// Corrupt P1's checkpoint: it claims to have received a message P0's
 	// checkpoint never sent.
@@ -129,126 +85,213 @@ func TestValidateCatchesCorruptLine(t *testing.T) {
 	if err := stores[1].MakePermanent(trig, 0); err != nil {
 		t.Fatal(err)
 	}
-	mgr := recovery.NewManager(stores)
-	if _, err := mgr.LatestLine(); err == nil {
+	if _, err := recovery.LatestLine(stores); err == nil {
 		t.Fatal("corrupt line accepted")
 	}
 }
 
+// TestGCKeepsRecoverability: the discard rule (each commit drops the
+// permanent it supersedes) never discards the recovery line.
 func TestGCKeepsRecoverability(t *testing.T) {
-	c := runCluster(t, 21, 2*time.Hour)
+	retainOne := func(pid protocol.ProcessID, _ int) (checkpoint.Store, error) {
+		st := checkpoint.NewStableStore(pid)
+		st.SetRetain(1)
+		return st, nil
+	}
+	c := runCluster(t, simrt.Config{Seed: 21, NewStore: retainOne}, 0.1, 2*time.Hour)
 	for i := 0; i < c.N(); i++ {
-		c.Proc(i).Stable().GC(1)
+		if h := c.Proc(i).Stable().History(); len(h) != 1 {
+			t.Fatalf("P%d retains %d permanents, want 1", i, len(h))
+		}
 	}
-	mgr := recovery.NewManager(storesOf(c))
-	line, err := mgr.LatestLine()
-	if err != nil {
-		t.Fatalf("line invalid after GC: %v", err)
+	if c.Proc(0).Stable().Permanent().State.CSN == 0 {
+		t.Fatal("no checkpoint rounds committed; the test exercises nothing")
 	}
-	if err := consistency.Check(line.States()); err != nil {
-		t.Fatal(err)
+	if _, err := recovery.LatestLine(storesOf(c)); err != nil {
+		t.Fatalf("line invalid under the discard rule: %v", err)
 	}
 }
 
-// TestRestartFromLine restores a fresh cluster from a recovery line:
-// counters and stable stores resume from the line, in-transit messages
-// replay, and the restarted system keeps checkpointing consistently.
-func TestRestartFromLine(t *testing.T) {
-	orig := runCluster(t, 55, time.Hour)
-	mgr := recovery.NewManager(storesOf(orig))
-	line, err := mgr.LatestLine()
-	if err != nil {
-		t.Fatal(err)
-	}
-	transit, err := mgr.InTransit(line)
-	if err != nil {
-		t.Fatal(err)
-	}
+// rollbackRun is a cluster that has been rolled back once by the
+// executor: the report and the line the recovery restored, read from the
+// stores inside the recovery event, and the line before the crash.
+type rollbackRun struct {
+	c      *simrt.Cluster
+	rep    *recovery.Report
+	line   *recovery.Line
+	before *recovery.Line
+}
 
-	restarted, err := simrt.New(simrt.Config{
-		N:                   8,
-		Seed:                56,
-		NewEngine:           func(env protocol.Env) protocol.Engine { return core.New(env) },
-		ScheduleCheckpoints: true,
-		SingleInitiation:    true,
-		InitialLine:         line.States(),
+// rollbackQuiesced runs an hour of cfg under runCluster, then crashes P3
+// and recovers it by coordinated rollback while nothing else moves: the
+// workload and timers are off and the network drained, so only the
+// replay can change a channel counter. The restore is checked for
+// orphans inside its event; the cluster is drained again afterwards.
+func rollbackQuiesced(t *testing.T, cfg simrt.Config, rate float64) *rollbackRun {
+	t.Helper()
+	c := runCluster(t, cfg, rate, time.Hour)
+	before, err := recovery.LatestLine(storesOf(c))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := recovery.NewExecutor(c, recovery.ModeRollback)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &rollbackRun{c: c, before: before}
+	at := c.Sim().Now() + time.Second
+	plans := []simrt.CrashPlan{{Proc: 3, At: at, RestartAfter: 30 * time.Second}}
+	err = c.InstallCrashes(plans, func(pid protocol.ProcessID) error {
+		rep, err := x.Recover(pid)
+		if err != nil {
+			return err
+		}
+		r.rep = rep
+		if r.line, err = recovery.LatestLine(storesOf(c)); err != nil {
+			return err
+		}
+		return consistency.Check(c.States())
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// After restart + replay, every channel is caught up: the live state
-	// is consistent and in-transit deficits are zero.
-	states := restarted.States()
-	if err := consistency.Check(states); err != nil {
-		t.Fatalf("restored state inconsistent: %v", err)
+	// MarkLive re-arms the checkpoint timers: stop them again before the
+	// first one fires.
+	if err := c.Run(at + time.Minute); err != nil {
+		t.Fatal(err)
 	}
-	for ch := range transit {
-		from, to := ch[0], ch[1]
-		if protocol.CounterAt(states[from].SentTo, to) != protocol.CounterAt(states[to].RecvFrom, from) {
-			t.Fatalf("channel %v not caught up after replay", ch)
-		}
+	c.StopTimers()
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
 	}
-	// The restored permanent line equals the original line.
-	for i := 0; i < 8; i++ {
-		perm := restarted.Proc(i).Stable().Permanent().State
-		want := line.Checkpoints[i].State
-		for j := 0; j < 8; j++ {
-			if protocol.CounterAt(perm.SentTo, j) != protocol.CounterAt(want.SentTo, j) ||
-				protocol.CounterAt(perm.RecvFrom, j) != protocol.CounterAt(want.RecvFrom, j) {
-				t.Fatalf("P%d restored permanent differs from line", i)
+	for _, e := range c.Errors() {
+		t.Fatalf("cluster error: %v", e)
+	}
+	if r.rep == nil {
+		t.Fatal("recovery never ran")
+	}
+	return r
+}
+
+// TestInTransitAfterRollback: a coordinated rollback replays exactly the
+// channel state the restored line implies — the report's Replayed is the
+// line's in-transit total — and once the cluster drains every channel is
+// caught up to the line's send counts. The run uses Chandy–Lamport, whose
+// lines leave messages in transit on every seed; the mutable engine's
+// lines at these rates almost never do.
+func TestInTransitAfterRollback(t *testing.T) {
+	chandyLamportEngine := func(env protocol.Env) protocol.Engine { return chandylamport.New(env) }
+	r := rollbackQuiesced(t, simrt.Config{Seed: 13, NewEngine: chandyLamportEngine}, 1)
+	states := r.line.States()
+	transit, err := consistency.InTransit(states)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var owed uint64
+	for _, n := range transit {
+		owed += n
+	}
+	if owed == 0 {
+		t.Fatal("nothing in transit at the line; the test exercises nothing")
+	}
+	if r.rep.Replayed != owed {
+		t.Fatalf("replayed %d messages, the line has %d in transit", r.rep.Replayed, owed)
+	}
+	live := r.c.States()
+	for from := 0; from < r.c.N(); from++ {
+		for to := 0; to < r.c.N(); to++ {
+			sent := protocol.CounterAt(states[from].SentTo, to)
+			if got := protocol.CounterAt(live[from].SentTo, to); got != sent {
+				t.Fatalf("P%d->P%d: live sent %d, line sent %d", from, to, got, sent)
+			}
+			if got := protocol.CounterAt(live[to].RecvFrom, from); got != sent {
+				t.Fatalf("P%d->P%d not caught up: received %d of %d (in transit at the line: %d)",
+					from, to, got, sent, transit[[2]protocol.ProcessID{from, to}])
 			}
 		}
 	}
-	// And the restarted system runs more checkpoint rounds correctly.
+}
+
+// TestRestartFromLine: the rollback restores the newest permanent line
+// as it stood before the crash, and the restored cluster keeps
+// checkpointing consistently.
+func TestRestartFromLine(t *testing.T) {
+	r := rollbackQuiesced(t, simrt.Config{Seed: 55}, 0.1)
+	if r.rep.PeersRolled != r.c.N()-1 {
+		t.Fatalf("peers rolled = %d, want %d", r.rep.PeersRolled, r.c.N()-1)
+	}
+	for i := 0; i < r.c.N(); i++ {
+		got, want := r.line.Checkpoints[i].State, r.before.Checkpoints[i].State
+		if got.CSN != want.CSN {
+			t.Fatalf("P%d restored csn %d, line before the crash has %d", i, got.CSN, want.CSN)
+		}
+		for j := 0; j < r.c.N(); j++ {
+			if protocol.CounterAt(got.SentTo, j) != protocol.CounterAt(want.SentTo, j) ||
+				protocol.CounterAt(got.RecvFrom, j) != protocol.CounterAt(want.RecvFrom, j) {
+				t.Fatalf("P%d restored checkpoint differs from the line before the crash", i)
+			}
+		}
+	}
+	committed := len(r.c.Metrics().Completed())
 	gen := &simrt.PointToPoint{Rate: 0.1}
-	gen.Install(restarted)
-	restarted.Start()
-	if err := restarted.Run(time.Hour); err != nil {
+	gen.Install(r.c)
+	r.c.Start()
+	if err := r.c.Run(r.c.Sim().Now() + time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	gen.Stop()
-	restarted.StopTimers()
-	if err := restarted.Drain(); err != nil {
+	r.c.StopTimers()
+	if err := r.c.Drain(); err != nil {
 		t.Fatal(err)
 	}
-	for _, e := range restarted.Errors() {
-		t.Errorf("restarted cluster error: %v", e)
+	for _, e := range r.c.Errors() {
+		t.Errorf("restored cluster error: %v", e)
 	}
-	if len(restarted.Metrics().Completed()) == 0 {
-		t.Fatal("restarted cluster never checkpointed")
+	if len(r.c.Metrics().Completed()) == committed {
+		t.Fatal("restored cluster never checkpointed")
 	}
-	if err := consistency.Check(restarted.PermanentLine()); err != nil {
-		t.Fatalf("restarted recovery line inconsistent: %v", err)
+	if err := consistency.Check(r.c.PermanentLine()); err != nil {
+		t.Fatalf("recovery line after the restore inconsistent: %v", err)
 	}
 }
 
-// TestRestartRejectsBadLine: missing processes and inconsistent lines are
-// rejected up front.
+// TestRestartRejectsBadLine: the executor refuses to restore a line with
+// an orphan — a checkpoint recording receives that no sender's
+// checkpoint sent — and leaves the inconsistency on the cluster's errors.
 func TestRestartRejectsBadLine(t *testing.T) {
-	good := protocol.State{SentTo: make([]uint64, 3), RecvFrom: make([]uint64, 3)}
-	partial := map[protocol.ProcessID]protocol.State{0: good, 1: good}
-	_, err := simrt.New(simrt.Config{
-		N:           3,
-		NewEngine:   func(env protocol.Env) protocol.Engine { return core.New(env) },
-		InitialLine: partial,
-	})
-	if err == nil {
-		t.Fatal("partial line accepted")
+	corrupt := func(pid protocol.ProcessID, _ int) (checkpoint.Store, error) {
+		st := checkpoint.NewStableStore(pid)
+		if pid == 1 {
+			trig := protocol.Trigger{Pid: 1, Inum: 1}
+			bad := protocol.State{Proc: 1, CSN: 1, RecvFrom: []uint64{5}}
+			if err := st.SaveTentative(bad, trig, 0); err != nil {
+				return nil, err
+			}
+			if err := st.MakePermanent(trig, 0); err != nil {
+				return nil, err
+			}
+		}
+		return st, nil
 	}
-	bad := map[protocol.ProcessID]protocol.State{}
-	for i := 0; i < 3; i++ {
-		st := protocol.State{Proc: i, SentTo: make([]uint64, 3), RecvFrom: make([]uint64, 3)}
-		bad[i] = st
+	c, err := simrt.New(simrt.Config{N: 3, NewEngine: mutableEngine, NewStore: corrupt})
+	if err != nil {
+		t.Fatal(err)
 	}
-	st := bad[1]
-	st.RecvFrom[0] = 5 // orphan: P0 never sent
-	bad[1] = st
-	_, err = simrt.New(simrt.Config{
-		N:           3,
-		NewEngine:   func(env protocol.Env) protocol.Engine { return core.New(env) },
-		InitialLine: bad,
-	})
-	if err == nil {
-		t.Fatal("inconsistent line accepted")
+	x, err := recovery.NewExecutor(c, recovery.ModeRollback)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := x.Install([]simrt.CrashPlan{{Proc: 2, At: time.Second, RestartAfter: time.Second}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if len(x.Reports()) != 0 {
+		t.Fatal("inconsistent line restored")
+	}
+	var ie *consistency.InconsistencyError
+	if errs := c.Errors(); len(errs) != 1 || !errors.As(errs[0], &ie) {
+		t.Fatalf("cluster errors = %v, want one inconsistency", errs)
 	}
 }

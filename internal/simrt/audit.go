@@ -73,8 +73,8 @@ func (c *Cluster) Digest() uint64 {
 // committing trigger joins the line: it reached the MSS before the host
 // died, and the MSS commits on its behalf. An instance that left no
 // permanent anywhere is a clean abort and leaves the line standing. The
-// stores must retain every permanent (RetainPermanents 0, or Keep 0 for a
-// durable backend).
+// stores must retain every permanent: the default in-memory store does,
+// and a durable backend does with Keep 0.
 func (c *Cluster) AuditLines() (committed, aborted int, err error) {
 	line := make(map[protocol.ProcessID]protocol.State, len(c.procs))
 	perm := make([]map[protocol.Trigger]protocol.State, len(c.procs))

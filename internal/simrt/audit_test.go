@@ -47,7 +47,7 @@ func TestAuditLinesDownParticipantTentativeJoinsLine(t *testing.T) {
 	}
 	// P2 dies in the event that saves its tentative and sends its reply:
 	// the reply still reaches P1, the commit never reaches P2.
-	for c.Proc(2).Stable().TentativeCount() == 0 {
+	for len(c.Proc(2).Stable().TentativeTriggers()) == 0 {
 		if !c.Sim().Step() {
 			t.Fatal("P2 never took its tentative checkpoint")
 		}

@@ -99,50 +99,3 @@ func TestSkippedInitiationAccounting(t *testing.T) {
 	}
 	c.Drain()
 }
-
-// TestRestartWithinSimrt exercises the restart path against a live
-// workload entirely within this package.
-func TestRestartWithinSimrt(t *testing.T) {
-	first, err := simrt.New(simrt.Config{
-		N:                   4,
-		Seed:                11,
-		NewEngine:           func(env protocol.Env) protocol.Engine { return core.New(env) },
-		ScheduleCheckpoints: true,
-		SingleInitiation:    true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	gen := &simrt.PointToPoint{Rate: 0.2}
-	gen.Install(first)
-	first.Start()
-	first.Run(time.Hour)
-	gen.Stop()
-	first.StopTimers()
-	first.Drain()
-	line := first.PermanentLine()
-
-	second, err := simrt.New(simrt.Config{
-		N:                4,
-		Seed:             12,
-		NewEngine:        func(env protocol.Env) protocol.Engine { return core.New(env) },
-		SingleInitiation: true,
-		InitialLine:      line,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := consistency.Check(second.States()); err != nil {
-		t.Fatal(err)
-	}
-	// Counters carried over.
-	for i := 0; i < 4; i++ {
-		got := second.Proc(i).Stable().Permanent().State
-		want := line[i]
-		for j := 0; j < 4; j++ {
-			if protocol.CounterAt(got.SentTo, j) != protocol.CounterAt(want.SentTo, j) {
-				t.Fatalf("P%d sentTo not restored", i)
-			}
-		}
-	}
-}

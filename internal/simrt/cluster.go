@@ -39,11 +39,6 @@ type Config struct {
 	// (e.g. one opening internal/stable on disk) makes the MSS side of
 	// the storage split durable; simrt itself stays backend-agnostic.
 	NewStore func(pid protocol.ProcessID, n int) (checkpoint.Store, error)
-	// RetainPermanents bounds how many permanent checkpoints the default
-	// in-memory store keeps (the paper's discard rule). 0 keeps all —
-	// the audit setting AuditLines requires.
-	// Factory-built stores configure their own retention.
-	RetainPermanents int
 
 	// NewPayload, when non-nil, attaches a checkpoint payload store (the
 	// data plane: the process image itself, content-addressed and
@@ -51,7 +46,7 @@ type Config struct {
 	// payload lifecycle shadows the control plane exactly: SaveTentative
 	// also saves the image, MakePermanent commits it, DropTentative drops
 	// it, and the stable transfer is charged the save receipt's NewBytes
-	// instead of the fixed CheckpointBytes — the incremental-transfer
+	// instead of the fixed checkpointBytes — the incremental-transfer
 	// saving the chunk store exists to measure. Requires Images.
 	NewPayload func(pid protocol.ProcessID, n int) (checkpoint.PayloadStore, error)
 	// Images supplies the process image a checkpoint taken now would
@@ -67,13 +62,6 @@ type Config struct {
 	// the rollback discarded. Optional; meaningful only with NewPayload.
 	RestoreImage func(pid protocol.ProcessID, img []byte)
 
-	// CompMsgBytes is the computation message size. Paper: 1 KB (4 ms).
-	CompMsgBytes int
-	// SysMsgBytes is the system message size. Paper: 50 B (0.2 ms).
-	SysMsgBytes int
-	// CheckpointBytes is the incremental checkpoint transferred to stable
-	// storage. Paper: 512 KB (2 s).
-	CheckpointBytes int
 	// MutableSaveTime is the local cost of a mutable checkpoint (and of
 	// the pre-copy for a tentative one). Paper: 2.5 ms.
 	MutableSaveTime time.Duration
@@ -81,9 +69,6 @@ type Config struct {
 	// 900 s. The timer resets whenever the process takes a stable
 	// checkpoint early (inherited request), as §5.1 specifies.
 	CheckpointInterval time.Duration
-	// DozeWakeLatency is the cost of waking a dozing host on message
-	// arrival. Default 5 ms.
-	DozeWakeLatency time.Duration
 	// ScheduleCheckpoints enables the per-process checkpoint timers.
 	ScheduleCheckpoints bool
 	// ScheduledProcs, when positive, arms checkpoint timers only on the
@@ -120,14 +105,21 @@ type Config struct {
 
 	// Trace, when non-nil, records structured events for tests/tools.
 	Trace *trace.Log
-
-	// InitialLine, when non-nil, restarts the cluster from a recovery
-	// line: every process resumes from its checkpoint in the line (its
-	// stable store and channel counters are seeded from it) and messages
-	// that were in transit at the line are replayed by the reliable
-	// channel layer before the simulation starts.
-	InitialLine map[protocol.ProcessID]protocol.State
 }
+
+// The paper's §5.1 message and checkpoint sizes, and the doze wakeup cost.
+const (
+	// compMsgBytes is the computation message size. Paper: 1 KB (4 ms).
+	compMsgBytes = 1024
+	// sysMsgBytes is the system message size. Paper: 50 B (0.2 ms).
+	sysMsgBytes = 50
+	// checkpointBytes is the incremental checkpoint transferred to stable
+	// storage. Paper: 512 KB (2 s).
+	checkpointBytes = 512 * 1024
+	// dozeWakeLatency is the cost of waking a dozing host on message
+	// arrival.
+	dozeWakeLatency = 5 * time.Millisecond
+)
 
 // Defaults fills zero fields with the paper's simulation parameters.
 func (c Config) Defaults() Config {
@@ -139,23 +131,11 @@ func (c Config) Defaults() Config {
 			return netsim.NewLAN(sim, n, netsim.WirelessLAN2Mbps)
 		}
 	}
-	if c.CompMsgBytes == 0 {
-		c.CompMsgBytes = 1024
-	}
-	if c.SysMsgBytes == 0 {
-		c.SysMsgBytes = 50
-	}
-	if c.CheckpointBytes == 0 {
-		c.CheckpointBytes = 512 * 1024
-	}
 	if c.MutableSaveTime == 0 {
 		c.MutableSaveTime = 2500 * time.Microsecond
 	}
 	if c.CheckpointInterval == 0 {
 		c.CheckpointInterval = 900 * time.Second
-	}
-	if c.DozeWakeLatency == 0 {
-		c.DozeWakeLatency = 5 * time.Millisecond
 	}
 	return c
 }
@@ -226,75 +206,7 @@ func New(cfg Config) (*Cluster, error) {
 	for _, p := range c.procs {
 		p.engine = cfg.NewEngine(p)
 	}
-	if cfg.InitialLine != nil {
-		if err := c.restoreLine(cfg.InitialLine); err != nil {
-			return nil, err
-		}
-	}
 	return c, nil
-}
-
-// restoreLine seeds every process from its checkpoint in the line and
-// replays in-transit messages (sent before the sender's checkpoint,
-// unreceived at the receiver's) so the restored global state is exactly
-// the consistent line.
-func (c *Cluster) restoreLine(line map[protocol.ProcessID]protocol.State) error {
-	for i, p := range c.procs {
-		st, ok := line[i]
-		if !ok {
-			return fmt.Errorf("simrt: InitialLine missing process %d", i)
-		}
-		if len(st.SentTo) > c.cfg.N || len(st.RecvFrom) > c.cfg.N {
-			return fmt.Errorf("simrt: InitialLine state for P%d has wrong arity", i)
-		}
-		p.sentTo = append(p.sentTo[:0], st.SentTo...)
-		p.recvFrom = append(p.recvFrom[:0], st.RecvFrom...)
-		if err := p.ckpt.Stable.SeedPermanent(st); err != nil {
-			return fmt.Errorf("simrt: %w", err)
-		}
-	}
-	// Replay channel deficits: these messages were sent before the line
-	// and must still arrive (reliable channels). They carry csn 0 and no
-	// trigger, so engines simply record the dependency and deliver. Only
-	// channels with recorded traffic need a look: counters are truncated
-	// (missing entries read 0), and recv > sent is impossible on a
-	// channel whose sender never recorded a send unless the line is
-	// inconsistent — which the receiver-side scan below still catches.
-	for from := 0; from < c.cfg.N; from++ {
-		for to := range line[from].SentTo {
-			if from == to {
-				continue
-			}
-			sent := line[from].SentTo[to]
-			recv := protocol.CounterAt(line[to].RecvFrom, from)
-			if recv > sent {
-				return fmt.Errorf("simrt: InitialLine inconsistent on channel P%d->P%d", from, to)
-			}
-			for k := recv; k < sent; k++ {
-				m := &protocol.Message{
-					Kind: protocol.KindComputation,
-					From: from,
-					To:   to,
-					Size: c.cfg.CompMsgBytes,
-				}
-				c.procs[to].engine.HandleMessage(m)
-			}
-		}
-	}
-	// Receiver-side consistency scan: a recv count with no matching send
-	// record is an inconsistent line even when the sender's truncated
-	// vector has no entry for the channel.
-	for to := 0; to < c.cfg.N; to++ {
-		for from := range line[to].RecvFrom {
-			if from == to {
-				continue
-			}
-			if line[to].RecvFrom[from] > protocol.CounterAt(line[from].SentTo, to) {
-				return fmt.Errorf("simrt: InitialLine inconsistent on channel P%d->P%d", from, to)
-			}
-		}
-	}
-	return nil
 }
 
 // newStore builds one process's stable store per the configuration.
@@ -302,9 +214,7 @@ func (c *Cluster) newStore(pid protocol.ProcessID) (checkpoint.Store, error) {
 	if c.cfg.NewStore != nil {
 		return c.cfg.NewStore(pid, c.cfg.N)
 	}
-	st := checkpoint.NewStableStore(pid, c.cfg.N)
-	st.SetRetain(c.cfg.RetainPermanents)
-	return st, nil
+	return checkpoint.NewStableStore(pid), nil
 }
 
 // newPayload builds one process's payload store view (nil when the run

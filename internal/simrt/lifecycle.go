@@ -131,14 +131,14 @@ func (p *Proc) MarkLive() {
 // InjectReplay redelivers one logged or in-transit computation message
 // from the given sender straight into the engine (the reliable-channel
 // replay step of recovery: content-free counter deltas, csn 0, no
-// trigger — the same shape restoreLine uses for a cold restart).
+// trigger).
 func (p *Proc) InjectReplay(from protocol.ProcessID) {
 	p.c.metrics.ReplayedMessages++
 	m := &protocol.Message{
 		Kind: protocol.KindComputation,
 		From: from,
 		To:   p.id,
-		Size: p.c.cfg.CompMsgBytes,
+		Size: compMsgBytes,
 	}
 	p.engine.HandleMessage(m)
 }
@@ -169,9 +169,9 @@ func (p *Proc) ForwardSentTo(to protocol.ProcessID, v uint64) {
 // a payload plane the restore is real: the newest permanent image is
 // materialized through the chunk backend, handed back to the workload,
 // and the medium is charged the deduped distinct-chunk bytes the
-// manifest actually requires — not the fixed CheckpointBytes.
+// manifest actually requires — not the fixed checkpointBytes.
 func (p *Proc) StableTransferNow() {
-	transfer := p.c.cfg.CheckpointBytes
+	transfer := checkpointBytes
 	if pay := p.ckpt.Payload; pay != nil {
 		img, ok, err := pay.PermanentPayload()
 		if p.check("restore payload", err) && ok {

@@ -230,7 +230,7 @@ func (p *Proc) sendApp(to protocol.ProcessID, payload []byte) {
 	p.engine.PrepareSend(m)
 	p.seq++
 	m.Seq = p.seq
-	m.Size = p.c.cfg.CompMsgBytes
+	m.Size = compMsgBytes
 	p.sentTo = growCounter(p.sentTo, to)
 	p.sentTo[to]++
 	if p.c.cfg.MessageLogging {
@@ -271,7 +271,7 @@ func (p *Proc) receive(m *protocol.Message) {
 	if p.dozing {
 		// §1: the MH in doze mode is awakened on receiving a message.
 		p.wakeups++
-		p.busyUntil = now + p.c.cfg.DozeWakeLatency
+		p.busyUntil = now + dozeWakeLatency
 		p.Trace(trace.KindNote, m.From, "wakeup for %v", m.Kind)
 	}
 	if now < p.busyUntil {
@@ -318,7 +318,7 @@ func (p *Proc) Now() time.Duration { return p.c.sim.Now() }
 // Send implements protocol.Env for system messages.
 func (p *Proc) Send(m *protocol.Message) {
 	m.From = p.id
-	m.Size = p.c.cfg.SysMsgBytes
+	m.Size = sysMsgBytes
 	p.countSys(m, 1)
 	p.c.send(p, m.To, m)
 }
@@ -328,7 +328,7 @@ func (p *Proc) Send(m *protocol.Message) {
 func (p *Proc) Broadcast(m *protocol.Message) {
 	m.From = p.id
 	m.To = -1
-	m.Size = p.c.cfg.SysMsgBytes
+	m.Size = sysMsgBytes
 	p.countSys(m, 1)
 	epS := p.epoch
 	p.c.transport.Broadcast(p.id, m.Size, func(to protocol.ProcessID) {
@@ -404,7 +404,7 @@ func (p *Proc) CaptureState() protocol.State {
 
 // saveTentative records a tentative checkpoint carrying img and charges
 // its stable transfer: the payload receipt's NewBytes — what dedup left
-// to actually move — or the configured fixed CheckpointBytes when the run
+// to actually move — or the fixed checkpointBytes when the run
 // has no payload plane. It returns the initiation record the checkpoint
 // counts toward, if any.
 func (p *Proc) saveTentative(s protocol.State, trig protocol.Trigger, img []byte) *InitiationRecord {
@@ -418,7 +418,7 @@ func (p *Proc) saveTentative(s protocol.State, trig protocol.Trigger, img []byte
 	if rec != nil {
 		rec.Tentative++
 	}
-	transfer := p.c.cfg.CheckpointBytes
+	transfer := checkpointBytes
 	if p.ckpt.Payload != nil {
 		m.PayloadSaves++
 		m.PayloadLogicalBytes += rcpt.LogicalBytes
@@ -567,7 +567,7 @@ func (p *Proc) Disconnect() {
 		return
 	}
 	p.disconnected = true
-	p.c.transport.StableTransfer(p.id, p.c.cfg.CheckpointBytes, nil)
+	p.c.transport.StableTransfer(p.id, checkpointBytes, nil)
 	p.Trace(trace.KindNote, -1, "disconnect")
 }
 

@@ -56,7 +56,7 @@ func TestRequestTimeoutAbortsLostInstance(t *testing.T) {
 		if got := len(c.Proc(i).Stable().History()); got != 1 {
 			t.Fatalf("P%d has %d permanents after timeout abort, want 1", i, got)
 		}
-		if c.Proc(i).Stable().TentativeCount() != 0 {
+		if len(c.Proc(i).Stable().TentativeTriggers()) != 0 {
 			t.Fatalf("P%d keeps a tentative after timeout abort", i)
 		}
 		if c.Proc(i).Mutable().Len() != 0 {
@@ -112,7 +112,7 @@ func TestRequestTimeoutPartialCommit(t *testing.T) {
 		t.Fatalf("P0 has %d permanents, want 1 (contaminated)", got)
 	}
 	for i := 0; i < c.N(); i++ {
-		if c.Proc(i).Stable().TentativeCount() != 0 {
+		if len(c.Proc(i).Stable().TentativeTriggers()) != 0 {
 			t.Fatalf("P%d keeps a tentative", i)
 		}
 	}

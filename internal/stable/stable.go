@@ -154,7 +154,7 @@ func Open(dir string, proc protocol.ProcessID, n int, opts Options) (*Store, err
 		opts.CompactEvery = 1
 	}
 	s := &Store{proc: proc, opts: opts}
-	s.mem = checkpoint.NewStableStore(proc, n)
+	s.mem = checkpoint.NewStableStore(proc)
 	s.mem.SetRetain(opts.Keep)
 	log, err := seglog.Open(dir, "seg",
 		seglog.Options{FS: opts.FS, Sync: opts.Sync, SegmentBytes: opts.SegmentBytes},
@@ -332,17 +332,6 @@ func (s *Store) do(commit bool, step func() (gen uint64, err error)) error {
 
 // --- checkpoint.Store implementation ---
 
-// SeedPermanent implements checkpoint.Store: it validates against the
-// index, then persists the restored state as a snapshot.
-func (s *Store) SeedPermanent(st protocol.State) error {
-	return s.do(true, func() (uint64, error) {
-		if err := s.mem.SeedPermanent(st); err != nil {
-			return 0, err
-		}
-		return s.appendLocked(s.snapshotRecord())
-	})
-}
-
 // SaveTentative implements checkpoint.Store. The record is appended but
 // only fsynced under SyncAlways: the later commit's fsync covers it,
 // because a file's writes become durable in order.
@@ -366,13 +355,6 @@ func (s *Store) Tentative(trig protocol.Trigger) (checkpoint.Record, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.mem.Tentative(trig)
-}
-
-// TentativeCount implements checkpoint.Store.
-func (s *Store) TentativeCount() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.mem.TentativeCount()
 }
 
 // TentativeTriggers implements checkpoint.Store.
@@ -452,21 +434,6 @@ func (s *Store) History() []checkpoint.Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.mem.History()
-}
-
-// GC implements checkpoint.Store: it trims the index and compacts the
-// log so the dropped permanents leave the disk too. The returned count
-// is the number dropped from the index; a compaction failure poisons the
-// store (visible via Broken).
-func (s *Store) GC(keep int) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.usable() != nil {
-		return 0
-	}
-	dropped := s.mem.GC(keep)
-	s.compactLocked() //nolint:errcheck // reported through Broken
-	return dropped
 }
 
 // Compact writes the current image as a snapshot record into a fresh

@@ -44,8 +44,8 @@ func sameState(t *testing.T, got, want checkpoint.Store) {
 			t.Fatalf("history[%d]: got %+v want %+v", i, gh[i], wh[i])
 		}
 	}
-	if got.TentativeCount() != want.TentativeCount() {
-		t.Fatalf("tentatives: got %d want %d", got.TentativeCount(), want.TentativeCount())
+	if len(got.TentativeTriggers()) != len(want.TentativeTriggers()) {
+		t.Fatalf("tentatives: got %d want %d", len(got.TentativeTriggers()), len(want.TentativeTriggers()))
 	}
 	for _, trig := range want.TentativeTriggers() {
 		gr, ok := got.Tentative(trig)
@@ -65,7 +65,7 @@ func TestFreshStoreMatchesMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	sameState(t, st, checkpoint.NewStableStore(0, 3))
+	sameState(t, st, checkpoint.NewStableStore(0))
 }
 
 // TestLifecycleParity drives the durable store and the in-memory store
@@ -78,7 +78,7 @@ func TestLifecycleParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	mem := checkpoint.NewStableStore(0, 3)
+	mem := checkpoint.NewStableStore(0)
 
 	step := func(name string, f func(checkpoint.Store) error) {
 		t.Helper()
@@ -366,34 +366,6 @@ func TestCompactionPreservesTentatives(t *testing.T) {
 	}
 }
 
-func TestManualGCCompactsDisk(t *testing.T) {
-	fs := errfs.New()
-	dir := "mss/p000"
-	st, err := stable.Open(dir, 0, 2, stable.Options{FS: fs}) // Keep=0: audit mode
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	for i := 1; i <= 3; i++ {
-		trig := protocol.Trigger{Pid: 0, Inum: i}
-		st.SaveTentative(state(0, 2, i), trig, 0)
-		st.MakePermanent(trig, 0)
-	}
-	if len(st.History()) != 4 { // seed + 3: audit mode keeps everything
-		t.Fatalf("history = %d", len(st.History()))
-	}
-	if dropped := st.GC(1); dropped != 3 {
-		t.Fatalf("GC dropped %d, want 3", dropped)
-	}
-	if segs := st.Segments(); len(segs) != 1 {
-		t.Fatalf("segments after GC = %v", segs)
-	}
-	names, _ := fs.ReadDir(dir)
-	if len(names) != 1 {
-		t.Fatalf("files after GC = %v", names)
-	}
-}
-
 func TestSegmentRolling(t *testing.T) {
 	fs := errfs.New()
 	dir := "mss/p000"
@@ -531,27 +503,5 @@ func TestRealDisk(t *testing.T) {
 	}
 	if _, ok := re.Tentative(pending); !ok {
 		t.Fatal("pending tentative lost on real disk")
-	}
-}
-
-func TestSeedPermanent(t *testing.T) {
-	fs := errfs.New()
-	dir := "mss/p000"
-	st, err := stable.Open(dir, 0, 2, stable.Options{FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed := state(0, 2, 7)
-	if err := st.SeedPermanent(seed); err != nil {
-		t.Fatal(err)
-	}
-	st.Close()
-	re, err := stable.Open(dir, 0, 2, stable.Options{FS: fs})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.Close()
-	if re.Permanent().State.CSN != 7 {
-		t.Fatalf("seeded permanent CSN = %d", re.Permanent().State.CSN)
 	}
 }
