@@ -9,6 +9,8 @@ import (
 	"sort"
 	"testing"
 	"time"
+
+	"mutablecp/internal/algorithms"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files from the current engine")
@@ -64,7 +66,33 @@ func goldenGrid() []goldenCase {
 		cfg: Config{Algorithm: AlgoMutable, N: 16, Seed: 1,
 			Workload: WorkloadP2P, Rate: 0.05, Horizon: short, DozeCount: 4},
 	})
+	// One case for every other registered engine: each draws its message
+	// structs from the simulator's free list, like the mutable engine.
+	for _, algo := range algorithms.Names() {
+		if algo == AlgoMutable || algo == AlgoMutableTargeted {
+			continue
+		}
+		grid = append(grid, goldenCase{
+			name: algo + "/p2p-n16-seed1",
+			cfg: Config{Algorithm: algo, N: 16, Seed: 1,
+				Workload: WorkloadP2P, Rate: 0.05, Horizon: short},
+		})
+	}
 	return grid
+}
+
+// shortGrid keeps the first four mutable cases and the first case of
+// every other engine, so a -short run still checks each algorithm.
+func shortGrid(grid []goldenCase) []goldenCase {
+	var out []goldenCase
+	seen := make(map[string]bool)
+	for i, gc := range grid {
+		if i < 4 || (gc.cfg.Algorithm != AlgoMutable && !seen[gc.cfg.Algorithm]) {
+			out = append(out, gc)
+			seen[gc.cfg.Algorithm] = true
+		}
+	}
+	return out
 }
 
 func caseName(wl string, n int, seed uint64) string {
@@ -80,7 +108,7 @@ const goldenPath = "testdata/engine_fingerprints.json"
 func TestEngineFingerprintGolden(t *testing.T) {
 	grid := goldenGrid()
 	if testing.Short() {
-		grid = grid[:4]
+		grid = shortGrid(grid)
 	}
 	got := make(map[string]string, len(grid))
 	for _, gc := range grid {
