@@ -112,13 +112,15 @@ func (e *Engine) startRecording(round int, collector protocol.ProcessID) {
 		if j == e.id {
 			continue
 		}
-		e.env.Send(&protocol.Message{
+		out := protocol.NewMessage(e.env)
+		*out = protocol.Message{
 			Kind:    protocol.KindMarker,
 			From:    e.id,
 			To:      j,
 			CSN:     round,
 			Trigger: trig,
-		})
+		}
+		e.env.Send(out)
 	}
 }
 
@@ -171,12 +173,14 @@ func (e *Engine) handleMarker(m *protocol.Message) {
 	}
 	// Report completion to the round's collector (the initiator), which
 	// commits once every process has recorded all its channels.
-	e.env.Send(&protocol.Message{
+	out := protocol.NewMessage(e.env)
+	*out = protocol.Message{
 		Kind:    protocol.KindReply,
 		From:    e.id,
 		To:      e.collector,
 		Trigger: roundTrigger(e.collector, e.round),
-	})
+	}
+	e.env.Send(out)
 }
 
 // finish commits the round: every process turns its recorded state
@@ -185,11 +189,13 @@ func (e *Engine) finish() {
 	e.initiating = false
 	trig := roundTrigger(e.collector, e.round)
 	e.env.Trace(trace.KindCommit, -1, "round=%d", e.round)
-	e.env.Broadcast(&protocol.Message{
+	out := protocol.NewMessage(e.env)
+	*out = protocol.Message{
 		Kind:    protocol.KindCommit,
 		From:    e.id,
 		Trigger: trig,
-	})
+	}
+	e.env.Broadcast(out)
 	e.applyCommit()
 	e.env.CheckpointingDone(trig, true)
 }

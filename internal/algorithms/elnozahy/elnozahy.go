@@ -91,12 +91,14 @@ func (e *Engine) Initiate() error {
 	e.round = e.csn + 1
 	e.env.Trace(trace.KindInitiate, -1, "round=%d", e.round)
 	e.takeCheckpoint(e.round)
-	e.env.Broadcast(&protocol.Message{
+	out := protocol.NewMessage(e.env)
+	*out = protocol.Message{
 		Kind:    protocol.KindRequest,
 		From:    e.id,
 		CSN:     e.round,
 		Trigger: roundTrigger(e.round),
-	})
+	}
+	e.env.Broadcast(out)
 	return nil
 }
 
@@ -133,12 +135,14 @@ func (e *Engine) HandleMessage(m *protocol.Message) {
 		if m.CSN > e.csn {
 			e.takeCheckpoint(m.CSN)
 		}
-		e.env.Send(&protocol.Message{
+		out := protocol.NewMessage(e.env)
+		*out = protocol.Message{
 			Kind:    protocol.KindReply,
 			From:    e.id,
 			To:      m.From,
 			Trigger: m.Trigger,
-		})
+		}
+		e.env.Send(out)
 	case protocol.KindReply:
 		if !e.initiating || m.Trigger != roundTrigger(e.round) {
 			return
@@ -158,11 +162,13 @@ func (e *Engine) commit() {
 	trig := roundTrigger(e.round)
 	e.initiating = false
 	e.env.Trace(trace.KindCommit, -1, "broadcast round=%d", e.round)
-	e.env.Broadcast(&protocol.Message{
+	out := protocol.NewMessage(e.env)
+	*out = protocol.Message{
 		Kind:    protocol.KindCommit,
 		From:    e.id,
 		Trigger: trig,
-	})
+	}
+	e.env.Broadcast(out)
 	e.applyCommit()
 	e.env.CheckpointingDone(trig, true)
 }

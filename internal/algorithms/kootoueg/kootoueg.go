@@ -153,7 +153,8 @@ func (e *Engine) sendRequests() {
 	e.awaiting = len(e.children)
 	for _, j := range e.children {
 		e.env.Trace(trace.KindRequest, j, "trigger=%v expected=%d", e.trig, e.recvTotal[j])
-		e.env.Send(&protocol.Message{
+		out := protocol.NewMessage(e.env)
+		*out = protocol.Message{
 			Kind:    protocol.KindRequest,
 			From:    e.id,
 			To:      j,
@@ -162,7 +163,8 @@ func (e *Engine) sendRequests() {
 			// received from j; j checkpoints iff its last checkpoint does
 			// not record that many sends to us.
 			ReqCSN: int(e.recvTotal[j]),
-		})
+		}
+		e.env.Send(out)
 	}
 }
 
@@ -217,13 +219,15 @@ func (e *Engine) handleRequest(m *protocol.Message) {
 // refusal.
 func (e *Engine) replyTo(to protocol.ProcessID, trig protocol.Trigger, ok bool) {
 	e.env.Trace(trace.KindReply, to, "ok=%v", ok)
-	e.env.Send(&protocol.Message{
+	out := protocol.NewMessage(e.env)
+	*out = protocol.Message{
 		Kind:    protocol.KindReply,
 		From:    e.id,
 		To:      to,
 		Trigger: trig,
 		Commit:  ok,
-	})
+	}
+	e.env.Send(out)
 }
 
 func (e *Engine) handleReply(m *protocol.Message) {
@@ -260,13 +264,15 @@ func (e *Engine) decide(commit bool) {
 
 func (e *Engine) propagateDecision(commit bool) {
 	for _, j := range e.children {
-		e.env.Send(&protocol.Message{
+		out := protocol.NewMessage(e.env)
+		*out = protocol.Message{
 			Kind:    protocol.KindDecision,
 			From:    e.id,
 			To:      j,
 			Trigger: e.trig,
 			Commit:  commit,
-		})
+		}
+		e.env.Send(out)
 	}
 }
 

@@ -155,7 +155,8 @@ func (e *Engine) checkpointAndPropagate(trig protocol.Trigger, w dyadic.Weight) 
 	for _, k := range deps {
 		w = w.Half()
 		e.env.Trace(trace.KindRequest, k, "trigger=%v", trig)
-		e.env.Send(&protocol.Message{
+		out := protocol.NewMessage(e.env)
+		*out = protocol.Message{
 			Kind:    protocol.KindRequest,
 			From:    e.id,
 			To:      k,
@@ -163,7 +164,8 @@ func (e *Engine) checkpointAndPropagate(trig protocol.Trigger, w dyadic.Weight) 
 			Trigger: trig,
 			ReqCSN:  e.csn[k],
 			Weight:  w,
-		})
+		}
+		e.env.Send(out)
 	}
 	return w
 }
@@ -220,13 +222,15 @@ func (e *Engine) handleRequest(m *protocol.Message) {
 		e.credit(m.Trigger, retained)
 		return
 	}
-	e.env.Send(&protocol.Message{
+	out := protocol.NewMessage(e.env)
+	*out = protocol.Message{
 		Kind:    protocol.KindReply,
 		From:    e.id,
 		To:      initiator,
 		Trigger: m.Trigger,
 		Weight:  retained,
-	})
+	}
+	e.env.Send(out)
 }
 
 func (e *Engine) credit(trig protocol.Trigger, w dyadic.Weight) {

@@ -60,8 +60,14 @@ var (
 // backend applies its own retention rule to superseded permanents. The
 // simulation runtime (simrt) and the recovery executor speak only this
 // interface, so a simulation can run against either backend.
+//
+// A store owns the State it is handed: it keeps the counter slices
+// without copying them, so the caller must pass a fresh State (as
+// protocol.Env.CaptureState returns) and never write to it again. Records
+// read back share those slices and are read-only too.
 type Store interface {
-	// SaveTentative records a tentative checkpoint for trig.
+	// SaveTentative records a tentative checkpoint for trig. The store
+	// takes ownership of s.
 	SaveTentative(s protocol.State, trig protocol.Trigger, at time.Duration) error
 	// Tentative returns the pending tentative checkpoint for trig, if any.
 	Tentative(trig protocol.Trigger) (Record, bool)
@@ -118,7 +124,8 @@ func NewStableStore(proc protocol.ProcessID) *StableStore {
 
 // RestoreStableStore rebuilds a store from a saved image: the retained
 // permanent history (oldest first) and any pending tentatives. The
-// durable store uses it to apply snapshot records at open.
+// durable store uses it to apply snapshot records at open. The store
+// takes ownership of the records' states, as it does on SaveTentative.
 func RestoreStableStore(proc protocol.ProcessID, perm, tent []Record) (*StableStore, error) {
 	if len(perm) == 0 {
 		return nil, fmt.Errorf("checkpoint: restore P%d with no permanent checkpoint", proc)
@@ -132,7 +139,6 @@ func RestoreStableStore(proc protocol.ProcessID, perm, tent []Record) (*StableSt
 		if r.Status != StatusPermanent {
 			return nil, fmt.Errorf("checkpoint: restore P%d: %v record in permanent history", proc, r.Status)
 		}
-		r.State = r.State.Clone()
 		st.permanent = append(st.permanent, r)
 	}
 	for _, r := range tent {
@@ -143,7 +149,6 @@ func RestoreStableStore(proc protocol.ProcessID, perm, tent []Record) (*StableSt
 			return nil, fmt.Errorf("checkpoint: restore P%d: duplicate tentative for %+v", proc, r.Trigger)
 		}
 		rec := r
-		rec.State = r.State.Clone()
 		st.tentative[r.Trigger] = &rec
 	}
 	return st, nil
@@ -158,13 +163,14 @@ func (st *StableStore) SetRetain(k int) {
 	st.retain = k
 }
 
-// SaveTentative records a tentative checkpoint for the given trigger. At
-// most one tentative checkpoint may be pending per trigger.
+// SaveTentative records a tentative checkpoint for the given trigger and
+// keeps s without copying it (see Store). At most one tentative
+// checkpoint may be pending per trigger.
 func (st *StableStore) SaveTentative(s protocol.State, trig protocol.Trigger, at time.Duration) error {
 	if _, ok := st.tentative[trig]; ok {
 		return ErrTentativePending
 	}
-	rec := Record{State: s.Clone(), Trigger: trig, Status: StatusTentative, SavedAt: at}
+	rec := Record{State: s, Trigger: trig, Status: StatusTentative, SavedAt: at}
 	st.tentative[trig] = &rec
 	return nil
 }
@@ -255,12 +261,13 @@ func NewMutableStore(proc protocol.ProcessID) *MutableStore {
 	return &MutableStore{proc: proc, recs: make(map[protocol.Trigger]Record)}
 }
 
-// Save stores a mutable checkpoint for the given trigger.
+// Save stores a mutable checkpoint for the given trigger and, like
+// StableStore.SaveTentative, takes ownership of s.
 func (ms *MutableStore) Save(s protocol.State, trig protocol.Trigger, at time.Duration) error {
 	if _, ok := ms.recs[trig]; ok {
 		return ErrDuplicateMutable
 	}
-	ms.recs[trig] = Record{State: s.Clone(), Trigger: trig, Status: StatusMutable, SavedAt: at}
+	ms.recs[trig] = Record{State: s, Trigger: trig, Status: StatusMutable, SavedAt: at}
 	return nil
 }
 

@@ -104,18 +104,47 @@ func TestMakePermanentWithoutTentative(t *testing.T) {
 	}
 }
 
-func TestTentativeStateIsDeepCopied(t *testing.T) {
-	st := checkpoint.NewStableStore(0)
-	s := state(0, 2)
+// TestStoreOwnsHandedState pins the Store contract: each save path keeps
+// the counter slices it is handed instead of copying them, so a checkpoint
+// costs the one copy CaptureState makes. Records read back share them.
+func TestStoreOwnsHandedState(t *testing.T) {
+	same := func(what string, got, want protocol.State) {
+		t.Helper()
+		if &got.SentTo[0] != &want.SentTo[0] || &got.RecvFrom[0] != &want.RecvFrom[0] {
+			t.Errorf("%s: store copied the handed state", what)
+		}
+	}
 	trig := protocol.Trigger{Pid: 1, Inum: 1}
-	if err := st.SaveTentative(s, trig, 0); err != nil {
+
+	st := checkpoint.NewStableStore(0)
+	tent := state(0, 2)
+	if err := st.SaveTentative(tent, trig, 0); err != nil {
 		t.Fatal(err)
 	}
-	s.SentTo[1] = 99 // mutate the caller's slice after save
 	rec, _ := st.Tentative(trig)
-	if rec.State.SentTo[1] != 0 {
-		t.Fatal("store aliased the caller's state")
+	same("SaveTentative", rec.State, tent)
+	if err := st.MakePermanent(trig, 0); err != nil {
+		t.Fatal(err)
 	}
+	same("MakePermanent", st.Permanent().State, tent)
+
+	ms := checkpoint.NewMutableStore(0)
+	mut := state(0, 2)
+	if err := ms.Save(mut, trig, 0); err != nil {
+		t.Fatal(err)
+	}
+	rec, _ = ms.Get(trig)
+	same("MutableStore.Save", rec.State, mut)
+
+	perm := []checkpoint.Record{{State: state(0, 2), Status: checkpoint.StatusPermanent}}
+	pend := []checkpoint.Record{{State: state(0, 2), Trigger: trig, Status: checkpoint.StatusTentative}}
+	rs, err := checkpoint.RestoreStableStore(0, perm, pend)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same("RestoreStableStore permanent", rs.Permanent().State, perm[0].State)
+	rec, _ = rs.Tentative(trig)
+	same("RestoreStableStore tentative", rec.State, pend[0].State)
 }
 
 // TestGC: a retention bound set on a store that already holds a long

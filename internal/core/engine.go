@@ -330,7 +330,8 @@ func (e *Engine) propCPLoaded(r bitset.Snapshot, trig protocol.Trigger, recvWeig
 	tracing := e.env.Tracing()
 	for _, k := range targets {
 		w = w.Half()
-		req := &protocol.Message{
+		req := protocol.NewMessage(e.env)
+		*req = protocol.Message{
 			Kind:    protocol.KindRequest,
 			From:    e.id,
 			To:      k,
@@ -518,14 +519,16 @@ func (e *Engine) reply(initiator protocol.ProcessID, trig protocol.Trigger, w dy
 	if e.env.Tracing() {
 		e.env.Trace(trace.KindReply, initiator, "w=%v", w)
 	}
-	e.env.Send(&protocol.Message{
+	out := protocol.NewMessage(e.env)
+	*out = protocol.Message{
 		Kind:    protocol.KindReply,
 		From:    e.id,
 		To:      initiator,
 		Trigger: trig,
 		Weight:  w,
 		MR:      protocol.MRFlags(deps),
-	})
+	}
+	e.env.Send(out)
 }
 
 // credit implements the initiator's second phase (§3.3.4): accumulate
@@ -557,23 +560,27 @@ func (e *Engine) maybeCommit() {
 		// iteration order is not), which replay and the fingerprint
 		// equivalence oracle rely on.
 		for _, p := range e.sortedPids(e.repliers) {
-			e.env.Send(&protocol.Message{
+			out := protocol.NewMessage(e.env)
+			*out = protocol.Message{
 				Kind:    protocol.KindCommit,
 				From:    e.id,
 				To:      p,
 				Trigger: trig,
-			})
+			}
+			e.env.Send(out)
 		}
 		e.repliers = nil
 	} else {
 		if e.env.Tracing() {
 			e.env.Trace(trace.KindCommit, -1, "broadcast trigger=%v", trig)
 		}
-		e.env.Broadcast(&protocol.Message{
+		out := protocol.NewMessage(e.env)
+		*out = protocol.Message{
 			Kind:    protocol.KindCommit,
 			From:    e.id,
 			Trigger: trig,
-		})
+		}
+		e.env.Broadcast(out)
 	}
 	e.handleCommit(trig)
 	e.env.CheckpointingDone(trig, true)
@@ -612,12 +619,14 @@ func (e *Engine) handleCommit(trig protocol.Trigger) {
 			if p == trig.Pid {
 				continue
 			}
-			e.env.Send(&protocol.Message{
+			out := protocol.NewMessage(e.env)
+			*out = protocol.Message{
 				Kind:    protocol.KindCommit,
 				From:    e.id,
 				To:      p,
 				Trigger: trig,
-			})
+			}
+			e.env.Send(out)
 		}
 		e.notifySet = nil
 	}
@@ -664,11 +673,13 @@ func (e *Engine) AbortCurrent() error {
 	if e.env.Tracing() {
 		e.env.Trace(trace.KindAbort, -1, "broadcast trigger=%v", trig)
 	}
-	e.env.Broadcast(&protocol.Message{
+	out := protocol.NewMessage(e.env)
+	*out = protocol.Message{
 		Kind:    protocol.KindAbort,
 		From:    e.id,
 		Trigger: trig,
-	})
+	}
+	e.env.Broadcast(out)
 	e.handleAbort(trig)
 	e.env.CheckpointingDone(trig, false)
 	return nil

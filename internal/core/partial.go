@@ -77,12 +77,14 @@ func (e *Engine) abortPartial(seed map[protocol.ProcessID]bool) error {
 	if e.env.Tracing() {
 		e.env.Trace(trace.KindCommit, -1, "partial commit trigger=%v excluded=%v", trig, contaminated)
 	}
-	e.env.Broadcast(&protocol.Message{
+	out := protocol.NewMessage(e.env)
+	*out = protocol.Message{
 		Kind:    protocol.KindCommit,
 		From:    e.id,
 		Trigger: trig,
 		MR:      protocol.MRFlags(excluded.Snapshot()),
-	})
+	}
+	e.env.Broadcast(out)
 	if contaminated[e.id] {
 		e.handleAbort(trig)
 		e.env.CheckpointingDone(trig, false)

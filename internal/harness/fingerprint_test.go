@@ -18,7 +18,8 @@ var update = flag.Bool("update", false, "rewrite golden files from the current e
 // goldenGrid is the seed-for-seed equivalence matrix: enough workload
 // shapes, process counts (including N > 64 to cross a bitset word
 // boundary), and seeds that any behavioural or formatting drift in the
-// mutable engine changes at least one fingerprint.
+// mutable engine changes at least one fingerprint, plus one case for each
+// other engine.
 type goldenCase struct {
 	name string
 	cfg  Config
@@ -101,9 +102,9 @@ func caseName(wl string, n int, seed uint64) string {
 
 const goldenPath = "testdata/engine_fingerprints.json"
 
-// TestEngineFingerprintGolden locks the mutable engine's execution,
-// message contents, and trace formatting seed-for-seed: the committed
-// golden file was captured from the pre-bitset []bool engine, so any
+// TestEngineFingerprintGolden locks each engine's execution, message
+// contents, and trace formatting seed-for-seed: the mutable engine's
+// entries were captured from the pre-bitset []bool engine, so any
 // representation change that is not byte-identical fails here.
 func TestEngineFingerprintGolden(t *testing.T) {
 	grid := goldenGrid()

@@ -473,14 +473,21 @@ func TestScaleLadderEventsIndependentOfN(t *testing.T) {
 // the kernel's FIFO interleave with the heap's timers. The engine goldens
 // run small N, so a kernel change that reorders events at this depth fails
 // here rather than only in the benchmark. It also holds the run to its
-// allocation budget: the message path allocates nothing per delivery, and
-// what is left (the engine's request and reply structs, checkpoint
-// snapshots, the pools filling) stays under maxAllocsPerEvent.
+// allocation budget: the message path allocates nothing per delivery,
+// engines take their message structs from the simulator's free list, and
+// what is left (one copy of each checkpoint's counters, the free lists
+// filling to the in-flight high-water mark) stays under maxAllocsPerEvent
+// and maxBytesPerEvent. A free list that grows with every message sent,
+// or a second copy of each checkpoint, breaks the byte budget.
 func TestSim1kCountsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("a full N=1024 simulated hour")
 	}
-	const maxAllocsPerEvent = 0.8
+	// Measured on seed 1: 0.341 allocations and 234 B per event.
+	const (
+		maxAllocsPerEvent = 0.35
+		maxBytesPerEvent  = 258
+	)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	res, err := harness.Run(harness.Config{
@@ -496,9 +503,13 @@ func TestSim1kCountsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	perEvent := float64(after.Mallocs-before.Mallocs) / float64(res.SimulatedEvents)
-	t.Logf("%d allocations, %.3f per event", after.Mallocs-before.Mallocs, perEvent)
+	bytesPerEvent := float64(after.TotalAlloc-before.TotalAlloc) / float64(res.SimulatedEvents)
+	t.Logf("%d allocations, %.3f per event, %.0f B per event", after.Mallocs-before.Mallocs, perEvent, bytesPerEvent)
 	if perEvent > maxAllocsPerEvent {
 		t.Errorf("%.3f allocations per simulated event, want at most %v", perEvent, maxAllocsPerEvent)
+	}
+	if bytesPerEvent > maxBytesPerEvent {
+		t.Errorf("%.0f allocated bytes per simulated event, want at most %d", bytesPerEvent, maxBytesPerEvent)
 	}
 	if res.SimulatedEvents != 560071 {
 		t.Errorf("%d simulated events, want 560071", res.SimulatedEvents)

@@ -272,9 +272,11 @@ type Env interface {
 	// Now returns the current (virtual or wall) time.
 	Now() time.Duration
 
-	// Send transmits m to m.To. The runtime assigns Seq and Size.
+	// Send transmits m to m.To. The runtime assigns Seq and Size, and
+	// owns m after the call: the engine must not read or reuse it.
 	Send(m *Message)
-	// Broadcast transmits m to every other process.
+	// Broadcast transmits m to every other process. As with Send, the
+	// runtime owns m after the call.
 	Broadcast(m *Message)
 
 	// CaptureState snapshots the process state at this instant.
@@ -313,6 +315,22 @@ type Env interface {
 	// gate hot-path Trace calls on it so disabled tracing costs nothing
 	// (the variadic call alone boxes its arguments onto the heap).
 	Tracing() bool
+}
+
+// MessageSource is implemented by an Env that recycles message structs.
+// NewMessage returns a zeroed struct for the engine to fill and hand to
+// Send or Broadcast.
+type MessageSource interface {
+	NewMessage() *Message
+}
+
+// NewMessage returns a zeroed message struct for an outgoing system
+// message: env's own when env is a MessageSource, a fresh one otherwise.
+func NewMessage(env Env) *Message {
+	if src, ok := env.(MessageSource); ok {
+		return src.NewMessage()
+	}
+	return new(Message)
 }
 
 // Engine is a checkpointing algorithm instance bound to one process.

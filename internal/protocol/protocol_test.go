@@ -1,6 +1,7 @@
 package protocol_test
 
 import (
+	"reflect"
 	"testing"
 
 	"mutablecp/internal/protocol"
@@ -69,5 +70,27 @@ func TestStateClone(t *testing.T) {
 	}
 	if c.Proc != 3 || c.CSN != 7 {
 		t.Error("Clone lost scalar fields")
+	}
+}
+
+// pooledEnv is an Env that hands out its own message struct.
+type pooledEnv struct {
+	protocol.Env
+	next *protocol.Message
+}
+
+func (e *pooledEnv) NewMessage() *protocol.Message { return e.next }
+
+// TestNewMessage: an Env that is a MessageSource supplies the struct, and
+// any other Env gets a fresh zeroed one.
+func TestNewMessage(t *testing.T) {
+	own := &protocol.Message{}
+	if got := protocol.NewMessage(&pooledEnv{next: own}); got != own {
+		t.Fatal("NewMessage ignored the env's MessageSource")
+	}
+	a := protocol.NewMessage(struct{ protocol.Env }{})
+	b := protocol.NewMessage(struct{ protocol.Env }{})
+	if a == nil || a == b || !reflect.DeepEqual(*a, protocol.Message{}) {
+		t.Fatalf("fallback returned %p and %p, want two distinct zeroed structs", a, b)
 	}
 }

@@ -158,7 +158,7 @@ func (p *Proc) LoggedSends(to protocol.ProcessID) uint64 {
 // cover everything its peers already consumed, or the post-recovery state
 // would count those deliveries as orphans).
 func (p *Proc) ForwardSentTo(to protocol.ProcessID, v uint64) {
-	p.sentTo = growCounter(p.sentTo, int(to))
+	p.sentTo = growCounter(p.sentTo, int(to), p.c.cfg.N)
 	if v > p.sentTo[int(to)] {
 		p.sentTo[int(to)] = v
 	}

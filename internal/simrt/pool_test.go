@@ -2,6 +2,7 @@ package simrt
 
 import (
 	"testing"
+	"time"
 
 	"mutablecp/internal/core"
 	"mutablecp/internal/des"
@@ -175,7 +176,7 @@ func BenchmarkClusterCompMsg(b *testing.B) {
 // 0 past them.
 func TestGrowCounter(t *testing.T) {
 	v := []uint64{4, 5}
-	v = growCounter(v, 9)
+	v = growCounter(v, 9, 1024)
 	if len(v) != 10 {
 		t.Fatalf("len %d after growing to index 9, want 10", len(v))
 	}
@@ -187,10 +188,62 @@ func TestGrowCounter(t *testing.T) {
 			t.Fatalf("entry %d past the old length reads %d, want 0", i, v[i])
 		}
 	}
-	if w := growCounter(v, 3); len(w) != 10 || &w[0] != &v[0] {
+	if w := growCounter(v, 3, 1024); len(w) != 10 || &w[0] != &v[0] {
 		t.Fatal("growing to an index already present changed the vector")
 	}
-	if allocs := testing.AllocsPerRun(10, func() { growCounter(nil, 1000) }); allocs > 1 {
+	if allocs := testing.AllocsPerRun(10, func() { growCounter(nil, 1000, 1024) }); allocs > 1 {
 		t.Fatalf("first contact with peer 1000 made %v allocations, want at most 1", allocs)
+	}
+	// Limit case: doubling stops at the process count, and the last peer
+	// index is still addressable.
+	const n = 12
+	v = growCounter(v, 10, n)
+	if len(v) != 11 || cap(v) != n {
+		t.Fatalf("len %d cap %d after growing a cap-10 vector to index 10 of %d, want len 11 cap %d",
+			len(v), cap(v), n, n)
+	}
+	if w := growCounter(v, n-1, n); len(w) != n || &w[0] != &v[0] {
+		t.Fatalf("growing to the last index %d: len %d, reallocated %v", n-1, len(w), &w[0] != &v[0])
+	}
+}
+
+// TestMessagePoolBoundedByInFlight: after a drained run the message free
+// list holds no more structs than the delivery free list holds records,
+// i.e. than were ever in flight at once. Engines take their system
+// messages from the list and deliverNow returns every struct to it, so
+// the two lists fill at the same rate; an engine that allocates its own
+// structs instead grows the list with every message it sends.
+func TestMessagePoolBoundedByInFlight(t *testing.T) {
+	c, err := New(Config{
+		N:                   64,
+		Seed:                1,
+		NewEngine:           func(env protocol.Env) protocol.Engine { return core.New(env) },
+		ScheduleCheckpoints: true,
+		SingleInitiation:    true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := &PointToPoint{Rate: 0.05}
+	gen.Install(c)
+	c.Start()
+	if err := c.Run(2 * time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	gen.Stop()
+	c.StopTimers()
+	if err := c.Drain(); err != nil {
+		t.Fatal(err)
+	}
+	if c.metrics.TotalMutable == 0 || c.metrics.SysMsgs == 0 {
+		t.Fatalf("run took %d mutable checkpoints and sent %d system messages, want both > 0",
+			c.metrics.TotalMutable, c.metrics.SysMsgs)
+	}
+	// Drained, every record ever carved is back on the delivery list.
+	if pool, carved := len(c.msgPool), len(c.deliveries); pool > carved {
+		t.Errorf("message free list holds %d structs, more than the %d delivery records ever carved (%d system messages sent)",
+			pool, carved, c.metrics.SysMsgs)
+	} else {
+		t.Logf("message free list %d structs, delivery records %d", pool, carved)
 	}
 }

@@ -119,20 +119,21 @@ func (p *Proc) down() bool { return p.phase != PhaseLive }
 // addressable. Entries past the stored length are semantically 0
 // (protocol.CounterAt), so a process that only ever talks to peers 0..k
 // carries k+1 counters instead of N — the min-process property applied
-// to runtime state. It grows in one step, with capacity doubling, so first
-// contact with a far peer costs at most one allocation.
-func growCounter(v []uint64, i int) []uint64 {
-	n := len(v)
-	if i < n {
+// to runtime state. It grows in one step, with capacity doubling up to
+// the process count n, so first contact with a far peer costs at most one
+// allocation and no vector reserves room for a peer that cannot exist.
+func growCounter(v []uint64, i, n int) []uint64 {
+	l := len(v)
+	if i < l {
 		return v
 	}
 	if i >= cap(v) {
-		grown := make([]uint64, n, max(i+1, 2*cap(v)))
+		grown := make([]uint64, l, max(i+1, min(2*cap(v), n)))
 		copy(grown, v)
 		v = grown
 	}
 	v = v[:i+1]
-	clear(v[n:])
+	clear(v[l:])
 	return v
 }
 
@@ -231,14 +232,14 @@ func (p *Proc) sendApp(to protocol.ProcessID, payload []byte) {
 	p.seq++
 	m.Seq = p.seq
 	m.Size = compMsgBytes
-	p.sentTo = growCounter(p.sentTo, to)
+	p.sentTo = growCounter(p.sentTo, to, p.c.cfg.N)
 	p.sentTo[to]++
 	if p.c.cfg.MessageLogging {
 		// Sender-based message logging: the determinant (destination,
 		// order) is recorded before the message touches the network, so
 		// everything the receiver could possibly have consumed is in the
 		// log when it fails.
-		p.logged = growCounter(p.logged, to)
+		p.logged = growCounter(p.logged, to, p.c.cfg.N)
 		p.logged[to]++
 	}
 	p.c.metrics.CompMsgs++
@@ -314,6 +315,11 @@ func (p *Proc) N() int { return p.c.cfg.N }
 
 // Now implements protocol.Env.
 func (p *Proc) Now() time.Duration { return p.c.sim.Now() }
+
+// NewMessage implements protocol.MessageSource: engines take their
+// system-message structs from the cluster's free list, which deliverNow
+// refills, so the list holds at most what was ever in flight at once.
+func (p *Proc) NewMessage() *protocol.Message { return p.c.newMessage() }
 
 // Send implements protocol.Env for system messages.
 func (p *Proc) Send(m *protocol.Message) {
@@ -504,7 +510,7 @@ func (p *Proc) check(what string, err error) bool {
 
 // DeliverApp implements protocol.Env.
 func (p *Proc) DeliverApp(m *protocol.Message) {
-	p.recvFrom = growCounter(p.recvFrom, m.From)
+	p.recvFrom = growCounter(p.recvFrom, m.From, p.c.cfg.N)
 	p.recvFrom[m.From]++
 	if p.c.OnDeliver != nil {
 		p.c.OnDeliver(p.id, m.From, m.Payload)
