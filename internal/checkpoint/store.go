@@ -148,8 +148,7 @@ func RestoreStableStore(proc protocol.ProcessID, perm, tent []Record) (*StableSt
 		if _, ok := st.tentative[r.Trigger]; ok {
 			return nil, fmt.Errorf("checkpoint: restore P%d: duplicate tentative for %+v", proc, r.Trigger)
 		}
-		rec := r
-		st.tentative[r.Trigger] = &rec
+		st.tentative[r.Trigger] = &r
 	}
 	return st, nil
 }

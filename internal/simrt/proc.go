@@ -318,7 +318,8 @@ func (p *Proc) Now() time.Duration { return p.c.sim.Now() }
 
 // NewMessage implements protocol.MessageSource: engines take their
 // system-message structs from the cluster's free list, which deliverNow
-// refills, so the list holds at most what was ever in flight at once.
+// refills, so the list grows with the messages in flight at once, not
+// with every message sent.
 func (p *Proc) NewMessage() *protocol.Message { return p.c.newMessage() }
 
 // Send implements protocol.Env for system messages.
