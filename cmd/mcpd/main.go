@@ -14,8 +14,9 @@
 // The standard profiling flags (-cpuprofile, -memprofile,
 // -mutexprofile, -blockprofile) snapshot the daemon's whole lifetime:
 // armed before the listeners come up, written after the drain — the
-// mutex and block profiles are how commit-tail contention in the
-// durability pipeline is diagnosed on a live cluster.
+// mutex and block profiles are how commit-tail contention between the
+// event loop's store writes and the per-peer writers is diagnosed on a
+// live cluster.
 package main
 
 import (

@@ -19,10 +19,10 @@ import (
 // The volatile half (Image, SaveMutable, TakeMutable, DiscardMutable,
 // Crash) is the MH's memory and touches no store; the durable half
 // (SaveTentative, Commit, Drop, DropTentatives) is the MSS's storage and
-// touches no memory, so a driver may run the halves on two goroutines.
-// CommitInDoubt draws an image: it runs only while the volatile half is
-// idle. A driver reads Stable and Payload directly, and replaces both
-// when the MSS's storage restarts.
+// touches no memory. A Keeper is not safe for concurrent use: each driver
+// calls it from its one event loop, so a write has returned before the
+// engine's next action. A driver reads Stable and Payload directly, and
+// replaces both when the MSS's storage restarts.
 type Keeper struct {
 	Stable  Store
 	Payload PayloadStore // nil: control-plane only

@@ -74,3 +74,52 @@ func TestEnvelopeTruncated(t *testing.T) {
 		}
 	}
 }
+
+// FuzzReadEnvelope feeds arbitrary bytes to the decoder that parses
+// frames straight off a peer socket. It must never panic or over-read:
+// every envelope it returns re-encodes to exactly the bytes it consumed,
+// and io.EOF comes only at a frame boundary.
+func FuzzReadEnvelope(f *testing.F) {
+	rng := rand.New(rand.NewSource(7))
+	var stream []byte
+	for i := 0; i < 4; i++ {
+		e := envelope{Kind: 1 + rng.Intn(3), Src: rng.Intn(64), Inc: rng.Int63(), Gen: rng.Uint64(), Seq: rng.Uint64(), Cum: rng.Uint64()}
+		if i%2 == 0 {
+			e.Body = make([]byte, 1+rng.Intn(64))
+			rng.Read(e.Body)
+		}
+		frame := appendEnvelope(nil, &e)
+		f.Add(frame)
+		f.Add(frame[:len(frame)/2]) // truncated mid-frame
+		stream = append(stream, frame...)
+	}
+	f.Add(stream) // back-to-back frames
+	f.Add([]byte{})
+	hdr := func(n uint32) []byte { return []byte{byte(n >> 24), byte(n >> 16), byte(n >> 8), byte(n)} }
+	f.Add(hdr(envHeaderLen - 1))                                       // too short for the fields
+	f.Add(hdr(envHeaderLen + wire.MaxFrame + 1))                       // over-length
+	f.Add(append(hdr(envHeaderLen+wire.MaxFrame), make([]byte, 8)...)) // longest legal, cut short
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r := bytes.NewReader(data)
+		// Each frame consumes at least a header, so the loop is bounded.
+		for i := 0; i <= len(data)/(4+envHeaderLen); i++ {
+			before := len(data) - r.Len()
+			var e envelope
+			err := readEnvelope(r, &e)
+			if err == io.EOF {
+				if before != len(data) {
+					t.Fatalf("io.EOF with %d bytes unread", len(data)-before)
+				}
+				return
+			}
+			if err != nil {
+				return
+			}
+			consumed := data[before : len(data)-r.Len()]
+			if again := appendEnvelope(nil, &e); !bytes.Equal(again, consumed) {
+				t.Fatalf("envelope %+v re-encodes to %x, consumed %x", e, again, consumed)
+			}
+		}
+	})
+}

@@ -174,14 +174,12 @@ func (d *Daemon) handleControl(req Request) Response {
 			Backlog:  make(map[int]int, d.n-1),
 		}
 		err := d.onLoop(func() {
-			d.drainPersister()
 			m.Commits, m.Aborts = d.commits, d.aborts
 			m.Store = d.store.Metrics()
 		})
 		if err != nil {
 			return fail(err)
 		}
-		// After the drain: frames it released are in the backlog.
 		for _, s := range d.sessions {
 			if s == nil {
 				continue
@@ -195,7 +193,6 @@ func (d *Daemon) handleControl(req Request) Response {
 			if d.payload == nil {
 				return
 			}
-			d.drainPersister()
 			resp.HasPayload = true
 			resp.Payload = d.payload.Stats()
 			// The audit doubles as a health probe: a store op from mcpctl
@@ -219,7 +216,6 @@ func (d *Daemon) handleControl(req Request) Response {
 				resp.Outcome = OutcomePending
 				return
 			}
-			d.drainPersister() // the decision may still be on its way to the log
 			resp.Outcome = d.storeOutcome(req.Trig)
 		})
 		if err != nil {

@@ -86,9 +86,8 @@ type Daemon struct {
 	mb        *mailbox
 
 	// ckpt is the checkpoint lifecycle over store and, with
-	// Config.PayloadBytes, the payload chunk store. Its volatile half runs
-	// on the loop, its durable half on the persister; store and payload
-	// are kept for their metrics, audits and Close.
+	// Config.PayloadBytes, the payload chunk store. Only the loop calls it;
+	// store and payload are kept for their metrics, audits and Close.
 	ckpt    *checkpoint.Keeper
 	store   *stable.Store
 	payload *chunkstore.Store
@@ -115,14 +114,6 @@ type Daemon struct {
 	// handed to its peer's session.
 	sentHook func(kind protocol.Kind, trig protocol.Trigger)
 
-	// Durability pipeline (persist.go). persistSeq/persistAck/pendActs
-	// are loop-goroutine only; the channel feeds the persister goroutine.
-	persistCh  chan persistJob
-	persistWG  sync.WaitGroup
-	persistSeq uint64
-	persistAck uint64
-	pendActs   []pendingAction
-
 	logger *log.Logger
 
 	// conns holds every accepted connection for as long as its serve
@@ -148,7 +139,7 @@ var _ protocol.Env = (*Daemon)(nil)
 // stable store, binds its control listener, settles any tentative
 // checkpoint in doubt with its initiator, restores the engine from the
 // newest permanent checkpoint, binds its peer listener, and begins
-// dialing peers. Call WaitReady for the readiness barrier and Stop to
+// dialing peers. WaitClusterReady is the readiness barrier; call Stop to
 // shut down. A tentative whose initiator cannot settle it fails New with
 // *ErrInDoubt.
 func New(cfg *Config, id int) (*Daemon, error) {
@@ -239,7 +230,6 @@ func New(cfg *Config, id int) (*Daemon, error) {
 		d.sessions[peer.ID] = newPeerSession(d, peer.ID, peer.Addr)
 	}
 
-	d.startPersister()
 	d.loopWG.Add(1)
 	go func() {
 		defer d.loopWG.Done()
@@ -282,7 +272,7 @@ func (d *Daemon) dialPeers() {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				s.connectOnce() //nolint:errcheck // retried on the next pass
+				s.link.Connect() //nolint:errcheck // retried on the next pass
 			}()
 		}
 		wg.Wait()
@@ -419,9 +409,6 @@ func (d *Daemon) restoreFromStore() error {
 // ID returns this daemon's process ID.
 func (d *Daemon) ID() protocol.ProcessID { return protocol.ProcessID(d.id) }
 
-// Incarnation returns the boot incarnation (diagnostics).
-func (d *Daemon) Incarnation() int64 { return d.inc }
-
 // Addr returns the bound peer-traffic address (resolved port).
 func (d *Daemon) Addr() string { return d.dataLn.Addr().String() }
 
@@ -540,27 +527,6 @@ func (d *Daemon) serveData(conn net.Conn) {
 	}
 }
 
-// WaitReady blocks until the handshake with every peer has completed —
-// the readiness barrier that makes cluster start order irrelevant (each
-// daemon keeps dialing peers whose listeners are not up yet).
-func (d *Daemon) WaitReady(timeout time.Duration) error {
-	var waiting []int
-	err := pollUntil(time.Now().Add(timeout), d.closed, func() bool {
-		waiting = waiting[:0]
-		for _, s := range d.sessions {
-			if s != nil && !s.ready() {
-				waiting = append(waiting, s.peer)
-				s.connectOnce() //nolint:errcheck // retried until the deadline
-			}
-		}
-		return len(waiting) == 0
-	})
-	if err == errExpired {
-		return fmt.Errorf("daemon: P%d not ready after %v, waiting for peers %v", d.id, timeout, waiting)
-	}
-	return err
-}
-
 // Every wait for a condition (readiness, quiescence, an initiator's
 // answer) polls from readyPollMin and backs off to readyPollMax: one that
 // converges in a few milliseconds is not quantised to the cap, one that
@@ -616,8 +582,7 @@ func (d *Daemon) Stop() {
 		d.ctlLn.Close()  //nolint:errcheck
 		d.closeConns()
 		d.mb.close()
-		d.loopWG.Wait()   // loop drains queued events before exiting
-		d.stopPersister() // then the durability pipeline drains
+		d.loopWG.Wait() // loop drains queued events before exiting
 		for _, s := range d.sessions {
 			if s != nil {
 				s.close() // flushes the writer's queue
@@ -730,7 +695,6 @@ func (d *Daemon) SendApp(to protocol.ProcessID, payload []byte) error {
 func (d *Daemon) Rollback() error {
 	var rerr error
 	err := d.onLoop(func() {
-		d.drainPersister() // no write may land after the rewind reads the store
 		d.cancelRequestTimeout()
 		rerr = d.restoreFromStore()
 	})
@@ -743,10 +707,7 @@ func (d *Daemon) Rollback() error {
 // PermanentState returns the newest permanent checkpoint's state.
 func (d *Daemon) PermanentState() (protocol.State, error) {
 	var st protocol.State
-	err := d.onLoop(func() {
-		d.drainPersister()
-		st = d.store.Permanent().State.Clone()
-	})
+	err := d.onLoop(func() { st = d.store.Permanent().State.Clone() })
 	return st, err
 }
 
@@ -778,16 +739,17 @@ func (d *Daemon) transmit(m *protocol.Message) {
 	if kind == protocol.KindCommit && trig.Pid == d.ID() {
 		// The decision is logged before it is announced: the core engine
 		// (the only one mcpd runs, Config.Validate) sends its commit
-		// before it asks for the commit record, so the frames wait for
-		// CheckpointingDone, which follows that request, and then for the
-		// record itself. No peer can hold a commit the initiator's store
-		// does not, which is what lets resolve ask the initiator alone.
+		// before it calls MakePermanent, so the frames wait for
+		// CheckpointingDone, which follows that write. No peer can hold a
+		// commit the initiator's store does not, which is what lets
+		// resolve ask the initiator alone.
 		d.heldCommits = append(d.heldCommits, send)
 		return
 	}
-	// Ordered-ack invariant: a message produced after a persistence call
-	// must not reach the wire before that write is applied.
-	d.afterDurable(send)
+	// Every other frame follows the writes the engine made before it:
+	// each Keeper call has returned, its record in the store, before the
+	// engine's next action.
+	send()
 }
 
 // --- protocol.Env (loop goroutine only) ---
@@ -827,19 +789,14 @@ func (d *Daemon) CaptureState() protocol.State {
 	}
 }
 
-// SaveTentative implements protocol.Env. The image is drawn here, on
-// the loop, so the checkpoint freezes the state at the protocol action,
-// not at flush time; the write runs on the persister.
+// SaveTentative implements protocol.Env.
 func (d *Daemon) SaveTentative(s protocol.State, trig protocol.Trigger) {
 	d.saveTentative(s, trig, d.ckpt.Image())
 }
 
 func (d *Daemon) saveTentative(s protocol.State, trig protocol.Trigger, img []byte) {
-	at := d.Now()
-	d.submitPersist(func() error {
-		_, err := d.ckpt.SaveTentative(s, trig, at, img)
-		return err
-	})
+	_, err := d.ckpt.SaveTentative(s, trig, d.Now(), img)
+	d.must(err)
 }
 
 // SaveMutable implements protocol.Env.
@@ -847,9 +804,8 @@ func (d *Daemon) SaveMutable(s protocol.State, trig protocol.Trigger) {
 	d.must(d.ckpt.SaveMutable(s, trig, d.Now()))
 }
 
-// PromoteMutable implements protocol.Env. The mutable record and its
-// frozen image move out on the loop (engine-ordered); the stable write
-// follows on the persister.
+// PromoteMutable implements protocol.Env: the mutable record and its
+// frozen image become the tentative checkpoint.
 func (d *Daemon) PromoteMutable(trig protocol.Trigger) {
 	rec, img, err := d.ckpt.TakeMutable(trig)
 	d.must(err)
@@ -861,23 +817,18 @@ func (d *Daemon) DiscardMutable(trig protocol.Trigger) {
 	d.must(d.ckpt.DiscardMutable(trig))
 }
 
-// MakePermanent implements protocol.Env. The commit fsync runs on the
-// persister; everything the engine does next that depends on the commit
-// being durable (the commit broadcast, the client completion) is gated
-// behind it by afterDurable.
+// MakePermanent implements protocol.Env.
 func (d *Daemon) MakePermanent(trig protocol.Trigger) {
-	at := d.Now()
-	d.submitPersist(func() error { return d.ckpt.Commit(trig, at) })
+	d.must(d.ckpt.Commit(trig, d.Now()))
 }
 
 // DropTentative implements protocol.Env.
 func (d *Daemon) DropTentative(trig protocol.Trigger) {
-	d.submitPersist(func() error { return d.ckpt.Drop(trig) })
+	d.must(d.ckpt.Drop(trig))
 }
 
-// must is the daemon's one answer to a checkpoint-storage error, from
-// the loop or the persister: a daemon that cannot keep its checkpoints
-// is dead.
+// must is the daemon's one answer to a checkpoint-storage error: a
+// daemon that cannot keep its checkpoints is dead.
 func (d *Daemon) must(err error) {
 	if err != nil {
 		panic(fmt.Sprintf("mcpd P%d: %v", d.id, err))
@@ -896,10 +847,9 @@ func (d *Daemon) BlockApp() { panic("daemon: BlockApp from an engine Config.Vali
 // UnblockApp implements protocol.Env; see BlockApp.
 func (d *Daemon) UnblockApp() { panic("daemon: UnblockApp from an engine Config.Validate refuses") }
 
-// CheckpointingDone implements protocol.Env. The commit frames and the
-// client-visible completion are actions past the durability point: they
-// are released only once the instance's own commit (submitted just
-// before this callback) has been applied and fsynced.
+// CheckpointingDone implements protocol.Env. On a commit, MakePermanent
+// has returned before this callback, so the held commit frames go out
+// now, and then the client hears.
 func (d *Daemon) CheckpointingDone(trig protocol.Trigger, committed bool) {
 	d.cancelRequestTimeout()
 	if committed {
@@ -907,14 +857,11 @@ func (d *Daemon) CheckpointingDone(trig protocol.Trigger, committed bool) {
 	} else {
 		d.aborts++
 	}
-	held := d.heldCommits
+	for _, send := range d.heldCommits {
+		send()
+	}
 	d.heldCommits = nil
-	d.afterDurable(func() {
-		for _, send := range held {
-			send()
-		}
-		d.notifyDone(committed)
-	})
+	d.notifyDone(committed)
 }
 
 func (d *Daemon) notifyDone(committed bool) {

@@ -38,15 +38,30 @@ var DaemonAlgorithms = daemonAlgorithms
 // StoreSegments lists the stable log's live segment files.
 func (d *Daemon) StoreSegments() []string { return d.store.Segments() }
 
-// OnCommitFrame calls fn, on the event loop, for every frame announcing
-// one of this daemon's own commits at the moment it is handed to the
-// peer's session, with whether the store already holds that commit.
-func (d *Daemon) OnCommitFrame(fn func(trig protocol.Trigger, logged bool)) error {
+// FrameView is what a daemon's store holds of a frame's trigger at the
+// moment the frame is handed to its peer's session.
+type FrameView struct {
+	Kind    protocol.Kind
+	Trigger protocol.Trigger
+	// Tentative: the store holds a tentative checkpoint for Trigger.
+	Tentative bool
+	// Committed: Trigger is this daemon's own instance and the store
+	// holds its commit record.
+	Committed bool
+}
+
+// OnFrame calls fn, on the event loop, for every frame this daemon hands
+// to a peer's session, at that moment.
+func (d *Daemon) OnFrame(fn func(FrameView)) error {
 	return d.onLoop(func() {
 		d.sentHook = func(kind protocol.Kind, trig protocol.Trigger) {
-			if kind == protocol.KindCommit && trig.Pid == d.ID() {
-				fn(trig, d.store.Outcomes().Committed(trig.Inum))
-			}
+			_, tentative := d.store.Tentative(trig)
+			fn(FrameView{
+				Kind:      kind,
+				Trigger:   trig,
+				Tentative: tentative,
+				Committed: trig.Pid == d.ID() && d.store.Outcomes().Committed(trig.Inum),
+			})
 		}
 	})
 }

@@ -350,7 +350,9 @@ func testResolveWaitsForPendingInitiator(t *testing.T, algo string) {
 // commit only once its own commit record is in its store, so no peer can
 // hold a commit its initiator could answer as aborted. Every initiator
 // initiates in turn, with dependencies, and every commit frame any of
-// them hands to a peer is checked at that moment.
+// them hands to a peer is checked at that moment. A reply is checked the
+// same way: a participant forced to checkpoint replies only once its
+// store holds the tentative (§3.3: take the checkpoint, then reply).
 func TestCommitFrameFollowsInitiatorRecord(t *testing.T) {
 	for _, algo := range daemon.DaemonAlgorithms {
 		t.Run(algo, func(t *testing.T) { testCommitFrameFollowsInitiatorRecord(t, algo) })
@@ -372,18 +374,24 @@ func testCommitFrameFollowsInitiatorRecord(t *testing.T, algo string) {
 	var mu sync.Mutex
 	frames := make(map[protocol.Trigger]int)
 	var early []protocol.Trigger
+	var replies []daemon.FrameView // P1's replies to P0
 	for id := range daemons {
 		d, err := daemon.New(cfg, id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		daemons[id] = d
-		err = d.OnCommitFrame(func(trig protocol.Trigger, logged bool) {
+		err = d.OnFrame(func(f daemon.FrameView) {
 			mu.Lock()
 			defer mu.Unlock()
-			frames[trig]++
-			if !logged {
-				early = append(early, trig)
+			switch {
+			case f.Kind == protocol.KindCommit && f.Trigger.Pid == id:
+				frames[f.Trigger]++
+				if !f.Committed {
+					early = append(early, f.Trigger)
+				}
+			case f.Kind == protocol.KindReply && id == 1 && f.Trigger.Pid == 0:
+				replies = append(replies, f)
 			}
 		})
 		if err != nil {
@@ -402,12 +410,31 @@ func testCommitFrameFollowsInitiatorRecord(t *testing.T, algo string) {
 		}
 	}
 	quiesce(t, cfg, 10*time.Second)
+	// P0 depends on P1's send, so its next instance forces P1 to take a
+	// tentative checkpoint, and P1's reply must follow that save.
+	mu.Lock()
+	replies = nil
+	mu.Unlock()
+	if err := daemons[1].SendApp(0, []byte("dep")); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, cfg, 10*time.Second)
+	if committed, err := daemons[0].Checkpoint(10 * time.Second); err != nil || !committed {
+		t.Fatalf("reply round at P0: committed=%v err=%v", committed, err)
+	}
+	quiesce(t, cfg, 10*time.Second)
 	mu.Lock()
 	defer mu.Unlock()
+	if len(replies) != 1 {
+		t.Fatalf("P1 sent %d replies to P0's instance, want 1: %+v", len(replies), replies)
+	}
+	if !replies[0].Tentative {
+		t.Fatalf("P1's reply for %+v left before its tentative checkpoint was in its store", replies[0].Trigger)
+	}
 	// The broadcast sends one frame per peer; the targeted variant sends
 	// one per replier and per notify-set member, at least one either way.
-	if len(frames) != rounds {
-		t.Fatalf("own commit frames for %d instances, want %d: %v", len(frames), rounds, frames)
+	if len(frames) != rounds+1 {
+		t.Fatalf("own commit frames for %d instances, want %d: %v", len(frames), rounds+1, frames)
 	}
 	for trig, got := range frames {
 		if algo == algorithms.Mutable && got != n-1 {

@@ -67,10 +67,8 @@ func TestRestartedPeerIsRedialedAtOnce(t *testing.T) {
 	for id := range daemons {
 		boot(id)
 	}
-	for id, d := range daemons {
-		if err := d.WaitReady(10 * time.Second); err != nil {
-			t.Fatalf("P%d: %v", id, err)
-		}
+	if err := daemon.WaitClusterReady(cfg, 10*time.Second); err != nil {
+		t.Fatal(err)
 	}
 	send := func(from, to int) {
 		t.Helper()

@@ -6,6 +6,8 @@ import (
 	"net"
 	"testing"
 	"time"
+
+	"mutablecp/internal/relnet"
 )
 
 // TestRetransmitWaitsFullRTO: a frame is resent only after it has gone a
@@ -24,7 +26,7 @@ func TestRetransmitWaitsFullRTO(t *testing.T) {
 	s := newPeerSession(&Daemon{id: 0, inc: 1, logger: log.New(io.Discard, "", 0)}, 1, addr)
 	defer s.close()
 
-	time.Sleep(sessionBaseRTO - 10*time.Millisecond)
+	time.Sleep(relnet.BaseRTO - 10*time.Millisecond)
 	pushed := time.Now()
 	s.sendFrame([]byte("frame"))
 	for s.snapshotMetrics().Retransmissions == 0 {
@@ -33,7 +35,7 @@ func TestRetransmitWaitsFullRTO(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if waited := time.Since(pushed); waited < sessionBaseRTO {
-		t.Fatalf("frame resent %v after it was pushed, before a full rto (%v)", waited, sessionBaseRTO)
+	if waited := time.Since(pushed); waited < relnet.BaseRTO {
+		t.Fatalf("frame resent %v after it was pushed, before a full rto (%v)", waited, relnet.BaseRTO)
 	}
 }

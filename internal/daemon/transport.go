@@ -78,15 +78,6 @@ type SessionMetrics struct {
 	Envelopes       uint64 // envelopes carried by those batches
 }
 
-// Retransmission pacing for daemon channels. Unlike the DES sublayer
-// there is no give-up budget: the backlog must survive a peer outage so
-// the protocol state stays exact across restarts; the §3.6 request
-// timeout above (not the transport) bounds how long a checkpoint waits.
-const (
-	sessionBaseRTO = 100 * time.Millisecond
-	sessionMaxRTO  = 2 * time.Second
-)
-
 // peerSession is one ordered pair: this daemon's channel to one peer.
 // The reverse direction lives in the peer's own session for us; the only
 // coupling is that our acks for their data ride our link.
@@ -127,7 +118,7 @@ type peerSession struct {
 }
 
 func newPeerSession(d *Daemon, peer int, addr string) *peerSession {
-	s := &peerSession{d: d, peer: peer, rto: sessionBaseRTO}
+	s := &peerSession{d: d, peer: peer, rto: relnet.BaseRTO}
 	s.cond = sync.NewCond(&s.mu)
 	s.link = livenet.NewLink(addr, livenet.LinkOptions{
 		WriteTimeout: 5 * time.Second,
@@ -232,7 +223,7 @@ func (s *peerSession) noteRemoteIncLocked(inc int64) {
 	for _, f := range s.out.Pending() {
 		s.sendQ = append(s.sendQ, s.dataEnvLocked(f))
 	}
-	s.rto = sessionBaseRTO
+	s.rto = relnet.BaseRTO
 	s.rearmLocked()
 	s.cond.Signal()
 }
@@ -285,7 +276,7 @@ func (s *peerSession) onAck(gen, cum uint64) {
 		return
 	}
 	if progress {
-		s.rto = sessionBaseRTO
+		s.rto = relnet.BaseRTO
 		s.rearmLocked()
 	}
 }
@@ -314,7 +305,11 @@ func (s *peerSession) rearmLocked() {
 }
 
 // retransmitTick replays the oldest unacked frame once it has gone a
-// full rto without ack progress, doubling the rto up to its cap.
+// full rto without ack progress, doubling the rto up to its cap. Unlike
+// the DES sublayer there is no give-up budget: the backlog must survive a
+// peer outage so the protocol state stays exact across restarts; the
+// §3.6 request timeout (not the transport) bounds how long a checkpoint
+// waits.
 func (s *peerSession) retransmitTick() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -329,7 +324,7 @@ func (s *peerSession) retransmitTick() {
 	s.metrics.Retransmissions++
 	s.sendQ = append(s.sendQ, s.dataEnvLocked(f))
 	s.cond.Signal()
-	s.rto = min(2*s.rto, sessionMaxRTO)
+	s.rto = min(2*s.rto, relnet.MaxRTO)
 	s.armLocked()
 }
 
@@ -426,10 +421,6 @@ func (s *peerSession) close() {
 	s.link.Close()
 	s.wg.Wait()
 }
-
-// connectOnce makes one non-blocking dial attempt (bootstrap readiness
-// loops drive their own cadence).
-func (s *peerSession) connectOnce() error { return s.link.Connect() }
 
 // incarnation helpers ------------------------------------------------
 

@@ -467,7 +467,7 @@ func drive(cfg Config, tl *trace.Log) (r *simRun, err error) {
 		simCfg.NewTransport = func(sim *des.Simulator, n int) netsim.Transport {
 			lan := netsim.NewLAN(sim, n, netsim.WirelessLAN2Mbps)
 			r.faulty = netsim.NewFaulty(sim, lan, n, fc)
-			r.rel = netsim.NewReliable(sim, r.faulty, n, netsim.ReliableConfig{})
+			r.rel = netsim.NewReliable(sim, r.faulty, n)
 			return r.rel
 		}
 	}

@@ -13,7 +13,7 @@ package netsim
 //
 // Because a peer may have fail-stopped or be behind a partition for
 // longer than any backoff, a retry budget bounds the event count: after
-// MaxRetries retransmissions of the same frame the channel gives up and
+// maxRetries retransmissions of the same frame the channel gives up and
 // discards its backlog (the checkpointing layer above handles the loss
 // via the §3.6 timeout abort). Without the budget, Drain/RunAll would
 // never terminate against a crashed peer.
@@ -34,44 +34,20 @@ import (
 	"mutablecp/internal/relnet"
 )
 
-// ReliableConfig tunes the ARQ machinery. The zero value gets defaults.
-type ReliableConfig struct {
-	// RTO is the initial retransmission timeout. Default 100 ms.
-	RTO time.Duration
-	// MaxRTO caps the exponential backoff. Default 2 s.
-	MaxRTO time.Duration
-	// MaxRetries is the per-frame retransmission budget before the channel
-	// gives up and discards its backlog (a later send reopens it). Default
-	// 16: with the default RTO/MaxRTO the give-up horizon is ~30 s of
-	// persistent silence, far beyond any partition window the gauntlet
-	// uses, and the chance of 17 consecutive independent losses at 20%
-	// drop is ~10^-12.
-	MaxRetries int
-	// HeaderBytes is the per-frame ARQ overhead added to data frames.
-	// Default 12 (seq + channel ids + kind).
-	HeaderBytes int
-	// AckBytes is the size of an acknowledgement frame. Default 16.
-	AckBytes int
-}
-
-func (c ReliableConfig) defaults() ReliableConfig {
-	if c.RTO == 0 {
-		c.RTO = 100 * time.Millisecond
-	}
-	if c.MaxRTO == 0 {
-		c.MaxRTO = 2 * time.Second
-	}
-	if c.MaxRetries == 0 {
-		c.MaxRetries = 16
-	}
-	if c.HeaderBytes == 0 {
-		c.HeaderBytes = 12
-	}
-	if c.AckBytes == 0 {
-		c.AckBytes = 16
-	}
-	return c
-}
+// The ARQ's fixed costs and give-up budget. The timeouts are relnet's.
+const (
+	// maxRetries is the per-frame retransmission budget before the channel
+	// gives up and discards its backlog (a later send reopens it). With
+	// relnet.BaseRTO/MaxRTO the give-up horizon is ~30 s of persistent
+	// silence, far beyond any partition window the gauntlet uses, and the
+	// chance of 17 consecutive independent losses at 20% drop is ~10^-12.
+	maxRetries = 16
+	// headerBytes is the per-frame ARQ overhead added to data frames
+	// (seq + channel ids + kind).
+	headerBytes = 12
+	// ackBytes is the size of an acknowledgement frame.
+	ackBytes = 16
+)
 
 // ReliableMetrics counts the sublayer's work. Totals only; never fed
 // back into protocol decisions.
@@ -105,7 +81,6 @@ type Reliable struct {
 	sim   *des.Simulator
 	inner Transport
 	n     int
-	cfg   ReliableConfig
 
 	send map[[2]protocol.ProcessID]*sendChan
 	recv map[[2]protocol.ProcessID]*relnet.Inbox[des.Firer]
@@ -123,12 +98,11 @@ var _ ExactlyOnce = (*Reliable)(nil)
 func (r *Reliable) DeliversExactlyOnce() {}
 
 // NewReliable wraps inner with the ARQ sublayer for n processes.
-func NewReliable(sim *des.Simulator, inner Transport, n int, cfg ReliableConfig) *Reliable {
+func NewReliable(sim *des.Simulator, inner Transport, n int) *Reliable {
 	return &Reliable{
 		sim:   sim,
 		inner: inner,
 		n:     n,
-		cfg:   cfg.defaults(),
 		send:  make(map[[2]protocol.ProcessID]*sendChan),
 		recv:  make(map[[2]protocol.ProcessID]*relnet.Inbox[des.Firer]),
 	}
@@ -138,7 +112,7 @@ func (r *Reliable) sendChanFor(from, to protocol.ProcessID) *sendChan {
 	key := [2]protocol.ProcessID{from, to}
 	sc := r.send[key]
 	if sc == nil {
-		sc = &sendChan{from: from, to: to, rto: r.cfg.RTO}
+		sc = &sendChan{from: from, to: to, rto: relnet.BaseRTO}
 		r.send[key] = sc
 	}
 	return sc
@@ -195,7 +169,7 @@ func (r *Reliable) Broadcast(from protocol.ProcessID, size int, deliver func(to 
 			gens[to] = r.sendChanFor(from, protocol.ProcessID(to)).out.Gen()
 		}
 	}
-	r.inner.Broadcast(from, size+r.cfg.HeaderBytes, func(to protocol.ProcessID) {
+	r.inner.Broadcast(from, size+headerBytes, func(to protocol.ProcessID) {
 		if live[to] {
 			r.onData(from, to, gens[to], seqs[to], des.Func(func() { deliver(to) }))
 		}
@@ -210,7 +184,7 @@ func (r *Reliable) Broadcast(from protocol.ProcessID, size int, deliver func(to 
 // transmit sends one data frame through the inner transport.
 func (r *Reliable) transmit(sc *sendChan, f relnet.OutFrame[des.Firer]) {
 	from, to, gen, seq, deliver := sc.from, sc.to, sc.out.Gen(), f.Seq, f.Payload
-	r.inner.Unicast(from, to, f.Size+r.cfg.HeaderBytes, des.Func(func() {
+	r.inner.Unicast(from, to, f.Size+headerBytes, des.Func(func() {
 		r.onData(from, to, gen, seq, deliver)
 	}))
 }
@@ -235,7 +209,7 @@ func (r *Reliable) onData(from, to protocol.ProcessID, gen, seq uint64, deliver 
 	// Cumulative ack: everything below Cum has been delivered.
 	cum := rc.Cum()
 	r.Metrics.AcksSent++
-	r.inner.Unicast(to, from, r.cfg.AckBytes, des.Func(func() {
+	r.inner.Unicast(to, from, ackBytes, des.Func(func() {
 		r.onAck(from, to, gen, cum)
 	}))
 }
@@ -256,7 +230,7 @@ func (r *Reliable) onAck(from, to protocol.ProcessID, gen, cum uint64) {
 		return
 	}
 	// Fresh evidence the peer is alive: reset the backoff.
-	sc.rto = r.cfg.RTO
+	sc.rto = relnet.BaseRTO
 	sc.retries = 0
 	r.disarm(sc)
 	r.arm(sc)
@@ -289,7 +263,7 @@ func (r *Reliable) onTimeout(sc *sendChan) {
 	if !ok {
 		return
 	}
-	if sc.retries >= r.cfg.MaxRetries {
+	if sc.retries >= maxRetries {
 		sc.dead = true
 		sc.out.Discard()
 		r.Metrics.GaveUp++
@@ -299,8 +273,8 @@ func (r *Reliable) onTimeout(sc *sendChan) {
 	r.Metrics.Retransmissions++
 	r.transmit(sc, oldest)
 	sc.rto *= 2
-	if sc.rto > r.cfg.MaxRTO {
-		sc.rto = r.cfg.MaxRTO
+	if sc.rto > relnet.MaxRTO {
+		sc.rto = relnet.MaxRTO
 	}
 	r.arm(sc)
 }
@@ -337,7 +311,7 @@ func (r *Reliable) ResetPeer(p protocol.ProcessID) {
 // half adopts the new generation when its first frame arrives.
 func (r *Reliable) reopen(sc *sendChan) {
 	sc.out.Reopen(sc.out.Gen() + 1) // backlog was discarded at give-up
-	sc.rto = r.cfg.RTO
+	sc.rto = relnet.BaseRTO
 	sc.retries = 0
 	sc.dead = false
 	r.Metrics.Reopened++
@@ -351,7 +325,7 @@ func (r *Reliable) resetPair(from, to protocol.ProcessID) {
 	r.disarm(sc)
 	sc.out.Discard()
 	sc.out.Reopen(sc.out.Gen() + 1)
-	sc.rto = r.cfg.RTO
+	sc.rto = relnet.BaseRTO
 	sc.retries = 0
 	sc.dead = false
 	r.recvChanFor(from, to).Reset(sc.out.Gen())

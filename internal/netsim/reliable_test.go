@@ -12,7 +12,7 @@ import (
 func TestTransparentOverPerfectNetwork(t *testing.T) {
 	sim := des.New()
 	lan := netsim.NewLAN(sim, 4, netsim.WirelessLAN2Mbps)
-	r := netsim.NewReliable(sim, lan, 4, netsim.ReliableConfig{})
+	r := netsim.NewReliable(sim, lan, 4)
 	var got []int
 	for i := 0; i < 20; i++ {
 		i := i
@@ -54,7 +54,7 @@ func TestRestoresFIFOUnderChaos(t *testing.T) {
 				Dup:       0.15,
 				JitterMax: 20 * time.Millisecond,
 			})
-			r := netsim.NewReliable(sim, faulty, 4, netsim.ReliableConfig{})
+			r := netsim.NewReliable(sim, faulty, 4)
 			const msgs = 120
 			var fwd, rev []int
 			for i := 0; i < msgs; i++ {
@@ -97,7 +97,7 @@ func TestBroadcastTakesFIFOSlots(t *testing.T) {
 	faulty := netsim.NewFaulty(sim, lan, 3, netsim.FaultConfig{
 		Seed: 5, Drop: 0.3, JitterMax: 10 * time.Millisecond,
 	})
-	r := netsim.NewReliable(sim, faulty, 3, netsim.ReliableConfig{})
+	r := netsim.NewReliable(sim, faulty, 3)
 	var got []string
 	for round := 0; round < 30; round++ {
 		round := round
@@ -137,7 +137,7 @@ func TestGivesUpOnCrashedPeer(t *testing.T) {
 		Seed:    1,
 		CrashAt: map[int]time.Duration{1: 0},
 	})
-	r := netsim.NewReliable(sim, faulty, 2, netsim.ReliableConfig{RTO: 10 * time.Millisecond, MaxRTO: 80 * time.Millisecond, MaxRetries: 5})
+	r := netsim.NewReliable(sim, faulty, 2)
 	delivered := false
 	r.Unicast(0, 1, 100, des.Func(func() { delivered = true }))
 	r.Unicast(0, 1, 100, des.Func(func() { delivered = true }))
@@ -150,8 +150,8 @@ func TestGivesUpOnCrashedPeer(t *testing.T) {
 	if r.Metrics.GaveUp != 1 {
 		t.Fatalf("GaveUp = %d, want 1", r.Metrics.GaveUp)
 	}
-	if r.Metrics.Retransmissions != 5 {
-		t.Fatalf("Retransmissions = %d, want 5 (the budget)", r.Metrics.Retransmissions)
+	if r.Metrics.Retransmissions != 16 {
+		t.Fatalf("Retransmissions = %d, want 16 (the budget)", r.Metrics.Retransmissions)
 	}
 	// A later send reopens the channel under a fresh incarnation — and,
 	// the peer still being dead, the new backlog is given up in turn. The
@@ -177,11 +177,9 @@ func TestReopensAfterGiveUp(t *testing.T) {
 	faulty := netsim.NewFaulty(sim, lan, 2, netsim.FaultConfig{
 		Seed:      1,
 		CrashAt:   map[int]time.Duration{1: 0},
-		RestartAt: map[int]time.Duration{1: time.Second},
+		RestartAt: map[int]time.Duration{1: time.Minute}, // outlasts the ~30 s give-up horizon
 	})
-	r := netsim.NewReliable(sim, faulty, 2, netsim.ReliableConfig{
-		RTO: 10 * time.Millisecond, MaxRTO: 80 * time.Millisecond, MaxRetries: 5,
-	})
+	r := netsim.NewReliable(sim, faulty, 2)
 	var got []int
 	r.Unicast(0, 1, 100, des.Func(func() { got = append(got, 0) })) // lost: given up mid-outage
 	if err := sim.RunAll(); err != nil {
@@ -192,7 +190,7 @@ func TestReopensAfterGiveUp(t *testing.T) {
 	}
 	for i := 1; i <= 3; i++ {
 		i := i
-		sim.Schedule(2*time.Second, func() {
+		sim.Schedule(time.Minute, func() {
 			r.Unicast(0, 1, 100, des.Func(func() { got = append(got, i) }))
 		})
 	}
@@ -218,7 +216,7 @@ func TestSurvivesPartitionWindow(t *testing.T) {
 			{From: 0, Until: 3 * time.Second, GroupA: []int{0}},
 		},
 	})
-	r := netsim.NewReliable(sim, faulty, 2, netsim.ReliableConfig{})
+	r := netsim.NewReliable(sim, faulty, 2)
 	var got []int
 	for i := 0; i < 5; i++ {
 		i := i
@@ -249,7 +247,7 @@ func chaosFingerprint(seed uint64) string {
 	faulty := netsim.NewFaulty(sim, lan, 4, netsim.FaultConfig{
 		Seed: seed, Drop: 0.2, Dup: 0.1, JitterMax: 5 * time.Millisecond,
 	})
-	r := netsim.NewReliable(sim, faulty, 4, netsim.ReliableConfig{})
+	r := netsim.NewReliable(sim, faulty, 4)
 	out := ""
 	for i := 0; i < 50; i++ {
 		i := i

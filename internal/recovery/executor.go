@@ -126,8 +126,8 @@ func (x *Executor) Recover(victim protocol.ProcessID) (*Report, error) {
 		return nil, fmt.Errorf("recovery: unknown process P%d", victim)
 	}
 	p := x.cluster.Proc(victim)
-	if p.Phase() != simrt.PhaseDown {
-		return nil, fmt.Errorf("recovery: P%d is %v, not down", victim, p.Phase())
+	if !p.Failed() {
+		return nil, fmt.Errorf("recovery: P%d is not down", victim)
 	}
 	switch x.mode {
 	case ModeLog:
@@ -215,9 +215,6 @@ func (x *Executor) recoverRollback(victim protocol.ProcessID) (*Report, error) {
 		}
 	}
 	x.cluster.ResetOwners()
-	for i := 0; i < n; i++ {
-		x.cluster.Proc(i).MarkReplaying()
-	}
 	// Replay the line's channel state: messages sent before the sender's
 	// checkpoint and unreceived at the receiver's are still owed by the
 	// reliable channels. Channels are walked in (from, to) order so the
@@ -258,7 +255,6 @@ func (x *Executor) recoverLog(victim protocol.ProcessID) (*Report, error) {
 		return nil, fmt.Errorf("recovery: drop tentatives P%d: %w", victim, err)
 	}
 	x.cluster.PurgeRolledBack(victim, st.CSN)
-	p.MarkReplaying()
 	n := x.cluster.N()
 	for q := 0; q < n; q++ {
 		if q == victim {

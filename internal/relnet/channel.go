@@ -11,6 +11,15 @@
 // a stale one.
 package relnet
 
+import "time"
+
+// Retransmission pacing for both drivers: a channel's first timeout, and
+// the cap its exponential backoff doubles up to.
+const (
+	BaseRTO = 100 * time.Millisecond
+	MaxRTO  = 2 * time.Second
+)
+
 // OutFrame is one in-flight data frame on a channel's sender half.
 type OutFrame[T any] struct {
 	Seq     uint64

@@ -8,7 +8,7 @@ package simrt
 // behind).
 //
 // A process that is down when the audit runs fail-stopped and was never
-// recovered, so each oracle derives its exemption from Phase alone: a down
+// recovered, so each oracle derives its exemption from that alone: a down
 // participant's tentative at the MSS joins the lines it belongs to, and
 // instances a down process initiated are not audited for leaks, because
 // nobody is left to disseminate their commit or abort.
@@ -102,7 +102,7 @@ func (c *Cluster) AuditLines() (committed, aborted int, err error) {
 		}
 		committed++
 		for _, p := range c.procs {
-			if !p.down() {
+			if !p.down {
 				continue
 			}
 			if t, ok := p.Stable().Tentative(rec.Trigger); ok {
@@ -122,16 +122,16 @@ func (c *Cluster) AuditLines() (committed, aborted int, err error) {
 // is live, and no live initiator still holds termination weight.
 func (c *Cluster) AuditLeaks() error {
 	for _, p := range c.procs {
-		if p.down() {
+		if p.down {
 			continue
 		}
 		for _, trig := range p.Stable().TentativeTriggers() {
-			if !c.procs[trig.Pid].down() {
+			if !c.procs[trig.Pid].down {
 				return fmt.Errorf("P%d leaked a tentative checkpoint for live-initiator trigger %+v", p.id, trig)
 			}
 		}
 		for _, trig := range p.Mutable().Triggers() {
-			if !c.procs[trig.Pid].down() {
+			if !c.procs[trig.Pid].down {
 				return fmt.Errorf("P%d leaked a mutable checkpoint for live-initiator trigger %+v", p.id, trig)
 			}
 		}

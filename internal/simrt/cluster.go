@@ -428,7 +428,7 @@ func (c *Cluster) releaseDelivery(d *delivery) {
 // firstFailed returns the lowest-numbered fail-stopped process, or -1.
 func (c *Cluster) firstFailed() protocol.ProcessID {
 	for _, p := range c.procs {
-		if p.down() {
+		if p.down {
 			return p.id
 		}
 	}

@@ -60,14 +60,14 @@ func (c *Cluster) PurgeRolledBack(pid protocol.ProcessID, csn int) {
 	c.metrics.purgeRolledBack(pid, csn)
 }
 
-// BeginRestore moves a process into PhaseRestoring: its volatile state is
+// BeginRestore takes a process down for a restore: its volatile state is
 // wiped (a restore is semantically a fresh host loading a checkpoint),
 // its epoch is bumped so every in-flight delivery addressed to or sent by
 // the pre-rollback incarnation is fenced off, and its engine is rebuilt
 // from the cluster's factory. Applies both to a down process restarting
 // and to a live peer being coordinately rolled back.
 func (p *Proc) BeginRestore() {
-	p.phase = PhaseRestoring
+	p.down = true
 	p.epoch++
 	p.ckpt.Crash()
 	p.queue = nil
@@ -99,10 +99,6 @@ func (p *Proc) SetCounters(sent, recv []uint64) {
 	p.recvFrom = append(p.recvFrom[:0], recv...)
 }
 
-// MarkReplaying moves a restoring process into PhaseReplaying, during
-// which the recovery executor redelivers channel state via InjectReplay.
-func (p *Proc) MarkReplaying() { p.phase = PhaseReplaying }
-
 // MarkLive completes a recovery: the process rejoins the computation. A
 // process that was down counts as a restart and contributes its outage to
 // RecoveryTime; a live peer that was rolled back counts as a peer
@@ -118,7 +114,7 @@ func (p *Proc) MarkLive() {
 	} else {
 		p.c.metrics.PeerRollbacks++
 	}
-	p.phase = PhaseLive
+	p.down = false
 	if p.c.cfg.ScheduleCheckpoints &&
 		(p.c.cfg.ScheduledProcs <= 0 || int(p.id) < p.c.cfg.ScheduledProcs) {
 		p.ticker = p.c.sim.NewTicker(p.c.cfg.CheckpointInterval, 0, func() {

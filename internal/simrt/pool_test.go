@@ -41,7 +41,7 @@ func TestMessagePoolingGate(t *testing.T) {
 	reliable := poolCluster(t, func(sim *des.Simulator, n int) netsim.Transport {
 		inner := netsim.NewLAN(sim, n, netsim.WirelessLAN2Mbps)
 		faulty := netsim.NewFaulty(sim, inner, n, netsim.FaultConfig{Dup: 0.5})
-		return netsim.NewReliable(sim, faulty, n, netsim.ReliableConfig{})
+		return netsim.NewReliable(sim, faulty, n)
 	})
 	if !reliable.pooling {
 		t.Error("ARQ layer restores exactly-once; pooling should be enabled")
@@ -87,7 +87,6 @@ func TestEpochFencesInFlightDeliveries(t *testing.T) {
 	for _, pid := range []protocol.ProcessID{0, 3} { // a sender, a receiver
 		p := c.Proc(pid)
 		p.BeginRestore()
-		p.MarkReplaying()
 		p.MarkLive()
 	}
 	if err := c.Drain(); err != nil {

@@ -17,38 +17,6 @@ type queuedSend struct {
 	payload []byte
 }
 
-// Phase is a process's position in the crash/recovery lifecycle. A healthy
-// process is PhaseLive; a fail-stop moves it to PhaseDown; the recovery
-// executor walks it down → restoring (state reloaded from the stable
-// store) → replaying (channel state redelivered) → live. The intermediate
-// phases are traversed synchronously inside one recovery event, so other
-// simulation events only ever observe live or down.
-type Phase int
-
-// Lifecycle phases.
-const (
-	PhaseLive Phase = iota
-	PhaseDown
-	PhaseRestoring
-	PhaseReplaying
-)
-
-// String names the phase.
-func (ph Phase) String() string {
-	switch ph {
-	case PhaseLive:
-		return "live"
-	case PhaseDown:
-		return "down"
-	case PhaseRestoring:
-		return "restoring"
-	case PhaseReplaying:
-		return "replaying"
-	default:
-		return "phase?"
-	}
-}
-
 // Proc is one simulated process: it owns the engine, the checkpoint
 // stores, the per-peer counters, and implements protocol.Env.
 type Proc struct {
@@ -80,7 +48,10 @@ type Proc struct {
 	ticker    *des.Ticker
 	busyUntil time.Duration
 
-	phase     Phase
+	// down is set by a fail-stop and by a restore, and cleared when the
+	// restore completes; a down process neither sends nor receives. A
+	// restore runs inside one event, so other events see only fail-stops.
+	down      bool
 	downSince time.Duration // crash instant while down; -1 otherwise
 
 	blocked      bool
@@ -110,10 +81,6 @@ func newProc(c *Cluster, id protocol.ProcessID) (*Proc, error) {
 		downSince: -1,
 	}, nil
 }
-
-// down reports whether the process is anywhere off the live phase; a
-// non-live process neither sends nor receives.
-func (p *Proc) down() bool { return p.phase != PhaseLive }
 
 // growCounter extends a truncated per-peer counter vector so index i is
 // addressable. Entries past the stored length are semantically 0
@@ -198,7 +165,7 @@ func (p *Proc) armRequestTimeout() {
 }
 
 func (p *Proc) requestTimeout(a protocol.Initiator, trig protocol.Trigger, ep uint64) {
-	if p.down() || p.epoch != ep || !a.Initiating() || a.OwnTrigger() != trig {
+	if p.down || p.epoch != ep || !a.Initiating() || a.OwnTrigger() != trig {
 		// Crashed, rolled back (the aborter references a discarded
 		// engine), or the instance already terminated.
 		return
@@ -219,7 +186,7 @@ func (p *Proc) requestTimeout(a protocol.Initiator, trig protocol.Trigger, ep ui
 // --- application side ---
 
 func (p *Proc) sendApp(to protocol.ProcessID, payload []byte) {
-	if p.down() {
+	if p.down {
 		return
 	}
 	if p.blocked || p.disconnected || p.dozing {
@@ -265,7 +232,7 @@ func (p *Proc) flushQueue() {
 // mutable-checkpoint memory copy makes the host briefly unresponsive),
 // doze-mode wakeup latency, and fail-stop semantics.
 func (p *Proc) receive(m *protocol.Message) {
-	if p.down() {
+	if p.down {
 		return // fail-stop: messages to a crashed host are lost
 	}
 	now := p.c.sim.Now()
@@ -290,7 +257,7 @@ func (p *Proc) receive(m *protocol.Message) {
 }
 
 func (p *Proc) deliverNow(m *protocol.Message) {
-	if p.down() {
+	if p.down {
 		return
 	}
 	if p.disconnected && m.Kind == protocol.KindComputation {
@@ -601,10 +568,10 @@ func (p *Proc) Reconnect() {
 // to it are dropped, and it generates no further traffic. Stable
 // checkpoints survive at the MSS.
 func (p *Proc) Fail() {
-	if p.down() {
+	if p.down {
 		return
 	}
-	p.phase = PhaseDown
+	p.down = true
 	p.downSince = p.c.sim.Now()
 	p.c.metrics.Crashes++
 	p.ckpt.Crash()
@@ -622,18 +589,15 @@ func (p *Proc) Fail() {
 	p.Trace(trace.KindNote, -1, "fail-stop")
 }
 
-// Failed reports whether the host is off the live phase (down or mid
+// Failed reports whether the host is down (fail-stopped, or mid
 // recovery).
-func (p *Proc) Failed() bool { return p.down() }
-
-// Phase reports the process's lifecycle phase.
-func (p *Proc) Phase() Phase { return p.phase }
+func (p *Proc) Failed() bool { return p.down }
 
 // Doze puts the host into the paper's doze mode: it powers down and is
 // awakened only by an arriving message, each wakeup costing the
 // configured latency. Application sends are deferred until Wake.
 func (p *Proc) Doze() {
-	if p.dozing || p.down() {
+	if p.dozing || p.down {
 		return
 	}
 	p.dozing = true
