@@ -453,7 +453,6 @@ func (e *Engine) takeMutable(trig protocol.Trigger) {
 // request from P_j" (§3.3.2).
 func (e *Engine) handleRequest(m *protocol.Message) {
 	j := m.From
-	e.setCSN(j, m.CSN)
 	initiator := m.Trigger.Pid
 
 	if e.aborted[m.Trigger] {
@@ -469,6 +468,11 @@ func (e *Engine) handleRequest(m *protocol.Message) {
 		e.reply(initiator, m.Trigger, m.Weight, bitset.Snapshot{})
 		return
 	}
+	// csn_i[j] rises only once this process takes part. A declining
+	// process that raised it would deliver the initiator's post-checkpoint
+	// messages with no mutable checkpoint, and a later request for the
+	// same instance would then checkpoint their receive (DESIGN §4).
+	e.setCSN(j, m.CSN)
 	e.cpState = true
 
 	if cp, ok := e.mutables[m.Trigger]; ok {

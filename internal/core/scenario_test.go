@@ -288,6 +288,55 @@ func TestFig4RequestSuppressedByCSN(t *testing.T) {
 	}
 }
 
+// TestDeclinedRequestKeepsCSN replays the smallest live-cluster orphan
+// (N = 3). P1 declines P0's stale request as in Fig. 4. P0, now past its
+// checkpoint, sends P1 m. A later request for the same instance reaches P1
+// through P2 and is not stale. If the decline had already raised
+// csn_1[0], m would pass handleComputation's first branch with no mutable
+// checkpoint, and the tentative P1 then takes would record m's receive
+// while P0's checkpoint does not record its send.
+func TestDeclinedRequestKeepsCSN(t *testing.T) {
+	w := newWorld(t, 3)
+	p0, p1, p2 := 0, 1, 2
+
+	w.deliver(w.send(p1, p0)) // P0 depends on P1 with csn_0[1] = 0
+	// P1 checkpoints alone. Its commit stays queued to P0, so P0's
+	// request will carry the stale req_csn 0 against P1's old_csn 1.
+	if err := w.engines[p1].Initiate(); err != nil {
+		t.Fatal(err)
+	}
+	w.deliverMatching(func(m *protocol.Message) bool { return m.Kind == protocol.KindCommit && m.To == p2 })
+	w.deliver(w.send(p1, p2)) // P2 depends on P1 with csn_2[1] = 1
+	w.deliver(w.send(p2, p0)) // P0 depends on P2
+
+	if err := w.engines[p0].Initiate(); err != nil {
+		t.Fatal(err)
+	}
+	if m := w.deliverMatching(func(m *protocol.Message) bool {
+		return m.Kind == protocol.KindRequest && m.To == p1
+	}); m == nil {
+		t.Fatal("no request from P0 to P1")
+	}
+	if w.envs[p1].tentativeTaken != 1 {
+		t.Fatalf("P1 tentative = %d, want 1: the stale request was not declined", w.envs[p1].tentativeTaken)
+	}
+	w.deliver(w.send(p0, p1)) // m, sent after P0's tentative
+	if w.envs[p1].mutableTaken != 1 {
+		t.Errorf("P1 mutable = %d, want 1 before processing m", w.envs[p1].mutableTaken)
+	}
+
+	w.pump() // P2's request to P1, replies, commits
+	if w.envs[p0].doneCount != 1 || !w.envs[p0].lastCommitted {
+		t.Fatal("P0's instance did not commit")
+	}
+	if w.envs[p1].promoted != 1 {
+		t.Errorf("P1 promoted = %d, want 1", w.envs[p1].promoted)
+	}
+	if err := consistency.Check(w.line()); err != nil {
+		t.Fatalf("declined request left an orphan: %v", err)
+	}
+}
+
 // TestFig2ZDependency replays the Fig. 2 scenario that motivates the
 // impossibility result: the z-dependency created by m4 means P2 receives a
 // request it could not have predicted when it processed m5. The mutable
