@@ -23,10 +23,8 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mutablecp/internal/checkpoint"
@@ -72,11 +70,6 @@ type Options struct {
 	// unreachable bytes exceed this fraction of the on-disk payload
 	// bytes (0 or negative means 0.5).
 	GarbageRatio float64
-
-	// workers bounds the SHA-256 fan-out on the save path; 0 means
-	// GOMAXPROCS. Only tests set it, to show the on-disk bytes do not
-	// depend on it.
-	workers int
 }
 
 const (
@@ -97,9 +90,6 @@ func (o Options) defaults() Options {
 	}
 	if o.Keep < 0 {
 		o.Keep = 0
-	}
-	if o.workers <= 0 {
-		o.workers = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -161,6 +151,13 @@ type Stats struct {
 // GarbageBytes reports stored payload bytes no retained manifest reaches.
 func (st Stats) GarbageBytes() int64 { return st.DiskBytes - st.LiveBytes }
 
+// lastImage is a private copy of the image a process saved last, with
+// its chunk hashes, so the next save hashes only the chunks that changed.
+type lastImage struct {
+	image  []byte
+	hashes []wire.ChunkHash
+}
+
 // Store is one MSS's content-addressed chunk store. It is safe for
 // concurrent use.
 type Store struct {
@@ -173,6 +170,7 @@ type Store struct {
 	chunks map[wire.ChunkHash]*chunkInfo
 	perm   map[protocol.ProcessID][]*Manifest
 	tent   map[protocol.ProcessID]map[protocol.Trigger]*Manifest
+	last   map[protocol.ProcessID]*lastImage
 
 	liveBytes int64
 	diskBytes int64
@@ -198,6 +196,7 @@ func Open(dir string, opts Options) (*Store, error) {
 		chunks: make(map[wire.ChunkHash]*chunkInfo),
 		perm:   make(map[protocol.ProcessID][]*Manifest),
 		tent:   make(map[protocol.ProcessID]map[protocol.Trigger]*Manifest),
+		last:   make(map[protocol.ProcessID]*lastImage),
 	}
 	log, err := seglog.Open(dir, "chk",
 		seglog.Options{FS: opts.FS, Sync: opts.Sync, SegmentBytes: opts.SegmentBytes},
@@ -401,61 +400,56 @@ func (s *Store) usable() error {
 	return s.log.Broken()
 }
 
-// append frames rec, appends it and waits on the log's sync ticket per
-// the fsync discipline (durable marks a commit-grade record). It returns
-// where the frame went, so chunk records can be indexed, and its length.
-func (s *Store) append(rec *wire.ChunkRecord, durable bool) (seglog.Pos, int, error) {
+// appendCtrl frames a commit or drop record, appends it and waits on the
+// log's sync ticket as a commit-grade record.
+func (s *Store) appendCtrl(rec *wire.ChunkRecord) error {
 	frame, err := wire.AppendChunkRecord(nil, rec)
 	if err != nil {
-		return seglog.Pos{}, 0, err
+		return err
 	}
 	pos, err := s.log.Append(frame)
 	if err != nil {
-		return pos, 0, err
+		return err
 	}
-	switch rec.Op {
-	case wire.ChunkOpManifest, wire.ChunkOpCommit, wire.ChunkOpDrop:
-		// Control records are not payload bytes, but they still consume
-		// disk; compaction is also triggered when they alone outgrow the
-		// chain (see maybeCompactLocked).
-		s.ctrlBytes += int64(len(frame))
-	}
-	return pos, len(frame), s.log.WaitDurable(pos.Gen, durable)
+	// Control records are not payload bytes, but they still consume disk;
+	// compaction is also triggered when they alone outgrow the chain (see
+	// maybeCompactLocked).
+	s.ctrlBytes += int64(len(frame))
+	return s.log.WaitDurable(pos.Gen, true)
 }
 
 // HashChunk returns the content address of one chunk.
 func HashChunk(b []byte) wire.ChunkHash { return sha256.Sum256(b) }
 
-// hashChunks computes the content addresses of chunks over a bounded
-// worker pool. Every result lands at its input index, so the output —
-// and everything assembled from it — is independent of scheduling.
-func hashChunks(chunks [][]byte, workers int) []wire.ChunkHash {
+// hashLocked returns the content addresses of chunks, proc's image cut
+// by SplitChunks. A chunk equal to the one at the same index, and of the
+// same length, in the image proc saved last reuses that chunk's hash; any
+// other is hashed and copied over the old one, so the kept copy then
+// equals this image at the cost of what changed.
+func (s *Store) hashLocked(proc protocol.ProcessID, chunks [][]byte, size int) []wire.ChunkHash {
+	last := s.last[proc]
+	if last == nil {
+		last = &lastImage{}
+		s.last[proc] = last
+	}
+	old := len(last.image)
+	if size > old {
+		last.image = append(last.image, make([]byte, size-old)...)
+	}
+	last.image = last.image[:size]
 	hashes := make([]wire.ChunkHash, len(chunks))
-	if workers > len(chunks) {
-		workers = len(chunks)
-	}
-	if workers <= 1 {
-		for i, data := range chunks {
-			hashes[i] = HashChunk(data)
+	for i, data := range chunks {
+		off := i * s.opts.ChunkBytes
+		end := off + len(data)
+		kept := last.image[off:end]
+		if min(off+s.opts.ChunkBytes, old) == end && bytes.Equal(data, kept) {
+			hashes[i] = last.hashes[i]
+			continue
 		}
-		return hashes
+		hashes[i] = HashChunk(data)
+		copy(kept, data)
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(chunks) {
-					return
-				}
-				hashes[i] = HashChunk(chunks[i])
-			}
-		}()
-	}
-	wg.Wait()
+	last.hashes = hashes
 	return hashes
 }
 
@@ -507,63 +501,17 @@ func (s *Store) unrefManifest(m *Manifest) {
 	}
 }
 
-// putChunkLocked stores one chunk whole for proc. The caller has already
-// ruled out a dedup hit.
-func (s *Store) putChunkLocked(proc protocol.ProcessID, h wire.ChunkHash, data []byte) error {
-	pos, _, err := s.append(&wire.ChunkRecord{Op: wire.ChunkOpPut, Proc: proc, Hash: h, Payload: data}, false)
-	if err != nil {
-		return err
-	}
-	s.indexChunk(h, &chunkInfo{size: len(data), seg: pos.Segment, off: pos.Offset, owner: proc})
-	return nil
-}
-
-// putManifestLocked appends m's tentative manifest record, registers m
-// (which the store now owns) and takes references on its chunks. It
-// returns the frame bytes appended.
-func (s *Store) putManifestLocked(m *Manifest) (int, error) {
-	_, n, err := s.append(&wire.ChunkRecord{
-		Op: wire.ChunkOpManifest, Proc: m.Proc, Trigger: m.Trigger, At: m.At,
-		Status: statusTentative, ChunkBytes: m.ChunkBytes, Length: m.Length, Hashes: m.Hashes,
-	}, false)
-	if err != nil {
-		return 0, err
-	}
-	tm := s.tent[m.Proc]
-	if tm == nil {
-		tm = make(map[protocol.Trigger]*Manifest)
-		s.tent[m.Proc] = tm
-	}
-	tm[m.Trigger] = m
-	for _, h := range m.Hashes {
-		s.ref(s.chunks[h])
-	}
-	return n, nil
-}
-
 // PutTentative chunks a process image, stores the chunks not already
-// indexed, and records the tentative manifest.
+// indexed, and records the tentative manifest. The caller keeps image:
+// the store copies what it retains.
 //
-// SHA-256 hashing — the CPU-bound half of a save — runs outside the
-// lock over the worker pool; the index lookups and appends then run in
-// input order under one lock hold, so the segment and manifest bytes
-// are identical whatever the worker count.
+// Only the chunks that differ from proc's previous image are hashed
+// (hashLocked). The new chunks and then the manifest go to the log as one
+// batch, so a save is one write (one per segment it spans), and a crash
+// inside it keeps a prefix: chunks no manifest references yet, which
+// compaction reclaims, never a manifest without its chunks.
 func (s *Store) PutTentative(proc protocol.ProcessID, trig protocol.Trigger, at time.Duration, image []byte) (checkpoint.PayloadReceipt, error) {
 	var r checkpoint.PayloadReceipt
-	s.mu.Lock()
-	if err := s.usable(); err != nil {
-		s.mu.Unlock()
-		return r, err
-	}
-	if s.tent[proc][trig] != nil {
-		s.mu.Unlock()
-		return r, checkpoint.ErrPayloadPending
-	}
-	s.mu.Unlock()
-
-	chunks := SplitChunks(image, s.opts.ChunkBytes)
-	hashes := hashChunks(chunks, s.opts.workers)
-
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.usable(); err != nil {
@@ -572,9 +520,14 @@ func (s *Store) PutTentative(proc protocol.ProcessID, trig protocol.Trigger, at 
 	if s.tent[proc][trig] != nil {
 		return r, checkpoint.ErrPayloadPending
 	}
+	chunks := SplitChunks(image, s.opts.ChunkBytes)
+	hashes := s.hashLocked(proc, chunks, len(image))
 	r.LogicalBytes = uint64(len(image))
 	r.Chunks = len(chunks)
 	var selfDedup, crossDedup uint64
+	var batch []byte
+	var fresh []wire.ChunkHash // indexed ahead of the write, placed after it
+	var err error
 	for i, data := range chunks {
 		h := hashes[i]
 		if info, ok := s.chunks[h]; ok {
@@ -586,20 +539,57 @@ func (s *Store) PutTentative(proc protocol.ProcessID, trig protocol.Trigger, at 
 			}
 			continue
 		}
-		if err := s.putChunkLocked(proc, h, data); err != nil {
-			return r, err
+		if batch, err = wire.AppendChunkRecord(batch, &wire.ChunkRecord{Op: wire.ChunkOpPut, Proc: proc, Hash: h, Payload: data}); err != nil {
+			break
 		}
+		// Indexed now, so a repeat later in this image is a dedup hit.
+		s.indexChunk(h, &chunkInfo{size: len(data), owner: proc})
+		fresh = append(fresh, h)
 		r.NewBytes += uint64(len(data))
 		r.NewChunks++
 	}
-	n, err := s.putManifestLocked(&Manifest{
+	m := &Manifest{
 		Proc: proc, Trigger: trig, At: at,
 		ChunkBytes: s.opts.ChunkBytes, Length: int64(len(image)), Hashes: hashes,
-	})
+	}
+	manifestAt := len(batch)
+	if err == nil {
+		batch, err = wire.AppendChunkRecord(batch, &wire.ChunkRecord{
+			Op: wire.ChunkOpManifest, Proc: proc, Trigger: trig, At: at,
+			Status: statusTentative, ChunkBytes: m.ChunkBytes, Length: m.Length, Hashes: hashes,
+		})
+	}
+	var pos []seglog.Pos
+	if err == nil {
+		pos, err = s.log.AppendBatch(batch)
+	}
+	if err == nil {
+		err = s.log.WaitDurable(pos[len(pos)-1].Gen, false)
+	}
 	if err != nil {
+		// A failed save leaves nothing in the index: its chunks are not
+		// on disk, or not known to be.
+		for _, h := range fresh {
+			s.diskBytes -= int64(s.chunks[h].size)
+			delete(s.chunks, h)
+		}
 		return r, err
 	}
-	r.NewBytes += uint64(n)
+	for i, h := range fresh {
+		s.chunks[h].seg, s.chunks[h].off = pos[i].Segment, pos[i].Offset
+	}
+	tm := s.tent[proc]
+	if tm == nil {
+		tm = make(map[protocol.Trigger]*Manifest)
+		s.tent[proc] = tm
+	}
+	tm[trig] = m
+	for _, h := range hashes {
+		s.ref(s.chunks[h])
+	}
+	manifestBytes := len(batch) - manifestAt
+	s.ctrlBytes += int64(manifestBytes)
+	r.NewBytes += uint64(manifestBytes)
 	s.stats.Saves++
 	s.stats.LogicalBytes += r.LogicalBytes
 	s.stats.NewBytes += r.NewBytes
@@ -624,7 +614,7 @@ func (s *Store) CommitTentative(proc protocol.ProcessID, trig protocol.Trigger, 
 	if m == nil {
 		return checkpoint.ErrNoPayload
 	}
-	if _, _, err := s.append(&wire.ChunkRecord{Op: wire.ChunkOpCommit, Proc: proc, Trigger: trig, At: at}, true); err != nil {
+	if err := s.appendCtrl(&wire.ChunkRecord{Op: wire.ChunkOpCommit, Proc: proc, Trigger: trig, At: at}); err != nil {
 		return err
 	}
 	delete(s.tent[proc], trig)
@@ -646,7 +636,7 @@ func (s *Store) DropTentative(proc protocol.ProcessID, trig protocol.Trigger) er
 	if m == nil {
 		return checkpoint.ErrNoPayload
 	}
-	if _, _, err := s.append(&wire.ChunkRecord{Op: wire.ChunkOpDrop, Proc: proc, Trigger: trig}, true); err != nil {
+	if err := s.appendCtrl(&wire.ChunkRecord{Op: wire.ChunkOpDrop, Proc: proc, Trigger: trig}); err != nil {
 		return err
 	}
 	delete(s.tent[proc], trig)

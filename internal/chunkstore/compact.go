@@ -66,8 +66,12 @@ func (s *Store) compactLocked() error {
 	}
 	sort.Ints(procs)
 
+	// The live set goes to the log as one batch: every chunk first reached
+	// by a manifest, then that manifest.
 	newIdx := make(map[wire.ChunkHash]*chunkInfo)
 	var newDisk int64
+	var batch []byte
+	var frames []*chunkInfo // one per frame of batch, nil for a manifest
 	copyChunks := func(m *Manifest) error {
 		for _, h := range m.Hashes {
 			if newIdx[h] != nil {
@@ -81,20 +85,23 @@ func (s *Store) compactLocked() error {
 			if err != nil {
 				return err
 			}
-			pos, _, err := s.append(&wire.ChunkRecord{Op: wire.ChunkOpPut, Proc: old.owner, Hash: h, Payload: data}, false)
-			if err != nil {
+			if batch, err = wire.AppendChunkRecord(batch, &wire.ChunkRecord{Op: wire.ChunkOpPut, Proc: old.owner, Hash: h, Payload: data}); err != nil {
 				return err
 			}
-			newIdx[h] = &chunkInfo{size: len(data), seg: pos.Segment, off: pos.Offset, owner: old.owner}
+			info := &chunkInfo{size: len(data), owner: old.owner}
+			newIdx[h] = info
+			frames = append(frames, info)
 			newDisk += int64(len(data))
 		}
 		return nil
 	}
 	writeManifest := func(m *Manifest, status uint8) error {
-		_, _, err := s.append(&wire.ChunkRecord{
+		var err error
+		batch, err = wire.AppendChunkRecord(batch, &wire.ChunkRecord{
 			Op: wire.ChunkOpManifest, Proc: m.Proc, Trigger: m.Trigger, At: m.At,
 			Status: status, ChunkBytes: m.ChunkBytes, Length: m.Length, Hashes: m.Hashes,
-		}, false)
+		})
+		frames = append(frames, nil)
 		return err
 	}
 	rewrite := func() error {
@@ -115,6 +122,18 @@ func (s *Store) compactLocked() error {
 				if err := writeManifest(m, statusTentative); err != nil {
 					return err
 				}
+			}
+		}
+		if len(batch) == 0 {
+			return nil
+		}
+		pos, err := s.log.AppendBatch(batch)
+		if err != nil {
+			return err
+		}
+		for i, info := range frames {
+			if info != nil {
+				info.seg, info.off = pos[i].Segment, pos[i].Offset
 			}
 		}
 		return nil

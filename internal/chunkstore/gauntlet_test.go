@@ -5,8 +5,9 @@ package chunkstore
 // first run fault-free to count every I/O operation it performs; then,
 // for every operation index k, the workload is rerun on a fresh
 // simulated disk with the power pulled at exactly op k (tearing the
-// interrupted write when op k is a write), the disk is recovered, and
-// the store is reopened. After every single crash point:
+// interrupted write when op k is a write — a save's batched append of its
+// chunks and manifest included), the disk is recovered, and the store is
+// reopened. After every single crash point:
 //
 //   - the reopen must succeed (a crash never bricks the store — not
 //     even one landing mid-compaction, mid-segment-removal, or between
@@ -102,6 +103,10 @@ func payloadScript(s *Store, a *payloadAck) error {
 	img0c := mutate(rng, img0b, gauntletChunk, 2)
 	img1 := randImage(rng, 3*gauntletChunk)
 	img1b := mutate(rng, img1, gauntletChunk, 1)
+	// Larger than a segment: its save, and every compaction after it, is
+	// one batched append that rolls between two of its frames.
+	img2 := randImage(rng, 20*gauntletChunk)
+	img2b := mutate(rng, img2, gauntletChunk, 3)
 	for _, op := range []func() error{
 		func() error { return save(0, trig(0, 1), img0) },
 		func() error { return commit(0, trig(0, 1)) },
@@ -113,6 +118,10 @@ func payloadScript(s *Store, a *payloadAck) error {
 		func() error { return save(1, trig(1, 2), img1b) }, // two procs' tentatives in flight
 		func() error { return commit(0, trig(0, 3)) },
 		func() error { return commit(1, trig(1, 2)) },
+		func() error { return save(2, trig(2, 1), img2) },
+		func() error { return commit(2, trig(2, 1)) },
+		func() error { return save(2, trig(2, 2), img2b) },
+		func() error { return commit(2, trig(2, 2)) },
 		func() error { return s.Compact() }, // compaction with nothing pending
 	} {
 		if err := op(); err != nil {
@@ -172,12 +181,12 @@ func runPayloadCrash(t *testing.T, fs *errfs.MemFS, pol stable.SyncPolicy, crash
 func verifyPayloadReopen(t *testing.T, k uint64, re *Store, a *payloadAck, pol stable.SyncPolicy) {
 	t.Helper()
 	// Recovery never surfaces a manifest with missing or torn chunks.
-	for proc := protocol.ProcessID(0); proc < 2; proc++ {
+	for proc := protocol.ProcessID(0); proc < 3; proc++ {
 		if err := re.Verify(proc); err != nil {
 			t.Fatalf("crash@%d: P%d manifest resolves to damaged chunks after recovery: %v", k, proc, err)
 		}
 	}
-	for proc := protocol.ProcessID(0); proc < 2; proc++ {
+	for proc := protocol.ProcessID(0); proc < 3; proc++ {
 		// Whatever permanent survived must be an image the script actually
 		// saved for this process, byte for byte.
 		if m, ok := re.Permanent(proc); ok {
@@ -347,6 +356,61 @@ func TestChunkShortWriteGauntlet(t *testing.T) {
 			}
 		}
 		verifyPayloadReopen(t, k, re, a, stable.SyncOnCommit)
+		re.Close()
+	}
+}
+
+// TestFailedBatchFailsTheSave: a save is one batched append of its new
+// chunks and its manifest, and a write of that batch that fails or comes
+// up short must fail the save. Nothing of it may stay indexed (a later
+// save would dedup against chunks that are not on disk), and after a
+// reopen the same image saves and materializes whole.
+func TestFailedBatchFailsTheSave(t *testing.T) {
+	for _, fault := range []errfs.Fault{errfs.FaultErr, errfs.FaultShortWrite} {
+		fs := errfs.New()
+		s, err := Open("chunks", gauntletOpts(fs, stable.SyncOnCommit))
+		if err != nil {
+			t.Fatal(err)
+		}
+		img := randImage(rand.New(rand.NewSource(3)), 6*gauntletChunk)
+		before := s.Stats()
+		fs.SetHook(func(op errfs.Op, _ string) errfs.Fault {
+			if op == errfs.OpWrite {
+				return fault
+			}
+			return errfs.FaultNone
+		})
+		_, err = s.PutTentative(0, trig(0, 1), time.Second, img)
+		fs.SetHook(nil)
+		if !errors.Is(err, errfs.ErrInjected) {
+			t.Fatalf("fault %d: save returned %v", fault, err)
+		}
+		if s.Broken() == nil {
+			t.Fatalf("fault %d: the failed batch did not poison the store", fault)
+		}
+		if st := s.Stats(); st.Chunks != before.Chunks || st.DiskBytes != before.DiskBytes || st.Tentatives != 0 || st.Saves != 0 {
+			t.Fatalf("fault %d: the failed save left state behind: %+v", fault, st)
+		}
+		s.Close()
+		re, err := Open("chunks", gauntletOpts(fs, stable.SyncOnCommit))
+		if err != nil {
+			t.Fatalf("fault %d: reopen: %v", fault, err)
+		}
+		if tr := re.TentativeTriggers(0); len(tr) != 0 {
+			t.Fatalf("fault %d: the failed save surfaced as %v", fault, tr)
+		}
+		// A short write leaves whole chunk frames before the torn one;
+		// the reopened store indexes them, unreferenced.
+		_, err = re.PutTentative(0, trig(0, 1), time.Second, img)
+		if err == nil {
+			err = re.CommitTentative(0, trig(0, 1), 2*time.Second)
+		}
+		if err != nil {
+			t.Fatalf("fault %d: save after reopen: %v", fault, err)
+		}
+		if got, ok, err := re.Materialize(0); err != nil || !ok || !bytes.Equal(got, img) {
+			t.Fatalf("fault %d: image does not materialize after reopen (%v)", fault, err)
+		}
 		re.Close()
 	}
 }

@@ -1,8 +1,9 @@
 package seglog_test
 
 // The power-failure gauntlet for the log itself, in the shape of
-// internal/stable's: a scripted workload — appends that roll, a
-// compaction with no rewrite phase, one with, a reopen that finds a stale
+// internal/stable's: a scripted workload — appends that roll, batched
+// appends that roll between their frames, a compaction with no rewrite
+// phase, one with (its rewrite one batch), a reopen that finds a stale
 // prefix to remove — is first run fault-free to count every I/O operation
 // it performs; then, for every operation index k, it is rerun on a fresh
 // simulated disk with the power pulled at exactly op k (tearing the
@@ -11,7 +12,8 @@ package seglog_test
 //
 //   - the reopen must succeed;
 //   - the recovered ids are one consecutive run (floor, last]: no frame
-//     is lost from the middle and none surfaces past a torn one;
+//     is lost from the middle and none surfaces past a torn one, so what
+//     survives of a batch is a prefix of its frames;
 //   - under SyncOnCommit and SyncAlways, last is at least the newest id
 //     whose durability was acknowledged, and floor is that of the newest
 //     acknowledged compaction or of one the script started after it;
@@ -32,6 +34,7 @@ import (
 // acks is what the log acknowledged before the crash.
 type acks struct {
 	tried      uint64   // newest id handed to Append
+	first      uint64   // first id of the newest put or batch
 	durable    uint64   // newest id acknowledged durable
 	floors     []uint64 // every floor a compaction was started with
 	ackedFloor uint64   // floor of the newest acknowledged compaction
@@ -45,8 +48,20 @@ func script(t *testing.T, fs *errfs.MemFS, pol seglog.SyncPolicy, a *acks) error
 	}
 	put := func(commit bool) func() error {
 		return func() error {
-			a.tried = m.last + 1
+			a.first, a.tried = m.last+1, m.last+1
 			if err := m.put(l, commit); err != nil {
+				return err
+			}
+			if commit || pol == seglog.SyncAlways {
+				a.durable = m.last
+			}
+			return nil
+		}
+	}
+	batch := func(n int, commit bool) func() error {
+		return func() error {
+			a.first, a.tried = m.last+1, m.last+uint64(n)
+			if _, err := m.putBatch(l, n, commit); err != nil {
 				return err
 			}
 			if commit || pol == seglog.SyncAlways {
@@ -105,12 +120,15 @@ func script(t *testing.T, fs *errfs.MemFS, pol seglog.SyncPolicy, a *acks) error
 		put(false), put(true), put(false), put(false), put(true), // rolls once
 		compact(2, false),
 		put(true), put(false), put(true),
+		batch(5, false), // three segments
+		batch(2, true),
 		compact(3, true),
 		put(true),
 		reopen, // removes the stale prefix
 		put(true),
 		compact(1, true),
 		put(false), put(true),
+		batch(6, true),
 	} {
 		if err := op(); err != nil {
 			return err
@@ -237,8 +255,8 @@ func TestLogShortWriteGauntlet(t *testing.T) {
 		if !errors.Is(err, errfs.ErrInjected) {
 			t.Fatalf("short write at op %d: script error %v", k, err)
 		}
-		if a.tried > 0 {
-			a.durable = a.tried - 1 // at most the write that failed is not on disk
+		if a.first > 0 {
+			a.durable = a.first - 1 // at most the put or batch that failed is not on disk
 		}
 		verify(t, k, fs, seglog.SyncOnCommit, a)
 	}

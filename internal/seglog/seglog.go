@@ -6,8 +6,10 @@
 // log" has the recovery decision table and the compaction crash points.
 //
 // Layout: one directory of numbered segments, <prefix>-%08d.log. Every
-// append is one Write of one frame, so an operation commits when its
-// frame is durable and no rename is ever needed. A log starts at a
+// append is one Write — of one frame, or of a batch of frames laid end to
+// end (one Write per segment the batch spans) — so an operation commits
+// when its frame is durable, a crash keeps a prefix of a batch, and no
+// rename is ever needed. A log starts at a
 // boundary: a frame, first in its segment, that supersedes every segment
 // before the one it names. A fresh directory gets one, Compact writes the
 // next, Open replays from the newest.
@@ -248,26 +250,72 @@ func (l *Log) roll() (uint64, error) {
 func (l *Log) Append(frame []byte) (Pos, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.usableLocked(); err != nil {
-		return Pos{}, err
-	}
-	if l.activeSize+int64(len(frame)) > l.opts.SegmentBytes && l.activeSize > 0 {
-		if _, err := l.rollLocked(); err != nil {
-			return Pos{}, err
+	var pos [1]Pos
+	err := l.appendLocked(frame, []int{len(frame)}, pos[:])
+	return pos[0], err
+}
+
+// AppendBatch appends frames, sealed frames laid end to end, exactly as
+// one Append per frame would: the same positions, the same bytes and the
+// same rolls, always between frames and never inside one. Each run of
+// frames that lands in one segment goes out as a single Write, so a
+// crash keeps a prefix of the batch. It returns each frame's Pos, in
+// order; durability is again the caller's decision, and the newest Gen
+// covers them all.
+func (l *Log) AppendBatch(frames []byte) ([]Pos, error) {
+	var sizes []int
+	for rest := frames; len(rest) > 0; {
+		n, err := wire.FrameLen(rest)
+		if err != nil {
+			return nil, fmt.Errorf("seglog: batch frame %d: %w", len(sizes), err)
 		}
+		sizes, rest = append(sizes, n), rest[n:]
 	}
-	off := l.activeSize
-	n, err := l.active.Write(frame)
-	l.activeSize += int64(n)
-	if err != nil {
-		// A short or failed write leaves an undecodable tail; recovery
-		// truncates it at the next open.
-		return Pos{}, l.poisonLocked(fmt.Errorf("seglog: append to %s: %w", l.activeName, err))
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	pos := make([]Pos, len(sizes))
+	if err := l.appendLocked(frames, sizes, pos); err != nil {
+		return nil, err
 	}
-	l.writeGen++
-	l.metrics.Appends++
-	l.metrics.AppendedBytes += uint64(n)
-	return Pos{Segment: l.activeName, Offset: off, Gen: l.writeGen}, nil
+	return pos, nil
+}
+
+// appendLocked writes buf, the frames of the given sizes back to back,
+// and fills in their positions.
+func (l *Log) appendLocked(buf []byte, sizes []int, pos []Pos) error {
+	if err := l.usableLocked(); err != nil {
+		return err
+	}
+	for i := 0; i < len(sizes); {
+		if l.activeSize+int64(sizes[i]) > l.opts.SegmentBytes && l.activeSize > 0 {
+			if _, err := l.rollLocked(); err != nil {
+				return err
+			}
+		}
+		// Frame i fits (or the segment is empty); so do the ones after it
+		// up to the next roll.
+		j, run := i, 0
+		for j < len(sizes) && (j == i || l.activeSize+int64(run+sizes[j]) <= l.opts.SegmentBytes) {
+			pos[j] = Pos{Segment: l.activeName, Offset: l.activeSize + int64(run)}
+			run += sizes[j]
+			j++
+		}
+		n, err := l.active.Write(buf[:run])
+		l.activeSize += int64(n)
+		if err != nil {
+			// A short or failed write leaves an undecodable tail; recovery
+			// truncates it at the next open.
+			return l.poisonLocked(fmt.Errorf("seglog: append to %s: %w", l.activeName, err))
+		}
+		for ; i < j; i++ {
+			l.writeGen++
+			l.metrics.Appends++
+			pos[i].Gen = l.writeGen
+		}
+		l.metrics.AppendedBytes += uint64(n)
+		buf = buf[run:]
+	}
+	return nil
 }
 
 // WaitDurable is the sync ticket: it returns once the append at gen is

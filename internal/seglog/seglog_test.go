@@ -63,6 +63,9 @@ func parse(b []byte) (kind byte, vals []uint64, err error) {
 type memo struct {
 	floor, last uint64
 	reset       bool // the next boundary is an 'R', not an 'S'
+	// single writes what would be one AppendBatch as one Append per
+	// frame: the twin every batch is compared against.
+	single bool
 }
 
 func (m *memo) client() seglog.Client {
@@ -127,6 +130,37 @@ func (m *memo) put(l *seglog.Log, commit bool) error {
 	return l.WaitDurable(pos.Gen, commit)
 }
 
+// putBatch appends the next n ids together and waits for the newest per
+// commit, returning their positions.
+func (m *memo) putBatch(l *seglog.Log, n int, commit bool) ([]seglog.Pos, error) {
+	var frames [][]byte
+	for i := 1; i <= n; i++ {
+		frames = append(frames, seal(body('D', m.last+uint64(i))))
+	}
+	pos, err := m.append(l, frames)
+	if err != nil {
+		return nil, err
+	}
+	m.last += uint64(n)
+	return pos, l.WaitDurable(pos[n-1].Gen, commit)
+}
+
+// append writes frames as one AppendBatch, or (single) one Append each.
+func (m *memo) append(l *seglog.Log, frames [][]byte) ([]seglog.Pos, error) {
+	if !m.single {
+		return l.AppendBatch(bytes.Join(frames, nil))
+	}
+	pos := make([]seglog.Pos, len(frames))
+	for i, f := range frames {
+		p, err := l.Append(f)
+		if err != nil {
+			return nil, err
+		}
+		pos[i] = p
+	}
+	return pos, nil
+}
+
 // compact raises the floor to drop everything but the newest keep ids,
 // through a snapshot boundary or (rewrite) a rewritten live set behind a
 // reset boundary.
@@ -139,15 +173,12 @@ func (m *memo) compact(l *seglog.Log, keep uint64, rewrite bool) error {
 		return l.Compact(nil)
 	}
 	return l.Compact(func() error {
-		if _, err := l.Append(seal(body('F', m.floor))); err != nil {
-			return err
-		}
+		frames := [][]byte{seal(body('F', m.floor))}
 		for id := m.floor + 1; id <= m.last; id++ {
-			if _, err := l.Append(seal(body('D', id))); err != nil {
-				return err
-			}
+			frames = append(frames, seal(body('D', id)))
 		}
-		return nil
+		_, err := m.append(l, frames)
+		return err
 	})
 }
 
@@ -167,13 +198,19 @@ func mustOpen(t *testing.T, fs seglog.FS, pol seglog.SyncPolicy) (*seglog.Log, *
 	return l, m
 }
 
-// TestModel drives a random append/roll/compact/reopen schedule against
-// an in-memory model of the frames that must be live.
+// TestModel drives a random append/batch/roll/compact/reopen schedule
+// against an in-memory model of the frames that must be live. A twin log
+// runs the same schedule with every batch (the compaction rewrites
+// included) written one Append per frame instead: the positions and the
+// disk bytes of the two must agree after every step, batches that roll
+// between their frames included.
 func TestModel(t *testing.T) {
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		fs := errfs.New()
+		fs, twinFS := errfs.New(), errfs.New()
 		l, m := mustOpen(t, fs, seglog.SyncOnCommit)
+		tl, tm := mustOpen(t, twinFS, seglog.SyncOnCommit)
+		tm.single = true
 		var model [][]byte // bodies of the live data frames, oldest first
 		check := func(when string) {
 			t.Helper()
@@ -185,17 +222,43 @@ func TestModel(t *testing.T) {
 					t.Fatalf("seed %d %s: frame %d is %x, want %x", seed, when, i, b, want)
 				}
 			}
+			if !bytes.Equal(fs.Snapshot(), twinFS.Snapshot()) {
+				t.Fatalf("seed %d %s: batched appends left other bytes than single ones", seed, when)
+			}
 		}
 		for step := 0; step < 200; step++ {
 			switch r := rng.Intn(100); {
-			case r < 80: // SegmentBytes 32 rolls every fourth append
+			case r < 60: // SegmentBytes 32 rolls every fourth append
 				model = append(model, body('D', m.last+1))
-				if err := m.put(l, rng.Intn(3) == 0); err != nil {
+				commit := rng.Intn(3) == 0
+				if err := m.put(l, commit); err != nil {
 					t.Fatal(err)
 				}
+				if err := tm.put(tl, commit); err != nil {
+					t.Fatal(err)
+				}
+			case r < 80: // up to seven frames: a batch may span three segments
+				n, commit := 1+rng.Intn(7), rng.Intn(3) == 0
+				for i := 1; i <= n; i++ {
+					model = append(model, body('D', m.last+uint64(i)))
+				}
+				pos, err := m.putBatch(l, n, commit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				twin, err := tm.putBatch(tl, n, commit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fmt.Sprint(pos) != fmt.Sprint(twin) {
+					t.Fatalf("seed %d step %d: batch positions %v, one at a time %v", seed, step, pos, twin)
+				}
 			case r < 90:
-				keep := uint64(rng.Intn(6))
-				if err := m.compact(l, keep, rng.Intn(2) == 0); err != nil {
+				keep, rewrite := uint64(rng.Intn(6)), rng.Intn(2) == 0
+				if err := m.compact(l, keep, rewrite); err != nil {
+					t.Fatal(err)
+				}
+				if err := tm.compact(tl, keep, rewrite); err != nil {
 					t.Fatal(err)
 				}
 				if uint64(len(model)) > keep {
@@ -209,12 +272,20 @@ func TestModel(t *testing.T) {
 				if err := l.Close(); err != nil {
 					t.Fatal(err)
 				}
+				if err := tl.Close(); err != nil {
+					t.Fatal(err)
+				}
 				l, m = mustOpen(t, fs, seglog.SyncOnCommit)
+				tl, tm = mustOpen(t, twinFS, seglog.SyncOnCommit)
+				tm.single = true
 				if m.floor != before.floor || m.last != before.last {
 					t.Fatalf("seed %d step %d: reopened to (%d,%d], had (%d,%d]", seed, step, m.floor, m.last, before.floor, before.last)
 				}
 			}
 			check(fmt.Sprintf("step %d", step))
+		}
+		if got, twin := l.Metrics(), tl.Metrics(); got != twin {
+			t.Fatalf("seed %d: metrics %+v, one at a time %+v", seed, got, twin)
 		}
 		if err := l.Close(); err != nil {
 			t.Fatal(err)
@@ -222,6 +293,26 @@ func TestModel(t *testing.T) {
 		if err := l.Close(); !errors.Is(err, seglog.ErrClosed) {
 			t.Fatalf("second close: %v", err)
 		}
+		tl.Close()
+	}
+}
+
+// TestAppendBatchRefusesTornInput: a batch whose last frame is cut short
+// is refused before anything is written, and leaves the log usable.
+func TestAppendBatchRefusesTornInput(t *testing.T) {
+	fs := errfs.New()
+	l, m := mustOpen(t, fs, seglog.SyncOnCommit)
+	defer l.Close()
+	before := fs.Snapshot()
+	batch := append(seal(body('D', 1)), seal(body('D', 2))...)
+	if _, err := l.AppendBatch(batch[:len(batch)-1]); !errors.Is(err, wire.ErrTornRecord) {
+		t.Fatalf("torn batch: %v", err)
+	}
+	if !bytes.Equal(before, fs.Snapshot()) || l.Broken() != nil {
+		t.Fatal("a refused batch wrote or poisoned the log")
+	}
+	if _, err := m.putBatch(l, 2, true); err != nil {
+		t.Fatal(err)
 	}
 }
 

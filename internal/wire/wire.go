@@ -66,6 +66,21 @@ func sealFrame(dst []byte, start int) ([]byte, error) {
 	return dst, nil
 }
 
+// FrameLen returns the length of the sealed record frame that b starts
+// with, header included, so a run of frames laid end to end can be cut
+// apart without reading their bodies. It fails if b is too short to hold
+// that frame.
+func FrameLen(b []byte) (int, error) {
+	if len(b) < frameHeaderLen {
+		return 0, fmt.Errorf("%w: short header (%d bytes)", ErrTornRecord, len(b))
+	}
+	n := frameHeaderLen + int(binary.BigEndian.Uint32(b))
+	if n > len(b) {
+		return 0, fmt.Errorf("%w: short body (%d of %d bytes)", ErrTornRecord, len(b)-frameHeaderLen, n-frameHeaderLen)
+	}
+	return n, nil
+}
+
 // ReadFrame reads one record frame and returns its checksum-verified body
 // and how many bytes of the stream it consumed. It is the only reader of
 // the frame; the Parse functions take the body from there. Errors:
