@@ -34,6 +34,7 @@ type PayloadReceipt struct {
 // control-plane only (the pre-data-plane behaviour).
 type PayloadStore interface {
 	// SavePayload stores the process image for a tentative checkpoint.
+	// The store copies what it keeps, so the caller may reuse image.
 	SavePayload(trig protocol.Trigger, at time.Duration, image []byte) (PayloadReceipt, error)
 	// CommitPayload promotes trig's tentative payload to permanent.
 	CommitPayload(trig protocol.Trigger, at time.Duration) error

@@ -124,9 +124,6 @@ func (s *Store) compactLocked() error {
 				}
 			}
 		}
-		if len(batch) == 0 {
-			return nil
-		}
 		pos, err := s.log.AppendBatch(batch)
 		if err != nil {
 			return err

@@ -69,12 +69,16 @@ func sealFrame(dst []byte, start int) ([]byte, error) {
 // FrameLen returns the length of the sealed record frame that b starts
 // with, header included, so a run of frames laid end to end can be cut
 // apart without reading their bodies. It fails if b is too short to hold
-// that frame.
+// that frame, or its length prefix is one no encoder writes.
 func FrameLen(b []byte) (int, error) {
 	if len(b) < frameHeaderLen {
 		return 0, fmt.Errorf("%w: short header (%d bytes)", ErrTornRecord, len(b))
 	}
-	n := frameHeaderLen + int(binary.BigEndian.Uint32(b))
+	bodyLen := binary.BigEndian.Uint32(b)
+	if bodyLen > MaxFrame {
+		return 0, fmt.Errorf("%w: length prefix %d exceeds MaxFrame", ErrCorruptRecord, bodyLen)
+	}
+	n := frameHeaderLen + int(bodyLen)
 	if n > len(b) {
 		return 0, fmt.Errorf("%w: short body (%d of %d bytes)", ErrTornRecord, len(b)-frameHeaderLen, n-frameHeaderLen)
 	}
