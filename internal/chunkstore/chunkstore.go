@@ -66,10 +66,6 @@ type Options struct {
 	Keep int
 	// SegmentBytes is the roll threshold (default 8 MiB).
 	SegmentBytes int64
-	// GarbageRatio triggers auto-compaction after a commit when
-	// unreachable bytes exceed this fraction of the on-disk payload
-	// bytes (0 or negative means 0.5).
-	GarbageRatio float64
 }
 
 const (
@@ -84,9 +80,6 @@ func (o Options) defaults() Options {
 	}
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = defaultSegmentBytes
-	}
-	if o.GarbageRatio <= 0 {
-		o.GarbageRatio = 0.5
 	}
 	if o.Keep < 0 {
 		o.Keep = 0
@@ -161,8 +154,8 @@ type lastImage struct {
 // Store is one MSS's content-addressed chunk store. It is safe for
 // concurrent use.
 type Store struct {
-	// mu, the single index mutex, is held across every operation, the wait
-	// on the log's sync ticket included, so operations never interleave.
+	// mu, the single index mutex, is held across every operation, the
+	// log's fsync included, so operations never interleave.
 	mu   sync.Mutex
 	opts Options
 	log  *seglog.Log
@@ -400,22 +393,21 @@ func (s *Store) usable() error {
 	return s.log.Broken()
 }
 
-// appendCtrl frames a commit or drop record, appends it and waits on the
-// log's sync ticket as a commit-grade record.
+// appendCtrl frames a commit or drop record, appends it and syncs the
+// log, as it is commit-grade.
 func (s *Store) appendCtrl(rec *wire.ChunkRecord) error {
 	frame, err := wire.AppendChunkRecord(nil, rec)
 	if err != nil {
 		return err
 	}
-	pos, err := s.log.Append(frame)
-	if err != nil {
+	if _, err := s.log.Append(frame); err != nil {
 		return err
 	}
 	// Control records are not payload bytes, but they still consume disk;
 	// compaction is also triggered when they alone outgrow the chain (see
 	// maybeCompactLocked).
 	s.ctrlBytes += int64(len(frame))
-	return s.log.WaitDurable(pos.Gen, true)
+	return s.log.Sync()
 }
 
 // HashChunk returns the content address of one chunk.
@@ -562,9 +554,6 @@ func (s *Store) PutTentative(proc protocol.ProcessID, trig protocol.Trigger, at 
 	var pos []seglog.Pos
 	if err == nil {
 		pos, err = s.log.AppendBatch(batch)
-	}
-	if err == nil {
-		err = s.log.WaitDurable(pos[len(pos)-1].Gen, false)
 	}
 	if err != nil {
 		// A failed save leaves nothing in the index: its chunks are not

@@ -18,17 +18,22 @@ import (
 	"mutablecp/internal/wire"
 )
 
-// ctrlCompactBytes bounds control-record (manifest/commit/drop) log
-// growth between compactions: even a workload whose payload never
-// changes must not grow the segment chain without bound.
-const ctrlCompactFactor = 4
+const (
+	// garbageRatio triggers compaction after a commit when unreachable
+	// bytes reach this fraction of the on-disk payload bytes.
+	garbageRatio = 0.5
+	// ctrlCompactFactor bounds control-record (manifest/commit/drop) log
+	// growth between compactions, in segments: even a workload whose
+	// payload never changes must not grow the chain without bound.
+	ctrlCompactFactor = 4
+)
 
 // maybeCompactLocked runs compaction when unreachable payload bytes
-// exceed the configured fraction of the on-disk payload bytes, or when
-// control records alone have outgrown the chain.
+// reach garbageRatio of the on-disk payload bytes, or when control
+// records alone have outgrown the chain.
 func (s *Store) maybeCompactLocked() error {
 	garbage := s.diskBytes - s.liveBytes
-	if garbage > 0 && float64(garbage) >= s.opts.GarbageRatio*float64(s.diskBytes) {
+	if garbage > 0 && float64(garbage) >= garbageRatio*float64(s.diskBytes) {
 		return s.compactLocked()
 	}
 	if s.ctrlBytes > ctrlCompactFactor*s.opts.SegmentBytes {

@@ -295,7 +295,7 @@ func chunkGauntlet(t *testing.T, pol stable.SyncPolicy) {
 }
 
 func TestChunkPowerFailureGauntlet(t *testing.T) {
-	for _, pol := range []stable.SyncPolicy{stable.SyncOnCommit, stable.SyncAlways, stable.SyncNever} {
+	for _, pol := range []stable.SyncPolicy{stable.SyncOnCommit, stable.SyncNever} {
 		pol := pol
 		t.Run(fmt.Sprintf("sync=%v/mode=incremental", pol), func(t *testing.T) {
 			chunkGauntlet(t, pol)

@@ -99,7 +99,9 @@ func auditGC(t *testing.T, tag string, s *Store, model *gcModel, keep int, procs
 	}
 }
 
-func gcProperty(t *testing.T, seed int64, keep int) {
+// gcProperty runs one seed's schedule and returns how many compactions
+// the store started on its own after a commit.
+func gcProperty(t *testing.T, seed int64, keep int) (auto uint64) {
 	const (
 		procs = 3
 		steps = 120
@@ -108,8 +110,8 @@ func gcProperty(t *testing.T, seed int64, keep int) {
 	rng := rand.New(rand.NewSource(seed))
 	fs := errfs.New()
 	opts := Options{
-		FS: fs, ChunkBytes: chunk, SegmentBytes: 4 << 10,
-		Keep: keep, GarbageRatio: 0.3,
+		FS: fs, ChunkBytes: chunk, SegmentBytes: 512,
+		Keep: keep,
 	}
 	s, err := Open("chunks", opts)
 	if err != nil {
@@ -157,9 +159,11 @@ func gcProperty(t *testing.T, seed int64, keep int) {
 			if !ok {
 				continue
 			}
+			before := s.Stats().Compactions
 			if err := s.CommitTentative(proc, tg, at()); err != nil {
 				t.Fatalf("%s: commit %+v: %v", tag, tg, err)
 			}
+			auto += s.Stats().Compactions - before
 			model.perm[proc] = append(model.perm[proc], model.tent[proc][tg])
 			delete(model.tent[proc], tg)
 			if keep > 0 {
@@ -203,14 +207,19 @@ func gcProperty(t *testing.T, seed int64, keep int) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
+	return auto
 }
 
 func TestGCRetentionProperty(t *testing.T) {
 	for _, keep := range []int{1, 2, 0} {
 		keep := keep
 		t.Run(fmt.Sprintf("mode=incremental/keep=%d", keep), func(t *testing.T) {
+			var auto uint64
 			for seed := int64(1); seed <= 4; seed++ {
-				gcProperty(t, seed, keep)
+				auto += gcProperty(t, seed, keep)
+			}
+			if auto == 0 {
+				t.Fatalf("keep=%d: no commit ever triggered a compaction — auto-compaction went untested", keep)
 			}
 		})
 	}

@@ -14,7 +14,7 @@ package seglog_test
 //   - the recovered ids are one consecutive run (floor, last]: no frame
 //     is lost from the middle and none surfaces past a torn one, so what
 //     survives of a batch is a prefix of its frames;
-//   - under SyncOnCommit and SyncAlways, last is at least the newest id
+//   - under SyncOnCommit, last is at least the newest id
 //     whose durability was acknowledged, and floor is that of the newest
 //     acknowledged compaction or of one the script started after it;
 //   - the reopened log is usable (one more durable append, found again
@@ -52,7 +52,7 @@ func script(t *testing.T, fs *errfs.MemFS, pol seglog.SyncPolicy, a *acks) error
 			if err := m.put(l, commit); err != nil {
 				return err
 			}
-			if commit || pol == seglog.SyncAlways {
+			if commit {
 				a.durable = m.last
 			}
 			return nil
@@ -64,7 +64,7 @@ func script(t *testing.T, fs *errfs.MemFS, pol seglog.SyncPolicy, a *acks) error
 			if _, err := m.putBatch(l, n, commit); err != nil {
 				return err
 			}
-			if commit || pol == seglog.SyncAlways {
+			if commit {
 				a.durable = m.last
 			}
 			return nil
@@ -221,7 +221,7 @@ func gauntlet(t *testing.T, pol seglog.SyncPolicy) {
 }
 
 func TestLogPowerFailureGauntlet(t *testing.T) {
-	for _, pol := range []seglog.SyncPolicy{seglog.SyncOnCommit, seglog.SyncAlways, seglog.SyncNever} {
+	for _, pol := range []seglog.SyncPolicy{seglog.SyncOnCommit, seglog.SyncNever} {
 		t.Run(fmt.Sprintf("sync=%v", pol), func(t *testing.T) { gauntlet(t, pol) })
 	}
 }

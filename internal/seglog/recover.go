@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 
 	"mutablecp/internal/wire"
 )
@@ -48,7 +47,6 @@ func Open(dir, prefix string, opts Options, client Client) (*Log, error) {
 		opts.SegmentBytes = 4 << 20
 	}
 	l := &Log{dir: dir, prefix: prefix, opts: opts, client: client, nextSeq: 1}
-	l.cond = sync.NewCond(&l.mu)
 	if err := l.opts.FS.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("seglog: mkdir %s: %w", dir, err)
 	}
@@ -155,9 +153,9 @@ func (l *Log) recover() error {
 	l.active = f
 	// Nothing says the bytes replayed from the last segment were ever
 	// fsynced (a poisoned log can be reopened without a power cut), so
-	// they count as one undurable append: the next flush or roll syncs
-	// them before anything is acknowledged on top.
-	l.writeGen = 1
+	// they count as unsynced: the next Sync or roll fsyncs them before
+	// anything is acknowledged on top.
+	l.dirty = true
 	return nil
 }
 

@@ -14,11 +14,11 @@
 // before the one it names. A fresh directory gets one, Compact writes the
 // next, Open replays from the newest.
 //
-// A Log is safe for concurrent use, and durable appends group-commit:
-// each append gets a write generation, WaitDurable blocks until the
-// durable watermark reaches it, and whoever finds no flush in flight
-// fsyncs for everyone — a file's writes become durable in order, so one
-// fsync acknowledges the whole batch.
+// A Log is safe for concurrent use, and every call runs under one lock,
+// so concurrent writers are serialized rather than batched. Durability is
+// one call: Sync fsyncs the active segment if anything was written to it
+// since the last fsync. A file's writes become durable in order, so that
+// fsync acknowledges every frame appended before it.
 package seglog
 
 import (
@@ -26,7 +26,6 @@ import (
 	"fmt"
 	"io"
 	"path/filepath"
-	"runtime"
 	"sync"
 
 	"mutablecp/internal/wire"
@@ -36,14 +35,13 @@ import (
 type SyncPolicy int
 
 const (
-	// SyncOnCommit fsyncs at the appends that acknowledge durability to
-	// the protocol — commit, drop, seed, and compaction — letting the
-	// others ride the same later fsync (file writes are ordered, so a
-	// durable commit record implies a durable tentative before it). The
-	// default.
+	// SyncOnCommit fsyncs what is unsynced at each Sync, which the client
+	// calls after the appends that acknowledge durability to the protocol
+	// (commit, drop), and at the log's own durability points, a roll and
+	// a new boundary. The other appends ride the next fsync (file writes
+	// are ordered, so a durable commit record implies a durable tentative
+	// before it). The default.
 	SyncOnCommit SyncPolicy = iota
-	// SyncAlways fsyncs after every append.
-	SyncAlways
 	// SyncNever never fsyncs: fastest, and an acknowledged commit may
 	// vanish in a crash — the log still reopens consistently, it just
 	// resumes from an earlier prefix.
@@ -55,8 +53,6 @@ func (p SyncPolicy) String() string {
 	switch p {
 	case SyncOnCommit:
 		return "commit"
-	case SyncAlways:
-		return "always"
 	case SyncNever:
 		return "never"
 	default:
@@ -103,12 +99,11 @@ type Client struct {
 	Boundary func(start uint64) ([]byte, error)
 }
 
-// Pos is where an appended frame went: segment path and start offset
-// for ReadAt, write generation for WaitDurable.
+// Pos is where an appended frame went: segment path and start offset,
+// for ReadAt.
 type Pos struct {
 	Segment string
 	Offset  int64
-	Gen     uint64
 }
 
 // ErrClosed is returned by operations on a closed log.
@@ -121,18 +116,14 @@ type Log struct {
 	opts   Options
 	client Client
 
-	mu   sync.Mutex
-	cond *sync.Cond // watermark advanced, flush finished, poisoned, closed
+	mu sync.Mutex
 
 	active     File
 	activeName string
 	activeSize int64
+	dirty      bool     // active holds bytes written since its last fsync
 	segs       []uint64 // live segments, oldest first (incl. active)
 	nextSeq    uint64   // past every segment name ever seen
-
-	writeGen   uint64 // generation of the newest append
-	durableGen uint64 // every append <= this generation is fsynced
-	flushing   bool   // a flusher is mid-fsync with mu released
 
 	broken  error
 	closed  bool
@@ -150,14 +141,13 @@ func (l *Log) segSeq(name string) (uint64, bool) {
 }
 
 // poisonLocked marks the log broken after a failed write, fsync, close,
-// create, remove or directory fsync, and wakes every ticket to the error:
-// the only trustworthy copy of the state is then the one a fresh Open
-// rebuilds, so every later mutation fails with the first error.
+// create, remove or directory fsync: the only trustworthy copy of the
+// state is then the one a fresh Open rebuilds, so every later mutation
+// fails with the first error.
 func (l *Log) poisonLocked(err error) error {
 	if l.broken == nil {
 		l.broken = err
 	}
-	l.cond.Broadcast()
 	return err
 }
 
@@ -175,21 +165,17 @@ func (l *Log) usableLocked() error {
 	return l.broken
 }
 
-// syncActiveLocked fsyncs the active segment unless the watermark says
-// every byte in it already is (a flush just drained the batch), and wakes
-// the tickets it covers. No flush may be in flight.
+// syncActiveLocked fsyncs the active segment unless every byte in it
+// already is.
 func (l *Log) syncActiveLocked() error {
-	if l.opts.Sync == SyncNever || l.durableGen == l.writeGen {
+	if l.opts.Sync == SyncNever || !l.dirty {
 		return nil
 	}
 	if err := l.active.Sync(); err != nil {
 		return l.poisonLocked(fmt.Errorf("seglog: fsync %s: %w", l.activeName, err))
 	}
 	l.metrics.Syncs++
-	// mu has been held since the flusher left, so writeGen is exactly the
-	// newest byte in the file just synced.
-	l.durableGen = l.writeGen
-	l.cond.Broadcast()
+	l.dirty = false
 	return nil
 }
 
@@ -206,14 +192,11 @@ func (l *Log) syncDirLocked() error {
 }
 
 // rollLocked closes the active segment and starts the next, returning
-// its sequence number. Any in-flight flusher finishes first, and the old
-// file is fsynced before close so a crash cannot tear a mid-log segment;
-// the new name is fsynced into the directory so a crash cannot forget a
-// segment whose frames were already acknowledged.
+// its sequence number. The old file is fsynced before close so a crash
+// cannot tear a mid-log segment; the new name is fsynced into the
+// directory so a crash cannot forget a segment whose frames were already
+// acknowledged.
 func (l *Log) rollLocked() (uint64, error) {
-	for l.flushing {
-		l.cond.Wait()
-	}
 	if err := l.usableLocked(); err != nil {
 		return 0, err
 	}
@@ -246,7 +229,7 @@ func (l *Log) roll() (uint64, error) {
 
 // Append writes one sealed frame as a single ordered write, rolling
 // first if the frame would take a non-empty segment past SegmentBytes.
-// Durability is the caller's next decision, via WaitDurable.
+// Durability is the caller's next decision, via Sync.
 func (l *Log) Append(frame []byte) (Pos, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -260,8 +243,7 @@ func (l *Log) Append(frame []byte) (Pos, error) {
 // same rolls, always between frames and never inside one. Each run of
 // frames that lands in one segment goes out as a single Write, so a
 // crash keeps a prefix of the batch. It returns each frame's Pos, in
-// order; durability is again the caller's decision, and the newest Gen
-// covers them all.
+// order; durability is again the caller's decision.
 func (l *Log) AppendBatch(frames []byte) ([]Pos, error) {
 	var sizes []int
 	for rest := frames; len(rest) > 0; {
@@ -302,70 +284,29 @@ func (l *Log) appendLocked(buf []byte, sizes []int, pos []Pos) error {
 		}
 		n, err := l.active.Write(buf[:run])
 		l.activeSize += int64(n)
+		l.dirty = true
 		if err != nil {
 			// A short or failed write leaves an undecodable tail; recovery
 			// truncates it at the next open.
 			return l.poisonLocked(fmt.Errorf("seglog: append to %s: %w", l.activeName, err))
 		}
-		for ; i < j; i++ {
-			l.writeGen++
-			l.metrics.Appends++
-			pos[i].Gen = l.writeGen
-		}
+		l.metrics.Appends += uint64(j - i)
 		l.metrics.AppendedBytes += uint64(n)
-		buf = buf[run:]
+		buf, i = buf[run:], j
 	}
 	return nil
 }
 
-// WaitDurable is the sync ticket: it returns once the append at gen is
-// durable per the policy (commit marks a commit-grade frame; the others
-// are fsynced only under SyncAlways). If no flush is in flight the caller
-// becomes the flusher; otherwise it waits for the watermark.
-func (l *Log) WaitDurable(gen uint64, commit bool) error {
-	if l.opts.Sync == SyncNever || (l.opts.Sync == SyncOnCommit && !commit) {
-		return nil
-	}
+// Sync makes every frame appended so far durable, per the policy: under
+// SyncOnCommit it fsyncs the active segment if anything was written to it
+// since its last fsync, and under SyncNever it does nothing.
+func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for {
-		if err := l.usableLocked(); err != nil {
-			return err
-		}
-		if l.durableGen >= gen {
-			return nil
-		}
-		if l.flushing {
-			l.cond.Wait()
-			continue
-		}
-		l.flushing = true
-		// Commit window: with the flush claimed but not yet started, yield
-		// so committers queued on mu can append into this batch — their
-		// frames land before the fsync and ride it. With no concurrent
-		// committers the yields return immediately.
-		l.mu.Unlock()
-		runtime.Gosched()
-		runtime.Gosched()
-		l.mu.Lock()
-		// No roll can happen while flushing is set, so active is the file
-		// every batched frame went to.
-		target := l.writeGen
-		f, name := l.active, l.activeName
-		l.mu.Unlock()
-		err := f.Sync()
-		l.mu.Lock()
-		l.flushing = false
-		if err != nil {
-			l.poisonLocked(fmt.Errorf("seglog: fsync %s: %w", name, err))
-		} else {
-			l.metrics.Syncs++
-			if target > l.durableGen {
-				l.durableGen = target
-			}
-		}
-		l.cond.Broadcast()
+	if err := l.usableLocked(); err != nil {
+		return err
 	}
+	return l.syncActiveLocked()
 }
 
 // Compact publishes a new boundary and removes what it supersedes. The
@@ -395,15 +336,15 @@ func (l *Log) Compact(rewrite func() error) error {
 	if err != nil {
 		return err
 	}
-	pos, err := l.Append(frame)
-	if err == nil {
-		err = l.WaitDurable(pos.Gen, true)
-	}
-	if err != nil {
-		return err
-	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	var pos [1]Pos
+	if err := l.appendLocked(frame, []int{len(frame)}, pos[:]); err != nil {
+		return err
+	}
+	if err := l.syncActiveLocked(); err != nil {
+		return err
+	}
 	l.metrics.Compactions++
 	if l.segs[0] >= start {
 		return nil
@@ -434,19 +375,15 @@ func (l *Log) ReadAt(segment string, off int64) ([]byte, error) {
 	return body, nil
 }
 
-// Close flushes (per policy) and closes the active segment; an in-flight
-// flush finishes first. The log is unusable afterwards.
+// Close flushes (per policy) and closes the active segment. The log is
+// unusable afterwards.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.flushing {
-		l.cond.Wait()
-	}
 	if l.closed {
 		return ErrClosed
 	}
 	l.closed = true
-	l.cond.Broadcast()
 	if l.active == nil {
 		return nil
 	}

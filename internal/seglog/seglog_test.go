@@ -120,18 +120,25 @@ func (m *memo) client() seglog.Client {
 	}
 }
 
-// put appends the next id and waits for it per commit.
+// syncIf syncs the log if commit is set.
+func syncIf(l *seglog.Log, commit bool) error {
+	if !commit {
+		return nil
+	}
+	return l.Sync()
+}
+
+// put appends the next id and, if commit is set, syncs it.
 func (m *memo) put(l *seglog.Log, commit bool) error {
-	pos, err := l.Append(seal(body('D', m.last+1)))
-	if err != nil {
+	if _, err := l.Append(seal(body('D', m.last+1))); err != nil {
 		return err
 	}
 	m.last++
-	return l.WaitDurable(pos.Gen, commit)
+	return syncIf(l, commit)
 }
 
-// putBatch appends the next n ids together and waits for the newest per
-// commit, returning their positions.
+// putBatch appends the next n ids together and, if commit is set, syncs
+// them, returning their positions.
 func (m *memo) putBatch(l *seglog.Log, n int, commit bool) ([]seglog.Pos, error) {
 	var frames [][]byte
 	for i := 1; i <= n; i++ {
@@ -142,7 +149,7 @@ func (m *memo) putBatch(l *seglog.Log, n int, commit bool) ([]seglog.Pos, error)
 		return nil, err
 	}
 	m.last += uint64(n)
-	return pos, l.WaitDurable(pos[n-1].Gen, commit)
+	return pos, syncIf(l, commit)
 }
 
 // append writes frames as one AppendBatch, or (single) one Append each.
@@ -345,7 +352,7 @@ func TestReadAt(t *testing.T) {
 // returns the segments.
 func damaged(t *testing.T, fs *errfs.MemFS) []string {
 	t.Helper()
-	l, m := mustOpen(t, fs, seglog.SyncAlways)
+	l, m := mustOpen(t, fs, seglog.SyncOnCommit)
 	for i := 0; i < 9; i++ {
 		if err := m.put(l, true); err != nil {
 			t.Fatal(err)
@@ -580,5 +587,78 @@ func TestFsyncFailurePoisons(t *testing.T) {
 	l.Close()
 	if _, m = mustOpen(t, fs, seglog.SyncOnCommit); m.last > 1 {
 		t.Fatalf("reopened to %d ids", m.last)
+	}
+}
+
+// TestSyncCountContract pins the fsyncs the per-layer sync counters rest
+// on. Under SyncOnCommit a Sync fsyncs the active segment once for
+// everything appended since its last fsync, and not at all when nothing
+// was; a roll skips the fsync of a segment a Sync left clean; a reopened
+// log counts its replayed bytes as unsynced. Under SyncNever nothing is
+// ever fsynced. Metrics.Syncs counts exactly the file and directory
+// fsyncs the disk saw.
+func TestSyncCountContract(t *testing.T) {
+	var files, dirs int // fsyncs since the log was opened
+	hook := func(op errfs.Op, _ string) errfs.Fault {
+		switch op {
+		case errfs.OpSync:
+			files++
+		case errfs.OpSyncDir:
+			dirs++
+		}
+		return errfs.FaultNone
+	}
+	fs := errfs.New()
+	fs.SetHook(hook)
+	step := func(l *seglog.Log, what string, do func() error, want int) {
+		t.Helper()
+		before := files
+		if err := do(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if got := files - before; got != want {
+			t.Fatalf("%s: %d segment fsyncs, want %d", what, got, want)
+		}
+		if got := l.Metrics().Syncs; got != uint64(files+dirs) {
+			t.Fatalf("%s: Metrics.Syncs %d, the disk saw %d fsyncs", what, got, files+dirs)
+		}
+	}
+	l, m := mustOpen(t, fs, seglog.SyncOnCommit) // segments of 32 bytes: the boundary and two ids
+	put := func() error { return m.put(l, false) }
+	step(l, "two appends", func() error {
+		if err := put(); err != nil {
+			return err
+		}
+		return put()
+	}, 0)
+	step(l, "Sync after appends", l.Sync, 1)
+	step(l, "Sync with nothing new", l.Sync, 0)
+	first := l.Segments()
+	step(l, "append that rolls a synced segment", put, 0)
+	if segs := l.Segments(); len(segs) != len(first)+1 {
+		t.Fatalf("the append did not roll: %v -> %v", first, segs)
+	}
+	step(l, "Sync in the new segment", l.Sync, 1)
+	step(l, "Close of a synced log", l.Close, 0)
+
+	files, dirs = 0, 0
+	l, m = mustOpen(t, fs, seglog.SyncOnCommit)
+	if m.last != 3 {
+		t.Fatalf("reopened to %d ids", m.last)
+	}
+	step(l, "first Sync after reopen", l.Sync, 1)
+	step(l, "second Sync after reopen", l.Sync, 0)
+	l.Close()
+
+	fs, files, dirs = errfs.New(), 0, 0
+	fs.SetHook(hook)
+	l, m = mustOpen(t, fs, seglog.SyncNever)
+	for i := 0; i < 5; i++ {
+		step(l, "SyncNever append and Sync", func() error { return m.put(l, true) }, 0)
+	}
+	step(l, "SyncNever compaction", func() error { return m.compact(l, 1, true) }, 0)
+	step(l, "SyncNever Close", l.Close, 0)
+	if files+dirs != 0 {
+		t.Fatalf("SyncNever fsynced %d files and %d directories", files, dirs)
 	}
 }

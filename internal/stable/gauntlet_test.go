@@ -239,7 +239,7 @@ func gauntlet(t *testing.T, pol stable.SyncPolicy) {
 }
 
 func TestPowerFailureGauntlet(t *testing.T) {
-	for _, pol := range []stable.SyncPolicy{stable.SyncOnCommit, stable.SyncAlways, stable.SyncNever} {
+	for _, pol := range []stable.SyncPolicy{stable.SyncOnCommit, stable.SyncNever} {
 		pol := pol
 		t.Run(fmt.Sprintf("sync=%v", pol), func(t *testing.T) {
 			gauntlet(t, pol)

@@ -1,16 +1,17 @@
 package stable_test
 
-// The group-commit power-failure gauntlet: the concurrent counterpart of
-// the serial gauntlet. Several committers drive save→commit→drop
-// workloads into one store at once, so their commit fsyncs coalesce
-// through the sync-ticket watermark; for every I/O operation index k the
-// workload reruns on a fresh simulated disk with the power pulled at op
-// k. After every crash point:
+// The concurrent power-failure gauntlet: the counterpart of the serial
+// gauntlet. Several committers drive save→commit→drop workloads into one
+// store at once. The store serializes them, each commit's append and
+// fsync under its lock, so their records interleave in the log and a
+// fsync may also cover another committer's tentatives; for every I/O
+// operation index k the workload reruns on a fresh simulated disk with
+// the power pulled at op k. After every crash point:
 //
 //   - the reopen must succeed;
 //   - every commit and drop ANY committer had acknowledged before the
-//     crash must be intact — the ticket may only release a caller after
-//     its record is durable, whoever performed the batch fsync;
+//     crash must be intact — a caller is released only after its own
+//     record is durable, however the others' records interleave with it;
 //   - nothing that was never a real record may surface;
 //   - recovery is deterministic: reopening the identical crashed image
 //     twice produces byte-identical disks (concurrency may vary the
@@ -166,9 +167,9 @@ func verifyGroupReopen(t *testing.T, k uint64, re *stable.Store, keepsAll bool, 
 	for _, rec := range re.History() {
 		perm[rec.Trigger] = rec.State.CSN
 	}
-	// Every acknowledged commit survived: the sync ticket must not release
-	// a committer before its record is durable, even when another caller
-	// performed the fsync. The outcome summary says so under any Keep;
+	// Every acknowledged commit survived: no committer is released before
+	// its record is durable, whatever the other committers appended in
+	// between. The outcome summary says so under any Keep;
 	// a history that retains every commit must also hold its state.
 	outcomes := re.Outcomes()
 	for trig, csn := range a.commits {
@@ -257,7 +258,8 @@ func TestGroupCommitGauntlet(t *testing.T) { groupGauntlet(t, groupOpts) }
 func TestGroupCommitGauntletDaemonOptions(t *testing.T) { groupGauntlet(t, daemonOpts) }
 
 func groupGauntlet(t *testing.T, opts groupOptions) {
-	// Pass 1 (fault-free) sizes the crash-point range. Coalescing makes
+	// Pass 1 (fault-free) sizes the crash-point range. The interleaving
+	// (and so when compaction runs and which fsyncs find nothing new) makes
 	// the exact op count schedule-dependent, so later runs may perform
 	// fewer ops; unreached points are skipped, but most must be covered.
 	var total uint64

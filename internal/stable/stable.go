@@ -18,7 +18,7 @@
 // the log deletes the older segments, garbage-collecting superseded
 // permanent checkpoints per the paper's discard rule; the outcomes of the
 // process's own instances (Outcomes) outlive them in the snapshot. The
-// write protocol, group commit, poisoning and recovery are seglog's.
+// write protocol, the fsync, poisoning and recovery are seglog's.
 package stable
 
 import (
@@ -48,7 +48,6 @@ type (
 // The fsync disciplines; see seglog.
 const (
 	SyncOnCommit = seglog.SyncOnCommit
-	SyncAlways   = seglog.SyncAlways
 	SyncNever    = seglog.SyncNever
 )
 
@@ -114,10 +113,8 @@ func (o *Outcomes) record(inum int, committed bool) {
 }
 
 // Store is one process's durable checkpoint log. It implements
-// checkpoint.Store and is safe for concurrent use: index mutations and
-// their appends serialize under mu, in the same order, and the wait for
-// durability happens with mu released — so concurrent committers share
-// one fsync through the log's sync ticket.
+// checkpoint.Store and is safe for concurrent use: index mutations, their
+// appends and their fsyncs serialize under mu, in the same order.
 type Store struct {
 	proc protocol.ProcessID
 	opts Options
@@ -244,15 +241,14 @@ func (s *Store) usable() error {
 	return s.log.Broken()
 }
 
-// appendLocked frames rec and appends it, with mu held; it returns the
-// record's write generation for the durability wait.
-func (s *Store) appendLocked(rec *wire.StableRecord) (uint64, error) {
+// appendLocked frames rec and appends it, with mu held.
+func (s *Store) appendLocked(rec *wire.StableRecord) error {
 	frame, err := wire.AppendStableRecord(nil, rec)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	pos, err := s.log.Append(frame)
-	return pos.Gen, err
+	_, err = s.log.Append(frame)
+	return err
 }
 
 func recordsToImages(recs []checkpoint.Record) []wire.CheckpointImage {
@@ -308,45 +304,38 @@ func (s *Store) snapshotFrame(uint64) ([]byte, error) {
 	return wire.AppendStableRecord(nil, s.snapshotRecord())
 }
 
-// do runs one logged mutation. step runs under mu: it vets the operation
-// against the index, appends the record and applies it, so the index
-// never disagrees with the log about operation order. The wait for the
-// record to become durable (commit marks a commit-grade one) happens with
-// mu released, which lets concurrent committers share one fsync.
-func (s *Store) do(commit bool, step func() (gen uint64, err error)) error {
+// do runs one logged mutation under mu. step vets the operation against
+// the index, appends the record and applies it, so the index never
+// disagrees with the log about operation order; a commit-grade record
+// (commit) is then made durable by one Log.Sync.
+func (s *Store) do(commit bool, step func() error) error {
 	s.mu.Lock()
-	err := s.usable()
-	var gen uint64
-	if err == nil {
-		gen, err = step()
+	defer s.mu.Unlock()
+	if err := s.usable(); err != nil {
+		return err
 	}
-	s.mu.Unlock()
-	if err == nil {
-		err = s.log.WaitDurable(gen, commit)
+	if err := step(); err != nil || !commit {
+		return err
 	}
-	if errors.Is(err, seglog.ErrClosed) {
-		return ErrClosed // closed under a waiting ticket
-	}
-	return err
+	return s.log.Sync()
 }
 
 // --- checkpoint.Store implementation ---
 
 // SaveTentative implements checkpoint.Store. The record is appended but
-// only fsynced under SyncAlways: the later commit's fsync covers it,
-// because a file's writes become durable in order.
+// not fsynced: the later commit's fsync covers it, because a file's
+// writes become durable in order.
 func (s *Store) SaveTentative(st protocol.State, trig protocol.Trigger, at time.Duration) error {
-	return s.do(false, func() (uint64, error) {
+	return s.do(false, func() error {
 		if _, ok := s.mem.Tentative(trig); ok {
-			return 0, checkpoint.ErrTentativePending
+			return checkpoint.ErrTentativePending
 		}
-		gen, err := s.appendLocked(&wire.StableRecord{
+		if err := s.appendLocked(&wire.StableRecord{
 			Op: wire.OpTentative, Proc: s.proc, Trigger: trig, At: at, State: st,
-		})
-		if err != nil {
-			return 0, err
+		}); err != nil {
+			return err
 		}
-		return gen, s.mem.SaveTentative(st, trig, at)
+		return s.mem.SaveTentative(st, trig, at)
 	})
 }
 
@@ -365,23 +354,21 @@ func (s *Store) TentativeTriggers() []protocol.Trigger {
 }
 
 // MakePermanent implements checkpoint.Store: the durable commit marker.
-// Once this returns nil under SyncOnCommit or SyncAlways, the checkpoint
-// survives any crash. Concurrent committers' fsyncs coalesce in the log,
-// and the batch shares one compaction instead of compacting per commit:
-// a snapshot covers every commit applied to the index before it.
+// Once this returns nil under SyncOnCommit, the checkpoint survives any
+// crash. A compaction covers every commit applied to the index before
+// it, so commits that land between two cadence points share one.
 func (s *Store) MakePermanent(trig protocol.Trigger, at time.Duration) error {
-	err := s.do(true, func() (uint64, error) {
+	err := s.do(true, func() error {
 		if _, ok := s.mem.Tentative(trig); !ok {
-			return 0, checkpoint.ErrNoTentative
+			return checkpoint.ErrNoTentative
 		}
-		gen, err := s.appendLocked(&wire.StableRecord{
+		if err := s.appendLocked(&wire.StableRecord{
 			Op: wire.OpCommit, Proc: s.proc, Trigger: trig, At: at,
-		})
-		if err != nil {
-			return 0, err
+		}); err != nil {
+			return err
 		}
 		s.sinceCompact++
-		return gen, s.decided(trig, true, s.mem.MakePermanent(trig, at))
+		return s.decided(trig, true, s.mem.MakePermanent(trig, at))
 	})
 	if err != nil || s.opts.Keep == 0 {
 		return err
@@ -399,17 +386,16 @@ func (s *Store) MakePermanent(trig protocol.Trigger, at time.Duration) error {
 // marker is commit-grade: once acknowledged, the tentative cannot
 // resurface at reopen.
 func (s *Store) DropTentative(trig protocol.Trigger) error {
-	return s.do(true, func() (uint64, error) {
+	return s.do(true, func() error {
 		if _, ok := s.mem.Tentative(trig); !ok {
-			return 0, checkpoint.ErrNoTentative
+			return checkpoint.ErrNoTentative
 		}
-		gen, err := s.appendLocked(&wire.StableRecord{
+		if err := s.appendLocked(&wire.StableRecord{
 			Op: wire.OpDrop, Proc: s.proc, Trigger: trig,
-		})
-		if err != nil {
-			return 0, err
+		}); err != nil {
+			return err
 		}
-		return gen, s.decided(trig, false, s.mem.DropTentative(trig))
+		return s.decided(trig, false, s.mem.DropTentative(trig))
 	})
 }
 
@@ -447,8 +433,7 @@ func (s *Store) Compact() error {
 
 // compactLocked runs one compaction with mu held throughout, which keeps
 // every other appender out so that the fresh segment's first record is
-// the snapshot. Earlier tickets drain via the log's fsync of the old
-// active segment, so nothing waits on mu.
+// the snapshot.
 func (s *Store) compactLocked() error {
 	if err := s.usable(); err != nil {
 		return err
@@ -461,7 +446,7 @@ func (s *Store) compactLocked() error {
 }
 
 // Close flushes and closes the log. The store is unusable afterwards;
-// reopen with Open. An in-flight flush or compaction finishes first.
+// reopen with Open. An operation in flight finishes first.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

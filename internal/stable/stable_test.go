@@ -150,7 +150,7 @@ func TestReopenRestoresEverything(t *testing.T) {
 func TestTornTailTruncated(t *testing.T) {
 	fs := errfs.New()
 	dir := "mss/p000"
-	st, err := stable.Open(dir, 0, 2, stable.Options{FS: fs, Sync: stable.SyncAlways})
+	st, err := stable.Open(dir, 0, 2, stable.Options{FS: fs, Sync: stable.SyncOnCommit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func foreignFrame() []byte {
 func TestForeignFormatFailsOpen(t *testing.T) {
 	fs := errfs.New()
 	dir := "mss/p000"
-	st, err := stable.Open(dir, 0, 2, stable.Options{FS: fs, Sync: stable.SyncAlways})
+	st, err := stable.Open(dir, 0, 2, stable.Options{FS: fs, Sync: stable.SyncOnCommit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,24 +396,32 @@ func TestSegmentRolling(t *testing.T) {
 	}
 }
 
+// TestSyncPolicyMetrics: under SyncOnCommit a tentative save rides the
+// commit's fsync, so a save and its commit cost one fsync; SyncNever
+// costs none.
 func TestSyncPolicyMetrics(t *testing.T) {
-	run := func(p stable.SyncPolicy) stable.Metrics {
+	run := func(p stable.SyncPolicy) (save, commit uint64) {
 		st, err := stable.Open("mss/p000", 0, 2, stable.Options{FS: errfs.New(), Sync: p})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer st.Close()
 		trig := protocol.Trigger{Pid: 0, Inum: 1}
-		st.SaveTentative(state(0, 2, 1), trig, 0)
-		st.MakePermanent(trig, 0)
-		return st.Metrics()
+		opened := st.Metrics().Syncs
+		if err := st.SaveTentative(state(0, 2, 1), trig, 0); err != nil {
+			t.Fatal(err)
+		}
+		saved := st.Metrics().Syncs
+		if err := st.MakePermanent(trig, 0); err != nil {
+			t.Fatal(err)
+		}
+		return saved - opened, st.Metrics().Syncs - saved
 	}
-	if m := run(stable.SyncNever); m.Syncs != 0 {
-		t.Fatalf("SyncNever synced %d times", m.Syncs)
+	if save, commit := run(stable.SyncNever); save+commit != 0 {
+		t.Fatalf("SyncNever synced %d times", save+commit)
 	}
-	commit, always := run(stable.SyncOnCommit), run(stable.SyncAlways)
-	if commit.Syncs == 0 || always.Syncs <= commit.Syncs {
-		t.Fatalf("syncs: commit=%d always=%d", commit.Syncs, always.Syncs)
+	if save, commit := run(stable.SyncOnCommit); save != 0 || commit != 1 {
+		t.Fatalf("SyncOnCommit: save synced %d times, commit %d, want 0 and 1", save, commit)
 	}
 }
 
