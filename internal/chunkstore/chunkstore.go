@@ -116,8 +116,8 @@ type chunkInfo struct {
 	owner protocol.ProcessID
 }
 
-// Stats is a point-in-time summary of the store, plain data for the
-// control RPC's gob plane.
+// Stats is a point-in-time summary of the store, plain data the
+// daemon's control RPC carries field by field.
 type Stats struct {
 	Segments   int
 	Chunks     int   // indexed chunks, including unreferenced-but-revivable ones

@@ -1,7 +1,7 @@
 package daemon
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -16,15 +16,14 @@ import (
 // use; open one per goroutine (connections are cheap and the daemon
 // serves many).
 //
-// The RPC stream is one persistent gob session per direction: type
-// descriptors cross once at the first call, so steady-state requests
-// pay no codec construction. (The peer data plane cannot do this — its
-// frames must stay self-contained across reconnects — but a control
-// connection that breaks is simply re-dialed.)
+// Each call writes one CRC-checked request frame and reads one response
+// frame back through a buffered reader (codec.go). Frames are
+// self-contained, so a new connection costs no codec set-up, and a
+// response longer than wire.MaxFrame is refused before it is allocated.
 type Client struct {
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	r    *bufio.Reader
+	buf  []byte // request frame scratch, reused across calls
 }
 
 // DialTimeout bounds control dials and per-call responses.
@@ -36,22 +35,27 @@ func Dial(addr string) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("daemon: dial control %s: %w", addr, err)
 	}
-	return &Client{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}, nil
+	return &Client{conn: conn, r: bufio.NewReader(conn)}, nil
 }
 
 // Close releases the connection.
 func (c *Client) Close() error { return c.conn.Close() }
 
 func (c *Client) do(req Request, respTimeout time.Duration) (Response, error) {
-	var resp Response
-	if err := c.enc.Encode(&req); err != nil {
-		return resp, fmt.Errorf("daemon: control write: %w", err)
+	frame, err := appendRequest(c.buf[:0], &req)
+	if err != nil {
+		return Response{}, fmt.Errorf("daemon: control write: %w", err)
+	}
+	c.buf = frame
+	if _, err := c.conn.Write(frame); err != nil {
+		return Response{}, fmt.Errorf("daemon: control write: %w", err)
 	}
 	if respTimeout > 0 {
 		c.conn.SetReadDeadline(time.Now().Add(respTimeout)) //nolint:errcheck
 		defer c.conn.SetReadDeadline(time.Time{})           //nolint:errcheck
 	}
-	if err := c.dec.Decode(&resp); err != nil {
+	resp, err := readResponse(c.r)
+	if err != nil {
 		return resp, fmt.Errorf("daemon: control read: %w", err)
 	}
 	if resp.Err != "" {

@@ -4,7 +4,12 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
+	"time"
 
+	"mutablecp/internal/chunkstore"
+	"mutablecp/internal/protocol"
+	"mutablecp/internal/stable"
 	"mutablecp/internal/wire"
 )
 
@@ -76,4 +81,330 @@ func readEnvelope(r io.Reader, e *envelope) error {
 		e.Body = nil
 	}
 	return nil
+}
+
+// Control RPC codec. A request and its response each travel as one wire
+// record frame ([4-byte length][4-byte CRC32C][body], wire.SealFrame and
+// wire.ReadFrame), so a read is bounded by wire.MaxFrame before anything
+// is allocated. The body is a version byte and then every field of the
+// Go type in declaration order: signed integers as zig-zag varints,
+// unsigned ones as uvarints, strings and byte slices behind a uvarint
+// length, and maps as a count followed by their entries in ascending key
+// order; the response's booleans end it, packed into one flags byte. Empty
+// slices and maps decode as nil. The decoder takes only the shortest
+// encoding of each field, so every body it accepts re-encodes to the
+// same bytes.
+const ctlVersion = 1
+
+// Response flag bits.
+const (
+	flagReady = 1 << iota
+	flagInProgress
+	flagCommitted
+	flagHasPayload
+	flagsKnown = 1<<iota - 1
+)
+
+// sessionFields is the count of SessionMetrics' counters, each at least
+// one byte on the wire.
+const sessionFields = 10
+
+// readRequest reads one request frame.
+func readRequest(r io.Reader) (Request, error) {
+	c, err := openCtl(r)
+	if err != nil {
+		return Request{}, err
+	}
+	req := Request{
+		Op: c.string(), To: c.int(), Payload: c.bytes(),
+		WaitMS: c.int(), Trig: protocol.Trigger{Pid: c.int(), Inum: c.int()},
+	}
+	if err := c.close("request"); err != nil {
+		return Request{}, err
+	}
+	return req, nil
+}
+
+// appendRequest appends req's frame to dst.
+func appendRequest(dst []byte, req *Request) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, ctlVersion)
+	dst = appendBytes(dst, req.Op)
+	dst = binary.AppendVarint(dst, int64(req.To))
+	dst = appendBytes(dst, req.Payload)
+	dst = binary.AppendVarint(dst, int64(req.WaitMS))
+	dst = binary.AppendVarint(dst, int64(req.Trig.Pid))
+	dst = binary.AppendVarint(dst, int64(req.Trig.Inum))
+	return wire.SealFrame(dst, start)
+}
+
+// readResponse reads one response frame.
+func readResponse(r io.Reader) (Response, error) {
+	c, err := openCtl(r)
+	if err != nil {
+		return Response{}, err
+	}
+	resp := Response{
+		Err: c.string(), ID: c.int(), N: c.int(), Algorithm: c.string(),
+		Incarnation: c.varint(), Commits: c.uvarint(), Aborts: c.uvarint(),
+		State: protocol.State{
+			Proc: c.int(), CSN: c.int(),
+			SentTo: c.counters(), RecvFrom: c.counters(),
+			At: time.Duration(c.varint()),
+		},
+		Metrics: Metrics{Commits: c.uvarint(), Aborts: c.uvarint()},
+	}
+	if n := c.count(1 + sessionFields); n > 0 {
+		resp.Metrics.Sessions = make(map[int]SessionMetrics, n)
+		c.entries(n, func(peer int) {
+			resp.Metrics.Sessions[peer] = SessionMetrics{
+				DataFrames: c.uvarint(), Retransmissions: c.uvarint(),
+				AcksSent: c.uvarint(), DupsSuppressed: c.uvarint(),
+				Buffered: c.uvarint(), StaleFrames: c.uvarint(),
+				Reopened: c.uvarint(), Connects: c.uvarint(),
+				Batches: c.uvarint(), Envelopes: c.uvarint(),
+			}
+		})
+	}
+	if n := c.count(2); n > 0 {
+		resp.Metrics.Backlog = make(map[int]int, n)
+		c.entries(n, func(peer int) { resp.Metrics.Backlog[peer] = c.int() })
+	}
+	resp.Metrics.Store = c.logMetrics()
+	resp.Payload = chunkstore.Stats{
+		Segments: c.int(), Chunks: c.int(), LiveChunks: c.int(),
+		LiveBytes: c.varint(), DiskBytes: c.varint(),
+		Permanents: c.int(), Tentatives: c.int(),
+		Saves: c.uvarint(), LogicalBytes: c.uvarint(), NewBytes: c.uvarint(),
+		NewChunks: c.uvarint(), DedupChunks: c.uvarint(),
+		SelfDedupChunks: c.uvarint(), CrossDedupChunks: c.uvarint(),
+		Metrics: c.logMetrics(),
+	}
+	resp.Outcome = Outcome(c.int())
+	flags := c.byte()
+	if flags&^flagsKnown != 0 {
+		c.fail()
+	}
+	resp.Ready = flags&flagReady != 0
+	resp.InProgress = flags&flagInProgress != 0
+	resp.Committed = flags&flagCommitted != 0
+	resp.HasPayload = flags&flagHasPayload != 0
+	if err := c.close("response"); err != nil {
+		return Response{}, err
+	}
+	return resp, nil
+}
+
+// appendResponse appends resp's frame to dst.
+func appendResponse(dst []byte, resp *Response) ([]byte, error) {
+	start := len(dst)
+	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, ctlVersion)
+	dst = appendBytes(dst, resp.Err)
+	dst = binary.AppendVarint(dst, int64(resp.ID))
+	dst = binary.AppendVarint(dst, int64(resp.N))
+	dst = appendBytes(dst, resp.Algorithm)
+	dst = binary.AppendVarint(dst, resp.Incarnation)
+	dst = binary.AppendUvarint(dst, resp.Commits)
+	dst = binary.AppendUvarint(dst, resp.Aborts)
+
+	st := &resp.State
+	dst = binary.AppendVarint(dst, int64(st.Proc))
+	dst = binary.AppendVarint(dst, int64(st.CSN))
+	dst = appendCounters(appendCounters(dst, st.SentTo), st.RecvFrom)
+	dst = binary.AppendVarint(dst, int64(st.At))
+
+	m := &resp.Metrics
+	dst = binary.AppendUvarint(dst, m.Commits)
+	dst = binary.AppendUvarint(dst, m.Aborts)
+	dst = binary.AppendUvarint(dst, uint64(len(m.Sessions)))
+	for _, peer := range sortedKeys(m.Sessions) {
+		s := m.Sessions[peer]
+		dst = binary.AppendVarint(dst, int64(peer))
+		for _, v := range [sessionFields]uint64{
+			s.DataFrames, s.Retransmissions, s.AcksSent, s.DupsSuppressed, s.Buffered,
+			s.StaleFrames, s.Reopened, s.Connects, s.Batches, s.Envelopes,
+		} {
+			dst = binary.AppendUvarint(dst, v)
+		}
+	}
+	dst = binary.AppendUvarint(dst, uint64(len(m.Backlog)))
+	for _, peer := range sortedKeys(m.Backlog) {
+		dst = binary.AppendVarint(dst, int64(peer))
+		dst = binary.AppendVarint(dst, int64(m.Backlog[peer]))
+	}
+	dst = appendLogMetrics(dst, &m.Store)
+
+	p := &resp.Payload
+	for _, v := range []int64{
+		int64(p.Segments), int64(p.Chunks), int64(p.LiveChunks), p.LiveBytes, p.DiskBytes,
+		int64(p.Permanents), int64(p.Tentatives),
+	} {
+		dst = binary.AppendVarint(dst, v)
+	}
+	for _, v := range []uint64{
+		p.Saves, p.LogicalBytes, p.NewBytes, p.NewChunks, p.DedupChunks,
+		p.SelfDedupChunks, p.CrossDedupChunks,
+	} {
+		dst = binary.AppendUvarint(dst, v)
+	}
+	dst = appendLogMetrics(dst, &p.Metrics)
+
+	dst = binary.AppendVarint(dst, int64(resp.Outcome))
+	flags := flag(resp.Ready, flagReady) | flag(resp.InProgress, flagInProgress) |
+		flag(resp.Committed, flagCommitted) | flag(resp.HasPayload, flagHasPayload)
+	return wire.SealFrame(append(dst, flags), start)
+}
+
+func sortedKeys[V any](m map[int]V) []int {
+	keys := make([]int, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+func flag(set bool, bit byte) byte {
+	if set {
+		return bit
+	}
+	return 0
+}
+
+func appendBytes[T string | []byte](dst []byte, b T) []byte {
+	return append(binary.AppendUvarint(dst, uint64(len(b))), b...)
+}
+
+func appendCounters(dst []byte, v []uint64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(v)))
+	for _, x := range v {
+		dst = binary.AppendUvarint(dst, x)
+	}
+	return dst
+}
+
+func appendLogMetrics(dst []byte, m *stable.Metrics) []byte {
+	for _, v := range []uint64{m.Appends, m.AppendedBytes, m.Syncs, m.Compactions, m.ReplayedRecords} {
+		dst = binary.AppendUvarint(dst, v)
+	}
+	return binary.AppendVarint(dst, m.TruncatedBytes)
+}
+
+// ctlCursor parses a control body front to back, like wire's record
+// cursor, and also refuses a varint longer than its shortest form, so
+// that a body decodes only from its own encoding. A field that runs past
+// the end, is not in its shortest form, or a count larger than the bytes
+// left sets bad and yields zeros from then on, so the decoders read
+// every field unconditionally and check once, in close.
+type ctlCursor struct {
+	b   []byte
+	bad bool
+}
+
+// openCtl reads one frame from r and starts parsing its body.
+func openCtl(r io.Reader) (*ctlCursor, error) {
+	body, _, err := wire.ReadFrame(r)
+	if err != nil {
+		return nil, err
+	}
+	if len(body) == 0 || body[0] != ctlVersion {
+		return nil, fmt.Errorf("daemon: control frame is not version %d", ctlVersion)
+	}
+	return &ctlCursor{b: body[1:]}, nil
+}
+
+func (c *ctlCursor) close(what string) error {
+	if c.bad || len(c.b) != 0 {
+		return fmt.Errorf("daemon: malformed control %s", what)
+	}
+	return nil
+}
+
+func (c *ctlCursor) fail() { c.bad, c.b = true, nil }
+
+func (c *ctlCursor) uvarint() uint64 {
+	v, k := binary.Uvarint(c.b)
+	// A longer encoding than the shortest ends in a zero byte.
+	if k <= 0 || k > 1 && c.b[k-1] == 0 {
+		c.fail()
+		return 0
+	}
+	c.b = c.b[k:]
+	return v
+}
+
+func (c *ctlCursor) varint() int64 {
+	u := c.uvarint()
+	return int64(u>>1) ^ -int64(u&1)
+}
+
+func (c *ctlCursor) int() int { return int(c.varint()) }
+
+func (c *ctlCursor) byte() byte {
+	if len(c.b) == 0 {
+		c.fail()
+		return 0
+	}
+	b := c.b[0]
+	c.b = c.b[1:]
+	return b
+}
+
+// count reads an element count and refuses one the remaining bytes cannot
+// hold at size bytes per element, so a hostile count never sizes an
+// allocation.
+func (c *ctlCursor) count(size int) int {
+	n := c.uvarint()
+	if n > uint64(len(c.b)/size) {
+		c.fail()
+		return 0
+	}
+	return int(n)
+}
+
+// bytes reads a length-prefixed byte string (nil when empty), aliasing
+// the frame body.
+func (c *ctlCursor) bytes() []byte {
+	n := c.count(1)
+	if n == 0 {
+		return nil
+	}
+	out := c.b[:n:n]
+	c.b = c.b[n:]
+	return out
+}
+
+func (c *ctlCursor) string() string { return string(c.bytes()) }
+
+func (c *ctlCursor) counters() []uint64 {
+	n := c.count(1)
+	if n == 0 {
+		return nil
+	}
+	out := make([]uint64, n)
+	for i := range out {
+		out[i] = c.uvarint()
+	}
+	return out
+}
+
+// entries reads n map entries, each a key and then what entry reads.
+// The keys must ascend strictly.
+func (c *ctlCursor) entries(n int, entry func(key int)) {
+	for i, prev := 0, 0; i < n; i++ {
+		k := c.int()
+		if i > 0 && k <= prev {
+			c.fail()
+		}
+		prev = k
+		entry(k)
+	}
+}
+
+func (c *ctlCursor) logMetrics() stable.Metrics {
+	return stable.Metrics{
+		Appends: c.uvarint(), AppendedBytes: c.uvarint(), Syncs: c.uvarint(),
+		Compactions: c.uvarint(), ReplayedRecords: c.uvarint(),
+		TruncatedBytes: c.varint(),
+	}
 }

@@ -4,7 +4,7 @@
 // daemon loads a shared cluster config, sends over livenet.Link TCP
 // connections with the relnet ARQ sublayer on top for reliable FIFO
 // delivery across real sockets, opens its own on-disk stable store, and
-// exposes a gob control RPC for initiation, recovery-line queries,
+// exposes a framed control RPC for initiation, recovery-line queries,
 // metrics, and graceful shutdown. The public mutablecp.LiveCluster runs
 // the same daemons in one process.
 package daemon

@@ -1,7 +1,7 @@
 package daemon
 
 import (
-	"encoding/gob"
+	"bufio"
 	"fmt"
 	"net"
 	"time"
@@ -11,10 +11,9 @@ import (
 	"mutablecp/internal/stable"
 )
 
-// Control RPC: a persistent gob stream in each direction over a
-// dedicated TCP listener. One request, one response, repeatable on the
-// same connection — mcpctl and the e2e harness drive the daemon
-// entirely through this plane.
+// Control RPC over a dedicated TCP listener: one request frame, one
+// response frame (codec.go), repeatable on the same connection — mcpctl
+// and the e2e harness drive the daemon entirely through this plane.
 
 // Control operations.
 const (
@@ -105,19 +104,22 @@ func (d *Daemon) acceptControl() {
 
 func (d *Daemon) serveControl(conn net.Conn) {
 	defer conn.Close() //nolint:errcheck
-	// One persistent gob session per direction, matching Client: type
-	// descriptors cross once per connection, not once per request.
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	r := bufio.NewReader(conn)
+	var buf []byte
 	for {
-		var req Request
-		if err := dec.Decode(&req); err != nil {
+		req, err := readRequest(r)
+		if err != nil {
 			return
 		}
 		resp := d.handleControl(req)
-		if err := enc.Encode(&resp); err != nil {
+		frame, err := appendResponse(buf[:0], &resp)
+		if err != nil {
 			return
 		}
+		if _, err := conn.Write(frame); err != nil {
+			return
+		}
+		buf = frame
 		if req.Op == OpShutdown && resp.Err == "" {
 			// The response is on the wire; now let main tear us down.
 			d.requestStop()

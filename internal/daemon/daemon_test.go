@@ -231,7 +231,13 @@ func TestClusterE2E(t *testing.T) {
 		}
 		resultCh <- committed
 	}()
-	time.Sleep(2 * time.Millisecond) // let the initiation reach the wire
+	// Kill once the initiation is on the wire: the initiator reports the
+	// instance in progress, or it has already ended.
+	status := ctlClient(t, cfg, 0)
+	waitFor(t, func() bool {
+		st, err := status.Status()
+		return err == nil && st.InProgress || len(resultCh)+len(errCh) > 0
+	}, func() string { return "the checkpoint at P0 never showed in progress" })
 	victim := procs[1]
 	if err := victim.Process.Kill(); err != nil {
 		t.Fatal(err)

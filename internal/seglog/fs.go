@@ -17,6 +17,14 @@ import (
 	"sort"
 )
 
+// Reader is a segment opened for reading: replay reads it front to
+// back, ReadAt reads one frame at its offset.
+type Reader interface {
+	io.Reader
+	io.ReaderAt
+	io.Closer
+}
+
 // File is an append-only segment handle.
 type File interface {
 	io.Writer
@@ -36,7 +44,7 @@ type FS interface {
 	// ReadDir lists the names (not paths) of the files in dir, sorted.
 	ReadDir(dir string) ([]string, error)
 	// Open opens an existing file for reading.
-	Open(name string) (io.ReadCloser, error)
+	Open(name string) (Reader, error)
 	// Create creates a new file for appending; the file must not exist.
 	Create(name string) (File, error)
 	// OpenAppend opens an existing file for further appends.
@@ -72,7 +80,7 @@ func (osFS) ReadDir(dir string) ([]string, error) {
 	return names, nil
 }
 
-func (osFS) Open(name string) (io.ReadCloser, error) { return os.Open(name) }
+func (osFS) Open(name string) (Reader, error) { return os.Open(name) }
 
 func (osFS) Create(name string) (File, error) {
 	return os.OpenFile(name, os.O_WRONLY|os.O_CREATE|os.O_EXCL|os.O_APPEND, 0o644)

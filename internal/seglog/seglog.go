@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"path/filepath"
 	"sync"
 
@@ -358,17 +359,15 @@ func (l *Log) Compact(rewrite func() error) error {
 	return l.syncDirLocked()
 }
 
-// ReadAt returns the body of the frame that starts at off in segment.
+// ReadAt returns the body of the frame that starts at off in segment. It
+// reads the frame's header and body at their offsets, nothing before them.
 func (l *Log) ReadAt(segment string, off int64) ([]byte, error) {
 	f, err := l.opts.FS.Open(segment)
 	if err != nil {
 		return nil, fmt.Errorf("seglog: open %s: %w", segment, err)
 	}
 	defer f.Close() //nolint:errcheck // read-only handle
-	if _, err := io.CopyN(io.Discard, f, off); err != nil {
-		return nil, fmt.Errorf("seglog: seek %s to %d: %w", segment, off, err)
-	}
-	body, _, err := wire.ReadFrame(f)
+	body, _, err := wire.ReadFrame(io.NewSectionReader(f, off, math.MaxInt64-off))
 	if err != nil {
 		return nil, fmt.Errorf("seglog: read %s at %d: %w", segment, off, err)
 	}

@@ -20,6 +20,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math/rand"
 	"testing"
 
@@ -232,6 +233,7 @@ func TestModel(t *testing.T) {
 			if !bytes.Equal(fs.Snapshot(), twinFS.Snapshot()) {
 				t.Fatalf("seed %d %s: batched appends left other bytes than single ones", seed, when)
 			}
+			checkReadAt(t, fs, l)
 		}
 		for step := 0; step < 200; step++ {
 			switch r := rng.Intn(100); {
@@ -302,6 +304,38 @@ func TestModel(t *testing.T) {
 		}
 		tl.Close()
 	}
+}
+
+// checkReadAt compares ReadAt at every frame of every live segment, and
+// at each segment's end, where both must fail, with a reference that
+// reaches the frame by reading the segment's whole prefix.
+func checkReadAt(t *testing.T, fs seglog.FS, l *seglog.Log) {
+	t.Helper()
+	for _, seg := range l.Segments() {
+		for off := int64(0); ; {
+			want, n, werr := prefixRead(fs, seg, off)
+			got, err := l.ReadAt(seg, off)
+			if (err == nil) != (werr == nil) || !bytes.Equal(got, want) {
+				t.Fatalf("ReadAt(%s, %d) = %x, %v; reading the prefix gives %x, %v", seg, off, got, err, want, werr)
+			}
+			if werr != nil {
+				break
+			}
+			off += int64(n)
+		}
+	}
+}
+
+func prefixRead(fs seglog.FS, seg string, off int64) ([]byte, int, error) {
+	f, err := fs.Open(seg)
+	if err != nil {
+		return nil, 0, err
+	}
+	defer f.Close()
+	if _, err := io.CopyN(io.Discard, f, off); err != nil {
+		return nil, 0, err
+	}
+	return wire.ReadFrame(f)
 }
 
 // TestAppendBatchRefusesTornInput: a batch whose last frame is cut short

@@ -13,7 +13,6 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"io"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -228,7 +227,7 @@ func (m *MemFS) ReadDir(dir string) ([]string, error) {
 }
 
 // Open implements stable.FS: reads see the live content at open time.
-func (m *MemFS) Open(name string) (io.ReadCloser, error) {
+func (m *MemFS) Open(name string) (stable.Reader, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if _, err := m.check(OpOpen, name); err != nil {
@@ -238,8 +237,13 @@ func (m *MemFS) Open(name string) (io.ReadCloser, error) {
 	if !ok {
 		return nil, fmt.Errorf("errfs: open %s: no such file", name)
 	}
-	return io.NopCloser(bytes.NewReader(append([]byte(nil), f.data...))), nil
+	return readHandle{bytes.NewReader(append([]byte(nil), f.data...))}, nil
 }
+
+// readHandle is a read handle on a copy of one file's content.
+type readHandle struct{ *bytes.Reader }
+
+func (readHandle) Close() error { return nil }
 
 // Create implements stable.FS. The new name is volatile until its
 // directory is fsynced.
@@ -458,6 +462,7 @@ func (m *MemFS) Snapshot() []byte {
 // ReadFault wraps fs so that every file opened for reading delivers its
 // first after bytes and then fails with err: a disk that starts
 // returning EIO mid-file, which no hook on whole operations can model.
+// A positioned read gets the bytes before offset after and then err.
 // Everything else passes through to fs.
 func ReadFault(fs stable.FS, after int64, err error) stable.FS {
 	return readFaultFS{FS: fs, after: after, err: err}
@@ -469,18 +474,33 @@ type readFaultFS struct {
 	err   error
 }
 
-func (f readFaultFS) Open(name string) (io.ReadCloser, error) {
+func (f readFaultFS) Open(name string) (stable.Reader, error) {
 	r, err := f.FS.Open(name)
 	if err != nil {
 		return nil, err
 	}
-	return &faultReader{ReadCloser: r, left: f.after, err: f.err}, nil
+	return &faultReader{Reader: r, after: f.after, left: f.after, err: f.err}, nil
 }
 
 type faultReader struct {
-	io.ReadCloser
-	left int64
-	err  error
+	stable.Reader
+	after int64 // the first offset that fails
+	left  int64 // bytes Read may still deliver
+	err   error
+}
+
+func (r *faultReader) ReadAt(p []byte, off int64) (int, error) {
+	if off >= r.after {
+		return 0, r.err
+	}
+	if int64(len(p)) > r.after-off {
+		n, err := r.Reader.ReadAt(p[:r.after-off], off)
+		if err == nil {
+			err = r.err
+		}
+		return n, err
+	}
+	return r.Reader.ReadAt(p, off)
 }
 
 func (r *faultReader) Read(p []byte) (int, error) {
@@ -490,7 +510,7 @@ func (r *faultReader) Read(p []byte) (int, error) {
 	if int64(len(p)) > r.left {
 		p = p[:r.left]
 	}
-	n, err := r.ReadCloser.Read(p)
+	n, err := r.Reader.Read(p)
 	r.left -= int64(n)
 	return n, err
 }

@@ -175,3 +175,46 @@ func TestCorruptByte(t *testing.T) {
 		t.Fatalf("corrupt byte = %02x", got[0])
 	}
 }
+
+// TestReadFaultLimitsPositionedReads: ReadFault's byte limit is a file
+// offset, so a positioned read gets the bytes before it and then the
+// fault, exactly as a sequential read does.
+func TestReadFaultLimitsPositionedReads(t *testing.T) {
+	fs := errfs.New()
+	if err := fs.MkdirAll("d"); err != nil {
+		t.Fatal(err)
+	}
+	f, err := fs.Create("d/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := []byte("0123456789abcdefghij")
+	if _, err := f.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	eio := errors.New("input/output error")
+	r, err := errfs.ReadFault(fs, 12, eio).Open("d/a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got, err := io.ReadAll(r); !errors.Is(err, eio) || !bytes.Equal(got, data[:12]) {
+		t.Fatalf("sequential read: %q, %v; want %q then the fault", got, err, data[:12])
+	}
+	for _, c := range []struct {
+		off, len, want int
+		fault          bool
+	}{
+		{0, 12, 12, false}, // ends at the limit
+		{4, 4, 4, false},
+		{8, 8, 4, true}, // crosses it
+		{12, 1, 0, true},
+		{15, 5, 0, true},
+	} {
+		p := make([]byte, c.len)
+		n, err := r.ReadAt(p, int64(c.off))
+		if n != c.want || !bytes.Equal(p[:n], data[c.off:c.off+n]) || errors.Is(err, eio) != c.fault || (!c.fault && err != nil) {
+			t.Errorf("ReadAt(%d bytes at %d) = %d %q, %v; want %d bytes, fault %v", c.len, c.off, n, p[:n], err, c.want, c.fault)
+		}
+	}
+}

@@ -41,6 +41,7 @@ import (
 type (
 	FS         = seglog.FS
 	File       = seglog.File
+	Reader     = seglog.Reader
 	SyncPolicy = seglog.SyncPolicy
 	Metrics    = seglog.Metrics
 )

@@ -100,7 +100,7 @@ func AppendChunkRecord(dst []byte, r *ChunkRecord) ([]byte, error) {
 	for i := range r.Hashes {
 		dst = append(dst, r.Hashes[i][:]...)
 	}
-	return sealFrame(dst, start)
+	return SealFrame(dst, start)
 }
 
 func (c *cursor) hash() (h ChunkHash) {

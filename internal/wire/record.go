@@ -137,7 +137,7 @@ func AppendStableRecord(dst []byte, r *StableRecord) ([]byte, error) {
 			dst = appendInt(dst, inum)
 		}
 	}
-	return sealFrame(dst, start)
+	return SealFrame(dst, start)
 }
 
 // DecodeStableRecord reads one framed record and reports how many bytes

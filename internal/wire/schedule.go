@@ -75,7 +75,7 @@ func AppendScheduleRecord(dst []byte, r *ScheduleRecord) ([]byte, error) {
 		}
 		dst = binary.AppendUvarint(dst, uint64(c))
 	}
-	return sealFrame(dst, start)
+	return SealFrame(dst, start)
 }
 
 // EncodeScheduleRecord writes one framed record and returns the number of

@@ -1,7 +1,9 @@
 // Package wire is the byte format of everything that leaves a process:
 // protocol messages between peers (internal/daemon) and
 // the records internal/stable, internal/chunkstore and internal/explore
-// append to their files. There is one encoding and one record frame.
+// append to their files. There is one encoding and one record frame,
+// which the daemon's control RPC also rides (its body codec lives in
+// internal/daemon, beside the types it carries).
 //
 // A message frame is [4-byte BE body length][body]; the transport under
 // it (TCP) already checksums. A record frame, which has to survive a
@@ -52,11 +54,13 @@ const frameHeaderLen = 8
 // ecosystems standardized on because of hardware support).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// sealFrame completes the record frame that starts at dst[start]: the
-// caller appended frameHeaderLen placeholder bytes and then the body.
-// Appends hand the whole frame to one Write, so a filesystem seam can
-// model it as one (possibly torn) disk operation.
-func sealFrame(dst []byte, start int) ([]byte, error) {
+// SealFrame completes the record frame that starts at dst[start]: the
+// caller appended eight placeholder bytes and then the body. It is the
+// one writer of the frame ReadFrame reads, for the records here and for
+// the daemon's control RPC. Appends hand the whole frame to one Write,
+// so a filesystem seam can model it as one (possibly torn) disk
+// operation.
+func SealFrame(dst []byte, start int) ([]byte, error) {
 	body := dst[start+frameHeaderLen:]
 	if len(body) > MaxFrame {
 		return dst[:start], fmt.Errorf("wire: record too large (%d bytes)", len(body))
