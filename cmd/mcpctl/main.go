@@ -155,7 +155,7 @@ func run(args []string) error {
 			if merr != nil {
 				return merr
 			}
-			fmt.Printf("P%d: commits=%d aborts=%d\n", nc.ID, m.Commits, m.Aborts)
+			fmt.Printf("P%d: commits=%d aborts=%d loop_handoffs=%d\n", nc.ID, m.Commits, m.Aborts, m.LoopHandoffs)
 			fmt.Printf("  store appends=%d bytes=%d syncs=%d compactions=%d replayed=%d truncated=%d\n",
 				m.Store.Appends, m.Store.AppendedBytes, m.Store.Syncs, m.Store.Compactions,
 				m.Store.ReplayedRecords, m.Store.TruncatedBytes)
@@ -169,9 +169,9 @@ func run(args []string) error {
 			sort.Ints(peers)
 			for _, peer := range peers {
 				sm := m.Sessions[peer]
-				fmt.Printf("  ->P%d data=%d retx=%d acks=%d dups=%d buffered=%d batches=%d envelopes=%d connects=%d reopened=%d backlog=%d\n",
+				fmt.Printf("  ->P%d data=%d retx=%d acks=%d dups=%d buffered=%d batches=%d writer_batches=%d envelopes=%d connects=%d reopened=%d backlog=%d\n",
 					peer, sm.DataFrames, sm.Retransmissions, sm.AcksSent, sm.DupsSuppressed,
-					sm.Buffered, sm.Batches, sm.Envelopes, sm.Connects, sm.Reopened, m.Backlog[peer])
+					sm.Buffered, sm.Batches, sm.WriterBatches, sm.Envelopes, sm.Connects, sm.Reopened, m.Backlog[peer])
 			}
 		}
 	case "store":

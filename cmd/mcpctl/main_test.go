@@ -119,9 +119,9 @@ func TestAgainstCluster(t *testing.T) {
 		// A participant appends a tentative and a commit record on top of
 		// the snapshot that starts its log, and fsyncs at least the commit.
 		{[]string{"metrics"}, []string{
-			`P0: commits=0 aborts=0\n  store appends=3 bytes=[1-9]\d* syncs=[1-9]\d* compactions=0 replayed=0 truncated=0\n`,
-			`P1: commits=1 aborts=0\n  store appends=3 `,
-			`->P1 data=[1-9]`,
+			`P0: commits=0 aborts=0 loop_handoffs=\d+\n  store appends=3 bytes=[1-9]\d* syncs=[1-9]\d* compactions=0 replayed=0 truncated=0\n`,
+			`P1: commits=1 aborts=0 loop_handoffs=\d+\n  store appends=3 `,
+			`->P1 data=[1-9]\d* retx=\d+ acks=\d+ dups=\d+ buffered=\d+ batches=\d+ writer_batches=\d+ `,
 		}},
 		{[]string{"store"}, []string{
 			`P0: perm=1 tent=0 chunks=8 live=8 new=16KiB logical=16KiB ratio=1\.0\d\d dedup=0 \(self=0 cross=0\) gc=0 \(verified\)`,

@@ -94,7 +94,7 @@ func readEnvelope(r io.Reader, e *envelope) error {
 // slices and maps decode as nil. The decoder takes only the shortest
 // encoding of each field, so every body it accepts re-encodes to the
 // same bytes.
-const ctlVersion = 1
+const ctlVersion = 2
 
 // Response flag bits.
 const (
@@ -107,7 +107,7 @@ const (
 
 // sessionFields is the count of SessionMetrics' counters, each at least
 // one byte on the wire.
-const sessionFields = 10
+const sessionFields = 11
 
 // readRequest reads one request frame.
 func readRequest(r io.Reader) (Request, error) {
@@ -152,7 +152,7 @@ func readResponse(r io.Reader) (Response, error) {
 			SentTo: c.counters(), RecvFrom: c.counters(),
 			At: time.Duration(c.varint()),
 		},
-		Metrics: Metrics{Commits: c.uvarint(), Aborts: c.uvarint()},
+		Metrics: Metrics{Commits: c.uvarint(), Aborts: c.uvarint(), LoopHandoffs: c.uvarint()},
 	}
 	if n := c.count(1 + sessionFields); n > 0 {
 		resp.Metrics.Sessions = make(map[int]SessionMetrics, n)
@@ -163,6 +163,7 @@ func readResponse(r io.Reader) (Response, error) {
 				Buffered: c.uvarint(), StaleFrames: c.uvarint(),
 				Reopened: c.uvarint(), Connects: c.uvarint(),
 				Batches: c.uvarint(), Envelopes: c.uvarint(),
+				WriterBatches: c.uvarint(),
 			}
 		})
 	}
@@ -216,6 +217,7 @@ func appendResponse(dst []byte, resp *Response) ([]byte, error) {
 	m := &resp.Metrics
 	dst = binary.AppendUvarint(dst, m.Commits)
 	dst = binary.AppendUvarint(dst, m.Aborts)
+	dst = binary.AppendUvarint(dst, m.LoopHandoffs)
 	dst = binary.AppendUvarint(dst, uint64(len(m.Sessions)))
 	for _, peer := range sortedKeys(m.Sessions) {
 		s := m.Sessions[peer]
@@ -223,6 +225,7 @@ func appendResponse(dst []byte, resp *Response) ([]byte, error) {
 		for _, v := range [sessionFields]uint64{
 			s.DataFrames, s.Retransmissions, s.AcksSent, s.DupsSuppressed, s.Buffered,
 			s.StaleFrames, s.Reopened, s.Connects, s.Batches, s.Envelopes,
+			s.WriterBatches,
 		} {
 			dst = binary.AppendUvarint(dst, v)
 		}

@@ -85,11 +85,15 @@ const (
 
 // Metrics aggregates one daemon's counters for the control plane.
 type Metrics struct {
-	Commits  uint64
-	Aborts   uint64
-	Sessions map[int]SessionMetrics
-	Backlog  map[int]int // unacked frames per peer channel
-	Store    stable.Metrics
+	Commits uint64
+	Aborts  uint64
+	// LoopHandoffs counts the events the mailbox's serve goroutine ran:
+	// ones queued while another goroutine held the loop role, each a
+	// goroutine wake-up the queuing goroutine did not run itself.
+	LoopHandoffs uint64
+	Sessions     map[int]SessionMetrics
+	Backlog      map[int]int // unacked frames per peer channel
+	Store        stable.Metrics
 }
 
 func (d *Daemon) acceptControl() {
@@ -182,6 +186,7 @@ func (d *Daemon) handleControl(req Request) Response {
 		if err != nil {
 			return fail(err)
 		}
+		m.LoopHandoffs = d.mb.handoffCount()
 		for _, s := range d.sessions {
 			if s == nil {
 				continue

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 )
 
@@ -36,14 +37,22 @@ const (
 // the schedule, and so does Reset, for a caller that has learned by other
 // means that the peer is up.
 //
+// TryWrite is the other way in: it writes only what the socket takes
+// now, never dials and never waits, so a caller that must not block (the
+// daemon's event runner) can write on its own goroutine and leave the
+// rest to one that may.
+//
 // Two locks. sendMu is the channel's FIFO: Send and Connect hold it from
 // start to end — across the backoff wait, the dial, the OnConnect
-// handshake and the write — so no frame overtakes another. mu guards the
-// fields and is never held across I/O or a wait, which is what lets Reset
-// and Close interrupt a Send that is waiting out a backoff or writing to
-// a dead socket. Order: sendMu before mu.
+// handshake and the write — so no frame overtakes another; TryWrite only
+// tries it. mu guards the fields and is never held across I/O or a wait,
+// which is what lets Reset and Close interrupt a Send that is waiting out
+// a backoff or writing to a dead socket. Order: sendMu before mu.
 type Link struct {
 	sendMu sync.Mutex
+	// deadline is set while conn carries Send's write deadline, which
+	// TryWrite clears first (a raw write past it fails). sendMu guards it.
+	deadline bool
 
 	mu   sync.Mutex
 	addr string
@@ -51,6 +60,12 @@ type Link struct {
 
 	conn net.Conn
 	w    *bufio.Writer
+	raw  syscall.RawConn // conn's descriptor, for TryWrite; nil if it has none
+	// tail is what TryWrite could not write of its last frame. It belongs
+	// to conn: the next Send writes it first, and dropping conn discards
+	// it (the frames in it are the ARQ's to resend). Only a holder of
+	// sendMu changes its bytes; mu guards the slice.
+	tail []byte
 	// proven is set once conn has carried a successful write: its loss is
 	// then a broken connection, not a peer that accepts and hangs up.
 	proven bool
@@ -189,7 +204,10 @@ func (l *Link) acquire(wait bool) (net.Conn, *bufio.Writer, error) {
 		l.escalateLocked()
 		return nil, nil, err
 	}
-	l.conn, l.w, l.proven = conn, bufio.NewWriter(conn), false
+	l.conn, l.w, l.proven, l.raw = conn, bufio.NewWriter(conn), false, nil
+	if sc, ok := conn.(syscall.Conn); ok {
+		l.raw, _ = sc.SyscallConn()
+	}
 	return l.conn, l.w, nil
 }
 
@@ -206,9 +224,10 @@ func (l *Link) escalateLocked() {
 
 // Send writes one pre-framed byte sequence (one frame or a coalesced
 // batch, from wire.AppendMessage or the daemon's envelope codec) and
-// flushes. A broken connection is re-dialed up to MaxAttempts times
-// within this call: at once when the connection had been carrying
-// writes, on the link's persistent backoff schedule when dials fail.
+// flushes, after the tail TryWrite left on the same connection. A broken
+// connection is re-dialed up to MaxAttempts times within this call: at
+// once when the connection had been carrying writes, on the link's
+// persistent backoff schedule when dials fail.
 func (l *Link) Send(frame []byte) error {
 	l.sendMu.Lock()
 	defer l.sendMu.Unlock()
@@ -222,14 +241,27 @@ func (l *Link) Send(frame []byte) error {
 			lastErr = err
 			continue
 		}
+		l.mu.Lock()
+		var tail []byte
+		if l.conn == conn {
+			tail = l.tail
+		}
+		l.mu.Unlock()
 		conn.SetWriteDeadline(time.Now().Add(l.opts.WriteTimeout)) //nolint:errcheck
-		_, werr := w.Write(frame)
+		l.deadline = true
+		_, werr := w.Write(tail)
+		if werr == nil {
+			_, werr = w.Write(frame)
+		}
 		if werr == nil {
 			werr = w.Flush()
 		}
 		l.mu.Lock()
 		if werr == nil {
 			l.proven, l.backoff = true, 0
+			if l.conn == conn {
+				l.tail = l.tail[:0]
+			}
 			l.mu.Unlock()
 			return nil
 		}
@@ -249,13 +281,64 @@ func (l *Link) Send(frame []byte) error {
 	return fmt.Errorf("livenet: send to %s after %d attempts: %w", l.addr, l.opts.MaxAttempts, lastErr)
 }
 
-// dropConnLocked closes and forgets the connection; the caller holds l.mu.
+// TryWrite writes frame on the calling goroutine if that needs no wait:
+// it takes the send lock only if it is free, dials nothing, and writes
+// what the socket buffer accepts now. What does not fit stays as the
+// link's tail, which the next Send writes first; tail reports that one
+// was left. TryWrite refuses, and ok is false, when the send lock is
+// held, there is no connection, an earlier tail is still unsent, or the
+// write failed (the connection is then dropped, as Send drops it). A
+// refused frame is the caller's to Send. A frame cut short by a failed
+// write may have reached the peer in part, so a resend can deliver some
+// of it twice; the daemon's ARQ drops such duplicates.
+func (l *Link) TryWrite(frame []byte) (ok, tail bool) {
+	if !l.sendMu.TryLock() {
+		return false, false
+	}
+	defer l.sendMu.Unlock()
+	l.mu.Lock()
+	conn, raw, pending := l.conn, l.raw, len(l.tail) > 0
+	l.mu.Unlock()
+	if conn == nil || raw == nil || pending {
+		return false, false
+	}
+	if l.deadline {
+		conn.SetWriteDeadline(time.Time{}) //nolint:errcheck
+		l.deadline = false
+	}
+	n, err := writeNow(raw, frame)
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.conn != conn {
+		return false, false // Reset or Close dropped it meanwhile
+	}
+	if err != nil {
+		if !l.proven {
+			l.escalateLocked()
+		}
+		l.dropConnLocked()
+		return false, false
+	}
+	if n > 0 {
+		l.proven, l.backoff = true, 0
+	}
+	if n < len(frame) {
+		l.tail = append(l.tail[:0], frame[n:]...)
+		return true, true
+	}
+	return true, false
+}
+
+// dropConnLocked closes and forgets the connection and its tail; the
+// caller holds l.mu.
 func (l *Link) dropConnLocked() {
 	if l.conn != nil {
 		l.conn.Close() //nolint:errcheck
 		l.conn = nil
 		l.w = nil
+		l.raw = nil
 	}
+	l.tail = l.tail[:0]
 }
 
 // interruptLocked ends a backoff wait in progress; the caller holds l.mu.
