@@ -77,6 +77,9 @@ func (w *world) send(from, to protocol.ProcessID) *protocol.Message {
 	}
 	m := &protocol.Message{From: from, To: to}
 	w.engines[from].PrepareSend(m)
+	if testing.Verbose() {
+		w.t.Logf("P%d send to=%d csn=%d trigger=%v earlier=%v", from, to, m.CSN, m.Trigger, m.Earlier)
+	}
 	w.envs[from].sentTo[to]++
 	w.queue = append(w.queue, m)
 	return m

@@ -277,6 +277,10 @@ const (
 
 	flagCommit = 1 << 0
 	flagMR     = 1 << 1 // an MR vector follows; absent and empty differ
+	// flagEarlier: a count and that many triggers follow the ReqCSN
+	// (Message.Earlier); absent on every message whose sender is inside
+	// at most one instance.
+	flagEarlier = 1 << 2
 )
 
 // AppendMessage appends one framed message to dst and returns the
@@ -290,11 +294,20 @@ func AppendMessage(dst []byte, m *protocol.Message) ([]byte, error) {
 	if !m.MR.IsZero() {
 		flags |= flagMR
 	}
+	if len(m.Earlier) > 0 {
+		flags |= flagEarlier
+	}
 	dst = append(dst, 0, 0, 0, 0, messageVersion, flags)
 	dst = appendInt(appendInt(appendInt(dst, int(m.Kind)), m.From), m.To)
 	dst = appendInt(binary.AppendUvarint(dst, m.Seq), m.Size)
 	dst = appendBytes(dst, m.Payload)
 	dst = appendInt(appendInt(appendTrigger(dst, m.Trigger), m.CSN), m.ReqCSN)
+	if flags&flagEarlier != 0 {
+		dst = binary.AppendUvarint(dst, uint64(len(m.Earlier)))
+		for _, t := range m.Earlier {
+			dst = appendTrigger(dst, t)
+		}
+	}
 	if flags&flagMR != 0 {
 		// n csn values, then the n R flags packed eight to a byte.
 		n := m.MR.Len()
@@ -343,7 +356,7 @@ func decodeMessage(body []byte) (*protocol.Message, error) {
 		return nil, fmt.Errorf("wire: decode: %w", err)
 	}
 	flags := c.byte()
-	if flags&^(flagCommit|flagMR) != 0 {
+	if flags&^(flagCommit|flagMR|flagEarlier) != 0 {
 		return nil, fmt.Errorf("wire: decode: unknown flags %#x", flags)
 	}
 	m := &protocol.Message{
@@ -352,6 +365,17 @@ func decodeMessage(body []byte) (*protocol.Message, error) {
 		Payload: c.bytes(),
 		Trigger: c.trigger(), CSN: c.int(), ReqCSN: c.int(),
 		Commit: flags&flagCommit != 0,
+	}
+	if flags&flagEarlier != 0 {
+		// Each trigger is at least two bytes.
+		n := c.count(2)
+		if n == 0 {
+			return nil, fmt.Errorf("wire: decode: empty earlier-trigger list")
+		}
+		m.Earlier = make([]protocol.Trigger, n)
+		for k := range m.Earlier {
+			m.Earlier[k] = c.trigger()
+		}
 	}
 	if flags&flagMR != 0 {
 		n := c.count(1)

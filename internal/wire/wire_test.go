@@ -60,6 +60,30 @@ func TestRoundTripAllFields(t *testing.T) {
 	}
 }
 
+// TestRoundTripEarlierTriggers: a computation message from a process
+// inside two instances carries the earlier one, and a frame without any
+// is byte for byte what it was before the field existed.
+func TestRoundTripEarlierTriggers(t *testing.T) {
+	in := &protocol.Message{
+		Kind: protocol.KindComputation, From: 2, To: 4, Seq: 7, CSN: 3,
+		Trigger: protocol.Trigger{Pid: 5, Inum: 3},
+		Earlier: []protocol.Trigger{{Pid: 1, Inum: 2}, {Pid: 0, Inum: 1}},
+	}
+	out, err := roundTrip(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(in, out) {
+		t.Fatalf("message mismatch:\n in=%+v\nout=%+v", in, out)
+	}
+	with, _ := wire.AppendMessage(nil, in)
+	in.Earlier = nil
+	without, _ := wire.AppendMessage(nil, in)
+	if len(with) != len(without)+5 {
+		t.Fatalf("two earlier triggers cost %d bytes, want 5", len(with)-len(without))
+	}
+}
+
 func TestRoundTripZeroValues(t *testing.T) {
 	in := &protocol.Message{Kind: protocol.KindComputation, Trigger: protocol.NoTrigger}
 	out, err := roundTrip(in)
