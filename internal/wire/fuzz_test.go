@@ -38,6 +38,15 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 2, 0xFF, 0})    // unknown version
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF}) // absurd length prefix
 	f.Add(frame[:len(frame)/2])           // torn frame
+	earlier, err := wire.AppendMessage(nil, &protocol.Message{
+		Kind: protocol.KindComputation, From: 2, To: 4, CSN: 3,
+		Trigger: protocol.Trigger{Pid: 5, Inum: 3},
+		Earlier: []protocol.Trigger{{Pid: 1, Inum: 2}},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(earlier) // a sender inside two instances
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dec := wire.NewDecoder(bytes.NewReader(data))
