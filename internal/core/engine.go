@@ -147,7 +147,7 @@ type Engine struct {
 
 	// The bookkeeping maps below are nil until first written (reads of a
 	// nil map are legal); at large N most processes never participate in
-	// any instance and carry six nil words instead of six live maps.
+	// any instance and carry five nil words instead of five live maps.
 	mutables map[protocol.Trigger]*mutableCP
 
 	opts Options
@@ -157,8 +157,6 @@ type Engine struct {
 	// notifySet are the peers this process sent computation messages to
 	// while cp_state=1; the update approach forwards commits along it.
 	notifySet map[protocol.ProcessID]bool
-	// seenCommits suppresses forwarding loops in targeted dissemination.
-	seenCommits map[protocol.Trigger]bool
 
 	// Initiator-side state for the instance this process started.
 	initiating bool
@@ -763,14 +761,11 @@ func (e *Engine) sortedPids(set map[protocol.ProcessID]bool) []protocol.ProcessI
 // handleCommit implements "actions at other process P_j on receiving a
 // broadcast message" (§3.3.4).
 func (e *Engine) handleCommit(trig protocol.Trigger) {
-	if e.opts.Dissemination == CommitTargeted && !e.seenCommits[trig] {
-		if e.seenCommits == nil {
-			e.seenCommits = make(map[protocol.Trigger]bool)
-		}
-		e.seenCommits[trig] = true
-		if len(e.seenCommits) > 1024 {
-			e.seenCommits = map[protocol.Trigger]bool{trig: true}
-		}
+	// A process stamps trig on its sends only while inside it, and leaves
+	// it only on its commit or abort, so only a commit that finds it
+	// inside owes a forward: a duplicate finds it outside, and a process
+	// never inside trig made no one join it (DESIGN §4).
+	if e.opts.Dissemination == CommitTargeted && e.isInside(trig) {
 		// Forward the commit to everyone we sent computation messages to
 		// while inside the instance, so they clear cp_state and discard
 		// mutable checkpoints (the update approach's notification duty),
@@ -788,7 +783,7 @@ func (e *Engine) handleCommit(trig protocol.Trigger) {
 			}
 			e.env.Send(out)
 		}
-		if len(e.inside) == 0 || len(e.inside) == 1 && e.inside[0] == trig {
+		if len(e.inside) == 1 {
 			// The set also names receivers of messages stamped with the
 			// other instances this process is inside; keep it for theirs.
 			e.notifySet = nil

@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"io"
 	"slices"
-	"time"
 
 	"mutablecp/internal/chunkstore"
-	"mutablecp/internal/protocol"
 	"mutablecp/internal/stable"
 	"mutablecp/internal/wire"
 )
@@ -91,9 +89,9 @@ func readEnvelope(r io.Reader, e *envelope) error {
 // unsigned ones as uvarints, strings and byte slices behind a uvarint
 // length, and maps as a count followed by their entries in ascending key
 // order; the response's booleans end it, packed into one flags byte. Empty
-// slices and maps decode as nil. The decoder takes only the shortest
-// encoding of each field, so every body it accepts re-encodes to the
-// same bytes.
+// slices and maps decode as nil. The decoders read with wire.Cursor, which
+// takes only the shortest encoding of each varint, and refuse keys that
+// do not ascend, so every body they accept re-encodes to the same bytes.
 const ctlVersion = 2
 
 // Response flag bits.
@@ -116,10 +114,10 @@ func readRequest(r io.Reader) (Request, error) {
 		return Request{}, err
 	}
 	req := Request{
-		Op: c.string(), To: c.int(), Payload: c.bytes(),
-		WaitMS: c.int(), Trig: protocol.Trigger{Pid: c.int(), Inum: c.int()},
+		Op: string(c.Bytes()), To: c.Int(), Payload: c.Bytes(),
+		WaitMS: c.Int(), Trig: c.Trigger(),
 	}
-	if err := c.close("request"); err != nil {
+	if err := closeCtl(&c, "request"); err != nil {
 		return Request{}, err
 	}
 	return req, nil
@@ -129,12 +127,11 @@ func readRequest(r io.Reader) (Request, error) {
 func appendRequest(dst []byte, req *Request) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, ctlVersion)
-	dst = appendBytes(dst, req.Op)
+	dst = wire.AppendBytes(dst, req.Op)
 	dst = binary.AppendVarint(dst, int64(req.To))
-	dst = appendBytes(dst, req.Payload)
+	dst = wire.AppendBytes(dst, req.Payload)
 	dst = binary.AppendVarint(dst, int64(req.WaitMS))
-	dst = binary.AppendVarint(dst, int64(req.Trig.Pid))
-	dst = binary.AppendVarint(dst, int64(req.Trig.Inum))
+	dst = wire.AppendTrigger(dst, req.Trig)
 	return wire.SealFrame(dst, start)
 }
 
@@ -145,52 +142,48 @@ func readResponse(r io.Reader) (Response, error) {
 		return Response{}, err
 	}
 	resp := Response{
-		Err: c.string(), ID: c.int(), N: c.int(), Algorithm: c.string(),
-		Incarnation: c.varint(), Commits: c.uvarint(), Aborts: c.uvarint(),
-		State: protocol.State{
-			Proc: c.int(), CSN: c.int(),
-			SentTo: c.counters(), RecvFrom: c.counters(),
-			At: time.Duration(c.varint()),
-		},
-		Metrics: Metrics{Commits: c.uvarint(), Aborts: c.uvarint(), LoopHandoffs: c.uvarint()},
+		Err: string(c.Bytes()), ID: c.Int(), N: c.Int(), Algorithm: string(c.Bytes()),
+		Incarnation: c.Varint(), Commits: c.Uvarint(), Aborts: c.Uvarint(),
+		State:   c.State(),
+		Metrics: Metrics{Commits: c.Uvarint(), Aborts: c.Uvarint(), LoopHandoffs: c.Uvarint()},
 	}
-	if n := c.count(1 + sessionFields); n > 0 {
+	if n := c.Count(1 + sessionFields); n > 0 {
 		resp.Metrics.Sessions = make(map[int]SessionMetrics, n)
-		c.entries(n, func(peer int) {
+		entries(&c, n, func(peer int) {
 			resp.Metrics.Sessions[peer] = SessionMetrics{
-				DataFrames: c.uvarint(), Retransmissions: c.uvarint(),
-				AcksSent: c.uvarint(), DupsSuppressed: c.uvarint(),
-				Buffered: c.uvarint(), StaleFrames: c.uvarint(),
-				Reopened: c.uvarint(), Connects: c.uvarint(),
-				Batches: c.uvarint(), Envelopes: c.uvarint(),
-				WriterBatches: c.uvarint(),
+				DataFrames: c.Uvarint(), Retransmissions: c.Uvarint(),
+				AcksSent: c.Uvarint(), DupsSuppressed: c.Uvarint(),
+				Buffered: c.Uvarint(), StaleFrames: c.Uvarint(),
+				Reopened: c.Uvarint(), Connects: c.Uvarint(),
+				Batches: c.Uvarint(), Envelopes: c.Uvarint(),
+				WriterBatches: c.Uvarint(),
 			}
 		})
 	}
-	if n := c.count(2); n > 0 {
+	if n := c.Count(2); n > 0 {
 		resp.Metrics.Backlog = make(map[int]int, n)
-		c.entries(n, func(peer int) { resp.Metrics.Backlog[peer] = c.int() })
+		entries(&c, n, func(peer int) { resp.Metrics.Backlog[peer] = c.Int() })
 	}
-	resp.Metrics.Store = c.logMetrics()
+	resp.Metrics.Store = logMetrics(&c)
 	resp.Payload = chunkstore.Stats{
-		Segments: c.int(), Chunks: c.int(), LiveChunks: c.int(),
-		LiveBytes: c.varint(), DiskBytes: c.varint(),
-		Permanents: c.int(), Tentatives: c.int(),
-		Saves: c.uvarint(), LogicalBytes: c.uvarint(), NewBytes: c.uvarint(),
-		NewChunks: c.uvarint(), DedupChunks: c.uvarint(),
-		SelfDedupChunks: c.uvarint(), CrossDedupChunks: c.uvarint(),
-		Metrics: c.logMetrics(),
+		Segments: c.Int(), Chunks: c.Int(), LiveChunks: c.Int(),
+		LiveBytes: c.Varint(), DiskBytes: c.Varint(),
+		Permanents: c.Int(), Tentatives: c.Int(),
+		Saves: c.Uvarint(), LogicalBytes: c.Uvarint(), NewBytes: c.Uvarint(),
+		NewChunks: c.Uvarint(), DedupChunks: c.Uvarint(),
+		SelfDedupChunks: c.Uvarint(), CrossDedupChunks: c.Uvarint(),
+		Metrics: logMetrics(&c),
 	}
-	resp.Outcome = Outcome(c.int())
-	flags := c.byte()
+	resp.Outcome = Outcome(c.Int())
+	flags := c.Byte()
 	if flags&^flagsKnown != 0 {
-		c.fail()
+		c.Fail()
 	}
 	resp.Ready = flags&flagReady != 0
 	resp.InProgress = flags&flagInProgress != 0
 	resp.Committed = flags&flagCommitted != 0
 	resp.HasPayload = flags&flagHasPayload != 0
-	if err := c.close("response"); err != nil {
+	if err := closeCtl(&c, "response"); err != nil {
 		return Response{}, err
 	}
 	return resp, nil
@@ -200,19 +193,14 @@ func readResponse(r io.Reader) (Response, error) {
 func appendResponse(dst []byte, resp *Response) ([]byte, error) {
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, ctlVersion)
-	dst = appendBytes(dst, resp.Err)
+	dst = wire.AppendBytes(dst, resp.Err)
 	dst = binary.AppendVarint(dst, int64(resp.ID))
 	dst = binary.AppendVarint(dst, int64(resp.N))
-	dst = appendBytes(dst, resp.Algorithm)
+	dst = wire.AppendBytes(dst, resp.Algorithm)
 	dst = binary.AppendVarint(dst, resp.Incarnation)
 	dst = binary.AppendUvarint(dst, resp.Commits)
 	dst = binary.AppendUvarint(dst, resp.Aborts)
-
-	st := &resp.State
-	dst = binary.AppendVarint(dst, int64(st.Proc))
-	dst = binary.AppendVarint(dst, int64(st.CSN))
-	dst = appendCounters(appendCounters(dst, st.SentTo), st.RecvFrom)
-	dst = binary.AppendVarint(dst, int64(st.At))
+	dst = wire.AppendState(dst, &resp.State)
 
 	m := &resp.Metrics
 	dst = binary.AppendUvarint(dst, m.Commits)
@@ -274,18 +262,6 @@ func flag(set bool, bit byte) byte {
 	return 0
 }
 
-func appendBytes[T string | []byte](dst []byte, b T) []byte {
-	return append(binary.AppendUvarint(dst, uint64(len(b))), b...)
-}
-
-func appendCounters(dst []byte, v []uint64) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(v)))
-	for _, x := range v {
-		dst = binary.AppendUvarint(dst, x)
-	}
-	return dst
-}
-
 func appendLogMetrics(dst []byte, m *stable.Metrics) []byte {
 	for _, v := range []uint64{m.Appends, m.AppendedBytes, m.Syncs, m.Compactions, m.ReplayedRecords} {
 		dst = binary.AppendUvarint(dst, v)
@@ -293,121 +269,43 @@ func appendLogMetrics(dst []byte, m *stable.Metrics) []byte {
 	return binary.AppendVarint(dst, m.TruncatedBytes)
 }
 
-// ctlCursor parses a control body front to back, like wire's record
-// cursor, and also refuses a varint longer than its shortest form, so
-// that a body decodes only from its own encoding. A field that runs past
-// the end, is not in its shortest form, or a count larger than the bytes
-// left sets bad and yields zeros from then on, so the decoders read
-// every field unconditionally and check once, in close.
-type ctlCursor struct {
-	b   []byte
-	bad bool
-}
-
 // openCtl reads one frame from r and starts parsing its body.
-func openCtl(r io.Reader) (*ctlCursor, error) {
+func openCtl(r io.Reader) (wire.Cursor, error) {
 	body, _, err := wire.ReadFrame(r)
 	if err != nil {
-		return nil, err
+		return wire.Cursor{}, err
 	}
-	if len(body) == 0 || body[0] != ctlVersion {
-		return nil, fmt.Errorf("daemon: control frame is not version %d", ctlVersion)
+	c, err := wire.OpenBody(body, ctlVersion)
+	if err != nil {
+		return c, fmt.Errorf("daemon: control frame: %w", err)
 	}
-	return &ctlCursor{b: body[1:]}, nil
+	return c, nil
 }
 
-func (c *ctlCursor) close(what string) error {
-	if c.bad || len(c.b) != 0 {
-		return fmt.Errorf("daemon: malformed control %s", what)
+func closeCtl(c *wire.Cursor, what string) error {
+	if err := c.Close(); err != nil {
+		return fmt.Errorf("daemon: malformed control %s: %w", what, err)
 	}
 	return nil
 }
 
-func (c *ctlCursor) fail() { c.bad, c.b = true, nil }
-
-func (c *ctlCursor) uvarint() uint64 {
-	v, k := binary.Uvarint(c.b)
-	// A longer encoding than the shortest ends in a zero byte.
-	if k <= 0 || k > 1 && c.b[k-1] == 0 {
-		c.fail()
-		return 0
-	}
-	c.b = c.b[k:]
-	return v
-}
-
-func (c *ctlCursor) varint() int64 {
-	u := c.uvarint()
-	return int64(u>>1) ^ -int64(u&1)
-}
-
-func (c *ctlCursor) int() int { return int(c.varint()) }
-
-func (c *ctlCursor) byte() byte {
-	if len(c.b) == 0 {
-		c.fail()
-		return 0
-	}
-	b := c.b[0]
-	c.b = c.b[1:]
-	return b
-}
-
-// count reads an element count and refuses one the remaining bytes cannot
-// hold at size bytes per element, so a hostile count never sizes an
-// allocation.
-func (c *ctlCursor) count(size int) int {
-	n := c.uvarint()
-	if n > uint64(len(c.b)/size) {
-		c.fail()
-		return 0
-	}
-	return int(n)
-}
-
-// bytes reads a length-prefixed byte string (nil when empty), aliasing
-// the frame body.
-func (c *ctlCursor) bytes() []byte {
-	n := c.count(1)
-	if n == 0 {
-		return nil
-	}
-	out := c.b[:n:n]
-	c.b = c.b[n:]
-	return out
-}
-
-func (c *ctlCursor) string() string { return string(c.bytes()) }
-
-func (c *ctlCursor) counters() []uint64 {
-	n := c.count(1)
-	if n == 0 {
-		return nil
-	}
-	out := make([]uint64, n)
-	for i := range out {
-		out[i] = c.uvarint()
-	}
-	return out
-}
-
 // entries reads n map entries, each a key and then what entry reads.
 // The keys must ascend strictly.
-func (c *ctlCursor) entries(n int, entry func(key int)) {
+func entries(c *wire.Cursor, n int, entry func(key int)) {
 	for i, prev := 0, 0; i < n; i++ {
-		k := c.int()
+		k := c.Int()
 		if i > 0 && k <= prev {
-			c.fail()
+			c.Fail()
 		}
 		prev = k
 		entry(k)
 	}
 }
 
-func (c *ctlCursor) logMetrics() stable.Metrics {
+func logMetrics(c *wire.Cursor) stable.Metrics {
 	return stable.Metrics{
-		Appends: c.uvarint(), AppendedBytes: c.uvarint(), Syncs: c.uvarint(),
-		Compactions: c.uvarint(), ReplayedRecords: c.uvarint(),
-		TruncatedBytes: c.varint(),
+		Appends: c.Uvarint(), AppendedBytes: c.Uvarint(), Syncs: c.Uvarint(),
+		Compactions: c.Uvarint(), ReplayedRecords: c.Uvarint(),
+		TruncatedBytes: c.Varint(),
 	}
 }

@@ -208,8 +208,8 @@ func TestConfigRoundTrip(t *testing.T) {
 	}
 
 	// LoadConfig does not reject unknown keys, so a file written when
-	// writer_batch was still a setting (it is now the constant
-	// writerBatch), or payload_workers (a save now hashes inline, only
+	// writer_batch was still a setting (a batch now takes the whole
+	// queue), or payload_workers (a save now hashes inline, only
 	// the chunks that changed), keeps loading.
 	data, err := os.ReadFile(path)
 	if err != nil {

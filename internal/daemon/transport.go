@@ -356,23 +356,17 @@ func (s *peerSession) retransmitTick() {
 	s.armLocked()
 }
 
-// writerBatch caps how many envelopes one batch coalesces into a single
-// socket write: enough to amortize the syscall under load, bounded so a
-// full batch adds little head-of-line latency.
-const writerBatch = 128
-
 // queuedLocked reports whether envelopes or an ack wait for a write.
 func (s *peerSession) queuedLocked() bool { return len(s.sendQ) > 0 || s.ackDirty }
 
-// batchLocked takes up to writerBatch queued envelopes, and the pending
-// ack, off the queue into buf. Leftovers go first in the next batch. The
-// caller holds s.mu and the write token.
+// batchLocked takes every queued envelope, and the pending ack, off the
+// queue into buf. The caller holds s.mu and the write token.
 func (s *peerSession) batchLocked(buf []byte) []byte {
-	count := min(len(s.sendQ), writerBatch)
-	for i := 0; i < count; i++ {
+	count := len(s.sendQ)
+	for i := range s.sendQ {
 		buf = appendEnvelope(buf, &s.sendQ[i])
 	}
-	s.sendQ = append(s.sendQ[:0], s.sendQ[count:]...)
+	s.sendQ = s.sendQ[:0]
 	if s.ackDirty {
 		ack := envelope{Kind: envAck, Src: s.d.id, Gen: s.ackGen, Cum: s.ackCum}
 		buf = appendEnvelope(buf, &ack)

@@ -91,11 +91,11 @@ func AppendChunkRecord(dst []byte, r *ChunkRecord) ([]byte, error) {
 	}
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, chunkVersion, byte(r.Op))
-	dst = appendTrigger(appendInt(dst, r.Proc), r.Trigger)
+	dst = AppendTrigger(appendInt(dst, r.Proc), r.Trigger)
 	dst = append(binary.AppendVarint(dst, int64(r.At)), r.Status)
 	dst = binary.AppendVarint(appendInt(dst, r.ChunkBytes), r.Length)
 	dst = append(append(dst, r.Hash[:]...), r.Base[:]...)
-	dst = appendBytes(dst, r.Payload)
+	dst = AppendBytes(dst, r.Payload)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Hashes)))
 	for i := range r.Hashes {
 		dst = append(dst, r.Hashes[i][:]...)
@@ -103,7 +103,7 @@ func AppendChunkRecord(dst []byte, r *ChunkRecord) ([]byte, error) {
 	return SealFrame(dst, start)
 }
 
-func (c *cursor) hash() (h ChunkHash) {
+func (c *Cursor) hash() (h ChunkHash) {
 	copy(h[:], c.take(len(h)))
 	return h
 }
@@ -122,26 +122,26 @@ func DecodeChunkRecord(r io.Reader) (*ChunkRecord, int, error) {
 // ParseChunkRecord parses a frame body; errors follow ParseStableRecord.
 // The record's Payload aliases body.
 func ParseChunkRecord(body []byte) (*ChunkRecord, error) {
-	c, err := openBody(body, chunkVersion)
+	c, err := OpenBody(body, chunkVersion)
 	if err != nil {
 		return nil, err
 	}
 	rec := &ChunkRecord{
-		Op: ChunkOp(c.byte()), Proc: c.int(),
-		Trigger: c.trigger(), At: time.Duration(c.varint()), Status: c.byte(),
-		ChunkBytes: c.int(), Length: c.varint(),
+		Op: ChunkOp(c.Byte()), Proc: c.Int(),
+		Trigger: c.Trigger(), At: time.Duration(c.Varint()), Status: c.Byte(),
+		ChunkBytes: c.Int(), Length: c.Varint(),
 		Hash: c.hash(), Base: c.hash(),
-		Payload: c.bytes(),
+		Payload: c.Bytes(),
 	}
-	// count bounds the list by the bytes that are there, so no frame can
+	// Count bounds the list by the bytes that are there, so no frame can
 	// claim more than MaxFrame/32 hashes.
-	if k := c.count(len(ChunkHash{})); k > 0 {
+	if k := c.Count(len(ChunkHash{})); k > 0 {
 		rec.Hashes = make([]ChunkHash, k)
 		for i := range rec.Hashes {
 			rec.Hashes[i] = c.hash()
 		}
 	}
-	if err := c.close(); err != nil {
+	if err := c.Close(); err != nil {
 		return nil, err
 	}
 	if rec.Op == 0 || rec.Op >= chunkOpMax {

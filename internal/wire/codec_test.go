@@ -243,8 +243,9 @@ func TestCodecProperties(t *testing.T) {
 		// A message frame has no checksum (TCP's covers it), so a flipped
 		// bit may decode, to another message; it must not panic.
 		for bit := 0; bit < 8*len(frame); bit++ {
-			if got, err := wire.DecodeMessage(flipBit(frame, bit)); err == nil {
-				exerciseDecoded(t, got)
+			flipped := flipBit(frame, bit)
+			if got, err := wire.DecodeMessage(flipped); err == nil {
+				exerciseDecoded(t, got, flipped)
 			}
 		}
 	}

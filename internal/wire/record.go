@@ -94,22 +94,22 @@ func appendImages(dst []byte, imgs []CheckpointImage) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(imgs)))
 	for i := range imgs {
 		img := &imgs[i]
-		dst = appendTrigger(appendState(dst, &img.State), img.Trigger)
+		dst = AppendTrigger(AppendState(dst, &img.State), img.Trigger)
 		dst = binary.AppendVarint(append(dst, img.Status), int64(img.SavedAt))
 	}
 	return dst
 }
 
-func (c *cursor) images() []CheckpointImage {
-	n := c.count(minImageLen)
+func (c *Cursor) images() []CheckpointImage {
+	n := c.Count(minImageLen)
 	if n == 0 {
 		return nil
 	}
 	out := make([]CheckpointImage, n)
 	for i := range out {
 		out[i] = CheckpointImage{
-			State: c.state(), Trigger: c.trigger(),
-			Status: c.byte(), SavedAt: time.Duration(c.varint()),
+			State: c.State(), Trigger: c.Trigger(),
+			Status: c.Byte(), SavedAt: time.Duration(c.Varint()),
 		}
 	}
 	return out
@@ -128,8 +128,8 @@ func AppendStableRecord(dst []byte, r *StableRecord) ([]byte, error) {
 		version = stableVersion
 	}
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, version, byte(r.Op))
-	dst = appendTrigger(appendInt(dst, r.Proc), r.Trigger)
-	dst = appendState(binary.AppendVarint(dst, int64(r.At)), &r.State)
+	dst = AppendTrigger(appendInt(dst, r.Proc), r.Trigger)
+	dst = AppendState(binary.AppendVarint(dst, int64(r.At)), &r.State)
 	dst = appendImages(appendImages(dst, r.Permanent), r.Tentative)
 	if outcomes {
 		dst = binary.AppendUvarint(appendInt(dst, r.Decided), uint64(len(r.Aborted)))
@@ -160,26 +160,30 @@ func ParseStableRecord(body []byte) (*StableRecord, error) {
 	if len(body) > 0 && body[0] == stableVersion1 {
 		version = stableVersion1
 	}
-	c, err := openBody(body, version)
+	c, err := OpenBody(body, version)
 	if err != nil {
 		return nil, err
 	}
 	rec := &StableRecord{
-		Op: RecordOp(c.byte()), Proc: c.int(),
-		Trigger: c.trigger(), At: time.Duration(c.varint()),
-		State:     c.state(),
+		Op: RecordOp(c.Byte()), Proc: c.Int(),
+		Trigger: c.Trigger(), At: time.Duration(c.Varint()),
+		State:     c.State(),
 		Permanent: c.images(), Tentative: c.images(),
 	}
 	if version == stableVersion {
-		rec.Decided = c.int()
-		if n := c.count(1); n > 0 {
+		rec.Decided = c.Int()
+		if n := c.Count(1); n > 0 {
 			rec.Aborted = make([]int, n)
 			for i := range rec.Aborted {
-				rec.Aborted[i] = c.int()
+				rec.Aborted[i] = c.Int()
 			}
 		}
+		if rec.Decided == 0 && rec.Aborted == nil {
+			// AppendStableRecord writes version 2 only with outcomes.
+			c.Fail()
+		}
 	}
-	if err := c.close(); err != nil {
+	if err := c.Close(); err != nil {
 		return nil, err
 	}
 	if rec.Op == 0 || rec.Op >= opMax {

@@ -94,6 +94,11 @@ func TestStableRecordVersions(t *testing.T) {
 	if _, err := wire.ParseStableRecord(append(v2[:len(v2)-1], 0xFF, 0x7F)); !errors.Is(err, wire.ErrCorruptRecord) {
 		t.Fatalf("hostile aborted count: err = %v, want ErrCorruptRecord", err)
 	}
+	// A version-2 body with no outcome in it would re-encode as version
+	// 1, so no encoder wrote it.
+	if _, err := wire.ParseStableRecord(append(withByte(v1, 0, 2), 0, 0)); !errors.Is(err, wire.ErrCorruptRecord) {
+		t.Fatalf("version-2 body without outcomes: err = %v, want ErrCorruptRecord", err)
+	}
 }
 
 func mustFrame(t *testing.T, rec *wire.StableRecord) []byte {

@@ -62,10 +62,7 @@ func AppendScheduleRecord(dst []byte, r *ScheduleRecord) ([]byte, error) {
 	}
 	start := len(dst)
 	dst = append(dst, 0, 0, 0, 0, 0, 0, 0, 0, scheduleVersion)
-	dst = binary.AppendUvarint(dst, uint64(len(r.Name)))
-	dst = append(dst, r.Name...)
-	dst = binary.AppendUvarint(dst, uint64(len(r.Mutant)))
-	dst = append(dst, r.Mutant...)
+	dst = AppendBytes(AppendBytes(dst, r.Name), r.Mutant)
 	dst = binary.AppendUvarint(dst, uint64(r.N))
 	dst = binary.AppendUvarint(dst, r.Seed)
 	dst = binary.AppendUvarint(dst, uint64(len(r.Choices)))
@@ -99,36 +96,36 @@ func DecodeScheduleRecord(rd io.Reader) (*ScheduleRecord, int, error) {
 	if len(body) > 0 && body[0] == scheduleVersion1 {
 		version = scheduleVersion1
 	}
-	c, err := openBody(body, version)
+	c, err := OpenBody(body, version)
 	if err != nil {
 		return nil, n, err
 	}
-	name := c.bytes()
+	name := c.Bytes()
 	var mutant string
 	var procs uint64
 	if version == scheduleVersion1 {
-		num := c.uvarint()
+		num := c.Uvarint()
 		if num >= uint64(len(scheduleV1Mutants)) {
 			return nil, n, fmt.Errorf("%w: version-1 mutation %d", ErrCorruptRecord, num)
 		}
 		mutant = scheduleV1Mutants[num]
 	} else {
-		mutant, procs = string(c.bytes()), c.uvarint()
+		mutant, procs = string(c.Bytes()), c.Uvarint()
 	}
 	if len(name) > maxScheduleName || len(mutant) > maxScheduleName || procs > maxScheduleChoice {
 		return nil, n, fmt.Errorf("%w: names of %d and %d bytes, n %d", ErrCorruptRecord, len(name), len(mutant), procs)
 	}
-	rec := &ScheduleRecord{Name: string(name), Mutant: mutant, N: int(procs), Seed: c.uvarint()}
+	rec := &ScheduleRecord{Name: string(name), Mutant: mutant, N: int(procs), Seed: c.Uvarint()}
 	// Every choice takes at least one body byte.
-	rec.Choices = make([]int, c.count(1))
+	rec.Choices = make([]int, c.Count(1))
 	for i := range rec.Choices {
-		choice := c.uvarint()
+		choice := c.Uvarint()
 		if choice > maxScheduleChoice {
 			return nil, n, fmt.Errorf("%w: choice %d out of range", ErrCorruptRecord, choice)
 		}
 		rec.Choices[i] = int(choice)
 	}
-	if err := c.close(); err != nil {
+	if err := c.Close(); err != nil {
 		return nil, n, err
 	}
 	return rec, n, nil

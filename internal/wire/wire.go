@@ -3,7 +3,7 @@
 // the records internal/stable, internal/chunkstore and internal/explore
 // append to their files. There is one encoding and one record frame,
 // which the daemon's control RPC also rides (its body codec lives in
-// internal/daemon, beside the types it carries).
+// internal/daemon, beside the types it carries, and reads with Cursor).
 //
 // A message frame is [4-byte BE body length][body]; the transport under
 // it (TCP) already checksums. A record frame, which has to survive a
@@ -14,8 +14,9 @@
 // Every body starts with a version byte and continues with fixed-order
 // fields: unsigned integers as uvarints, signed ones as zig-zag varints,
 // byte strings and vectors behind a uvarint count that is checked against
-// the bytes remaining before anything is allocated. DESIGN.md §11 has the
-// field tables.
+// the bytes remaining before anything is allocated. Every decoder reads
+// through Cursor, which takes only the shortest form of a varint.
+// DESIGN.md §11 has the field tables.
 package wire
 
 import (
@@ -130,32 +131,35 @@ func ReadFrame(r io.Reader) ([]byte, int, error) {
 	return body, n, nil
 }
 
-// cursor parses a body front to back. A field that runs past the end or
-// a count larger than the bytes left sets bad and yields zeros from then
-// on, so decoders read every field unconditionally and check once, in
-// close. Go evaluates the calls in a composite literal left to right, so
-// a decoder's literal lists the fields in wire order.
-type cursor struct {
+// Cursor parses a body front to back, for the decoders here and for the
+// daemon's control codec. A field that runs past the end, a varint
+// longer than its shortest form, or a count larger than the bytes left
+// sets bad and yields zeros from then on, so decoders read every field
+// unconditionally and check once, in Close. Since only the shortest
+// form passes, a value decodes only from the bytes its encoder writes.
+// Go evaluates the calls in a composite literal left to right, so a
+// decoder's literal lists the fields in wire order.
+type Cursor struct {
 	b   []byte
 	bad bool
 }
 
-// openBody starts parsing body, whose first byte must be version.
-func openBody(body []byte, version byte) (cursor, error) {
+// OpenBody starts parsing body, whose first byte must be version.
+func OpenBody(body []byte, version byte) (Cursor, error) {
 	if len(body) == 0 {
-		return cursor{}, fmt.Errorf("%w: empty body", ErrCorruptRecord)
+		return Cursor{}, fmt.Errorf("%w: empty body", ErrCorruptRecord)
 	}
 	if body[0] != version {
-		return cursor{}, fmt.Errorf("%w %d (this build reads %d)", ErrFormatVersion, body[0], version)
+		return Cursor{}, fmt.Errorf("%w %d (this build reads %d)", ErrFormatVersion, body[0], version)
 	}
-	return cursor{b: body[1:]}, nil
+	return Cursor{b: body[1:]}, nil
 }
 
-// close reports a body that ended early, overran a bound or has bytes
-// left over.
-func (c *cursor) close() error {
+// Close reports a body that ended early, overran a bound, held a varint
+// longer than its shortest form, or has bytes left over.
+func (c *Cursor) Close() error {
 	if c.bad {
-		return fmt.Errorf("%w: truncated or out-of-range field", ErrCorruptRecord)
+		return fmt.Errorf("%w: truncated, out-of-range or overlong field", ErrCorruptRecord)
 	}
 	if len(c.b) != 0 {
 		return fmt.Errorf("%w: %d trailing bytes", ErrCorruptRecord, len(c.b))
@@ -163,32 +167,35 @@ func (c *cursor) close() error {
 	return nil
 }
 
-func (c *cursor) uvarint() uint64 {
+// Fail marks the body bad: a decoder's own check on a field failed.
+func (c *Cursor) Fail() { c.bad, c.b = true, nil }
+
+// Uvarint reads a uvarint in its shortest form.
+func (c *Cursor) Uvarint() uint64 {
 	v, k := binary.Uvarint(c.b)
-	if k <= 0 {
-		c.bad, c.b = true, nil
+	// A longer encoding than the shortest ends in a zero byte.
+	if k <= 0 || k > 1 && c.b[k-1] == 0 {
+		c.Fail()
 		return 0
 	}
 	c.b = c.b[k:]
 	return v
 }
 
-func (c *cursor) varint() int64 {
-	v, k := binary.Varint(c.b)
-	if k <= 0 {
-		c.bad, c.b = true, nil
-		return 0
-	}
-	c.b = c.b[k:]
-	return v
+// Varint reads a zig-zag varint, binary.AppendVarint's encoding, in its
+// shortest form.
+func (c *Cursor) Varint() int64 {
+	u := c.Uvarint()
+	return int64(u>>1) ^ -int64(u&1)
 }
 
-func (c *cursor) int() int { return int(c.varint()) }
+// Int reads a zig-zag varint into an int.
+func (c *Cursor) Int() int { return int(c.Varint()) }
 
 // take returns the next n bytes, aliasing the body.
-func (c *cursor) take(n int) []byte {
+func (c *Cursor) take(n int) []byte {
 	if n > len(c.b) {
-		c.bad, c.b = true, nil
+		c.Fail()
 		return nil
 	}
 	out := c.b[:n:n]
@@ -196,79 +203,88 @@ func (c *cursor) take(n int) []byte {
 	return out
 }
 
-func (c *cursor) byte() byte {
+// Byte reads one byte.
+func (c *Cursor) Byte() byte {
 	if b := c.take(1); b != nil {
 		return b[0]
 	}
 	return 0
 }
 
-// count reads an element count and refuses one the remaining bytes cannot
-// hold at size bytes per element, so a hostile count never sizes an
-// allocation.
-func (c *cursor) count(size int) int {
-	n := c.uvarint()
+// Count reads an element count and refuses one the remaining bytes
+// cannot hold at size bytes per element, so a hostile count never sizes
+// an allocation.
+func (c *Cursor) Count(size int) int {
+	n := c.Uvarint()
 	if n > uint64(len(c.b)/size) {
-		c.bad, c.b = true, nil
+		c.Fail()
 		return 0
 	}
 	return int(n)
 }
 
-// bytes reads a length-prefixed byte string (nil when empty), aliasing
+// Bytes reads a length-prefixed byte string (nil when empty), aliasing
 // the body.
-func (c *cursor) bytes() []byte {
-	if n := c.count(1); n > 0 {
+func (c *Cursor) Bytes() []byte {
+	if n := c.Count(1); n > 0 {
 		return c.take(n)
 	}
 	return nil
 }
 
-func (c *cursor) counters() []uint64 {
-	n := c.count(1)
+// Counters reads a counted uvarint vector (nil when empty).
+func (c *Cursor) Counters() []uint64 {
+	n := c.Count(1)
 	if n == 0 {
 		return nil
 	}
 	out := make([]uint64, n)
 	for i := range out {
-		out[i] = c.uvarint()
+		out[i] = c.Uvarint()
 	}
 	return out
 }
 
-func (c *cursor) trigger() protocol.Trigger {
-	return protocol.Trigger{Pid: c.int(), Inum: c.int()}
+// Trigger reads what AppendTrigger writes.
+func (c *Cursor) Trigger() protocol.Trigger {
+	return protocol.Trigger{Pid: c.Int(), Inum: c.Int()}
 }
 
-func (c *cursor) state() protocol.State {
+// State reads what AppendState writes.
+func (c *Cursor) State() protocol.State {
 	return protocol.State{
-		Proc: c.int(), CSN: c.int(),
-		SentTo: c.counters(), RecvFrom: c.counters(),
-		At: time.Duration(c.varint()),
+		Proc: c.Int(), CSN: c.Int(),
+		SentTo: c.Counters(), RecvFrom: c.Counters(),
+		At: time.Duration(c.Varint()),
 	}
 }
 
 func appendInt(dst []byte, v int) []byte { return binary.AppendVarint(dst, int64(v)) }
 
-func appendBytes(dst, b []byte) []byte {
+// AppendBytes appends b behind its uvarint length.
+func AppendBytes[T string | []byte](dst []byte, b T) []byte {
 	return append(binary.AppendUvarint(dst, uint64(len(b))), b...)
 }
 
-func appendCounters(dst []byte, v []uint64) []byte {
+// AppendCounters appends v's length and then each element as a uvarint.
+func AppendCounters(dst []byte, v []uint64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(v)))
-	for _, c := range v {
-		dst = binary.AppendUvarint(dst, c)
+	for _, x := range v {
+		dst = binary.AppendUvarint(dst, x)
 	}
 	return dst
 }
 
-func appendTrigger(dst []byte, t protocol.Trigger) []byte {
+// AppendTrigger appends t's Pid and Inum as zig-zag varints.
+func AppendTrigger(dst []byte, t protocol.Trigger) []byte {
 	return appendInt(appendInt(dst, t.Pid), t.Inum)
 }
 
-func appendState(dst []byte, s *protocol.State) []byte {
+// AppendState appends s field by field: Proc and CSN as zig-zag
+// varints, SentTo and RecvFrom as counted uvarints, At in nanoseconds.
+func AppendState(dst []byte, s *protocol.State) []byte {
 	dst = appendInt(appendInt(dst, s.Proc), s.CSN)
-	dst = appendCounters(appendCounters(dst, s.SentTo), s.RecvFrom)
+	dst = AppendCounters(AppendCounters(dst, s.SentTo), s.RecvFrom)
 	return binary.AppendVarint(dst, int64(s.At))
 }
 
@@ -300,12 +316,12 @@ func AppendMessage(dst []byte, m *protocol.Message) ([]byte, error) {
 	dst = append(dst, 0, 0, 0, 0, messageVersion, flags)
 	dst = appendInt(appendInt(appendInt(dst, int(m.Kind)), m.From), m.To)
 	dst = appendInt(binary.AppendUvarint(dst, m.Seq), m.Size)
-	dst = appendBytes(dst, m.Payload)
-	dst = appendInt(appendInt(appendTrigger(dst, m.Trigger), m.CSN), m.ReqCSN)
+	dst = AppendBytes(dst, m.Payload)
+	dst = appendInt(appendInt(AppendTrigger(dst, m.Trigger), m.CSN), m.ReqCSN)
 	if flags&flagEarlier != 0 {
 		dst = binary.AppendUvarint(dst, uint64(len(m.Earlier)))
 		for _, t := range m.Earlier {
-			dst = appendTrigger(dst, t)
+			dst = AppendTrigger(dst, t)
 		}
 	}
 	if flags&flagMR != 0 {
@@ -351,56 +367,64 @@ func DecodeMessage(frame []byte) (*protocol.Message, error) {
 }
 
 func decodeMessage(body []byte) (*protocol.Message, error) {
-	c, err := openBody(body, messageVersion)
+	c, err := OpenBody(body, messageVersion)
 	if err != nil {
 		return nil, fmt.Errorf("wire: decode: %w", err)
 	}
-	flags := c.byte()
+	flags := c.Byte()
 	if flags&^(flagCommit|flagMR|flagEarlier) != 0 {
 		return nil, fmt.Errorf("wire: decode: unknown flags %#x", flags)
 	}
 	m := &protocol.Message{
-		Kind: protocol.Kind(c.int()), From: c.int(), To: c.int(),
-		Seq: c.uvarint(), Size: c.int(),
-		Payload: c.bytes(),
-		Trigger: c.trigger(), CSN: c.int(), ReqCSN: c.int(),
+		Kind: protocol.Kind(c.Int()), From: c.Int(), To: c.Int(),
+		Seq: c.Uvarint(), Size: c.Int(),
+		Payload: c.Bytes(),
+		Trigger: c.Trigger(), CSN: c.Int(), ReqCSN: c.Int(),
 		Commit: flags&flagCommit != 0,
 	}
 	if flags&flagEarlier != 0 {
 		// Each trigger is at least two bytes.
-		n := c.count(2)
+		n := c.Count(2)
 		if n == 0 {
 			return nil, fmt.Errorf("wire: decode: empty earlier-trigger list")
 		}
 		m.Earlier = make([]protocol.Trigger, n)
 		for k := range m.Earlier {
-			m.Earlier[k] = c.trigger()
+			m.Earlier[k] = c.Trigger()
 		}
 	}
 	if flags&flagMR != 0 {
-		n := c.count(1)
+		n := c.Count(1)
 		mr := protocol.NewMRBuilder(n)
 		for k := 0; k < n; k++ {
-			if csn := c.int(); csn != 0 {
+			if csn := c.Int(); csn != 0 {
 				mr.SetCSN(k, csn)
 			}
 		}
 		for k, bits := range c.take((n + 7) / 8) {
-			for j := 0; j < 8 && 8*k+j < n; j++ {
-				if bits&(1<<j) != 0 {
+			for j := 0; j < 8; j++ {
+				switch {
+				case bits&(1<<j) == 0:
+				case 8*k+j < n:
 					mr.SetFlag(8*k + j)
+				default:
+					c.Fail() // AppendMessage leaves the padding bits zero
 				}
 			}
 		}
 		m.MR = mr.Freeze()
 	}
 	if weight := c.take(len(c.b)); len(weight) > 0 {
-		// UnmarshalBinary enforces dyadic.MaxExp.
+		// UnmarshalBinary enforces dyadic.MaxExp. A zero weight is
+		// written as nothing, never as its four-byte form.
 		if err := m.Weight.UnmarshalBinary(weight); err != nil {
 			return nil, fmt.Errorf("wire: decode: %w", err)
 		}
+		if m.Weight.IsZero() {
+			c.Fail()
+		}
 	}
-	if err := c.close(); err != nil {
+	if err := c.Close(); err != nil {
 		return nil, fmt.Errorf("wire: decode: %w", err)
 	}
 	return m, nil
