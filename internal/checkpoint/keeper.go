@@ -12,17 +12,19 @@ import (
 // Keeper is one process's checkpoint lifecycle (§3) over both planes:
 // the control record in Stable, the process image in the optional
 // Payload, and the mutable copy in local memory. It is the one place
-// that ties an image to its control record: a tentative saves both, a
-// commit or drop mirrors onto both, and a mutable save freezes the
-// image, so a promotion uploads the state the mutable copy names.
+// that ties an image to its control record, and it draws the image
+// itself: a tentative saves both, a commit or drop mirrors onto both, and
+// a mutable save freezes the image, which stays here until Promote
+// uploads it with the tentative the mutable copy becomes.
 //
-// The volatile half (Image, SaveMutable, TakeMutable, DiscardMutable,
-// Crash) is the MH's memory and touches no store; the durable half
-// (SaveTentative, Commit, Drop, DropTentatives) is the MSS's storage and
-// touches no memory. A Keeper is not safe for concurrent use: each driver
-// calls it from its one event loop, so a write has returned before the
-// engine's next action. A driver reads Stable and Payload directly, and
-// replaces both when the MSS's storage restarts.
+// The volatile half (SaveMutable, DiscardMutable, Crash) is the MH's
+// memory and touches no store; the durable half (SaveTentative, Commit,
+// Drop, DropTentatives) is the MSS's storage and touches no memory, and
+// Promote moves a mutable copy from the one to the other. A Keeper is not
+// safe for concurrent use: each driver calls it from its one event loop,
+// so a write has returned before the engine's next action. A driver
+// reads Stable and Payload directly, and replaces both when the MSS's
+// storage restarts.
 type Keeper struct {
 	Stable  Store
 	Payload PayloadStore // nil: control-plane only
@@ -48,9 +50,9 @@ func NewKeeper(proc protocol.ProcessID, st Store, pay PayloadStore, image func(p
 // Mutable returns the mutable store.
 func (k *Keeper) Mutable() *MutableStore { return &k.mutable }
 
-// Image draws the image a tentative checkpoint taken now carries, or nil
+// draw draws the image a tentative checkpoint taken now carries, or nil
 // without a payload plane.
-func (k *Keeper) Image() []byte {
+func (k *Keeper) draw() []byte {
 	if k.Payload == nil {
 		return nil
 	}
@@ -67,25 +69,26 @@ func (k *Keeper) SaveMutable(s protocol.State, trig protocol.Trigger, at time.Du
 		if k.frozen == nil {
 			k.frozen = make(map[protocol.Trigger][]byte)
 		}
-		k.frozen[trig] = k.Image()
+		k.frozen[trig] = k.draw()
 	}
 	return nil
 }
 
-// TakeMutable removes trig's mutable checkpoint for promotion and returns
-// it with the image to upload: the one frozen at its save, or a fresh
-// draw for a copy saved without one.
-func (k *Keeper) TakeMutable(trig protocol.Trigger) (Record, []byte, error) {
+// Promote turns trig's mutable checkpoint into its tentative checkpoint
+// and returns what the payload save cost. The image uploaded is the one
+// frozen at the mutable save, or a fresh draw for a copy saved without
+// one.
+func (k *Keeper) Promote(trig protocol.Trigger, at time.Duration) (PayloadReceipt, error) {
 	rec, err := k.mutable.Take(trig)
-	if err != nil || k.Payload == nil {
-		return rec, nil, err
+	if err != nil {
+		return PayloadReceipt{}, err
 	}
 	img, ok := k.frozen[trig]
 	delete(k.frozen, trig)
 	if !ok {
-		img = k.Image()
+		img = k.draw()
 	}
-	return rec, img, nil
+	return k.saveTentative(rec.State, trig, at, img)
 }
 
 // DiscardMutable discards trig's mutable checkpoint and its image.
@@ -103,9 +106,14 @@ func (k *Keeper) Crash() {
 	k.frozen = nil
 }
 
-// SaveTentative records a tentative checkpoint for trig carrying img and
-// returns what the payload save cost (zero without a payload plane).
-func (k *Keeper) SaveTentative(s protocol.State, trig protocol.Trigger, at time.Duration, img []byte) (PayloadReceipt, error) {
+// SaveTentative records a tentative checkpoint for trig carrying the
+// image drawn now and returns what the payload save cost (zero without a
+// payload plane).
+func (k *Keeper) SaveTentative(s protocol.State, trig protocol.Trigger, at time.Duration) (PayloadReceipt, error) {
+	return k.saveTentative(s, trig, at, k.draw())
+}
+
+func (k *Keeper) saveTentative(s protocol.State, trig protocol.Trigger, at time.Duration, img []byte) (PayloadReceipt, error) {
 	if err := k.Stable.SaveTentative(s, trig, at); err != nil || k.Payload == nil {
 		return PayloadReceipt{}, err
 	}
@@ -174,7 +182,7 @@ func (k *Keeper) DropTentatives() ([]protocol.Trigger, error) {
 // checkpoint stays restorable, though newer than the state it names.
 func (k *Keeper) CommitInDoubt(trig protocol.Trigger, at time.Duration) error {
 	if k.Payload != nil && !slices.Contains(k.Payload.TentativePayloads(), trig) {
-		if _, err := k.Payload.SavePayload(trig, at, k.Image()); err != nil {
+		if _, err := k.Payload.SavePayload(trig, at, k.draw()); err != nil {
 			return fmt.Errorf("re-save payload: %w", err)
 		}
 	}

@@ -12,51 +12,57 @@ import (
 	"mutablecp/internal/stable/errfs"
 )
 
+// imageSource stamps each draw with its number: draw k is 8 KiB of
+// byte k.
+type imageSource struct{ draws int }
+
+func (src *imageSource) draw(protocol.ProcessID) []byte {
+	src.draws++
+	return bytes.Repeat([]byte{byte(src.draws)}, 8<<10)
+}
+
 // keeperOver returns a Keeper for process 0 over an in-memory stable store
-// and a chunk store on errfs, whose image source stamps each draw with its
-// number: draw k is 8 KiB of byte k.
-func keeperOver(t *testing.T) (*checkpoint.Keeper, *chunkstore.Store, *int) {
+// and a chunk store on errfs, with its image source.
+func keeperOver(t *testing.T) (*checkpoint.Keeper, *chunkstore.Store, *imageSource) {
 	t.Helper()
 	cs, err := chunkstore.Open("chunks", chunkstore.Options{FS: errfs.New(), ChunkBytes: 1 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { cs.Close() })
-	draws := new(int)
-	image := func(protocol.ProcessID) []byte {
-		*draws++
-		return bytes.Repeat([]byte{byte(*draws)}, 8<<10)
+	src := new(imageSource)
+	return checkpoint.NewKeeper(0, checkpoint.NewStableStore(0), cs.Proc(0), src.draw), cs, src
+}
+
+// materialized reads the image cs restores process 0 to.
+func materialized(t *testing.T, cs *chunkstore.Store) []byte {
+	t.Helper()
+	got, ok, err := cs.Materialize(0)
+	if err != nil || !ok {
+		t.Fatalf("materialize: ok=%v err=%v", ok, err)
 	}
-	return checkpoint.NewKeeper(0, checkpoint.NewStableStore(0), cs.Proc(0), image), cs, draws
+	return got
 }
 
 // TestKeeperPromotesTheImageAsOfTheMutableSave: a promoted mutable
 // checkpoint uploads the image frozen at its save, not the one the process
 // has mutated into by the promotion.
 func TestKeeperPromotesTheImageAsOfTheMutableSave(t *testing.T) {
-	k, cs, draws := keeperOver(t)
+	k, cs, src := keeperOver(t)
 	trig := protocol.Trigger{Pid: 1, Inum: 1}
 	if err := k.SaveMutable(state(0, 2), trig, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	k.Image() // the process keeps running
-	k.Image()
-	rec, img, err := k.TakeMutable(trig)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := k.SaveTentative(rec.State, trig, 2*time.Second, img); err != nil {
+	src.draw(0) // the process keeps running
+	src.draw(0)
+	if _, err := k.Promote(trig, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.Commit(trig, 3*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := cs.Materialize(0)
-	if err != nil || !ok {
-		t.Fatalf("materialize: ok=%v err=%v", ok, err)
-	}
-	if got[0] != 1 || *draws != 3 {
-		t.Fatalf("promoted image is draw %d of %d, want draw 1 (the mutable save's)", got[0], *draws)
+	if got := materialized(t, cs); got[0] != 1 || src.draws != 3 {
+		t.Fatalf("promoted image is draw %d of %d, want draw 1 (the mutable save's)", got[0], src.draws)
 	}
 	if k.Stable.Permanent().Trigger != trig {
 		t.Fatalf("control plane committed %+v, want %+v", k.Stable.Permanent().Trigger, trig)
@@ -83,13 +89,13 @@ func TestKeeperDropWithoutPayload(t *testing.T) {
 // control record is dropped too, or a reused trigger would collide with
 // it (ErrPayloadPending).
 func TestKeeperDropTentativesClearsBothPlanes(t *testing.T) {
-	k, cs, _ := keeperOver(t)
+	k, cs, src := keeperOver(t)
 	both := protocol.Trigger{Pid: 1, Inum: 1}
 	orphan := protocol.Trigger{Pid: 1, Inum: 2}
-	if _, err := k.SaveTentative(state(0, 2), both, time.Second, k.Image()); err != nil {
+	if _, err := k.SaveTentative(state(0, 2), both, time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cs.PutTentative(0, orphan, time.Second, k.Image()); err != nil {
+	if _, err := cs.PutTentative(0, orphan, time.Second, src.draw(0)); err != nil {
 		t.Fatal(err)
 	}
 	dropped, err := k.DropTentatives()
@@ -105,7 +111,7 @@ func TestKeeperDropTentativesClearsBothPlanes(t *testing.T) {
 	if trigs := cs.TentativeTriggers(0); len(trigs) != 0 {
 		t.Errorf("tentative payloads left: %v", trigs)
 	}
-	if _, err := k.SaveTentative(state(0, 2), orphan, 2*time.Second, k.Image()); err != nil {
+	if _, err := k.SaveTentative(state(0, 2), orphan, 2*time.Second); err != nil {
 		t.Fatalf("reusing the orphan's trigger: %v", err)
 	}
 }
@@ -114,24 +120,26 @@ func TestKeeperDropTentativesClearsBothPlanes(t *testing.T) {
 // and the images frozen with them. A mutable record put back afterwards
 // without an image promotes with a fresh draw, not a pre-crash one.
 func TestKeeperCrashDiscardsFrozenImages(t *testing.T) {
-	k, _, draws := keeperOver(t)
+	k, cs, src := keeperOver(t)
 	trig := protocol.Trigger{Pid: 1, Inum: 1}
 	if err := k.SaveMutable(state(0, 2), trig, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	k.Crash()
-	if _, _, err := k.TakeMutable(trig); !errors.Is(err, checkpoint.ErrNoMutable) {
-		t.Fatalf("take after crash: %v, want ErrNoMutable", err)
+	if _, err := k.Promote(trig, 2*time.Second); !errors.Is(err, checkpoint.ErrNoMutable) {
+		t.Fatalf("promote after crash: %v, want ErrNoMutable", err)
 	}
 	if err := k.Mutable().Save(state(0, 2), trig, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	_, img, err := k.TakeMutable(trig)
-	if err != nil {
+	if _, err := k.Promote(trig, 3*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if img[0] != 2 || *draws != 2 {
-		t.Fatalf("promotion after a crash uploaded draw %d of %d, want a fresh draw 2", img[0], *draws)
+	if err := k.Commit(trig, 4*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if got := materialized(t, cs); got[0] != 2 || src.draws != 2 {
+		t.Fatalf("promotion after a crash uploaded draw %d of %d, want a fresh draw 2", got[0], src.draws)
 	}
 }
 
@@ -139,17 +147,17 @@ func TestKeeperCrashDiscardsFrozenImages(t *testing.T) {
 // commits as saved; one whose payload the crash lost commits with the
 // current image, so the permanent checkpoint stays restorable.
 func TestKeeperCommitInDoubt(t *testing.T) {
-	k, cs, draws := keeperOver(t)
+	k, cs, src := keeperOver(t)
 	saved := protocol.Trigger{Pid: 1, Inum: 1}
 	lost := protocol.Trigger{Pid: 1, Inum: 2}
-	if _, err := k.SaveTentative(state(0, 2), saved, time.Second, k.Image()); err != nil {
+	if _, err := k.SaveTentative(state(0, 2), saved, time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := k.CommitInDoubt(saved, 2*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if *draws != 1 {
-		t.Fatalf("%d draws committing a saved payload, want 1", *draws)
+	if src.draws != 1 {
+		t.Fatalf("%d draws committing a saved payload, want 1", src.draws)
 	}
 	if err := k.Stable.SaveTentative(state(0, 2), lost, 3*time.Second); err != nil {
 		t.Fatal(err)
@@ -157,9 +165,8 @@ func TestKeeperCommitInDoubt(t *testing.T) {
 	if err := k.CommitInDoubt(lost, 4*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	got, ok, err := cs.Materialize(0)
-	if err != nil || !ok || got[0] != 2 {
-		t.Fatalf("materialize after re-save: ok=%v err=%v, want draw 2", ok, err)
+	if got := materialized(t, cs); got[0] != 2 {
+		t.Fatalf("materialized draw %d after the re-save, want draw 2", got[0])
 	}
 	if k.Stable.Permanent().Trigger != lost {
 		t.Fatalf("control plane committed %+v, want %+v", k.Stable.Permanent().Trigger, lost)

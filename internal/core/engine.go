@@ -93,7 +93,10 @@ type savedContext struct {
 
 // Engine is the per-process state machine of the mutable-checkpoint
 // algorithm. It is not safe for concurrent use; the runtime serializes all
-// calls.
+// calls. For an instance it initiated, MakePermanent (DropTentative, when
+// a later capture is permanent already) precedes every frame that
+// announces the commit: the decision is logged before it is announced,
+// and a driver runs the calls in the order they come.
 type Engine struct {
 	env protocol.Env
 	id  protocol.ProcessID
@@ -714,6 +717,7 @@ func (e *Engine) maybeCommit() {
 		if e.env.Tracing() {
 			e.env.Trace(trace.KindCommit, -1, "targeted trigger=%v to=%d repliers", trig, len(e.repliers))
 		}
+		e.settle(trig)
 		// Ascending pid order keeps commit emission deterministic (map
 		// iteration order is not), which replay and the fingerprint
 		// equivalence oracle rely on.
@@ -732,6 +736,7 @@ func (e *Engine) maybeCommit() {
 		if e.env.Tracing() {
 			e.env.Trace(trace.KindCommit, -1, "broadcast trigger=%v", trig)
 		}
+		e.settle(trig)
 		out := protocol.NewMessage(e.env)
 		*out = protocol.Message{
 			Kind:    protocol.KindCommit,
@@ -812,6 +817,13 @@ func (e *Engine) handleCommit(trig protocol.Trigger) {
 			e.env.Trace(trace.KindDiscardMutable, -1, "trigger=%v", trig)
 		}
 	}
+	e.settle(trig)
+}
+
+// settle makes trig's pending tentative checkpoint, if any, permanent on
+// its commit. An initiator settles its own before announcing the commit
+// (DESIGN §9), so handleCommit then finds nothing left.
+func (e *Engine) settle(trig protocol.Trigger) {
 	if saved, ok := e.pending[trig]; ok {
 		delete(e.pending, trig)
 		if saved.seq < e.permSeq {

@@ -77,6 +77,9 @@ func (e *Engine) abortPartial(seed map[protocol.ProcessID]bool) error {
 	if e.env.Tracing() {
 		e.env.Trace(trace.KindCommit, -1, "partial commit trigger=%v excluded=%v", trig, contaminated)
 	}
+	if !contaminated[e.id] {
+		e.settle(trig)
+	}
 	out := protocol.NewMessage(e.env)
 	*out = protocol.Message{
 		Kind:    protocol.KindCommit,

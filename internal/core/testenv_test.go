@@ -45,6 +45,9 @@ type fakeEnv struct {
 	doneCount      int
 	lastCommitted  bool
 	blocked        bool
+	// announced counts the frames this process sent announcing its own
+	// commit; announce checked each against the stable store.
+	announced int
 }
 
 func newFakeEnv(w *world, id, n int) *fakeEnv {
@@ -163,11 +166,13 @@ func (e *fakeEnv) Now() time.Duration     { return 0 }
 
 func (e *fakeEnv) Send(m *protocol.Message) {
 	m.From = e.id
+	e.announce(m)
 	e.w.queue = append(e.w.queue, m)
 }
 
 func (e *fakeEnv) Broadcast(m *protocol.Message) {
 	m.From = e.id
+	e.announce(m)
 	for to := 0; to < e.w.n; to++ {
 		if to == e.id {
 			continue
@@ -176,6 +181,20 @@ func (e *fakeEnv) Broadcast(m *protocol.Message) {
 		cp.To = to
 		e.w.queue = append(e.w.queue, &cp)
 	}
+}
+
+// announce fails the test when m announces this process's own commit
+// while its stable store still holds that instance's tentative
+// checkpoint: the decision is logged before it is announced. A partial
+// commit that excludes the initiator announces its abort instead.
+func (e *fakeEnv) announce(m *protocol.Message) {
+	if m.Kind != protocol.KindCommit || m.Trigger.Pid != e.id || m.MR.Flag(e.id) {
+		return
+	}
+	if _, pending := e.stable.Tentative(m.Trigger); pending {
+		e.w.t.Fatalf("P%d announces the commit of %v before making its checkpoint permanent", e.id, m.Trigger)
+	}
+	e.announced++
 }
 
 func (e *fakeEnv) CaptureState() protocol.State {

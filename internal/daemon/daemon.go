@@ -190,15 +190,12 @@ type Daemon struct {
 	sentTo   []uint64
 	recvFrom []uint64
 
-	// Instance tracking; loop-goroutine only. heldCommits are the frames
-	// announcing an own commit, which wait for the instance's
-	// CheckpointingDone (see transmit).
-	doneCh      chan bool
-	lastDone    *bool
-	abortTimer  *time.Timer
-	commits     uint64
-	aborts      uint64
-	heldCommits []func()
+	// Instance tracking; loop-goroutine only.
+	doneCh     chan bool
+	lastDone   *bool
+	abortTimer *time.Timer
+	commits    uint64
+	aborts     uint64
 	// sentHook, when set (tests, on the loop), sees every frame as it is
 	// handed to its peer's session.
 	sentHook func(kind protocol.Kind, trig protocol.Trigger)
@@ -743,24 +740,34 @@ func (d *Daemon) Checkpoint(waitTimeout time.Duration) (bool, error) {
 	}
 }
 
-// armRequestTimeout schedules the §3.6 give-up: if the instance is still
-// in progress when it fires, the initiator aborts it (exactly what simrt
-// does in virtual time). Loop goroutine only.
+// armRequestTimeout schedules the §3.6 give-up for the instance this
+// daemon just initiated: if that instance is still open when it fires,
+// the initiator aborts it (exactly what simrt does in virtual time).
+// Loop goroutine only.
 func (d *Daemon) armRequestTimeout() {
 	d.cancelRequestTimeout()
+	a, ok := d.engine.(protocol.Initiator)
+	if !ok || !a.Initiating() {
+		return
+	}
+	trig := a.OwnTrigger()
 	d.abortTimer = time.AfterFunc(d.cfg.RequestTimeout(), func() {
-		d.mb.put(func() {
-			if !d.engine.InProgress() {
-				return
-			}
-			if a, ok := d.engine.(protocol.Initiator); ok {
-				d.logf("request timeout: aborting in-progress instance")
-				if err := a.AbortCurrent(); err != nil {
-					d.logf("abort failed: %v", err)
-				}
-			}
-		})
+		d.mb.put(func() { d.requestTimeout(trig) })
 	})
+}
+
+// requestTimeout aborts trig's instance if this daemon still initiates
+// it. A timer that fired as its instance ended (Stop lost the race)
+// finds it over, or finds a newer instance, which has a timer of its own.
+func (d *Daemon) requestTimeout(trig protocol.Trigger) {
+	a, ok := d.engine.(protocol.Initiator)
+	if !ok || !a.Initiating() || a.OwnTrigger() != trig {
+		return
+	}
+	d.logf("request timeout: aborting %v", trig)
+	if err := a.AbortCurrent(); err != nil {
+		d.logf("abort failed: %v", err)
+	}
 }
 
 func (d *Daemon) cancelRequestTimeout() {
@@ -811,6 +818,13 @@ func (d *Daemon) sendApp(to protocol.ProcessID, payload []byte) {
 	d.transmit(m)
 }
 
+// transmit encodes m and hands the frame to its peer's session, in the
+// order the engine sent it. Every Keeper call the engine made before the
+// send has returned, its record in the store; an initiator's commit
+// record precedes its commit frames (core.Engine), so no peer can hold a
+// commit the initiator's store does not, which is what lets resolve ask
+// the initiator alone. The frame is written when the event returns
+// (flushSessions).
 func (d *Daemon) transmit(m *protocol.Message) {
 	s := d.sessions[m.To]
 	if s == nil {
@@ -822,27 +836,10 @@ func (d *Daemon) transmit(m *protocol.Message) {
 		d.logf("encode to P%d: %v", m.To, err)
 		return
 	}
-	kind, trig := m.Kind, m.Trigger
-	send := func() {
-		if d.sentHook != nil {
-			d.sentHook(kind, trig)
-		}
-		s.sendFrame(frame)
+	if d.sentHook != nil {
+		d.sentHook(m.Kind, m.Trigger)
 	}
-	if kind == protocol.KindCommit && trig.Pid == d.ID() {
-		// The decision is logged before it is announced: the core engine
-		// (the only one mcpd runs, Config.Validate) sends its commit
-		// before it calls MakePermanent, so the frames wait for
-		// CheckpointingDone, which follows that write. No peer can hold a
-		// commit the initiator's store does not, which is what lets
-		// resolve ask the initiator alone.
-		d.heldCommits = append(d.heldCommits, send)
-		return
-	}
-	// Every other frame follows the writes the engine made before it:
-	// each Keeper call has returned, its record in the store, before the
-	// engine's next action.
-	send()
+	s.sendFrame(frame)
 }
 
 // flushSessions runs after every event, on the goroutine that ran it:
@@ -895,11 +892,7 @@ func (d *Daemon) CaptureState() protocol.State {
 
 // SaveTentative implements protocol.Env.
 func (d *Daemon) SaveTentative(s protocol.State, trig protocol.Trigger) {
-	d.saveTentative(s, trig, d.ckpt.Image())
-}
-
-func (d *Daemon) saveTentative(s protocol.State, trig protocol.Trigger, img []byte) {
-	_, err := d.ckpt.SaveTentative(s, trig, d.Now(), img)
+	_, err := d.ckpt.SaveTentative(s, trig, d.Now())
 	d.must(err)
 }
 
@@ -911,9 +904,8 @@ func (d *Daemon) SaveMutable(s protocol.State, trig protocol.Trigger) {
 // PromoteMutable implements protocol.Env: the mutable record and its
 // frozen image become the tentative checkpoint.
 func (d *Daemon) PromoteMutable(trig protocol.Trigger) {
-	rec, img, err := d.ckpt.TakeMutable(trig)
+	_, err := d.ckpt.Promote(trig, d.Now())
 	d.must(err)
-	d.saveTentative(rec.State, trig, img)
 }
 
 // DiscardMutable implements protocol.Env.
@@ -951,10 +943,10 @@ func (d *Daemon) BlockApp() { panic("daemon: BlockApp from an engine Config.Vali
 // UnblockApp implements protocol.Env; see BlockApp.
 func (d *Daemon) UnblockApp() { panic("daemon: UnblockApp from an engine Config.Validate refuses") }
 
-// CheckpointingDone implements protocol.Env. On a commit, MakePermanent
-// has returned before this callback, so the held commit frames are
-// queued now, and then the client hears; the frames are written when the
-// event returns (flushSessions).
+// CheckpointingDone implements protocol.Env: the instance this daemon
+// initiated is over, and the client hears. Its commit frames are queued
+// already, after the commit record (core.Engine orders the two), and are
+// written when the event returns (flushSessions).
 func (d *Daemon) CheckpointingDone(trig protocol.Trigger, committed bool) {
 	d.cancelRequestTimeout()
 	if committed {
@@ -962,10 +954,6 @@ func (d *Daemon) CheckpointingDone(trig protocol.Trigger, committed bool) {
 	} else {
 		d.aborts++
 	}
-	for _, send := range d.heldCommits {
-		send()
-	}
-	d.heldCommits = nil
 	d.notifyDone(committed)
 }
 

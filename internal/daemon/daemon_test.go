@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"mutablecp/internal/daemon"
+	"mutablecp/internal/protocol"
 	"mutablecp/internal/recovery"
 	"mutablecp/internal/stable"
 )
@@ -308,5 +309,79 @@ func TestClusterE2E(t *testing.T) {
 		if rec.State.CSN < 1 {
 			t.Errorf("P%d permanent checkpoint still at csn %d after two commits", id, rec.State.CSN)
 		}
+	}
+}
+
+// TestStaleRequestTimeoutSparesNextInstance: a §3.6 timer that fires as
+// its instance ends (Stop loses the race, its body stays queued) must not
+// abort the initiator's next instance. P0's second instance waits on the
+// stopped P1 when the first instance's timer body runs.
+func TestStaleRequestTimeoutSparesNextInstance(t *testing.T) {
+	for _, algo := range daemon.DaemonAlgorithms {
+		t.Run(algo, func(t *testing.T) { testStaleRequestTimeout(t, algo) })
+	}
+}
+
+func testStaleRequestTimeout(t *testing.T, algo string) {
+	cfg := newClusterConfig(t, 2, 30*time.Second) // no real timeout mid-test
+	cfg.Algorithm = algo
+	daemons := make([]*daemon.Daemon, 2)
+	t.Cleanup(func() {
+		for _, d := range daemons {
+			if d != nil {
+				d.Stop()
+			}
+		}
+	})
+	for id := range daemons {
+		d, err := daemon.New(cfg, id)
+		if err != nil {
+			t.Fatalf("start P%d: %v", id, err)
+		}
+		daemons[id] = d
+	}
+	if err := daemon.WaitClusterReady(cfg, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	p0 := daemons[0]
+	if committed, err := p0.Checkpoint(10 * time.Second); err != nil || !committed {
+		t.Fatalf("first instance: committed=%v err=%v", committed, err)
+	}
+	first, _, err := p0.Initiating()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// P0 comes to depend on P1, which then stops: the next instance's
+	// request to P1 goes unanswered.
+	if err := daemons[1].SendApp(0, []byte("m")); err != nil {
+		t.Fatal(err)
+	}
+	quiesce(t, cfg, 10*time.Second)
+	daemons[1].Stop()
+	daemons[1] = nil
+	verdict := make(chan bool, 1)
+	go func() {
+		committed, _ := p0.Checkpoint(20 * time.Second)
+		verdict <- committed
+	}()
+	var next protocol.Trigger
+	waitFor(t, func() bool {
+		trig, open, err := p0.Initiating()
+		next = trig
+		return err == nil && open && trig != first
+	}, func() string { return "P0's second instance never opened" })
+
+	if err := p0.RequestTimeout(first); err != nil {
+		t.Fatal(err)
+	}
+	if trig, open, err := p0.Initiating(); err != nil || !open || trig != next {
+		t.Fatalf("after the first instance's timeout P0 initiates %v (open=%v, %v), want %v still open", trig, open, err, next)
+	}
+	// The second instance's own timer does abort it.
+	if err := p0.RequestTimeout(next); err != nil {
+		t.Fatal(err)
+	}
+	if <-verdict {
+		t.Fatal("the second instance committed without P1")
 	}
 }

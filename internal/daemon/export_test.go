@@ -69,3 +69,19 @@ func (d *Daemon) OnFrame(fn func(FrameView)) error {
 // KillLink closes the socket of this daemon's link to peer and leaves the
 // link usable, so the next write to peer fails and redials.
 func (d *Daemon) KillLink(peer int) { d.sessions[peer].link.Kill() }
+
+// RequestTimeout runs, on the event loop, what the §3.6 timer armed for
+// trig's instance runs when it fires.
+func (d *Daemon) RequestTimeout(trig protocol.Trigger) error {
+	return d.onLoop(func() { d.requestTimeout(trig) })
+}
+
+// Initiating reports the instance this daemon initiated last and whether
+// it is still open.
+func (d *Daemon) Initiating() (trig protocol.Trigger, open bool, err error) {
+	err = d.onLoop(func() {
+		a := d.engine.(protocol.Initiator)
+		trig, open = a.OwnTrigger(), a.Initiating()
+	})
+	return trig, open, err
+}

@@ -376,16 +376,12 @@ func (p *Proc) CaptureState() protocol.State {
 	}
 }
 
-// saveTentative records a tentative checkpoint carrying img and charges
-// its stable transfer: the payload receipt's NewBytes — what dedup left
-// to actually move — or the fixed checkpointBytes when the run
-// has no payload plane. It returns the initiation record the checkpoint
-// counts toward, if any.
-func (p *Proc) saveTentative(s protocol.State, trig protocol.Trigger, img []byte) *InitiationRecord {
-	rcpt, err := p.ckpt.SaveTentative(s, trig, p.c.sim.Now(), img)
-	if !p.check("save tentative", err) {
-		return nil
-	}
+// tentativeSaved accounts a tentative checkpoint the Keeper saved for
+// trig and charges its stable transfer: the payload receipt's NewBytes —
+// what dedup left to actually move — or the fixed checkpointBytes when
+// the run has no payload plane. It returns the initiation record the
+// checkpoint counts toward, if any.
+func (p *Proc) tentativeSaved(trig protocol.Trigger, rcpt checkpoint.PayloadReceipt) *InitiationRecord {
 	m := p.c.metrics
 	m.TotalTentative++
 	rec := p.recordFor(trig)
@@ -416,7 +412,9 @@ func (p *Proc) saveTentative(s protocol.State, trig protocol.Trigger, img []byte
 // transfer to stable storage at the MSS (or, with a payload store, the
 // deduplicated incremental bytes of the live process image).
 func (p *Proc) SaveTentative(s protocol.State, trig protocol.Trigger) {
-	p.saveTentative(s, trig, p.ckpt.Image())
+	if rcpt, err := p.ckpt.SaveTentative(s, trig, p.c.sim.Now()); p.check("save tentative", err) {
+		p.tentativeSaved(trig, rcpt)
+	}
 	p.busyUntil = p.c.sim.Now() + p.c.cfg.MutableSaveTime
 }
 
@@ -435,11 +433,11 @@ func (p *Proc) SaveMutable(s protocol.State, trig protocol.Trigger) {
 // PromoteMutable implements protocol.Env: the stored snapshot, and the
 // image frozen with it, cross the wireless medium to stable storage.
 func (p *Proc) PromoteMutable(trig protocol.Trigger) {
-	rec, img, err := p.ckpt.TakeMutable(trig)
+	rcpt, err := p.ckpt.Promote(trig, p.c.sim.Now())
 	if !p.check("promote", err) {
 		return
 	}
-	if r := p.saveTentative(rec.State, trig, img); r != nil {
+	if r := p.tentativeSaved(trig, rcpt); r != nil {
 		r.Promoted++
 	}
 }

@@ -63,20 +63,3 @@ func (s *Stream) Exp(rate float64) float64 {
 	}
 	return -math.Log(u) / rate
 }
-
-// Perm returns a random permutation of [0, n).
-func (s *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := s.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Pick returns a uniformly chosen element of choices. It panics on an
-// empty slice.
-func Pick[T any](s *Stream, choices []T) T {
-	return choices[s.Intn(len(choices))]
-}

@@ -3,7 +3,6 @@ package xrand_test
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"mutablecp/internal/xrand"
 )
@@ -133,38 +132,4 @@ func TestExpPanics(t *testing.T) {
 		}
 	}()
 	xrand.New(1).Exp(0)
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	s := xrand.New(13)
-	f := func(nRaw uint8) bool {
-		n := int(nRaw%50) + 1
-		p := s.Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestPick(t *testing.T) {
-	s := xrand.New(17)
-	choices := []string{"a", "b", "c"}
-	seen := map[string]bool{}
-	for i := 0; i < 1000; i++ {
-		seen[xrand.Pick(s, choices)] = true
-	}
-	if len(seen) != 3 {
-		t.Fatalf("Pick only produced %v", seen)
-	}
 }
