@@ -144,9 +144,11 @@ func (c *Config) ChunkOptions() chunkstore.Options {
 
 // daemonAlgorithms are the engines mcpd runs: the two variants of
 // internal/core. Restart resolution (resolveInDoubt) asks a tentative's
-// trigger Pid how the instance ended and holds an own commit's frames
-// until its record is applied (transmit). Both rules need an engine whose
-// trigger names the initiator and whose commit frames carry that trigger.
+// trigger Pid how the instance ended, and takes an own tentative with no
+// commit record for an abort because core.Engine settles the initiator's
+// checkpoint (Engine.settle) before it sends the first commit frame.
+// Both rules need an engine whose trigger names the initiator and whose
+// commit frames carry that trigger.
 // elnozahy names every round (0, csn) whoever started it, and koo-toueg
 // announces with KindDecision, so neither may run here.
 var daemonAlgorithms = []string{algorithms.Mutable, algorithms.MutableTargeted}

@@ -359,6 +359,7 @@ func (d *Daemon) dialPeers() {
 			go func() {
 				defer wg.Done()
 				s.link.Connect() //nolint:errcheck // retried on the next pass
+				s.flush()        // what queued while the dial held the link
 			}()
 		}
 		wg.Wait()
@@ -406,10 +407,10 @@ func (e *ErrInDoubt) Unwrap() error { return e.Last }
 // deadline, then fails the boot with ErrInDoubt. Every answer is known
 // before the store is touched. A tentative whose trigger names this
 // daemon is of its own instance (the core engine names an instance by its
-// initiator) and needs no question: the initiator logs its commit before
-// announcing it
-// (transmit), so an own tentative with no commit record never committed,
-// and restoreFromStore's drop is the abort.
+// initiator) and needs no question: core.Engine logs the initiator's
+// commit (Engine.settle) before it sends the first commit frame, so an
+// own tentative with no commit record never committed, and
+// restoreFromStore's drop is the abort.
 func (d *Daemon) resolveInDoubt() error {
 	deadline := time.Now().Add(2 * d.cfg.RequestTimeout())
 	var promote []protocol.Trigger

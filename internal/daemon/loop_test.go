@@ -3,6 +3,7 @@ package daemon
 import (
 	"net"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -101,9 +102,10 @@ func TestIdleInstanceRunsInline(t *testing.T) {
 
 // TestStatusAnswersWhilePeerStalls: a peer that accepts, welcomes and
 // then never reads fills its socket, and the daemon's writes to it stall.
-// The events that queue those writes run on with the link's tail and the
-// writer goroutine holding the rest, so the loop, and the control plane
-// through it, still answers at once rather than after a write timeout.
+// The events that queue those writes run on, the link holding a tail and
+// the rest left queued for the writer goroutine, so the loop, and the
+// control plane through it, still answers at once rather than after a
+// write timeout.
 func TestStatusAnswersWhilePeerStalls(t *testing.T) {
 	cfg, err := LoopbackConfig(2, filepath.Join(t.TempDir(), "stores"))
 	if err != nil {
@@ -157,11 +159,56 @@ func TestStatusAnswersWhilePeerStalls(t *testing.T) {
 	if took := time.Since(start); took > 2*time.Second {
 		t.Fatalf("256 sends and a status took %v against a stalled peer; a write blocked the loop", took)
 	}
-	s := d.sessions[1]
-	s.mu.Lock()
-	stalled := s.tail || s.writing || len(s.sendQ) > 0
-	s.mu.Unlock()
-	if !stalled {
+	if !d.sessions[1].queued() {
 		t.Fatal("the peer's socket took 16 MiB unread: the test did not stall a write")
+	}
+}
+
+// TestConcurrentFlushesStrandNoFrame: several goroutines send to one
+// peer at once while that peer sends back, so flushes of one session
+// (event runners, readers writing acks) keep finding the link's send lock
+// held and leave their envelopes to its holder, which must take them
+// once it lets go. The retransmit timers are stopped, so a frame no one
+// takes would wait for good: after every round each frame must be acked
+// within a second, and none resent.
+func TestConcurrentFlushesStrandNoFrame(t *testing.T) {
+	cfg, err := LoopbackConfig(2, filepath.Join(t.TempDir(), "stores"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.NoSync = true // the test is about the write path, not the disk
+	ds := startCluster(t, cfg)
+	for _, d := range ds {
+		d.StopRetransmitTimers()
+	}
+	const rounds, k = 50, 8
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		for g := 0; g < k; g++ {
+			from := 0
+			if g%4 == 3 { // a quarter of the senders are the peer, sending back
+				from = 1
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if err := ds[from].SendApp(protocol.ProcessID(1-from), []byte{byte(r), byte(g)}); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		for _, d := range ds {
+			s := d.sessions[1-d.id]
+			if pollUntil(time.Now().Add(time.Second), nil, func() bool { return s.backlog() == 0 }) != nil {
+				t.Fatalf("round %d: P%d still has %d unacked frames after a second: a flush left them queued",
+					r, d.id, s.backlog())
+			}
+		}
+	}
+	for _, d := range ds {
+		if n := d.sessions[1-d.id].snapshotMetrics().Retransmissions; n != 0 {
+			t.Fatalf("P%d resent %d frames with its timers stopped", d.id, n)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package daemon
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"sync"
@@ -40,24 +41,25 @@ import (
 // Who writes. A frame is written on the goroutine whose event queued
 // it: transmit only queues the envelope, and once the event returns its
 // runner (the mailbox's loop role: a control, reader or timer goroutine,
-// or serve) flushes each session with something queued as one batch
-// through Link.TryWrite — the replies, commits and the ack for the
-// frame that caused them, in one write per peer per event. A reader
-// whose envelope delivers nothing flushes the ack alone. TryWrite never
-// waits: what the socket does not take stays as the link's tail, and
-// what the link refuses (no connection, a tail unsent, the send lock
-// held) is handed whole to the session's writer goroutine, which is left
-// with only the waiting work — dials, refused batches, tails and
-// retransmits — through the blocking Link.Send. One write token
-// (peerSession.writing) orders them: a batch leaves sendQ only with the
-// token, and is on the link, or handed to the writer with the token,
-// before the next batch is taken.
+// or serve) flushes each session with something queued through
+// Link.TryWrite — the replies, commits and the ack for the frame that
+// caused them, in one write per peer per event. A reader whose envelope
+// delivers nothing flushes the ack alone. The link's send lock is the one
+// write token: TryWrite's fill, which takes the whole queue as one
+// batch, runs under it and only when the link can take the batch, so an
+// envelope leaves sendQ only to be written. Two rules keep the queue
+// from stalling. A goroutine that finds the lock held leaves its
+// envelopes to the holder, and every goroutine that lets the lock go
+// checks sendQ again. What the link cannot take without waiting — no
+// connection, or a tail the socket has not taken — kicks the session's
+// writer goroutine, which dials and writes the tail with a blocking
+// Link.Send and then flushes like any other.
 //
-// Lock order: Link's send lock → peerSession.mu → Link's state lock. The
-// handshake runs inside Link.Send/Connect (send lock held) and takes
-// s.mu; Link.Reset takes only the state lock, which is never held across
-// I/O, so peerAlive may call it under s.mu. Nothing under s.mu may call
-// Link.Send, Link.Connect or Link.TryWrite.
+// Lock order: Link's send lock → peerSession.mu → Link's state lock.
+// TryWrite's fill and the handshake (inside Link.Send/Connect) run under
+// the send lock and take s.mu; Link.Reset takes only the state lock,
+// which is never held across I/O, so peerAlive may call it under s.mu.
+// Nothing under s.mu may call Link.Send, Link.Connect or Link.TryWrite.
 
 // Envelope kinds.
 const (
@@ -92,8 +94,8 @@ type SessionMetrics struct {
 	Connects        uint64 // outbound connections dialed and welcomed
 	Batches         uint64 // socket writes (coalesced envelope groups)
 	Envelopes       uint64 // envelopes carried by those batches
-	// WriterBatches counts the batches the writer goroutine wrote: ones
-	// TryWrite refused, and ones it took off the queue itself.
+	// WriterBatches counts the batches the writer goroutine wrote: what
+	// queued while the link had no connection or a tail, and retransmits.
 	WriterBatches uint64
 }
 
@@ -106,29 +108,20 @@ type peerSession struct {
 	link *livenet.Link
 
 	mu        sync.Mutex
-	cond      *sync.Cond
 	out       relnet.Outbox[[]byte]
 	in        relnet.Inbox[[]byte]
 	remoteInc int64
 	// linkInc is the incarnation that welcomed the outbound connection
 	// most recently dialed; zero until the first handshake completes.
-	linkInc int64
-	// connect asks the writer to dial now, with nothing to send yet.
-	connect  bool
+	linkInc  int64
 	sendQ    []envelope // envelopes awaiting a write, in order
 	ackDirty bool
 	ackGen   uint64
 	ackCum   uint64
 	closed   bool
-	// writing is the write token: held from taking a batch off sendQ
-	// until the link has it. handed is a batch TryWrite refused; the
-	// token goes to the writer with it. tail is set while the link holds
-	// a tail the writer must flush. flushBuf is the token holder's batch
-	// buffer outside the writer.
-	writing  bool
-	handed   []byte
-	tail     bool
-	flushBuf []byte
+	// wake kicks the writer goroutine; kicks it has not yet taken fold
+	// into one.
+	wake chan struct{}
 
 	// The retransmit timer runs only while frames are unacked, like
 	// netsim.Reliable's: armed when the backlog becomes non-empty, re-armed
@@ -146,12 +139,10 @@ type peerSession struct {
 }
 
 func newPeerSession(d *Daemon, peer int, addr string) *peerSession {
-	s := &peerSession{d: d, peer: peer, rto: relnet.BaseRTO}
-	s.cond = sync.NewCond(&s.mu)
+	s := &peerSession{d: d, peer: peer, rto: relnet.BaseRTO, wake: make(chan struct{}, 1)}
 	s.link = livenet.NewLink(addr, livenet.LinkOptions{
-		WriteTimeout: 5 * time.Second,
-		MaxAttempts:  3,
-		OnConnect:    s.handshake,
+		MaxAttempts: 3,
+		OnConnect:   s.handshake,
 	})
 	// Boot under our own incarnation; the first handshake lifts it to
 	// max(ours, peer's). The inbox floor matters after a restart: any
@@ -200,9 +191,9 @@ func (s *peerSession) handshake(conn net.Conn) error {
 // inbound connection. If the outbound link was welcomed by an older
 // incarnation — or by none, the cold-boot case where our dial found the
 // peer not listening yet and accrued backoff — the link is reset (socket
-// dropped, backoff cleared, a waiting Send woken) and the writer is told
-// to dial now, so the handshake is off the next frame's critical path. A
-// link already welcomed by this incarnation is left alone.
+// dropped, backoff cleared, a waiting Send woken) and the writer is
+// kicked to dial now, so the handshake is off the next frame's critical
+// path. A link already welcomed by this incarnation is left alone.
 //
 // Reset and the reopen happen in one critical section, before the writer
 // can see the renumbered backlog: no frame of the new generation is ever
@@ -215,8 +206,7 @@ func (s *peerSession) peerAlive(inc int64) {
 	defer s.mu.Unlock()
 	if s.linkInc < inc {
 		s.link.Reset()
-		s.connect = true
-		s.cond.Signal()
+		s.kick()
 	}
 	s.noteRemoteIncLocked(inc)
 }
@@ -225,7 +215,8 @@ func (s *peerSession) peerAlive(inc int64) {
 // either side's connection) and reopens the outbox when the pair
 // generation moved: the peer restarted, so the unacked backlog is
 // renumbered from 0 under the new generation and queued for replay. The
-// caller holds s.mu.
+// caller holds s.mu; the queue is written by the send lock's holder
+// (the handshake's) once it lets go, or by the writer peerAlive kicks.
 func (s *peerSession) noteRemoteIncLocked(inc int64) {
 	if inc > s.remoteInc {
 		s.remoteInc = inc
@@ -239,21 +230,14 @@ func (s *peerSession) noteRemoteIncLocked(inc int64) {
 	}
 	s.out.Reopen(gen)
 	s.metrics.Reopened++
-	// Drop queued data envelopes (their gen/seq stamps are stale) and
-	// requeue the whole renumbered backlog.
-	q := s.sendQ[:0]
-	for _, e := range s.sendQ {
-		if e.Kind != envData {
-			q = append(q, e)
-		}
-	}
-	s.sendQ = q
+	// Drop the queued data envelopes (their gen/seq stamps are stale; the
+	// queue holds nothing else) and requeue the whole renumbered backlog.
+	s.sendQ = s.sendQ[:0]
 	for _, f := range s.out.Pending() {
 		s.sendQ = append(s.sendQ, s.dataEnvLocked(f))
 	}
 	s.rto = relnet.BaseRTO
 	s.rearmLocked()
-	s.cond.Signal()
 }
 
 func (s *peerSession) dataEnvLocked(f relnet.OutFrame[[]byte]) envelope {
@@ -337,7 +321,8 @@ func (s *peerSession) rearmLocked() {
 // the DES sublayer there is no give-up budget: the backlog must survive a
 // peer outage so the protocol state stays exact across restarts; the
 // §3.6 request timeout (not the transport) bounds how long a checkpoint
-// waits.
+// waits. The tick holds s.mu, under which nothing may write, so the
+// writer writes the frame.
 func (s *peerSession) retransmitTick() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -351,17 +336,24 @@ func (s *peerSession) retransmitTick() {
 	}
 	s.metrics.Retransmissions++
 	s.sendQ = append(s.sendQ, s.dataEnvLocked(f))
-	s.cond.Signal()
+	s.kick()
 	s.rto = min(2*s.rto, relnet.MaxRTO)
 	s.armLocked()
 }
 
-// queuedLocked reports whether envelopes or an ack wait for a write.
-func (s *peerSession) queuedLocked() bool { return len(s.sendQ) > 0 || s.ackDirty }
+// queued reports whether envelopes or an ack wait for a write.
+func (s *peerSession) queued() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return !s.closed && (len(s.sendQ) > 0 || s.ackDirty)
+}
 
-// batchLocked takes every queued envelope, and the pending ack, off the
-// queue into buf. The caller holds s.mu and the write token.
-func (s *peerSession) batchLocked(buf []byte) []byte {
+// fill is the link's batch callback, run under its send lock: it takes
+// every queued envelope, and the pending ack, off the queue into buf,
+// and counts the batch in *batches.
+func (s *peerSession) fill(buf []byte, batches *uint64) []byte {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	count := len(s.sendQ)
 	for i := range s.sendQ {
 		buf = appendEnvelope(buf, &s.sendQ[i])
@@ -373,94 +365,61 @@ func (s *peerSession) batchLocked(buf []byte) []byte {
 		s.ackDirty = false
 		count++
 	}
-	s.metrics.Batches++
-	s.metrics.Envelopes += uint64(count)
+	if count > 0 {
+		s.metrics.Batches++
+		s.metrics.Envelopes += uint64(count)
+		*batches++
+	}
 	return buf
 }
 
 // flush writes what is queued for the peer on the calling goroutine, as
-// long as the link takes it without waiting: a batch, then whatever was
-// queued meanwhile by goroutines that found the token taken. If another
-// goroutine holds the write token it leaves the queue to that one; a
-// batch the link refuses goes to the writer whole, and so does the
-// queue behind a tail the link keeps.
-func (s *peerSession) flush() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for !s.closed && !s.writing && !s.tail && s.queuedLocked() {
-		s.writing = true
-		buf := s.batchLocked(s.flushBuf[:0])
-		s.mu.Unlock()
-		ok, tail := s.link.TryWrite(buf)
-		s.mu.Lock()
-		s.flushBuf = buf
-		if !ok {
-			s.handed = append(s.handed[:0], buf...)
-			s.cond.Signal()
-			return
+// long as the link takes it without waiting, and returns how many
+// batches it wrote. It checks the queue again each time it has let go of
+// the link's send lock, since a goroutine that found the lock held has
+// left its envelopes there. If another goroutine holds the lock, the
+// queue is that one's; what the link cannot take without waiting kicks
+// the writer.
+func (s *peerSession) flush() (batches uint64) {
+	fill := func(buf []byte) []byte { return s.fill(buf, &batches) }
+	for s.queued() {
+		ok, wait := s.link.TryWrite(fill)
+		if wait {
+			s.kick()
 		}
-		s.writing = false
-		s.tail = tail
+		if !ok || wait {
+			break
+		}
 	}
-	if s.tail {
-		s.cond.Signal()
+	return batches
+}
+
+// kick wakes the writer goroutine.
+func (s *peerSession) kick() {
+	select {
+	case s.wake <- struct{}{}:
+	default: // a kick is pending already
 	}
 }
 
 // writeLoop is the per-peer writer goroutine: the one writer that may
-// wait. It dials when peerAlive asks, writes a batch handed over by a
-// refused TryWrite, flushes the link's tail, and takes off the queue
-// what no event flushes (retransmits, a reopened backlog, what queued
-// while it held the token), each with a blocking Link.Send.
+// wait. On each kick it dials if the link is down and writes the link's
+// tail, with a blocking Link.Send, then flushes the queue.
 func (s *peerSession) writeLoop() {
 	defer s.wg.Done()
-	var buf []byte
-	for {
-		s.mu.Lock()
-		for !s.closed && !s.connect && len(s.handed) == 0 &&
-			(s.writing || !s.tail && !s.queuedLocked()) {
-			s.cond.Wait()
-		}
-		if s.closed {
-			s.mu.Unlock()
+	for range s.wake {
+		err := s.link.Send(nil)
+		if errors.Is(err, livenet.ErrLinkClosed) {
 			return
 		}
-		s.connect = false
-		switch {
-		case len(s.handed) > 0:
-			// The token came with it.
-			buf = append(buf[:0], s.handed...)
-			s.handed = s.handed[:0]
-			s.metrics.WriterBatches++
-		case s.writing || !s.tail && !s.queuedLocked():
-			// Woken by peerAlive with nothing for us to write: dial now so
-			// the next frame finds the connection up. The handshake requeues
-			// any backlog. With frames queued, Send below dials anyway.
-			s.mu.Unlock()
-			if err := s.link.Connect(); err != nil {
-				s.d.logf("P%d: connect to P%d: %v", s.d.id, s.peer, err)
-			}
-			continue
-		default:
-			s.writing = true
-			buf = buf[:0]
-			if s.queuedLocked() {
-				buf = s.batchLocked(buf)
-				s.metrics.WriterBatches++
-			}
-		}
-		s.tail = false
-		s.mu.Unlock()
-
-		// Outside the lock: Send writes the link's tail first and re-dials
-		// with the link's persistent backoff; new envelopes queue behind it.
-		if err := s.link.Send(buf); err != nil {
-			// Unacked data frames stay in the outbox and the retransmit
-			// timer replays them; a lost ack is refreshed by the next one.
+		if err != nil {
+			// The queue waits for the next kick; flush below gives one while
+			// envelopes are queued, and the link's backoff paces the dials.
 			s.d.logf("P%d: send to P%d: %v", s.d.id, s.peer, err)
 		}
+		batches := s.flush()
 		s.mu.Lock()
-		s.writing = false
+		s.metrics.WriterBatches += batches
 		s.mu.Unlock()
 	}
 }
@@ -488,10 +447,10 @@ func (s *peerSession) backlog() int {
 func (s *peerSession) close() {
 	s.mu.Lock()
 	s.closed = true
-	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.timer.Stop()
 	s.link.Close()
+	s.kick() // the writer's next Send finds the link closed
 	s.wg.Wait()
 }
 

@@ -5,7 +5,6 @@
 package livenet
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -14,9 +13,9 @@ import (
 	"time"
 )
 
-// Link defaults; LinkOptions overrides each.
+// Link defaults; LinkOptions overrides the last two.
 const (
-	defaultTCPWriteTimeout  = 5 * time.Second
+	tcpWriteTimeout         = 5 * time.Second // bounds each Send's write
 	defaultTCPMaxReconnects = 5
 	tcpReconnectBackoff     = 10 * time.Millisecond
 )
@@ -40,31 +39,34 @@ const (
 // TryWrite is the other way in: it writes only what the socket takes
 // now, never dials and never waits, so a caller that must not block (the
 // daemon's event runner) can write on its own goroutine and leave the
-// rest to one that may.
+// rest to one that may. It takes its batch through a fill callback that
+// runs under the send lock, so a batch leaves the caller's queue only
+// when the link can take it.
 //
-// Two locks. sendMu is the channel's FIFO: Send and Connect hold it from
-// start to end — across the backoff wait, the dial, the OnConnect
-// handshake and the write — so no frame overtakes another; TryWrite only
-// tries it. mu guards the fields and is never held across I/O or a wait,
-// which is what lets Reset and Close interrupt a Send that is waiting out
-// a backoff or writing to a dead socket. Order: sendMu before mu.
+// Two locks. sendMu is the channel's FIFO and its one write token: Send
+// and Connect hold it from start to end — across the backoff wait, the
+// dial, the OnConnect handshake and the write — so no frame overtakes
+// another; TryWrite only tries it. mu guards the fields and is never
+// held across I/O or a wait, which is what lets Reset and Close interrupt
+// a Send that is waiting out a backoff or writing to a dead socket.
+// Order: sendMu before mu.
 type Link struct {
 	sendMu sync.Mutex
-	// deadline is set while conn carries Send's write deadline, which
-	// TryWrite clears first (a raw write past it fails). sendMu guards it.
-	deadline bool
+	// batch is the buffer TryWrite's fill appends to; sendMu guards it.
+	batch []byte
 
 	mu   sync.Mutex
 	addr string
 	opts LinkOptions
 
 	conn net.Conn
-	w    *bufio.Writer
-	raw  syscall.RawConn // conn's descriptor, for TryWrite; nil if it has none
-	// tail is what TryWrite could not write of its last frame. It belongs
-	// to conn: the next Send writes it first, and dropping conn discards
-	// it (the frames in it are the ARQ's to resend). Only a holder of
-	// sendMu changes its bytes; mu guards the slice.
+	raw  syscall.RawConn // conn's descriptor, for TryWrite
+	// tail is what TryWrite kept of its last batch; the next Send writes it
+	// first. The rest of a batch the socket did not take belongs to conn,
+	// and dropping conn discards it (the frames in it are the ARQ's to
+	// resend); a whole batch kept when conn failed under it goes on the
+	// next connection. Only a holder of sendMu changes its bytes; mu
+	// guards the slice.
 	tail []byte
 	// proven is set once conn has carried a successful write: its loss is
 	// then a broken connection, not a peer that accepts and hangs up.
@@ -85,8 +87,6 @@ type Link struct {
 
 // LinkOptions tunes a Link. The zero value takes the defaults.
 type LinkOptions struct {
-	// WriteTimeout bounds each frame write (default 5 s).
-	WriteTimeout time.Duration
 	// MaxAttempts bounds the dial attempts one Send makes on a broken
 	// connection (default 5). The backoff schedule is NOT per-send: it
 	// carries over to the next Send where the peer stays down.
@@ -103,9 +103,6 @@ type LinkOptions struct {
 }
 
 func (o LinkOptions) defaults() LinkOptions {
-	if o.WriteTimeout == 0 {
-		o.WriteTimeout = defaultTCPWriteTimeout
-	}
 	if o.MaxAttempts == 0 {
 		o.MaxAttempts = defaultTCPMaxReconnects
 	}
@@ -136,7 +133,7 @@ func (l *Link) Addr() string { return l.addr }
 func (l *Link) Connect() error {
 	l.sendMu.Lock()
 	defer l.sendMu.Unlock()
-	_, _, err := l.acquire(false)
+	_, err := l.acquire(false)
 	return err
 }
 
@@ -162,15 +159,15 @@ func (l *Link) DialFailures() uint64 {
 // dial (or handshake) escalates the backoff; a dial can also succeed
 // against a half-open peer and still fail the first write, so only a
 // write resets the schedule.
-func (l *Link) acquire(wait bool) (net.Conn, *bufio.Writer, error) {
+func (l *Link) acquire(wait bool) (net.Conn, error) {
 	l.mu.Lock()
-	conn, w, closed, backoff, wake := l.conn, l.w, l.closed, l.backoff, l.wake
+	conn, closed, backoff, wake := l.conn, l.closed, l.backoff, l.wake
 	l.mu.Unlock()
 	if closed {
-		return nil, nil, ErrLinkClosed
+		return nil, ErrLinkClosed
 	}
 	if conn != nil {
-		return conn, w, nil
+		return conn, nil
 	}
 	if wait && backoff > 0 {
 		// Waiting under sendMu is deliberate: the link is a FIFO channel,
@@ -197,18 +194,16 @@ func (l *Link) acquire(wait bool) (net.Conn, *bufio.Writer, error) {
 		if err == nil {
 			conn.Close() //nolint:errcheck
 		}
-		return nil, nil, ErrLinkClosed
+		return nil, ErrLinkClosed
 	}
 	if err != nil {
 		l.dialFailures++
 		l.escalateLocked()
-		return nil, nil, err
+		return nil, err
 	}
-	l.conn, l.w, l.proven, l.raw = conn, bufio.NewWriter(conn), false, nil
-	if sc, ok := conn.(syscall.Conn); ok {
-		l.raw, _ = sc.SyscallConn()
-	}
-	return l.conn, l.w, nil
+	l.conn, l.proven = conn, false
+	l.raw, _ = conn.(syscall.Conn).SyscallConn() // a TCPConn's never fails
+	return l.conn, nil
 }
 
 func (l *Link) escalateLocked() {
@@ -223,17 +218,18 @@ func (l *Link) escalateLocked() {
 }
 
 // Send writes one pre-framed byte sequence (one frame or a coalesced
-// batch, from wire.AppendMessage or the daemon's envelope codec) and
-// flushes, after the tail TryWrite left on the same connection. A broken
-// connection is re-dialed up to MaxAttempts times within this call: at
-// once when the connection had been carrying writes, on the link's
-// persistent backoff schedule when dials fail.
+// batch, from wire.AppendMessage or the daemon's envelope codec) after
+// the tail TryWrite kept, the two in one write. A nil frame dials if the
+// link is down and writes the tail alone. A broken connection is
+// re-dialed up to MaxAttempts times within this call: at once when the
+// connection had been carrying writes, on the link's persistent backoff
+// schedule when dials fail.
 func (l *Link) Send(frame []byte) error {
 	l.sendMu.Lock()
 	defer l.sendMu.Unlock()
 	var lastErr error
 	for attempt := 0; attempt < l.opts.MaxAttempts; attempt++ {
-		conn, w, err := l.acquire(true)
+		conn, err := l.acquire(true)
 		if errors.Is(err, ErrLinkClosed) {
 			return err
 		}
@@ -242,26 +238,18 @@ func (l *Link) Send(frame []byte) error {
 			continue
 		}
 		l.mu.Lock()
-		var tail []byte
-		if l.conn == conn {
-			tail = l.tail
-		}
+		tail := l.tail // empty if Reset or Close has dropped conn
 		l.mu.Unlock()
-		conn.SetWriteDeadline(time.Now().Add(l.opts.WriteTimeout)) //nolint:errcheck
-		l.deadline = true
-		_, werr := w.Write(tail)
-		if werr == nil {
-			_, werr = w.Write(frame)
-		}
-		if werr == nil {
-			werr = w.Flush()
-		}
+		// The deadline bounds this write only: TryWrite's raw writes past
+		// it would fail.
+		conn.SetWriteDeadline(time.Now().Add(tcpWriteTimeout)) //nolint:errcheck
+		bufs := net.Buffers{tail, frame}
+		_, werr := bufs.WriteTo(conn)
+		conn.SetWriteDeadline(time.Time{}) //nolint:errcheck
 		l.mu.Lock()
 		if werr == nil {
 			l.proven, l.backoff = true, 0
-			if l.conn == conn {
-				l.tail = l.tail[:0]
-			}
+			l.tail = l.tail[:0]
 			l.mu.Unlock()
 			return nil
 		}
@@ -281,17 +269,26 @@ func (l *Link) Send(frame []byte) error {
 	return fmt.Errorf("livenet: send to %s after %d attempts: %w", l.addr, l.opts.MaxAttempts, lastErr)
 }
 
-// TryWrite writes frame on the calling goroutine if that needs no wait:
-// it takes the send lock only if it is free, dials nothing, and writes
-// what the socket buffer accepts now. What does not fit stays as the
-// link's tail, which the next Send writes first; tail reports that one
-// was left. TryWrite refuses, and ok is false, when the send lock is
-// held, there is no connection, an earlier tail is still unsent, or the
-// write failed (the connection is then dropped, as Send drops it). A
-// refused frame is the caller's to Send. A frame cut short by a failed
-// write may have reached the peer in part, so a resend can deliver some
-// of it twice; the daemon's ARQ drops such duplicates.
-func (l *Link) TryWrite(frame []byte) (ok, tail bool) {
+// TryWrite writes, on the calling goroutine, the batch fill appends to
+// an empty buffer, if that needs no wait: it takes the send lock only if
+// it is free, dials nothing, and writes what the socket buffer accepts
+// now. fill runs under the send lock, and only when the link can take
+// its batch; it may return the buffer empty.
+//
+// When the send lock is held, TryWrite returns at once with ok and wait
+// false, and fill does not run: a caller that shares a queue with the
+// holder leaves its batch there, for the holder to take once it has let
+// go of the lock. When there is no connection, or an earlier tail is
+// unsent, wait is true and fill does not run: the batch is for a Send.
+// Otherwise ok is true: fill ran, and its batch is written whole, or wait
+// is true and the next Send writes first what the link kept of it. That
+// is the rest the socket did not take, the link's tail; or, when the
+// write failed (the connection is then dropped, as Send drops it) or the
+// connection was dropped meanwhile, the whole batch, which the next
+// connection carries. A frame cut short by a failed write may have
+// reached the peer in part, so its resend can deliver some of it twice;
+// the daemon's ARQ drops such duplicates.
+func (l *Link) TryWrite(fill func([]byte) []byte) (ok, wait bool) {
 	if !l.sendMu.TryLock() {
 		return false, false
 	}
@@ -299,31 +296,31 @@ func (l *Link) TryWrite(frame []byte) (ok, tail bool) {
 	l.mu.Lock()
 	conn, raw, pending := l.conn, l.raw, len(l.tail) > 0
 	l.mu.Unlock()
-	if conn == nil || raw == nil || pending {
-		return false, false
+	if conn == nil || pending {
+		return false, true
 	}
-	if l.deadline {
-		conn.SetWriteDeadline(time.Time{}) //nolint:errcheck
-		l.deadline = false
-	}
-	n, err := writeNow(raw, frame)
+	l.batch = fill(l.batch[:0])
+	n, err := writeNow(raw, l.batch)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.conn != conn {
-		return false, false // Reset or Close dropped it meanwhile
-	}
-	if err != nil {
+	if err != nil && l.conn == conn {
 		if !l.proven {
 			l.escalateLocked()
 		}
 		l.dropConnLocked()
-		return false, false
+	}
+	if l.conn != conn {
+		// The write failed, or Reset or Close dropped conn meanwhile. The
+		// batch starts on a frame boundary, so it can start the next
+		// connection too.
+		l.tail = append(l.tail[:0], l.batch...)
+		return true, true
 	}
 	if n > 0 {
 		l.proven, l.backoff = true, 0
 	}
-	if n < len(frame) {
-		l.tail = append(l.tail[:0], frame[n:]...)
+	if n < len(l.batch) {
+		l.tail = append(l.tail[:0], l.batch[n:]...)
 		return true, true
 	}
 	return true, false
@@ -335,7 +332,6 @@ func (l *Link) dropConnLocked() {
 	if l.conn != nil {
 		l.conn.Close() //nolint:errcheck
 		l.conn = nil
-		l.w = nil
 		l.raw = nil
 	}
 	l.tail = l.tail[:0]

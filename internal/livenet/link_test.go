@@ -368,9 +368,21 @@ func readN(conn net.Conn, n int) <-chan []byte {
 	return out
 }
 
+// tryWrite offers b to l.TryWrite through fill and reports, with
+// TryWrite's results, whether the link called fill and so took b.
+func tryWrite(l *livenet.Link, b []byte) (ok, wait, took bool) {
+	ok, wait = l.TryWrite(func(buf []byte) []byte {
+		took = true
+		return append(buf, b...)
+	})
+	return ok, wait, took
+}
+
 // TestTryWriteRefuses: TryWrite neither dials nor waits. It refuses when
-// there is no connection, and while a Send holds the link (here inside
-// its handshake); once the Send is done, it writes.
+// there is no connection (wait: the batch is for a Send), and while a
+// Send holds the link (here inside its handshake; the batch is for the
+// holder), and a refused TryWrite never calls fill, so the batch stays
+// the caller's. Once the Send is done, it writes.
 func TestTryWriteRefuses(t *testing.T) {
 	addr, conns := heldListener(t)
 	entered, release := make(chan struct{}), make(chan struct{})
@@ -383,8 +395,8 @@ func TestTryWriteRefuses(t *testing.T) {
 		},
 	})
 	defer l.Close()
-	if ok, _ := l.TryWrite([]byte("x")); ok {
-		t.Fatal("TryWrite wrote with no connection")
+	if ok, wait, took := tryWrite(l, []byte("x")); ok || !wait || took {
+		t.Fatalf("TryWrite with no connection = %v, wait %v, fill called %v; want refused to a Send, fill not called", ok, wait, took)
 	}
 	select {
 	case <-conns:
@@ -394,8 +406,8 @@ func TestTryWriteRefuses(t *testing.T) {
 
 	done := sendInBackground(l)
 	<-entered
-	if ok, _ := l.TryWrite([]byte("x")); ok {
-		t.Fatal("TryWrite wrote while Send held the link")
+	if ok, wait, took := tryWrite(l, []byte("x")); ok || wait || took {
+		t.Fatalf("TryWrite while Send held the link = %v, wait %v, fill called %v; want left to the holder, fill not called", ok, wait, took)
 	}
 	close(release)
 	if err := promptly(t, done); err != nil {
@@ -403,8 +415,8 @@ func TestTryWriteRefuses(t *testing.T) {
 	}
 	peer := accepted(t, conns)
 	got := readN(peer, len("frame")+len("after"))
-	if ok, tail := l.TryWrite([]byte("after")); !ok || tail {
-		t.Fatalf("TryWrite on an idle connection = %v, tail %v; want written whole", ok, tail)
+	if ok, wait, _ := tryWrite(l, []byte("after")); !ok || wait {
+		t.Fatalf("TryWrite on an idle connection = %v, wait %v; want written whole", ok, wait)
 	}
 	if s := string(<-got); s != "frameafter" {
 		t.Fatalf("peer read %q, want %q", s, "frameafter")
@@ -413,8 +425,9 @@ func TestTryWriteRefuses(t *testing.T) {
 
 // TestTryWriteTailGoesFirst: against a peer that does not read, TryWrite
 // writes what the socket takes and keeps the rest as the tail. It refuses
-// while the tail is unsent, and the next Send writes the tail and then
-// its own frame, so the peer reads every byte once and in order.
+// while the tail is unsent, without calling fill, and the next Send
+// writes the tail and then its own frame, so the peer reads every byte
+// once and in order.
 func TestTryWriteTailGoesFirst(t *testing.T) {
 	addr, conns := heldListener(t)
 	l := livenet.NewLink(addr, livenet.LinkOptions{OnConnect: smallSendBuffer})
@@ -424,12 +437,12 @@ func TestTryWriteTailGoesFirst(t *testing.T) {
 	}
 	peer := accepted(t, conns)
 	big := pattern(2 << 20)
-	ok, tail := l.TryWrite(big)
-	if !ok || !tail {
-		t.Fatalf("TryWrite of %d bytes to a peer that never reads = %v, tail %v; want a tail", len(big), ok, tail)
+	ok, wait, _ := tryWrite(l, big)
+	if !ok || !wait {
+		t.Fatalf("TryWrite of %d bytes to a peer that never reads = %v, wait %v; want a tail", len(big), ok, wait)
 	}
-	if ok, _ := l.TryWrite([]byte("x")); ok {
-		t.Fatal("TryWrite wrote behind an unsent tail")
+	if ok, _, took := tryWrite(l, []byte("x")); ok || took {
+		t.Fatalf("TryWrite behind an unsent tail = %v, fill called %v; want refused, fill not called", ok, took)
 	}
 	want := append(append([]byte("hello"), big...), "next"...)
 	got := readN(peer, len(want))
@@ -439,14 +452,15 @@ func TestTryWriteTailGoesFirst(t *testing.T) {
 	if b := <-got; !bytes.Equal(b, want) {
 		t.Fatalf("peer read %d bytes, not the %d sent in order", len(b), len(want))
 	}
-	if ok, tail := l.TryWrite([]byte("x")); !ok || tail {
-		t.Fatalf("TryWrite after the tail was sent = %v, tail %v; want written whole", ok, tail)
+	if ok, wait, _ := tryWrite(l, []byte("x")); !ok || wait {
+		t.Fatalf("TryWrite after the tail was sent = %v, wait %v; want written whole", ok, wait)
 	}
 }
 
 // TestDroppedConnectionDiscardsTail: the tail belongs to its connection.
-// Once Reset drops it, TryWrite refuses (no connection), and the next Send
-// dials a fresh connection that carries only its own frame.
+// Once Reset drops it, TryWrite refuses (no connection) without calling
+// fill, and the next Send dials a fresh connection that carries only its
+// own frame.
 func TestDroppedConnectionDiscardsTail(t *testing.T) {
 	addr, conns := heldListener(t)
 	l := livenet.NewLink(addr, livenet.LinkOptions{OnConnect: smallSendBuffer})
@@ -455,12 +469,12 @@ func TestDroppedConnectionDiscardsTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	accepted(t, conns)
-	if _, tail := l.TryWrite(pattern(2 << 20)); !tail {
+	if _, wait, _ := tryWrite(l, pattern(2<<20)); !wait {
 		t.Fatal("no tail against a peer that never reads")
 	}
 	l.Reset()
-	if ok, _ := l.TryWrite([]byte("x")); ok {
-		t.Fatal("TryWrite wrote after Reset dropped the connection")
+	if ok, wait, took := tryWrite(l, []byte("x")); ok || !wait || took {
+		t.Fatalf("TryWrite after Reset dropped the connection = %v, wait %v, fill called %v; want refused to a Send, fill not called", ok, wait, took)
 	}
 	if err := l.Send([]byte("next")); err != nil {
 		t.Fatal(err)
@@ -473,5 +487,29 @@ func TestDroppedConnectionDiscardsTail(t *testing.T) {
 	}
 	if string(b) != "next" {
 		t.Fatalf("fresh connection carried %d bytes, want only %q", len(b), "next")
+	}
+}
+
+// TestFailedTryWriteKeepsBatch: a batch whose connection fails under it
+// is not lost. It starts on a frame boundary, so the next Send dials a
+// fresh connection and writes the whole batch there, before its own
+// frame.
+func TestFailedTryWriteKeepsBatch(t *testing.T) {
+	addr, conns := heldListener(t)
+	l := livenet.NewLink(addr, livenet.LinkOptions{})
+	defer l.Close()
+	if err := l.Send([]byte("hello")); err != nil {
+		t.Fatal(err)
+	}
+	accepted(t, conns)
+	l.Kill()
+	if ok, wait, _ := tryWrite(l, []byte("batch")); !ok || !wait {
+		t.Fatalf("TryWrite on a killed connection = %v, wait %v; want the batch taken and kept for a Send", ok, wait)
+	}
+	if err := l.Send([]byte("next")); err != nil {
+		t.Fatal(err)
+	}
+	if s := string(<-readN(accepted(t, conns), len("batchnext"))); s != "batchnext" {
+		t.Fatalf("fresh connection carried %q, want %q", s, "batchnext")
 	}
 }
